@@ -11,8 +11,8 @@ from .core import (
     p1_of,
     p2_of,
     rhs_full,
+    sector_rates,
     tau_of,
-    theta_of,
     w_of,
     y1_of,
     y2_of,
@@ -29,7 +29,6 @@ from .errors import (
     NoRealStableEigenvectorError,
     ParameterError,
     ScenarioError,
-    SingularityReachedError,
     SingularStateError,
     StepSizeUnderflowError,
     TargetNotReachedError,
@@ -66,5 +65,3 @@ from .stability import (
 from .steady import SteadyState, gap_P, solve_w, steady_state, transversality
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,9 +8,8 @@ mismatch, 5 I/O.
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,27 +22,15 @@ from .errors import (
     ScenarioError,
 )
 from .normalization import (
+    SIGMA_GUARD,
     baseline_from_point,
     baseline_from_steady_state,
     compare_economies,
     normalized_params,
 )
-from .scenario import SIGMA_GUARD, Scenario, load_scenario
+from .scenario import Scenario, load_scenario
 from .stability import eigen4, stability_report
 from .steady import steady_state
-
-_STEADY_FIELDS = (
-    "w_star",
-    "z_star",
-    "q_star",
-    "u_star",
-    "v_star",
-    "r_star",
-    "tau0",
-    "pi1k",
-    "pi2k",
-    "tvc_margin",
-)
 
 _SWEEP_COLUMNS = (
     "sigma",
@@ -88,7 +75,7 @@ def _render_kv(pairs, fmt: str) -> str:
 
 
 def _steady_pairs(ss):
-    return [(name, getattr(ss, name)) for name in _STEADY_FIELDS]
+    return [(f.name, getattr(ss, f.name)) for f in fields(ss)]
 
 
 def cmd_steady(args) -> int:
@@ -238,16 +225,7 @@ def cmd_sweep(args) -> int:
     baseline = _sweep_baseline(scn)
     grid = np.linspace(lo, hi, n)
 
-    max_workers = os.cpu_count() or 1
-    env = os.environ.get("CES_LAB_THREADS")
-    if env:
-        try:
-            max_workers = max(1, int(env))
-        except ValueError:
-            raise ScenarioError(f"not an integer: {env!r}", field="CES_LAB_THREADS") \
-                from None
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(lambda s: _sweep_row(s, which, scn, baseline), grid))
+    rows = [_sweep_row(s, which, scn, baseline) for s in grid]
 
     fmt = args.format or scn.output_format
     if fmt == "json":
@@ -302,7 +280,7 @@ def cmd_trajectory(args) -> int:
         raise ScenarioError("trajectory needs an initial block", field="$.initial")
     k0, h0 = scn.initial["k0"], scn.initial["h0"]
     z0 = k0 / h0
-    traj = saddle_path(scn.params, z0, tol=args.tol)
+    traj = saddle_path(scn.params, z0)
     if len(traj) > 1 and args.samples >= 2:
         times = np.linspace(traj.times[0], traj.times[-1], args.samples)
         states = np.column_stack(
@@ -341,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a scenario JSON file")
         p.add_argument("--format", choices=("table", "csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("steady", help="balanced-growth-path quantities")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-12, help="root-solver tolerance")
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("stability", help="Jacobian, eigenvalues, classification")

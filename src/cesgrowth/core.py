@@ -35,32 +35,45 @@ def tau_of(u: float, v: float) -> float:
     return v * (1.0 - u) / (u * (1.0 - v))
 
 
-def theta_of(alpha1: float, alpha2: float) -> float:
-    """theta = alpha1(1-alpha2) / (alpha2(1-alpha1))."""
-    if not (0.0 < alpha1 < 1.0) or not (0.0 < alpha2 < 1.0):
-        raise ParameterError("distribution parameters must be in (0,1)")
-    return alpha1 * (1.0 - alpha2) / (alpha2 * (1.0 - alpha1))
+def sector_rates(w: float, params: ModelParams) -> tuple:
+    """Sector rates at the effective capital ratio w, as a plain tuple.
+
+    Returns (P1, P2, S1, S2, Y1, MPK, Y2, MPH, P) where
+    S1 = alpha1 w^psi1 and S2 = alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)}
+    are the share terms and P1 = S1 + 1 - alpha1, P2 = S2 + 1 - alpha2;
+    Y1 = A1 P1^{1/psi1} is goods output per unit hu and
+    MPK = alpha1 A1 w^{psi1-1} P1^{1/psi1-1} its marginal product of capital;
+    Y2 = A2 P2^{1/psi2} is education output per unit h(1-u) at the
+    interior-optimum allocation and MPH = (1-alpha2) A2 P2^{1/psi2-1} its
+    marginal product of human capital; P = MPK - MPH - (delta_k - delta_h)
+    is the BGP gap. Every use of these rates reads them from here, except
+    the level-system oracle rhs_full.
+    """
+    psi1, psi2 = params.psi1, params.psi2
+    s1 = params.alpha1 * powz(w, psi1)
+    s2 = (
+        params.alpha2
+        * powz(params.theta, -psi2 / (1.0 - psi2))
+        * powz(w, psi2 * (1.0 - psi1) / (1.0 - psi2))
+    )
+    p1 = s1 + 1.0 - params.alpha1
+    p2 = s2 + 1.0 - params.alpha2
+    y1 = params.A1 * powz(p1, 1.0 / psi1)
+    y2 = params.A2 * powz(p2, 1.0 / psi2)
+    mpk = y1 * s1 / (w * p1)
+    mph = (1.0 - params.alpha2) * y2 / p2
+    gap = mpk - mph - (params.delta_k - params.delta_h)
+    return p1, p2, s1, s2, y1, mpk, y2, mph, gap
 
 
 def p1_of(w: float, params: ModelParams) -> float:
     """P1 = alpha1 w^psi1 + 1 - alpha1."""
-    return params.alpha1 * powz(w, params.psi1) + 1.0 - params.alpha1
-
-
-def _p2_exponents(params: ModelParams):
-    e_theta = -params.psi2 / (1.0 - params.psi2)
-    e_w = params.psi2 * (1.0 - params.psi1) / (1.0 - params.psi2)
-    return e_theta, e_w
+    return sector_rates(w, params)[0]
 
 
 def p2_of(w: float, params: ModelParams) -> float:
     """P2 = alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)} + 1 - alpha2."""
-    e_theta, e_w = _p2_exponents(params)
-    return (
-        params.alpha2 * powz(params.theta, e_theta) * powz(w, e_w)
-        + 1.0
-        - params.alpha2
-    )
+    return sector_rates(w, params)[1]
 
 
 def y1_of(k: float, h: float, u: float, v: float, params: ModelParams) -> float:
@@ -120,59 +133,40 @@ def aux_from_wuv(w: float, u: float, v: float, params: ModelParams) -> AuxBundle
     it extends smoothly to allocations outside (0, 1); stable-manifold
     construction relies on that.
     """
+    p1, p2, s1, s2, y1, _, y2, _, gap = sector_rates(w, params)
     psi1, psi2 = params.psi1, params.psi2
-    p1 = p1_of(w, params)
-    p2 = p2_of(w, params)
-
-    d = (
-        params.A2 * (1.0 - u) * powz(p2, 1.0 / psi2)
-        - params.A1 * v / w * powz(p1, 1.0 / psi1)
-        + params.delta_k
-        - params.delta_h
-    )
-    gap = (
-        params.alpha1 * params.A1 * powz(w, psi1 - 1.0) * powz(p1, 1.0 / psi1 - 1.0)
-        - (1.0 - params.alpha2) * params.A2 * powz(p2, 1.0 / psi2 - 1.0)
-        - (params.delta_k - params.delta_h)
-    )
-    e_theta, e_w = _p2_exponents(params)
-    t = params.alpha1 * (1.0 - params.alpha2) * powz(w, psi1) - params.alpha2 * (
-        1.0 - params.alpha1
-    ) * powz(params.theta, e_theta) * powz(w, e_w)
-    g1 = (psi1 - psi2) * u + 1.0 - psi1
-    g2 = (psi1 - psi2) * v + 1.0 - psi1
-    p_eps = params.alpha1 * (params.eps * v - 1.0) * powz(w, psi1) + params.eps * (
-        1.0 - params.alpha1
-    ) * v
-    h = powz(p1, 1.0 / psi1 - 1.0) * p_eps / w
+    t = (1.0 - params.alpha2) * s1 - (1.0 - params.alpha1) * s2
+    p_eps = (params.eps * v - 1.0) * s1 + params.eps * (1.0 - params.alpha1) * v
     return AuxBundle(
-        D=d,
+        D=(1.0 - u) * y2 - v / w * y1 + params.delta_k - params.delta_h,
         P=gap,
         T=t,
-        G1=g1,
-        G2=g2,
+        G1=(psi1 - psi2) * u + 1.0 - psi1,
+        G2=(psi1 - psi2) * v + 1.0 - psi1,
         Q=p1 * p2,
         R=(1.0 - psi1) * (1.0 - psi2) * t,
         P_eps=p_eps,
-        H=h,
+        H=y1 / (params.A1 * p1) * p_eps / w,
     )
 
 
 def costate_ratio(w: float, params: ModelParams) -> float:
-    """mu/lambda = A1 alpha1 / (A2 alpha2 theta) * P1^{1/psi1-1} / P2^{1/psi2-1}."""
-    p1 = p1_of(w, params)
-    p2 = p2_of(w, params)
-    return (
-        params.A1
-        * params.alpha1
-        / (params.A2 * params.alpha2 * params.theta)
-        * powz(p1, 1.0 / params.psi1 - 1.0)
-        / powz(p2, 1.0 / params.psi2 - 1.0)
-    )
+    """mu/lambda = A1 alpha1 / (A2 alpha2 theta) * P1^{1/psi1-1} / P2^{1/psi2-1}.
+
+    That is the goods sector's marginal product of human capital,
+    (1-alpha1) A1 P1^{1/psi1-1}, over the education sector's.
+    """
+    p1, _, _, _, y1, _, _, mph, _ = sector_rates(w, params)
+    return (1.0 - params.alpha1) * y1 / p1 / mph
 
 
 def rhs_full(state: LevelState, params: ModelParams) -> np.ndarray:
-    """Time derivatives (kdot, hdot, cdot, udot, vdot) of the level system."""
+    """Time derivatives (kdot, hdot, cdot, udot, vdot) of the level system.
+
+    The tests' level-system oracle: the growth rates of k, h and c are
+    written out here from P1 and P2, not read from sector_rates, so that
+    comparing this with rhs_reduced checks the kernel.
+    """
     k, h, c, u, v = state.k, state.h, state.c, state.u, state.v
     if abs(u - v) < UV_GAP_FLOOR:
         raise SingularStateError(f"u - v = {u - v} too small", state=state)

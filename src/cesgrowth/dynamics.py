@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from .core import p1_of, powz
+from .core import sector_rates
 from .errors import (
     NoRealStableEigenvectorError,
     ParameterError,
@@ -21,6 +21,14 @@ BOX_MARGIN = 1e-9
 UV_EVENT_GAP = 1e-9
 
 _CLIP = 1e-12
+
+
+def _ev_singular(_t, x):
+    """Terminal event of both integrators: the state reaches u = v."""
+    return abs(x[2] - x[3]) - UV_EVENT_GAP
+
+
+_ev_singular.terminal = True
 
 
 def _rhs_clipped(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -82,13 +90,9 @@ def integrate(
     def fun(_t, x):
         return _rhs_clipped(x, params)
 
-    def ev_singular(_t, x):
-        return abs(x[2] - x[3]) - UV_EVENT_GAP
-
     def ev_box(_t, x):
         return min(x[0], x[1], x[2], x[3], 1.0 - x[2], 1.0 - x[3]) - BOX_MARGIN
 
-    ev_singular.terminal = True
     ev_box.terminal = True
 
     sol = solve_ivp(
@@ -99,8 +103,7 @@ def integrate(
         rtol=tol,
         atol=1e-12,
         t_eval=t_eval,
-        events=(ev_singular, ev_box),
-        dense_output=True,
+        events=(_ev_singular, ev_box),
     )
     if sol.status == -1:
         raise StepSizeUnderflowError(
@@ -179,11 +182,6 @@ def saddle_path(
 
     ev_floor.terminal = True
 
-    def ev_singular(_t, x):
-        return abs(x[2] - x[3]) - UV_EVENT_GAP
-
-    ev_singular.terminal = True
-
     # The seed sits eps from the fixed point, so derivatives are tiny and
     # the first-step heuristic would overshoot without a step cap.
     sol = solve_ivp(
@@ -194,8 +192,7 @@ def saddle_path(
         rtol=tol,
         atol=1e-13,
         max_step=min(1.0, 0.5 / abs(lam.real)),
-        events=(ev_target, ev_floor, ev_singular),
-        dense_output=True,
+        events=(ev_target, ev_floor, _ev_singular),
     )
     if sol.status == -1:
         raise StepSizeUnderflowError(
@@ -242,9 +239,7 @@ def reconstruct_levels(
     w = v / u * z
     growth = np.array(
         [
-            params.A1 * vi / wi * powz(p1_of(wi, params), 1.0 / params.psi1)
-            - qi
-            - params.delta_k
+            vi / wi * sector_rates(wi, params)[4] - qi - params.delta_k
             for wi, vi, qi in zip(w, v, q)
         ]
     )

@@ -68,15 +68,6 @@ class StepSizeUnderflowError(CesGrowthError):
         self.last_time = last_time
 
 
-class SingularityReachedError(CesGrowthError):
-    """Integration ran into u = v or left the admissible box."""
-
-    def __init__(self, message, last_state=None, last_time=None):
-        super().__init__(message)
-        self.last_state = last_state
-        self.last_time = last_time
-
-
 class ScenarioError(CesGrowthError, ValueError):
     """Scenario file failed validation; carries the offending field path."""
 

@@ -27,8 +27,6 @@ _SWEEP_KEYS = ("sigma", "lo", "hi", "n")
 _BASELINE_SOURCES = ("initial", "steady_state")
 _FORMATS = ("table", "csv", "json")
 
-SIGMA_GUARD = 1e-3
-
 
 @dataclass(frozen=True)
 class SweepSpec:

@@ -4,15 +4,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import R_FLOOR, aux_from_wuv
+from .core import UV_GAP_FLOOR, aux_from_wuv
 from .errors import NoConvergenceError, ParameterError, SingularStateError
 from .params import ModelParams, ReducedState
 from .steady import SteadyState, steady_state
 
 # Eigenvalues this close to zero (real part) count as structurally zero.
 TOL_ZERO = 1e-3
-
-UV_GAP_FLOOR = 1e-12
 
 
 def rhs_reduced(state: ReducedState, params: ModelParams) -> np.ndarray:
@@ -35,7 +33,7 @@ def rhs_reduced_values(
         raise SingularStateError(f"w = (v/u) z not positive at u={u}, v={v}, z={z}",
                                  state=(z, q, u, v))
     bun = aux_from_wuv(v / u * z, u, v, params)
-    if abs(bun.R) < R_FLOOR:
+    if bun.singular:
         raise SingularStateError(f"R = {bun.R} vanishes", state=(z, q, u, v))
 
     zdot = -(bun.D + q) * z
@@ -47,10 +45,6 @@ def rhs_reduced_values(
     udot = (bun.D + q + bun.G2 * bun.Q * bun.P / bun.R) * u * (1.0 - u) / (u - v)
     vdot = (bun.D + q + bun.G1 * bun.Q * bun.P / bun.R) * v * (1.0 - v) / (u - v)
     return np.array([zdot, qdot, udot, vdot])
-
-
-def _rhs_array(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    return rhs_reduced_values(x[0], x[1], x[2], x[3], params)
 
 
 def jacobian_fd(
@@ -73,7 +67,9 @@ def jacobian_fd(
             xp[i] += h
             xm[i] -= h
             try:
-                jac[:, i] = (_rhs_array(xp, params) - _rhs_array(xm, params)) / (2 * h)
+                jac[:, i] = (
+                    rhs_reduced_values(*xp, params) - rhs_reduced_values(*xm, params)
+                ) / (2 * h)
                 break
             except SingularStateError:
                 if attempt == 1:

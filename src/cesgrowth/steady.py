@@ -1,17 +1,22 @@
 """Balanced-growth-path solver.
 
 The BGP reduces to one scalar equation P(w) = 0 in the effective capital
-ratio w; the gap is strictly decreasing with P(0+) = +inf and
-P(+inf) = -inf, so a sign-change bracket plus a safeguarded bracketed
-root step is enough. All starred quantities follow in closed form.
+ratio w, where the gap P is the goods MPK less the education MPH less
+(delta_k - delta_h). Its limits at w -> 0+ and w -> +inf depend on the
+signs of psi1 and psi2: for psi1 > 0 the goods MPK tends to
+A1 alpha1^{1/psi1} as w -> +inf instead of to zero, so P need not change
+sign. Where it does, a sign-change bracket plus a safeguarded bracketed
+root step is enough; where it does not, solve_w raises NoBracketError.
+All starred quantities follow in closed form.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .core import p1_of, p2_of, powz, tau_of
+from .core import aux_from_wuv, sector_rates
 from .errors import (
     AllocationOutOfRangeError,
     NoBracketError,
@@ -42,16 +47,7 @@ class SteadyState:
 
 def gap_P(w: float, params: ModelParams) -> float:
     """BGP gap P(w) = a1 A1 w^{psi1-1} P1^{1/psi1-1} - (1-a2) A2 P2^{1/psi2-1} - (dk-dh)."""
-    p1 = p1_of(w, params)
-    p2 = p2_of(w, params)
-    return (
-        params.alpha1
-        * params.A1
-        * powz(w, params.psi1 - 1.0)
-        * powz(p1, 1.0 / params.psi1 - 1.0)
-        - (1.0 - params.alpha2) * params.A2 * powz(p2, 1.0 / params.psi2 - 1.0)
-        - (params.delta_k - params.delta_h)
-    )
+    return sector_rates(w, params)[8]
 
 
 def solve_w(params: ModelParams, tol: float = 1e-12) -> float:
@@ -104,34 +100,23 @@ def transversality(params: ModelParams, r_star: float) -> float:
 def steady_state(params: ModelParams, tol: float = 1e-12) -> SteadyState:
     """Assemble the full balanced-growth-path record."""
     w = solve_w(params, tol=tol)
-    p1 = p1_of(w, params)
-    p2 = p2_of(w, params)
-    psi1, psi2 = params.psi1, params.psi2
-
-    r = (
-        params.alpha1 * params.A1 * powz(w, psi1 - 1.0) * powz(p1, 1.0 / psi1 - 1.0)
-        - params.rho
-        - params.delta_k
-    ) / params.eps
-    tau0 = powz(w, (psi1 - psi2) / (1.0 - psi2)) * powz(
-        params.theta, 1.0 / (1.0 - psi2)
-    )
-    u = 1.0 - (r + params.delta_h) / (params.A2 * powz(p2, 1.0 / psi2))
-    v = tau0 * u / (1.0 + (tau0 - 1.0) * u)
+    p1, p2, s1, s2, _, mpk, y2, _, _ = sector_rates(w, params)
+    r = (mpk - params.rho - params.delta_k) / params.eps
+    # Interior-optimum ratio tau0 = w^{(psi1-psi2)/(1-psi2)} theta^{1/(1-psi2)},
+    # read off the share terms.
+    tau0 = (1.0 - params.alpha2) * s1 / ((1.0 - params.alpha1) * s2)
+    u = 1.0 - (r + params.delta_h) / y2
+    # v* is defined only for 0 < u* < 1: at u* = 1 its denominator can round to 0.
+    v = tau0 * u / (1.0 + (tau0 - 1.0) * u) if 0.0 < u < 1.0 else math.nan
     if not (0.0 < u < 1.0) or not (0.0 < v < 1.0):
         raise AllocationOutOfRangeError(
             f"steady-state allocations out of range: u*={u}, v*={v}",
             u_star=u,
             v_star=v,
         )
-    p_eps = params.alpha1 * (params.eps * v - 1.0) * powz(w, psi1) + params.eps * (
-        1.0 - params.alpha1
-    ) * v
-    q = (
-        params.A1 / w * p_eps * powz(p1, 1.0 / psi1 - 1.0)
-        + params.rho
-        - params.delta_k * (params.eps - 1.0)
-    ) / params.eps
+    # q* is the zero of the qdot equation, q = (A1 H + rho - (eps-1) delta_k) / eps.
+    a1_h = params.A1 * aux_from_wuv(w, u, v, params).H
+    q = (a1_h + params.rho - params.delta_k * (params.eps - 1.0)) / params.eps
     margin = transversality(params, r)
     if margin <= 0.0:
         raise TvcViolationError(
@@ -145,12 +130,8 @@ def steady_state(params: ModelParams, tol: float = 1e-12) -> SteadyState:
         v_star=v,
         r_star=r,
         tau0=tau0,
-        pi1k=params.alpha1 * powz(w, psi1) / p1,
-        pi2k=(p2 - (1.0 - params.alpha2)) / p2,
+        pi1k=s1 / p1,
+        pi2k=s2 / p2,
         tvc_margin=margin,
     )
 
-
-def tau_at(ss: SteadyState) -> float:
-    """tau evaluated at the steady-state allocations (cross-check for tau0)."""
-    return tau_of(ss.u_star, ss.v_star)

@@ -25,6 +25,16 @@ CASE_PSI = {
     5: (-0.15, -0.10),
 }
 
+# A validated economy whose u* rounds to 1.0, where the v* denominator
+# 1 + (tau0 - 1) u* rounds to 0.
+U_STAR_AT_ONE = {
+    "A1": 17.20917814008648, "A2": 0.02859717664599676,
+    "alpha1": 0.7286639076611194, "alpha2": 0.8005539540471218,
+    "psi1": 0.3079030413027608, "psi2": 0.8514594034685632,
+    "delta_k": 0.21328162163942577, "delta_h": 0.29316332170954645,
+    "eps": 3.5123964792098006, "rho": 0.1569467022412699,
+}
+
 
 def bench_params(psi1: float, psi2: float) -> ModelParams:
     return ModelParams(psi1=psi1, psi2=psi2, **BENCH)

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from cesgrowth import steady_state
-from cesgrowth.cli import main
+from cesgrowth import saddle_path, steady_state
+from cesgrowth.cli import _fmt, main
 
-from conftest import bench_params
+from conftest import CASE_PSI, U_STAR_AT_ONE, bench_params
 
 PARAMS_CASE1 = {
     "A1": 1.05,
@@ -148,30 +148,6 @@ def test_sweep_without_spec_or_grid(scenario_file, capsys):
     assert "sweep" in err
 
 
-def test_sweep_deterministic_across_thread_counts(
-    scenario_file, capsys, monkeypatch
-):
-    scn = scenario_file(
-        initial={"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5},
-        sweep={"sigma": "1", "lo": 1.05, "hi": 1.45, "n": 9},
-    )
-    monkeypatch.setenv("CES_LAB_THREADS", "1")
-    _, out1, _ = run(capsys, "sweep", "--scenario", scn)
-    monkeypatch.setenv("CES_LAB_THREADS", "7")
-    _, out7, _ = run(capsys, "sweep", "--scenario", scn)
-    assert out1 == out7
-
-
-def test_sweep_bad_thread_env(scenario_file, capsys, monkeypatch):
-    scn = scenario_file(
-        initial={"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5},
-        sweep={"sigma": "1", "lo": 1.1, "hi": 1.2, "n": 2},
-    )
-    monkeypatch.setenv("CES_LAB_THREADS", "many")
-    code, _, err = run(capsys, "sweep", "--scenario", scn)
-    assert code == 2
-
-
 def test_compare_dominance(scenario_file, capsys):
     a = scenario_file("a.json")
     b_params = dict(PARAMS_CASE1, psi1=0.20, psi2=-0.15)
@@ -218,6 +194,22 @@ def test_trajectory_csv(scenario_file, capsys):
     assert k[0] == pytest.approx(5.5, rel=1e-9)
 
 
+def test_trajectory_uses_library_integrator_tolerance(tmp_path, capsys):
+    """The footer's t_end is the library saddle path's, at its default rtol."""
+    params = bench_params(*CASE_PSI[2])
+    z0 = 1.2 * steady_state(params).z_star
+    doc = {
+        "params": dict(PARAMS_CASE1, psi1=params.psi1, psi2=params.psi2),
+        "initial": {"k0": z0, "h0": 1.0, "u0": 0.6, "v0": 0.5},
+    }
+    path = tmp_path / "case2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "trajectory", "--scenario", str(path))
+    assert code == 0
+    footer = out.strip().splitlines()[-1]
+    assert footer.endswith(f"t_end={_fmt(saddle_path(params, z0).times[-1])}")
+
+
 def test_trajectory_requires_initial_block(scenario_file, capsys):
     code, _, err = run(capsys, "trajectory", "--scenario", scenario_file())
     assert code == 2
@@ -235,6 +227,14 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(bad), encoding="utf-8")
     code, _, err = run(capsys, "steady", "--scenario", str(path))
     assert code == 2
+
+
+def test_u_star_at_one_exit_3(tmp_path, capsys):
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps({"params": U_STAR_AT_ONE}), encoding="utf-8")
+    code, _, err = run(capsys, "steady", "--scenario", str(path))
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_numeric_failure_exit_3(tmp_path, capsys):

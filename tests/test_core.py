@@ -5,6 +5,7 @@ against a direct evaluation of the CES technologies at matching inputs.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,15 +18,14 @@ from cesgrowth import (
     costate_ratio,
     rhs_full,
     tau_of,
-    theta_of,
     w_of,
     y1_of,
     y2_of,
 )
-from cesgrowth.core import aux_from_wuv, p1_of, p2_of, powz
+from cesgrowth.core import aux_from_wuv, p1_of, p2_of, powz, sector_rates
 from cesgrowth.stability import rhs_reduced
 
-from conftest import bench_params
+from conftest import CASE_PSI, bench_params
 
 
 def random_interior_state(rng):
@@ -59,9 +59,10 @@ def test_w_and_tau():
 
 
 def test_theta():
-    assert theta_of(0.6, 0.8) == pytest.approx(0.6 * 0.2 / (0.8 * 0.4))
+    p = bench_params(0.25, -0.10)
+    assert p.theta == pytest.approx(0.6 * 0.2 / (0.8 * 0.4))
     with pytest.raises(ParameterError):
-        theta_of(0.0, 0.5)
+        replace(p, alpha1=0.0)
 
 
 def test_y1_reduces_to_p1(rng):
@@ -77,6 +78,20 @@ def test_y1_reduces_to_p1(rng):
         assert direct == pytest.approx(reduced, rel=1e-12)
 
 
+def optimal_tau_point(rng, p):
+    """(w, k, h, u, v) with tau(u, v) = tau0(w), or None if v leaves (0, 1)."""
+    u = rng.uniform(0.3, 0.9)
+    w = rng.uniform(0.5, 30.0)
+    tau0 = powz(w, (p.psi1 - p.psi2) / (1.0 - p.psi2)) * powz(
+        p.theta, 1.0 / (1.0 - p.psi2)
+    )
+    v = tau0 * u / (1.0 + (tau0 - 1.0) * u)
+    if not 0.0 < v < 1.0:
+        return None
+    h = rng.uniform(0.2, 5.0)
+    return w, w * u / v * h, h, u, v
+
+
 def test_y2_reduces_to_p2_at_optimal_tau(rng):
     """P2 folds in the interior-optimum ratio tau0 = w^{(psi1-psi2)/(1-psi2)} theta^{1/(1-psi2)}.
 
@@ -85,19 +100,62 @@ def test_y2_reduces_to_p2_at_optimal_tau(rng):
     """
     p = bench_params(0.25, -0.10)
     for _ in range(50):
-        u = rng.uniform(0.3, 0.9)
-        w = rng.uniform(0.5, 30.0)
-        tau0 = powz(w, (p.psi1 - p.psi2) / (1.0 - p.psi2)) * powz(
-            p.theta, 1.0 / (1.0 - p.psi2)
-        )
-        v = tau0 * u / (1.0 + (tau0 - 1.0) * u)
-        if not 0.0 < v < 1.0:
+        point = optimal_tau_point(rng, p)
+        if point is None:
             continue
-        h = rng.uniform(0.2, 5.0)
-        k = w * u / v * h
+        w, k, h, u, v = point
         direct = y2_of(k, h, u, v, p)
         reduced = p.A2 * h * (1.0 - u) * powz(p2_of(w, p), 1.0 / p.psi2)
         assert direct == pytest.approx(reduced, rel=1e-10)
+
+
+def kernel_cases(repeats=25):
+    """Every benchmark case's parameters, repeats times each."""
+    for case in sorted(CASE_PSI):
+        yield from [bench_params(*CASE_PSI[case])] * repeats
+
+
+def test_kernel_goods_output_matches_y1(rng):
+    """sector_rates' output per unit hu, times hu, is the direct y1."""
+    for p in kernel_cases():
+        s = random_interior_state(rng)
+        h = rng.uniform(0.2, 5.0)
+        y1 = sector_rates(w_of(s), p)[4]
+        assert y1 * h * s.u == pytest.approx(y1_of(s.z * h, h, s.u, s.v, p), rel=1e-12)
+
+
+def test_kernel_goods_mpk_matches_y1_derivative(rng):
+    """Goods MPK = (d y1 / d k) / v, by central difference of the direct y1."""
+    for p in kernel_cases():
+        s = random_interior_state(rng)
+        h = rng.uniform(0.2, 5.0)
+        k = s.z * h
+        dk = 1e-6 * k
+        y1_up, y1_down = (y1_of(k + d, h, s.u, s.v, p) for d in (dk, -dk))
+        dy1_dk = (y1_up - y1_down) / (2 * dk)
+        mpk = sector_rates(w_of(s), p)[5]
+        assert mpk == pytest.approx(dy1_dk / s.v, rel=1e-7)
+
+
+def test_kernel_education_mph_matches_y2_derivative(rng):
+    """Education MPH = (d y2 / d h) / (1-u) at the tau0 allocation.
+
+    The gap P is then MPK - MPH - (delta_k - delta_h).
+    """
+    checked = 0
+    for p in kernel_cases(repeats=50):
+        point = optimal_tau_point(rng, p)
+        if point is None:
+            continue
+        w, k, h, u, v = point
+        dh = 1e-6 * h
+        y2_up, y2_down = (y2_of(k, h + d, u, v, p) for d in (dh, -dh))
+        dy2_dh = (y2_up - y2_down) / (2 * dh)
+        *_, mpk, _, mph, gap = sector_rates(w, p)
+        assert mph == pytest.approx(dy2_dh / (1.0 - u), rel=1e-7)
+        assert gap == pytest.approx(mpk - mph - (p.delta_k - p.delta_h), rel=1e-12)
+        checked += 1
+    assert checked >= 10
 
 
 def test_aux_bundle_definitions(rng):

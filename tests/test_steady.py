@@ -5,6 +5,8 @@ from dataclasses import replace
 import pytest
 
 from cesgrowth import (
+    AllocationOutOfRangeError,
+    ModelParams,
     NoBracketError,
     ParameterError,
     SteadyState,
@@ -13,9 +15,10 @@ from cesgrowth import (
     solve_w,
     steady_state,
 )
-from cesgrowth.steady import tau_at, transversality
+from cesgrowth.core import tau_of
+from cesgrowth.steady import transversality
 
-from conftest import CASE_PSI, bench_params
+from conftest import CASE_PSI, U_STAR_AT_ONE, bench_params
 
 # Reference balanced-growth values (z*, u*, v*, q*) per case.
 CASE_TARGETS = {
@@ -51,7 +54,7 @@ def test_gap_brackets_the_root(params_any_case):
 
 def test_tau0_matches_allocation_ratio(params_any_case):
     ss = steady_state(params_any_case)
-    assert tau_at(ss) == pytest.approx(ss.tau0, rel=1e-10)
+    assert tau_of(ss.u_star, ss.v_star) == pytest.approx(ss.tau0, rel=1e-10)
 
 
 def test_interest_rate_and_tvc(params_any_case):
@@ -90,6 +93,12 @@ def test_tvc_violation_raised():
     p = replace(bench_params(0.25, -0.10), A1=0.05, rho=0.001)
     with pytest.raises(TvcViolationError):
         steady_state(p)
+
+
+def test_u_star_at_one_raises_allocation_error():
+    with pytest.raises(AllocationOutOfRangeError) as info:
+        steady_state(ModelParams(**U_STAR_AT_ONE))
+    assert not 0.0 < info.value.u_star < 1.0
 
 
 def test_steady_state_record_type(params_case1):
