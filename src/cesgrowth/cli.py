@@ -342,8 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path to the second scenario JSON file")
     p.set_defaults(func=cmd_compare)
 
+    # trajectory always writes CSV, so it takes no --format.
     p = sub.add_parser("trajectory", help="saddle-path trajectory with levels")
-    common(p)
+    p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--samples", type=int, default=201)
     p.set_defaults(func=cmd_trajectory)
     return parser

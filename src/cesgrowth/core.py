@@ -1,8 +1,6 @@
 """CES technologies and the auxiliary scalars of the differential system.
 
-Everything here is a pure function of its arguments. Powers are evaluated
-in log space so large capital-intensity ratios combined with exponents
-like 1/psi - 1 cannot overflow.
+Everything here is a pure function of its arguments.
 """
 
 import math
@@ -35,8 +33,13 @@ def tau_of(u: float, v: float) -> float:
     return v * (1.0 - u) / (u * (1.0 - v))
 
 
-def sector_rates(w: float, params: ModelParams) -> tuple:
+def sector_rates(w, params: ModelParams) -> tuple:
     """Sector rates at the effective capital ratio w, as a plain tuple.
+
+    w is a positive float, a complex number with positive real part (the
+    complex-step Jacobian differentiates through it) or a numpy array of
+    positive floats, read elementwise; every power base is then positive:
+    w, theta and P_i > 1 - alpha_i > 0.
 
     Returns (P1, P2, S1, S2, Y1, MPK, Y2, MPH, P) where
     S1 = alpha1 w^psi1 and S2 = alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)}
@@ -49,17 +52,20 @@ def sector_rates(w: float, params: ModelParams) -> tuple:
     is the BGP gap. Every use of these rates reads them from here, except
     the level-system oracle rhs_full.
     """
+    nonpositive = w.real <= 0.0
+    if nonpositive.any() if isinstance(w, np.ndarray) else nonpositive:
+        raise ParameterError(f"w must be positive, got {np.min(w.real)}")
     psi1, psi2 = params.psi1, params.psi2
-    s1 = params.alpha1 * powz(w, psi1)
+    s1 = params.alpha1 * w**psi1
     s2 = (
         params.alpha2
-        * powz(params.theta, -psi2 / (1.0 - psi2))
-        * powz(w, psi2 * (1.0 - psi1) / (1.0 - psi2))
+        * params.theta ** (-psi2 / (1.0 - psi2))
+        * w ** (psi2 * (1.0 - psi1) / (1.0 - psi2))
     )
     p1 = s1 + 1.0 - params.alpha1
     p2 = s2 + 1.0 - params.alpha2
-    y1 = params.A1 * powz(p1, 1.0 / psi1)
-    y2 = params.A2 * powz(p2, 1.0 / psi2)
+    y1 = params.A1 * p1 ** (1.0 / psi1)
+    y2 = params.A2 * p2 ** (1.0 / psi2)
     mpk = y1 * s1 / (w * p1)
     mph = (1.0 - params.alpha2) * y2 / p2
     gap = mpk - mph - (params.delta_k - params.delta_h)

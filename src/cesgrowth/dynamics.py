@@ -237,12 +237,7 @@ def reconstruct_levels(
     u = traj.states[:, 2]
     v = traj.states[:, 3]
     w = v / u * z
-    growth = np.array(
-        [
-            vi / wi * sector_rates(wi, params)[4] - qi - params.delta_k
-            for wi, vi, qi in zip(w, v, q)
-        ]
-    )
+    growth = v / w * sector_rates(w, params)[4] - q - params.delta_k
     if len(traj) == 1:
         k = np.array([k0])
     else:

@@ -25,11 +25,12 @@ def rhs_reduced_values(
 
     The reduced equations only involve powers of w = (v/u) z and the
     allocations linearly, so they extend smoothly past u = 1 or v = 1;
-    the stable manifold can traverse that region.
+    the stable manifold can traverse that region. Complex coordinates,
+    as jacobian_fd passes them, run the same code.
     """
     if abs(u - v) < UV_GAP_FLOOR:
         raise SingularStateError(f"u - v = {u - v} too small", state=(z, q, u, v))
-    if u == 0.0 or v / u * z <= 0.0:
+    if u == 0.0 or (v / u * z).real <= 0.0:
         raise SingularStateError(f"w = (v/u) z not positive at u={u}, v={v}, z={z}",
                                  state=(z, q, u, v))
     bun = aux_from_wuv(v / u * z, u, v, params)
@@ -47,34 +48,20 @@ def rhs_reduced_values(
     return np.array([zdot, qdot, udot, vdot])
 
 
-def jacobian_fd(
-    state: ReducedState, params: ModelParams, step: float | None = None
-) -> np.ndarray:
-    """Central-difference Jacobian of rhs_reduced.
+def jacobian_fd(state: ReducedState, params: ModelParams) -> np.ndarray:
+    """Complex-step Jacobian of rhs_reduced.
 
-    Per-coordinate step h_i = step * max(1, |x_i|), default step 1e-6.
-    If a probe point is singular the step is shrunk once before failing.
+    Column i is Im rhs(x + i h e_i) / h with h = 1e-20 (Squire & Trapp,
+    SIAM Review 40, 1998): no subtraction, so the error is at rounding
+    level and independent of h, from one rhs evaluation per column.
     """
-    if step is not None and step <= 0.0:
-        raise ParameterError(f"step must be positive, got {step}")
-    base = 1e-6 if step is None else step
-    x = state.as_array()
+    h = 1e-20
+    x = state.as_array().tolist()
     jac = np.empty((4, 4))
     for i in range(4):
-        h = base * max(1.0, abs(x[i]))
-        for attempt in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            try:
-                jac[:, i] = (
-                    rhs_reduced_values(*xp, params) - rhs_reduced_values(*xm, params)
-                ) / (2 * h)
-                break
-            except SingularStateError:
-                if attempt == 1:
-                    raise
-                h /= 10.0
+        xi = list(x)
+        xi[i] += h * 1j
+        jac[:, i] = rhs_reduced_values(*xi, params).imag / h
     return jac
 
 
@@ -109,10 +96,10 @@ class StabilityReport:
     classification: str
 
 
-def classify(eigenvalues: np.ndarray, tol_zero: float = TOL_ZERO) -> tuple[int, int, str]:
+def classify(eigenvalues: np.ndarray) -> tuple[int, int, str]:
     re = np.real(eigenvalues)
-    n_stable = int(np.sum(re < -tol_zero))
-    n_zero = int(np.sum(np.abs(re) <= tol_zero))
+    n_stable = int(np.sum(re < -TOL_ZERO))
+    n_zero = int(np.sum(np.abs(re) <= TOL_ZERO))
     if n_stable == 1:
         label = "saddle_path"
     elif n_stable == len(re):
@@ -124,15 +111,13 @@ def classify(eigenvalues: np.ndarray, tol_zero: float = TOL_ZERO) -> tuple[int, 
     return n_stable, n_zero, label
 
 
-def stability_report(
-    params: ModelParams, tol_zero: float = TOL_ZERO
-) -> StabilityReport:
+def stability_report(params: ModelParams) -> StabilityReport:
     """Solve the BGP, linearize around it and classify the local dynamics."""
     ss = steady_state(params)
     state = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
     jac = jacobian_fd(state, params)
     ev = eigen4(jac)
-    n_stable, n_zero, label = classify(ev, tol_zero)
+    n_stable, n_zero, label = classify(ev)
     return StabilityReport(
         steady=ss,
         jacobian=jac,

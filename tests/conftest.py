@@ -35,6 +35,27 @@ U_STAR_AT_ONE = {
     "eps": 3.5123964792098006, "rho": 0.1569467022412699,
 }
 
+# Stiff economies (|lambda| of 400-1 100) from the benchmark's economy_scan
+# pool, perfbench.workloads.draw_economies(default_rng(12345), 3000)[i]:
+# their structural zero eigenvalue sits within 1e-6 of zero.
+STIFF_POOL = {
+    35: {"A1": 1.0578694087171487, "A2": 0.2708142807980521,
+         "alpha1": 0.4289210850690004, "alpha2": 0.3414802331456483,
+         "psi1": -0.20149697315146053, "psi2": 0.10933769438879676,
+         "delta_k": 1.731606670964947e-05, "delta_h": 0.06882508109547683,
+         "eps": 3.301345376698999, "rho": 0.08893235548915267},
+    420: {"A1": 1.082816709449165, "A2": 0.2583348720963845,
+          "alpha1": 0.43635960555794673, "alpha2": 0.4765844661915637,
+          "psi1": -0.26675849390054157, "psi2": -0.4529684387961928,
+          "delta_k": 0.06090841609017175, "delta_h": 0.04171608841061456,
+          "eps": 3.2093858708174876, "rho": 0.030641723575755057},
+    1912: {"A1": 0.941544713661586, "A2": 0.36448437075011475,
+           "alpha1": 0.4402059864167212, "alpha2": 0.5207642800843819,
+           "psi1": 0.28046992704443025, "psi2": -0.26000004028404594,
+           "delta_k": 0.09519232936013047, "delta_h": 0.020765307739183204,
+           "eps": 3.650930361857076, "rho": 0.08609874690317172},
+}
+
 
 def bench_params(psi1: float, psi2: float) -> ModelParams:
     return ModelParams(psi1=psi1, psi2=psi2, **BENCH)

@@ -210,6 +210,14 @@ def test_trajectory_uses_library_integrator_tolerance(tmp_path, capsys):
     assert footer.endswith(f"t_end={_fmt(saddle_path(params, z0).times[-1])}")
 
 
+@pytest.mark.parametrize("flag", [("--format", "json"), ("--tol", "1e-9")])
+def test_trajectory_rejects_unused_flags(scenario_file, flag):
+    """trajectory always writes CSV at the library tolerance."""
+    with pytest.raises(SystemExit) as exc:
+        main(["trajectory", "--scenario", scenario_file(), *flag])
+    assert exc.value.code == 2
+
+
 def test_trajectory_requires_initial_block(scenario_file, capsys):
     code, _, err = run(capsys, "trajectory", "--scenario", scenario_file())
     assert code == 2

@@ -24,6 +24,7 @@ from cesgrowth import (
 )
 from cesgrowth.core import aux_from_wuv, p1_of, p2_of, powz, sector_rates
 from cesgrowth.stability import rhs_reduced
+from cesgrowth.steady import gap_P
 
 from conftest import CASE_PSI, bench_params
 
@@ -48,6 +49,18 @@ def test_powz_matches_float_power(rng):
 def test_powz_rejects_nonpositive_base():
     with pytest.raises(ValueError):
         powz(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("w", [0.0, -1.0, -1.0 + 1e-20j])
+def test_kernel_entry_points_reject_nonpositive_w(w):
+    p = bench_params(0.25, -0.10)
+    for call in (sector_rates, gap_P, p1_of, p2_of, costate_ratio):
+        with pytest.raises(ParameterError):
+            call(w, p)
+    with pytest.raises(ParameterError):
+        aux_from_wuv(w, 0.6, 0.5, p)
+    with pytest.raises(ParameterError):
+        sector_rates(np.array([1.0, w.real]), p)
 
 
 def test_w_and_tau():

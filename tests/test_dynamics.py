@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
 from cesgrowth import (
@@ -17,6 +18,7 @@ from cesgrowth import (
     saddle_path,
     steady_state,
 )
+from cesgrowth.core import sector_rates
 
 from conftest import bench_params
 
@@ -202,6 +204,20 @@ def test_reconstruct_levels_constant_growth(params_case1):
     assert np.allclose(lv.levels[:, 2], ss.q_star * lv.levels[:, 0])
 
 
+def test_reconstruct_levels_matches_per_sample_kernel(params_case1):
+    """The array evaluation equals the scalar kernel applied sample by sample."""
+    ss = steady_state(params_case1)
+    traj = saddle_path(params_case1, z0=0.9 * ss.z_star)
+    lv = reconstruct_levels(traj, k0=2.0, params=params_case1)
+    growth = []
+    for z, q, u, v in traj.states:
+        w = v / u * z
+        growth.append(v / w * sector_rates(w, params_case1)[4] - q - params_case1.delta_k)
+    k = 2.0 * np.exp(cumulative_trapezoid(growth, traj.times, initial=0.0))
+    expected = np.column_stack([k, k / traj.states[:, 0], traj.states[:, 1] * k])
+    np.testing.assert_allclose(lv.levels, expected, rtol=1e-14)
+
+
 def test_reconstruct_levels_validation(params_case1):
     from cesgrowth.dynamics import Trajectory
 
@@ -211,3 +227,7 @@ def test_reconstruct_levels_validation(params_case1):
     empty = Trajectory(times=np.array([]), states=np.empty((0, 4)))
     with pytest.raises(ParameterError):
         reconstruct_levels(empty, k0=1.0, params=params_case1)
+    negative_w = Trajectory(times=np.array([0.0, 1.0]),
+                            states=np.array([[1.0, 0.2, 0.6, 0.5], [-1.0, 0.2, 0.6, 0.5]]))
+    with pytest.raises(ParameterError):
+        reconstruct_levels(negative_w, k0=1.0, params=params_case1)

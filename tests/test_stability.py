@@ -1,9 +1,11 @@
 """Jacobian, eigenvalue and classification checks."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from cesgrowth import (
+    ModelParams,
     ParameterError,
     ReducedState,
     SingularStateError,
@@ -14,7 +16,7 @@ from cesgrowth import (
 )
 from cesgrowth.stability import classify, rhs_reduced, rhs_reduced_values
 
-from conftest import CASE_PSI, bench_params
+from conftest import CASE_PSI, STIFF_POOL, bench_params
 
 # Reference spectra per case, ascending by real part.
 CASE_EV = {
@@ -70,21 +72,34 @@ def test_classify_labels():
     assert n_stable == 1 and n_zero == 1
 
 
-def test_jacobian_fd_quality(params_case1):
-    """Central differences converge at second order: halving the step
-    changes the entries by O(step^2)."""
-    ss = steady_state(params_case1)
-    s = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    j1 = jacobian_fd(s, params_case1, step=1e-4)
-    j2 = jacobian_fd(s, params_case1, step=5e-5)
-    assert np.max(np.abs(j1 - j2)) < 1e-4 * max(1.0, np.max(np.abs(j2)))
+def _mpmath_jacobian(x, params):
+    """Central differences (h = 1e-15) of rhs_reduced_values in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf("1e-15")
+        jac = np.empty((4, 4))
+        for i in range(4):
+            xp = [mpmath.mpf(c) for c in x]
+            xm = list(xp)
+            xp[i] += h
+            xm[i] -= h
+            diff = rhs_reduced_values(*xp, params) - rhs_reduced_values(*xm, params)
+            jac[:, i] = [float(d / (2 * h)) for d in diff]
+    return jac
 
 
-def test_jacobian_fd_rejects_bad_step(params_case1):
-    ss = steady_state(params_case1)
+def test_jacobian_fd_matches_high_precision_differences(params_any_case):
+    ss = steady_state(params_any_case)
     s = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    with pytest.raises(ParameterError):
-        jacobian_fd(s, params_case1, step=-1.0)
+    reference = _mpmath_jacobian(s.as_array().tolist(), params_any_case)
+    np.testing.assert_allclose(jacobian_fd(s, params_any_case), reference, rtol=1e-10)
+
+
+@pytest.mark.parametrize("index", sorted(STIFF_POOL))
+def test_stiff_economy_structural_zero(index):
+    """A stiff economy keeps its zero eigenvalue at zero and its saddle label."""
+    rep = stability_report(ModelParams(**STIFF_POOL[index]))
+    assert rep.classification == "saddle_path"
+    assert np.sum(np.abs(rep.eigenvalues.real) <= 1e-6) == 1
 
 
 @pytest.mark.parametrize("case", sorted(CASE_PSI))
