@@ -26,11 +26,12 @@ from .normalization import (
     baseline_from_point,
     baseline_from_steady_state,
     compare_economies,
+    family_parameters,
     normalized_params,
 )
 from .scenario import Scenario, load_scenario
 from .stability import eigen4, stability_report
-from .steady import steady_state
+from .steady import closed_forms, solve_w_batch, steady_state
 
 _SWEEP_COLUMNS = (
     "sigma",
@@ -152,54 +153,86 @@ def _sweep_baseline(scn: Scenario):
     )
 
 
-def _sweep_row(sigma, which, scn, baseline):
-    values = {"sigma": sigma}
-    if abs(sigma - 1.0) < SIGMA_GUARD:
-        values["error"] = "inside sigma=1 guard band"
-        return values
-    try:
-        params = scn.params
-        if which == "1":
-            s1, s2 = sigma, params.sigma2
-        elif which == "2":
-            s1, s2 = params.sigma1, sigma
-        else:
-            s1 = s2 = sigma
-        member = normalized_params(s1, s2, baseline, params)
-        ss = steady_state(member)
-        h_bar = baseline.h_bar
-        k_star = ss.z_star * h_bar
-        values.update(
-            alpha=member.alpha2 if which == "2" else member.alpha1,
-            A=member.A2 if which == "2" else member.A1,
-            w_star=ss.w_star,
-            z_star=ss.z_star,
-            u_star=ss.u_star,
-            v_star=ss.v_star,
-            q_star=ss.q_star,
-            r_star=ss.r_star,
-            pi1=ss.pi1k,
-            pi2=ss.pi2k,
-            y1_star=y1_of(k_star, h_bar, ss.u_star, ss.v_star, member),
-            y2_star=y2_of(k_star, h_bar, ss.u_star, ss.v_star, member),
+def _sweep_columns(member, ss, which: str, h_bar: float) -> tuple:
+    """The columns alpha..y2_star of solved members: floats, or arrays of them.
+
+    y1* and y2* are the sector outputs at (k, h) = (z* h_bar, h_bar).
+    """
+    k_star = ss.z_star * h_bar
+    return (
+        member.alpha2 if which == "2" else member.alpha1,
+        member.A2 if which == "2" else member.A1,
+        ss.w_star,
+        ss.z_star,
+        ss.u_star,
+        ss.v_star,
+        ss.q_star,
+        ss.r_star,
+        ss.pi1k,
+        ss.pi2k,
+        y1_of(k_star, h_bar, ss.u_star, ss.v_star, member),
+        y2_of(k_star, h_bar, ss.u_star, ss.v_star, member),
+    )
+
+
+def _sweep_table(grid, which: str, scn: Scenario, baseline):
+    """(values, errors) of a sweep: one row of _SWEEP_COLUMNS[:-1] per sigma.
+
+    The members are solved as one array computation. A member it cannot
+    vouch for (family parameters not finite or outside their domain, no
+    bracket, gap samples not decreasing, no Newton convergence, an
+    allocation outside (0,1), a non-positive transversality margin) goes
+    once through normalized_params and steady_state, which raise its typed
+    error or warn as for a single economy. errors holds the message of
+    each member that failed, "" for the others, whose values are then nan.
+    """
+    n = len(grid)
+    values = np.full((n, len(_SWEEP_COLUMNS) - 1), np.nan)
+    values[:, 0] = grid
+    errors = [""] * n
+    params = scn.params
+    sigma1 = grid if which != "2" else np.full(n, params.sigma1)
+    sigma2 = grid if which != "1" else np.full(n, params.sigma2)
+    in_guard = np.abs(grid - 1.0) < SIGMA_GUARD
+    idx = np.flatnonzero(
+        (np.abs(sigma1 - 1.0) >= SIGMA_GUARD) & (np.abs(sigma2 - 1.0) >= SIGMA_GUARD)
+    )
+    with np.errstate(all="ignore"):
+        for sector, sigma in ((1, sigma1), (2, sigma2)):
+            _, alpha, A = family_parameters(sigma[idx], baseline, sector)
+            idx = idx[(0.0 < alpha) & (alpha < 1.0) & (0.0 < A) & (A < np.inf)]
+        member = normalized_params(sigma1[idx], sigma2[idx], baseline, params)
+        ss = closed_forms(solve_w_batch(member), member)
+        solved = (
+            (0.0 < ss.u_star) & (ss.u_star < 1.0) & (0.0 < ss.v_star) & (ss.v_star < 1.0)
+            & (ss.tvc_margin > 0.0)
         )
-    except CesGrowthError as exc:
-        values["error"] = str(exc)
-    return values
-
-
-def _monotone_summary(rows) -> str:
-    ok_rows = [r for r in rows if "error" not in r]
-    inc, dec = [], []
-    for col in _SWEEP_COLUMNS[:-1]:
-        series = [r[col] for r in ok_rows if col in r]
-        if len(series) < 2:
+        columns = _sweep_columns(member, ss, which, baseline.h_bar)
+    values[idx[solved], 1:] = np.column_stack(columns)[solved]
+    flagged = np.ones(n, dtype=bool)
+    flagged[idx[solved]] = False
+    for i in np.flatnonzero(flagged):
+        if in_guard[i]:
+            errors[i] = "inside sigma=1 guard band"
             continue
-        diffs = np.diff(series)
-        if np.all(diffs > 0):
-            inc.append(col)
-        elif np.all(diffs < 0):
-            dec.append(col)
+        try:
+            member = normalized_params(float(sigma1[i]), float(sigma2[i]), baseline, params)
+            values[i, 1:] = _sweep_columns(member, steady_state(member), which, baseline.h_bar)
+        except CesGrowthError as exc:
+            errors[i] = str(exc)
+    return values, errors
+
+
+def _monotone_summary(values, errors) -> str:
+    ok = values[[not e for e in errors]]
+    inc, dec = [], []
+    if len(ok) >= 2:
+        diffs = np.diff(ok, axis=0)
+        for j, col in enumerate(_SWEEP_COLUMNS[:-1]):
+            if np.all(diffs[:, j] > 0):
+                inc.append(col)
+            elif np.all(diffs[:, j] < 0):
+                dec.append(col)
     return (
         f"# monotone_increasing: {','.join(inc)}\n"
         f"# monotone_decreasing: {','.join(dec)}\n"
@@ -223,26 +256,24 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("no sweep spec in scenario and no --grid given",
                             field="$.sweep")
     baseline = _sweep_baseline(scn)
-    grid = np.linspace(lo, hi, n)
-
-    rows = [_sweep_row(s, which, scn, baseline) for s in grid]
+    values, errors = _sweep_table(np.linspace(lo, hi, n), which, scn, baseline)
 
     fmt = args.format or scn.output_format
     if fmt == "json":
+        rows = [
+            {"sigma": row[0], "error": err} if err else dict(zip(_SWEEP_COLUMNS, row))
+            for row, err in zip(values.tolist(), errors)
+        ]
         _write(json.dumps(rows, indent=2) + "\n", args.out)
         return 0
+    solved_row = "%.17g," * (len(_SWEEP_COLUMNS) - 1)
+    error_cells = "," * (len(_SWEEP_COLUMNS) - 1)
     lines = [",".join(_SWEEP_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in _SWEEP_COLUMNS:
-            if col == "error":
-                cells.append(row.get("error", ""))
-            elif col in row:
-                cells.append(_fmt(row[col]))
-            else:
-                cells.append("")
-        lines.append(",".join(cells))
-    _write("\n".join(lines) + "\n" + _monotone_summary(rows), args.out)
+    lines += [
+        _fmt(row[0]) + error_cells + err if err else solved_row % tuple(row)
+        for row, err in zip(values.tolist(), errors)
+    ]
+    _write("\n".join(lines) + "\n" + _monotone_summary(values, errors), args.out)
     return 0
 
 

@@ -62,8 +62,10 @@ def sector_rates(w, params: ModelParams) -> tuple:
         * params.theta ** (-psi2 / (1.0 - psi2))
         * w ** (psi2 * (1.0 - psi1) / (1.0 - psi2))
     )
-    p1 = s1 + 1.0 - params.alpha1
-    p2 = s2 + 1.0 - params.alpha2
+    # 1 - alpha is summed first: it is exact for alpha >= 1/2, while s + 1
+    # would round away a share term far below 1.
+    p1 = s1 + (1.0 - params.alpha1)
+    p2 = s2 + (1.0 - params.alpha2)
     y1 = params.A1 * p1 ** (1.0 / psi1)
     y2 = params.A2 * p2 ** (1.0 / psi2)
     mpk = y1 * s1 / (w * p1)
@@ -85,17 +87,18 @@ def p2_of(w: float, params: ModelParams) -> float:
 def y1_of(k: float, h: float, u: float, v: float, params: ModelParams) -> float:
     """Goods output y1 = A1 [alpha1 (kv)^psi1 + (1-alpha1)(hu)^psi1]^{1/psi1}."""
     psi = params.psi1
-    inner = params.alpha1 * powz(k * v, psi) + (1.0 - params.alpha1) * powz(h * u, psi)
-    return params.A1 * powz(inner, 1.0 / psi)
+    inner = params.alpha1 * (k * v) ** psi + (1.0 - params.alpha1) * (h * u) ** psi
+    return params.A1 * inner ** (1.0 / psi)
 
 
 def y2_of(k: float, h: float, u: float, v: float, params: ModelParams) -> float:
     """Education output y2 = A2 {alpha2 [k(1-v)]^psi2 + (1-alpha2)[h(1-u)]^psi2}^{1/psi2}."""
     psi = params.psi2
-    inner = params.alpha2 * powz(k * (1.0 - v), psi) + (1.0 - params.alpha2) * powz(
-        h * (1.0 - u), psi
+    inner = (
+        params.alpha2 * (k * (1.0 - v)) ** psi
+        + (1.0 - params.alpha2) * (h * (1.0 - u)) ** psi
     )
-    return params.A2 * powz(inner, 1.0 / psi)
+    return params.A2 * inner ** (1.0 / psi)
 
 
 @dataclass(frozen=True)

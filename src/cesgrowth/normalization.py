@@ -9,7 +9,9 @@ elasticity of substitution.
 import math
 from dataclasses import dataclass, replace
 
-from .core import powz, tau_of, y1_of, y2_of
+import numpy as np
+
+from .core import tau_of, y1_of, y2_of
 from .errors import BaselineMismatchError, MrsMismatchError, ParameterError
 from .params import ModelParams
 from .steady import steady_state
@@ -20,12 +22,26 @@ MRS_MATCH_RTOL = 1e-6
 SIGMA_GUARD = 1e-3
 
 
-def psi_of_sigma(sigma: float) -> float:
-    if sigma <= 0.0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    if abs(sigma - 1.0) < SIGMA_GUARD:
+def _any(bad) -> bool:
+    """bad itself, or whether any element holds when it is an array."""
+    return bad.any() if isinstance(bad, np.ndarray) else bad
+
+
+def _first(sigma, bad):
+    """The first sigma that bad flags: sigma itself when it is a float."""
+    return sigma[bad][0] if isinstance(bad, np.ndarray) else sigma
+
+
+def psi_of_sigma(sigma):
+    """psi = (sigma - 1) / sigma of a float, or of each element of an array."""
+    bad = sigma <= 0.0
+    if _any(bad):
+        raise ParameterError(f"sigma must be positive, got {_first(sigma, bad)}")
+    bad = abs(sigma - 1.0) < SIGMA_GUARD
+    if _any(bad):
         raise ParameterError(
-            f"sigma = {sigma} is inside the unit guard band (Cobb-Douglas excluded)"
+            f"sigma = {_first(sigma, bad)} is inside the unit guard band "
+            "(Cobb-Douglas excluded)"
         )
     return (sigma - 1.0) / sigma
 
@@ -81,11 +97,11 @@ def mrs_from_params(params: ModelParams, w_bar: float, tau_bar: float) -> tuple:
     """
     if w_bar <= 0.0 or tau_bar <= 0.0:
         raise ParameterError("w_bar and tau_bar must be positive")
-    m1 = (1.0 - params.alpha1) / params.alpha1 * powz(w_bar, 1.0 - params.psi1)
+    m1 = (1.0 - params.alpha1) / params.alpha1 * w_bar ** (1.0 - params.psi1)
     m2 = (
         (1.0 - params.alpha2)
         / params.alpha2
-        * powz(w_bar / tau_bar, 1.0 - params.psi2)
+        * (w_bar / tau_bar) ** (1.0 - params.psi2)
     )
     if abs(m1 - m2) > MRS_MATCH_RTOL * max(abs(m1), abs(m2)):
         raise MrsMismatchError(
@@ -114,7 +130,7 @@ def baseline_from_point(
     if require_mrs_match:
         m, _ = mrs_from_params(params, w, tau)
     else:
-        m = (1.0 - params.alpha1) / params.alpha1 * powz(w, 1.0 - params.psi1)
+        m = (1.0 - params.alpha1) / params.alpha1 * w ** (1.0 - params.psi1)
     return Baseline(
         w_bar=w,
         tau_bar=tau,
@@ -144,41 +160,65 @@ def baseline_from_steady_state(params: ModelParams, k_bar: float = 1.0) -> Basel
     )
 
 
-def alpha_of_sigma(sigma: float, baseline: Baseline, sector: int) -> float:
-    """Normalized distribution parameter: x^{1-psi} / (x^{1-psi} + m)."""
-    psi = psi_of_sigma(sigma)
-    x = baseline.effective_ratio(sector)
-    num = powz(x, 1.0 - psi)
-    return num / (num + baseline.m)
+def family_parameters(sigma, baseline: Baseline, sector: int) -> tuple:
+    """(psi, alpha, A) of a sector's normalized family at sigma, unchecked.
 
-
-def A_of_sigma(sigma: float, baseline: Baseline, sector: int) -> float:
-    """Normalized efficiency parameter of the requested sector."""
-    psi = psi_of_sigma(sigma)
+    sigma is a float or an array, read elementwise, with no element inside
+    the sigma = 1 guard band. alpha = x^{1-psi} / (x^{1-psi} + m) and
+    A = scale ((x^{1-psi} + m) / (x + m))^{1/psi}, with x the baseline
+    input ratio. A member whose powers overflow holds inf or nan in an
+    array; a float raises OverflowError.
+    """
+    psi = (sigma - 1.0) / sigma
     x = baseline.effective_ratio(sector)
     if sector == 1:
         scale = baseline.y1_bar / (baseline.h_bar * baseline.u_bar)
     else:
         scale = baseline.y2_bar / (baseline.h_bar * (1.0 - baseline.u_bar))
-    return scale * powz((powz(x, 1.0 - psi) + baseline.m) / (x + baseline.m), 1.0 / psi)
+    num = x ** (1.0 - psi)
+    alpha = num / (num + baseline.m)
+    A = scale * ((num + baseline.m) / (x + baseline.m)) ** (1.0 / psi)
+    return psi, alpha, A
 
 
-def normalized_params(
-    sigma1: float, sigma2: float, baseline: Baseline, template: ModelParams
-) -> ModelParams:
+def _checked_family(sigma, baseline: Baseline, sector: int) -> tuple:
+    """family_parameters, with a ParameterError naming the first sigma that
+    lies outside the family's domain or whose parameters are not finite."""
+    psi_of_sigma(sigma)
+    try:
+        psi, alpha, A = family_parameters(sigma, baseline, sector)
+    except OverflowError:
+        psi, alpha, A = math.nan, math.nan, math.nan
+    bad = ~(np.isfinite(alpha) & np.isfinite(A))
+    if _any(bad):
+        raise ParameterError(
+            f"normalized sector-{sector} parameters overflow at sigma = "
+            f"{_first(sigma, bad)}"
+        )
+    return psi, alpha, A
+
+
+def alpha_of_sigma(sigma, baseline: Baseline, sector: int):
+    """Normalized distribution parameter: x^{1-psi} / (x^{1-psi} + m)."""
+    return _checked_family(sigma, baseline, sector)[1]
+
+
+def A_of_sigma(sigma, baseline: Baseline, sector: int):
+    """Normalized efficiency parameter of the requested sector."""
+    return _checked_family(sigma, baseline, sector)[2]
+
+
+def normalized_params(sigma1, sigma2, baseline: Baseline, template: ModelParams) -> ModelParams:
     """Member of the normalized family at (sigma1, sigma2).
 
     Preferences and depreciation come from the template; technologies are
-    regenerated from the baseline.
+    regenerated from the baseline. sigma1 and sigma2 are floats or arrays;
+    with arrays the record holds one economy per element.
     """
+    psi1, alpha1, A1 = _checked_family(sigma1, baseline, 1)
+    psi2, alpha2, A2 = _checked_family(sigma2, baseline, 2)
     return replace(
-        template,
-        A1=A_of_sigma(sigma1, baseline, 1),
-        A2=A_of_sigma(sigma2, baseline, 2),
-        alpha1=alpha_of_sigma(sigma1, baseline, 1),
-        alpha2=alpha_of_sigma(sigma2, baseline, 2),
-        psi1=psi_of_sigma(sigma1),
-        psi2=psi_of_sigma(sigma2),
+        template, A1=A1, A2=A2, alpha1=alpha1, alpha2=alpha2, psi1=psi1, psi2=psi2
     )
 
 
@@ -200,7 +240,7 @@ def share_pi(
     psi = psi_of_sigma(sigma)
     x_bar = baseline.effective_ratio(sector)
     x = _current_ratio(sector, w, tau)
-    num = powz(x_bar, 1.0 - psi) * powz(x, psi)
+    num = x_bar ** (1.0 - psi) * x ** psi
     return num / (num + baseline.m)
 
 
@@ -240,7 +280,7 @@ def normalized_y(
             * (h * u)
             / (baseline.h_bar * baseline.u_bar)
             * (w / baseline.w_bar)
-            * powz(pi_bar / pi, 1.0 / psi)
+            * (pi_bar / pi) ** (1.0 / psi)
         )
     return (
         baseline.y2_bar
@@ -248,7 +288,7 @@ def normalized_y(
         / (baseline.h_bar * (1.0 - baseline.u_bar))
         * (w / baseline.w_bar)
         * (baseline.tau_bar / tau)
-        * powz(pi_bar / pi, 1.0 / psi)
+        * (pi_bar / pi) ** (1.0 / psi)
     )
 
 
@@ -261,7 +301,7 @@ def identity_wwb(
     x = _current_ratio(sector, w, tau)
     pi = share_pi(sigma, baseline, sector, w, tau)
     pi_bar = share_pi_bar(baseline, sector)
-    lhs = powz(x / x_bar, psi)
+    lhs = (x / x_bar) ** psi
     rhs = pi * (1.0 - pi_bar) / (pi_bar * (1.0 - pi))
     return lhs - rhs
 
@@ -309,7 +349,7 @@ def r_star_closed_form(
     pi_bar = share_pi_bar(baseline, 1)
     scale = baseline.y1_bar / (baseline.k_bar * baseline.v_bar)
     return (
-        scale * pi_bar * powz(pi_bar / pi1_star, (1.0 - psi) / psi)
+        scale * pi_bar * (pi_bar / pi1_star) ** ((1.0 - psi) / psi)
         - params.rho
         - params.delta_k
     ) / params.eps
@@ -357,7 +397,7 @@ def dr_dpsi_at(
         -scale
         * pi_bar
         / (params.eps * psi**2)
-        * powz(pi_bar / pi1_star, (1.0 - psi) / psi)
+        * (pi_bar / pi1_star) ** ((1.0 - psi) / psi)
         * brace
     )
 

@@ -11,6 +11,11 @@ from .errors import ParameterError
 PSI_FLOOR = 1e-9
 
 
+def _all(ok) -> bool:
+    """ok itself, or whether every element holds when it is an array."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Structural parameters of the two-sector economy.
@@ -33,22 +38,24 @@ class ModelParams:
     rho: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha1 < 1.0):
-            raise ParameterError(f"alpha1 must be in (0,1), got {self.alpha1}")
-        if not (0.0 < self.alpha2 < 1.0):
-            raise ParameterError(f"alpha2 must be in (0,1), got {self.alpha2}")
+        # Each field is a float or, for a whole family of economies, an array;
+        # an array is valid when every element is.
+        for name in ("alpha1", "alpha2"):
+            alpha = getattr(self, name)
+            if not _all((0.0 < alpha) & (alpha < 1.0)):
+                raise ParameterError(f"{name} must be in (0,1), got {alpha}")
         for name, psi in (("psi1", self.psi1), ("psi2", self.psi2)):
-            if not psi < 1.0:
+            if not _all(psi < 1.0):
                 raise ParameterError(f"{name} must be < 1, got {psi}")
-            if abs(psi) <= PSI_FLOOR:
+            if not _all(abs(psi) > PSI_FLOOR):
                 raise ParameterError(
                     f"{name} too close to 0 (Cobb-Douglas limit not supported)"
                 )
-        if not self.A1 > 0.0:
+        if not _all(self.A1 > 0.0):
             raise ParameterError(f"A1 must be positive, got {self.A1}")
         # A2 = 0 (no education output) is admitted at construction; only the
         # BGP solver requires A2 > 0.
-        if self.A2 < 0.0:
+        if not _all(self.A2 >= 0.0):
             raise ParameterError(f"A2 must be non-negative, got {self.A2}")
         if self.delta_k < 0.0 or self.delta_h < 0.0:
             raise ParameterError("depreciation rates must be non-negative")
@@ -59,7 +66,7 @@ class ModelParams:
                 f"eps must exceed 1 (transversality requirement), got {self.eps}"
             )
         for name, val in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
-            if not (np.isfinite(val) and val > 0.0):
+            if not _all(np.isfinite(val) & (val > 0.0)):
                 raise ParameterError(f"derived {name} must be positive finite")
 
     @property

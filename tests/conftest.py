@@ -35,6 +35,16 @@ U_STAR_AT_ONE = {
     "eps": 3.5123964792098006, "rho": 0.1569467022412699,
 }
 
+# A validated economy (psi2 < 1) whose education share term overflows a
+# double at w = 10, the second probe of the bracket search: the exponent
+# of w in S2 is psi2 (1 - psi1) / (1 - psi2), about 393.
+KERNEL_OVERFLOW = {
+    "A1": 1.05, "A2": 0.31212136251889067,
+    "alpha1": 0.6, "alpha2": 0.3246063214394669,
+    "psi1": 0.25, "psi2": 0.9980952380952381,
+    "delta_k": 0.06, "delta_h": 0.05, "eps": 2.0, "rho": 0.06,
+}
+
 # Stiff economies (|lambda| of 400-1 100) from the benchmark's economy_scan
 # pool, perfbench.workloads.draw_economies(default_rng(12345), 3000)[i]:
 # their structural zero eigenvalue sits within 1e-6 of zero.

@@ -5,10 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from cesgrowth import saddle_path, steady_state
+from cesgrowth import (
+    CesGrowthError,
+    ModelParams,
+    baseline_from_point,
+    normalized_params,
+    saddle_path,
+    steady_state,
+    y1_of,
+    y2_of,
+)
+from cesgrowth import cli
 from cesgrowth.cli import _fmt, main
 
-from conftest import CASE_PSI, U_STAR_AT_ONE, bench_params
+from conftest import CASE_PSI, KERNEL_OVERFLOW, U_STAR_AT_ONE, bench_params
 
 PARAMS_CASE1 = {
     "A1": 1.05,
@@ -243,6 +253,107 @@ def test_u_star_at_one_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "steady", "--scenario", str(path))
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["steady", "stability"])
+def test_kernel_overflow_exit_3(tmp_path, capsys, command):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"params": KERNEL_OVERFLOW}), encoding="utf-8")
+    code, _, err = run(capsys, command, "--scenario", str(path))
+    assert code == 3
+    assert err == "error: no sign change of gap_P before it stops being finite at w = 10\n"
+
+
+README_INITIAL = {"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5}
+
+
+@pytest.mark.parametrize("which", ["1", "2", "both"])
+def test_sweep_extreme_sigma_rows(scenario_file, capsys, which):
+    """A family parameter that overflows is that member's error row."""
+    scn = scenario_file(initial=README_INITIAL)
+    code, out, err = run(capsys, "sweep", "--scenario", scn, "--grid", "0.002:0.004:2",
+                         "--sigma", which)
+    assert code == 0 and err == ""
+    rows = [line.split(",", 13) for line in out.splitlines()[1:3]]
+    sector = 2 if which == "2" else 1
+    assert rows[0][13] == f"normalized sector-{sector} parameters overflow at sigma = 0.002"
+    assert rows[1][13] == f"alpha{sector} must be in (0,1), got 1.0"
+
+
+# Step 0.5 from 0.5: sigma = 1 falls in the guard band, and the README
+# family has no balanced path (NoBracketError) or one with u* or v* at 1
+# (AllocationOutOfRangeError) for most sigma above about 40.
+PARITY_GRID = "0.5:1000.5:2001"
+STARRED = {"w_star": "w_star", "z_star": "z_star", "u_star": "u_star",
+           "v_star": "v_star", "q_star": "q_star", "r_star": "r_star",
+           "pi1": "pi1k", "pi2": "pi2k"}
+
+
+@pytest.mark.parametrize("which", ["1", "2", "both"])
+def test_batched_sweep_matches_each_economy_solved_alone(
+    scenario_file, capsys, monkeypatch, which
+):
+    scn = scenario_file(initial=README_INITIAL, baseline={"source": "initial"})
+    per_member = []
+
+    def counting(params, *args, **kwargs):
+        per_member.append(params)
+        return steady_state(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "steady_state", counting)
+    code, out, err = run(capsys, "sweep", "--scenario", scn, "--grid", PARITY_GRID,
+                         "--sigma", which, "--format", "csv")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == ",".join(cli._SWEEP_COLUMNS)
+    rows = [dict(zip(cli._SWEEP_COLUMNS, line.split(",", 13))) for line in lines[1:-2]]
+    assert len(rows) == 2001
+
+    template = ModelParams(**PARAMS_CASE1)
+    base = baseline_from_point(template, 5.5, 1.0, 0.6, 0.5)
+    solved = errors = 0
+    for row in rows:
+        sigma = float(row["sigma"])
+        if abs(sigma - 1.0) < 1e-3:
+            assert row["error"] == "inside sigma=1 guard band"
+            continue
+        s1 = template.sigma1 if which == "2" else sigma
+        s2 = template.sigma2 if which == "1" else sigma
+        try:
+            member = normalized_params(s1, s2, base, template)
+            ss = steady_state(member)
+        except CesGrowthError as exc:
+            assert row["error"] == str(exc) and not row["alpha"]
+            errors += 1
+            continue
+        solved += 1
+        assert row["error"] == ""
+        sector2 = which == "2"
+        for col, ref in (("alpha", member.alpha2 if sector2 else member.alpha1),
+                         ("A", member.A2 if sector2 else member.A1)):
+            assert float(row[col]) == pytest.approx(ref, rel=1e-14)
+        for col, name in STARRED.items():
+            assert float(row[col]) == pytest.approx(getattr(ss, name), rel=1e-12)
+        k = ss.z_star * base.h_bar
+        for col, fn in (("y1_star", y1_of), ("y2_star", y2_of)):
+            ref = fn(k, base.h_bar, ss.u_star, ss.v_star, member)
+            assert float(row[col]) == pytest.approx(ref, rel=1e-12)
+    # Only the members the batch could not vouch for went one at a time.
+    assert solved > 50 and errors > 50
+    assert len(per_member) == errors
+
+
+def test_sweep_json_rows_keep_their_keys(scenario_file, capsys):
+    scn = scenario_file(initial=README_INITIAL)
+    code, out, _ = run(capsys, "sweep", "--scenario", scn, "--grid", "0.9995:500.9995:101",
+                       "--sigma", "both", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert list(rows[0]) == ["sigma", "error"]
+    assert rows[0]["error"] == "inside sigma=1 guard band"
+    assert list(rows[1]) == list(cli._SWEEP_COLUMNS[:-1])
+    assert list(rows[-1]) == ["sigma", "error"]
+    assert rows[-1]["error"].startswith("no sign change of gap_P")
 
 
 def test_numeric_failure_exit_3(tmp_path, capsys):

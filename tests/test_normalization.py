@@ -180,6 +180,41 @@ def test_alpha_A_positive(base_case1):
             assert A_of_sigma(sigma, base_case1, sector) > 0.0
 
 
+def test_family_of_an_array_equals_the_family_of_each_float(params_case1, base_case1):
+    sigma = np.array([0.5, 0.8, 1.3, 2.2])
+    member = normalized_params(sigma, sigma[::-1], base_case1, params_case1)
+    for i, (s1, s2) in enumerate(zip(sigma, sigma[::-1])):
+        single = normalized_params(float(s1), float(s2), base_case1, params_case1)
+        for name in ("A1", "A2", "alpha1", "alpha2", "psi1", "psi2"):
+            assert getattr(member, name)[i] == pytest.approx(
+                getattr(single, name), rel=1e-14
+            )
+    assert np.array_equal(psi_of_sigma(sigma), (sigma - 1.0) / sigma)
+    assert np.array_equal(member.alpha1, alpha_of_sigma(sigma, base_case1, 1))
+    assert np.array_equal(member.A2, A_of_sigma(sigma[::-1], base_case1, 2))
+
+
+@pytest.mark.parametrize("sigma", [1.0005, -2.0])
+def test_array_outside_the_domain_names_its_sigma(sigma):
+    with pytest.raises(ParameterError, match=f"{sigma}"):
+        psi_of_sigma(np.array([0.5, sigma, 2.0]))
+
+
+@pytest.mark.parametrize("sector", [1, 2])
+def test_overflowing_family_parameter_names_sigma(params_case1, sector):
+    """At sigma = 0.002 the power x^{1-psi} = x^500 overflows a double."""
+    base = baseline_from_point(params_case1, 5.5, 1.0, 0.6, 0.5)
+    with pytest.raises(ParameterError, match="overflow at sigma = 0.002$"):
+        A_of_sigma(0.002, base, sector)
+    sigmas = (0.002, 2.0) if sector == 1 else (2.0, 0.002)
+    with pytest.raises(ParameterError, match="overflow at sigma = 0.002$"):
+        normalized_params(*sigmas, base, params_case1)
+    with np.errstate(all="ignore"), pytest.raises(
+        ParameterError, match="overflow at sigma = 0.002$"
+    ):
+        alpha_of_sigma(np.array([2.0, 0.002]), base, sector)
+
+
 def test_compare_economies_dominance(params_case1):
     """Higher elasticities dominate on every starred quantity."""
     e2 = params_case1.with_psi(0.20, -0.15)

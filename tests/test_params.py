@@ -87,3 +87,14 @@ def test_frozen():
     p = bench_params(0.25, -0.10)
     with pytest.raises(Exception):
         p.A1 = 2.0
+
+
+def test_array_fields_validate_elementwise():
+    """One record can hold a family of economies, valid when each one is."""
+    kwargs = dict(BENCH, psi1=np.array([0.25, -0.3]), psi2=-0.10)
+    family = ModelParams(**kwargs)
+    assert np.allclose(family.sigma1, [1.0 / 0.75, 1.0 / 1.3])
+    for field, value in (("psi1", [0.25, 1.0]), ("alpha2", [0.5, 1.0]),
+                         ("A1", [1.0, 0.0]), ("psi2", [-0.1, 1e-12])):
+        with pytest.raises(ParameterError, match=field):
+            ModelParams(**dict(kwargs, **{field: np.array(value)}))

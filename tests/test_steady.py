@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cesgrowth import (
@@ -16,9 +17,10 @@ from cesgrowth import (
     steady_state,
 )
 from cesgrowth.core import tau_of
-from cesgrowth.steady import transversality
+from cesgrowth.stability import stability_report
+from cesgrowth.steady import closed_forms, solve_w_batch, transversality
 
-from conftest import CASE_PSI, U_STAR_AT_ONE, bench_params
+from conftest import CASE_PSI, KERNEL_OVERFLOW, U_STAR_AT_ONE, bench_params
 
 # Reference balanced-growth values (z*, u*, v*, q*) per case.
 CASE_TARGETS = {
@@ -103,3 +105,63 @@ def test_u_star_at_one_raises_allocation_error():
 
 def test_steady_state_record_type(params_case1):
     assert isinstance(steady_state(params_case1), SteadyState)
+
+
+@pytest.mark.parametrize("call", [solve_w, steady_state, stability_report])
+def test_kernel_overflow_ends_the_bracket_search(call):
+    """The bracket search stops at the first w where the gap overflows."""
+    with pytest.raises(NoBracketError, match="stops being finite at w = 10$"):
+        call(ModelParams(**KERNEL_OVERFLOW))
+
+
+def test_kernel_overflow_through_numpy_scalars_is_not_a_silent_nan():
+    """With numpy scalars the kernel returns inf or nan instead of raising."""
+    params = ModelParams(**{k: np.float64(v) for k, v in KERNEL_OVERFLOW.items()})
+    with np.errstate(all="ignore"), pytest.raises(NoBracketError) as info:
+        solve_w(params)
+    assert "nan" not in str(info.value) and "w = 10" in str(info.value)
+
+
+TECHNOLOGY = ("A1", "A2", "alpha1", "alpha2", "psi1", "psi2")
+
+
+def _as_family(economies):
+    """The economies as one ModelParams holding an array per technology field."""
+    return replace(
+        economies[0],
+        **{name: np.array([getattr(p, name) for p in economies]) for name in TECHNOLOGY},
+    )
+
+
+CASES = [bench_params(*CASE_PSI[c]) for c in sorted(CASE_PSI)]
+
+
+def test_batch_root_matches_solve_w():
+    roots = solve_w_batch(_as_family(CASES))
+    for p, w in zip(CASES, roots):
+        assert w == pytest.approx(solve_w(p), rel=1e-12)
+        # Newton's last step leaves the root at the gap's rounding level.
+        assert abs(gap_P(float(w), p)) <= 1e-14
+
+
+def test_batch_root_flags_what_solve_w_rejects():
+    """nan where solve_w raises: a gap that overflows, or no sign change."""
+    # Near-linear goods technology: its MPK stays above the MPH up to 1e40.
+    no_bracket = replace(CASES[0], A1=1.0, alpha1=0.45, psi1=0.998)
+    with pytest.raises(NoBracketError, match="no sign change of gap_P in"):
+        solve_w(no_bracket)
+    family = _as_family(CASES + [ModelParams(**KERNEL_OVERFLOW), no_bracket])
+    with np.errstate(all="ignore"):
+        roots = solve_w_batch(family)
+    assert np.all(np.isfinite(roots[:-2])) and np.all(np.isnan(roots[-2:]))
+
+
+def test_closed_forms_on_an_array_equal_those_on_a_float():
+    roots = solve_w_batch(_as_family(CASES))
+    batch = closed_forms(roots, _as_family(CASES))
+    for i, p in enumerate(CASES):
+        single = closed_forms(float(roots[i]), p)
+        for name in SteadyState.__dataclass_fields__:
+            assert getattr(batch, name)[i] == pytest.approx(
+                getattr(single, name), rel=1e-14
+            )
