@@ -204,7 +204,8 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
         member = normalized_params(sigma1[idx], sigma2[idx], baseline, params)
         ss = closed_forms(solve_w_batch(member), member)
         solved = (
-            (0.0 < ss.u_star) & (ss.u_star < 1.0) & (0.0 < ss.v_star) & (ss.v_star < 1.0)
+            (0.0 < ss.u_star) & (ss.u_star < 1.0)
+            & (0.0 < ss.v_star) & (ss.v_star < 1.0)
             & (ss.tvc_margin > 0.0)
         )
         columns = _sweep_columns(member, ss, which, baseline.h_bar)
@@ -216,8 +217,11 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
             errors[i] = "inside sigma=1 guard band"
             continue
         try:
-            member = normalized_params(float(sigma1[i]), float(sigma2[i]), baseline, params)
-            values[i, 1:] = _sweep_columns(member, steady_state(member), which, baseline.h_bar)
+            member = normalized_params(
+                float(sigma1[i]), float(sigma2[i]), baseline, params
+            )
+            ss = steady_state(member)
+            values[i, 1:] = _sweep_columns(member, ss, which, baseline.h_bar)
         except CesGrowthError as exc:
             errors[i] = str(exc)
     return values, errors

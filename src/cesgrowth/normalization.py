@@ -208,7 +208,9 @@ def A_of_sigma(sigma, baseline: Baseline, sector: int):
     return _checked_family(sigma, baseline, sector)[2]
 
 
-def normalized_params(sigma1, sigma2, baseline: Baseline, template: ModelParams) -> ModelParams:
+def normalized_params(
+    sigma1, sigma2, baseline: Baseline, template: ModelParams
+) -> ModelParams:
     """Member of the normalized family at (sigma1, sigma2).
 
     Preferences and depreciation come from the template; technologies are
