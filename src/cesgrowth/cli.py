@@ -31,7 +31,7 @@ from .normalization import (
 )
 from .scenario import Scenario, load_scenario
 from .stability import eigen4, stability_report
-from .steady import closed_forms, solve_w_batch, steady_state
+from .steady import closed_forms, solve_w, steady_state
 
 _SWEEP_COLUMNS = (
     "sigma",
@@ -81,7 +81,7 @@ def _steady_pairs(ss):
 
 def cmd_steady(args) -> int:
     scn = load_scenario(args.scenario)
-    ss = steady_state(scn.params, tol=args.tol)
+    ss = steady_state(scn.params)
     fmt = args.format or scn.output_format
     _write(_render_kv(_steady_pairs(ss), fmt), args.out)
     return 0
@@ -156,7 +156,9 @@ def _sweep_baseline(scn: Scenario):
 def _sweep_columns(member, ss, which: str, h_bar: float) -> tuple:
     """The columns alpha..y2_star of solved members: floats, or arrays of them.
 
-    y1* and y2* are the sector outputs at (k, h) = (z* h_bar, h_bar).
+    y1* and y2* are the sector outputs at (k, h) = (z* h_bar, h_bar). On the
+    balanced path (1 - u*) Y2(w*) = r* + delta_h, so y2* = h_bar (r* + delta_h)
+    exactly, with no 1 - u* that rounds away where u* is near 1.
     """
     k_star = ss.z_star * h_bar
     return (
@@ -171,7 +173,7 @@ def _sweep_columns(member, ss, which: str, h_bar: float) -> tuple:
         ss.pi1k,
         ss.pi2k,
         y1_of(k_star, h_bar, ss.u_star, ss.v_star, member),
-        y2_of(k_star, h_bar, ss.u_star, ss.v_star, member),
+        h_bar * (ss.r_star + member.delta_h),
     )
 
 
@@ -202,7 +204,7 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
             _, alpha, A = family_parameters(sigma[idx], baseline, sector)
             idx = idx[(0.0 < alpha) & (alpha < 1.0) & (0.0 < A) & (A < np.inf)]
         member = normalized_params(sigma1[idx], sigma2[idx], baseline, params)
-        ss = closed_forms(solve_w_batch(member), member)
+        ss = closed_forms(solve_w(member), member)
         solved = (
             (0.0 < ss.u_star) & (ss.u_star < 1.0)
             & (0.0 < ss.v_star) & (ss.v_star < 1.0)
@@ -357,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steady", help="balanced-growth-path quantities")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-12, help="root-solver tolerance")
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("stability", help="Jacobian, eigenvalues, classification")

@@ -450,10 +450,12 @@ def compare_economies(
     for name in ("w_star", "z_star", "u_star", "v_star", "q_star", "r_star",
                  "pi1k", "pi2k"):
         rows.append(_row(name, getattr(ss_a, name), getattr(ss_b, name)))
-    for name, fn in (("y1_star", y1_of), ("y2_star", y2_of)):
-        ya = fn(ss_a.z_star * h_bar, h_bar, ss_a.u_star, ss_a.v_star, params_a)
-        yb = fn(ss_b.z_star * h_bar, h_bar, ss_b.u_star, ss_b.v_star, params_b)
-        rows.append(_row(name, ya, yb))
+    ya = y1_of(ss_a.z_star * h_bar, h_bar, ss_a.u_star, ss_a.v_star, params_a)
+    yb = y1_of(ss_b.z_star * h_bar, h_bar, ss_b.u_star, ss_b.v_star, params_b)
+    rows.append(_row("y1_star", ya, yb))
+    # On the balanced path (1 - u*) Y2(w*) = r* + delta_h, so y2* needs no 1 - u*.
+    rows.append(_row("y2_star", h_bar * (ss_a.r_star + params_a.delta_h),
+                     h_bar * (ss_b.r_star + params_b.delta_h)))
     return ComparisonTable(rows=tuple(rows))
 
 

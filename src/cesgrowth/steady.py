@@ -5,12 +5,13 @@ ratio w, where the gap P is the goods MPK less the education MPH less
 (delta_k - delta_h). Its limits at w -> 0+ and w -> +inf depend on the
 signs of psi1 and psi2: for psi1 > 0 the goods MPK tends to
 A1 alpha1^{1/psi1} as w -> +inf instead of to zero, so P need not change
-sign. Where it does, a sign-change bracket plus a safeguarded bracketed
-root step is enough; where it does not, solve_w raises NoBracketError.
+sign. Where it does, a sign-change bracket plus a safeguarded Newton
+iteration is enough; where it does not, solve_w raises NoBracketError.
 All starred quantities follow in closed form (closed_forms).
 
-One economy is solved by solve_w (Brent's method); a family held as
-arrays in one ModelParams is solved at once by solve_w_batch (Newton).
+solve_w and closed_forms take one economy (a ModelParams of floats) or a
+family (a ModelParams of arrays, one economy per element) through the
+same code: a float stays a Python float or complex number throughout.
 """
 
 import math
@@ -18,12 +19,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import aux_from_wuv, sector_rates
 from .errors import (
     AllocationOutOfRangeError,
     NoBracketError,
+    NoConvergenceError,
     NonMonotoneWarning,
     ParameterError,
     TvcViolationError,
@@ -31,7 +32,7 @@ from .errors import (
 from .params import ModelParams
 
 MAX_BRACKET_EXPANSIONS = 40
-# Batched refinement: the imaginary step of the slope, the Newton step in
+# Newton refinement: the imaginary step of the slope, the Newton step in
 # ln w below which an iterate is accepted, and the cap on iterations.
 COMPLEX_STEP = 1e-20
 NEWTON_RTOL = 1e-12
@@ -59,123 +60,111 @@ def gap_P(w: float, params: ModelParams) -> float:
     return sector_rates(w, params)[8]
 
 
-def _finite_gap(w: float, params: ModelParams) -> float:
-    """gap_P(w), or NoBracketError where it overflows or is not finite."""
+def _where(cond, a, b):
+    """a where cond holds, else b, for a float or an array."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _exp(x):
+    """e**x for a float or an array."""
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _gap(w, params: ModelParams):
+    """gap_P(w), or nan where a computation on floats overflows."""
     try:
-        g = gap_P(w, params)
+        return gap_P(w, params)
     except OverflowError:
-        g = math.nan
-    if not math.isfinite(g):
-        raise NoBracketError(
-            f"no sign change of gap_P before it stops being finite at w = {w:g}"
-        )
-    return g
+        return math.nan
 
 
-def solve_w(params: ModelParams, tol: float = 1e-12) -> float:
-    """Find the unique root of gap_P by bracket expansion from w = 1.
+def solve_w(params: ModelParams):
+    """The root of gap_P, for one economy or a family held as arrays.
 
-    The bracket is grown geometrically (factor 10, at most 40 expansions
-    per side) until the gap changes sign, then refined by a safeguarded
-    bracketed secant/bisection iteration to relative width `tol`. The
-    expansion ends at the first w where the gap overflows or is not finite.
+    params holds floats (one economy) or arrays (one economy per element),
+    and the root comes back the same way. The bracket is grown from w = 1
+    by a factor 10, at most 40 times per side, until the gap changes sign;
+    it ends at the first w where the gap overflows or is not finite. A
+    safeguarded Newton iteration in ln w then refines it. Its slope
+    d gap_P / d ln w is the complex step Im gap_P(w e^{ih}) / h through
+    sector_rates. An iterate is accepted once the Newton step it proposes
+    is at most NEWTON_RTOL, and a proposal outside the bracket is replaced
+    by the bracket's geometric midpoint.
+
+    One economy raises ParameterError for A2 <= 0, NoBracketError where
+    no bracket is found and NoConvergenceError where the iteration does
+    not settle within MAX_NEWTON_STEPS; it warns NonMonotoneWarning, and
+    still solves, where the bracket's gap samples do not fall strictly as
+    w rises. A family member comes back nan in each of these cases. Run a
+    family under np.errstate: such members overflow.
     """
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    if not params.A2 > 0.0:
+    g_one = _gap(1.0, params)
+    family = isinstance(g_one, np.ndarray)
+    if not (family or params.A2 > 0.0):
         raise ParameterError("solve_w requires A2 > 0")
-
-    lo = hi = 1.0
-    g_lo = g_hi = _finite_gap(1.0, params)
-    samples = [(1.0, g_lo)]
-    for _ in range(MAX_BRACKET_EXPANSIONS):
-        if g_lo > 0.0:
-            break
-        lo /= 10.0
-        g_lo = _finite_gap(lo, params)
-        samples.append((lo, g_lo))
-    for _ in range(MAX_BRACKET_EXPANSIONS):
-        if g_hi < 0.0:
-            break
-        hi *= 10.0
-        g_hi = _finite_gap(hi, params)
-        samples.append((hi, g_hi))
-    if not (g_lo > 0.0 and g_hi < 0.0):
-        raise NoBracketError(
-            f"no sign change of gap_P in [{lo:g}, {hi:g}] "
-            f"(gap_P({lo:g})={g_lo:g}, gap_P({hi:g})={g_hi:g})"
-        )
-    samples.sort()
-    if any(b[1] >= a[1] for a, b in zip(samples, samples[1:])):
-        warnings.warn(
-            "sampled gap_P values are not strictly decreasing in w",
-            NonMonotoneWarning,
-            stacklevel=2,
-        )
-    return brentq(gap_P, lo, hi, args=(params,), xtol=1e-300, rtol=max(tol, 9e-16))
-
-
-def solve_w_batch(params: ModelParams) -> np.ndarray:
-    """Roots of gap_P for a ModelParams that holds one economy per array element.
-
-    The bracket of each economy is the one solve_w finds: grown from w = 1
-    by a factor 10, at most 40 times per side. A safeguarded Newton
-    iteration in ln w then refines it; its slope d gap_P / d ln w is the
-    complex step Im gap_P(w e^{ih}) / h through sector_rates. An iterate
-    is accepted once the Newton step it proposes is below NEWTON_RTOL,
-    and a proposal outside the bracket is replaced by the bracket's
-    geometric midpoint.
-
-    An economy comes back nan wherever solve_w would raise or warn on it
-    (a gap that is not finite, no sign change, samples not strictly
-    decreasing in w) and where the iteration does not settle within
-    MAX_NEWTON_STEPS. Run it under np.errstate: such economies overflow.
-    """
-    g_one = gap_P(1.0, params)
-    ok = np.isfinite(g_one) & (params.A2 > 0.0)
+    ok = (params.A2 > 0.0) & (abs(g_one) < math.inf)
+    falls = True
     ends = []
     for down in (True, False):
-        w, g = np.ones_like(g_one), g_one
+        w, g = 1.0, g_one
         for _ in range(MAX_BRACKET_EXPANSIONS):
-            grow = ok & ~((g > 0.0) if down else (g < 0.0))
-            if not grow.any():
+            grow = ok & ((g <= 0.0) if down else (g >= 0.0))
+            if not (grow.any() if family else grow):
                 break
-            w = np.where(grow, w / 10.0 if down else w * 10.0, w)
-            g_new = gap_P(w, params)
-            # solve_w's check: the samples fall strictly as w rises.
-            falls = (g_new > g) if down else (g_new < g)
-            ok &= ~grow | (np.isfinite(g_new) & falls)
-            g = np.where(grow, g_new, g)
+            w = _where(grow, w / 10.0 if down else w * 10.0, w)
+            g_new = _gap(w, params)
+            ok = ok & (abs(g_new) < math.inf)
+            fell = (g_new > g) if down else (g_new < g)
+            falls = _where(grow, falls & fell, falls)
+            g = g_new
         ends.append((w, g))
     (lo, g_lo), (hi, g_hi) = ends
-    ok &= (g_lo > 0.0) & (g_hi < 0.0)
+    if family:
+        ok = ok & falls & (g_lo > 0.0) & (g_hi < 0.0)
+    else:
+        for w, g in ends:
+            if not abs(g) < math.inf:
+                raise NoBracketError(
+                    f"no sign change of gap_P before it stops being finite at w = {w:g}"
+                )
+        if not (g_lo > 0.0 and g_hi < 0.0):
+            raise NoBracketError(
+                f"no sign change of gap_P in [{lo:g}, {hi:g}] "
+                f"(gap_P({lo:g})={g_lo:g}, gap_P({hi:g})={g_hi:g})"
+            )
+        if not falls:
+            warnings.warn(
+                "sampled gap_P values are not strictly decreasing in w",
+                NonMonotoneWarning,
+                stacklevel=2,
+            )
 
-    root = np.full_like(g_one, np.nan)
-    w = np.sqrt(lo * hi)
+    root = math.nan * g_one
+    w = (lo * hi) ** 0.5
     for _ in range(MAX_NEWTON_STEPS):
-        if not ok.any():
+        if not (ok.any() if family else ok):
             break
         g_c = gap_P(w * complex(1.0, COMPLEX_STEP), params)
         g, slope = g_c.real, g_c.imag / COMPLEX_STEP
-        lo = np.where(ok & (g > 0.0), w, lo)
-        hi = np.where(ok & (g < 0.0), w, hi)
+        lo = _where(ok & (g > 0.0), w, lo)
+        hi = _where(ok & (g < 0.0), w, hi)
         step = -g / slope
-        proposal = w * np.exp(step)
-        done = ok & (np.abs(step) <= NEWTON_RTOL)
-        root = np.where(done, proposal, root)
-        ok &= ~done
-        w = np.where((lo < proposal) & (proposal < hi), proposal, np.sqrt(lo * hi))
+        proposal = w * _exp(step)
+        done = ok & (abs(step) <= NEWTON_RTOL)
+        root = _where(done, proposal, root)
+        ok = ok ^ done  # done holds only where ok does
+        w = _where((lo < proposal) & (proposal < hi), proposal, (lo * hi) ** 0.5)
+    if not family and ok:
+        raise NoConvergenceError(
+            f"Newton iteration for gap_P's root did not settle within "
+            f"{MAX_NEWTON_STEPS} steps in [{lo:g}, {hi:g}]"
+        )
     return root
 
 
 def transversality(params: ModelParams, r_star):
     """Margin rho + (eps - 1) r*; positive iff both transversality limits are negative."""
     return params.rho + (params.eps - 1.0) * r_star
-
-
-def _where(cond, a, b):
-    """a where cond holds, else b, for a float or an array."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 def closed_forms(w, params: ModelParams) -> SteadyState:
@@ -214,9 +203,9 @@ def closed_forms(w, params: ModelParams) -> SteadyState:
     )
 
 
-def steady_state(params: ModelParams, tol: float = 1e-12) -> SteadyState:
+def steady_state(params: ModelParams) -> SteadyState:
     """Assemble the full balanced-growth-path record."""
-    ss = closed_forms(solve_w(params, tol=tol), params)
+    ss = closed_forms(solve_w(params), params)
     u, v = ss.u_star, ss.v_star
     if not (0.0 < u < 1.0) or not (0.0 < v < 1.0):
         raise AllocationOutOfRangeError(

@@ -36,5 +36,6 @@ def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
 
     monkeypatch.setattr(steady, "gap_P", counting)
     steady.solve_w(bench_params(0.25, -0.10))
-    # The bracket search probes powers of ten; the root refinement in between.
-    assert any(not math.log10(w).is_integer() for w in calls)
+    # The bracket search probes powers of ten; the root refinement in between,
+    # at complex points w e^{ih} whose real part is the iterate.
+    assert any(not math.log10(w.real).is_integer() for w in calls)

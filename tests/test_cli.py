@@ -13,7 +13,6 @@ from cesgrowth import (
     saddle_path,
     steady_state,
     y1_of,
-    y2_of,
 )
 from cesgrowth import cli
 from cesgrowth.cli import _fmt, main
@@ -220,11 +219,16 @@ def test_trajectory_uses_library_integrator_tolerance(tmp_path, capsys):
     assert footer.endswith(f"t_end={_fmt(saddle_path(params, z0).times[-1])}")
 
 
-@pytest.mark.parametrize("flag", [("--format", "json"), ("--tol", "1e-9")])
-def test_trajectory_rejects_unused_flags(scenario_file, flag):
-    """trajectory always writes CSV at the library tolerance."""
+@pytest.mark.parametrize("command, flag", [
+    ("trajectory", ("--format", "json")),
+    ("trajectory", ("--tol", "1e-9")),
+    ("steady", ("--tol", "1e-9")),
+])
+def test_unknown_flags_are_rejected(scenario_file, command, flag):
+    """trajectory always writes CSV at the library tolerance, and the root
+    solver has no tolerance to set."""
     with pytest.raises(SystemExit) as exc:
-        main(["trajectory", "--scenario", scenario_file(), *flag])
+        main([command, "--scenario", scenario_file(), *flag])
     assert exc.value.code == 2
 
 
@@ -334,13 +338,28 @@ def test_batched_sweep_matches_each_economy_solved_alone(
             assert float(row[col]) == pytest.approx(ref, rel=1e-14)
         for col, name in STARRED.items():
             assert float(row[col]) == pytest.approx(getattr(ss, name), rel=1e-12)
-        k = ss.z_star * base.h_bar
-        for col, fn in (("y1_star", y1_of), ("y2_star", y2_of)):
-            ref = fn(k, base.h_bar, ss.u_star, ss.v_star, member)
-            assert float(row[col]) == pytest.approx(ref, rel=1e-12)
+        y1 = y1_of(ss.z_star * base.h_bar, base.h_bar, ss.u_star, ss.v_star, member)
+        assert float(row["y1_star"]) == pytest.approx(y1, rel=1e-12)
+        y2 = base.h_bar * (ss.r_star + member.delta_h)
+        assert float(row["y2_star"]) == pytest.approx(y2, rel=1e-12)
     # Only the members the batch could not vouch for went one at a time.
     assert solved > 50 and errors > 50
     assert len(per_member) == errors
+
+
+def test_sweep_y2_star_is_exact_where_u_star_is_near_one(scenario_file, capsys):
+    """y2* = h_bar (r* + delta_h) on the balanced path. At sigma = 54.5 the
+    README family has u* and v* one or two ulps below 1, where the 1 - u*
+    inside y2_of is rounding noise (0.434 for 0.198)."""
+    scn = scenario_file(initial=README_INITIAL)
+    code, out, _ = run(capsys, "sweep", "--scenario", scn, "--grid", "54.5:55:2",
+                       "--sigma", "both", "--format", "json")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert 1.0 - row["u_star"] < 1e-15
+    h_bar = baseline_from_point(ModelParams(**PARAMS_CASE1), 5.5, 1.0, 0.6, 0.5).h_bar
+    y2 = h_bar * (row["r_star"] + PARAMS_CASE1["delta_h"])
+    assert row["y2_star"] == pytest.approx(y2, rel=1e-15)
 
 
 def test_sweep_json_rows_keep_their_keys(scenario_file, capsys):

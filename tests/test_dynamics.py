@@ -68,13 +68,12 @@ def test_fixed_point_trajectory_is_constant(params_case1):
     double precision allows, and then leaves only along the unstable mode.
 
     The balanced path is a saddle whose strongest unstable rate is about
-    12.96. The solved root is not exact: steady_state's default tol=1e-12
-    is passed to brentq as its relative tolerance, so w is about 1 400 ulps
-    (2.4e-13 relative) from the best double root, and rhs_reduced(x*) is
-    about 2e-11. The linear response to that residual, int_0^t exp(J s) r ds,
+    12.96. The solved point is exact only to rounding: Newton leaves w
+    within a few ulps of the gap's sign change, and rhs_reduced(x*) is
+    about 7e-14. The linear response to that residual, int_0^t exp(J s) r ds,
     grows like exp(12.96 t), so no integrator can hold the path within 1e-6
     for ten time units. The horizon T is where that response reaches 1e-6
-    (about 1.05 for case 1); up to T the path must stay within the bound,
+    (about 1.49 for case 1); up to T the path must stay within the bound,
     and its first departure beyond the bound must point along J's unstable
     eigenvector.
     """

@@ -223,6 +223,18 @@ def test_compare_economies_dominance(params_case1):
         assert table.row(name).dominant == "A"
 
 
+def test_compare_y2_star_is_exact_where_u_star_is_near_one(params_case1):
+    """y2* = h_bar (r* + delta_h) on the balanced path. The README family's
+    member at sigma1 = sigma2 = 54.5 has u* and v* one or two ulps below 1,
+    where the 1 - u* inside y2_of is rounding noise (0.434 for 0.198)."""
+    base = baseline_from_point(params_case1, 5.5, 1.0, 0.6, 0.5)
+    member = normalized_params(54.5, 54.5, base, params_case1)
+    ss = steady_state(member)
+    assert 1.0 - ss.u_star < 1e-15
+    y2 = compare_economies(member, member, base).row("y2_star").value_a
+    assert y2 == pytest.approx(base.h_bar * (ss.r_star + member.delta_h), rel=1e-15)
+
+
 def test_compare_economies_rejects_preference_mismatch(params_case1):
     other = replace(params_case1, rho=0.07)
     with pytest.raises(BaselineMismatchError):

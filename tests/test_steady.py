@@ -1,5 +1,7 @@
 """Balanced-growth-path solver checks."""
 
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,18 +11,29 @@ from cesgrowth import (
     AllocationOutOfRangeError,
     ModelParams,
     NoBracketError,
+    NoConvergenceError,
     ParameterError,
     SteadyState,
     TvcViolationError,
     gap_P,
+    jacobian_fd,
     solve_w,
     steady_state,
 )
+from cesgrowth import cli, steady
 from cesgrowth.core import tau_of
-from cesgrowth.stability import stability_report
-from cesgrowth.steady import closed_forms, solve_w_batch, transversality
+from cesgrowth.params import ReducedState
+from cesgrowth.stability import rhs_reduced, stability_report
+from cesgrowth.steady import closed_forms, transversality
 
-from conftest import CASE_PSI, KERNEL_OVERFLOW, U_STAR_AT_ONE, bench_params
+from conftest import (
+    BENCH,
+    CASE_PSI,
+    KERNEL_OVERFLOW,
+    STIFF_POOL,
+    U_STAR_AT_ONE,
+    bench_params,
+)
 
 # Reference balanced-growth values (z*, u*, v*, q*) per case.
 CASE_TARGETS = {
@@ -83,9 +96,7 @@ def test_z_consistent_with_w(params_any_case):
 
 def test_solve_w_rejects_bad_inputs():
     p = bench_params(0.25, -0.10)
-    with pytest.raises(ParameterError):
-        solve_w(p, tol=0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="requires A2 > 0"):
         solve_w(replace(p, A2=0.0))
 
 
@@ -137,11 +148,9 @@ CASES = [bench_params(*CASE_PSI[c]) for c in sorted(CASE_PSI)]
 
 
 def test_batch_root_matches_solve_w():
-    roots = solve_w_batch(_as_family(CASES))
+    roots = solve_w(_as_family(CASES))
     for p, w in zip(CASES, roots):
-        assert w == pytest.approx(solve_w(p), rel=1e-12)
-        # Newton's last step leaves the root at the gap's rounding level.
-        assert abs(gap_P(float(w), p)) <= 1e-14
+        assert w == pytest.approx(solve_w(p), rel=1e-14)
 
 
 def test_batch_root_flags_what_solve_w_rejects():
@@ -152,12 +161,12 @@ def test_batch_root_flags_what_solve_w_rejects():
         solve_w(no_bracket)
     family = _as_family(CASES + [ModelParams(**KERNEL_OVERFLOW), no_bracket])
     with np.errstate(all="ignore"):
-        roots = solve_w_batch(family)
+        roots = solve_w(family)
     assert np.all(np.isfinite(roots[:-2])) and np.all(np.isnan(roots[-2:]))
 
 
 def test_closed_forms_on_an_array_equal_those_on_a_float():
-    roots = solve_w_batch(_as_family(CASES))
+    roots = solve_w(_as_family(CASES))
     batch = closed_forms(roots, _as_family(CASES))
     for i, p in enumerate(CASES):
         single = closed_forms(float(roots[i]), p)
@@ -165,3 +174,37 @@ def test_closed_forms_on_an_array_equal_those_on_a_float():
             assert getattr(batch, name)[i] == pytest.approx(
                 getattr(single, name), rel=1e-14
             )
+
+
+ROUNDING_LEVEL = [bench_params(*CASE_PSI[c]) for c in sorted(CASE_PSI)] + [
+    ModelParams(**STIFF_POOL[i]) for i in sorted(STIFF_POOL)
+]
+
+
+@pytest.mark.parametrize("params", ROUNDING_LEVEL)
+def test_root_sits_at_the_gaps_rounding_level(params):
+    """Newton's last step leaves w* where the gap is rounding noise, and x*
+    a fixed point of the reduced system to the rounding of its coordinates.
+
+    One ulp in x*_j moves rhs_reduced by about |J_ij| ulp(x*_j). On the five
+    cases that sum is below 5e-14; on the stiff economies, where u* and v*
+    lie about 1e-4 apart, it is 8e-11 to 6e-10, so no absolute bound fits
+    both.
+    """
+    ss = steady_state(params)
+    assert abs(gap_P(ss.w_star, params)) <= 1e-14
+    x = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
+    ulps = np.array([math.ulp(t) for t in x.as_array()])
+    rounding = np.max(np.abs(jacobian_fd(x, params)) @ ulps)
+    assert np.max(np.abs(rhs_reduced(x, params))) <= 4.0 * rounding
+
+
+def test_newton_that_does_not_settle_is_a_typed_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(steady, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(NoConvergenceError, match="did not settle within 1 steps"):
+        solve_w(CASES[0])
+    path = tmp_path / "case1.json"
+    path.write_text(json.dumps({"params": dict(BENCH, psi1=0.25, psi2=-0.10)}))
+    assert cli.main(["steady", "--scenario", str(path)]) == 3
+    assert "did not settle" in capsys.readouterr().err
+    assert np.all(np.isnan(solve_w(_as_family(CASES))))
