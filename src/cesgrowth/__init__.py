@@ -17,7 +17,7 @@ from .core import (
     y1_of,
     y2_of,
 )
-from .dynamics import Trajectory, integrate, reconstruct_levels, saddle_path
+from .dynamics import Trajectory, reconstruct_levels, saddle_path
 from .errors import (
     AllocationOutOfRangeError,
     BaselineMismatchError,
@@ -25,7 +25,6 @@ from .errors import (
     MrsMismatchError,
     NoBracketError,
     NoConvergenceError,
-    NonMonotoneWarning,
     NoRealStableEigenvectorError,
     ParameterError,
     ScenarioError,

@@ -30,7 +30,9 @@ from .normalization import (
     normalized_params,
 )
 from .scenario import Scenario, load_scenario
-from .stability import eigen4, stability_report
+# eigen4 is unused here, but the benchmark's tracer (perfbench/spans.py)
+# wraps it in this namespace and fails if the name is missing.
+from .stability import eigen4, stability_report  # noqa: F401
 from .steady import closed_forms, solve_w, steady_state
 
 _SWEEP_COLUMNS = (
@@ -88,16 +90,6 @@ def cmd_steady(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    if args.eigen_diag is not None:
-        # Debug fixture: eigenvalues of a diagonal matrix, bypassing the model.
-        diag = [float(t) for t in args.eigen_diag.split(",")]
-        if len(diag) != 4:
-            raise ScenarioError("expected 4 comma-separated values", field="--eigen-diag")
-        ev = eigen4(np.diag(diag))
-        _write("".join(f"{e.real:.17g},{e.imag:.17g}\n" for e in ev), args.out)
-        return 0
-    if args.scenario is None:
-        raise ScenarioError("missing --scenario", field="--scenario")
     scn = load_scenario(args.scenario)
     rep = stability_report(scn.params)
     fmt = args.format or scn.output_format
@@ -182,11 +174,11 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
 
     The members are solved as one array computation. A member it cannot
     vouch for (family parameters not finite or outside their domain, no
-    bracket, gap samples not decreasing, no Newton convergence, an
-    allocation outside (0,1), a non-positive transversality margin) goes
-    once through normalized_params and steady_state, which raise its typed
-    error or warn as for a single economy. errors holds the message of
-    each member that failed, "" for the others, whose values are then nan.
+    bracket, no Newton convergence, an allocation outside (0,1), a
+    non-positive transversality margin) goes once through normalized_params
+    and steady_state, which raise its typed error as for a single economy.
+    errors holds the message of each member that failed, "" for the others,
+    whose values are then nan.
     """
     n = len(grid)
     values = np.full((n, len(_SWEEP_COLUMNS) - 1), np.nan)
@@ -312,13 +304,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    if args.samples < 2:
+        raise ScenarioError(f"expected at least 2, got {args.samples}",
+                            field="--samples")
     scn = load_scenario(args.scenario)
     if scn.initial is None:
         raise ScenarioError("trajectory needs an initial block", field="$.initial")
     k0, h0 = scn.initial["k0"], scn.initial["h0"]
     z0 = k0 / h0
     traj = saddle_path(scn.params, z0)
-    if len(traj) > 1 and args.samples >= 2:
+    if len(traj) > 1:
         times = np.linspace(traj.times[0], traj.times[-1], args.samples)
         states = np.column_stack(
             [np.interp(times, traj.times, traj.states[:, i]) for i in range(4)]
@@ -351,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
-        p.add_argument("--scenario", required=scenario_required,
+    def common(p):
+        p.add_argument("--scenario", required=True,
                        help="path to a scenario JSON file")
         p.add_argument("--format", choices=("table", "csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -362,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("stability", help="Jacobian, eigenvalues, classification")
-    common(p, scenario_required=False)
-    p.add_argument("--eigen-diag", default=None, help=argparse.SUPPRESS)
+    common(p)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("sweep", help="comparative statics over an elasticity grid")

@@ -1,9 +1,9 @@
-"""Time integration of the reduced system and stable-manifold trajectories."""
+"""Stable-manifold trajectories of the reduced system and their levels."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .core import sector_rates
 from .errors import (
@@ -13,43 +13,17 @@ from .errors import (
     TargetNotReachedError,
 )
 from .params import ModelParams, ReducedState
-from .stability import TOL_ZERO, jacobian_fd, rhs_reduced, rhs_reduced_values
+from .stability import TOL_ZERO, jacobian_fd, rhs_reduced_values
 from .steady import steady_state
 
-# Admissible box and singularity margins at which integration halts.
+# Coordinate floor and u = v margin at which integration halts.
 BOX_MARGIN = 1e-9
 UV_EVENT_GAP = 1e-9
-
-_CLIP = 1e-12
-
-
-def _ev_singular(_t, x):
-    """Terminal event of both integrators: the state reaches u = v."""
-    return abs(x[2] - x[3]) - UV_EVENT_GAP
-
-
-_ev_singular.terminal = True
-
-
-def _rhs_clipped(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """rhs_reduced tolerant to the integrator probing just outside the box.
-
-    Internal RK stages may overshoot the terminal events slightly; the
-    state is clipped into the open box for evaluation only.
-    """
-    z = max(x[0], _CLIP)
-    q = max(x[1], _CLIP)
-    u = min(max(x[2], _CLIP), 1.0 - _CLIP)
-    v = min(max(x[3], _CLIP), 1.0 - _CLIP)
-    gap = 10.0 * _CLIP  # strictly above the rhs_reduced singularity floor
-    if abs(u - v) < gap:
-        mid = min(max(0.5 * (u + v), gap), 1.0 - gap)
-        half = 0.5 * gap
-        if u >= v:
-            u, v = mid + half, mid - half
-        else:
-            u, v = mid - half, mid + half
-    return rhs_reduced(ReducedState(z=z, q=q, u=u, v=v), params)
+# Reverse-time integration: RK45's rtol, the seed's offset from the
+# fixed point relative to |x*|, and the longest time it may travel.
+SADDLE_RTOL = 1e-10
+SEED_SCALE = 1e-6
+T_BUDGET = 500.0
 
 
 @dataclass
@@ -65,69 +39,11 @@ class Trajectory:
     levels: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
-    def state(self, i: int) -> ReducedState:
-        return ReducedState.from_array(self.states[i])
-
     def __len__(self) -> int:
         return len(self.times)
 
 
-def integrate(
-    state0: ReducedState,
-    params: ModelParams,
-    t_end: float,
-    tol: float = 1e-9,
-    t_eval=None,
-) -> Trajectory:
-    """Adaptive RK45 integration of the reduced system over [0, t_end].
-
-    Halts early, with meta['stop_reason'] set, if the state approaches
-    u = v or leaves the admissible box.
-    """
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-
-    def fun(_t, x):
-        return _rhs_clipped(x, params)
-
-    def ev_box(_t, x):
-        return min(x[0], x[1], x[2], x[3], 1.0 - x[2], 1.0 - x[3]) - BOX_MARGIN
-
-    ev_box.terminal = True
-
-    sol = solve_ivp(
-        fun,
-        (0.0, t_end),
-        state0.as_array(),
-        method="RK45",
-        rtol=tol,
-        atol=1e-12,
-        t_eval=t_eval,
-        events=(_ev_singular, ev_box),
-    )
-    if sol.status == -1:
-        raise StepSizeUnderflowError(
-            sol.message, last_state=sol.y[:, -1], last_time=sol.t[-1]
-        )
-    stop = "completed"
-    if sol.status == 1:
-        stop = "singularity" if len(sol.t_events[0]) else "left_box"
-    meta = {
-        "steps": len(sol.t),
-        "nfev": sol.nfev,
-        "stop_reason": stop,
-        "t_stop": float(sol.t[-1]),
-    }
-    return Trajectory(times=sol.t.copy(), states=sol.y.T.copy(), meta=meta)
-
-
-def saddle_path(
-    params: ModelParams,
-    z0: float,
-    tol: float = 1e-10,
-    seed_scale: float = 1e-6,
-    t_budget: float = 500.0,
-) -> Trajectory:
+def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     """Construct the stable-manifold trajectory reaching z = z0.
 
     Seeds at x* +/- eps v_s (v_s the unit stable eigenvector, sign chosen
@@ -164,12 +80,12 @@ def saddle_path(
     # Orient the offset so z initially moves toward z0.
     if (v_s[0] > 0.0) != (z0 > ss.z_star):
         v_s = -v_s
-    eps = seed_scale * np.linalg.norm(x_star)
+    eps = SEED_SCALE * np.linalg.norm(x_star)
     x_seed = x_star + eps * v_s
 
     def fun(_t, x):
         # The manifold may leave the (0,1) allocation box; the reduced
-        # equations remain smooth there, so no clipping here.
+        # equations remain smooth there.
         return -rhs_reduced_values(x[0], x[1], x[2], x[3], params)
 
     def ev_target(_t, x):
@@ -182,17 +98,22 @@ def saddle_path(
 
     ev_floor.terminal = True
 
+    def ev_singular(_t, x):
+        return abs(x[2] - x[3]) - UV_EVENT_GAP
+
+    ev_singular.terminal = True
+
     # The seed sits eps from the fixed point, so derivatives are tiny and
     # the first-step heuristic would overshoot without a step cap.
     sol = solve_ivp(
         fun,
-        (0.0, t_budget),
+        (0.0, T_BUDGET),
         x_seed,
         method="RK45",
-        rtol=tol,
+        rtol=SADDLE_RTOL,
         atol=1e-13,
         max_step=min(1.0, 0.5 / abs(lam.real)),
-        events=(ev_target, ev_floor, _ev_singular),
+        events=(ev_target, ev_floor, ev_singular),
     )
     if sol.status == -1:
         raise StepSizeUnderflowError(
@@ -241,8 +162,9 @@ def reconstruct_levels(
     if len(traj) == 1:
         k = np.array([k0])
     else:
-        log_k = np.log(k0) + cumulative_trapezoid(growth, traj.times, initial=0.0)
-        k = np.exp(log_k)
+        # Trapezoid rule on ln k, accumulated from k0.
+        steps = np.diff(traj.times) * (growth[1:] + growth[:-1]) / 2.0
+        k = np.exp(np.log(k0) + np.concatenate(([0.0], np.cumsum(steps))))
     h = k / z
     c = q * k
     return Trajectory(

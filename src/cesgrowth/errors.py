@@ -74,7 +74,3 @@ class ScenarioError(CesGrowthError, ValueError):
     def __init__(self, message, field=None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
-
-
-class NonMonotoneWarning(UserWarning):
-    """Sampled BGP gap values were not decreasing in w."""

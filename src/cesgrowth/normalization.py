@@ -89,20 +89,21 @@ def _check_sector(sector: int):
         raise ParameterError(f"sector must be 1 or 2, got {sector}")
 
 
+def _mrs(alpha: float, psi: float, x: float) -> float:
+    """A CES sector's marginal rate of substitution at input ratio x."""
+    return (1.0 - alpha) / alpha * x ** (1.0 - psi)
+
+
 def mrs_from_params(params: ModelParams, w_bar: float, tau_bar: float) -> tuple:
     """Sectoral marginal rates of substitution (m1, m2) at the baseline point.
 
-    m1 = (1-a1)/a1 * w_bar^{1-psi1}; m2 uses the education-sector ratio
-    w_bar/tau_bar. Interior optimality requires m1 = m2.
+    m1 is taken at the goods-sector ratio w_bar, m2 at the education-sector
+    ratio w_bar/tau_bar. Interior optimality requires m1 = m2.
     """
     if w_bar <= 0.0 or tau_bar <= 0.0:
         raise ParameterError("w_bar and tau_bar must be positive")
-    m1 = (1.0 - params.alpha1) / params.alpha1 * w_bar ** (1.0 - params.psi1)
-    m2 = (
-        (1.0 - params.alpha2)
-        / params.alpha2
-        * (w_bar / tau_bar) ** (1.0 - params.psi2)
-    )
+    m1 = _mrs(params.alpha1, params.psi1, w_bar)
+    m2 = _mrs(params.alpha2, params.psi2, w_bar / tau_bar)
     if abs(m1 - m2) > MRS_MATCH_RTOL * max(abs(m1), abs(m2)):
         raise MrsMismatchError(
             f"sectoral marginal rates disagree: m1={m1}, m2={m2}", m1=m1, m2=m2
@@ -130,7 +131,7 @@ def baseline_from_point(
     if require_mrs_match:
         m, _ = mrs_from_params(params, w, tau)
     else:
-        m = (1.0 - params.alpha1) / params.alpha1 * w ** (1.0 - params.psi1)
+        m = _mrs(params.alpha1, params.psi1, w)
     return Baseline(
         w_bar=w,
         tau_bar=tau,

@@ -9,13 +9,25 @@ sign. Where it does, a sign-change bracket plus a safeguarded Newton
 iteration is enough; where it does not, solve_w raises NoBracketError.
 All starred quantities follow in closed form (closed_forms).
 
+P falls strictly in w for every economy ModelParams accepts with A2 > 0,
+so a sign change brackets exactly one root. With
+g = alpha1 + (1-alpha1) w^{-psi1}, MPK = alpha1 A1 g^{(1-psi1)/psi1} and
+
+    d MPK/dw = -alpha1 A1 (1-psi1)(1-alpha1) g^{(1-2 psi1)/psi1} w^{-psi1-1} < 0;
+
+with e = psi2 (1-psi1)/(1-psi2), MPH = (1-alpha2) A2 P2^{(1-psi2)/psi2} and
+
+    d MPH/dw = (1-alpha2) alpha2 A2 (1-psi1) theta^{-psi2/(1-psi2)}
+               P2^{(1-2 psi2)/psi2} w^{e-1} > 0,
+
+since psi1 < 1 and g, P2, theta > 0.
+
 solve_w and closed_forms take one economy (a ModelParams of floats) or a
 family (a ModelParams of arrays, one economy per element) through the
 same code: a float stays a Python float or complex number throughout.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +37,6 @@ from .errors import (
     AllocationOutOfRangeError,
     NoBracketError,
     NoConvergenceError,
-    NonMonotoneWarning,
     ParameterError,
     TvcViolationError,
 )
@@ -93,17 +104,15 @@ def solve_w(params: ModelParams):
 
     One economy raises ParameterError for A2 <= 0, NoBracketError where
     no bracket is found and NoConvergenceError where the iteration does
-    not settle within MAX_NEWTON_STEPS; it warns NonMonotoneWarning, and
-    still solves, where the bracket's gap samples do not fall strictly as
-    w rises. A family member comes back nan in each of these cases. Run a
-    family under np.errstate: such members overflow.
+    not settle within MAX_NEWTON_STEPS. A family member comes back nan in
+    each of these cases. Run a family under np.errstate: such members
+    overflow.
     """
     g_one = _gap(1.0, params)
     family = isinstance(g_one, np.ndarray)
     if not (family or params.A2 > 0.0):
         raise ParameterError("solve_w requires A2 > 0")
     ok = (params.A2 > 0.0) & (abs(g_one) < math.inf)
-    falls = True
     ends = []
     for down in (True, False):
         w, g = 1.0, g_one
@@ -112,15 +121,12 @@ def solve_w(params: ModelParams):
             if not (grow.any() if family else grow):
                 break
             w = _where(grow, w / 10.0 if down else w * 10.0, w)
-            g_new = _gap(w, params)
-            ok = ok & (abs(g_new) < math.inf)
-            fell = (g_new > g) if down else (g_new < g)
-            falls = _where(grow, falls & fell, falls)
-            g = g_new
+            g = _gap(w, params)
+            ok = ok & (abs(g) < math.inf)
         ends.append((w, g))
     (lo, g_lo), (hi, g_hi) = ends
     if family:
-        ok = ok & falls & (g_lo > 0.0) & (g_hi < 0.0)
+        ok = ok & (g_lo > 0.0) & (g_hi < 0.0)
     else:
         for w, g in ends:
             if not abs(g) < math.inf:
@@ -131,12 +137,6 @@ def solve_w(params: ModelParams):
             raise NoBracketError(
                 f"no sign change of gap_P in [{lo:g}, {hi:g}] "
                 f"(gap_P({lo:g})={g_lo:g}, gap_P({hi:g})={g_hi:g})"
-            )
-        if not falls:
-            warnings.warn(
-                "sampled gap_P values are not strictly decreasing in w",
-                NonMonotoneWarning,
-                stacklevel=2,
             )
 
     root = math.nan * g_one

@@ -107,17 +107,12 @@ def test_stability_json_eigenvalues(scenario_file, capsys):
     assert reals[3] == pytest.approx(12.963, rel=0.02)
 
 
-def test_stability_eigen_diag_fixture(capsys):
-    code, out, _ = run(capsys, "stability", "--eigen-diag", "4,-1,2.5,0")
-    assert code == 0
-    reals = [float(line.split(",")[0]) for line in out.strip().splitlines()]
-    assert reals == [-1.0, 0.0, 2.5, 4.0]
-
-
 def test_stability_requires_scenario_or_fixture(capsys):
-    code, _, err = run(capsys, "stability")
-    assert code == 2
-    assert "scenario" in err
+    """stability takes a required --scenario, as every subcommand does."""
+    with pytest.raises(SystemExit) as exc:
+        main(["stability"])
+    assert exc.value.code == 2
+    assert "--scenario" in capsys.readouterr().err
 
 
 def test_sweep_monotone_footer(scenario_file, capsys):
@@ -201,6 +196,15 @@ def test_trajectory_csv(scenario_file, capsys):
     assert z[-1] == pytest.approx(10.725, abs=0.01)
     k = [float(r[5]) for r in rows]
     assert k[0] == pytest.approx(5.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-5"])
+def test_trajectory_rejects_fewer_than_two_samples(scenario_file, capsys, samples):
+    scn = scenario_file(initial={"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5})
+    code, out, err = run(capsys, "trajectory", "--scenario", scn, "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --samples: expected at least 2, got {samples}\n"
 
 
 def test_trajectory_uses_library_integrator_tolerance(tmp_path, capsys):

@@ -1,24 +1,25 @@
-"""Time integration and stable-manifold construction."""
+"""Stable-manifold construction and level reconstruction."""
 
 import time
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.linalg import expm
 
 from cesgrowth import (
     ParameterError,
     ReducedState,
     TargetNotReachedError,
-    integrate,
     jacobian_fd,
     reconstruct_levels,
     rhs_reduced,
     saddle_path,
     steady_state,
 )
+from cesgrowth import dynamics
 from cesgrowth.core import sector_rates
+from cesgrowth.stability import rhs_reduced_values
 
 from conftest import bench_params
 
@@ -28,10 +29,17 @@ def steady_point(params):
     return ss, ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
 
 
-def test_integrate_validates_tol(params_case1):
-    _, s = steady_point(params_case1)
-    with pytest.raises(ParameterError):
-        integrate(s, params_case1, t_end=1.0, tol=-1.0)
+def forward(x0, params, t_end, rtol=1e-9):
+    """(times, states) of RK45 on the reduced system from x0 over [0, t_end],
+    stopped where u or v leaves (0, 1)."""
+
+    def leaves_box(_t, x):
+        return min(x[2], x[3], 1.0 - x[2], 1.0 - x[3])
+
+    leaves_box.terminal = True
+    sol = solve_ivp(lambda _t, x: rhs_reduced_values(*x, params), (0.0, t_end),
+                    x0, rtol=rtol, atol=1e-12, events=leaves_box)
+    return sol.t, sol.y.T
 
 
 def linear_departure_horizon(jac, residual, bound, t_end):
@@ -88,14 +96,14 @@ def test_fixed_point_trajectory_is_constant(params_case1):
     # well before t = 10, so the horizon exists.
     assert horizon is not None
 
-    traj = integrate(s, params_case1, t_end=10.0)
-    dev = np.max(np.abs(traj.states - x_star), axis=1)
-    assert np.all(dev[traj.times <= horizon] < bound)
-    assert traj.meta["t_stop"] >= horizon
+    times, states = forward(x_star, params_case1, t_end=10.0)
+    dev = np.max(np.abs(states - x_star), axis=1)
+    assert np.all(dev[times <= horizon] < bound)
+    assert times[-1] >= horizon
 
     departed = np.flatnonzero(dev > bound)
     assert departed.size > 0
-    drift = traj.states[departed[0]] - x_star
+    drift = states[departed[0]] - x_star
     eigvals, eigvecs = np.linalg.eig(jac)
     unstable = np.real(eigvecs[:, np.argmax(eigvals.real)])
     cos = abs(drift @ unstable) / (np.linalg.norm(drift) * np.linalg.norm(unstable))
@@ -105,9 +113,8 @@ def test_fixed_point_trajectory_is_constant(params_case1):
 def test_fixed_point_constant_over_attainable_horizon(params_case1):
     """Within the horizon double precision permits, the path is constant."""
     _, s = steady_point(params_case1)
-    traj = integrate(s, params_case1, t_end=1.0)
-    mask = traj.times <= 1.0
-    dev = np.max(np.abs(traj.states[mask] - s.as_array()))
+    times, states = forward(s.as_array(), params_case1, t_end=1.0)
+    dev = np.max(np.abs(states[times <= 1.0] - s.as_array()))
     assert dev < 1e-6
 
 
@@ -116,33 +123,13 @@ def test_small_perturbation_matches_linear_propagator(params_case1):
     ss, s = steady_point(params_case1)
     x0 = s.as_array()
     delta = np.array([0.01 * ss.z_star, 0.0, 0.0, 0.0])
-    start = ReducedState.from_array(x0 + delta)
     t_end = 0.01
-    traj = integrate(start, params_case1, t_end=t_end, tol=1e-11)
+    times, states = forward(x0 + delta, params_case1, t_end=t_end, rtol=1e-11)
     jac = jacobian_fd(s, params_case1)
     predicted = x0 + expm(jac * t_end) @ delta
-    err = np.max(np.abs(traj.states[-1] - predicted))
-    assert traj.times[-1] == pytest.approx(t_end)
+    err = np.max(np.abs(states[-1] - predicted))
+    assert times[-1] == pytest.approx(t_end)
     assert err < 10.0 * np.linalg.norm(delta) ** 2
-
-
-def test_integrate_requested_sample_times(params_case1):
-    ss, s = steady_point(params_case1)
-    start = ReducedState(z=1.01 * ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    t_eval = np.linspace(0.0, 0.05, 6)
-    traj = integrate(start, params_case1, t_end=0.05, t_eval=t_eval)
-    assert np.allclose(traj.times, t_eval)
-    assert traj.states.shape == (6, 4)
-
-
-def test_integrate_reports_early_stop(params_case2):
-    """Far off the manifold the state exits the admissible region."""
-    ss, _ = steady_point(params_case2)
-    start = ReducedState(z=0.3 * ss.z_star, q=2.5 * ss.q_star,
-                         u=ss.u_star, v=ss.v_star)
-    traj = integrate(start, params_case2, t_end=200.0)
-    assert traj.meta["stop_reason"] in ("singularity", "left_box")
-    assert traj.meta["t_stop"] < 200.0
 
 
 def test_saddle_path_converges(params_case1):
@@ -180,11 +167,12 @@ def test_saddle_path_validates_z0(params_case1):
         saddle_path(params_case1, z0=-1.0)
 
 
-def test_saddle_path_budget_exhaustion(params_case1):
+def test_saddle_path_budget_exhaustion(params_case1, monkeypatch):
     """An overly small travel budget is reported, not silently truncated."""
     ss, _ = steady_point(params_case1)
-    with pytest.raises(TargetNotReachedError):
-        saddle_path(params_case1, z0=0.9 * ss.z_star, t_budget=0.05)
+    monkeypatch.setattr(dynamics, "T_BUDGET", 0.05)
+    with pytest.raises(TargetNotReachedError, match="travel budget exhausted"):
+        saddle_path(params_case1, z0=0.9 * ss.z_star)
 
 
 def test_reconstruct_levels_constant_growth(params_case1):

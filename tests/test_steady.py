@@ -94,6 +94,24 @@ def test_z_consistent_with_w(params_any_case):
     )
 
 
+def test_gap_falls_strictly_on_random_economies(rng):
+    """The steady module's proof that P falls in w, checked in floating
+    point on a log grid of w for validated draws across the domain."""
+    ws = np.logspace(-3.0, 3.0, 61)
+    for _ in range(500):
+        params = ModelParams(
+            A1=rng.uniform(0.1, 5.0), A2=rng.uniform(0.01, 2.0),
+            alpha1=rng.uniform(0.05, 0.95), alpha2=rng.uniform(0.05, 0.95),
+            psi1=rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.9),
+            psi2=rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.9),
+            delta_k=rng.uniform(0.0, 0.1), delta_h=rng.uniform(0.0, 0.1),
+            eps=rng.uniform(1.1, 5.0), rho=rng.uniform(0.01, 0.1),
+        )
+        with np.errstate(all="raise"):
+            gaps = gap_P(ws, params)
+        assert np.all(np.diff(gaps) < 0.0), params
+
+
 def test_solve_w_rejects_bad_inputs():
     p = bench_params(0.25, -0.10)
     with pytest.raises(ParameterError, match="requires A2 > 0"):
