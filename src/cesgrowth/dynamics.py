@@ -1,9 +1,9 @@
 """Stable-manifold trajectories of the reduced system and their levels."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import sector_rates
 from .errors import (
@@ -19,11 +19,36 @@ from .steady import steady_state
 # Coordinate floor and u = v margin at which integration halts.
 BOX_MARGIN = 1e-9
 UV_EVENT_GAP = 1e-9
-# Reverse-time integration: RK45's rtol, the seed's offset from the
-# fixed point relative to |x*|, and the longest time it may travel.
+# Reverse-time integration: the stepper's rtol and atol, the seed's offset
+# from the fixed point relative to |x*|, and the longest time it may travel.
 SADDLE_RTOL = 1e-10
+SADDLE_ATOL = 1e-13
 SEED_SCALE = 1e-6
 T_BUDGET = 500.0
+
+# Dormand & Prince (1980) 5(4) pair: stage matrix, fifth-order weights,
+# error weights (the last on the first-same-as-last stage) and Shampine's
+# (1986) quartic dense output.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
 
 
 @dataclass
@@ -50,8 +75,8 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     so z moves toward z0), integrates in reversed time until z crosses z0,
     then reports the path in forward-time order.
     """
-    if z0 <= 0.0:
-        raise ParameterError(f"z0 must be positive, got {z0}")
+    if not (math.isfinite(z0) and z0 > 0.0):
+        raise ParameterError(f"z0 must be positive and finite, got {z0}")
     ss = steady_state(params)
     x_star = np.array([ss.z_star, ss.q_star, ss.u_star, ss.v_star])
     if abs(z0 - ss.z_star) <= 1e-12 * max(1.0, ss.z_star):
@@ -83,62 +108,122 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     eps = SEED_SCALE * np.linalg.norm(x_star)
     x_seed = x_star + eps * v_s
 
-    def fun(_t, x):
+    def fun(x):
         # The manifold may leave the (0,1) allocation box; the reduced
         # equations remain smooth there.
         return -rhs_reduced_values(x[0], x[1], x[2], x[3], params)
 
-    def ev_target(_t, x):
-        return x[0] - z0
-
-    ev_target.terminal = True
-
-    def ev_floor(_t, x):
-        return min(x[0], x[1], x[2], x[3]) - BOX_MARGIN
-
-    ev_floor.terminal = True
-
-    def ev_singular(_t, x):
-        return abs(x[2] - x[3]) - UV_EVENT_GAP
-
-    ev_singular.terminal = True
+    def events(x):
+        return np.array([x[0] - z0, min(x) - BOX_MARGIN,
+                         abs(x[2] - x[3]) - UV_EVENT_GAP])
 
     # The seed sits eps from the fixed point, so derivatives are tiny and
     # the first-step heuristic would overshoot without a step cap.
-    sol = solve_ivp(
-        fun,
-        (0.0, T_BUDGET),
-        x_seed,
-        method="RK45",
-        rtol=SADDLE_RTOL,
-        atol=1e-13,
-        max_step=min(1.0, 0.5 / abs(lam.real)),
-        events=(ev_target, ev_floor, ev_singular),
-    )
-    if sol.status == -1:
-        raise StepSizeUnderflowError(
-            sol.message, last_state=sol.y[:, -1], last_time=sol.t[-1]
-        )
-    if not len(sol.t_events[0]):
-        if sol.status == 1:
-            reason = ("approached u = v" if len(sol.t_events[2])
-                      else "hit a coordinate floor")
-        else:
-            reason = "travel budget exhausted"
+    ts, ys, nfev, hit = _dormand_prince(fun, x_seed, min(1.0, 0.5 / abs(lam.real)),
+                                        events)
+    if hit != 0:
+        reason = {1: "hit a coordinate floor", 2: "approached u = v",
+                  None: "travel budget exhausted"}[hit]
         raise TargetNotReachedError(
-            f"z never crossed {z0} ({reason}; final z = {sol.y[0, -1]:g})"
+            f"z never crossed {z0} ({reason}; final z = {ys[-1][0]:g})"
         )
     # Reverse into forward-time order, starting at t = 0 on the far end.
-    times = sol.t[-1] - sol.t[::-1]
-    states = sol.y[:, ::-1].T.copy()
+    times = ts[-1] - np.array(ts[::-1])
+    states = np.array(ys[::-1])
     meta = {
-        "steps": len(sol.t),
-        "nfev": sol.nfev,
+        "steps": len(ts),
+        "nfev": nfev,
         "stop_reason": "target_reached",
         "t_stop": float(times[-1]),
         "stable_eigenvalue": complex(lam),
     }
     return Trajectory(times=times, states=states, meta=meta)
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dormand_prince(fun, y, max_step, events):
+    """Integrate y' = fun(y) from t = 0 until T_BUDGET or a terminal event.
+
+    Dormand & Prince 5(4) with the step control of Hairer, Norsett & Wanner
+    (Solving ODEs I, sec. II.4), the common RK45, at rtol SADDLE_RTOL and
+    atol SADDLE_ATOL. After each accepted step, a component
+    of events(y) that changes sign is located to one ulp of t by bisection
+    on the step's dense output; the earliest crossing ends the path there.
+    Returns (times, states, nfev, hit), hit the index of the event met or
+    None when the budget ran out.
+    """
+    t_bound, rtol, atol = float(T_BUDGET), SADDLE_RTOL, SADDLE_ATOL
+    t, f = 0.0, fun(y)
+    # First step: two rhs calls, f at the seed and one Euler probe.
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, t_bound, max_step)
+    nfev, ts, ys, g = 2, [t], [y], events(y)
+    K = np.empty((7, y.size))
+    while t < t_bound:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflowError(
+                    "Required step size is less than spacing between numbers.",
+                    last_state=y, last_time=t)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = fun(y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        g_new = events(y)
+        crossed = np.flatnonzero((g <= 0) & (g_new >= 0) | (g >= 0) & (g_new <= 0))
+        if crossed.size:
+            Q = K.T.dot(_DP_P)
+
+            def dense(s):
+                x = (s - t_old) / h
+                return h * np.dot(Q, np.cumprod(np.full(4, x))) + y_old
+
+            t, hit = min((_bisect(lambda s: events(dense(s))[i], t_old, t), i)
+                         for i in crossed)
+            ts.append(t)
+            ys.append(dense(t))
+            return ts, ys, nfev, int(hit)
+        ts.append(t)
+        ys.append(y)
+        g = g_new
+    return ts, ys, nfev, None
+
+
+def _bisect(g, lo, hi):
+    """Zero of g, which changes sign or vanishes on [lo, hi]: bisection down
+    to adjacent floats, then the one of them where |g| is smaller."""
+    g_lo, g_hi = g(lo), g(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        g_mid = g(mid)
+        if (g_mid > 0) == (g_lo > 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    return lo if abs(g_lo) < abs(g_hi) else hi
 
 
 def reconstruct_levels(

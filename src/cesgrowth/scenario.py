@@ -5,6 +5,7 @@ that typos in parameter names cannot pass silently.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError, ScenarioError
@@ -47,13 +48,15 @@ class Scenario:
 
 
 def _require_number(obj, key, path, positive=False):
+    field = f"{path}.{key}"
     if key not in obj:
-        raise ScenarioError("missing required key", field=f"{path}.{key}")
+        raise ScenarioError("missing required key", field=field)
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioError(f"expected a number, got {val!r}", field=f"{path}.{key}")
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not abs(val) <= sys.float_info.max):  # inf, nan or a huge int
+        raise ScenarioError(f"expected a finite number, got {val!r}", field=field)
     if positive and not val > 0:
-        raise ScenarioError(f"must be positive, got {val}", field=f"{path}.{key}")
+        raise ScenarioError(f"must be positive, got {val}", field=field)
     return float(val)
 
 

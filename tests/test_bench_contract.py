@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.spans import BOUNDARIES  # noqa: E402
 
-from cesgrowth import steady  # noqa: E402
+from cesgrowth import dynamics, steady  # noqa: E402
 
 from conftest import bench_params  # noqa: E402
 
@@ -39,3 +39,19 @@ def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
     # The bracket search probes powers of ten; the root refinement in between,
     # at complex points w e^{ih} whose real part is the iterate.
     assert any(not math.log10(w.real).is_integer() for w in calls)
+
+
+def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
+    """dynamics.rhs_calls_per_path counts the wrapped dynamics.rhs_reduced_values;
+    every rhs call the stepper reports in nfev must pass through it."""
+    calls = []
+    original = dynamics.rhs_reduced_values
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "rhs_reduced_values", counting)
+    params = bench_params(0.25, -0.10)
+    traj = dynamics.saddle_path(params, 0.9 * steady.steady_state(params).z_star)
+    assert len(calls) == traj.meta["nfev"] > 0

@@ -1,6 +1,11 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from cesgrowth import (
     steady_state,
     y1_of,
 )
+import cesgrowth
 from cesgrowth import cli
 from cesgrowth.cli import _fmt, main
 
@@ -253,6 +259,29 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(bad), encoding="utf-8")
     code, _, err = run(capsys, "steady", "--scenario", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    ("steady", {"params": dict(PARAMS_CASE1, A1=math.inf)}, "$.params.A1"),
+    ("trajectory", {"initial": {"k0": math.inf, "h0": math.inf, "u0": 0.6,
+                                "v0": 0.5}}, "$.initial.k0"),
+])
+def test_non_finite_scenario_number_exit_2(scenario_file, capsys, command, extra,
+                                           field):
+    """json reads Infinity; the scenario boundary names the field it sits in."""
+    code, _, err = run(capsys, command, "--scenario", scenario_file(**extra))
+    assert code == 2
+    assert err.startswith(f"error: {field}: ")
+
+
+def test_cli_imports_without_scipy():
+    src = Path(cesgrowth.__file__).resolve().parents[1]
+    probe = ("import sys, cesgrowth.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
 
 
 def test_u_star_at_one_exit_3(tmp_path, capsys):

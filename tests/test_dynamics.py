@@ -1,5 +1,6 @@
 """Stable-manifold construction and level reconstruction."""
 
+import math
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.linalg import expm
 
 from cesgrowth import (
+    ModelParams,
     ParameterError,
     ReducedState,
     TargetNotReachedError,
@@ -21,7 +23,7 @@ from cesgrowth import dynamics
 from cesgrowth.core import sector_rates
 from cesgrowth.stability import rhs_reduced_values
 
-from conftest import bench_params
+from conftest import CASE_PSI, STIFF_POOL, bench_params
 
 
 def steady_point(params):
@@ -165,6 +167,73 @@ def test_saddle_path_at_steady_state_is_single_point(params_case1):
 def test_saddle_path_validates_z0(params_case1):
     with pytest.raises(ParameterError):
         saddle_path(params_case1, z0=-1.0)
+
+
+@pytest.mark.parametrize("z0", [math.inf, math.nan])
+def test_saddle_path_rejects_non_finite_z0(params_case1, z0):
+    with pytest.raises(ParameterError, match="finite"):
+        saddle_path(params_case1, z0=z0)
+
+
+def rk45_replay(params, z0, monkeypatch):
+    """saddle_path's result (or its TargetNotReachedError) and scipy's RK45 run
+    from the same seed, with the same max_step, tolerances and events."""
+    calls = []
+    stepper = dynamics._dormand_prince
+
+    def spy(fun, y0, max_step, events):
+        calls.append((fun, y0.copy(), max_step, events))
+        return stepper(fun, y0, max_step, events)
+
+    monkeypatch.setattr(dynamics, "_dormand_prince", spy)
+    try:
+        result = saddle_path(params, z0)
+    except TargetNotReachedError as exc:
+        result = exc
+    (fun, y0, max_step, events), = calls
+    terminal = []
+    for i in range(3):
+        def event(_t, x, i=i):
+            return events(x)[i]
+        event.terminal = True
+        terminal.append(event)
+    sol = solve_ivp(lambda _t, x: fun(x), (0.0, dynamics.T_BUDGET), y0,
+                    method="RK45", rtol=dynamics.SADDLE_RTOL,
+                    atol=dynamics.SADDLE_ATOL, max_step=max_step, events=terminal)
+    return result, sol
+
+
+# (economy, z0 / z*, outcome): the five cases from both sides, case 1 nearer
+# and farther, case 1 into a coordinate floor, a stiff economy into u = v.
+PARITY_STARTS = (
+    [(f"case{c}", f, "target_reached") for c in CASE_PSI for f in (0.9, 1.1)]
+    + [("case1", f, "target_reached") for f in (0.5, 1.05)]
+    + [("case1", 1.5, "hit a coordinate floor"), ("stiff35", 1.1, "approached u = v")]
+)
+
+
+@pytest.mark.parametrize("economy, factor, outcome", PARITY_STARTS)
+def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatch):
+    """The in-house Dormand-Prince stepper against scipy's RK45 as the oracle:
+    the same accepted steps and rhs calls, and the same stop. Only the event
+    root is found differently (bisection to one ulp against brentq)."""
+    params = (ModelParams(**STIFF_POOL[35]) if economy == "stiff35"
+              else bench_params(*CASE_PSI[int(economy[-1])]))
+    z0 = factor * steady_state(params).z_star
+    result, sol = rk45_replay(params, z0, monkeypatch)
+    hit = [len(te) > 0 for te in sol.t_events]
+    if outcome == "target_reached":
+        assert hit[0] and sol.status == 1
+        assert len(result) == len(sol.t)
+        assert result.meta["nfev"] == sol.nfev
+        np.testing.assert_allclose(result.times, sol.t[-1] - sol.t[::-1], rtol=1e-12)
+        np.testing.assert_allclose(result.states, sol.y[:, ::-1].T, rtol=1e-12)
+    else:
+        assert hit == [False, outcome == "hit a coordinate floor",
+                       outcome == "approached u = v"]
+        assert isinstance(result, TargetNotReachedError)
+        assert str(result) == (f"z never crossed {z0} ({outcome}; "
+                               f"final z = {sol.y[0, -1]:g})")
 
 
 def test_saddle_path_budget_exhaustion(params_case1, monkeypatch):

@@ -1,6 +1,7 @@
 """Scenario document parsing and validation."""
 
 import json
+import math
 
 import pytest
 
@@ -92,6 +93,20 @@ def test_boolean_is_not_a_number():
     d["params"]["A1"] = True
     with pytest.raises(ScenarioError):
         parse_scenario(d)
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("params", "A1", math.inf),
+    ("params", "psi1", math.nan),
+    ("initial", "k0", -math.inf),
+    ("initial", "h0", 10**400),
+], ids=["A1-inf", "psi1-nan", "k0-minus-inf", "h0-huge-int"])
+def test_non_finite_number_names_its_field(block, key, value):
+    d = doc(initial={"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5})
+    d[block][key] = value
+    with pytest.raises(ScenarioError, match="finite") as e:
+        parse_scenario(d)
+    assert e.value.field == f"$.{block}.{key}"
 
 
 def test_invalid_model_parameter_is_scenario_error():
