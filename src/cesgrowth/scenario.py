@@ -161,6 +161,6 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4 300 digits
         raise ScenarioError(f"invalid JSON in {path}: {exc}", field="$") from exc
     return parse_scenario(doc)

@@ -12,6 +12,7 @@ from cesgrowth import (
     ModelParams,
     ParameterError,
     ReducedState,
+    StepSizeUnderflowError,
     TargetNotReachedError,
     jacobian_fd,
     reconstruct_levels,
@@ -234,6 +235,19 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         assert isinstance(result, TargetNotReachedError)
         assert str(result) == (f"z never crossed {z0} ({outcome}; "
                                f"final z = {sol.y[0, -1]:g})")
+
+
+def test_stepper_gives_up_where_rk45_does():
+    """y' = y^2 from y = 1 blows up at t = 1: the stepper's steps fall below
+    ten ulps of t at the same time and state as scipy's RK45."""
+    with pytest.raises(StepSizeUnderflowError) as exc:
+        dynamics._dormand_prince(lambda y: y**2, np.array([1.0]), 1.0,
+                                 lambda y: np.array([1.0]))
+    sol = solve_ivp(lambda _t, y: y**2, (0.0, dynamics.T_BUDGET), [1.0], method="RK45",
+                    rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL, max_step=1.0)
+    assert sol.status == -1
+    assert exc.value.last_time == sol.t[-1] < 1.0
+    assert exc.value.last_state[0] == sol.y[0, -1]
 
 
 def test_saddle_path_budget_exhaustion(params_case1, monkeypatch):

@@ -166,6 +166,15 @@ def test_load_scenario_invalid_json(tmp_path):
         load_scenario(str(path))
 
 
+def test_load_scenario_integer_too_long_to_parse(tmp_path):
+    path = tmp_path / "huge.json"
+    text = json.dumps(doc()).replace("1.05", "1" + "0" * 5000)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(str(path))
+    assert e.value.field == "$"
+
+
 def test_load_scenario_roundtrip(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc()), encoding="utf-8")
