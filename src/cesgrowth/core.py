@@ -4,7 +4,7 @@ Everything here is a pure function of its arguments.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,9 +101,8 @@ def y2_of(k: float, h: float, u: float, v: float, params: ModelParams) -> float:
     return params.A2 * inner ** (1.0 / psi)
 
 
-@dataclass(frozen=True)
-class AuxBundle:
-    """All auxiliary scalars evaluated at one state.
+class AuxBundle(NamedTuple):
+    """All auxiliary scalars evaluated at one state, as an immutable named tuple.
 
     D  : growth-rate wedge hdot/h - kdot/k - c/k
     P  : BGP gap (zero on the balanced growth path)

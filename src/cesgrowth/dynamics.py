@@ -26,17 +26,16 @@ SADDLE_ATOL = 1e-13
 SEED_SCALE = 1e-6
 T_BUDGET = 500.0
 
-# Dormand & Prince (1980) 5(4) pair: stage matrix, fifth-order weights,
-# error weights (the last on the first-same-as-last stage) and Shampine's
-# (1986) quartic dense output.
-_DP_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+# Dormand & Prince (1980) 5(4) pair: the stage matrix's rows below the
+# diagonal, fifth-order weights, error weights (the last on the
+# first-same-as-last stage) and Shampine's (1986) quartic dense output.
+_DP_A = [np.array(row) for row in (
+    [1/5],
+    [3/40, 9/40],
+    [44/45, -56/15, 32/9],
+    [19372/6561, -25360/2187, 64448/6561, -212/729],
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
+)]
 _DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 _DP_P = np.array([
@@ -110,12 +109,13 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
 
     def fun(x):
         # The manifold may leave the (0,1) allocation box; the reduced
-        # equations remain smooth there.
-        return -rhs_reduced_values(x[0], x[1], x[2], x[3], params)
+        # equations remain smooth there. tolist() hands the kernel Python
+        # floats, whose scalar arithmetic costs less than numpy scalars'.
+        return -rhs_reduced_values(*x.tolist(), params)
 
     def events(x):
-        return np.array([x[0] - z0, min(x) - BOX_MARGIN,
-                         abs(x[2] - x[3]) - UV_EVENT_GAP])
+        z, q, u, v = x.tolist()
+        return [z - z0, min(z, q, u, v) - BOX_MARGIN, abs(u - v) - UV_EVENT_GAP]
 
     # The seed sits eps from the fixed point, so derivatives are tiny and
     # the first-step heuristic would overshoot without a step cap.
@@ -141,7 +141,7 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _dormand_prince(fun, y, max_step, events):
@@ -179,8 +179,8 @@ def _dormand_prince(fun, y, max_step, events):
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             K[0] = f
-            for s in range(1, 6):
-                K[s] = fun(y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            for s, a in enumerate(_DP_A, 1):
+                K[s] = fun(y + np.dot(K[:s].T, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _DP_B)
             K[-1] = f_new = fun(y_new)
             nfev += 6
@@ -194,8 +194,9 @@ def _dormand_prince(fun, y, max_step, events):
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
         g_new = events(y)
-        crossed = np.flatnonzero((g <= 0) & (g_new >= 0) | (g >= 0) & (g_new <= 0))
-        if crossed.size:
+        crossed = [i for i, (old, new) in enumerate(zip(g, g_new))
+                   if old <= 0 <= new or new <= 0 <= old]
+        if crossed:
             Q = K.T.dot(_DP_P)
 
             def dense(s):
@@ -236,8 +237,8 @@ def reconstruct_levels(
     """
     if len(traj) == 0:
         raise ParameterError("trajectory is empty")
-    if k0 <= 0.0:
-        raise ParameterError(f"k0 must be positive, got {k0}")
+    if not (math.isfinite(k0) and k0 > 0.0):
+        raise ParameterError(f"k0 must be positive and finite, got {k0}")
     z = traj.states[:, 0]
     q = traj.states[:, 1]
     u = traj.states[:, 2]

@@ -1,5 +1,6 @@
 """Parameter and state records for the two-sector CES economy."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,19 +52,20 @@ class ModelParams:
                 raise ParameterError(
                     f"{name} too close to 0 (Cobb-Douglas limit not supported)"
                 )
-        if not _all(self.A1 > 0.0):
-            raise ParameterError(f"A1 must be positive, got {self.A1}")
+        if not _all((0.0 < self.A1) & (self.A1 < math.inf)):
+            raise ParameterError(f"A1 must be positive and finite, got {self.A1}")
         # A2 = 0 (no education output) is admitted at construction; only the
         # BGP solver requires A2 > 0.
-        if not _all(self.A2 >= 0.0):
-            raise ParameterError(f"A2 must be non-negative, got {self.A2}")
-        if self.delta_k < 0.0 or self.delta_h < 0.0:
-            raise ParameterError("depreciation rates must be non-negative")
-        if not self.rho > 0.0:
-            raise ParameterError(f"rho must be positive, got {self.rho}")
-        if not self.eps > 1.0:
+        if not _all((0.0 <= self.A2) & (self.A2 < math.inf)):
+            raise ParameterError(f"A2 must be non-negative and finite, got {self.A2}")
+        for name, delta in (("delta_k", self.delta_k), ("delta_h", self.delta_h)):
+            if not 0.0 <= delta < math.inf:
+                raise ParameterError(f"{name} must be non-negative and finite, got {delta}")
+        if not 0.0 < self.rho < math.inf:
+            raise ParameterError(f"rho must be positive and finite, got {self.rho}")
+        if not 1.0 < self.eps < math.inf:
             raise ParameterError(
-                f"eps must exceed 1 (transversality requirement), got {self.eps}"
+                f"eps must be finite and exceed 1 (transversality requirement), got {self.eps}"
             )
         for name, val in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
             if not _all(np.isfinite(val) & (val > 0.0)):

@@ -190,6 +190,13 @@ def test_aux_bundle_definitions(rng):
     )
 
 
+def test_aux_bundle_is_immutable():
+    bun = aux_from_wuv(12.0, 0.6, 0.5, bench_params(0.25, -0.10))
+    with pytest.raises(AttributeError):
+        bun.P = 0.0
+    assert not bun.singular
+
+
 def test_aux_extends_outside_unit_box():
     p = bench_params(0.25, -0.10)
     bun = aux_from_wuv(12.0, 1.3, 1.5, p)

@@ -1,5 +1,7 @@
 """Validation behaviour of the parameter and state records."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,12 +33,19 @@ def test_valid_construction():
         ("rho", 0.0),
         ("eps", 1.0),
         ("eps", 0.5),
+        ("delta_k", math.nan),
+        ("delta_h", math.inf),
+        ("A1", math.inf),
+        ("A2", math.inf),
+        ("rho", math.inf),
+        ("eps", math.inf),
+        ("A2", np.array([0.2, math.inf])),
     ],
 )
 def test_invalid_params_rejected(field, value):
     kwargs = dict(BENCH, psi1=0.25, psi2=-0.10)
     kwargs[field] = value
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=field):
         ModelParams(**kwargs)
 
 
