@@ -176,6 +176,13 @@ def test_saddle_path_rejects_non_finite_z0(params_case1, z0):
         saddle_path(params_case1, z0=z0)
 
 
+@pytest.mark.parametrize("k0", [math.inf, math.nan])
+def test_reconstruct_levels_rejects_non_finite_k0(params_case1, k0):
+    traj = saddle_path(params_case1, 1.05 * steady_state(params_case1).z_star)
+    with pytest.raises(ParameterError, match="finite"):
+        reconstruct_levels(traj, k0=k0, params=params_case1)
+
+
 def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch):
     """The stepper passes Python floats, so the kernel runs in float arithmetic
     rather than numpy-scalar arithmetic, and calls the kernel once per rhs call."""
@@ -302,13 +309,6 @@ def test_reconstruct_levels_matches_per_sample_kernel(params_case1):
     k = 2.0 * np.exp(cumulative_trapezoid(growth, traj.times, initial=0.0))
     expected = np.column_stack([k, k / traj.states[:, 0], traj.states[:, 1] * k])
     np.testing.assert_allclose(lv.levels, expected, rtol=1e-14)
-
-
-@pytest.mark.parametrize("k0", [math.inf, math.nan])
-def test_reconstruct_levels_rejects_non_finite_k0(params_case1, k0):
-    traj = saddle_path(params_case1, 1.05 * steady_state(params_case1).z_star)
-    with pytest.raises(ParameterError, match="finite"):
-        reconstruct_levels(traj, k0=k0, params=params_case1)
 
 
 def test_reconstruct_levels_validation(params_case1):
