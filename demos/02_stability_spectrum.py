@@ -36,7 +36,7 @@ def main():
     rep = stability_report(p)
     print("Jacobian at the case-1 fixed point (rows/cols z, q, u, v):")
     with np.printoptions(precision=4, suppress=True):
-        print(rep.jacobian)
+        print(np.array(rep.jacobian))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .core import (
     y1_of,
     y2_of,
 )
-from .dynamics import Trajectory, reconstruct_levels, saddle_path
 from .errors import (
     AllocationOutOfRangeError,
     BaselineMismatchError,
@@ -64,3 +63,13 @@ from .stability import (
 from .steady import SteadyState, gap_P, solve_w, steady_state, transversality
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Trajectory, saddle_path and reconstruct_levels, from dynamics on first
+    use (PEP 562): dynamics imports numpy, which nothing else here needs."""
+    if name in ("Trajectory", "saddle_path", "reconstruct_levels"):
+        from . import dynamics
+
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

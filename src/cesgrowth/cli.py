@@ -3,6 +3,9 @@
 Subcommands: steady | stability | sweep | compare | trajectory.
 Exit codes: 0 success, 2 validation, 3 numeric failure, 4 comparison
 mismatch, 5 I/O.
+
+Only sweep and trajectory import numpy; steady, stability and compare run
+on Python floats, so their start-up skips numpy's import.
 """
 
 import argparse
@@ -11,10 +14,7 @@ import math
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .core import y1_of, y2_of
-from .dynamics import reconstruct_levels, saddle_path
 from .errors import (
     BaselineMismatchError,
     CesGrowthError,
@@ -99,7 +99,7 @@ def cmd_stability(args) -> int:
             "n_stable": rep.n_stable,
             "n_zero": rep.n_zero,
             "eigenvalues": [[e.real, e.imag] for e in rep.eigenvalues],
-            "jacobian": rep.jacobian.tolist(),
+            "jacobian": [list(row) for row in rep.jacobian],
             "steady": {k: float(v) for k, v in _steady_pairs(rep.steady)},
         }
         _write(json.dumps(doc, indent=2) + "\n", args.out)
@@ -110,7 +110,7 @@ def cmd_stability(args) -> int:
             + ["classification"]
         )
         row = (
-            [_fmt(x) for x in rep.jacobian.ravel()]
+            [_fmt(x) for row in rep.jacobian for x in row]
             + [_fmt(p) for e in rep.eigenvalues for p in (e.real, e.imag)]
             + [rep.classification]
         )
@@ -180,6 +180,8 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
     errors holds the message of each member that failed, "" for the others,
     whose values are then nan.
     """
+    import numpy as np
+
     n = len(grid)
     values = np.full((n, len(_SWEEP_COLUMNS) - 1), np.nan)
     values[:, 0] = grid
@@ -222,6 +224,8 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
 
 
 def _monotone_summary(values, errors) -> str:
+    import numpy as np
+
     ok = values[[not e for e in errors]]
     inc, dec = [], []
     if len(ok) >= 2:
@@ -238,6 +242,8 @@ def _monotone_summary(values, errors) -> str:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     scn = load_scenario(args.scenario)
     which = args.sigma or (scn.sweep.sigma if scn.sweep else "1")
     if args.grid is not None:
@@ -304,6 +310,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    import numpy as np
+
+    from . import dynamics
+
     if args.samples < 2:
         raise ScenarioError(f"expected at least 2, got {args.samples}",
                             field="--samples")
@@ -312,14 +322,14 @@ def cmd_trajectory(args) -> int:
         raise ScenarioError("trajectory needs an initial block", field="$.initial")
     k0, h0 = scn.initial["k0"], scn.initial["h0"]
     z0 = k0 / h0
-    traj = saddle_path(scn.params, z0)
+    traj = dynamics.saddle_path(scn.params, z0)
     if len(traj) > 1:
         times = np.linspace(traj.times[0], traj.times[-1], args.samples)
         states = np.column_stack(
             [np.interp(times, traj.times, traj.states[:, i]) for i in range(4)]
         )
         traj.times, traj.states = times, states
-    traj = reconstruct_levels(traj, k0, scn.params)
+    traj = dynamics.reconstruct_levels(traj, k0, scn.params)
 
     header = ["t", "z", "q", "u", "v", "k", "h", "c", "y1", "y2"]
     lines = [",".join(header)]
@@ -337,6 +347,20 @@ def cmd_trajectory(args) -> int:
     )
     _write("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def __getattr__(name):
+    """saddle_path and reconstruct_levels, from dynamics on first use (PEP 562).
+
+    The benchmark's tracer (perfbench/spans.py) wraps them in this
+    namespace; importing dynamics here only when they are asked for keeps
+    numpy out of this module's import.
+    """
+    if name in ("saddle_path", "reconstruct_levels"):
+        from . import dynamics
+
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,9 +4,8 @@ Everything here is a pure function of its arguments.
 """
 
 import math
+import sys
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ParameterError, SingularStateError
 from .params import LevelState, ModelParams, ReducedState
@@ -43,7 +42,8 @@ def sector_rates(w, params: ModelParams) -> tuple:
 
     Returns (P1, P2, S1, S2, Y1, MPK, Y2, MPH, P) where
     S1 = alpha1 w^psi1 and S2 = alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)}
-    are the share terms and P1 = S1 + 1 - alpha1, P2 = S2 + 1 - alpha2;
+    are the share terms (params.s2_terms holds S2's factor and exponent)
+    and P1 = S1 + 1 - alpha1, P2 = S2 + 1 - alpha2;
     Y1 = A1 P1^{1/psi1} is goods output per unit hu and
     MPK = alpha1 A1 w^{psi1-1} P1^{1/psi1-1} its marginal product of capital;
     Y2 = A2 P2^{1/psi2} is education output per unit h(1-u) at the
@@ -53,15 +53,13 @@ def sector_rates(w, params: ModelParams) -> tuple:
     the level-system oracle rhs_full.
     """
     nonpositive = w.real <= 0.0
-    if nonpositive.any() if isinstance(w, np.ndarray) else nonpositive:
-        raise ParameterError(f"w must be positive, got {np.min(w.real)}")
+    family = getattr(w, "ndim", 0) > 0  # params.is_array(w), inlined on the hot path
+    if nonpositive.any() if family else nonpositive:
+        raise ParameterError(f"w must be positive, got {w.real.min() if family else w.real}")
     psi1, psi2 = params.psi1, params.psi2
+    s2_factor, s2_exponent = params.s2_terms
     s1 = params.alpha1 * w**psi1
-    s2 = (
-        params.alpha2
-        * params.theta ** (-psi2 / (1.0 - psi2))
-        * w ** (psi2 * (1.0 - psi1) / (1.0 - psi2))
-    )
+    s2 = s2_factor * w**s2_exponent
     # 1 - alpha is summed first: it is exact for alpha >= 1/2, while s + 1
     # would round away a share term far below 1.
     p1 = s1 + (1.0 - params.alpha1)
@@ -168,7 +166,7 @@ def costate_ratio(w: float, params: ModelParams) -> float:
     return (1.0 - params.alpha1) * y1 / p1 / mph
 
 
-def rhs_full(state: LevelState, params: ModelParams) -> np.ndarray:
+def rhs_full(state: LevelState, params: ModelParams) -> tuple:
     """Time derivatives (kdot, hdot, cdot, udot, vdot) of the level system.
 
     The tests' level-system oracle: the growth rates of k, h and c are
@@ -180,7 +178,7 @@ def rhs_full(state: LevelState, params: ModelParams) -> np.ndarray:
         raise SingularStateError(f"u - v = {u - v} too small", state=state)
     z = k / h
     w = v / u * z
-    reduced = ReducedState(z=z, q=max(c / k, np.finfo(float).tiny), u=u, v=v)
+    reduced = ReducedState(z=z, q=max(c / k, sys.float_info.min), u=u, v=v)
     bun = aux_of(reduced, params)
     if bun.singular:
         raise SingularStateError(f"R = {bun.R} vanishes at this state", state=state)
@@ -201,6 +199,4 @@ def rhs_full(state: LevelState, params: ModelParams) -> np.ndarray:
     )
     u_growth = (bun.D + q + bun.Q * bun.G2 * bun.P / bun.R) * (1.0 - u) / (u - v)
     v_growth = (bun.D + q + bun.Q * bun.G1 * bun.P / bun.R) * (1.0 - v) / (u - v)
-    return np.array(
-        [k * k_growth, h * h_growth, c * c_growth, u * u_growth, v * v_growth]
-    )
+    return k * k_growth, h * h_growth, c * c_growth, u * u_growth, v * v_growth

@@ -110,8 +110,10 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     def fun(x):
         # The manifold may leave the (0,1) allocation box; the reduced
         # equations remain smooth there. tolist() hands the kernel Python
-        # floats, whose scalar arithmetic costs less than numpy scalars'.
-        return -rhs_reduced_values(*x.tolist(), params)
+        # floats, whose scalar arithmetic costs less than numpy scalars';
+        # negating the four floats costs less than negating their array.
+        zdot, qdot, udot, vdot = rhs_reduced_values(*x.tolist(), params)
+        return np.array((-zdot, -qdot, -udot, -vdot))
 
     def events(x):
         z, q, u, v = x.tolist()

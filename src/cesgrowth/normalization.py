@@ -9,11 +9,9 @@ elasticity of substitution.
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core import tau_of, y1_of, y2_of
 from .errors import BaselineMismatchError, MrsMismatchError, ParameterError
-from .params import ModelParams
+from .params import ModelParams, is_array
 from .steady import steady_state
 
 MRS_MATCH_RTOL = 1e-6
@@ -24,12 +22,12 @@ SIGMA_GUARD = 1e-3
 
 def _any(bad) -> bool:
     """bad itself, or whether any element holds when it is an array."""
-    return bad.any() if isinstance(bad, np.ndarray) else bad
+    return bad.any() if is_array(bad) else bad
 
 
 def _first(sigma, bad):
     """The first sigma that bad flags: sigma itself when it is a float."""
-    return sigma[bad][0] if isinstance(bad, np.ndarray) else sigma
+    return sigma[bad][0] if is_array(bad) else sigma
 
 
 def psi_of_sigma(sigma):
@@ -190,7 +188,8 @@ def _checked_family(sigma, baseline: Baseline, sector: int) -> tuple:
         psi, alpha, A = family_parameters(sigma, baseline, sector)
     except OverflowError:
         psi, alpha, A = math.nan, math.nan, math.nan
-    bad = ~(np.isfinite(alpha) & np.isfinite(A))
+    finite = (abs(alpha) < math.inf) & (abs(A) < math.inf)
+    bad = ~finite if is_array(finite) else not finite
     if _any(bad):
         raise ParameterError(
             f"normalized sector-{sector} parameters overflow at sigma = "

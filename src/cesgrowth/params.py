@@ -2,8 +2,7 @@
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import cached_property
 
 from .errors import ParameterError
 
@@ -12,9 +11,15 @@ from .errors import ParameterError
 PSI_FLOOR = 1e-9
 
 
+def is_array(x) -> bool:
+    """Whether x is an array, told without importing numpy: an array has
+    ndim >= 1, numpy scalars have ndim 0 and Python numbers no ndim."""
+    return getattr(x, "ndim", 0) > 0
+
+
 def _all(ok) -> bool:
     """ok itself, or whether every element holds when it is an array."""
-    return ok.all() if isinstance(ok, np.ndarray) else ok
+    return ok.all() if is_array(ok) else ok
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class ModelParams:
                 f"eps must be finite and exceed 1 (transversality requirement), got {self.eps}"
             )
         for name, val in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
-            if not _all(np.isfinite(val) & (val > 0.0)):
+            if not _all((0.0 < val) & (val < math.inf)):
                 raise ParameterError(f"derived {name} must be positive finite")
 
     @property
@@ -79,10 +84,22 @@ class ModelParams:
     def sigma2(self) -> float:
         return 1.0 / (1.0 - self.psi2)
 
-    @property
+    # Per-economy constants of the kernel, computed on first use: the
+    # record is frozen, so they never go stale.
+    @cached_property
     def theta(self) -> float:
         """theta = alpha1 (1 - alpha2) / (alpha2 (1 - alpha1))."""
         return self.alpha1 * (1.0 - self.alpha2) / (self.alpha2 * (1.0 - self.alpha1))
+
+    @cached_property
+    def s2_terms(self) -> tuple:
+        """(alpha2 theta^{-psi2/(1-psi2)}, psi2 (1-psi1)/(1-psi2)): the factor
+        and the exponent of w in the education share term S2."""
+        psi1, psi2 = self.psi1, self.psi2
+        return (
+            self.alpha2 * self.theta ** (-psi2 / (1.0 - psi2)),
+            psi2 * (1.0 - psi1) / (1.0 - psi2),
+        )
 
     def with_psi(self, psi1: float, psi2: float) -> "ModelParams":
         return replace(self, psi1=psi1, psi2=psi2)
@@ -106,7 +123,10 @@ class ReducedState:
             if not (0.0 < frac < 1.0):
                 raise ParameterError(f"{name} must be strictly inside (0,1), got {frac}")
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        """(z, q, u, v) as a numpy array."""
+        import numpy as np
+
         return np.array([self.z, self.q, self.u, self.v], dtype=float)
 
     @staticmethod

@@ -30,8 +30,6 @@ same code: a float stays a Python float or complex number throughout.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import aux_from_wuv, sector_rates
 from .errors import (
     AllocationOutOfRangeError,
@@ -40,7 +38,7 @@ from .errors import (
     ParameterError,
     TvcViolationError,
 )
-from .params import ModelParams
+from .params import ModelParams, is_array
 
 MAX_BRACKET_EXPANSIONS = 40
 # Newton refinement: the imaginary step of the slope, the Newton step in
@@ -73,12 +71,20 @@ def gap_P(w: float, params: ModelParams) -> float:
 
 def _where(cond, a, b):
     """a where cond holds, else b, for a float or an array."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+    if not is_array(cond):
+        return a if cond else b
+    import numpy as np
+
+    return np.where(cond, a, b)
 
 
 def _exp(x):
     """e**x for a float or an array."""
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+    if not is_array(x):
+        return math.exp(x)
+    import numpy as np
+
+    return np.exp(x)
 
 
 def _gap(w, params: ModelParams):
@@ -109,7 +115,7 @@ def solve_w(params: ModelParams):
     overflow.
     """
     g_one = _gap(1.0, params)
-    family = isinstance(g_one, np.ndarray)
+    family = is_array(g_one)
     if not (family or params.A2 > 0.0):
         raise ParameterError("solve_w requires A2 > 0")
     ok = (params.A2 > 0.0) & (abs(g_one) < math.inf)

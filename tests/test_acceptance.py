@@ -123,7 +123,7 @@ def test_c02_five_case_spectra():
         if rep.classification != "saddle_path":
             ok, detail = False, f"case {case} classified {rep.classification}"
             break
-        for computed, target in zip(rep.eigenvalues.real, CASE_EV[case]):
+        for computed, target in zip(np.asarray(rep.eigenvalues).real, CASE_EV[case]):
             if abs(target) >= 1.0:
                 good = abs(computed - target) <= 0.02 * abs(target)
             elif abs(target) >= 0.01:

@@ -284,6 +284,39 @@ def test_cli_imports_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this checkout's package."""
+    src = Path(cesgrowth.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    return out.stdout
+
+
+def test_import_cesgrowth_loads_no_numpy():
+    assert _fresh_python("import sys, cesgrowth; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_single_economy_commands_load_no_numpy(scenario_file):
+    """steady, stability and compare run on Python floats from start to exit."""
+    path = scenario_file()
+    argvs = [
+        [command, "--scenario", path, "--format", fmt, *extra]
+        for command, extra in (("steady", ()), ("stability", ()),
+                               ("compare", ("--scenario-b", path)))
+        for fmt in ("table", "csv", "json")
+    ]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from cesgrowth import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(argv)\n"
+        "    assert code == 0 and out.getvalue(), argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _fresh_python(probe, json.dumps(argvs)) == "False\n"
+
+
 def test_u_star_at_one_exit_3(tmp_path, capsys):
     path = tmp_path / "corner.json"
     path.write_text(json.dumps({"params": U_STAR_AT_ONE}), encoding="utf-8")

@@ -78,6 +78,19 @@ def test_theta():
         replace(p, alpha1=0.0)
 
 
+def test_share_term_constants_keep_the_expression(rng):
+    """S2 from params.s2_terms is bit-identical to the written-out
+    alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)}, for one economy
+    and for a family."""
+    for psi1, psi2 in CASE_PSI.values():
+        one = bench_params(psi1, psi2)
+        family = replace(one, psi1=np.full(20, psi1), psi2=np.full(20, psi2))
+        for p, w in ((one, 3.7), (one, 1.0 + 1e-20j), (family, rng.uniform(0.1, 50.0, 20))):
+            expected = (p.alpha2 * p.theta ** (-p.psi2 / (1.0 - p.psi2))
+                        * w ** (p.psi2 * (1.0 - p.psi1) / (1.0 - p.psi2)))
+            assert np.array_equal(sector_rates(w, p)[3], expected)
+
+
 def test_y1_reduces_to_p1(rng):
     """y1(k,h,u,v) = A1 h u P1(w)^{1/psi1} with w = kv/(hu)."""
     p = bench_params(0.25, -0.10)

@@ -129,7 +129,7 @@ def test_small_perturbation_matches_linear_propagator(params_case1):
     t_end = 0.01
     times, states = forward(x0 + delta, params_case1, t_end=t_end, rtol=1e-11)
     jac = jacobian_fd(s, params_case1)
-    predicted = x0 + expm(jac * t_end) @ delta
+    predicted = x0 + expm(np.asarray(jac) * t_end) @ delta
     err = np.max(np.abs(states[-1] - predicted))
     assert times[-1] == pytest.approx(t_end)
     assert err < 10.0 * np.linalg.norm(delta) ** 2

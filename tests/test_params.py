@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from cesgrowth import LevelState, ModelParams, ParameterError, ReducedState
+from cesgrowth.params import is_array
 
 from conftest import BENCH, bench_params
+
+
+def test_is_array_sends_numpy_scalars_down_the_scalar_path():
+    for number in (1.0, 1 + 2j, np.float64(1.0), np.complex128(1j), np.bool_(True)):
+        assert not is_array(number)
+    assert is_array(np.array([1.0])) and is_array(np.ones((2, 2)))
 
 
 def test_valid_construction():
