@@ -274,22 +274,18 @@ def test_non_finite_scenario_number_exit_2(scenario_file, capsys, command, extra
     assert err.startswith(f"error: {field}: ")
 
 
-def test_cli_imports_without_scipy():
-    src = Path(cesgrowth.__file__).resolve().parents[1]
-    probe = ("import sys, cesgrowth.cli; print(sorted(m for m in sys.modules"
-             " if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "[]"
-
-
 def _fresh_python(code: str, *args: str) -> str:
     """stdout of code run in a fresh interpreter that imports this checkout's package."""
     src = Path(cesgrowth.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     return out.stdout
+
+
+def test_cli_imports_without_scipy():
+    probe = ("import sys, cesgrowth.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))")
+    assert _fresh_python(probe).strip() == "[]"
 
 
 def test_import_cesgrowth_loads_no_numpy():
