@@ -4,19 +4,7 @@ stability, stable-manifold trajectories and elasticity-of-substitution
 comparative statics via normalized CES families.
 """
 
-from .core import (
-    AuxBundle,
-    aux_of,
-    costate_ratio,
-    p1_of,
-    p2_of,
-    rhs_full,
-    sector_rates,
-    tau_of,
-    w_of,
-    y1_of,
-    y2_of,
-)
+from .core import AuxBundle, sector_rates, tau_of, y1_of, y2_of
 from .errors import (
     AllocationOutOfRangeError,
     BaselineMismatchError,
@@ -40,14 +28,8 @@ from .normalization import (
     baseline_from_point,
     baseline_from_steady_state,
     compare_economies,
-    dpi_dpsi,
-    dr_dpsi,
-    dy_dpsi,
-    identity_wwb,
     mrs_from_params,
     normalized_params,
-    normalized_y,
-    r_star_of_sigma,
     share_pi,
     share_pi_bar,
 )

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 
 from .core import y1_of, y2_of
 from .errors import (
@@ -78,7 +77,7 @@ def _render_kv(pairs, fmt: str) -> str:
 
 
 def _steady_pairs(ss):
-    return [(f.name, getattr(ss, f.name)) for f in fields(ss)]
+    return list(zip(ss._fields, ss))
 
 
 def cmd_steady(args) -> int:
@@ -173,12 +172,13 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
     """(values, errors) of a sweep: one row of _SWEEP_COLUMNS[:-1] per sigma.
 
     The members are solved as one array computation. A member it cannot
-    vouch for (family parameters not finite or outside their domain, no
-    bracket, no Newton convergence, an allocation outside (0,1), a
-    non-positive transversality margin) goes once through normalized_params
-    and steady_state, which raise its typed error as for a single economy.
-    errors holds the message of each member that failed, "" for the others,
-    whose values are then nan.
+    vouch for (family parameters not finite or outside their domain, psi
+    rounded to 1 on a sigma above about 9e15, no bracket, no Newton
+    convergence, an allocation outside (0,1), a non-positive transversality
+    margin) goes once through normalized_params and steady_state, which
+    raise its typed error as for a single economy. errors holds the message
+    of each member that failed, "" for the others, whose values are then
+    nan.
     """
     import numpy as np
 
@@ -195,8 +195,9 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
     )
     with np.errstate(all="ignore"):
         for sector, sigma in ((1, sigma1), (2, sigma2)):
-            _, alpha, A = family_parameters(sigma[idx], baseline, sector)
-            idx = idx[(0.0 < alpha) & (alpha < 1.0) & (0.0 < A) & (A < np.inf)]
+            psi, alpha, A = family_parameters(sigma[idx], baseline, sector)
+            idx = idx[(psi < 1.0) & (0.0 < alpha) & (alpha < 1.0)
+                      & (0.0 < A) & (A < np.inf)]
         member = normalized_params(sigma1[idx], sigma2[idx], baseline, params)
         ss = closed_forms(solve_w(member), member)
         solved = (
@@ -252,7 +253,7 @@ def cmd_sweep(args) -> int:
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
         except ValueError:
             raise ScenarioError("expected lo:hi:n", field="--grid") from None
-        if not (lo > 0 and hi > lo and n >= 1):
+        if not (0 < lo < hi < math.inf and n >= 1):
             raise ScenarioError(f"invalid grid [{lo}, {hi}] n={n}", field="--grid")
     elif scn.sweep is not None:
         lo, hi, n = scn.sweep.lo, scn.sweep.hi, scn.sweep.n

@@ -3,26 +3,14 @@
 Everything here is a pure function of its arguments.
 """
 
-import math
-import sys
 from typing import NamedTuple
 
-from .errors import ParameterError, SingularStateError
-from .params import LevelState, ModelParams, ReducedState
+from .errors import ParameterError
+from .params import ModelParams
 
 # Denominator guards of the reduced system.
 UV_GAP_FLOOR = 1e-12
 R_FLOOR = 1e-14
-
-
-def powz(base: float, expo: float) -> float:
-    """base**expo via exp(expo * log(base)); base must be positive."""
-    return math.exp(expo * math.log(base))
-
-
-def w_of(state: ReducedState) -> float:
-    """Effective capital ratio w = (v/u) z = kv / hu."""
-    return state.v / state.u * state.z
 
 
 def tau_of(u: float, v: float) -> float:
@@ -49,8 +37,8 @@ def sector_rates(w, params: ModelParams) -> tuple:
     Y2 = A2 P2^{1/psi2} is education output per unit h(1-u) at the
     interior-optimum allocation and MPH = (1-alpha2) A2 P2^{1/psi2-1} its
     marginal product of human capital; P = MPK - MPH - (delta_k - delta_h)
-    is the BGP gap. Every use of these rates reads them from here, except
-    the level-system oracle rhs_full.
+    is the BGP gap. Every use of these rates in the package reads them from
+    here.
     """
     nonpositive = w.real <= 0.0
     family = getattr(w, "ndim", 0) > 0  # params.is_array(w), inlined on the hot path
@@ -70,16 +58,6 @@ def sector_rates(w, params: ModelParams) -> tuple:
     mph = (1.0 - params.alpha2) * y2 / p2
     gap = mpk - mph - (params.delta_k - params.delta_h)
     return p1, p2, s1, s2, y1, mpk, y2, mph, gap
-
-
-def p1_of(w: float, params: ModelParams) -> float:
-    """P1 = alpha1 w^psi1 + 1 - alpha1."""
-    return sector_rates(w, params)[0]
-
-
-def p2_of(w: float, params: ModelParams) -> float:
-    """P2 = alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)} + 1 - alpha2."""
-    return sector_rates(w, params)[1]
 
 
 def y1_of(k: float, h: float, u: float, v: float, params: ModelParams) -> float:
@@ -127,11 +105,6 @@ class AuxBundle(NamedTuple):
         return abs(self.R) < R_FLOOR
 
 
-def aux_of(state: ReducedState, params: ModelParams) -> AuxBundle:
-    """Evaluate the full auxiliary bundle at a reduced state."""
-    return aux_from_wuv(w_of(state), state.u, state.v, params)
-
-
 def aux_from_wuv(w: float, u: float, v: float, params: ModelParams) -> AuxBundle:
     """Auxiliary bundle from (w, u, v) directly.
 
@@ -154,49 +127,3 @@ def aux_from_wuv(w: float, u: float, v: float, params: ModelParams) -> AuxBundle
         P_eps=p_eps,
         H=y1 / (params.A1 * p1) * p_eps / w,
     )
-
-
-def costate_ratio(w: float, params: ModelParams) -> float:
-    """mu/lambda = A1 alpha1 / (A2 alpha2 theta) * P1^{1/psi1-1} / P2^{1/psi2-1}.
-
-    That is the goods sector's marginal product of human capital,
-    (1-alpha1) A1 P1^{1/psi1-1}, over the education sector's.
-    """
-    p1, _, _, _, y1, _, _, mph, _ = sector_rates(w, params)
-    return (1.0 - params.alpha1) * y1 / p1 / mph
-
-
-def rhs_full(state: LevelState, params: ModelParams) -> tuple:
-    """Time derivatives (kdot, hdot, cdot, udot, vdot) of the level system.
-
-    The tests' level-system oracle: the growth rates of k, h and c are
-    written out here from P1 and P2, not read from sector_rates, so that
-    comparing this with rhs_reduced checks the kernel.
-    """
-    k, h, c, u, v = state.k, state.h, state.c, state.u, state.v
-    if abs(u - v) < UV_GAP_FLOOR:
-        raise SingularStateError(f"u - v = {u - v} too small", state=state)
-    z = k / h
-    w = v / u * z
-    reduced = ReducedState(z=z, q=max(c / k, sys.float_info.min), u=u, v=v)
-    bun = aux_of(reduced, params)
-    if bun.singular:
-        raise SingularStateError(f"R = {bun.R} vanishes at this state", state=state)
-    psi1, psi2 = params.psi1, params.psi2
-    p1 = p1_of(w, params)
-    p2 = p2_of(w, params)
-    q = c / k
-
-    k_growth = params.A1 * v / w * powz(p1, 1.0 / psi1) - q - params.delta_k
-    h_growth = params.A2 * powz(p2, 1.0 / psi2) * (1.0 - u) - params.delta_h
-    c_growth = (
-        -(params.rho + params.delta_k) / params.eps
-        + params.alpha1
-        * params.A1
-        * powz(w, psi1 - 1.0)
-        * powz(p1, 1.0 / psi1 - 1.0)
-        / params.eps
-    )
-    u_growth = (bun.D + q + bun.Q * bun.G2 * bun.P / bun.R) * (1.0 - u) / (u - v)
-    v_growth = (bun.D + q + bun.Q * bun.G1 * bun.P / bun.R) * (1.0 - v) / (u - v)
-    return k * k_growth, h * h_growth, c * c_growth, u * u_growth, v * v_growth

@@ -1,7 +1,6 @@
 """Stable-manifold trajectories of the reduced system and their levels."""
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +49,6 @@ _DP_P = np.array([
 ])
 
 
-@dataclass
 class Trajectory:
     """Sampled path of the reduced system, optionally with level variables.
 
@@ -58,10 +56,11 @@ class Trajectory:
     present, has columns (k, h, c).
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    levels: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    def __init__(self, times, states, levels=None, meta=None):
+        self.times = times
+        self.states = states
+        self.levels = levels
+        self.meta = {} if meta is None else meta
 
     def __len__(self) -> int:
         return len(self.times)

@@ -7,11 +7,11 @@ elasticity of substitution.
 """
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import tau_of, y1_of, y2_of
 from .errors import BaselineMismatchError, MrsMismatchError, ParameterError
-from .params import ModelParams, is_array
+from .params import Checked, ModelParams, is_array
 from .steady import steady_state
 
 MRS_MATCH_RTOL = 1e-6
@@ -44,10 +44,7 @@ def psi_of_sigma(sigma):
     return (sigma - 1.0) / sigma
 
 
-@dataclass(frozen=True)
-class Baseline:
-    """Normalization anchor: common point, outputs and MRS of the family."""
-
+class _BaselineFields(NamedTuple):
     w_bar: float
     tau_bar: float
     m: float
@@ -58,7 +55,13 @@ class Baseline:
     u_bar: float
     v_bar: float
 
-    def __post_init__(self):
+
+class Baseline(Checked, _BaselineFields):
+    """Normalization anchor: common point, outputs and MRS of the family."""
+
+    __slots__ = ()
+
+    def _check(self):
         for name in ("w_bar", "tau_bar", "m", "y1_bar", "y2_bar", "k_bar", "h_bar"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be positive")
@@ -219,8 +222,8 @@ def normalized_params(
     """
     psi1, alpha1, A1 = _checked_family(sigma1, baseline, 1)
     psi2, alpha2, A2 = _checked_family(sigma2, baseline, 2)
-    return replace(
-        template, A1=A1, A2=A2, alpha1=alpha1, alpha2=alpha2, psi1=psi1, psi2=psi2
+    return template._replace(
+        A1=A1, A2=A2, alpha1=alpha1, alpha2=alpha2, psi1=psi1, psi2=psi2
     )
 
 
@@ -252,168 +255,14 @@ def share_pi_bar(baseline: Baseline, sector: int) -> float:
     return x_bar / (x_bar + baseline.m)
 
 
-def normalized_y(
-    sigma: float,
-    baseline: Baseline,
-    sector: int,
-    k: float,
-    h: float,
-    u: float,
-    v: float,
-) -> float:
-    """Sector output of the family member at (k, h, u, v).
-
-    Share form: y1 = y1_bar * (hu)/(h_bar u_bar) * (w/w_bar)
-    * (pi_bar/pi)^{1/psi}; the sector-2 analogue carries tau_bar/tau.
-    Numerically identical to the direct CES evaluation with the
-    normalized (alpha, A).
-    """
-    psi = psi_of_sigma(sigma)
-    _check_sector(sector)
-    if k <= 0.0 or h <= 0.0:
-        raise ParameterError("k and h must be positive")
-    w = k * v / (h * u)
-    tau = tau_of(u, v)
-    pi = share_pi(sigma, baseline, sector, w, tau)
-    pi_bar = share_pi_bar(baseline, sector)
-    if sector == 1:
-        return (
-            baseline.y1_bar
-            * (h * u)
-            / (baseline.h_bar * baseline.u_bar)
-            * (w / baseline.w_bar)
-            * (pi_bar / pi) ** (1.0 / psi)
-        )
-    return (
-        baseline.y2_bar
-        * (h * (1.0 - u))
-        / (baseline.h_bar * (1.0 - baseline.u_bar))
-        * (w / baseline.w_bar)
-        * (baseline.tau_bar / tau)
-        * (pi_bar / pi) ** (1.0 / psi)
-    )
-
-
-def identity_wwb(
-    sigma: float, baseline: Baseline, sector: int, w: float, tau: float | None = None
-) -> float:
-    """Residual of (x/x_bar)^psi = pi(1-pi_bar) / (pi_bar(1-pi)); zero identically."""
-    psi = psi_of_sigma(sigma)
-    x_bar = baseline.effective_ratio(sector)
-    x = _current_ratio(sector, w, tau)
-    pi = share_pi(sigma, baseline, sector, w, tau)
-    pi_bar = share_pi_bar(baseline, sector)
-    lhs = (x / x_bar) ** psi
-    rhs = pi * (1.0 - pi_bar) / (pi_bar * (1.0 - pi))
-    return lhs - rhs
-
-
-def dpi_dpsi(
-    sigma: float, baseline: Baseline, sector: int, w: float, tau: float | None = None
-) -> float:
-    """d pi / d psi = pi (1 - pi) ln(x / x_bar)."""
-    pi = share_pi(sigma, baseline, sector, w, tau)
-    x_bar = baseline.effective_ratio(sector)
-    x = _current_ratio(sector, w, tau)
-    return pi * (1.0 - pi) * math.log(x / x_bar)
-
-
-def dy_dpsi(
-    sigma: float,
-    baseline: Baseline,
-    sector: int,
-    k: float,
-    h: float,
-    u: float,
-    v: float,
-) -> float:
-    """d y / d psi = -(1/psi^2) y [pi ln(pi_bar/pi) + (1-pi) ln((1-pi_bar)/(1-pi))].
-
-    Strictly positive whenever pi differs from pi_bar (log concavity).
-    """
-    psi = psi_of_sigma(sigma)
-    w = k * v / (h * u)
-    tau = tau_of(u, v)
-    y = normalized_y(sigma, baseline, sector, k, h, u, v)
-    pi = share_pi(sigma, baseline, sector, w, tau)
-    pi_bar = share_pi_bar(baseline, sector)
-    bracket = pi * math.log(pi_bar / pi) + (1.0 - pi) * math.log(
-        (1.0 - pi_bar) / (1.0 - pi)
-    )
-    return -y * bracket / psi**2
-
-
-def r_star_closed_form(
-    sigma1: float, baseline: Baseline, params: ModelParams, pi1_star: float
-) -> float:
-    """r*(sigma1) = (1/eps)[y1_bar/(k_bar v_bar) pi1_bar (pi1_bar/pi1*)^{(1-psi1)/psi1} - rho - dk]."""
-    psi = psi_of_sigma(sigma1)
-    pi_bar = share_pi_bar(baseline, 1)
-    scale = baseline.y1_bar / (baseline.k_bar * baseline.v_bar)
-    return (
-        scale * pi_bar * (pi_bar / pi1_star) ** ((1.0 - psi) / psi)
-        - params.rho
-        - params.delta_k
-    ) / params.eps
-
-
-def steady_share_pi1(sigma1: float, baseline: Baseline, params: ModelParams) -> float:
-    """Steady-state sector-1 share of the family member at sigma1.
-
-    Sector 2 stays at the template's own sigma2 (normalized); the member
-    economy's BGP is solved and its w* plugged into the share formula.
-    """
-    member = normalized_params(sigma1, params.sigma2, baseline, params)
-    ss = steady_state(member)
-    return share_pi(sigma1, baseline, 1, ss.w_star)
-
-
-def r_star_of_sigma(sigma1: float, baseline: Baseline, params: ModelParams) -> float:
-    """Common growth rate of the family member at sigma1, in share form."""
-    return r_star_closed_form(
-        sigma1, baseline, params, steady_share_pi1(sigma1, baseline, params)
-    )
-
-
-def dr_dpsi(sigma1: float, baseline: Baseline, params: ModelParams) -> float:
-    """d r*/d psi1 of the share-form growth rate at the member's own share."""
-    pi1 = steady_share_pi1(sigma1, baseline, params)
-    return dr_dpsi_at(sigma1, baseline, params, pi1)
-
-
-def dr_dpsi_at(
-    sigma1: float, baseline: Baseline, params: ModelParams, pi1_star: float
-) -> float:
-    """Closed form of d r*/d psi1, evaluated at the share pi1_star.
-
-    Total derivative at a fixed input ratio: the share's own psi
-    dependence is folded in through the share identity.
-    """
-    psi = psi_of_sigma(sigma1)
-    pi_bar = share_pi_bar(baseline, 1)
-    scale = baseline.y1_bar / (baseline.k_bar * baseline.v_bar)
-    brace = (1.0 - (1.0 - psi) * (1.0 - pi1_star)) * math.log(pi_bar / pi1_star) + (
-        1.0 - psi
-    ) * (1.0 - pi1_star) * math.log((1.0 - pi_bar) / (1.0 - pi1_star))
-    return (
-        -scale
-        * pi_bar
-        / (params.eps * psi**2)
-        * (pi_bar / pi1_star) ** ((1.0 - psi) / psi)
-        * brace
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     name: str
     value_a: float
     value_b: float
     dominant: str  # "A", "B" or "="
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     rows: tuple
 
     def row(self, name: str) -> ComparisonRow:

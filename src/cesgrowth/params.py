@@ -1,8 +1,8 @@
 """Parameter and state records for the two-sector CES economy."""
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -22,16 +22,37 @@ def _all(ok) -> bool:
     return ok.all() if is_array(ok) else ok
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Structural parameters of the two-sector economy.
+class Checked:
+    """Base of a record that validates every instance it builds.
 
-    Sector 1 (goods) is CES in (kv, hu) with efficiency A1, distribution
-    alpha1 and substitution parameter psi1; sector 2 (education) is CES in
-    (k(1-v), h(1-u)). eps is the inverse intertemporal elasticity of
-    substitution and rho the time-preference rate.
+    A record is a NamedTuple of its fields, subclassed by one that also
+    derives from Checked and defines _check, which raises ParameterError.
+    The constructor, _make and so _replace all go through _check: the
+    plain NamedTuple's _make and _replace build through tuple.__new__ and
+    would skip it. Assigning any attribute raises AttributeError.
     """
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+
+class _ModelParamsFields(NamedTuple):
     A1: float
     A2: float
     alpha1: float
@@ -43,7 +64,20 @@ class ModelParams:
     eps: float
     rho: float
 
-    def __post_init__(self):
+
+class ModelParams(Checked, _ModelParamsFields):
+    """Structural parameters of the two-sector economy.
+
+    Sector 1 (goods) is CES in (kv, hu) with efficiency A1, distribution
+    alpha1 and substitution parameter psi1; sector 2 (education) is CES in
+    (k(1-v), h(1-u)). eps is the inverse intertemporal elasticity of
+    substitution and rho the time-preference rate.
+
+    Unlike the other records it has an instance __dict__, which holds the
+    cached kernel constants theta and s2_terms.
+    """
+
+    def _check(self):
         # Each field is a float or, for a whole family of economies, an array;
         # an array is valid when every element is.
         for name in ("alpha1", "alpha2"):
@@ -85,7 +119,7 @@ class ModelParams:
         return 1.0 / (1.0 - self.psi2)
 
     # Per-economy constants of the kernel, computed on first use: the
-    # record is frozen, so they never go stale.
+    # record is immutable, so they never go stale.
     @cached_property
     def theta(self) -> float:
         """theta = alpha1 (1 - alpha2) / (alpha2 (1 - alpha1))."""
@@ -102,19 +136,22 @@ class ModelParams:
         )
 
     def with_psi(self, psi1: float, psi2: float) -> "ModelParams":
-        return replace(self, psi1=psi1, psi2=psi2)
+        return self._replace(psi1=psi1, psi2=psi2)
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Stationary coordinates (z = k/h, q = c/k, u, v) of the BGP system."""
-
+class _ReducedStateFields(NamedTuple):
     z: float
     q: float
     u: float
     v: float
 
-    def __post_init__(self):
+
+class ReducedState(Checked, _ReducedStateFields):
+    """Stationary coordinates (z = k/h, q = c/k, u, v) of the BGP system."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.z > 0.0:
             raise ParameterError(f"z must be positive, got {self.z}")
         if not self.q > 0.0:
@@ -135,17 +172,20 @@ class ReducedState:
         return ReducedState(z=z, q=q, u=u, v=v)
 
 
-@dataclass(frozen=True)
-class LevelState:
-    """Level variables (k, h, c) plus sectoral allocations (u, v)."""
-
+class _LevelStateFields(NamedTuple):
     k: float
     h: float
     c: float
     u: float
     v: float
 
-    def __post_init__(self):
+
+class LevelState(Checked, _LevelStateFields):
+    """Level variables (k, h, c) plus sectoral allocations (u, v)."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.k > 0.0:
             raise ParameterError(f"k must be positive, got {self.k}")
         if not self.h > 0.0:

@@ -6,7 +6,7 @@ that typos in parameter names cannot pass silently.
 
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError, ScenarioError
 from .params import ModelParams
@@ -29,16 +29,14 @@ _BASELINE_SOURCES = ("initial", "steady_state")
 _FORMATS = ("table", "csv", "json")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     sigma: str  # "1", "2" or "both"
     lo: float
     hi: float
     n: int
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     params: ModelParams
     initial: dict | None = None  # k0, h0, u0, v0
     baseline_source: str = "steady_state"

@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import UV_GAP_FLOOR, aux_from_wuv
 from .errors import ParameterError, SingularStateError
@@ -180,8 +180,7 @@ def eigen4(matrix) -> tuple:
     return tuple(sorted(roots, key=lambda x: (x.real, x.imag)))
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Jacobian (four rows), spectrum and classification at the steady state."""
 
     steady: SteadyState

@@ -28,7 +28,7 @@ same code: a float stays a Python float or complex number throughout.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import aux_from_wuv, sector_rates
 from .errors import (
@@ -48,8 +48,7 @@ NEWTON_RTOL = 1e-12
 MAX_NEWTON_STEPS = 60
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(NamedTuple):
     """Solved BGP quantities."""
 
     w_star: float
@@ -105,8 +104,9 @@ def solve_w(params: ModelParams):
     safeguarded Newton iteration in ln w then refines it. Its slope
     d gap_P / d ln w is the complex step Im gap_P(w e^{ih}) / h through
     sector_rates. An iterate is accepted once the Newton step it proposes
-    is at most NEWTON_RTOL, and a proposal outside the bracket is replaced
-    by the bracket's geometric midpoint.
+    is at most NEWTON_RTOL, and a proposal outside the bracket, or none
+    where the slope rounds to zero, is replaced by the bracket's geometric
+    midpoint.
 
     One economy raises ParameterError for A2 <= 0, NoBracketError where
     no bracket is found and NoConvergenceError where the iteration does
@@ -154,7 +154,9 @@ def solve_w(params: ModelParams):
         g, slope = g_c.real, g_c.imag / COMPLEX_STEP
         lo = _where(ok & (g > 0.0), w, lo)
         hi = _where(ok & (g < 0.0), w, hi)
-        step = -g / slope
+        # A slope that rounds to zero proposes no step (inf or nan on an
+        # array, nan on a float), so the bracket's midpoint is taken.
+        step = -g / slope if family or slope else math.nan
         proposal = w * _exp(step)
         done = ok & (abs(step) <= NEWTON_RTOL)
         root = _where(done, proposal, root)

@@ -1,0 +1,246 @@
+"""Oracles of the tests: closed forms and an independent level system.
+
+No command of the package needs these. They check it from outside: the
+level system rhs_full against the reduced system, the share-form outputs
+and their psi-derivatives against the normalized CES family.
+"""
+
+import math
+import sys
+
+from cesgrowth.core import UV_GAP_FLOOR, AuxBundle, aux_from_wuv, sector_rates, tau_of
+from cesgrowth.errors import SingularStateError
+from cesgrowth.normalization import (
+    Baseline,
+    _check_sector,
+    _current_ratio,
+    normalized_params,
+    psi_of_sigma,
+    share_pi,
+    share_pi_bar,
+)
+from cesgrowth.params import LevelState, ModelParams, ReducedState
+from cesgrowth.steady import steady_state
+
+
+def powz(base: float, expo: float) -> float:
+    """base**expo via exp(expo * log(base)); base must be positive."""
+    return math.exp(expo * math.log(base))
+
+
+def w_of(state: ReducedState) -> float:
+    """Effective capital ratio w = (v/u) z = kv / hu."""
+    return state.v / state.u * state.z
+
+
+def p1_of(w: float, params: ModelParams) -> float:
+    """P1 = alpha1 w^psi1 + 1 - alpha1."""
+    return sector_rates(w, params)[0]
+
+
+def p2_of(w: float, params: ModelParams) -> float:
+    """P2 = alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)} + 1 - alpha2."""
+    return sector_rates(w, params)[1]
+
+
+def aux_of(state: ReducedState, params: ModelParams) -> AuxBundle:
+    """Evaluate the full auxiliary bundle at a reduced state."""
+    return aux_from_wuv(w_of(state), state.u, state.v, params)
+
+
+def costate_ratio(w: float, params: ModelParams) -> float:
+    """mu/lambda = A1 alpha1 / (A2 alpha2 theta) * P1^{1/psi1-1} / P2^{1/psi2-1}.
+
+    That is the goods sector's marginal product of human capital,
+    (1-alpha1) A1 P1^{1/psi1-1}, over the education sector's.
+    """
+    p1, _, _, _, y1, _, _, mph, _ = sector_rates(w, params)
+    return (1.0 - params.alpha1) * y1 / p1 / mph
+
+
+def rhs_full(state: LevelState, params: ModelParams) -> tuple:
+    """Time derivatives (kdot, hdot, cdot, udot, vdot) of the level system.
+
+    The tests' level-system oracle: the growth rates of k, h and c are
+    written out here from P1 and P2, not read from sector_rates, so that
+    comparing this with rhs_reduced checks the kernel.
+    """
+    k, h, c, u, v = state.k, state.h, state.c, state.u, state.v
+    if abs(u - v) < UV_GAP_FLOOR:
+        raise SingularStateError(f"u - v = {u - v} too small", state=state)
+    z = k / h
+    w = v / u * z
+    reduced = ReducedState(z=z, q=max(c / k, sys.float_info.min), u=u, v=v)
+    bun = aux_of(reduced, params)
+    if bun.singular:
+        raise SingularStateError(f"R = {bun.R} vanishes at this state", state=state)
+    psi1, psi2 = params.psi1, params.psi2
+    p1 = p1_of(w, params)
+    p2 = p2_of(w, params)
+    q = c / k
+
+    k_growth = params.A1 * v / w * powz(p1, 1.0 / psi1) - q - params.delta_k
+    h_growth = params.A2 * powz(p2, 1.0 / psi2) * (1.0 - u) - params.delta_h
+    c_growth = (
+        -(params.rho + params.delta_k) / params.eps
+        + params.alpha1
+        * params.A1
+        * powz(w, psi1 - 1.0)
+        * powz(p1, 1.0 / psi1 - 1.0)
+        / params.eps
+    )
+    u_growth = (bun.D + q + bun.Q * bun.G2 * bun.P / bun.R) * (1.0 - u) / (u - v)
+    v_growth = (bun.D + q + bun.Q * bun.G1 * bun.P / bun.R) * (1.0 - v) / (u - v)
+    return k * k_growth, h * h_growth, c * c_growth, u * u_growth, v * v_growth
+
+
+def normalized_y(
+    sigma: float,
+    baseline: Baseline,
+    sector: int,
+    k: float,
+    h: float,
+    u: float,
+    v: float,
+) -> float:
+    """Sector output of the family member at (k, h, u, v).
+
+    Share form: y1 = y1_bar * (hu)/(h_bar u_bar) * (w/w_bar)
+    * (pi_bar/pi)^{1/psi}; the sector-2 analogue carries tau_bar/tau.
+    Numerically identical to the direct CES evaluation with the
+    normalized (alpha, A).
+    """
+    psi = psi_of_sigma(sigma)
+    _check_sector(sector)
+    if k <= 0.0 or h <= 0.0:
+        raise ParameterError("k and h must be positive")
+    w = k * v / (h * u)
+    tau = tau_of(u, v)
+    pi = share_pi(sigma, baseline, sector, w, tau)
+    pi_bar = share_pi_bar(baseline, sector)
+    if sector == 1:
+        return (
+            baseline.y1_bar
+            * (h * u)
+            / (baseline.h_bar * baseline.u_bar)
+            * (w / baseline.w_bar)
+            * (pi_bar / pi) ** (1.0 / psi)
+        )
+    return (
+        baseline.y2_bar
+        * (h * (1.0 - u))
+        / (baseline.h_bar * (1.0 - baseline.u_bar))
+        * (w / baseline.w_bar)
+        * (baseline.tau_bar / tau)
+        * (pi_bar / pi) ** (1.0 / psi)
+    )
+
+
+def identity_wwb(
+    sigma: float, baseline: Baseline, sector: int, w: float, tau: float | None = None
+) -> float:
+    """Residual of (x/x_bar)^psi = pi(1-pi_bar) / (pi_bar(1-pi)); zero identically."""
+    psi = psi_of_sigma(sigma)
+    x_bar = baseline.effective_ratio(sector)
+    x = _current_ratio(sector, w, tau)
+    pi = share_pi(sigma, baseline, sector, w, tau)
+    pi_bar = share_pi_bar(baseline, sector)
+    lhs = (x / x_bar) ** psi
+    rhs = pi * (1.0 - pi_bar) / (pi_bar * (1.0 - pi))
+    return lhs - rhs
+
+
+def dpi_dpsi(
+    sigma: float, baseline: Baseline, sector: int, w: float, tau: float | None = None
+) -> float:
+    """d pi / d psi = pi (1 - pi) ln(x / x_bar)."""
+    pi = share_pi(sigma, baseline, sector, w, tau)
+    x_bar = baseline.effective_ratio(sector)
+    x = _current_ratio(sector, w, tau)
+    return pi * (1.0 - pi) * math.log(x / x_bar)
+
+
+def dy_dpsi(
+    sigma: float,
+    baseline: Baseline,
+    sector: int,
+    k: float,
+    h: float,
+    u: float,
+    v: float,
+) -> float:
+    """d y / d psi = -(1/psi^2) y [pi ln(pi_bar/pi) + (1-pi) ln((1-pi_bar)/(1-pi))].
+
+    Strictly positive whenever pi differs from pi_bar (log concavity).
+    """
+    psi = psi_of_sigma(sigma)
+    w = k * v / (h * u)
+    tau = tau_of(u, v)
+    y = normalized_y(sigma, baseline, sector, k, h, u, v)
+    pi = share_pi(sigma, baseline, sector, w, tau)
+    pi_bar = share_pi_bar(baseline, sector)
+    bracket = pi * math.log(pi_bar / pi) + (1.0 - pi) * math.log(
+        (1.0 - pi_bar) / (1.0 - pi)
+    )
+    return -y * bracket / psi**2
+
+
+def r_star_closed_form(
+    sigma1: float, baseline: Baseline, params: ModelParams, pi1_star: float
+) -> float:
+    """r*(sigma1) = (1/eps)[y1_bar/(k_bar v_bar) pi1_bar (pi1_bar/pi1*)^{(1-psi1)/psi1} - rho - dk]."""
+    psi = psi_of_sigma(sigma1)
+    pi_bar = share_pi_bar(baseline, 1)
+    scale = baseline.y1_bar / (baseline.k_bar * baseline.v_bar)
+    return (
+        scale * pi_bar * (pi_bar / pi1_star) ** ((1.0 - psi) / psi)
+        - params.rho
+        - params.delta_k
+    ) / params.eps
+
+
+def steady_share_pi1(sigma1: float, baseline: Baseline, params: ModelParams) -> float:
+    """Steady-state sector-1 share of the family member at sigma1.
+
+    Sector 2 stays at the template's own sigma2 (normalized); the member
+    economy's BGP is solved and its w* plugged into the share formula.
+    """
+    member = normalized_params(sigma1, params.sigma2, baseline, params)
+    ss = steady_state(member)
+    return share_pi(sigma1, baseline, 1, ss.w_star)
+
+
+def r_star_of_sigma(sigma1: float, baseline: Baseline, params: ModelParams) -> float:
+    """Common growth rate of the family member at sigma1, in share form."""
+    return r_star_closed_form(
+        sigma1, baseline, params, steady_share_pi1(sigma1, baseline, params)
+    )
+
+
+def dr_dpsi(sigma1: float, baseline: Baseline, params: ModelParams) -> float:
+    """d r*/d psi1 of the share-form growth rate at the member's own share."""
+    pi1 = steady_share_pi1(sigma1, baseline, params)
+    return dr_dpsi_at(sigma1, baseline, params, pi1)
+
+
+def dr_dpsi_at(
+    sigma1: float, baseline: Baseline, params: ModelParams, pi1_star: float
+) -> float:
+    """Closed form of d r*/d psi1, evaluated at the share pi1_star.
+
+    Total derivative at a fixed input ratio: the share's own psi
+    dependence is folded in through the share identity.
+    """
+    psi = psi_of_sigma(sigma1)
+    pi_bar = share_pi_bar(baseline, 1)
+    scale = baseline.y1_bar / (baseline.k_bar * baseline.v_bar)
+    brace = (1.0 - (1.0 - psi) * (1.0 - pi1_star)) * math.log(pi_bar / pi1_star) + (
+        1.0 - psi
+    ) * (1.0 - pi1_star) * math.log((1.0 - pi_bar) / (1.0 - pi1_star))
+    return (
+        -scale
+        * pi_bar
+        / (params.eps * psi**2)
+        * (pi_bar / pi1_star) ** ((1.0 - psi) / psi)
+        * brace
+    )

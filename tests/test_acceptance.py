@@ -17,7 +17,6 @@ from cesgrowth import (
     baseline_from_point,
     baseline_from_steady_state,
     gap_P,
-    normalized_y,
     saddle_path,
     solve_w,
     stability_report,
@@ -25,18 +24,18 @@ from cesgrowth import (
     y1_of,
     y2_of,
 )
-from cesgrowth.normalization import (
+from cesgrowth.normalization import psi_of_sigma, share_pi
+from cesgrowth.stability import rhs_reduced
+
+from conftest import BENCH, CASE_PSI, bench_params
+from oracles import (
     dpi_dpsi,
     dr_dpsi_at,
     dy_dpsi,
     identity_wwb,
-    psi_of_sigma,
+    normalized_y,
     r_star_closed_form,
-    share_pi,
 )
-from cesgrowth.stability import rhs_reduced
-
-from conftest import BENCH, CASE_PSI, bench_params
 
 CASE_TARGETS = {
     1: (10.73, 0.882, 0.866, 0.240),

@@ -152,6 +152,32 @@ def test_sweep_grid_flag_overrides(scenario_file, capsys):
     assert len(out.strip().splitlines()) == 6  # header + 3 rows + 2 footers
 
 
+@pytest.mark.parametrize("grid", ["0.5:inf:3", "0.5:1e309:3"])
+def test_sweep_grid_rejects_an_infinite_bound(scenario_file, capsys, grid):
+    code, out, err = run(capsys, "sweep", "--scenario", scenario_file(), "--grid", grid)
+    assert code == 2 and out == ""
+    assert err == "error: --grid: invalid grid [0.5, inf] n=3\n"
+
+
+@pytest.mark.parametrize("which", ["1", "2", "both"])
+def test_sweep_member_whose_psi_rounds_to_one_is_its_own_error_row(
+    scenario_file, capsys, which
+):
+    """Above sigma of about 9e15, psi = (sigma - 1)/sigma rounds to 1. Such a
+    member fails alone; the other rows are those of the grid without it."""
+    scn = scenario_file()
+    code, out, err = run(capsys, "sweep", "--scenario", scn, "--grid", "0.5:1e16:3",
+                         "--sigma", which)
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:4]
+    psi = "psi2" if which == "2" else "psi1"
+    assert rows[2] == "10000000000000000" + "," * 13 + f"{psi} must be < 1, got 1.0"
+    mid = float(rows[1].split(",")[0])
+    code, rest, _ = run(capsys, "sweep", "--scenario", scn, "--grid", f"0.5:{mid!r}:2",
+                        "--sigma", which)
+    assert code == 0 and rest.splitlines()[1:3] == rows[:2]
+
+
 def test_sweep_without_spec_or_grid(scenario_file, capsys):
     code, _, err = run(capsys, "sweep", "--scenario", scenario_file())
     assert code == 2
@@ -288,12 +314,20 @@ def test_cli_imports_without_scipy():
     assert _fresh_python(probe).strip() == "[]"
 
 
+# Modules a single-economy command does without: numpy, and dataclasses with
+# the inspect it imports (the records are named tuples). typing is not
+# checked: an interpreter's site may import it before the package does.
+NOT_IMPORTED = ("numpy", "dataclasses", "inspect")
+NOT_IMPORTED_PROBE = f"print([m for m in {NOT_IMPORTED!r} if m in sys.modules])\n"
+
+
 def test_import_cesgrowth_loads_no_numpy():
-    assert _fresh_python("import sys, cesgrowth; print('numpy' in sys.modules)") == "False\n"
+    assert _fresh_python("import sys, cesgrowth\n" + NOT_IMPORTED_PROBE) == "[]\n"
 
 
 def test_single_economy_commands_load_no_numpy(scenario_file):
-    """steady, stability and compare run on Python floats from start to exit."""
+    """steady, stability and compare run on Python floats from start to exit,
+    and without dataclasses or inspect."""
     path = scenario_file()
     argvs = [
         [command, "--scenario", path, "--format", fmt, *extra]
@@ -308,9 +342,9 @@ def test_single_economy_commands_load_no_numpy(scenario_file):
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        code = cli.main(argv)\n"
         "    assert code == 0 and out.getvalue(), argv\n"
-        "print('numpy' in sys.modules)\n"
+        + NOT_IMPORTED_PROBE
     )
-    assert _fresh_python(probe, json.dumps(argvs)) == "False\n"
+    assert _fresh_python(probe, json.dumps(argvs)) == "[]\n"
 
 
 def test_u_star_at_one_exit_3(tmp_path, capsys):

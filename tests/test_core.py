@@ -5,28 +5,17 @@ against a direct evaluation of the CES technologies at matching inputs.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cesgrowth import (
-    LevelState,
-    ParameterError,
-    ReducedState,
-    aux_of,
-    costate_ratio,
-    rhs_full,
-    tau_of,
-    w_of,
-    y1_of,
-    y2_of,
-)
-from cesgrowth.core import aux_from_wuv, p1_of, p2_of, powz, sector_rates
+from cesgrowth import LevelState, ParameterError, ReducedState, tau_of, y1_of, y2_of
+from cesgrowth.core import aux_from_wuv, sector_rates
 from cesgrowth.stability import rhs_reduced
 from cesgrowth.steady import gap_P
 
 from conftest import CASE_PSI, bench_params
+from oracles import aux_of, costate_ratio, p1_of, p2_of, powz, rhs_full, w_of
 
 
 def random_interior_state(rng):
@@ -75,7 +64,7 @@ def test_theta():
     p = bench_params(0.25, -0.10)
     assert p.theta == pytest.approx(0.6 * 0.2 / (0.8 * 0.4))
     with pytest.raises(ParameterError):
-        replace(p, alpha1=0.0)
+        p._replace(alpha1=0.0)
 
 
 def test_share_term_constants_keep_the_expression(rng):
@@ -84,7 +73,7 @@ def test_share_term_constants_keep_the_expression(rng):
     and for a family."""
     for psi1, psi2 in CASE_PSI.values():
         one = bench_params(psi1, psi2)
-        family = replace(one, psi1=np.full(20, psi1), psi2=np.full(20, psi2))
+        family = one._replace(psi1=np.full(20, psi1), psi2=np.full(20, psi2))
         for p, w in ((one, 3.7), (one, 1.0 + 1e-20j), (family, rng.uniform(0.1, 50.0, 20))):
             expected = (p.alpha2 * p.theta ** (-p.psi2 / (1.0 - p.psi2))
                         * w ** (p.psi2 * (1.0 - p.psi1) / (1.0 - p.psi2)))

@@ -1,7 +1,6 @@
 """Normalized CES families, identities and comparative statics."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,21 +14,18 @@ from cesgrowth import (
     baseline_from_point,
     baseline_from_steady_state,
     compare_economies,
-    dpi_dpsi,
-    dy_dpsi,
-    identity_wwb,
     mrs_from_params,
     normalized_params,
-    normalized_y,
     share_pi,
     share_pi_bar,
     steady_state,
     y1_of,
     y2_of,
 )
-from cesgrowth.normalization import psi_of_sigma, r_star_of_sigma
+from cesgrowth.normalization import psi_of_sigma
 
 from conftest import bench_params
+from oracles import dpi_dpsi, dy_dpsi, identity_wwb, normalized_y, r_star_of_sigma
 
 
 @pytest.fixture
@@ -236,6 +232,6 @@ def test_compare_y2_star_is_exact_where_u_star_is_near_one(params_case1):
 
 
 def test_compare_economies_rejects_preference_mismatch(params_case1):
-    other = replace(params_case1, rho=0.07)
+    other = params_case1._replace(rho=0.07)
     with pytest.raises(BaselineMismatchError):
         compare_economies(params_case1, other)

@@ -5,7 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from cesgrowth import LevelState, ModelParams, ParameterError, ReducedState
+from cesgrowth import (
+    LevelState,
+    ModelParams,
+    ParameterError,
+    ReducedState,
+    baseline_from_point,
+    compare_economies,
+    normalized_params,
+    parse_scenario,
+    stability_report,
+)
+from cesgrowth.core import aux_from_wuv
 from cesgrowth.params import is_array
 
 from conftest import BENCH, bench_params
@@ -114,3 +125,75 @@ def test_array_fields_validate_elementwise():
                          ("A1", [1.0, 0.0]), ("psi2", [-0.1, 1e-12])):
         with pytest.raises(ParameterError, match=field):
             ModelParams(**dict(kwargs, **{field: np.array(value)}))
+
+
+def _records():
+    """One instance of every record type the package returns."""
+    p = bench_params(0.25, -0.10)
+    p.theta, p.s2_terms  # fill the cache, so that assigning cannot pass as filling it
+    rep = stability_report(p)
+    scn = parse_scenario({"params": dict(p._asdict()),
+                          "sweep": {"lo": 0.5, "hi": 2.0, "n": 3}})
+    table = compare_economies(p, p)
+    return [
+        p,
+        ReducedState(z=10.7, q=0.24, u=0.88, v=0.87),
+        LevelState(k=1.0, h=1.0, c=0.1, u=0.5, v=0.4),
+        rep.steady,
+        rep,
+        baseline_from_point(p, 5.5, 1.0, 0.6, 0.5),
+        table,
+        table.rows[0],
+        scn,
+        scn.sweep,
+        aux_from_wuv(3.0, 0.6, 0.5, p),
+    ]
+
+
+def test_records_refuse_every_assignment():
+    """A field, a cached property or a new attribute: each raises
+    AttributeError, as on the frozen records these replace."""
+    records = _records()
+    for record in records:
+        names = [record._fields[0], "not_a_field"]
+        if isinstance(record, ModelParams):
+            names += ["theta", "s2_terms"]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert records[0].theta == pytest.approx(0.6 * 0.2 / (0.8 * 0.4))
+
+
+def test_records_are_named_tuples():
+    p = bench_params(0.25, -0.10)
+    assert tuple(p) == tuple(p._asdict().values()) and len(p) == 10
+    s = ReducedState(z=10.7, q=0.24, u=0.88, v=0.87)
+    assert s == (10.7, 0.24, 0.88, 0.87) and hash(s) == hash((10.7, 0.24, 0.88, 0.87))
+
+
+def test_changed_copies_are_validated():
+    """with_psi, normalized_params and _replace build through the validating
+    constructor; a plain NamedTuple's _replace would skip it."""
+    p = bench_params(0.25, -0.10)
+    with pytest.raises(ParameterError, match="psi1"):
+        p.with_psi(1.0, -0.10)
+    with pytest.raises(ParameterError, match="psi2"):
+        p.with_psi(0.25, 0.0)
+    base = baseline_from_point(p, 5.5, 1.0, 0.6, 0.5)
+    with pytest.raises(ParameterError, match="psi1 must be < 1, got 1.0"):
+        normalized_params(1e16, 2.0, base, p)
+    for record, change in (
+        (p, {"alpha1": 0.0}),
+        (p, {"eps": 1.0}),
+        (ReducedState(z=10.7, q=0.24, u=0.88, v=0.87), {"u": 1.0}),
+        (LevelState(k=1.0, h=1.0, c=0.1, u=0.5, v=0.4), {"k": -1.0}),
+        (base, {"w_bar": 0.0}),
+        (base, {"tau_bar": 2.0 * base.tau_bar}),
+    ):
+        with pytest.raises(ParameterError):
+            record._replace(**change)
+        with pytest.raises(ParameterError):
+            type(record)._make({**record._asdict(), **change}.values())
+    assert p._replace(rho=0.07).rho == 0.07 and p.with_psi(-0.15, -0.2).psi1 == -0.15

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +14,10 @@ from cesgrowth import (
     ParameterError,
     SteadyState,
     TvcViolationError,
+    baseline_from_steady_state,
     gap_P,
     jacobian_fd,
+    normalized_params,
     solve_w,
     steady_state,
 )
@@ -115,13 +116,13 @@ def test_gap_falls_strictly_on_random_economies(rng):
 def test_solve_w_rejects_bad_inputs():
     p = bench_params(0.25, -0.10)
     with pytest.raises(ParameterError, match="requires A2 > 0"):
-        solve_w(replace(p, A2=0.0))
+        solve_w(p._replace(A2=0.0))
 
 
 def test_tvc_violation_raised():
     """A low-productivity, patient economy has negative growth and fails
     the transversality margin rho + (eps - 1) r* > 0."""
-    p = replace(bench_params(0.25, -0.10), A1=0.05, rho=0.001)
+    p = bench_params(0.25, -0.10)._replace(A1=0.05, rho=0.001)
     with pytest.raises(TvcViolationError):
         steady_state(p)
 
@@ -156,8 +157,7 @@ TECHNOLOGY = ("A1", "A2", "alpha1", "alpha2", "psi1", "psi2")
 
 def _as_family(economies):
     """The economies as one ModelParams holding an array per technology field."""
-    return replace(
-        economies[0],
+    return economies[0]._replace(
         **{name: np.array([getattr(p, name) for p in economies]) for name in TECHNOLOGY},
     )
 
@@ -174,7 +174,7 @@ def test_batch_root_matches_solve_w():
 def test_batch_root_flags_what_solve_w_rejects():
     """nan where solve_w raises: a gap that overflows, or no sign change."""
     # Near-linear goods technology: its MPK stays above the MPH up to 1e40.
-    no_bracket = replace(CASES[0], A1=1.0, alpha1=0.45, psi1=0.998)
+    no_bracket = CASES[0]._replace(A1=1.0, alpha1=0.45, psi1=0.998)
     with pytest.raises(NoBracketError, match="no sign change of gap_P in"):
         solve_w(no_bracket)
     family = _as_family(CASES + [ModelParams(**KERNEL_OVERFLOW), no_bracket])
@@ -183,12 +183,27 @@ def test_batch_root_flags_what_solve_w_rejects():
     assert np.all(np.isfinite(roots[:-2])) and np.all(np.isnan(roots[-2:]))
 
 
+def test_a_slope_that_rounds_to_zero_is_bisected():
+    """At sigma1 = sigma2 = 5e15, psi rounds to 1 - 2^-52: both technologies
+    are linear to rounding, and gap_P's complex-step slope reaches exactly
+    zero. One economy raises the typed NoConvergenceError there, not
+    ZeroDivisionError, and a family member comes back nan, as in a sweep."""
+    p = CASES[0]
+    flat = normalized_params(5e15, 5e15, baseline_from_steady_state(p), p)
+    assert flat.psi1 == flat.psi2 == 1.0 - 2.0**-52
+    with pytest.raises(NoConvergenceError, match="did not settle"):
+        solve_w(flat)
+    with np.errstate(all="ignore"):
+        roots = solve_w(_as_family([p, flat]))
+    assert roots[0] == pytest.approx(solve_w(p), rel=1e-14) and np.isnan(roots[1])
+
+
 def test_closed_forms_on_an_array_equal_those_on_a_float():
     roots = solve_w(_as_family(CASES))
     batch = closed_forms(roots, _as_family(CASES))
     for i, p in enumerate(CASES):
         single = closed_forms(float(roots[i]), p)
-        for name in SteadyState.__dataclass_fields__:
+        for name in SteadyState._fields:
             assert getattr(batch, name)[i] == pytest.approx(
                 getattr(single, name), rel=1e-14
             )
