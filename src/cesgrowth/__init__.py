@@ -49,7 +49,8 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     """Trajectory, saddle_path and reconstruct_levels, from dynamics on first
-    use (PEP 562): dynamics imports numpy, which nothing else here needs."""
+    use (PEP 562): a program that integrates no path then never compiles
+    or runs the dynamics module."""
     if name in ("Trajectory", "saddle_path", "reconstruct_levels"):
         from . import dynamics
 

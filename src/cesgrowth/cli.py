@@ -4,7 +4,7 @@ Subcommands: steady | stability | sweep | compare | trajectory.
 Exit codes: 0 success, 2 validation, 3 numeric failure, 4 comparison
 mismatch, 5 I/O.
 
-Only sweep and trajectory import numpy; steady, stability and compare run
+Only sweep imports numpy; steady, stability, compare and trajectory run
 on Python floats, so their start-up skips numpy's import.
 """
 
@@ -310,9 +310,31 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_trajectory(args) -> int:
-    import numpy as np
+def _resample(times, rows, n: int) -> tuple:
+    """(times, rows) of n samples evenly spaced from times[0] to times[-1]
+    on the piecewise-linear path through (times, rows).
 
+    The sample times are numpy.linspace's, i * step + start with the last
+    one stop, and each value follows numpy.interp's formula
+    slope * (t - t_j) + row_j, or is row_j where t equals t_j.
+    """
+    start, stop = times[0], times[-1]
+    step = (stop - start) / (n - 1)
+    out_times = [i * step + start for i in range(n - 1)] + [stop]
+    out_rows, j, last = [], 0, len(times) - 1
+    for t in out_times:
+        while j < last and times[j + 1] <= t:
+            j += 1
+        if j == last or t == times[j]:
+            out_rows.append(rows[j])
+        else:
+            t0, t1 = times[j], times[j + 1]
+            out_rows.append([(b - a) / (t1 - t0) * (t - t0) + a
+                             for a, b in zip(rows[j], rows[j + 1])])
+    return out_times, out_rows
+
+
+def cmd_trajectory(args) -> int:
     from . import dynamics
 
     if args.samples < 2:
@@ -323,28 +345,24 @@ def cmd_trajectory(args) -> int:
         raise ScenarioError("trajectory needs an initial block", field="$.initial")
     k0, h0 = scn.initial["k0"], scn.initial["h0"]
     z0 = k0 / h0
-    traj = dynamics.saddle_path(scn.params, z0)
-    if len(traj) > 1:
-        times = np.linspace(traj.times[0], traj.times[-1], args.samples)
-        states = np.column_stack(
-            [np.interp(times, traj.times, traj.states[:, i]) for i in range(4)]
+    path = dynamics.saddle_path(scn.params, z0)
+    if len(path) > 1:
+        path = dynamics.Trajectory(
+            *_resample(path.time_rows, path.state_rows, args.samples), meta=path.meta
         )
-        traj.times, traj.states = times, states
-    traj = dynamics.reconstruct_levels(traj, k0, scn.params)
+    traj = dynamics.reconstruct_levels(path, k0, scn.params)
 
     header = ["t", "z", "q", "u", "v", "k", "h", "c", "y1", "y2"]
     lines = [",".join(header)]
-    for i in range(len(traj)):
-        z, q, u, v = traj.states[i]
-        k, h, c = traj.levels[i]
+    for t, (z, q, u, v), (k, h, c) in zip(traj.time_rows, traj.state_rows,
+                                          traj.level_rows):
         # The stable manifold can pass through allocations outside [0, 1],
         # where one sector's input bundle is not defined; report nan there.
         y1 = y1_of(k, h, u, v, scn.params) if u > 0.0 and v > 0.0 else math.nan
         y2 = y2_of(k, h, u, v, scn.params) if u < 1.0 and v < 1.0 else math.nan
-        lines.append(",".join(_fmt(x) for x in (traj.times[i], z, q, u, v, k, h, c,
-                                                y1, y2)))
+        lines.append(",".join(_fmt(x) for x in (t, z, q, u, v, k, h, c, y1, y2)))
     lines.append(
-        f"# stop_reason={traj.meta['stop_reason']} t_end={_fmt(traj.times[-1])}"
+        f"# stop_reason={traj.meta['stop_reason']} t_end={_fmt(traj.time_rows[-1])}"
     )
     _write("\n".join(lines) + "\n", args.out)
     return 0
@@ -354,8 +372,9 @@ def __getattr__(name):
     """saddle_path and reconstruct_levels, from dynamics on first use (PEP 562).
 
     The benchmark's tracer (perfbench/spans.py) wraps them in this
-    namespace; importing dynamics here only when they are asked for keeps
-    numpy out of this module's import.
+    namespace. Importing dynamics only when they are asked for spares the
+    commands that integrate no path compiling it at start-up, which they
+    do on every start when no bytecode cache is written.
     """
     if name in ("saddle_path", "reconstruct_levels"):
         from . import dynamics

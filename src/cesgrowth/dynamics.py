@@ -1,8 +1,11 @@
-"""Stable-manifold trajectories of the reduced system and their levels."""
+"""Stable-manifold trajectories of the reduced system and their levels.
+
+Everything here runs on Python floats; numpy is imported only when a
+Trajectory's array view is read.
+"""
 
 import math
-
-import numpy as np
+from functools import cached_property
 
 from .core import sector_rates
 from .errors import (
@@ -12,7 +15,7 @@ from .errors import (
     TargetNotReachedError,
 )
 from .params import ModelParams, ReducedState
-from .stability import TOL_ZERO, jacobian_fd, rhs_reduced_values
+from .stability import TOL_ZERO, eigen4, jacobian_fd, rhs_reduced_values
 from .steady import steady_state
 
 # Coordinate floor and u = v margin at which integration halts.
@@ -25,45 +28,65 @@ SADDLE_ATOL = 1e-13
 SEED_SCALE = 1e-6
 T_BUDGET = 500.0
 
-# Dormand & Prince (1980) 5(4) pair: the stage matrix's rows below the
-# diagonal, fifth-order weights, error weights (the last on the
-# first-same-as-last stage) and Shampine's (1986) quartic dense output.
-_DP_A = [np.array(row) for row in (
-    [1/5],
-    [3/40, 9/40],
-    [44/45, -56/15, 32/9],
-    [19372/6561, -25360/2187, 64448/6561, -212/729],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-)]
-_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_DP_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408,
-     701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
+# Shampine's (1986) quartic dense output for the Dormand & Prince (1980)
+# 5(4) pair, one row per stage; the pair's own coefficients are written
+# out in _dormand_prince.
+_DP_P = (
+    (1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+    (0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+    (0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632),
+    (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
+
+
+def _rows(x):
+    """x as Python floats: an array's tolist(), anything else as given."""
+    return x.tolist() if hasattr(x, "tolist") else x
 
 
 class Trajectory:
     """Sampled path of the reduced system, optionally with level variables.
 
-    states has one row per sample, columns (z, q, u, v); levels, when
-    present, has columns (k, h, c).
+    time_rows holds one time per sample, state_rows one (z, q, u, v) per
+    sample and level_rows, when present, one (k, h, c): Python floats,
+    from sequences or numpy arrays given to the constructor. times, states
+    and levels are the same as numpy arrays of shape (n,), (n, 4) and
+    (n, 3), built on first read, so a caller that reads only the rows does
+    not import numpy.
     """
 
     def __init__(self, times, states, levels=None, meta=None):
-        self.times = times
-        self.states = states
-        self.levels = levels
+        self.time_rows = _rows(times)
+        self.state_rows = _rows(states)
+        self.level_rows = None if levels is None else _rows(levels)
         self.meta = {} if meta is None else meta
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.time_rows)
+
+    @cached_property
+    def times(self):
+        import numpy as np
+
+        return np.array(self.time_rows, dtype=float)
+
+    @cached_property
+    def states(self):
+        import numpy as np
+
+        return np.array(self.state_rows, dtype=float).reshape(-1, 4)
+
+    @cached_property
+    def levels(self):
+        import numpy as np
+
+        if self.level_rows is None:
+            return None
+        return np.array(self.level_rows, dtype=float).reshape(-1, 3)
 
 
 def saddle_path(params: ModelParams, z0: float) -> Trajectory:
@@ -75,47 +98,31 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
+    z0 = float(z0)
     ss = steady_state(params)
-    x_star = np.array([ss.z_star, ss.q_star, ss.u_star, ss.v_star])
+    x_star = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
     if abs(z0 - ss.z_star) <= 1e-12 * max(1.0, ss.z_star):
         return Trajectory(
-            times=np.array([0.0]),
-            states=x_star[None, :],
+            times=[0.0],
+            states=[x_star],
             meta={"steps": 1, "nfev": 0, "stop_reason": "at_steady_state",
                   "t_stop": 0.0},
         )
 
-    jac = jacobian_fd(ReducedState.from_array(x_star), params)
-    ev, vecs = np.linalg.eig(jac)
-    i_stable = int(np.argmin(ev.real))
-    lam = ev[i_stable]
-    if lam.real >= -TOL_ZERO:
-        raise NoRealStableEigenvectorError(
-            f"no stable eigenvalue: min real part {lam.real}"
-        )
-    v_s = vecs[:, i_stable]
-    if np.max(np.abs(v_s.imag)) > 1e-12 * np.max(np.abs(v_s.real)):
-        raise NoRealStableEigenvectorError(
-            f"stable eigenvector is complex (eigenvalue {lam})"
-        )
-    v_s = np.real(v_s)
-    v_s /= np.linalg.norm(v_s)
+    lam, v_s = stable_eigenpair(jacobian_fd(ReducedState(*x_star), params))
     # Orient the offset so z initially moves toward z0.
-    if (v_s[0] > 0.0) != (z0 > ss.z_star):
-        v_s = -v_s
-    eps = SEED_SCALE * np.linalg.norm(x_star)
-    x_seed = x_star + eps * v_s
+    sign = 1.0 if (v_s[0] > 0.0) == (z0 > ss.z_star) else -1.0
+    eps = sign * SEED_SCALE * math.hypot(*x_star)
+    x_seed = [x + eps * v for x, v in zip(x_star, v_s)]
 
     def fun(x):
         # The manifold may leave the (0,1) allocation box; the reduced
-        # equations remain smooth there. tolist() hands the kernel Python
-        # floats, whose scalar arithmetic costs less than numpy scalars';
-        # negating the four floats costs less than negating their array.
-        zdot, qdot, udot, vdot = rhs_reduced_values(*x.tolist(), params)
-        return np.array((-zdot, -qdot, -udot, -vdot))
+        # equations remain smooth there.
+        zdot, qdot, udot, vdot = rhs_reduced_values(*x, params)
+        return -zdot, -qdot, -udot, -vdot
 
     def events(x):
-        z, q, u, v = x.tolist()
+        z, q, u, v = x
         return [z - z0, min(z, q, u, v) - BOX_MARGIN, abs(u - v) - UV_EVENT_GAP]
 
     # The seed sits eps from the fixed point, so derivatives are tiny and
@@ -129,45 +136,92 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
             f"z never crossed {z0} ({reason}; final z = {ys[-1][0]:g})"
         )
     # Reverse into forward-time order, starting at t = 0 on the far end.
-    times = ts[-1] - np.array(ts[::-1])
-    states = np.array(ys[::-1])
+    t_stop = ts[-1]
     meta = {
         "steps": len(ts),
         "nfev": nfev,
         "stop_reason": "target_reached",
-        "t_stop": float(times[-1]),
-        "stable_eigenvalue": complex(lam),
+        "t_stop": t_stop,
+        "stable_eigenvalue": lam,
     }
-    return Trajectory(times=times, states=states, meta=meta)
+    return Trajectory(times=[t_stop - t for t in reversed(ts)], states=ys[::-1],
+                      meta=meta)
 
 
-def _rms(x):
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
+def stable_eigenpair(jac) -> tuple:
+    """(lambda, v): the stable eigenvalue of the 4x4 Jacobian and its unit
+    eigenvector, of either sign.
+
+    lambda is the eigenvalue of least real part from eigen4, and v the null
+    vector of J - lambda I by Gaussian elimination with complete pivoting:
+    the last pivot is taken as zero and the other three coordinates follow
+    by back substitution from a unit free coordinate.
+    """
+    lam = eigen4(jac)[0]
+    if lam.real >= -TOL_ZERO:
+        raise NoRealStableEigenvectorError(
+            f"no stable eigenvalue: min real part {lam.real}"
+        )
+    if lam.imag:
+        raise NoRealStableEigenvectorError(
+            f"stable eigenvector is complex (eigenvalue {lam})"
+        )
+    a = [[x - lam.real if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(jac)]
+    cols = [0, 1, 2, 3]
+    for k in range(3):
+        _, p, q = max((abs(a[i][j]), i, j) for i in range(k, 4) for j in range(k, 4))
+        if not a[p][q]:
+            raise NoRealStableEigenvectorError(
+                f"stable eigenvalue {lam} is not simple"
+            )
+        a[k], a[p] = a[p], a[k]
+        for row in a:
+            row[k], row[q] = row[q], row[k]
+        cols[k], cols[q] = cols[q], cols[k]
+        for row in a[k + 1:]:
+            f = row[k] / a[k][k]
+            for j in range(k, 4):
+                row[j] -= f * a[k][j]
+    x = [0.0, 0.0, 0.0, 1.0]
+    for k in (2, 1, 0):
+        x[k] = -sum(a[k][j] * x[j] for j in range(k + 1, 4)) / a[k][k]
+    v = [0.0] * 4
+    for k, c in enumerate(cols):
+        v[c] = x[k]
+    norm = math.hypot(*v)
+    return lam, [c / norm for c in v]
 
 
 def _dormand_prince(fun, y, max_step, events):
     """Integrate y' = fun(y) from t = 0 until T_BUDGET or a terminal event.
 
-    Dormand & Prince 5(4) with the step control of Hairer, Norsett & Wanner
-    (Solving ODEs I, sec. II.4), the common RK45, at rtol SADDLE_RTOL and
-    atol SADDLE_ATOL. After each accepted step, a component
-    of events(y) that changes sign is located to one ulp of t by bisection
-    on the step's dense output; the earliest crossing ends the path there.
+    y is a sequence of floats and fun(y) returns one. Dormand & Prince 5(4)
+    with the step control of Hairer, Norsett & Wanner (Solving ODEs I,
+    sec. II.4), the common RK45, at rtol SADDLE_RTOL and atol SADDLE_ATOL.
+    Each stage is one list comprehension over the components with the
+    pair's coefficients written into it, which costs less than summing
+    over a coefficient table. After each accepted step, a component of
+    events(y) that changes sign is located to one ulp of t by bisection on
+    the step's dense output; the earliest crossing ends the path there.
     Returns (times, states, nfev, hit), hit the index of the event met or
     None when the budget ran out.
     """
     t_bound, rtol, atol = float(T_BUDGET), SADDLE_RTOL, SADDLE_ATOL
+    root_n = math.sqrt(len(y))
     t, f = 0.0, fun(y)
-    # First step: two rhs calls, f at the seed and one Euler probe.
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    # First step: two rhs calls, f at the seed and one Euler probe. Each
+    # norm is the root mean square of the scaled components.
+    scale = [atol + abs(a) * rtol for a in y]
+    d0 = math.hypot(*[a / s for a, s in zip(y, scale)]) / root_n
+    d1 = math.hypot(*[a / s for a, s in zip(f, scale)]) / root_n
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+    f0 = fun([a + h0 * b for a, b in zip(y, f)])
+    d2 = math.hypot(*[(a - b) / s for a, b, s in zip(f0, f, scale)]) / root_n / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 5))
     h_abs = min(100 * h0, h1, t_bound, max_step)
     nfev, ts, ys, g = 2, [t], [y], events(y)
-    K = np.empty((7, y.size))
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -179,36 +233,52 @@ def _dormand_prince(fun, y, max_step, events):
                     last_state=y, last_time=t)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            K[0] = f
-            for s, a in enumerate(_DP_A, 1):
-                K[s] = fun(y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
-            K[-1] = f_new = fun(y_new)
+            k2 = fun([yi + (1/5 * a) * h for yi, a in zip(y, f)])
+            k3 = fun([yi + (3/40 * a + 9/40 * b) * h for yi, a, b in zip(y, f, k2)])
+            k4 = fun([yi + (44/45 * a - 56/15 * b + 32/9 * c) * h
+                      for yi, a, b, c in zip(y, f, k2, k3)])
+            k5 = fun([yi + (19372/6561 * a - 25360/2187 * b + 64448/6561 * c
+                            - 212/729 * d) * h
+                      for yi, a, b, c, d in zip(y, f, k2, k3, k4)])
+            k6 = fun([yi + (9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d
+                            - 5103/18656 * e) * h
+                      for yi, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)])
+            y_new = [yi + h * (35/384 * a + 500/1113 * c + 125/192 * d
+                               - 2187/6784 * e + 11/84 * g)
+                     for yi, a, c, d, e, g in zip(y, f, k3, k4, k5, k6)]
+            f_new = fun(y_new)
             nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            err = math.hypot(*[
+                (-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e
+                 - 22/525 * g + 1/40 * fn) * h / (atol + max(abs(yi), abs(yn)) * rtol)
+                for yi, yn, a, c, d, e, g, fn in zip(y, y_new, f, k3, k4, k5, k6, f_new)
+            ]) / root_n
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        t_old, y_old, f_old, t, y, f = t, y, f, t_new, y_new, f_new
         g_new = events(y)
         crossed = [i for i, (old, new) in enumerate(zip(g, g_new))
                    if old <= 0 <= new or new <= 0 <= old]
         if crossed:
-            Q = K.T.dot(_DP_P)
+            K = (f_old, k2, k3, k4, k5, k6, f)
+            Q = [[sum([k * p for k, p in zip(ks, col)]) for col in zip(*_DP_P)]
+                 for ks in zip(*K)]
 
             def dense(s):
                 x = (s - t_old) / h
-                return h * np.dot(Q, np.cumprod(np.full(4, x))) + y_old
+                powers = (x, x * x, x * x * x, x * x * x * x)
+                return [b + h * sum([q * p for q, p in zip(qs, powers)])
+                        for b, qs in zip(y_old, Q)]
 
             t, hit = min((_bisect(lambda s: events(dense(s))[i], t_old, t), i)
                          for i in crossed)
             ts.append(t)
             ys.append(dense(t))
-            return ts, ys, nfev, int(hit)
+            return ts, ys, nfev, hit
         ts.append(t)
         ys.append(y)
         g = g_new
@@ -233,30 +303,29 @@ def reconstruct_levels(
 ) -> Trajectory:
     """Integrate the capital-growth equation along a stored reduced path.
 
-    k grows at A1 v w^{-1} P1^{1/psi1} - q - delta_k; h and c follow
-    definitionally as h = k/z and c = q k.
+    k grows at A1 v w^{-1} P1^{1/psi1} - q - delta_k, summed by the
+    trapezoid rule on ln k from k0; h and c follow definitionally as
+    h = k/z and c = q k.
     """
     if len(traj) == 0:
         raise ParameterError("trajectory is empty")
     if not (math.isfinite(k0) and k0 > 0.0):
         raise ParameterError(f"k0 must be positive and finite, got {k0}")
-    z = traj.states[:, 0]
-    q = traj.states[:, 1]
-    u = traj.states[:, 2]
-    v = traj.states[:, 3]
-    w = v / u * z
-    growth = v / w * sector_rates(w, params)[4] - q - params.delta_k
-    if len(traj) == 1:
-        k = np.array([k0])
-    else:
-        # Trapezoid rule on ln k, accumulated from k0.
-        steps = np.diff(traj.times) * (growth[1:] + growth[:-1]) / 2.0
-        k = np.exp(np.log(k0) + np.concatenate(([0.0], np.cumsum(steps))))
-    h = k / z
-    c = q * k
+    delta_k = params.delta_k
+    levels, acc, t_old, g_old = [], 0.0, None, None
+    for t, (z, q, u, v) in zip(traj.time_rows, traj.state_rows):
+        if not u:
+            raise ParameterError(f"u must be nonzero, got {u}")
+        w = v / u * z
+        g = v / w * sector_rates(w, params)[4] - q - delta_k
+        if t_old is not None:
+            acc += (t - t_old) * (g + g_old) / 2.0
+        k = k0 * math.exp(acc)
+        levels.append((k, k / z, q * k))
+        t_old, g_old = t, g
     return Trajectory(
-        times=traj.times.copy(),
-        states=traj.states.copy(),
-        levels=np.column_stack([k, h, c]),
+        times=list(traj.time_rows),
+        states=list(traj.state_rows),
+        levels=levels,
         meta=dict(traj.meta),
     )

@@ -1,6 +1,7 @@
 """Parameter and state records for the two-sector CES economy."""
 
 import math
+import operator
 from functools import cached_property
 from typing import NamedTuple
 
@@ -20,6 +21,13 @@ def is_array(x) -> bool:
 def _all(ok) -> bool:
     """ok itself, or whether every element holds when it is an array."""
     return ok.all() if is_array(ok) else ok
+
+
+def _as_float(x):
+    """x as a Python float when it is a 0-d number; anything else as given."""
+    if type(x) is float or is_array(x) or not hasattr(x, "__float__"):
+        return x
+    return float(x)
 
 
 class Checked:
@@ -74,8 +82,19 @@ class ModelParams(Checked, _ModelParamsFields):
     substitution and rho the time-preference rate.
 
     Unlike the other records it has an instance __dict__, which holds the
-    cached kernel constants theta and s2_terms.
+    cached kernel constants theta and s2_terms. A field given as a 0-d
+    number (a numpy scalar, say) is stored as a Python float, so the
+    kernel runs in float arithmetic; an array is stored as given.
     """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if set(map(type, self)) == {float}:
+            return self
+        fields = list(map(_as_float, self))
+        if all(map(operator.is_, fields, self)):  # floats and arrays only
+            return self
+        return super().__new__(cls, *fields)
 
     def _check(self):
         # Each field is a float or, for a whole family of economies, an array;

@@ -18,6 +18,7 @@ from cesgrowth import (
     saddle_path,
     steady_state,
     y1_of,
+    y2_of,
 )
 import cesgrowth
 from cesgrowth import cli
@@ -255,6 +256,35 @@ def test_trajectory_uses_library_integrator_tolerance(tmp_path, capsys):
     assert footer.endswith(f"t_end={_fmt(saddle_path(params, z0).times[-1])}")
 
 
+def test_trajectory_at_the_balanced_path_is_one_row(scenario_file, capsys):
+    """k0 = z* h0 needs no integration: the balanced path's one row, with
+    k0 and the levels and outputs it implies, at t = 0."""
+    params = bench_params(*CASE_PSI[1])
+    ss = steady_state(params)
+    h0 = 2.0
+    k0 = ss.z_star * h0  # exact: k0 / h0 is z* again
+    scn = scenario_file(initial={"k0": k0, "h0": h0, "u0": 0.6, "v0": 0.5})
+    code, out, err = run(capsys, "trajectory", "--scenario", scn, "--samples", "21")
+    assert code == 0 and err == ""
+    h, c = k0 / ss.z_star, ss.q_star * k0
+    row = (0.0, ss.z_star, ss.q_star, ss.u_star, ss.v_star, k0, h, c,
+           y1_of(k0, h, ss.u_star, ss.v_star, params),
+           y2_of(k0, h, ss.u_star, ss.v_star, params))
+    assert out == ("t,z,q,u,v,k,h,c,y1,y2\n" + ",".join(map(_fmt, row)) + "\n"
+                   "# stop_reason=at_steady_state t_end=0\n")
+
+
+def test_trajectory_into_a_coordinate_floor_exit_3(scenario_file, capsys):
+    """Case 1 from 1.5 z*: the stable manifold runs into a coordinate floor
+    before z reaches z0, a typed numeric failure."""
+    z0 = 1.5 * steady_state(bench_params(*CASE_PSI[1])).z_star
+    scn = scenario_file(initial={"k0": z0, "h0": 1.0, "u0": 0.6, "v0": 0.5})
+    code, out, err = run(capsys, "trajectory", "--scenario", scn)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: z never crossed {z0} (hit a coordinate floor; ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("trajectory", ("--format", "json")),
     ("trajectory", ("--tol", "1e-9")),
@@ -345,6 +375,31 @@ def test_single_economy_commands_load_no_numpy(scenario_file):
         + NOT_IMPORTED_PROBE
     )
     assert _fresh_python(probe, json.dumps(argvs)) == "[]\n"
+
+
+def test_trajectory_loads_no_numpy(scenario_file):
+    """trajectory integrates, resamples and prints on Python floats: from an
+    ordinary start, from the balanced path and from a start that exits 3."""
+    z_star = steady_state(bench_params(*CASE_PSI[1])).z_star
+    argvs = [
+        ["trajectory", "--scenario",
+         scenario_file(f"{name}.json",
+                       initial={"k0": k0, "h0": 1.0, "u0": 0.6, "v0": 0.5})]
+        for name, k0 in (("ordinary", 0.9 * z_star), ("balanced", z_star),
+                         ("floor", 1.5 * z_star))
+    ]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from cesgrowth import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(codes)\n"
+        + NOT_IMPORTED_PROBE
+    )
+    assert _fresh_python(probe, json.dumps(argvs)) == "[0, 0, 3]\n[]\n"
 
 
 def test_u_star_at_one_exit_3(tmp_path, capsys):

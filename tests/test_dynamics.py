@@ -1,15 +1,19 @@
 """Stable-manifold construction and level reconstruction."""
 
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import RK45, cumulative_trapezoid, solve_ivp
 from scipy.linalg import expm
 
 from cesgrowth import (
+    CesGrowthError,
     ModelParams,
+    NoRealStableEigenvectorError,
     ParameterError,
     ReducedState,
     StepSizeUnderflowError,
@@ -18,13 +22,20 @@ from cesgrowth import (
     reconstruct_levels,
     rhs_reduced,
     saddle_path,
+    stability_report,
     steady_state,
 )
 from cesgrowth import dynamics
 from cesgrowth.core import sector_rates
-from cesgrowth.stability import rhs_reduced_values
+from cesgrowth.stability import TOL_ZERO, rhs_reduced_values
 
 from conftest import CASE_PSI, STIFF_POOL, bench_params
+from test_acceptance import random_baseline
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.model import PARAM_NAMES  # noqa: E402
+from perfbench.workloads import POOL_SEED, POOL_SIZE, draw_economies  # noqa: E402
 
 
 def steady_point(params):
@@ -185,7 +196,10 @@ def test_reconstruct_levels_rejects_non_finite_k0(params_case1, k0):
 
 def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch):
     """The stepper passes Python floats, so the kernel runs in float arithmetic
-    rather than numpy-scalar arithmetic, and calls the kernel once per rhs call."""
+    rather than numpy-scalar arithmetic, and calls the kernel once per rhs call.
+    Its step control stays in floats too: a numpy scalar there (a max_step
+    from a numpy eigenvalue, say) would turn every time and stage value into
+    one."""
     calls = []
     kernel = dynamics.rhs_reduced_values
 
@@ -197,34 +211,99 @@ def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch
     traj = saddle_path(params_any_case, 1.1 * steady_state(params_any_case).z_star)
     assert len(calls) == traj.meta["nfev"] > 0
     assert all(type(a) is float for args in calls for a in args)
+    assert type(traj.meta["t_stop"]) is float
+    assert all(type(t) is float for t in traj.time_rows)
+    assert all(type(x) is float for row in traj.state_rows for x in row)
+
+
+def lapack_stable_pair(jac):
+    """(lambda, unit v) of the stable eigenpair by LAPACK, or None where the
+    LAPACK route finds no real stable eigenvector."""
+    ev, vecs = np.linalg.eig(np.array(jac))
+    i = int(np.argmin(ev.real))
+    v = vecs[:, i]
+    if ev[i].real >= -TOL_ZERO or np.max(np.abs(v.imag)) > 1e-12 * np.max(np.abs(v.real)):
+        return None
+    return ev[i].real, np.real(v) / np.linalg.norm(np.real(v))
+
+
+def check_stable_pair(jac) -> bool:
+    """stable_eigenpair against LAPACK: the same unit eigenvector to 1e-10
+    once signs are aligned, or NoRealStableEigenvectorError where LAPACK
+    finds none. Returns whether there was a pair."""
+    ref = lapack_stable_pair(jac)
+    if ref is None:
+        with pytest.raises(NoRealStableEigenvectorError):
+            dynamics.stable_eigenpair(jac)
+        return False
+    lam, v = dynamics.stable_eigenpair(jac)
+    assert type(lam) is complex and all(type(x) is float for x in v)
+    assert math.hypot(*v) == pytest.approx(1.0, abs=1e-15)
+    ref_v = ref[1] if ref[1] @ v >= 0.0 else -ref[1]
+    assert np.max(np.abs(np.array(v) - ref_v)) <= 1e-10
+    return True
+
+
+@pytest.mark.parametrize("economy", [f"case{c}" for c in CASE_PSI]
+                         + [f"stiff{i}" for i in STIFF_POOL])
+def test_stable_eigenvector_matches_lapack(economy):
+    params = (ModelParams(**STIFF_POOL[int(economy[5:])]) if economy.startswith("stiff")
+              else bench_params(*CASE_PSI[int(economy[4:])]))
+    assert check_stable_pair(stability_report(params).jacobian)
+
+
+def test_stable_eigenvector_matches_lapack_on_economy_scan_pool():
+    """Every solvable economy of the benchmark's economy_scan pool: the same
+    eigenvector as LAPACK's on those labelled saddle_path, and the same
+    NoRealStableEigenvectorError outcome on all of them."""
+    pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
+    paired = labelled = 0
+    for i in range(POOL_SIZE):
+        params = ModelParams(**{n: float(getattr(pool, n)[i]) for n in PARAM_NAMES})
+        try:
+            rep = stability_report(params)
+        except CesGrowthError:
+            continue
+        paired += check_stable_pair(rep.jacobian)
+        labelled += rep.classification == "saddle_path"
+    assert paired >= labelled > 0
 
 
 def rk45_replay(params, z0, monkeypatch):
-    """saddle_path's result (or its TargetNotReachedError) and scipy's RK45 run
-    from the same seed, with the same max_step, tolerances and events."""
+    """saddle_path's result (or its TargetNotReachedError), the stepper's own
+    run (reversed-time times and states, with its rhs and max_step), and
+    scipy's RK45 runs from the same seed, with the same max_step, tolerances
+    and events: the first from the seed itself, then one from the seed with
+    each coordinate moved by one ulp."""
     calls = []
     stepper = dynamics._dormand_prince
 
     def spy(fun, y0, max_step, events):
-        calls.append((fun, y0.copy(), max_step, events))
-        return stepper(fun, y0, max_step, events)
+        out = stepper(fun, y0, max_step, events)
+        calls.append((fun, list(y0), max_step, events, out))
+        return out
 
     monkeypatch.setattr(dynamics, "_dormand_prince", spy)
     try:
         result = saddle_path(params, z0)
     except TargetNotReachedError as exc:
         result = exc
-    (fun, y0, max_step, events), = calls
+    (fun, y0, max_step, events, (ts, ys, _, _)), = calls
     terminal = []
     for i in range(3):
         def event(_t, x, i=i):
-            return events(x)[i]
+            return events(x.tolist())[i]
         event.terminal = True
         terminal.append(event)
-    sol = solve_ivp(lambda _t, x: fun(x), (0.0, dynamics.T_BUDGET), y0,
-                    method="RK45", rtol=dynamics.SADDLE_RTOL,
-                    atol=dynamics.SADDLE_ATOL, max_step=max_step, events=terminal)
-    return result, sol
+    seeds = [np.array(y0)]
+    for i in range(4):
+        seeds.append(seeds[0].copy())
+        seeds[-1][i] = np.nextafter(seeds[0][i], np.inf)
+    sols = [solve_ivp(lambda _t, x: fun(x.tolist()), (0.0, dynamics.T_BUDGET), seed,
+                      method="RK45", rtol=dynamics.SADDLE_RTOL,
+                      atol=dynamics.SADDLE_ATOL, max_step=max_step, events=terminal)
+            for seed in seeds]
+    return result, sols, (fun, max_step, ts, ys)
 
 
 # (economy, z0 / z*, outcome): the five cases from both sides, case 1 nearer
@@ -238,39 +317,87 @@ PARITY_STARTS = (
 
 @pytest.mark.parametrize("economy, factor, outcome", PARITY_STARTS)
 def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatch):
-    """The in-house Dormand-Prince stepper against scipy's RK45 as the oracle:
-    the same accepted steps and rhs calls, and the same stop. Only the event
-    root is found differently (bisection to one ulp against brentq)."""
+    """The in-house Dormand-Prince stepper against scipy's RK45 as the oracle.
+
+    Over the whole path: the same accepted steps and rhs calls and the same
+    stop. scipy sums the stages with numpy's dot products, the stepper with
+    plain float sums; the last-ulp difference in the error norm, a
+    difference formed by cancellation, moves every later step size by about
+    1e-7, so stored times are not compared. The stopping time must agree
+    to within four times the spread that moving one seed coordinate by one
+    ulp causes in scipy's own (about 1e-11 on most starts, 1e-8 on those
+    that pass u = v = 1), and to 1e-7 in any case.
+
+    Step by step: scipy's RK45 started at each stored state, with the
+    stored step as its first step, reproduces the next stored state to
+    1e-14 in the max norm, relative to that state's own: a coordinate that
+    runs into the floor, or u - v as it closes to the event gap, is far
+    smaller than the state, and the rhs's 1/(u - v) magnifies rounding. The
+    last state, interpolated at the event, has no stored step.
+    """
     params = (ModelParams(**STIFF_POOL[35]) if economy == "stiff35"
               else bench_params(*CASE_PSI[int(economy[-1])]))
     z0 = factor * steady_state(params).z_star
-    result, sol = rk45_replay(params, z0, monkeypatch)
+    result, (sol, *nudged), (fun, max_step, ts, ys) = rk45_replay(params, z0, monkeypatch)
     hit = [len(te) > 0 for te in sol.t_events]
+    spread = max(abs(s.t[-1] - sol.t[-1]) for s in nudged)
+    assert len(ts) == len(sol.t)
+    assert abs(ts[-1] - sol.t[-1]) <= min(4.0 * spread, 1e-7 * sol.t[-1])
     if outcome == "target_reached":
         assert hit[0] and sol.status == 1
         assert len(result) == len(sol.t)
         assert result.meta["nfev"] == sol.nfev
-        np.testing.assert_allclose(result.times, sol.t[-1] - sol.t[::-1], rtol=1e-12)
-        np.testing.assert_allclose(result.states, sol.y[:, ::-1].T, rtol=1e-12)
+        assert result.meta["t_stop"] == ts[-1]
     else:
         assert hit == [False, outcome == "hit a coordinate floor",
                        outcome == "approached u = v"]
         assert isinstance(result, TargetNotReachedError)
         assert str(result) == (f"z never crossed {z0} ({outcome}; "
                                f"final z = {sol.y[0, -1]:g})")
+    for i in range(len(ts) - 2):
+        rk = RK45(lambda _t, x: fun(x.tolist()), ts[i], np.array(ys[i]),
+                  dynamics.T_BUDGET, first_step=ts[i + 1] - ts[i], max_step=max_step,
+                  rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL)
+        rk.step()
+        assert rk.t == ts[i + 1]
+        assert np.max(np.abs(rk.y - ys[i + 1])) <= 1e-14 * np.max(np.abs(ys[i + 1]))
 
 
 def test_stepper_gives_up_where_rk45_does():
     """y' = y^2 from y = 1 blows up at t = 1: the stepper's steps fall below
-    ten ulps of t at the same time and state as scipy's RK45."""
+    ten ulps of t at the same time and state as scipy's RK45.
+
+    There y is about 2e13, so the state holds the runs' rounding, summed in
+    a different order on each side, magnified by y: it is compared through
+    t + 1/y, which the exact flow keeps constant, to one ulp of 1.
+    """
     with pytest.raises(StepSizeUnderflowError) as exc:
-        dynamics._dormand_prince(lambda y: y**2, np.array([1.0]), 1.0,
-                                 lambda y: np.array([1.0]))
+        dynamics._dormand_prince(lambda y: [y[0] ** 2], [1.0], 1.0, lambda y: [1.0])
     sol = solve_ivp(lambda _t, y: y**2, (0.0, dynamics.T_BUDGET), [1.0], method="RK45",
                     rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL, max_step=1.0)
     assert sol.status == -1
     assert exc.value.last_time == sol.t[-1] < 1.0
-    assert exc.value.last_state[0] == sol.y[0, -1]
+    assert 1.0 / exc.value.last_state[0] == pytest.approx(1.0 / sol.y[0, -1],
+                                                          rel=0, abs=math.ulp(1.0))
+
+
+def test_random_economies_end_in_a_path_or_a_typed_error():
+    """Random economies (numpy-scalar fields, as random_baseline draws them)
+    from 1e-8 to 1e8 z*: each start ends in a path with levels or in a
+    CesGrowthError, and no RuntimeWarning (an error in the test run)."""
+    rng = np.random.default_rng(2026)
+    outcomes = set()
+    for _ in range(40):
+        params = random_baseline(rng)[1]
+        z0 = 10.0 ** rng.uniform(-8.0, 8.0) * steady_state(params).z_star
+        try:
+            traj = reconstruct_levels(saddle_path(params, z0), z0, params)
+        except CesGrowthError as exc:
+            outcomes.add(type(exc).__name__)
+        else:
+            assert traj.level_rows[0][0] == z0
+            outcomes.add(traj.meta["stop_reason"])
+    assert "target_reached" in outcomes and len(outcomes) > 1
 
 
 def test_saddle_path_budget_exhaustion(params_case1, monkeypatch):
@@ -324,3 +451,6 @@ def test_reconstruct_levels_validation(params_case1):
                             states=np.array([[1.0, 0.2, 0.6, 0.5], [-1.0, 0.2, 0.6, 0.5]]))
     with pytest.raises(ParameterError):
         reconstruct_levels(negative_w, k0=1.0, params=params_case1)
+    zero_u = Trajectory(times=[0.0, 1.0], states=[[1.0, 0.2, 0.6, 0.5], [1.0, 0.2, 0.0, 0.5]])
+    with pytest.raises(ParameterError, match="u must be nonzero"):
+        reconstruct_levels(zero_u, k0=1.0, params=params_case1)

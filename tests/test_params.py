@@ -28,6 +28,19 @@ def test_is_array_sends_numpy_scalars_down_the_scalar_path():
     assert is_array(np.array([1.0])) and is_array(np.ones((2, 2)))
 
 
+def test_numpy_scalar_fields_are_stored_as_python_floats():
+    """A numpy scalar field would run the float kernel in numpy-scalar
+    arithmetic; ModelParams stores it as a float and leaves arrays alone."""
+    fields = dict(BENCH, psi1=0.25, psi2=-0.10)
+    p = ModelParams(**{name: np.float64(x) for name, x in fields.items()})
+    assert all(type(x) is float for x in p)
+    assert p == bench_params(0.25, -0.10)
+    assert all(type(x) is float for x in ModelParams(*map(np.float64, p)))
+    assert type(p._replace(rho=np.float64(0.05)).rho) is float
+    family = ModelParams(**dict(fields, psi1=np.array([0.25, 0.3]), rho=np.float64(0.06)))
+    assert isinstance(family.psi1, np.ndarray) and type(family.rho) is float
+
+
 def test_valid_construction():
     p = bench_params(0.25, -0.10)
     assert p.sigma1 == pytest.approx(1.0 / 0.75)
