@@ -21,10 +21,8 @@ from .errors import (
     TvcViolationError,
 )
 from .normalization import (
-    A_of_sigma,
     Baseline,
     ComparisonTable,
-    alpha_of_sigma,
     baseline_from_point,
     baseline_from_steady_state,
     compare_economies,
@@ -33,15 +31,9 @@ from .normalization import (
     share_pi,
     share_pi_bar,
 )
-from .params import LevelState, ModelParams, ReducedState
+from .params import ModelParams, ReducedState
 from .scenario import Scenario, load_scenario, parse_scenario
-from .stability import (
-    StabilityReport,
-    eigen4,
-    jacobian_fd,
-    rhs_reduced,
-    stability_report,
-)
+from .stability import StabilityReport, eigen4, jacobian_fd, stability_report
 from .steady import SteadyState, gap_P, solve_w, steady_state, transversality
 
 __version__ = "0.1.0"

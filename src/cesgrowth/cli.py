@@ -310,46 +310,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _resample(times, rows, n: int) -> tuple:
-    """(times, rows) of n samples evenly spaced from times[0] to times[-1]
-    on the piecewise-linear path through (times, rows).
-
-    The sample times are numpy.linspace's, i * step + start with the last
-    one stop, and each value follows numpy.interp's formula
-    slope * (t - t_j) + row_j, or is row_j where t equals t_j.
-    """
-    start, stop = times[0], times[-1]
-    step = (stop - start) / (n - 1)
-    out_times = [i * step + start for i in range(n - 1)] + [stop]
-    out_rows, j, last = [], 0, len(times) - 1
-    for t in out_times:
-        while j < last and times[j + 1] <= t:
-            j += 1
-        if j == last or t == times[j]:
-            out_rows.append(rows[j])
-        else:
-            t0, t1 = times[j], times[j + 1]
-            out_rows.append([(b - a) / (t1 - t0) * (t - t0) + a
-                             for a, b in zip(rows[j], rows[j + 1])])
-    return out_times, out_rows
-
-
 def cmd_trajectory(args) -> int:
     from . import dynamics
 
-    if args.samples < 2:
-        raise ScenarioError(f"expected at least 2, got {args.samples}",
-                            field="--samples")
     scn = load_scenario(args.scenario)
     if scn.initial is None:
         raise ScenarioError("trajectory needs an initial block", field="$.initial")
     k0, h0 = scn.initial["k0"], scn.initial["h0"]
-    z0 = k0 / h0
-    path = dynamics.saddle_path(scn.params, z0)
-    if len(path) > 1:
-        path = dynamics.Trajectory(
-            *_resample(path.time_rows, path.state_rows, args.samples), meta=path.meta
-        )
+    path = dynamics.saddle_path(scn.params, k0 / h0)
     traj = dynamics.reconstruct_levels(path, k0, scn.params)
 
     header = ["t", "z", "q", "u", "v", "k", "h", "c", "y1", "y2"]
@@ -420,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="saddle-path trajectory with levels")
     p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--samples", type=int, default=201)
     p.set_defaults(func=cmd_trajectory)
     return parser
 

@@ -35,7 +35,7 @@ class TvcViolationError(CesGrowthError):
 
 
 class NoConvergenceError(CesGrowthError):
-    """Eigenvalue iteration failed to converge."""
+    """The Newton iteration for the balanced-path root did not settle."""
 
 
 class MrsMismatchError(CesGrowthError):

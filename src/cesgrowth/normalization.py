@@ -201,16 +201,6 @@ def _checked_family(sigma, baseline: Baseline, sector: int) -> tuple:
     return psi, alpha, A
 
 
-def alpha_of_sigma(sigma, baseline: Baseline, sector: int):
-    """Normalized distribution parameter: x^{1-psi} / (x^{1-psi} + m)."""
-    return _checked_family(sigma, baseline, sector)[1]
-
-
-def A_of_sigma(sigma, baseline: Baseline, sector: int):
-    """Normalized efficiency parameter of the requested sector."""
-    return _checked_family(sigma, baseline, sector)[2]
-
-
 def normalized_params(
     sigma1, sigma2, baseline: Baseline, template: ModelParams
 ) -> ModelParams:
@@ -275,16 +265,11 @@ class ComparisonTable(NamedTuple):
 _NON_TECH_FIELDS = ("A1", "A2", "alpha1", "alpha2", "delta_k", "delta_h", "eps", "rho")
 
 
-def compare_economies(
-    params_a: ModelParams,
-    params_b: ModelParams,
-    baseline: Baseline | None = None,
-) -> ComparisonTable:
+def compare_economies(params_a: ModelParams, params_b: ModelParams) -> ComparisonTable:
     """Side-by-side steady states of two economies differing only in (sigma1, sigma2).
 
-    Outputs y1*, y2* use the baseline's h_bar as the common human-capital
-    level (h_bar = 1 when no baseline is given); levels then differ only
-    through z* and the allocations.
+    Outputs y1*, y2* are taken at the common human-capital level h = 1;
+    levels then differ only through z* and the allocations.
     """
     for name in _NON_TECH_FIELDS:
         if getattr(params_a, name) != getattr(params_b, name):
@@ -292,19 +277,18 @@ def compare_economies(
                 f"economies differ in {name}: "
                 f"{getattr(params_a, name)} vs {getattr(params_b, name)}"
             )
-    h_bar = baseline.h_bar if baseline is not None else 1.0
     rows = []
     ss_a = steady_state(params_a)
     ss_b = steady_state(params_b)
     for name in ("w_star", "z_star", "u_star", "v_star", "q_star", "r_star",
                  "pi1k", "pi2k"):
         rows.append(_row(name, getattr(ss_a, name), getattr(ss_b, name)))
-    ya = y1_of(ss_a.z_star * h_bar, h_bar, ss_a.u_star, ss_a.v_star, params_a)
-    yb = y1_of(ss_b.z_star * h_bar, h_bar, ss_b.u_star, ss_b.v_star, params_b)
+    ya = y1_of(ss_a.z_star, 1.0, ss_a.u_star, ss_a.v_star, params_a)
+    yb = y1_of(ss_b.z_star, 1.0, ss_b.u_star, ss_b.v_star, params_b)
     rows.append(_row("y1_star", ya, yb))
     # On the balanced path (1 - u*) Y2(w*) = r* + delta_h, so y2* needs no 1 - u*.
-    rows.append(_row("y2_star", h_bar * (ss_a.r_star + params_a.delta_h),
-                     h_bar * (ss_b.r_star + params_b.delta_h)))
+    rows.append(_row("y2_star", ss_a.r_star + params_a.delta_h,
+                     ss_b.r_star + params_b.delta_h))
     return ComparisonTable(rows=tuple(rows))
 
 

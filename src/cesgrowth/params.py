@@ -154,9 +154,6 @@ class ModelParams(Checked, _ModelParamsFields):
             psi2 * (1.0 - psi1) / (1.0 - psi2),
         )
 
-    def with_psi(self, psi1: float, psi2: float) -> "ModelParams":
-        return self._replace(psi1=psi1, psi2=psi2)
-
 
 class _ReducedStateFields(NamedTuple):
     z: float
@@ -175,42 +172,6 @@ class ReducedState(Checked, _ReducedStateFields):
             raise ParameterError(f"z must be positive, got {self.z}")
         if not self.q > 0.0:
             raise ParameterError(f"q must be positive, got {self.q}")
-        for name, frac in (("u", self.u), ("v", self.v)):
-            if not (0.0 < frac < 1.0):
-                raise ParameterError(f"{name} must be strictly inside (0,1), got {frac}")
-
-    def as_array(self):
-        """(z, q, u, v) as a numpy array."""
-        import numpy as np
-
-        return np.array([self.z, self.q, self.u, self.v], dtype=float)
-
-    @staticmethod
-    def from_array(x) -> "ReducedState":
-        z, q, u, v = (float(t) for t in x)
-        return ReducedState(z=z, q=q, u=u, v=v)
-
-
-class _LevelStateFields(NamedTuple):
-    k: float
-    h: float
-    c: float
-    u: float
-    v: float
-
-
-class LevelState(Checked, _LevelStateFields):
-    """Level variables (k, h, c) plus sectoral allocations (u, v)."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if not self.k > 0.0:
-            raise ParameterError(f"k must be positive, got {self.k}")
-        if not self.h > 0.0:
-            raise ParameterError(f"h must be positive, got {self.h}")
-        if self.c < 0.0:
-            raise ParameterError(f"c must be non-negative, got {self.c}")
         for name, frac in (("u", self.u), ("v", self.v)):
             if not (0.0 < frac < 1.0):
                 raise ParameterError(f"{name} must be strictly inside (0,1), got {frac}")

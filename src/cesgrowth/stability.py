@@ -7,7 +7,7 @@ from typing import NamedTuple
 from .core import UV_GAP_FLOOR, aux_from_wuv
 from .errors import ParameterError, SingularStateError
 from .params import ModelParams, ReducedState
-from .steady import SteadyState, steady_state
+from .steady import COMPLEX_STEP, SteadyState, steady_state
 
 # Eigenvalues this close to zero (real part) count as structurally zero.
 TOL_ZERO = 1e-3
@@ -15,17 +15,13 @@ TOL_ZERO = 1e-3
 MAX_POLISH_STEPS = 8
 
 
-def rhs_reduced(state: ReducedState, params: ModelParams) -> tuple:
-    """Time derivatives (zdot, qdot, udot, vdot) of the stationary coordinates."""
-    return rhs_reduced_values(state.z, state.q, state.u, state.v, params)
-
-
 def rhs_reduced_values(
     z: float, q: float, u: float, v: float, params: ModelParams
 ) -> tuple:
-    """rhs_reduced on raw coordinates, without the (0,1) box restriction.
+    """Time derivatives (zdot, qdot, udot, vdot) of the stationary coordinates.
 
-    The reduced equations only involve powers of w = (v/u) z and the
+    Unlike a ReducedState, the coordinates need not lie in the (0,1) box:
+    the reduced equations only involve powers of w = (v/u) z and the
     allocations linearly, so they extend smoothly past u = 1 or v = 1;
     the stable manifold can traverse that region. Complex coordinates,
     as jacobian_fd passes them, run the same code.
@@ -51,13 +47,13 @@ def rhs_reduced_values(
 
 
 def jacobian_fd(state: ReducedState, params: ModelParams) -> tuple:
-    """Complex-step Jacobian of rhs_reduced, as four rows of floats.
+    """Complex-step Jacobian of rhs_reduced_values, as four rows of floats.
 
-    Column i is Im rhs(x + i h e_i) / h with h = 1e-20 (Squire & Trapp,
-    SIAM Review 40, 1998): no subtraction, so the error is at rounding
-    level and independent of h, from one rhs evaluation per column.
+    Column i is Im rhs(x + i h e_i) / h with h = COMPLEX_STEP (Squire &
+    Trapp, SIAM Review 40, 1998): no subtraction, so the error is at
+    rounding level and independent of h, from one rhs evaluation per column.
     """
-    h = 1e-20
+    h = COMPLEX_STEP
     x = [float(state.z), float(state.q), float(state.u), float(state.v)]
     columns = []
     for i in range(4):

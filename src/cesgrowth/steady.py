@@ -41,8 +41,9 @@ from .errors import (
 from .params import ModelParams, is_array
 
 MAX_BRACKET_EXPANSIONS = 40
-# Newton refinement: the imaginary step of the slope, the Newton step in
-# ln w below which an iterate is accepted, and the cap on iterations.
+# Newton refinement: the imaginary step of the slope (and of each column
+# of stability.jacobian_fd), the Newton step in ln w below which an
+# iterate is accepted, and the cap on iterations.
 COMPLEX_STEP = 1e-20
 NEWTON_RTOL = 1e-12
 MAX_NEWTON_STEPS = 60
@@ -78,9 +79,13 @@ def _where(cond, a, b):
 
 
 def _exp(x):
-    """e**x for a float or an array."""
+    """e**x for a float or an array; inf where a float's overflows, as an
+    array's does."""
     if not is_array(x):
-        return math.exp(x)
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
     import numpy as np
 
     return np.exp(x)
@@ -104,9 +109,9 @@ def solve_w(params: ModelParams):
     safeguarded Newton iteration in ln w then refines it. Its slope
     d gap_P / d ln w is the complex step Im gap_P(w e^{ih}) / h through
     sector_rates. An iterate is accepted once the Newton step it proposes
-    is at most NEWTON_RTOL, and a proposal outside the bracket, or none
-    where the slope rounds to zero, is replaced by the bracket's geometric
-    midpoint.
+    is at most NEWTON_RTOL, and a proposal outside the bracket (infinite
+    where e**step overflows), or none where the slope rounds to zero, is
+    replaced by the bracket's geometric midpoint.
 
     One economy raises ParameterError for A2 <= 0, NoBracketError where
     no bracket is found and NoConvergenceError where the iteration does

@@ -45,6 +45,16 @@ KERNEL_OVERFLOW = {
     "delta_k": 0.06, "delta_h": 0.05, "eps": 2.0, "rho": 0.06,
 }
 
+# Validated economies where a float Newton step in ln w exceeds about 709,
+# so that e**step overflows a double. The first has v* = 1.0, outside
+# (0,1); the second solves.
+NEWTON_OVERFLOW = (
+    {"A1": 1.14, "A2": 0.31, "alpha1": 0.84, "alpha2": 0.13, "psi1": 0.9,
+     "psi2": 0.76, "delta_k": 0.22, "delta_h": 0.17, "eps": 7.5, "rho": 0.13},
+    {"A1": 0.93, "A2": 0.16, "alpha1": 0.75, "alpha2": 0.06, "psi1": 0.72,
+     "psi2": 0.79, "delta_k": 0.16, "delta_h": 0.05, "eps": 6.8, "rho": 0.15},
+)
+
 # Stiff economies (|lambda| of 400-1 100) from the benchmark's economy_scan
 # pool, perfbench.workloads.draw_economies(default_rng(12345), 3000)[i]:
 # their structural zero eigenvalue sits within 1e-6 of zero.

@@ -19,7 +19,7 @@ from cesgrowth.normalization import (
     share_pi,
     share_pi_bar,
 )
-from cesgrowth.params import LevelState, ModelParams, ReducedState
+from cesgrowth.params import ModelParams, ReducedState
 from cesgrowth.steady import steady_state
 
 
@@ -58,14 +58,15 @@ def costate_ratio(w: float, params: ModelParams) -> float:
     return (1.0 - params.alpha1) * y1 / p1 / mph
 
 
-def rhs_full(state: LevelState, params: ModelParams) -> tuple:
-    """Time derivatives (kdot, hdot, cdot, udot, vdot) of the level system.
+def rhs_full(state: tuple, params: ModelParams) -> tuple:
+    """Time derivatives (kdot, hdot, cdot, udot, vdot) of the level system
+    at state = (k, h, c, u, v).
 
     The tests' level-system oracle: the growth rates of k, h and c are
     written out here from P1 and P2, not read from sector_rates, so that
-    comparing this with rhs_reduced checks the kernel.
+    comparing this with rhs_reduced_values checks the kernel.
     """
-    k, h, c, u, v = state.k, state.h, state.c, state.u, state.v
+    k, h, c, u, v = state
     if abs(u - v) < UV_GAP_FLOOR:
         raise SingularStateError(f"u - v = {u - v} too small", state=state)
     z = k / h

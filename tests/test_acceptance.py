@@ -25,7 +25,7 @@ from cesgrowth import (
     y2_of,
 )
 from cesgrowth.normalization import psi_of_sigma, share_pi
-from cesgrowth.stability import rhs_reduced
+from cesgrowth.stability import rhs_reduced_values
 
 from conftest import BENCH, CASE_PSI, bench_params
 from oracles import (
@@ -359,7 +359,7 @@ def test_c10_fixed_point_residuals():
         p = bench_params(*psis)
         ss = steady_state(p)
         s = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-        worst = max(worst, float(np.linalg.norm(rhs_reduced(s, p))))
+        worst = max(worst, float(np.linalg.norm(rhs_reduced_values(*s, p))))
     check(
         10,
         "reduced-system residual below 1e-8 at every computed balanced path",

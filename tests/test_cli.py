@@ -15,6 +15,7 @@ from cesgrowth import (
     ModelParams,
     baseline_from_point,
     normalized_params,
+    reconstruct_levels,
     saddle_path,
     steady_state,
     y1_of,
@@ -24,7 +25,13 @@ import cesgrowth
 from cesgrowth import cli
 from cesgrowth.cli import _fmt, main
 
-from conftest import CASE_PSI, KERNEL_OVERFLOW, U_STAR_AT_ONE, bench_params
+from conftest import (
+    CASE_PSI,
+    KERNEL_OVERFLOW,
+    NEWTON_OVERFLOW,
+    U_STAR_AT_ONE,
+    bench_params,
+)
 
 PARAMS_CASE1 = {
     "A1": 1.05,
@@ -213,17 +220,33 @@ def test_compare_mismatched_preferences_exit_4(scenario_file, capsys):
     assert "rho" in err
 
 
+def library_trajectory_csv(params, k0, h0):
+    """The CSV of the library's saddle path to z0 = k0/h0 with its levels:
+    one row per stored step, outputs nan where an allocation leaves (0,1)."""
+    traj = reconstruct_levels(saddle_path(params, k0 / h0), k0, params)
+    lines = ["t,z,q,u,v,k,h,c,y1,y2"]
+    for t, (z, q, u, v), (k, h, c) in zip(traj.time_rows, traj.state_rows,
+                                          traj.level_rows):
+        y1 = y1_of(k, h, u, v, params) if u > 0.0 and v > 0.0 else math.nan
+        y2 = y2_of(k, h, u, v, params) if u < 1.0 and v < 1.0 else math.nan
+        lines.append(",".join(map(_fmt, (t, z, q, u, v, k, h, c, y1, y2))))
+    lines.append(f"# stop_reason={traj.meta['stop_reason']} "
+                 f"t_end={_fmt(traj.time_rows[-1])}")
+    return "\n".join(lines) + "\n"
+
+
 def test_trajectory_csv(scenario_file, capsys):
+    """The README start: every step the integrator stored, with the levels
+    summed over those steps, exactly as the library gives them."""
     scn = scenario_file(initial={"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5})
-    code, out, _ = run(
-        capsys, "trajectory", "--scenario", scn, "--samples", "21"
-    )
-    assert code == 0
+    code, out, err = run(capsys, "trajectory", "--scenario", scn)
+    assert code == 0 and err == ""
+    assert out == library_trajectory_csv(ModelParams(**PARAMS_CASE1), 5.5, 1.0)
     lines = out.strip().splitlines()
     assert lines[0] == "t,z,q,u,v,k,h,c,y1,y2"
     assert lines[-1].startswith("# stop_reason=target_reached")
     rows = [l.split(",") for l in lines[1:-1]]
-    assert len(rows) == 21
+    assert len(rows) == 232
     z = [float(r[1]) for r in rows]
     assert z[0] == pytest.approx(5.5, rel=1e-6)
     assert z[-1] == pytest.approx(10.725, abs=0.01)
@@ -231,17 +254,9 @@ def test_trajectory_csv(scenario_file, capsys):
     assert k[0] == pytest.approx(5.5, rel=1e-9)
 
 
-@pytest.mark.parametrize("samples", ["1", "0", "-5"])
-def test_trajectory_rejects_fewer_than_two_samples(scenario_file, capsys, samples):
-    scn = scenario_file(initial={"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5})
-    code, out, err = run(capsys, "trajectory", "--scenario", scn, "--samples", samples)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: --samples: expected at least 2, got {samples}\n"
-
-
 def test_trajectory_uses_library_integrator_tolerance(tmp_path, capsys):
-    """The footer's t_end is the library saddle path's, at its default rtol."""
+    """Case 2 from 1.2 z*: the rows and the footer's t_end are the library
+    saddle path's, at its default rtol."""
     params = bench_params(*CASE_PSI[2])
     z0 = 1.2 * steady_state(params).z_star
     doc = {
@@ -252,6 +267,7 @@ def test_trajectory_uses_library_integrator_tolerance(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, "trajectory", "--scenario", str(path))
     assert code == 0
+    assert out == library_trajectory_csv(params, z0, 1.0)
     footer = out.strip().splitlines()[-1]
     assert footer.endswith(f"t_end={_fmt(saddle_path(params, z0).times[-1])}")
 
@@ -264,7 +280,7 @@ def test_trajectory_at_the_balanced_path_is_one_row(scenario_file, capsys):
     h0 = 2.0
     k0 = ss.z_star * h0  # exact: k0 / h0 is z* again
     scn = scenario_file(initial={"k0": k0, "h0": h0, "u0": 0.6, "v0": 0.5})
-    code, out, err = run(capsys, "trajectory", "--scenario", scn, "--samples", "21")
+    code, out, err = run(capsys, "trajectory", "--scenario", scn)
     assert code == 0 and err == ""
     h, c = k0 / ss.z_star, ss.q_star * k0
     row = (0.0, ss.z_star, ss.q_star, ss.u_star, ss.v_star, k0, h, c,
@@ -289,10 +305,11 @@ def test_trajectory_into_a_coordinate_floor_exit_3(scenario_file, capsys):
     ("trajectory", ("--format", "json")),
     ("trajectory", ("--tol", "1e-9")),
     ("steady", ("--tol", "1e-9")),
+    ("trajectory", ("--samples", "21")),
 ])
 def test_unknown_flags_are_rejected(scenario_file, command, flag):
-    """trajectory always writes CSV at the library tolerance, and the root
-    solver has no tolerance to set."""
+    """trajectory always writes CSV of the library's own steps at its
+    tolerance, and the root solver has no tolerance to set."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--scenario", scenario_file(), *flag])
     assert exc.value.code == 2
@@ -417,6 +434,19 @@ def test_kernel_overflow_exit_3(tmp_path, capsys, command):
     code, _, err = run(capsys, command, "--scenario", str(path))
     assert code == 3
     assert err == "error: no sign change of gap_P before it stops being finite at w = 10\n"
+
+
+@pytest.mark.parametrize("fields, expected", zip(NEWTON_OVERFLOW, (3, 0)))
+@pytest.mark.parametrize("command", ["steady", "stability"])
+def test_newton_overflow_ends_in_a_result_or_a_typed_error(tmp_path, capsys,
+                                                           command, fields, expected):
+    """A Newton step past e**x's range: the first economy's v* = 1.0 is a
+    numeric failure and the second solves; neither prints a traceback."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"params": fields}), encoding="utf-8")
+    code, _, err = run(capsys, command, "--scenario", str(path))
+    assert code == expected
+    assert "Traceback" not in err
 
 
 README_INITIAL = {"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5}

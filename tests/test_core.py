@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from cesgrowth import LevelState, ParameterError, ReducedState, tau_of, y1_of, y2_of
+from cesgrowth import ParameterError, ReducedState, tau_of, y1_of, y2_of
 from cesgrowth.core import aux_from_wuv, sector_rates
-from cesgrowth.stability import rhs_reduced
+from cesgrowth.stability import rhs_reduced_values
 from cesgrowth.steady import gap_P
 
 from conftest import CASE_PSI, bench_params
@@ -228,9 +228,8 @@ def test_rhs_full_consistent_with_reduced(rng):
         h = rng.uniform(0.2, 3.0)
         k = s.z * h
         c = s.q * k
-        lvl = LevelState(k=k, h=h, c=c, u=s.u, v=s.v)
-        full = rhs_full(lvl, p)
-        red = rhs_reduced(s, p)
+        full = rhs_full((k, h, c, s.u, s.v), p)
+        red = rhs_reduced_values(*s, p)
         k_growth = full[0] / k
         h_growth = full[1] / h
         c_growth = full[2] / c

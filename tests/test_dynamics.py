@@ -20,7 +20,6 @@ from cesgrowth import (
     TargetNotReachedError,
     jacobian_fd,
     reconstruct_levels,
-    rhs_reduced,
     saddle_path,
     stability_report,
     steady_state,
@@ -91,7 +90,7 @@ def test_fixed_point_trajectory_is_constant(params_case1):
 
     The balanced path is a saddle whose strongest unstable rate is about
     12.96. The solved point is exact only to rounding: Newton leaves w
-    within a few ulps of the gap's sign change, and rhs_reduced(x*) is
+    within a few ulps of the gap's sign change, and rhs_reduced_values(x*) is
     about 7e-14. The linear response to that residual, int_0^t exp(J s) r ds,
     grows like exp(12.96 t), so no integrator can hold the path within 1e-6
     for ten time units. The horizon T is where that response reaches 1e-6
@@ -101,10 +100,10 @@ def test_fixed_point_trajectory_is_constant(params_case1):
     """
     bound = 1e-6
     _, s = steady_point(params_case1)
-    x_star = s.as_array()
+    x_star = np.array(s)
     jac = jacobian_fd(s, params_case1)
     horizon = linear_departure_horizon(
-        jac, rhs_reduced(s, params_case1), bound, t_end=10.0
+        jac, rhs_reduced_values(*s, params_case1), bound, t_end=10.0
     )
     # Any double-precision residual (even 1e-16) is amplified past the bound
     # well before t = 10, so the horizon exists.
@@ -127,15 +126,15 @@ def test_fixed_point_trajectory_is_constant(params_case1):
 def test_fixed_point_constant_over_attainable_horizon(params_case1):
     """Within the horizon double precision permits, the path is constant."""
     _, s = steady_point(params_case1)
-    times, states = forward(s.as_array(), params_case1, t_end=1.0)
-    dev = np.max(np.abs(states[times <= 1.0] - s.as_array()))
+    times, states = forward(np.array(s), params_case1, t_end=1.0)
+    dev = np.max(np.abs(states[times <= 1.0] - np.array(s)))
     assert dev < 1e-6
 
 
 def test_small_perturbation_matches_linear_propagator(params_case1):
     """One percent in z, horizon 0.01: exp(Jt) delta agrees to second order."""
     ss, s = steady_point(params_case1)
-    x0 = s.as_array()
+    x0 = np.array(s)
     delta = np.array([0.01 * ss.z_star, 0.0, 0.0, 0.0])
     t_end = 0.01
     times, states = forward(x0 + delta, params_case1, t_end=t_end, rtol=1e-11)
@@ -148,7 +147,7 @@ def test_small_perturbation_matches_linear_propagator(params_case1):
 
 def test_saddle_path_converges(params_case1):
     ss, s = steady_point(params_case1)
-    x_star = s.as_array()
+    x_star = np.array(s)
     t0 = time.monotonic()
     traj = saddle_path(params_case1, z0=0.9 * ss.z_star)
     elapsed = time.monotonic() - t0
@@ -165,7 +164,7 @@ def test_saddle_path_from_above(params_case1):
     ss, s = steady_point(params_case1)
     traj = saddle_path(params_case1, z0=1.1 * ss.z_star)
     assert traj.states[0, 0] == pytest.approx(1.1 * ss.z_star, rel=1e-6)
-    dist = np.linalg.norm(traj.states - s.as_array(), axis=1)
+    dist = np.linalg.norm(traj.states - np.array(s), axis=1)
     assert dist[-1] < 1e-4
 
 
@@ -413,7 +412,7 @@ def test_reconstruct_levels_constant_growth(params_case1):
     ss, s = steady_point(params_case1)
     horizon = 7.0
     times = np.linspace(0.0, horizon, 201)
-    states = np.tile(s.as_array(), (len(times), 1))
+    states = np.tile(np.array(s), (len(times), 1))
     from cesgrowth.dynamics import Trajectory
 
     traj = Trajectory(times=times, states=states)

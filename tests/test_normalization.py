@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from cesgrowth import (
-    A_of_sigma,
     BaselineMismatchError,
     MrsMismatchError,
     ParameterError,
-    alpha_of_sigma,
     baseline_from_point,
     baseline_from_steady_state,
     compare_economies,
@@ -22,7 +20,7 @@ from cesgrowth import (
     y1_of,
     y2_of,
 )
-from cesgrowth.normalization import psi_of_sigma
+from cesgrowth.normalization import family_parameters, psi_of_sigma
 
 from conftest import bench_params
 from oracles import dpi_dpsi, dy_dpsi, identity_wwb, normalized_y, r_star_of_sigma
@@ -168,12 +166,11 @@ def test_share_pi_bar_between_zero_and_one(base_case1):
         assert 0.0 < share_pi_bar(base_case1, sector) < 1.0
 
 
-def test_alpha_A_positive(base_case1):
+def test_alpha_A_positive(params_case1, base_case1):
     for sigma in (0.5, 0.8, 1.3, 2.2):
-        for sector in (1, 2):
-            a = alpha_of_sigma(sigma, base_case1, sector)
-            assert 0.0 < a < 1.0
-            assert A_of_sigma(sigma, base_case1, sector) > 0.0
+        member = normalized_params(sigma, sigma, base_case1, params_case1)
+        assert 0.0 < member.alpha1 < 1.0 and 0.0 < member.alpha2 < 1.0
+        assert member.A1 > 0.0 and member.A2 > 0.0
 
 
 def test_family_of_an_array_equals_the_family_of_each_float(params_case1, base_case1):
@@ -186,8 +183,8 @@ def test_family_of_an_array_equals_the_family_of_each_float(params_case1, base_c
                 getattr(single, name), rel=1e-14
             )
     assert np.array_equal(psi_of_sigma(sigma), (sigma - 1.0) / sigma)
-    assert np.array_equal(member.alpha1, alpha_of_sigma(sigma, base_case1, 1))
-    assert np.array_equal(member.A2, A_of_sigma(sigma[::-1], base_case1, 2))
+    assert np.array_equal(member.alpha1, family_parameters(sigma, base_case1, 1)[1])
+    assert np.array_equal(member.A2, family_parameters(sigma[::-1], base_case1, 2)[2])
 
 
 @pytest.mark.parametrize("sigma", [1.0005, -2.0])
@@ -200,35 +197,33 @@ def test_array_outside_the_domain_names_its_sigma(sigma):
 def test_overflowing_family_parameter_names_sigma(params_case1, sector):
     """At sigma = 0.002 the power x^{1-psi} = x^500 overflows a double."""
     base = baseline_from_point(params_case1, 5.5, 1.0, 0.6, 0.5)
-    with pytest.raises(ParameterError, match="overflow at sigma = 0.002$"):
-        A_of_sigma(0.002, base, sector)
     sigmas = (0.002, 2.0) if sector == 1 else (2.0, 0.002)
     with pytest.raises(ParameterError, match="overflow at sigma = 0.002$"):
         normalized_params(*sigmas, base, params_case1)
     with np.errstate(all="ignore"), pytest.raises(
         ParameterError, match="overflow at sigma = 0.002$"
     ):
-        alpha_of_sigma(np.array([2.0, 0.002]), base, sector)
+        normalized_params(*(np.array([2.0, s]) for s in sigmas), base, params_case1)
 
 
 def test_compare_economies_dominance(params_case1):
     """Higher elasticities dominate on every starred quantity."""
-    e2 = params_case1.with_psi(0.20, -0.15)
+    e2 = params_case1._replace(psi1=0.20, psi2=-0.15)
     table = compare_economies(params_case1, e2)
     for name in ("r_star", "u_star", "v_star", "pi1k", "pi2k", "y1_star", "y2_star"):
         assert table.row(name).dominant == "A"
 
 
 def test_compare_y2_star_is_exact_where_u_star_is_near_one(params_case1):
-    """y2* = h_bar (r* + delta_h) on the balanced path. The README family's
+    """y2* = r* + delta_h at h = 1 on the balanced path. The README family's
     member at sigma1 = sigma2 = 54.5 has u* and v* one or two ulps below 1,
     where the 1 - u* inside y2_of is rounding noise (0.434 for 0.198)."""
     base = baseline_from_point(params_case1, 5.5, 1.0, 0.6, 0.5)
     member = normalized_params(54.5, 54.5, base, params_case1)
     ss = steady_state(member)
     assert 1.0 - ss.u_star < 1e-15
-    y2 = compare_economies(member, member, base).row("y2_star").value_a
-    assert y2 == pytest.approx(base.h_bar * (ss.r_star + member.delta_h), rel=1e-15)
+    y2 = compare_economies(member, member).row("y2_star").value_a
+    assert y2 == pytest.approx(ss.r_star + member.delta_h, rel=1e-15)
 
 
 def test_compare_economies_rejects_preference_mismatch(params_case1):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cesgrowth import (
-    LevelState,
     ModelParams,
     ParameterError,
     ReducedState,
@@ -88,16 +87,16 @@ def test_a2_zero_is_constructible():
 
 def test_with_psi_keeps_other_fields():
     p = bench_params(0.25, -0.10)
-    p2 = p.with_psi(-0.15, -0.20)
+    p2 = p._replace(psi1=-0.15, psi2=-0.20)
     assert p2.psi1 == -0.15 and p2.psi2 == -0.20
     assert p2.A1 == p.A1 and p2.rho == p.rho
 
 
 def test_reduced_state_roundtrip():
     s = ReducedState(z=10.7, q=0.24, u=0.88, v=0.87)
-    arr = s.as_array()
+    arr = np.array(s)
     assert arr.shape == (4,)
-    s2 = ReducedState.from_array(arr)
+    s2 = ReducedState(*arr)
     assert s2 == s
 
 
@@ -113,14 +112,6 @@ def test_reduced_state_roundtrip():
 def test_reduced_state_rejects_out_of_range(kwargs):
     with pytest.raises(ParameterError):
         ReducedState(**kwargs)
-
-
-def test_level_state_rejects_out_of_range():
-    with pytest.raises(ParameterError):
-        LevelState(k=-1.0, h=1.0, c=0.1, u=0.5, v=0.4)
-    with pytest.raises(ParameterError):
-        LevelState(k=1.0, h=1.0, c=0.1, u=0.5, v=1.2)
-    LevelState(k=1.0, h=1.0, c=0.0, u=0.5, v=0.4)
 
 
 def test_frozen():
@@ -151,7 +142,6 @@ def _records():
     return [
         p,
         ReducedState(z=10.7, q=0.24, u=0.88, v=0.87),
-        LevelState(k=1.0, h=1.0, c=0.1, u=0.5, v=0.4),
         rep.steady,
         rep,
         baseline_from_point(p, 5.5, 1.0, 0.6, 0.5),
@@ -187,13 +177,13 @@ def test_records_are_named_tuples():
 
 
 def test_changed_copies_are_validated():
-    """with_psi, normalized_params and _replace build through the validating
+    """normalized_params and _replace build through the validating
     constructor; a plain NamedTuple's _replace would skip it."""
     p = bench_params(0.25, -0.10)
     with pytest.raises(ParameterError, match="psi1"):
-        p.with_psi(1.0, -0.10)
+        p._replace(psi1=1.0)
     with pytest.raises(ParameterError, match="psi2"):
-        p.with_psi(0.25, 0.0)
+        p._replace(psi2=0.0)
     base = baseline_from_point(p, 5.5, 1.0, 0.6, 0.5)
     with pytest.raises(ParameterError, match="psi1 must be < 1, got 1.0"):
         normalized_params(1e16, 2.0, base, p)
@@ -201,7 +191,6 @@ def test_changed_copies_are_validated():
         (p, {"alpha1": 0.0}),
         (p, {"eps": 1.0}),
         (ReducedState(z=10.7, q=0.24, u=0.88, v=0.87), {"u": 1.0}),
-        (LevelState(k=1.0, h=1.0, c=0.1, u=0.5, v=0.4), {"k": -1.0}),
         (base, {"w_bar": 0.0}),
         (base, {"tau_bar": 2.0 * base.tau_bar}),
     ):
@@ -209,4 +198,4 @@ def test_changed_copies_are_validated():
             record._replace(**change)
         with pytest.raises(ParameterError):
             type(record)._make({**record._asdict(), **change}.values())
-    assert p._replace(rho=0.07).rho == 0.07 and p.with_psi(-0.15, -0.2).psi1 == -0.15
+    assert p._replace(rho=0.07).rho == 0.07 and p._replace(psi1=-0.15).psi1 == -0.15

@@ -21,7 +21,7 @@ from cesgrowth import (
     stability_report,
     steady_state,
 )
-from cesgrowth.stability import classify, rhs_reduced, rhs_reduced_values
+from cesgrowth.stability import classify, rhs_reduced_values
 
 from conftest import CASE_PSI, STIFF_POOL, bench_params
 
@@ -197,7 +197,7 @@ def _mpmath_jacobian(x, params):
 def test_jacobian_fd_matches_high_precision_differences(params_any_case):
     ss = steady_state(params_any_case)
     s = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    reference = _mpmath_jacobian(s.as_array().tolist(), params_any_case)
+    reference = _mpmath_jacobian(list(s), params_any_case)
     np.testing.assert_allclose(jacobian_fd(s, params_any_case), reference, rtol=1e-10)
 
 
@@ -229,7 +229,7 @@ def test_case_spectra_and_classification(case):
 def test_rhs_vanishes_at_steady_state(params_any_case):
     ss = steady_state(params_any_case)
     s = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    assert np.linalg.norm(rhs_reduced(s, params_any_case)) < 1e-8
+    assert np.linalg.norm(rhs_reduced_values(*s, params_any_case)) < 1e-8
 
 
 def test_rhs_singular_guards(params_case1):

@@ -24,13 +24,14 @@ from cesgrowth import (
 from cesgrowth import cli, steady
 from cesgrowth.core import tau_of
 from cesgrowth.params import ReducedState
-from cesgrowth.stability import rhs_reduced, stability_report
+from cesgrowth.stability import rhs_reduced_values, stability_report
 from cesgrowth.steady import closed_forms, transversality
 
 from conftest import (
     BENCH,
     CASE_PSI,
     KERNEL_OVERFLOW,
+    NEWTON_OVERFLOW,
     STIFF_POOL,
     U_STAR_AT_ONE,
     bench_params,
@@ -144,6 +145,20 @@ def test_kernel_overflow_ends_the_bracket_search(call):
         call(ModelParams(**KERNEL_OVERFLOW))
 
 
+def test_newton_step_that_overflows_takes_the_midpoint():
+    """A float Newton step in ln w above about 709 overflows e**step. The
+    proposal then lies outside the bracket, as an array's inf does, and the
+    bracket's midpoint is taken: one economy ends in a typed error, and the
+    other solves to the root its one-element family finds."""
+    with pytest.raises(AllocationOutOfRangeError, match=r"v\*=1\.0$"):
+        steady_state(ModelParams(**NEWTON_OVERFLOW[0]))
+    fields = NEWTON_OVERFLOW[1]
+    w = steady_state(ModelParams(**fields)).w_star
+    family = ModelParams(**{k: np.array([v]) for k, v in fields.items()})
+    with np.errstate(all="ignore"):
+        assert solve_w(family)[0] == pytest.approx(w, rel=1e-12)
+
+
 def test_kernel_overflow_through_numpy_scalars_is_not_a_silent_nan():
     """With numpy scalars the kernel returns inf or nan instead of raising."""
     params = ModelParams(**{k: np.float64(v) for k, v in KERNEL_OVERFLOW.items()})
@@ -219,7 +234,7 @@ def test_root_sits_at_the_gaps_rounding_level(params):
     """Newton's last step leaves w* where the gap is rounding noise, and x*
     a fixed point of the reduced system to the rounding of its coordinates.
 
-    One ulp in x*_j moves rhs_reduced by about |J_ij| ulp(x*_j). On the five
+    One ulp in x*_j moves rhs_reduced_values by about |J_ij| ulp(x*_j). On the five
     cases that sum is below 5e-14; on the stiff economies, where u* and v*
     lie about 1e-4 apart, it is 8e-11 to 6e-10, so no absolute bound fits
     both.
@@ -227,9 +242,9 @@ def test_root_sits_at_the_gaps_rounding_level(params):
     ss = steady_state(params)
     assert abs(gap_P(ss.w_star, params)) <= 1e-14
     x = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    ulps = np.array([math.ulp(t) for t in x.as_array()])
+    ulps = np.array([math.ulp(t) for t in x])
     rounding = np.max(np.abs(jacobian_fd(x, params)) @ ulps)
-    assert np.max(np.abs(rhs_reduced(x, params))) <= 4.0 * rounding
+    assert np.max(np.abs(rhs_reduced_values(*x, params))) <= 4.0 * rounding
 
 
 def test_newton_that_does_not_settle_is_a_typed_error(monkeypatch, tmp_path, capsys):
