@@ -30,7 +30,7 @@ def sector_rates(w, params: ModelParams) -> tuple:
 
     Returns (P1, P2, S1, S2, Y1, MPK, Y2, MPH, P) where
     S1 = alpha1 w^psi1 and S2 = alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)}
-    are the share terms (params.s2_terms holds S2's factor and exponent)
+    are the share terms (params.rate_terms holds S2's factor and exponent)
     and P1 = S1 + 1 - alpha1, P2 = S2 + 1 - alpha2;
     Y1 = A1 P1^{1/psi1} is goods output per unit hu and
     MPK = alpha1 A1 w^{psi1-1} P1^{1/psi1-1} its marginal product of capital;
@@ -44,19 +44,19 @@ def sector_rates(w, params: ModelParams) -> tuple:
     family = getattr(w, "ndim", 0) > 0  # params.is_array(w), inlined on the hot path
     if nonpositive.any() if family else nonpositive:
         raise ParameterError(f"w must be positive, got {w.real.min() if family else w.real}")
-    psi1, psi2 = params.psi1, params.psi2
-    s2_factor, s2_exponent = params.s2_terms
-    s1 = params.alpha1 * w**psi1
+    (alpha1, one_less_alpha1, one_less_alpha2, psi1, _, inv_psi1, inv_psi2,
+     s2_factor, s2_exponent, a1, a2, delta_gap) = params.rate_terms
+    s1 = alpha1 * w**psi1
     s2 = s2_factor * w**s2_exponent
     # 1 - alpha is summed first: it is exact for alpha >= 1/2, while s + 1
     # would round away a share term far below 1.
-    p1 = s1 + (1.0 - params.alpha1)
-    p2 = s2 + (1.0 - params.alpha2)
-    y1 = params.A1 * p1 ** (1.0 / psi1)
-    y2 = params.A2 * p2 ** (1.0 / psi2)
+    p1 = s1 + one_less_alpha1
+    p2 = s2 + one_less_alpha2
+    y1 = a1 * p1**inv_psi1
+    y2 = a2 * p2**inv_psi2
     mpk = y1 * s1 / (w * p1)
-    mph = (1.0 - params.alpha2) * y2 / p2
-    gap = mpk - mph - (params.delta_k - params.delta_h)
+    mph = one_less_alpha2 * y2 / p2
+    gap = mpk - mph - delta_gap
     return p1, p2, s1, s2, y1, mpk, y2, mph, gap
 
 
@@ -99,31 +99,34 @@ class AuxBundle(NamedTuple):
     P_eps: float
     H: float
 
-    @property
-    def singular(self) -> bool:
-        """True when R vanished (T = 0), a singular configuration."""
-        return abs(self.R) < R_FLOOR
 
+def _aux_values(w, u, v, params: ModelParams) -> tuple:
+    """(D, P, T, G1, G2, Q, R, P_eps, H) at (w, u, v) as a plain tuple, the one
+    place they are written; rhs_reduced_values unpacks it on its hot path.
 
-def aux_from_wuv(w: float, u: float, v: float, params: ModelParams) -> AuxBundle:
-    """Auxiliary bundle from (w, u, v) directly.
-
-    The bundle only involves powers of w (positive) and u, v linearly, so
-    it extends smoothly to allocations outside (0, 1); stable-manifold
+    They involve only powers of w (positive) and u, v linearly, so they
+    extend smoothly to allocations outside (0, 1); stable-manifold
     construction relies on that.
     """
     p1, p2, s1, s2, y1, _, y2, _, gap = sector_rates(w, params)
-    psi1, psi2 = params.psi1, params.psi2
-    t = (1.0 - params.alpha2) * s1 - (1.0 - params.alpha1) * s2
-    p_eps = (params.eps * v - 1.0) * s1 + params.eps * (1.0 - params.alpha1) * v
-    return AuxBundle(
-        D=(1.0 - u) * y2 - v / w * y1 + params.delta_k - params.delta_h,
-        P=gap,
-        T=t,
-        G1=(psi1 - psi2) * u + 1.0 - psi1,
-        G2=(psi1 - psi2) * v + 1.0 - psi1,
-        Q=p1 * p2,
-        R=(1.0 - psi1) * (1.0 - psi2) * t,
-        P_eps=p_eps,
-        H=y1 / (params.A1 * p1) * p_eps / w,
+    (_, one_less_alpha1, one_less_alpha2, psi1, psi2,
+     _, _, _, _, a1, _, _) = params.rate_terms
+    eps = params.eps
+    t = one_less_alpha2 * s1 - one_less_alpha1 * s2
+    p_eps = (eps * v - 1.0) * s1 + eps * one_less_alpha1 * v
+    return (
+        (1.0 - u) * y2 - v / w * y1 + params.delta_k - params.delta_h,
+        gap,
+        t,
+        (psi1 - psi2) * u + 1.0 - psi1,
+        (psi1 - psi2) * v + 1.0 - psi1,
+        p1 * p2,
+        (1.0 - psi1) * (1.0 - psi2) * t,
+        p_eps,
+        y1 / (a1 * p1) * p_eps / w,
     )
+
+
+def aux_from_wuv(w: float, u: float, v: float, params: ModelParams) -> AuxBundle:
+    """The auxiliary scalars at (w, u, v) of _aux_values, named."""
+    return AuxBundle(*_aux_values(w, u, v, params))

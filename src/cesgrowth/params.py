@@ -82,7 +82,7 @@ class ModelParams(Checked, _ModelParamsFields):
     substitution and rho the time-preference rate.
 
     Unlike the other records it has an instance __dict__, which holds the
-    cached kernel constants theta and s2_terms. A field given as a 0-d
+    cached kernel constants theta and rate_terms. A field given as a 0-d
     number (a numpy scalar, say) is stored as a Python float, so the
     kernel runs in float arithmetic; an array is stored as given.
     """
@@ -145,14 +145,16 @@ class ModelParams(Checked, _ModelParamsFields):
         return self.alpha1 * (1.0 - self.alpha2) / (self.alpha2 * (1.0 - self.alpha1))
 
     @cached_property
-    def s2_terms(self) -> tuple:
-        """(alpha2 theta^{-psi2/(1-psi2)}, psi2 (1-psi1)/(1-psi2)): the factor
-        and the exponent of w in the education share term S2."""
+    def rate_terms(self) -> tuple:
+        """Every constant core.sector_rates reads: (alpha1, 1-alpha1, 1-alpha2,
+        psi1, psi2, 1/psi1, 1/psi2, alpha2 theta^{-psi2/(1-psi2)},
+        psi2 (1-psi1)/(1-psi2), A1, A2, delta_k-delta_h). The two after 1/psi2
+        are the factor and the exponent of w in the education share term S2."""
         psi1, psi2 = self.psi1, self.psi2
-        return (
-            self.alpha2 * self.theta ** (-psi2 / (1.0 - psi2)),
-            psi2 * (1.0 - psi1) / (1.0 - psi2),
-        )
+        return (self.alpha1, 1.0 - self.alpha1, 1.0 - self.alpha2, psi1, psi2,
+                1.0 / psi1, 1.0 / psi2, self.alpha2 * self.theta ** (-psi2 / (1.0 - psi2)),
+                psi2 * (1.0 - psi1) / (1.0 - psi2), self.A1, self.A2,
+                self.delta_k - self.delta_h)
 
 
 class _ReducedStateFields(NamedTuple):

@@ -4,7 +4,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .core import UV_GAP_FLOOR, aux_from_wuv
+# aux_from_wuv is not called here: perfbench/spans.py wraps it in this namespace.
+from .core import R_FLOOR, UV_GAP_FLOOR, _aux_values, aux_from_wuv  # noqa: F401
 from .errors import ParameterError, SingularStateError
 from .params import ModelParams, ReducedState
 from .steady import COMPLEX_STEP, SteadyState, steady_state
@@ -28,21 +29,22 @@ def rhs_reduced_values(
     """
     if abs(u - v) < UV_GAP_FLOOR:
         raise SingularStateError(f"u - v = {u - v} too small", state=(z, q, u, v))
-    if u == 0.0 or (v / u * z).real <= 0.0:
+    w = v / u * z if u else 0.0
+    if w.real <= 0.0:
         raise SingularStateError(f"w = (v/u) z not positive at u={u}, v={v}, z={z}",
                                  state=(z, q, u, v))
-    bun = aux_from_wuv(v / u * z, u, v, params)
-    if bun.singular:
-        raise SingularStateError(f"R = {bun.R} vanishes", state=(z, q, u, v))
+    d, gap, _, g1, g2, pq, r, _, h = _aux_values(w, u, v, params)
+    if abs(r) < R_FLOOR:
+        raise SingularStateError(f"R = {r} vanishes", state=(z, q, u, v))
 
-    zdot = -(bun.D + q) * z
+    zdot = -(d + q) * z
     qdot = (
         q
-        - params.A1 * bun.H / params.eps
+        - params.A1 * h / params.eps
         - (params.rho - (params.eps - 1.0) * params.delta_k) / params.eps
     ) * q
-    udot = (bun.D + q + bun.G2 * bun.Q * bun.P / bun.R) * u * (1.0 - u) / (u - v)
-    vdot = (bun.D + q + bun.G1 * bun.Q * bun.P / bun.R) * v * (1.0 - v) / (u - v)
+    udot = (d + q + g2 * pq * gap / r) * u * (1.0 - u) / (u - v)
+    vdot = (d + q + g1 * pq * gap / r) * v * (1.0 - v) / (u - v)
     return zdot, qdot, udot, vdot
 
 

@@ -108,10 +108,12 @@ def solve_w(params: ModelParams):
     it ends at the first w where the gap overflows or is not finite. A
     safeguarded Newton iteration in ln w then refines it. Its slope
     d gap_P / d ln w is the complex step Im gap_P(w e^{ih}) / h through
-    sector_rates. An iterate is accepted once the Newton step it proposes
-    is at most NEWTON_RTOL, and a proposal outside the bracket (infinite
-    where e**step overflows), or none where the slope rounds to zero, is
-    replaced by the bracket's geometric midpoint.
+    sector_rates. An iterate is accepted once its Newton step, or the
+    bracket's relative width, is at most NEWTON_RTOL. A proposal outside the
+    bracket (infinite where e**step overflows), none where the slope rounds
+    to zero, or one that reverses the last step without halving it (rounding
+    noise in the gap sending Newton round a cycle) is replaced by the
+    bracket's geometric midpoint.
 
     One economy raises ParameterError for A2 <= 0, NoBracketError where
     no bracket is found and NoConvergenceError where the iteration does
@@ -151,7 +153,7 @@ def solve_w(params: ModelParams):
             )
 
     root = math.nan * g_one
-    w = (lo * hi) ** 0.5
+    w, last = (lo * hi) ** 0.5, 0.0
     for _ in range(MAX_NEWTON_STEPS):
         if not (ok.any() if family else ok):
             break
@@ -164,9 +166,12 @@ def solve_w(params: ModelParams):
         step = -g / slope if family or slope else math.nan
         proposal = w * _exp(step)
         done = ok & (abs(step) <= NEWTON_RTOL)
-        root = _where(done, proposal, root)
-        ok = ok ^ done  # done holds only where ok does
-        w = _where((lo < proposal) & (proposal < hi), proposal, (lo * hi) ** 0.5)
+        narrow = ok & (hi <= lo * (1.0 + NEWTON_RTOL))
+        root = _where(done, proposal, _where(narrow, w, root))
+        ok = ok ^ (done | narrow)  # both hold only where ok does
+        cycling = (step * last < 0.0) & (abs(step) > 0.5 * abs(last))
+        last, mid = step, (lo * hi) ** 0.5
+        w = _where(cycling, mid, _where((lo < proposal) & (proposal < hi), proposal, mid))
     if not family and ok:
         raise NoConvergenceError(
             f"Newton iteration for gap_P's root did not settle within "

@@ -55,6 +55,14 @@ NEWTON_OVERFLOW = (
      "psi2": 0.79, "delta_k": 0.16, "delta_h": 0.05, "eps": 6.8, "rho": 0.15},
 )
 
+# A validated economy whose gap near its root is rounding noise larger than
+# a Newton step of NEWTON_RTOL: P1^{1/psi1} with psi1 = 2.6e-5 raises P1's
+# rounding to the power 38 462. Newton's iterates alternated about the root.
+NEWTON_CYCLE = {
+    "A1": 3.088, "A2": 1.941, "alpha1": 0.706, "alpha2": 0.374, "psi1": 2.6e-5,
+    "psi2": 0.0777, "delta_k": 0.154, "delta_h": 0.268, "eps": 1.744, "rho": 0.213,
+}
+
 # Stiff economies (|lambda| of 400-1 100) from the benchmark's economy_scan
 # pool, perfbench.workloads.draw_economies(default_rng(12345), 3000)[i]:
 # their structural zero eigenvalue sits within 1e-6 of zero.

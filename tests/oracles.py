@@ -8,7 +8,9 @@ and their psi-derivatives against the normalized CES family.
 import math
 import sys
 
-from cesgrowth.core import UV_GAP_FLOOR, AuxBundle, aux_from_wuv, sector_rates, tau_of
+from cesgrowth.core import (
+    R_FLOOR, UV_GAP_FLOOR, AuxBundle, aux_from_wuv, sector_rates, tau_of,
+)
 from cesgrowth.errors import SingularStateError
 from cesgrowth.normalization import (
     Baseline,
@@ -73,7 +75,7 @@ def rhs_full(state: tuple, params: ModelParams) -> tuple:
     w = v / u * z
     reduced = ReducedState(z=z, q=max(c / k, sys.float_info.min), u=u, v=v)
     bun = aux_of(reduced, params)
-    if bun.singular:
+    if abs(bun.R) < R_FLOOR:
         raise SingularStateError(f"R = {bun.R} vanishes at this state", state=state)
     psi1, psi2 = params.psi1, params.psi2
     p1 = p1_of(w, params)

@@ -9,13 +9,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cesgrowth import (
     ModelParams,
     ReducedState,
     baseline_from_point,
-    baseline_from_steady_state,
     gap_P,
     saddle_path,
     solve_w,
@@ -27,7 +25,7 @@ from cesgrowth import (
 from cesgrowth.normalization import psi_of_sigma, share_pi
 from cesgrowth.stability import rhs_reduced_values
 
-from conftest import BENCH, CASE_PSI, bench_params
+from conftest import CASE_PSI, bench_params
 from oracles import (
     dpi_dpsi,
     dr_dpsi_at,

@@ -1,7 +1,5 @@
 """Normalized CES families, identities and comparative statics."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,6 @@ from cesgrowth import (
 )
 from cesgrowth.normalization import family_parameters, psi_of_sigma
 
-from conftest import bench_params
 from oracles import dpi_dpsi, dy_dpsi, identity_wwb, normalized_y, r_star_of_sigma
 
 

@@ -134,7 +134,7 @@ def test_array_fields_validate_elementwise():
 def _records():
     """One instance of every record type the package returns."""
     p = bench_params(0.25, -0.10)
-    p.theta, p.s2_terms  # fill the cache, so that assigning cannot pass as filling it
+    p.theta, p.rate_terms  # fill the cache, so that assigning cannot pass as filling it
     rep = stability_report(p)
     scn = parse_scenario({"params": dict(p._asdict()),
                           "sweep": {"lo": 0.5, "hi": 2.0, "n": 3}})
@@ -160,7 +160,7 @@ def test_records_refuse_every_assignment():
     for record in records:
         names = [record._fields[0], "not_a_field"]
         if isinstance(record, ModelParams):
-            names += ["theta", "s2_terms"]
+            names += ["theta", "rate_terms"]
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(record, name, 1.0)
