@@ -28,8 +28,6 @@ from .normalization import (
     compare_economies,
     mrs_from_params,
     normalized_params,
-    share_pi,
-    share_pi_bar,
 )
 from .params import ModelParams, ReducedState
 from .scenario import Scenario, load_scenario, parse_scenario

@@ -1,9 +1,11 @@
 """Stable-manifold trajectories of the reduced system and their levels.
 
-Everything here runs on Python floats; numpy is imported only when a
-Trajectory's array view is read.
+Everything here runs on Python floats, and on complex numbers where the
+manifold's expansion samples the rhs on a circle; numpy is imported only
+when a Trajectory's array view is read.
 """
 
+import cmath
 import math
 from functools import cached_property
 
@@ -11,6 +13,7 @@ from .core import sector_rates
 from .errors import (
     NoRealStableEigenvectorError,
     ParameterError,
+    SingularStateError,
     StepSizeUnderflowError,
     TargetNotReachedError,
 )
@@ -27,6 +30,13 @@ SADDLE_RTOL = 1e-10
 SADDLE_ATOL = 1e-13
 SEED_SCALE = 1e-6
 T_BUDGET = 500.0
+# Stable-manifold expansion (_stable_manifold): its order, the samples on
+# each circle, the first circle's radius relative to |x*|, and the largest
+# ratio of |s| between neighbouring rows reported from it.
+MANIFOLD_ORDER = 6
+MANIFOLD_SAMPLES = 8
+MANIFOLD_RADIUS = 1e-2
+MANIFOLD_ROW_RATIO = 0.8
 
 # Shampine's (1986) quartic dense output for the Dormand & Prince (1980)
 # 5(4) pair, one row per stage; the pair's own coefficients are written
@@ -92,9 +102,18 @@ class Trajectory:
 def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     """Construct the stable-manifold trajectory reaching z = z0.
 
-    Seeds at x* +/- eps v_s (v_s the unit stable eigenvector, sign chosen
-    so z moves toward z0), integrates in reversed time until z crosses z0,
-    then reports the path in forward-time order.
+    Near x* the manifold is the polynomial W of _stable_manifold, on which
+    the flow is s(t) = s0 e^{lambda t} exactly. The path starts at W(s0),
+    on the side (sign of s) where z moves toward z0, and is integrated in
+    reversed time until z crosses z0; a z0 that W already reaches is
+    solved for on W and nothing is integrated. The path is reported in
+    forward-time order: the stepper's steps, then rows of W at the exact
+    times of s(t) until |s| = SEED_SCALE |x*|.
+
+    meta records the stepper's "steps" (0 when nothing was integrated)
+    and "nfev", the expansion's "order", circle "radius", seed "s0" and
+    "seed_defect", the rhs calls "setup_nfev" of the Jacobian, the
+    expansion and its gate, and "t_stop", the time of the last row.
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
@@ -109,43 +128,193 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
                   "t_stop": 0.0},
         )
 
-    lam, v_s = stable_eigenpair(jacobian_fd(ReducedState(*x_star), params))
-    # Orient the offset so z initially moves toward z0.
+    jac = jacobian_fd(ReducedState(*x_star), params)
+    lam, v_s = stable_eigenpair(jac)
+    # Orient s so that z initially moves toward z0.
     sign = 1.0 if (v_s[0] > 0.0) == (z0 > ss.z_star) else -1.0
-    eps = sign * SEED_SCALE * math.hypot(*x_star)
-    x_seed = [x + eps * v for x, v in zip(x_star, v_s)]
-
-    def fun(x):
-        # The manifold may leave the (0,1) allocation box; the reduced
-        # equations remain smooth there.
-        zdot, qdot, udot, vdot = rhs_reduced_values(*x, params)
-        return -zdot, -qdot, -udot, -vdot
+    scale = math.hypot(*x_star)
+    s_end = sign * SEED_SCALE * scale
 
     def events(x):
         z, q, u, v = x
         return [z - z0, min(z, q, u, v) - BOX_MARGIN, abs(u - v) - UV_EVENT_GAP]
 
-    # The seed sits eps from the fixed point, so derivatives are tiny and
-    # the first-step heuristic would overshoot without a step cap.
-    ts, ys, nfev, hit = _dormand_prince(fun, x_seed, min(1.0, 0.5 / abs(lam.real)),
-                                        events)
-    if hit != 0:
-        reason = {1: "hit a coordinate floor", 2: "approached u = v",
-                  None: "travel budget exhausted"}[hit]
-        raise TargetNotReachedError(
-            f"z never crossed {z0} ({reason}; final z = {ys[-1][0]:g})"
-        )
-    # Reverse into forward-time order, starting at t = 0 on the far end.
-    t_stop = ts[-1]
-    meta = {
-        "steps": len(ts),
-        "nfev": nfev,
-        "stop_reason": "target_reached",
-        "t_stop": t_stop,
-        "stable_eigenvalue": lam,
-    }
-    return Trajectory(times=[t_stop - t for t in reversed(ts)], states=ys[::-1],
-                      meta=meta)
+    rate = lam.real
+    coeffs, radius, setup_nfev = _stable_manifold(params, x_star, jac, rate, v_s, scale)
+    seed = None
+    if coeffs is not None:
+        seed, calls = _seed(params, coeffs, rate, s_end, events)
+        setup_nfev += calls
+    if seed is None:  # no expansion passed its gate: the linear seed
+        coeffs = [x_star, v_s]
+        seed = s_end, _defect(params, coeffs, rate, s_end), [(0.0, _horner(coeffs, s_end))]
+        setup_nfev += 1
+    s0, defect, rows = seed
+    meta = {"order": len(coeffs) - 1, "radius": radius, "seed_defect": defect,
+            "setup_nfev": setup_nfev + len(jac), "stable_eigenvalue": lam}
+    if (rows[0][1][0] - z0) * (ss.z_star - z0) < 0.0:
+        # z0 lies between z* and W(s0): find it on W and integrate nothing.
+        s0 = _bisect(lambda s: _horner(coeffs, s)[0] - z0, min(0.0, s0), max(0.0, s0))
+        rows = _manifold_rows(coeffs, rate, s0, s_end)
+        ts, ys, nfev = [0.0], [rows[0][1]], 0
+    else:
+        def fun(x):
+            # The manifold may leave the (0,1) allocation box; the reduced
+            # equations remain smooth there.
+            zdot, qdot, udot, vdot = rhs_reduced_values(*x, params)
+            return -zdot, -qdot, -udot, -vdot
+
+        # Near the seed derivatives are small, so the first-step heuristic
+        # would overshoot without a step cap.
+        ts, ys, nfev, hit = _dormand_prince(fun, rows[0][1], min(1.0, 0.5 / abs(rate)),
+                                            events)
+        if hit != 0:
+            reason = {1: "hit a coordinate floor", 2: "approached u = v",
+                      None: "travel budget exhausted"}[hit]
+            raise TargetNotReachedError(
+                f"z never crossed {z0} ({reason}; final z = {ys[-1][0]:g})"
+            )
+    # Forward time: t = 0 at z0, the stepper's steps reversed, then W.
+    t_seed = ts[-1]
+    times = [t_seed - t for t in reversed(ts)] + [t_seed + t for t, _ in rows[1:]]
+    states = ys[::-1] + [x for _, x in rows[1:]]
+    meta.update(steps=len(ts) if nfev else 0, nfev=nfev, s0=s0,
+                stop_reason="target_reached", t_stop=times[-1])
+    return Trajectory(times=times, states=states, meta=meta)
+
+
+def _horner(coeffs, s):
+    """W(s) = sum_k coeffs[k] s^k, each coefficient a 4-vector."""
+    x = list(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        x = [a * s + b for a, b in zip(x, c)]
+    return x
+
+
+def _defect(params, coeffs, rate, s):
+    """Invariance defect of W at s, as a share of the stepper's tolerance.
+
+    E = rhs(W(s)) - lambda s W'(s) vanishes on the exact manifold. It is a
+    velocity: a W off the manifold by D has E = (J - k lambda) D at order
+    k, and every eigenvalue of J - k lambda I has modulus at least
+    |lambda|, so |E| / |lambda| bounds the seed's distance from the
+    manifold. That distance is measured like the stepper's local error, as
+    the root mean square of its components over SADDLE_ATOL + SADDLE_RTOL
+    |W_i|, and returned times SADDLE_RTOL, for comparison with it.
+    """
+    x = _horner(coeffs, s)
+    dx = _horner([[k * a for a in c] for k, c in enumerate(coeffs)][1:], s)
+    f = rhs_reduced_values(*x, params)
+    err = [(fi - rate * s * di) / rate / (SADDLE_ATOL + SADDLE_RTOL * abs(xi))
+           for fi, di, xi in zip(f, dx, x)]
+    return SADDLE_RTOL * math.hypot(*err) / 2.0
+
+
+def _stable_manifold(params, x_star, jac, rate, v_s, scale):
+    """(coefficients, radius, rhs calls) of the stable manifold's expansion.
+
+    The coefficients [x*, v_s, a_2, ..., a_K], K = MANIFOLD_ORDER, give
+    W(s) = x* + v_s s + sum_k a_k s^k with rhs(W(s)) = lambda s W'(s), on
+    which the flow is s(t) = s0 e^{lambda t}: the parameterization method
+    of Cabre, Fontich & de la Llave (2003), Indiana Univ. Math. J. 52.
+    Order k solves (J - k lambda I) a_k = -[rhs(W_{<k})]_k, which is not
+    singular, as k lambda is no eigenvalue of a saddle with one stable
+    root. The right side, the k-th Taylor coefficient of the rhs along the
+    expansion so far, is a DFT of its samples at N = MANIFOLD_SAMPLES
+    points on the circle |s| = r (Lyness & Moler 1967, SIAM J. Numer.
+    Anal. 4). W is real, so conjugate points give conjugate samples, and
+    N/2 + 1 of them are evaluated.
+
+    The first order's samples also give the first coefficient, J v_s =
+    lambda v_s, which is known. Where they miss it by more than
+    SADDLE_RTOL |lambda|, a singularity near the circle aliases into
+    every coefficient. That error falls like r^N, so a second circle is
+    taken, of the radius that error implies, halved. The first circle's
+    radius is MANIFOLD_RADIUS |x*|. coefficients is None where both
+    circles fail or a sample is singular.
+    """
+    n = MANIFOLD_SAMPLES
+    roots = [cmath.exp(2j * math.pi * j / n) for j in range(n // 2 + 1)]
+    r, calls = MANIFOLD_RADIUS * scale, 0
+    for circle in range(2):
+        coeffs = [list(x_star), list(v_s)]
+        try:
+            for k in range(2, MANIFOLD_ORDER + 1):
+                f = [rhs_reduced_values(*_horner(coeffs, r * w), params) for w in roots]
+                calls += len(roots)
+                if k == 2:
+                    miss = max(abs(c - rate * v) for c, v in zip(_dft(f, roots, 1, r), v_s))
+                    if miss > SADDLE_RTOL * abs(rate):
+                        break
+                m = [[x - k * rate if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(jac)]
+                coeffs.append(_solve_pivoted(m, [-c for c in _dft(f, roots, k, r)]))
+            else:
+                return coeffs, r, calls
+        except SingularStateError:
+            break
+        if circle == 0:
+            r *= 0.5 * (SADDLE_RTOL * abs(rate) / miss) ** (1.0 / n)
+    return None, r, calls
+
+
+def _dft(f, roots, k, r):
+    """k-th Taylor coefficient, per component, of a real-analytic g from its
+    samples f at s = r w over roots, the N-th roots of unity w on the upper
+    half circle, 1 first and -1 last; the lower half are their conjugates."""
+    n = 2 * (len(roots) - 1)
+    half = [[(x * w ** -k).real for x in fx] for fx, w in zip(f[1:-1], roots[1:-1])]
+    return [(g0.real + (-1) ** k * gn.real + 2.0 * sum(h)) / (n * r**k)
+            for g0, gn, *h in zip(f[0], f[-1], *half)]
+
+
+def _seed(params, coeffs, rate, s_end, events):
+    """((s0, defect at s0, rows), rhs calls) of the seed on W, on s_end's
+    side; None in place of the triple where no seed passes.
+
+    s0 starts where the last term, |a_K| |s|^K, is SADDLE_RTOL |x*|, and
+    halves until _defect at both s0 and -s0 is at most SADDLE_RTOL and W
+    clears the coordinate floor and the u = v gap at s0 and at every row
+    reported from it. The decay alone is no gate: past the radius of
+    convergence the terms still fall while their sum is wrong. The search
+    gives up when |s0| falls to |s_end|. rows are _manifold_rows from s0.
+    """
+    k = len(coeffs) - 1
+    s0 = math.copysign((SADDLE_RTOL * math.hypot(*coeffs[0])
+                        / math.hypot(*coeffs[k])) ** (1.0 / k), s_end)
+    calls = 0
+    while abs(s0) > abs(s_end):
+        try:
+            calls += 1
+            defect = _defect(params, coeffs, rate, s0)
+            if defect <= SADDLE_RTOL:
+                calls += 1
+                if _defect(params, coeffs, rate, -s0) <= SADDLE_RTOL:
+                    rows = _manifold_rows(coeffs, rate, s0, s_end)
+                    if all(min(events(x)[1:]) > 0.0 for _, x in rows):
+                        return (s0, defect, rows), calls
+        except SingularStateError:
+            pass
+        s0 *= 0.5
+    return None, calls
+
+
+def _manifold_rows(coeffs, rate, s0, s_end):
+    """(t, W(s)) at s0 (t = 0) and at the rows reported from W after it, at
+    the exact times of s(t) = s0 e^{lambda t}, the last row at s_end.
+
+    They are spaced as a fifth-order step control at a fixed local error
+    would space them, for an error proportional to |s|: the step in
+    ln |s| grows as |s|^(-1/5) from ln(1/MANIFOLD_ROW_RATIO) at s0.
+    """
+    first, end = -math.log(MANIFOLD_ROW_RATIO), math.log(s0 / s_end)
+    rows, tau = [(0.0, s0)], first
+    while tau < end:
+        rows.append((tau / -rate, s0 * math.exp(-tau)))
+        tau += first * math.exp(0.2 * tau)
+    if end > 0.0:
+        rows.append((end / -rate, s_end))
+    return [(t, _horner(coeffs, s)) for t, s in rows]
 
 
 def stable_eigenpair(jac) -> tuple:
@@ -153,9 +322,7 @@ def stable_eigenpair(jac) -> tuple:
     eigenvector, of either sign.
 
     lambda is the eigenvalue of least real part from eigen4, and v the null
-    vector of J - lambda I by Gaussian elimination with complete pivoting:
-    the last pivot is taken as zero and the other three coordinates follow
-    by back substitution from a unit free coordinate.
+    vector of J - lambda I from _solve_pivoted.
     """
     lam = eigen4(jac)[0]
     if lam.real >= -TOL_ZERO:
@@ -168,29 +335,43 @@ def stable_eigenpair(jac) -> tuple:
         )
     a = [[x - lam.real if i == j else x for j, x in enumerate(row)]
          for i, row in enumerate(jac)]
-    cols = [0, 1, 2, 3]
-    for k in range(3):
-        _, p, q = max((abs(a[i][j]), i, j) for i in range(k, 4) for j in range(k, 4))
+    v = _solve_pivoted(a)
+    if v is None:
+        raise NoRealStableEigenvectorError(f"stable eigenvalue {lam} is not simple")
+    norm = math.hypot(*v)
+    return lam, [c / norm for c in v]
+
+
+def _solve_pivoted(a, b=None):
+    """x with a x = b, by Gaussian elimination with complete pivoting.
+
+    Without b, the last pivot is taken as zero and x is the null vector
+    whose free coordinate is 1, found by back substitution. None where
+    another pivot is exactly zero.
+    """
+    n = len(a)
+    a = [list(row) + [0.0 if b is None else b[i]] for i, row in enumerate(a)]
+    cols = list(range(n))
+    m = n - 1 if b is None else n
+    for k in range(m):
+        _, p, q = max((abs(a[i][j]), i, j) for i in range(k, n) for j in range(k, n))
         if not a[p][q]:
-            raise NoRealStableEigenvectorError(
-                f"stable eigenvalue {lam} is not simple"
-            )
+            return None
         a[k], a[p] = a[p], a[k]
         for row in a:
             row[k], row[q] = row[q], row[k]
         cols[k], cols[q] = cols[q], cols[k]
         for row in a[k + 1:]:
             f = row[k] / a[k][k]
-            for j in range(k, 4):
+            for j in range(k, n + 1):
                 row[j] -= f * a[k][j]
-    x = [0.0, 0.0, 0.0, 1.0]
-    for k in (2, 1, 0):
-        x[k] = -sum(a[k][j] * x[j] for j in range(k + 1, 4)) / a[k][k]
-    v = [0.0] * 4
+    x = [0.0] * (n - 1) + [1.0] if b is None else [0.0] * n
+    for k in reversed(range(m)):
+        x[k] = (a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))) / a[k][k]
+    v = [0.0] * n
     for k, c in enumerate(cols):
         v[c] = x[k]
-    norm = math.hypot(*v)
-    return lam, [c / norm for c in v]
+    return v
 
 
 def _dormand_prince(fun, y, max_step, events):

@@ -217,34 +217,6 @@ def normalized_params(
     )
 
 
-def _current_ratio(sector: int, w: float, tau: float | None) -> float:
-    _check_sector(sector)
-    if w <= 0.0:
-        raise ParameterError(f"w must be positive, got {w}")
-    if sector == 1:
-        return w
-    if tau is None or tau <= 0.0:
-        raise ParameterError("sector 2 requires a positive tau")
-    return w / tau
-
-
-def share_pi(
-    sigma: float, baseline: Baseline, sector: int, w: float, tau: float | None = None
-) -> float:
-    """Physical-capital share pi = x_bar^{1-psi} x^psi / (x_bar^{1-psi} x^psi + m)."""
-    psi = psi_of_sigma(sigma)
-    x_bar = baseline.effective_ratio(sector)
-    x = _current_ratio(sector, w, tau)
-    num = x_bar ** (1.0 - psi) * x ** psi
-    return num / (num + baseline.m)
-
-
-def share_pi_bar(baseline: Baseline, sector: int) -> float:
-    """Baseline share x_bar / (x_bar + m); independent of sigma."""
-    x_bar = baseline.effective_ratio(sector)
-    return x_bar / (x_bar + baseline.m)
-
-
 class ComparisonRow(NamedTuple):
     name: str
     value_a: float
@@ -254,12 +226,6 @@ class ComparisonRow(NamedTuple):
 
 class ComparisonTable(NamedTuple):
     rows: tuple
-
-    def row(self, name: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 _NON_TECH_FIELDS = ("A1", "A2", "alpha1", "alpha2", "delta_k", "delta_h", "eps", "rho")

@@ -2,7 +2,8 @@
 
 No command of the package needs these. They check it from outside: the
 level system rhs_full against the reduced system, the share-form outputs
-and their psi-derivatives against the normalized CES family.
+and their psi-derivatives against the normalized CES family, and the
+rows of a comparison table by name.
 """
 
 import math
@@ -11,18 +12,53 @@ import sys
 from cesgrowth.core import (
     R_FLOOR, UV_GAP_FLOOR, AuxBundle, aux_from_wuv, sector_rates, tau_of,
 )
-from cesgrowth.errors import SingularStateError
+from cesgrowth.errors import ParameterError, SingularStateError
 from cesgrowth.normalization import (
     Baseline,
+    ComparisonRow,
+    ComparisonTable,
     _check_sector,
-    _current_ratio,
     normalized_params,
     psi_of_sigma,
-    share_pi,
-    share_pi_bar,
 )
 from cesgrowth.params import ModelParams, ReducedState
 from cesgrowth.steady import steady_state
+
+
+def _current_ratio(sector: int, w: float, tau: float | None) -> float:
+    _check_sector(sector)
+    if w <= 0.0:
+        raise ParameterError(f"w must be positive, got {w}")
+    if sector == 1:
+        return w
+    if tau is None or tau <= 0.0:
+        raise ParameterError("sector 2 requires a positive tau")
+    return w / tau
+
+
+def share_pi(
+    sigma: float, baseline: Baseline, sector: int, w: float, tau: float | None = None
+) -> float:
+    """Physical-capital share pi = x_bar^{1-psi} x^psi / (x_bar^{1-psi} x^psi + m)."""
+    psi = psi_of_sigma(sigma)
+    x_bar = baseline.effective_ratio(sector)
+    x = _current_ratio(sector, w, tau)
+    num = x_bar ** (1.0 - psi) * x ** psi
+    return num / (num + baseline.m)
+
+
+def share_pi_bar(baseline: Baseline, sector: int) -> float:
+    """Baseline share x_bar / (x_bar + m); independent of sigma."""
+    x_bar = baseline.effective_ratio(sector)
+    return x_bar / (x_bar + baseline.m)
+
+
+def comparison_row(table: ComparisonTable, name: str) -> ComparisonRow:
+    """The row of a compare_economies table named name."""
+    for r in table.rows:
+        if r.name == name:
+            return r
+    raise KeyError(name)
 
 
 def powz(base: float, expo: float) -> float:

@@ -22,7 +22,7 @@ from cesgrowth import (
     y1_of,
     y2_of,
 )
-from cesgrowth.normalization import psi_of_sigma, share_pi
+from cesgrowth.normalization import psi_of_sigma
 from cesgrowth.stability import rhs_reduced_values
 
 from conftest import CASE_PSI, bench_params
@@ -33,6 +33,7 @@ from oracles import (
     identity_wwb,
     normalized_y,
     r_star_closed_form,
+    share_pi,
 )
 
 CASE_TARGETS = {

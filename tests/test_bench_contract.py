@@ -42,8 +42,11 @@ def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
 
 
 def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
-    """dynamics.rhs_calls_per_path counts the wrapped dynamics.rhs_reduced_values;
-    every rhs call the stepper reports in nfev must pass through it."""
+    """dynamics.rhs_calls_per_path counts the wrapped rhs_reduced_values;
+    every rhs call the stepper reports in nfev, and every set-up call of
+    the stable manifold, must pass through dynamics' binding. The
+    Jacobian's four set-up calls pass through stability's, which the
+    tracer also wraps."""
     calls = []
     original = dynamics.rhs_reduced_values
 
@@ -54,4 +57,5 @@ def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
     monkeypatch.setattr(dynamics, "rhs_reduced_values", counting)
     params = bench_params(0.25, -0.10)
     traj = dynamics.saddle_path(params, 0.9 * steady.steady_state(params).z_star)
-    assert len(calls) == traj.meta["nfev"] > 0
+    assert len(calls) == traj.meta["nfev"] + traj.meta["setup_nfev"] - 4
+    assert traj.meta["nfev"] > 0

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import RK45, cumulative_trapezoid, solve_ivp
@@ -28,6 +29,7 @@ from cesgrowth import dynamics
 from cesgrowth.core import sector_rates
 from cesgrowth.stability import TOL_ZERO, rhs_reduced_values
 
+import reference_paths
 from conftest import CASE_PSI, STIFF_POOL, bench_params
 from test_acceptance import random_baseline
 
@@ -40,6 +42,13 @@ from perfbench.workloads import POOL_SEED, POOL_SIZE, draw_economies  # noqa: E4
 def steady_point(params):
     ss = steady_state(params)
     return ss, ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
+
+
+def params_of(name):
+    """A paper case ("case1".."case5") or a STIFF_POOL economy ("stiff35")."""
+    if name.startswith("stiff"):
+        return ModelParams(**STIFF_POOL[int(name[5:])])
+    return bench_params(*CASE_PSI[int(name[4:])])
 
 
 def forward(x0, params, t_end, rtol=1e-9):
@@ -198,7 +207,9 @@ def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch
     rather than numpy-scalar arithmetic, and calls the kernel once per rhs call.
     Its step control stays in floats too: a numpy scalar there (a max_step
     from a numpy eigenvalue, say) would turn every time and stage value into
-    one."""
+    one. Before the stepper, the manifold's set-up calls the kernel on
+    complex circle samples and on float gate points; its count leaves out
+    the Jacobian's four calls, which go through the stability module."""
     calls = []
     kernel = dynamics.rhs_reduced_values
 
@@ -208,8 +219,10 @@ def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch
 
     monkeypatch.setattr(dynamics, "rhs_reduced_values", spy)
     traj = saddle_path(params_any_case, 1.1 * steady_state(params_any_case).z_star)
-    assert len(calls) == traj.meta["nfev"] > 0
-    assert all(type(a) is float for args in calls for a in args)
+    nfev = traj.meta["nfev"]
+    assert len(calls) == traj.meta["setup_nfev"] - 4 + nfev and nfev > 0
+    assert all(type(a) is float for args in calls[-nfev:] for a in args)
+    assert all(type(a) in (float, complex) for args in calls[:-nfev] for a in args)
     assert type(traj.meta["t_stop"]) is float
     assert all(type(t) is float for t in traj.time_rows)
     assert all(type(x) is float for row in traj.state_rows for x in row)
@@ -246,8 +259,7 @@ def check_stable_pair(jac) -> bool:
 @pytest.mark.parametrize("economy", [f"case{c}" for c in CASE_PSI]
                          + [f"stiff{i}" for i in STIFF_POOL])
 def test_stable_eigenvector_matches_lapack(economy):
-    params = (ModelParams(**STIFF_POOL[int(economy[5:])]) if economy.startswith("stiff")
-              else bench_params(*CASE_PSI[int(economy[4:])]))
+    params = params_of(economy)
     assert check_stable_pair(stability_report(params).jacobian)
 
 
@@ -318,14 +330,23 @@ PARITY_STARTS = (
 def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatch):
     """The in-house Dormand-Prince stepper against scipy's RK45 as the oracle.
 
-    Over the whole path: the same accepted steps and rhs calls and the same
-    stop. scipy sums the stages with numpy's dot products, the stepper with
-    plain float sums; the last-ulp difference in the error norm, a
-    difference formed by cancellation, moves every later step size by about
-    1e-7, so stored times are not compared. The stopping time must agree
-    to within four times the spread that moving one seed coordinate by one
-    ulp causes in scipy's own (about 1e-11 on most starts, 1e-8 on those
-    that pass u = v = 1), and to 1e-7 in any case.
+    Over the integrated segment, from the seed on the stable manifold to
+    z0: the same accepted steps and rhs calls and the same stop. A path
+    that reaches z0 holds those steps, reversed, followed by the rows
+    reported from the manifold after the seed. scipy sums the stages with
+    numpy's dot products, the stepper with plain float sums; the last-ulp
+    difference in the error norm, a difference formed by cancellation,
+    moves every later step size by about 1e-7, so stored times are not
+    compared. The stopping time must agree to within four times the spread
+    that moving one seed coordinate by one ulp causes in scipy's own: about
+    1e-14 on most starts. It must also agree to 1e-7 relative, except on a
+    path that crosses u = 1. u = 1 and v = 1 are invariant planes of the
+    rhs, so such a path passes through their meeting point with the
+    singular line u = v, where the one-ulp spread depends on how close it
+    passes. From the seed on the expansion, case 1's path from 0.9 z*
+    passes at |u - v| = 4.9e-7 and its stop spreads by 5.5e-6 (1.6e-5 from
+    0.5 z*); from the linear seed it passed at 7.7e-7, with a spread of
+    6e-9.
 
     Step by step: scipy's RK45 started at each stored state, with the
     stored step as its first step, reproduces the next stored state to
@@ -334,19 +355,31 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
     smaller than the state, and the rhs's 1/(u - v) magnifies rounding. The
     last state, interpolated at the event, has no stored step.
     """
-    params = (ModelParams(**STIFF_POOL[35]) if economy == "stiff35"
-              else bench_params(*CASE_PSI[int(economy[-1])]))
-    z0 = factor * steady_state(params).z_star
+    params = params_of(economy)
+    ss = steady_state(params)
+    z0 = factor * ss.z_star
     result, (sol, *nudged), (fun, max_step, ts, ys) = rk45_replay(params, z0, monkeypatch)
     hit = [len(te) > 0 for te in sol.t_events]
     spread = max(abs(s.t[-1] - sol.t[-1]) for s in nudged)
     assert len(ts) == len(sol.t)
-    assert abs(ts[-1] - sol.t[-1]) <= min(4.0 * spread, 1e-7 * sol.t[-1])
+    through_singular_point = any(y[2] > 1.0 for y in ys)
+    assert abs(ts[-1] - sol.t[-1]) <= (
+        4.0 * spread if through_singular_point else min(4.0 * spread, 1e-7 * sol.t[-1]))
     if outcome == "target_reached":
         assert hit[0] and sol.status == 1
-        assert len(result) == len(sol.t)
+        s0, rate = result.meta["s0"], result.meta["stable_eigenvalue"].real
+        s_end = math.copysign(
+            dynamics.SEED_SCALE * math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star), s0)
+        rows = dynamics._manifold_rows(manifold_of(params)[3], rate, s0, s_end)
+        assert rows[0][1] == ys[0]
+        assert len(result) == len(sol.t) + len(rows) - 1
+        assert result.state_rows[len(ts):] == [x for _, x in rows[1:]]
+        assert result.meta["steps"] == len(ts)
         assert result.meta["nfev"] == sol.nfev
-        assert result.meta["t_stop"] == ts[-1]
+        assert result.state_rows[:len(ts)] == ys[::-1]
+        assert result.time_rows[len(ts) - 1] == ts[-1]
+        assert result.meta["t_stop"] == result.time_rows[-1] == (
+            ts[-1] + math.log(s0 / s_end) / -rate)
     else:
         assert hit == [False, outcome == "hit a coordinate floor",
                        outcome == "approached u = v"]
@@ -360,6 +393,215 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         rk.step()
         assert rk.t == ts[i + 1]
         assert np.max(np.abs(rk.y - ys[i + 1])) <= 1e-14 * np.max(np.abs(ys[i + 1]))
+
+
+def manifold_of(params):
+    """(x*, J, lambda, coefficients, radius) of saddle_path's expansion."""
+    ss, s = steady_point(params)
+    jac = jacobian_fd(s, params)
+    lam, v_s = dynamics.stable_eigenpair(jac)
+    x_star = tuple(s)
+    coeffs, radius, _ = dynamics._stable_manifold(params, x_star, jac, lam.real, v_s,
+                                                  math.hypot(*x_star))
+    return x_star, jac, lam.real, coeffs, radius
+
+
+def invariance_defect(params, coeffs, rate, s):
+    """rms_i |E_i| / (|lambda| (atol + rtol |W_i|)) times rtol, with
+    E = rhs(W(s)) - lambda s W'(s) and W summed term by term."""
+    x = [sum(c[i] * s**k for k, c in enumerate(coeffs)) for i in range(4)]
+    dx = [sum(k * c[i] * s ** (k - 1) for k, c in enumerate(coeffs) if k) for i in range(4)]
+    e = [(f - rate * s * d) / abs(rate)
+         for f, d in zip(rhs_reduced_values(*x, params), dx)]
+    tol = [dynamics.SADDLE_ATOL + dynamics.SADDLE_RTOL * abs(xi) for xi in x]
+    return dynamics.SADDLE_RTOL * math.sqrt(sum((a / b) ** 2 for a, b in zip(e, tol)) / 4)
+
+
+# The paper cases from above z*, the stiff economies from below (from
+# above, their paths stop at u = v): each path is integrated from a seed
+# on the order-MANIFOLD_ORDER expansion.
+GATED_STARTS = ([(f"case{c}", 1.1) for c in CASE_PSI]
+                + [(f"stiff{i}", 0.9) for i in STIFF_POOL])
+
+
+@pytest.mark.parametrize("name, factor", GATED_STARTS)
+def test_seed_passes_the_invariance_gate(name, factor):
+    """At +-s0 the expansion's invariance defect, recomputed term by term,
+    is within the stepper's tolerance, as the seed record says."""
+    params = params_of(name)
+    traj = saddle_path(params, factor * steady_state(params).z_star)
+    x_star, _, rate, coeffs, radius = manifold_of(params)
+    s0 = traj.meta["s0"]
+    assert traj.meta["order"] == dynamics.MANIFOLD_ORDER == len(coeffs) - 1
+    assert traj.meta["radius"] == radius
+    assert abs(s0) > dynamics.SEED_SCALE * math.hypot(*x_star)
+    assert traj.meta["seed_defect"] == pytest.approx(
+        invariance_defect(params, coeffs, rate, s0), rel=1e-6)
+    for s in (s0, -s0):
+        assert invariance_defect(params, coeffs, rate, s) <= dynamics.SADDLE_RTOL
+
+
+@pytest.mark.parametrize("name, factor", GATED_STARTS)
+def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor):
+    """a_2 and a_3 against an oracle without a DFT: the Taylor coefficient
+    [rhs(W_{<k})]_k by mpmath.diff at 40 digits, along the package's own
+    truncated W, and (J - k lambda I) a_k = -[rhs(W_{<k})]_k solved by
+    mpmath.lu_solve. The DFT's error is rounding divided by r^k plus
+    aliasing from singularities near the circle, up to 8e-8 relative on
+    a_3 of case 1 (r = 1.1e-3 |x*|) and more on the stiff economies' tiny
+    a_3. What it costs the path is its term at the seed: |da_k| |s0|^k
+    stays below 5 % of SADDLE_RTOL |x*| (up to 0.54 % is measured)."""
+    params = params_of(name)
+    s0 = saddle_path(params, factor * steady_state(params).z_star).meta["s0"]
+    x_star, jac, rate, coeffs, _ = manifold_of(params)
+    with mpmath.workdps(40):
+        for k in (2, 3):
+            def along_w(s, i):
+                x = [sum(mpmath.mpf(c[j]) * s**p for p, c in enumerate(coeffs[:k]))
+                     for j in range(4)]
+                return rhs_reduced_values(*x, params)[i]
+
+            rhs_k = [mpmath.diff(lambda s: along_w(s, i), 0, k) / mpmath.factorial(k)
+                     for i in range(4)]
+            m = mpmath.matrix([[jac[i][j] - (k * rate if i == j else 0.0) for j in range(4)]
+                               for i in range(4)])
+            a_k = mpmath.lu_solve(m, mpmath.matrix([-c for c in rhs_k]))
+            err = max(abs(float(a_k[i]) - coeffs[k][i]) for i in range(4))
+            assert err * abs(s0) ** k <= 0.05 * dynamics.SADDLE_RTOL * math.hypot(*x_star)
+
+
+@pytest.mark.parametrize("case, factor", reference_paths.STARTS)
+def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
+    """Paths built on the circle saddle_path chooses, of radius r, and on
+    one of radius r/2 start at the same (q, u, v) to SADDLE_RTOL relative
+    and report the same clock to 1e-9; measured: 1.5e-11 and 5e-11 at
+    most. The starts are the reference table's: case 1 from below z*
+    passes u = v = 1, where any change of the seed moves the path far more
+    (see test_saddle_path_takes_scipy_rk45_steps)."""
+    params = bench_params(*CASE_PSI[case])
+    z0 = factor * steady_state(params).z_star
+    wide = saddle_path(params, z0)
+    expansion = dynamics._stable_manifold
+
+    def halved(params, x_star, jac, rate, v_s, scale):
+        radius = expansion(params, x_star, jac, rate, v_s, scale)[1]
+        monkeypatch.setattr(dynamics, "MANIFOLD_RADIUS", radius / 2 / scale)
+        return expansion(params, x_star, jac, rate, v_s, scale)
+
+    monkeypatch.setattr(dynamics, "_stable_manifold", halved)
+    narrow = saddle_path(params, z0)
+    assert narrow.meta["radius"] == pytest.approx(wide.meta["radius"] / 2, rel=1e-15)
+    for a, b in zip(wide.state_rows[0][1:], narrow.state_rows[0][1:]):
+        assert abs(a - b) <= dynamics.SADDLE_RTOL * abs(b)
+    assert abs(wide.meta["t_stop"] - narrow.meta["t_stop"]) <= 1e-9
+
+
+@pytest.mark.parametrize("event, outcome", [("UV_EVENT_GAP", "approached u = v"),
+                                            ("BOX_MARGIN", "hit a coordinate floor")])
+def test_manifold_rows_respect_the_events_of_stepped_rows(event, outcome, monkeypatch):
+    """With the u - v gap (or the coordinate floor) moved to where W crosses
+    it at |s| = 1e-3 |x*|, inside the seed's usual 6.7e-3 |x*|, the seed
+    moves inside the event, and the path stops there as a stepped path
+    would. Case 1 from below z* narrows u - v, from above it lowers q."""
+    params = params_of("case1")
+    x_star, _, _, coeffs, _ = manifold_of(params)
+    s = math.copysign(1e-3 * math.hypot(*x_star), -1.0 if event == "UV_EVENT_GAP" else 1.0)
+    z, q, u, v = (sum(c[i] * s**k for k, c in enumerate(coeffs)) for i in range(4))
+    monkeypatch.setattr(dynamics, event, u - v if event == "UV_EVENT_GAP" else q)
+    seeds = []
+    stepper = dynamics._dormand_prince
+
+    def spy(fun, y0, max_step, events):
+        seeds.append(events(y0))
+        return stepper(fun, y0, max_step, events)
+
+    monkeypatch.setattr(dynamics, "_dormand_prince", spy)
+    factor = 0.9 if event == "UV_EVENT_GAP" else 1.1
+    with pytest.raises(TargetNotReachedError, match=outcome):
+        saddle_path(params, factor * steady_state(params).z_star)
+    (_, floor, gap), = seeds
+    assert floor > 0.0 and gap > 0.0
+
+
+def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
+    """Case 2 from 1.001 z*, where z0 lies between z* and W(s0): the path is
+    solved for on W, its first row at z0, and the stepper never runs.
+    Every row follows from the one before by scipy's RK45 at rtol 1e-12
+    to 1e-11 relative, and the clock is the conjugacy's ln(s_end/s) /
+    lambda."""
+    params = params_of("case2")
+    x_star, _, rate, _, _ = manifold_of(params)
+    z0 = 1.001 * x_star[0]
+    monkeypatch.setattr(dynamics, "_dormand_prince", None)
+    traj = saddle_path(params, z0)
+    assert traj.meta["steps"] == traj.meta["nfev"] == 0
+    assert traj.state_rows[0][0] == pytest.approx(z0, rel=4e-16)
+    s_end = math.copysign(dynamics.SEED_SCALE * math.hypot(*x_star), traj.meta["s0"])
+    assert traj.meta["t_stop"] == traj.time_rows[-1] == pytest.approx(
+        math.log(s_end / traj.meta["s0"]) / rate, rel=1e-14)
+    assert len(traj) > 1
+    for (t0, x0), (t1, x1) in zip(zip(traj.time_rows, traj.state_rows),
+                                  zip(traj.time_rows[1:], traj.state_rows[1:])):
+        sol = solve_ivp(lambda _t, x: rhs_reduced_values(*x, params), (t0, t1), x0,
+                        rtol=1e-12, atol=1e-15)
+        assert np.max(np.abs(sol.y[:, -1] - x1)) <= 1e-11 * np.max(np.abs(x1))
+
+
+@pytest.mark.parametrize("how", ["no circle passes", "no seed passes the gate"])
+def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
+    """Where no circle recovers J v_s = lambda v_s (a circle of radius |x*|)
+    or no seed passes the invariance gate, the path starts from the linear
+    seed SEED_SCALE |x*| out, reports no manifold rows, and is the path
+    the linear seed always gave: case 1 from 0.9 z* in 163 steps and 1 124
+    rhs calls, to t = 0.9299368083090234."""
+    params = params_of("case1")
+    x_star, *_ = manifold_of(params)
+    if how == "no circle passes":
+        monkeypatch.setattr(dynamics, "MANIFOLD_RADIUS", 1.0)
+    else:
+        monkeypatch.setattr(dynamics, "_defect", lambda *args: 1.0)
+    traj = saddle_path(params, 0.9 * x_star[0])
+    meta = traj.meta
+    assert meta["order"] == 1
+    assert meta["s0"] == -dynamics.SEED_SCALE * math.hypot(*x_star)
+    assert (len(traj), meta["steps"], meta["nfev"]) == (163, 163, 1124)
+    assert meta["t_stop"] == traj.time_rows[-1] == 0.9299368083090234
+    assert (meta["seed_defect"] == 1.0) == (how != "no circle passes")
+
+
+def test_trajectory_meta_records_the_seed():
+    """Case 2 from 1.1 z*: the first circle passes (r = MANIFOLD_RADIUS |x*|),
+    the set-up calls are the Jacobian's 4, five orders of N/2 + 1 samples
+    and the gate's, at least the two of the seed that passes, and the rows
+    are the stepper's followed by those of W."""
+    params = params_of("case2")
+    x_star, *_ = manifold_of(params)
+    traj = saddle_path(params, 1.1 * x_star[0])
+    meta = traj.meta
+    n = dynamics.MANIFOLD_SAMPLES // 2 + 1
+    assert meta["radius"] == dynamics.MANIFOLD_RADIUS * math.hypot(*x_star)
+    gate = meta["setup_nfev"] - 4 - (dynamics.MANIFOLD_ORDER - 1) * n
+    assert gate >= 2
+    assert meta["seed_defect"] <= dynamics.SADDLE_RTOL
+    assert 0 < meta["steps"] < len(traj)
+    assert meta["t_stop"] == traj.time_rows[-1]
+
+
+@pytest.mark.parametrize("ref", reference_paths.load(),
+                         ids=lambda ref: f"case{ref['case']}-{ref['factor']}")
+def test_saddle_path_matches_the_25_digit_reference(ref):
+    """Against tests/reference_paths.json (mpmath.odefun at 25 digits from
+    an mpmath eigenvector seed): the path's first row lies at z0, and its
+    (q, u, v) there agree to SADDLE_RTOL relative; measured at most 4.2e-11,
+    where the linear seed gave up to 2.7e-10 (case 1). Its clock, the time
+    from z0 to |s| = SEED_SCALE |x*|, agrees to 1e-8; measured at most
+    4.1e-10, where the linear seed's was 3.5e-6 to 6.3e-6 short."""
+    traj = saddle_path(bench_params(*CASE_PSI[ref["case"]]), ref["z0"])
+    z, *quv = traj.state_rows[0]
+    assert z == pytest.approx(ref["z0"], rel=4e-16)
+    for x, name in zip(quv, "quv"):
+        assert abs(x - float(ref[name])) <= dynamics.SADDLE_RTOL * abs(float(ref[name]))
+    assert abs(traj.meta["t_stop"] - float(ref["clock"])) <= 1e-8
 
 
 def test_stepper_gives_up_where_rk45_does():
