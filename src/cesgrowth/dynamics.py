@@ -110,10 +110,15 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     forward-time order: the stepper's steps, then rows of W at the exact
     times of s(t) until |s| = SEED_SCALE |x*|.
 
+    A z0 past the corner u = v = 1 (_past_corner), or an expansion that
+    fails its checks, starts the path at the linear seed x* + v_s s_end
+    instead, with no rows from W.
+
     meta records the stepper's "steps" (0 when nothing was integrated)
-    and "nfev", the expansion's "order", circle "radius", seed "s0" and
-    "seed_defect", the rhs calls "setup_nfev" of the Jacobian, the
-    expansion and its gate, and "t_stop", the time of the last row.
+    and "nfev", the expansion's "order" (1 for the linear seed), circle
+    "radius", seed "s0" and "seed_defect" (None where not computed), the
+    rhs calls "setup_nfev" of the Jacobian, the expansion and its gate,
+    and "t_stop", the time of the last row.
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
@@ -140,15 +145,15 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
         return [z - z0, min(z, q, u, v) - BOX_MARGIN, abs(u - v) - UV_EVENT_GAP]
 
     rate = lam.real
-    coeffs, radius, setup_nfev = _stable_manifold(params, x_star, jac, rate, v_s, scale)
-    seed = None
+    coeffs, radius, setup_nfev, seed = None, None, 0, None
+    if not _past_corner(x_star, v_s, s_end, z0):
+        coeffs, radius, setup_nfev = _stable_manifold(params, x_star, jac, rate, v_s, scale)
     if coeffs is not None:
         seed, calls = _seed(params, coeffs, rate, s_end, events)
         setup_nfev += calls
-    if seed is None:  # no expansion passed its gate: the linear seed
+    if seed is None:  # the linear seed
         coeffs = [x_star, v_s]
-        seed = s_end, _defect(params, coeffs, rate, s_end), [(0.0, _horner(coeffs, s_end))]
-        setup_nfev += 1
+        seed = s_end, None, [(0.0, _horner(coeffs, s_end))]
     s0, defect, rows = seed
     meta = {"order": len(coeffs) - 1, "radius": radius, "seed_defect": defect,
             "setup_nfev": setup_nfev + len(jac), "stable_eigenvalue": lam}
@@ -181,6 +186,23 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     meta.update(steps=len(ts) if nfev else 0, nfev=nfev, s0=s0,
                 stop_reason="target_reached", t_stop=times[-1])
     return Trajectory(times=times, states=states, meta=meta)
+
+
+def _past_corner(x_star, v_s, s_end, z0):
+    """Whether z0 lies past the point where the eigenvector's line from x*,
+    on s_end's side, first reaches u = 1 or v = 1.
+
+    u = 1 and v = 1 are invariant planes of the rhs, so a path crosses
+    them only at the corner u = v = 1, where the rhs is singular; on the
+    paper cases and the stiff economies the line meets u = 1 at the z
+    where the path reaches that corner. The stopping time of a path
+    through the corner moves by up to 4e-5 with its seed, as its steps
+    pass within about 1e-6 of u = v, and the expansion makes it no more
+    accurate. Such a path keeps the linear seed and the path it always
+    gave.
+    """
+    reach = [(1.0 - x_star[i]) / (v_s[i] * s_end) for i in (2, 3) if v_s[i] * s_end > 0.0]
+    return bool(reach) and abs(z0 - x_star[0]) >= min(reach) * abs(v_s[0] * s_end)
 
 
 def _horner(coeffs, s):

@@ -235,9 +235,10 @@ def library_trajectory_csv(params, k0, h0):
 
 
 def test_trajectory_csv(scenario_file, capsys):
-    """The README start: every step the integrator stored, then the rows
-    reported from the stable manifold, with the levels summed over those
-    rows, exactly as the library gives them."""
+    """The README start: every step the integrator stored, with the levels
+    summed over those steps, exactly as the library gives them. The start
+    lies past the corner u = v = 1, so the path takes the linear seed and
+    reports no rows of the stable manifold's expansion."""
     scn = scenario_file(initial={"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5})
     code, out, err = run(capsys, "trajectory", "--scenario", scn)
     assert code == 0 and err == ""
@@ -246,8 +247,7 @@ def test_trajectory_csv(scenario_file, capsys):
     assert lines[0] == "t,z,q,u,v,k,h,c,y1,y2"
     assert lines[-1].startswith("# stop_reason=target_reached")
     rows = [l.split(",") for l in lines[1:-1]]
-    # 183 integrator steps from z0 to the seed, then 20 rows of the manifold.
-    assert len(rows) == 203
+    assert len(rows) == 232
     z = [float(r[1]) for r in rows]
     assert z[0] == pytest.approx(5.5, rel=1e-6)
     assert z[-1] == pytest.approx(10.725, abs=0.01)

@@ -44,6 +44,10 @@ def steady_point(params):
     return ss, ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
 
 
+# The paper cases and the stiff economies, by params_of's names.
+ECONOMIES = [f"case{c}" for c in CASE_PSI] + [f"stiff{i}" for i in STIFF_POOL]
+
+
 def params_of(name):
     """A paper case ("case1".."case5") or a STIFF_POOL economy ("stiff35")."""
     if name.startswith("stiff"):
@@ -256,8 +260,7 @@ def check_stable_pair(jac) -> bool:
     return True
 
 
-@pytest.mark.parametrize("economy", [f"case{c}" for c in CASE_PSI]
-                         + [f"stiff{i}" for i in STIFF_POOL])
+@pytest.mark.parametrize("economy", ECONOMIES)
 def test_stable_eigenvector_matches_lapack(economy):
     params = params_of(economy)
     assert check_stable_pair(stability_report(params).jacobian)
@@ -338,15 +341,10 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
     difference in the error norm, a difference formed by cancellation,
     moves every later step size by about 1e-7, so stored times are not
     compared. The stopping time must agree to within four times the spread
-    that moving one seed coordinate by one ulp causes in scipy's own: about
-    1e-14 on most starts. It must also agree to 1e-7 relative, except on a
-    path that crosses u = 1. u = 1 and v = 1 are invariant planes of the
-    rhs, so such a path passes through their meeting point with the
-    singular line u = v, where the one-ulp spread depends on how close it
-    passes. From the seed on the expansion, case 1's path from 0.9 z*
-    passes at |u - v| = 4.9e-7 and its stop spreads by 5.5e-6 (1.6e-5 from
-    0.5 z*); from the linear seed it passed at 7.7e-7, with a spread of
-    6e-9.
+    that moving one seed coordinate by one ulp causes in scipy's own (about
+    1e-14 on most starts, 6e-9 on case 1's paths from below z*, which pass
+    the corner u = v = 1 from the linear seed), and to 1e-7 relative in any
+    case.
 
     Step by step: scipy's RK45 started at each stored state, with the
     stored step as its first step, reproduces the next stored state to
@@ -362,15 +360,16 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
     hit = [len(te) > 0 for te in sol.t_events]
     spread = max(abs(s.t[-1] - sol.t[-1]) for s in nudged)
     assert len(ts) == len(sol.t)
-    through_singular_point = any(y[2] > 1.0 for y in ys)
-    assert abs(ts[-1] - sol.t[-1]) <= (
-        4.0 * spread if through_singular_point else min(4.0 * spread, 1e-7 * sol.t[-1]))
+    assert abs(ts[-1] - sol.t[-1]) <= min(4.0 * spread, 1e-7 * sol.t[-1])
     if outcome == "target_reached":
         assert hit[0] and sol.status == 1
         s0, rate = result.meta["s0"], result.meta["stable_eigenvalue"].real
         s_end = math.copysign(
             dynamics.SEED_SCALE * math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star), s0)
-        rows = dynamics._manifold_rows(manifold_of(params)[3], rate, s0, s_end)
+        x_star, jac, _, coeffs, _ = manifold_of(params)
+        if result.meta["order"] == 1:  # past the corner: the linear seed
+            coeffs = [x_star, dynamics.stable_eigenpair(jac)[1]]
+        rows = dynamics._manifold_rows(coeffs, rate, s0, s_end)
         assert rows[0][1] == ys[0]
         assert len(result) == len(sol.t) + len(rows) - 1
         assert result.state_rows[len(ts):] == [x for _, x in rows[1:]]
@@ -417,32 +416,47 @@ def invariance_defect(params, coeffs, rate, s):
     return dynamics.SADDLE_RTOL * math.sqrt(sum((a / b) ** 2 for a, b in zip(e, tol)) / 4)
 
 
-# The paper cases from above z*, the stiff economies from below (from
-# above, their paths stop at u = v): each path is integrated from a seed
-# on the order-MANIFOLD_ORDER expansion.
-GATED_STARTS = ([(f"case{c}", 1.1) for c in CASE_PSI]
-                + [(f"stiff{i}", 0.9) for i in STIFF_POOL])
+# The paper cases and the stiff economies from above z*, away from the
+# corner u = v = 1: each is seeded on the order-MANIFOLD_ORDER expansion.
+# The stiff economies' paths then stop at u = v.
+GATED_STARTS = [(name, 1.1) for name in ECONOMIES]
+
+
+def gated_seed(params, z0, monkeypatch):
+    """(s0, defect at s0) of the seed _seed chose on the way to z0."""
+    seeds = []
+    seed = dynamics._seed
+
+    def spy(*args):
+        out = seed(*args)
+        seeds.append(out[0])
+        return out
+
+    monkeypatch.setattr(dynamics, "_seed", spy)
+    try:
+        saddle_path(params, z0)
+    except TargetNotReachedError:
+        pass
+    (s0, defect, _), = seeds
+    return s0, defect
 
 
 @pytest.mark.parametrize("name, factor", GATED_STARTS)
-def test_seed_passes_the_invariance_gate(name, factor):
+def test_seed_passes_the_invariance_gate(name, factor, monkeypatch):
     """At +-s0 the expansion's invariance defect, recomputed term by term,
     is within the stepper's tolerance, as the seed record says."""
     params = params_of(name)
-    traj = saddle_path(params, factor * steady_state(params).z_star)
-    x_star, _, rate, coeffs, radius = manifold_of(params)
-    s0 = traj.meta["s0"]
-    assert traj.meta["order"] == dynamics.MANIFOLD_ORDER == len(coeffs) - 1
-    assert traj.meta["radius"] == radius
+    s0, defect = gated_seed(params, factor * steady_state(params).z_star, monkeypatch)
+    x_star, _, rate, coeffs, _ = manifold_of(params)
+    assert len(coeffs) - 1 == dynamics.MANIFOLD_ORDER
     assert abs(s0) > dynamics.SEED_SCALE * math.hypot(*x_star)
-    assert traj.meta["seed_defect"] == pytest.approx(
-        invariance_defect(params, coeffs, rate, s0), rel=1e-6)
+    assert defect == pytest.approx(invariance_defect(params, coeffs, rate, s0), rel=1e-6)
     for s in (s0, -s0):
         assert invariance_defect(params, coeffs, rate, s) <= dynamics.SADDLE_RTOL
 
 
 @pytest.mark.parametrize("name, factor", GATED_STARTS)
-def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor):
+def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor, monkeypatch):
     """a_2 and a_3 against an oracle without a DFT: the Taylor coefficient
     [rhs(W_{<k})]_k by mpmath.diff at 40 digits, along the package's own
     truncated W, and (J - k lambda I) a_k = -[rhs(W_{<k})]_k solved by
@@ -452,7 +466,7 @@ def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor):
     a_3. What it costs the path is its term at the seed: |da_k| |s0|^k
     stays below 5 % of SADDLE_RTOL |x*| (up to 0.54 % is measured)."""
     params = params_of(name)
-    s0 = saddle_path(params, factor * steady_state(params).z_star).meta["s0"]
+    s0, _ = gated_seed(params, factor * steady_state(params).z_star, monkeypatch)
     x_star, jac, rate, coeffs, _ = manifold_of(params)
     with mpmath.workdps(40):
         for k in (2, 3):
@@ -470,14 +484,14 @@ def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor):
             assert err * abs(s0) ** k <= 0.05 * dynamics.SADDLE_RTOL * math.hypot(*x_star)
 
 
-@pytest.mark.parametrize("case, factor", reference_paths.STARTS)
+@pytest.mark.parametrize("case, factor", reference_paths.STARTS + [(1, 0.9)])
 def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
     """Paths built on the circle saddle_path chooses, of radius r, and on
     one of radius r/2 start at the same (q, u, v) to SADDLE_RTOL relative
     and report the same clock to 1e-9; measured: 1.5e-11 and 5e-11 at
-    most. The starts are the reference table's: case 1 from below z*
-    passes u = v = 1, where any change of the seed moves the path far more
-    (see test_saddle_path_takes_scipy_rk45_steps)."""
+    most. The starts are the reference table's and case 1 from 0.9 z*,
+    which passes the corner u = v = 1 and so takes the linear seed, on
+    neither circle."""
     params = bench_params(*CASE_PSI[case])
     z0 = factor * steady_state(params).z_star
     wide = saddle_path(params, z0)
@@ -490,7 +504,10 @@ def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_stable_manifold", halved)
     narrow = saddle_path(params, z0)
-    assert narrow.meta["radius"] == pytest.approx(wide.meta["radius"] / 2, rel=1e-15)
+    if wide.meta["order"] == 1:
+        assert narrow.meta["radius"] is wide.meta["radius"] is None
+    else:
+        assert narrow.meta["radius"] == pytest.approx(wide.meta["radius"] / 2, rel=1e-15)
     for a, b in zip(wide.state_rows[0][1:], narrow.state_rows[0][1:]):
         assert abs(a - b) <= dynamics.SADDLE_RTOL * abs(b)
     assert abs(wide.meta["t_stop"] - narrow.meta["t_stop"]) <= 1e-9
@@ -552,37 +569,83 @@ def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
     """Where no circle recovers J v_s = lambda v_s (a circle of radius |x*|)
     or no seed passes the invariance gate, the path starts from the linear
     seed SEED_SCALE |x*| out, reports no manifold rows, and is the path
-    the linear seed always gave: case 1 from 0.9 z* in 163 steps and 1 124
-    rhs calls, to t = 0.9299368083090234."""
+    the linear seed always gave: case 1 from 1.1 z* in 143 steps and 854
+    rhs calls, to t = 0.9185382310329033."""
     params = params_of("case1")
     x_star, *_ = manifold_of(params)
     if how == "no circle passes":
         monkeypatch.setattr(dynamics, "MANIFOLD_RADIUS", 1.0)
     else:
         monkeypatch.setattr(dynamics, "_defect", lambda *args: 1.0)
-    traj = saddle_path(params, 0.9 * x_star[0])
-    meta = traj.meta
-    assert meta["order"] == 1
-    assert meta["s0"] == -dynamics.SEED_SCALE * math.hypot(*x_star)
-    assert (len(traj), meta["steps"], meta["nfev"]) == (163, 163, 1124)
-    assert meta["t_stop"] == traj.time_rows[-1] == 0.9299368083090234
-    assert (meta["seed_defect"] == 1.0) == (how != "no circle passes")
-
-
-def test_trajectory_meta_records_the_seed():
-    """Case 2 from 1.1 z*: the first circle passes (r = MANIFOLD_RADIUS |x*|),
-    the set-up calls are the Jacobian's 4, five orders of N/2 + 1 samples
-    and the gate's, at least the two of the seed that passes, and the rows
-    are the stepper's followed by those of W."""
-    params = params_of("case2")
-    x_star, *_ = manifold_of(params)
     traj = saddle_path(params, 1.1 * x_star[0])
     meta = traj.meta
-    n = dynamics.MANIFOLD_SAMPLES // 2 + 1
-    assert meta["radius"] == dynamics.MANIFOLD_RADIUS * math.hypot(*x_star)
-    gate = meta["setup_nfev"] - 4 - (dynamics.MANIFOLD_ORDER - 1) * n
-    assert gate >= 2
+    assert meta["order"] == 1 and meta["seed_defect"] is None
+    assert meta["s0"] == dynamics.SEED_SCALE * math.hypot(*x_star)
+    assert (len(traj), meta["steps"], meta["nfev"]) == (143, 143, 854)
+    assert meta["t_stop"] == traj.time_rows[-1] == 0.9185382310329033
+
+
+@pytest.mark.parametrize("name", ECONOMIES)
+def test_paths_past_the_corner_take_the_linear_seed(name, monkeypatch):
+    """From below z*, the eigenvector's line from x* meets u = 1 at the z
+    where the path passes the corner u = v = 1. A z0 past that point
+    (0.5 z*) takes the linear seed and computes no expansion; the path
+    leaves (0, 1) in u between z0 and that z, and is inside it after, to
+    1e-3 of the distance from z*. A
+    z0 a little short of it takes the expansion's seed on the paper
+    cases (on the stiff economies the corner lies within 6e-4 z* of z*,
+    inside the seed's reach)."""
+    params = params_of(name)
+    ss, s = steady_point(params)
+    lam, v_s = dynamics.stable_eigenpair(jacobian_fd(s, params))
+    z_corner = ss.z_star + v_s[0] * (1.0 - ss.u_star) / v_s[2]
+    assert z_corner < ss.z_star
+    expansions = []
+    stable_manifold = dynamics._stable_manifold
+
+    def spy(*args):
+        expansions.append(args)
+        return stable_manifold(*args)
+
+    monkeypatch.setattr(dynamics, "_stable_manifold", spy)
+    traj = saddle_path(params, 0.5 * ss.z_star)
+    assert traj.meta["order"] == 1 and traj.meta["steps"] == len(traj)
+    assert expansions == []
+    outside = [z for z, _, u, _ in traj.state_rows if u > 1.0]
+    inside = [z for z, _, u, _ in traj.state_rows if u < 1.0]
+    tol = 1e-3 * (ss.z_star - z_corner)  # measured: rows lie within 8e-5 of it
+    assert max(outside) <= z_corner + tol and min(inside) >= z_corner - tol
+    if name.startswith("case"):
+        short = saddle_path(params, z_corner + 0.01 * (ss.z_star - z_corner))
+        assert short.meta["order"] == dynamics.MANIFOLD_ORDER
+        assert max(u for _, _, u, _ in short.state_rows) < 1.0
+
+
+@pytest.mark.parametrize("name, factor", [("case1", 1.1), ("case2", 1.1), ("case2", 0.95),
+                                          ("stiff35", 0.9999)])
+def test_trajectory_meta_records_the_seed(name, factor):
+    """A path integrated from the expansion's seed, on either side of z*
+    (the stiff economy from below, short of the corner u = v = 1): the
+    record holds the order, the circle that passed (the first, of radius
+    MANIFOLD_RADIUS |x*|, on case 2; the second on case 1 and stiff
+    economy 35) and the seed's defect,
+    recomputed term by term. The set-up calls are the Jacobian's 4, N/2 + 1
+    samples per order and the first order's on a failed circle, and the
+    gate's, at least the two of the seed that passes. The rows are the
+    stepper's followed by those of W."""
+    params = params_of(name)
+    traj = saddle_path(params, factor * steady_state(params).z_star)
+    x_star, _, rate, coeffs, radius = manifold_of(params)
+    meta = traj.meta
+    first = radius == dynamics.MANIFOLD_RADIUS * math.hypot(*x_star)
+    assert first == (name == "case2")
+    assert meta["order"] == dynamics.MANIFOLD_ORDER and meta["radius"] == radius
+    assert meta["seed_defect"] == pytest.approx(
+        invariance_defect(params, coeffs, rate, meta["s0"]), rel=1e-6)
     assert meta["seed_defect"] <= dynamics.SADDLE_RTOL
+    n = dynamics.MANIFOLD_SAMPLES // 2 + 1
+    gate = meta["setup_nfev"] - 4 - (dynamics.MANIFOLD_ORDER - first) * n
+    assert gate >= 2
     assert 0 < meta["steps"] < len(traj)
     assert meta["t_stop"] == traj.time_rows[-1]
 
