@@ -4,7 +4,7 @@ stability, stable-manifold trajectories and elasticity-of-substitution
 comparative statics via normalized CES families.
 """
 
-from .core import AuxBundle, sector_rates, tau_of, y1_of, y2_of
+from .core import sector_rates, tau_of, y1_of, y2_of
 from .errors import (
     AllocationOutOfRangeError,
     BaselineMismatchError,

@@ -96,7 +96,6 @@ def cmd_stability(args) -> int:
         doc = {
             "classification": rep.classification,
             "n_stable": rep.n_stable,
-            "n_zero": rep.n_zero,
             "eigenvalues": [[e.real, e.imag] for e in rep.eigenvalues],
             "jacobian": [list(row) for row in rep.jacobian],
             "steady": {k: float(v) for k, v in _steady_pairs(rep.steady)},

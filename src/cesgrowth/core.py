@@ -3,8 +3,6 @@
 Everything here is a pure function of its arguments.
 """
 
-from typing import NamedTuple
-
 from .errors import ParameterError
 from .params import ModelParams
 
@@ -77,8 +75,9 @@ def y2_of(k: float, h: float, u: float, v: float, params: ModelParams) -> float:
     return params.A2 * inner ** (1.0 / psi)
 
 
-class AuxBundle(NamedTuple):
-    """All auxiliary scalars evaluated at one state, as an immutable named tuple.
+def aux_from_wuv(w, u, v, params: ModelParams) -> tuple:
+    """(D, P, T, G1, G2, Q, R, P_eps, H) at (w, u, v) as a plain tuple, the one
+    place they are written:
 
     D  : growth-rate wedge hdot/h - kdot/k - c/k
     P  : BGP gap (zero on the balanced growth path)
@@ -87,22 +86,6 @@ class AuxBundle(NamedTuple):
     Q  : P1 P2
     P_eps : alpha1 (eps v - 1) w^psi1 + eps (1-alpha1) v
     H  : w^{-1} P1^{1/psi1 - 1} P_eps (the coefficient of A1/eps in qdot)
-    """
-
-    D: float
-    P: float
-    T: float
-    G1: float
-    G2: float
-    Q: float
-    R: float
-    P_eps: float
-    H: float
-
-
-def _aux_values(w, u, v, params: ModelParams) -> tuple:
-    """(D, P, T, G1, G2, Q, R, P_eps, H) at (w, u, v) as a plain tuple, the one
-    place they are written; rhs_reduced_values unpacks it on its hot path.
 
     They involve only powers of w (positive) and u, v linearly, so they
     extend smoothly to allocations outside (0, 1); stable-manifold
@@ -125,8 +108,3 @@ def _aux_values(w, u, v, params: ModelParams) -> tuple:
         p_eps,
         y1 / (a1 * p1) * p_eps / w,
     )
-
-
-def aux_from_wuv(w: float, u: float, v: float, params: ModelParams) -> AuxBundle:
-    """The auxiliary scalars at (w, u, v) of _aux_values, named."""
-    return AuxBundle(*_aux_values(w, u, v, params))

@@ -18,7 +18,7 @@ from .errors import (
     TargetNotReachedError,
 )
 from .params import ModelParams, ReducedState
-from .stability import TOL_ZERO, eigen4, jacobian_fd, rhs_reduced_values
+from .stability import classify, eigen4, jacobian_fd, rhs_reduced_values
 from .steady import steady_state
 
 # Coordinate floor and u = v margin at which integration halts.
@@ -129,7 +129,7 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
         return Trajectory(
             times=[0.0],
             states=[x_star],
-            meta={"steps": 1, "nfev": 0, "stop_reason": "at_steady_state",
+            meta={"steps": 0, "nfev": 0, "stop_reason": "at_steady_state",
                   "t_stop": 0.0},
         )
 
@@ -343,14 +343,17 @@ def stable_eigenpair(jac) -> tuple:
     """(lambda, v): the stable eigenvalue of the 4x4 Jacobian and its unit
     eigenvector, of either sign.
 
-    lambda is the eigenvalue of least real part from eigen4, and v the null
+    There is one where classify counts a stable root. lambda is then the
+    eigenvalue of least real part from eigen4, since a negative real part
+    other than the structural zero's sorts below that zero, and v the null
     vector of J - lambda I from _solve_pivoted.
     """
-    lam = eigen4(jac)[0]
-    if lam.real >= -TOL_ZERO:
+    ev = eigen4(jac)
+    if not classify(ev)[0]:
         raise NoRealStableEigenvectorError(
-            f"no stable eigenvalue: min real part {lam.real}"
+            f"no stable eigenvalue: real parts {[x.real for x in ev]}"
         )
+    lam = ev[0]
     if lam.imag:
         raise NoRealStableEigenvectorError(
             f"stable eigenvector is complex (eigenvalue {lam})"

@@ -4,14 +4,11 @@ import cmath
 import math
 from typing import NamedTuple
 
-# aux_from_wuv is not called here: perfbench/spans.py wraps it in this namespace.
-from .core import R_FLOOR, UV_GAP_FLOOR, _aux_values, aux_from_wuv  # noqa: F401
+from .core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv
 from .errors import ParameterError, SingularStateError
 from .params import ModelParams, ReducedState
 from .steady import COMPLEX_STEP, SteadyState, steady_state
 
-# Eigenvalues this close to zero (real part) count as structurally zero.
-TOL_ZERO = 1e-3
 # Cap on the Newton steps that polish each root in eigen4.
 MAX_POLISH_STEPS = 8
 
@@ -33,7 +30,7 @@ def rhs_reduced_values(
     if w.real <= 0.0:
         raise SingularStateError(f"w = (v/u) z not positive at u={u}, v={v}, z={z}",
                                  state=(z, q, u, v))
-    d, gap, _, g1, g2, pq, r, _, h = _aux_values(w, u, v, params)
+    d, gap, _, g1, g2, pq, r, _, h = aux_from_wuv(w, u, v, params)
     if abs(r) < R_FLOOR:
         raise SingularStateError(f"R = {r} vanishes", state=(z, q, u, v))
 
@@ -185,23 +182,23 @@ class StabilityReport(NamedTuple):
     jacobian: tuple
     eigenvalues: tuple
     n_stable: int
-    n_zero: int
     classification: str
 
 
-def classify(eigenvalues) -> tuple[int, int, str]:
+def classify(eigenvalues) -> tuple[int, str]:
+    """(n_stable, label) of a spectrum of the 4-D system.
+
+    The eigenvalue of least |Re| is the structural zero: the static
+    efficiency condition ln tau = ln tau0(w) is conserved by the flow, so
+    its gradient is a left null vector of the Jacobian. The other three
+    are stable where Re < 0; a real part of exactly 0.0 is not stable.
+    One stable root makes a saddle path, three a sink, none a source and
+    two a degenerate point.
+    """
     re = [x.real for x in eigenvalues]
-    n_stable = len([x for x in re if x < -TOL_ZERO])
-    n_zero = len([x for x in re if -TOL_ZERO <= x <= TOL_ZERO])
-    if n_stable == 1:
-        label = "saddle_path"
-    elif n_stable == len(re):
-        label = "sink"
-    elif n_stable == 0:
-        label = "source"
-    else:
-        label = "degenerate"
-    return n_stable, n_zero, label
+    re.remove(min(re, key=abs))
+    n_stable = len([x for x in re if x < 0.0])
+    return n_stable, {1: "saddle_path", 3: "sink", 0: "source"}.get(n_stable, "degenerate")
 
 
 def stability_report(params: ModelParams) -> StabilityReport:
@@ -210,12 +207,11 @@ def stability_report(params: ModelParams) -> StabilityReport:
     state = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
     jac = jacobian_fd(state, params)
     ev = eigen4(jac)
-    n_stable, n_zero, label = classify(ev)
+    n_stable, label = classify(ev)
     return StabilityReport(
         steady=ss,
         jacobian=jac,
         eigenvalues=ev,
         n_stable=n_stable,
-        n_zero=n_zero,
         classification=label,
     )

@@ -204,8 +204,9 @@ def closed_forms(w, params: ModelParams) -> SteadyState:
     u_in = _where((0.0 < u) & (u < 1.0), u, math.nan)
     v = tau0 * u_in / (one_less_u + tau0 * u_in)
     v_in = _where((0.0 < v) & (v < 1.0), v, math.nan)
-    # q* is the zero of the qdot equation, q = (A1 H + rho - (eps-1) delta_k) / eps.
-    a1_h = params.A1 * aux_from_wuv(w, u_in, v_in, params).H
+    # q* is the zero of the qdot equation, q = (A1 H + rho - (eps-1) delta_k) / eps,
+    # H the last of the auxiliary scalars.
+    a1_h = params.A1 * aux_from_wuv(w, u_in, v_in, params)[8]
     q = (a1_h + params.rho - params.delta_k * (params.eps - 1.0)) / params.eps
     return SteadyState(
         w_star=w,

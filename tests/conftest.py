@@ -84,6 +84,19 @@ STIFF_POOL = {
            "eps": 3.650930361857076, "rho": 0.08609874690317172},
 }
 
+# A saddle from a wider seeded draw (default_rng(3); A1 U(0.2, 5), A2
+# U(0.01, 2), alpha U(0.05, 0.95), psi U(-3, 0.9), delta U(0, 0.2), eps
+# U(1.01, 6), rho U(0.001, 0.2)) whose stable root, -1.164e-4, lies closer
+# to zero than 1e-3: no fixed band around zero tells it from the
+# structural zero, at about 1e-14. Its other two roots are 0.3440 and 0.3441.
+SLOW_SADDLE = {
+    "A1": 0.5466271722543803, "A2": 1.4353586839941792,
+    "alpha1": 0.8730669999199027, "alpha2": 0.2858043335412596,
+    "psi1": -1.9098579949454202, "psi2": 0.45479612004861325,
+    "delta_k": 0.06612804451377352, "delta_h": 0.1641665587619914,
+    "eps": 2.8550533183258375, "rho": 0.016471613299089735,
+}
+
 
 def bench_params(psi1: float, psi2: float) -> ModelParams:
     return ModelParams(psi1=psi1, psi2=psi2, **BENCH)

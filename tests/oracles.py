@@ -8,10 +8,9 @@ rows of a comparison table by name.
 
 import math
 import sys
+from typing import NamedTuple
 
-from cesgrowth.core import (
-    R_FLOOR, UV_GAP_FLOOR, AuxBundle, aux_from_wuv, sector_rates, tau_of,
-)
+from cesgrowth.core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, sector_rates, tau_of
 from cesgrowth.errors import ParameterError, SingularStateError
 from cesgrowth.normalization import (
     Baseline,
@@ -81,9 +80,32 @@ def p2_of(w: float, params: ModelParams) -> float:
     return sector_rates(w, params)[1]
 
 
+class AuxBundle(NamedTuple):
+    """The auxiliary scalars of core.aux_from_wuv, named in its order.
+
+    D  : growth-rate wedge hdot/h - kdot/k - c/k
+    P  : BGP gap (zero on the balanced growth path)
+    T  : numerator of the share difference; R = (1-psi1)(1-psi2) T
+    G1 : (psi1-psi2) u + 1 - psi1, G2 analogous in v
+    Q  : P1 P2
+    P_eps : alpha1 (eps v - 1) w^psi1 + eps (1-alpha1) v
+    H  : w^{-1} P1^{1/psi1 - 1} P_eps (the coefficient of A1/eps in qdot)
+    """
+
+    D: float
+    P: float
+    T: float
+    G1: float
+    G2: float
+    Q: float
+    R: float
+    P_eps: float
+    H: float
+
+
 def aux_of(state: ReducedState, params: ModelParams) -> AuxBundle:
     """Evaluate the full auxiliary bundle at a reduced state."""
-    return aux_from_wuv(w_of(state), state.u, state.v, params)
+    return AuxBundle(*aux_from_wuv(w_of(state), state.u, state.v, params))
 
 
 def costate_ratio(w: float, params: ModelParams) -> float:

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.spans import BOUNDARIES  # noqa: E402
 
-from cesgrowth import dynamics, steady  # noqa: E402
+from cesgrowth import ReducedState, dynamics, stability, steady  # noqa: E402
 
 from conftest import bench_params  # noqa: E402
 
@@ -39,6 +39,24 @@ def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
     # The bracket search probes powers of ten; the root refinement in between,
     # at complex points w e^{ih} whose real part is the iterate.
     assert any(not math.log10(w.real).is_integer() for w in calls)
+
+
+def test_rhs_looks_up_the_aux_kernel_at_call_time(monkeypatch):
+    """core.aux_from_wuv counts the kernel wrapped in stability's namespace;
+    each rhs_reduced_values call, as the complex-step Jacobian makes four,
+    must pass through that binding."""
+    calls = []
+    original = stability.aux_from_wuv
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(stability, "aux_from_wuv", counting)
+    params = bench_params(0.25, -0.10)
+    ss = steady.steady_state(params)
+    stability.jacobian_fd(ReducedState(ss.z_star, ss.q_star, ss.u_star, ss.v_star), params)
+    assert len(calls) == 4
 
 
 def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from cesgrowth import ParameterError, ReducedState, tau_of, y1_of, y2_of
-from cesgrowth.core import AuxBundle, _aux_values, aux_from_wuv, sector_rates
+from cesgrowth.core import aux_from_wuv, sector_rates
 from cesgrowth.stability import rhs_reduced_values
 from cesgrowth.steady import gap_P
 
 from conftest import CASE_PSI, bench_params
-from oracles import aux_of, costate_ratio, p1_of, p2_of, powz, rhs_full, w_of
+from oracles import AuxBundle, aux_of, costate_ratio, p1_of, p2_of, powz, rhs_full, w_of
 
 
 def random_interior_state(rng):
@@ -100,16 +100,16 @@ def _written_out_aux(w, u, v, p):
 
 
 def test_aux_kernel_is_bit_identical_on_floats_complex_steps_and_families(rng):
-    """_aux_values equals the written-out scalars, and aux_from_wuv is its
-    named view, bit for bit; rhs_reduced_values keeps its order of evaluation."""
+    """aux_from_wuv equals the written-out scalars, and so does its named
+    view in the oracles, bit for bit; rhs_reduced_values keeps its order of evaluation."""
     for psi1, psi2 in CASE_PSI.values():
         one = bench_params(psi1, psi2)
         family = one._replace(psi1=np.full(20, psi1), psi2=np.full(20, psi2))
         for p, w, u, v in ((one, 7.3, 0.6, 0.5), (one, 7.3 + 1e-20j, 1.3, 1.5),
                            (one, 7.3, 0.6 + 1e-20j, 0.5),
                            (family, rng.uniform(0.1, 50.0, 20), 0.6, 0.5)):
-            kernel = _aux_values(w, u, v, p)
-            for got in (kernel, aux_from_wuv(w, u, v, p), AuxBundle(*kernel)):
+            kernel = aux_from_wuv(w, u, v, p)
+            for got in (kernel, AuxBundle(*kernel)):
                 assert all(map(np.array_equal, got, _written_out_aux(w, u, v, p)))
     p = bench_params(*CASE_PSI[1])
     for _ in range(50):
@@ -267,14 +267,14 @@ def test_aux_bundle_definitions(rng):
 
 
 def test_aux_bundle_is_immutable():
-    bun = aux_from_wuv(12.0, 0.6, 0.5, bench_params(0.25, -0.10))
+    bun = AuxBundle(*aux_from_wuv(12.0, 0.6, 0.5, bench_params(0.25, -0.10)))
     with pytest.raises(AttributeError):
         bun.P = 0.0
 
 
 def test_aux_extends_outside_unit_box():
     p = bench_params(0.25, -0.10)
-    bun = aux_from_wuv(12.0, 1.3, 1.5, p)
+    bun = AuxBundle(*aux_from_wuv(12.0, 1.3, 1.5, p))
     assert all(
         math.isfinite(x)
         for x in (bun.D, bun.P, bun.T, bun.G1, bun.G2, bun.Q, bun.R, bun.H)

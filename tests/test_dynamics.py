@@ -27,10 +27,10 @@ from cesgrowth import (
 )
 from cesgrowth import dynamics
 from cesgrowth.core import sector_rates
-from cesgrowth.stability import TOL_ZERO, rhs_reduced_values
+from cesgrowth.stability import rhs_reduced_values
 
 import reference_paths
-from conftest import CASE_PSI, STIFF_POOL, bench_params
+from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, bench_params
 from test_acceptance import random_baseline
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -188,6 +188,13 @@ def test_saddle_path_at_steady_state_is_single_point(params_case1):
     assert traj.meta["stop_reason"] == "at_steady_state"
 
 
+def test_saddle_path_at_steady_state_records_no_steps(params_case1):
+    """Nothing is integrated from z*, so the stepper's count is 0, as on
+    any start that W already reaches."""
+    traj = saddle_path(params_case1, z0=steady_state(params_case1).z_star)
+    assert traj.meta["steps"] == traj.meta["nfev"] == 0
+
+
 def test_saddle_path_validates_z0(params_case1):
     with pytest.raises(ParameterError):
         saddle_path(params_case1, z0=-1.0)
@@ -234,11 +241,14 @@ def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch
 
 def lapack_stable_pair(jac):
     """(lambda, unit v) of the stable eigenpair by LAPACK, or None where the
-    LAPACK route finds no real stable eigenvector."""
+    LAPACK route finds no real stable eigenvector. As in classify, the
+    eigenvalue of least |Re| is the structural zero, and one of the other
+    three must have Re < 0."""
     ev, vecs = np.linalg.eig(np.array(jac))
+    others = np.delete(ev.real, np.argmin(np.abs(ev.real)))
     i = int(np.argmin(ev.real))
     v = vecs[:, i]
-    if ev[i].real >= -TOL_ZERO or np.max(np.abs(v.imag)) > 1e-12 * np.max(np.abs(v.real)):
+    if not (others < 0.0).any() or np.max(np.abs(v.imag)) > 1e-12 * np.max(np.abs(v.real)):
         return None
     return ev[i].real, np.real(v) / np.linalg.norm(np.real(v))
 
@@ -264,6 +274,23 @@ def check_stable_pair(jac) -> bool:
 def test_stable_eigenvector_matches_lapack(economy):
     params = params_of(economy)
     assert check_stable_pair(stability_report(params).jacobian)
+
+
+def test_slow_stable_root_gives_lapacks_pair():
+    """SLOW_SADDLE's stable root, -1.164e-4, lies within 1e-3 of zero: its
+    eigenvector is LAPACK's to 1e-10, and the root LAPACK's to 1e-12 of the
+    spectrum's scale (measured 1.5e-13: the characteristic polynomial's
+    roots come in two pairs 1.2e-4 apart). Its paths decay over
+    1/|lambda| = 8 600, so they run out of the travel budget, with a typed
+    error."""
+    params = ModelParams(**SLOW_SADDLE)
+    rep = stability_report(params)
+    assert check_stable_pair(rep.jacobian)
+    lam, _ = dynamics.stable_eigenpair(rep.jacobian)
+    scale = max(map(abs, rep.eigenvalues))
+    assert abs(lam.real - lapack_stable_pair(rep.jacobian)[0]) <= 1e-12 * scale
+    with pytest.raises(TargetNotReachedError, match="travel budget exhausted"):
+        saddle_path(params, 0.9 * steady_state(params).z_star)
 
 
 def test_stable_eigenvector_matches_lapack_on_economy_scan_pool():

@@ -15,7 +15,6 @@ from cesgrowth import (
     parse_scenario,
     stability_report,
 )
-from cesgrowth.core import aux_from_wuv
 from cesgrowth.params import is_array
 
 from conftest import BENCH, bench_params
@@ -149,7 +148,6 @@ def _records():
         table.rows[0],
         scn,
         scn.sweep,
-        aux_from_wuv(3.0, 0.6, 0.5, p),
     ]
 
 

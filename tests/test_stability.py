@@ -23,7 +23,7 @@ from cesgrowth import (
 )
 from cesgrowth.stability import classify, rhs_reduced_values
 
-from conftest import CASE_PSI, STIFF_POOL, bench_params
+from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, bench_params
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -171,12 +171,64 @@ def test_eigen4_on_separated_spectra(data):
 
 
 def test_classify_labels():
-    assert classify(np.array([-2.0, 0.0, 0.1, 3.0]))[2] == "saddle_path"
-    assert classify(np.array([-2.0, -1.0, -0.1, -3.0]))[2] == "sink"
-    assert classify(np.array([2.0, 1.0, 0.1, 3.0]))[2] == "source"
-    assert classify(np.array([-2.0, -1.0, 0.1, 3.0]))[2] == "degenerate"
-    n_stable, n_zero, _ = classify(np.array([-2.0, 1e-5, 0.1, 3.0]))
-    assert n_stable == 1 and n_zero == 1
+    assert classify(np.array([-2.0, 0.0, 0.1, 3.0]))[1] == "saddle_path"
+    assert classify(np.array([-2.0, -1.0, -0.1, -3.0]))[1] == "sink"
+    assert classify(np.array([2.0, 1.0, 0.1, 3.0]))[1] == "source"
+    assert classify(np.array([-2.0, -1.0, 0.1, 3.0]))[1] == "degenerate"
+    n_stable, _ = classify(np.array([-2.0, 1e-5, 0.1, 3.0]))
+    assert n_stable == 1
+
+
+def test_three_stable_roots_and_the_zero_make_a_sink():
+    """The structural zero is never counted, however close to zero the
+    stable roots lie."""
+    assert classify((-3.0, -2.0, -1e-4, 1e-15)) == (3, "sink")
+    assert classify((-3.0, -2.0, -1e-15, 1e-4)) == (2, "degenerate")
+    assert classify((complex(-1.0, -0.5), complex(-1.0, 0.5), -1e-4, -1e-15)) == (3, "sink")
+
+
+def test_a_real_part_of_exactly_zero_is_not_stable():
+    """With two real parts of exactly 0.0, one is the structural zero and
+    the other does not count as stable; -0.0 is no more stable than 0.0."""
+    assert classify((-1.0, 0.0, 0.0, 2.0)) == (1, "saddle_path")
+    assert classify((0.0, 0.0, 1.0, 2.0)) == (0, "source")
+    assert classify((-0.0, 0.0, 1.0, 2.0)) == (0, "source")
+    assert classify((0.0, -0.0, 1.0, 2.0)) == (0, "source")
+    assert classify((-3.0, -2.0, -0.0, 0.0)) == (2, "degenerate")
+    assert classify((-2.0, complex(0.0, -1.0), complex(0.0, 1.0), 3.0)) == (1, "saddle_path")
+
+
+def test_a_slow_stable_root_is_not_taken_for_the_zero():
+    """SLOW_SADDLE's stable root lies within 1e-3 of zero, and its spectrum
+    is still a saddle's, by eigen4 and by LAPACK alike."""
+    rep = stability_report(ModelParams(**SLOW_SADDLE))
+    assert (rep.n_stable, rep.classification) == (1, "saddle_path")
+    assert rep.eigenvalues[0].real == pytest.approx(-1.164e-4, rel=1e-3)
+    assert classify(np.linalg.eigvals(np.array(rep.jacobian))) == (1, "saddle_path")
+
+
+def _zero_economies():
+    return ([pytest.param(bench_params(*CASE_PSI[c]), id=f"case{c}") for c in sorted(CASE_PSI)]
+            + [pytest.param(ModelParams(**STIFF_POOL[i]), id=f"stiff{i}")
+               for i in sorted(STIFF_POOL)])
+
+
+@pytest.mark.parametrize("params", _zero_economies())
+def test_the_structural_zero_comes_from_the_efficiency_condition(params):
+    """F = ln tau - ln tau0(w), the static efficiency condition, is
+    conserved by the flow, so grad F is a left null vector of J at x*:
+    grad F = (-a/z, 0, a/u - 1/u - 1/(1-u), 1/v + 1/(1-v) - a/v) with
+    a = (psi1 - psi2)/(1 - psi2), from tau0 proportional to w^a and
+    w = v z / u. The eigenvalue classify drops is that zero."""
+    rep = stability_report(params)
+    z, u, v = rep.steady.z_star, rep.steady.u_star, rep.steady.v_star
+    a = (params.psi1 - params.psi2) / (1.0 - params.psi2)
+    grad = np.array([-a / z, 0.0, a / u - 1.0 / u - 1.0 / (1.0 - u),
+                     1.0 / v + 1.0 / (1.0 - v) - a / v])
+    jac = np.array(rep.jacobian)
+    assert np.linalg.norm(grad @ jac) <= 1e-13 * np.linalg.norm(grad) * np.linalg.norm(jac)
+    dropped = min(rep.eigenvalues, key=lambda x: abs(x.real))
+    assert abs(dropped) <= 1e-10 * max(map(abs, rep.eigenvalues))
 
 
 def _mpmath_jacobian(x, params):
