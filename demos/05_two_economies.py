@@ -23,10 +23,9 @@ def main():
     for label, psis_a, psis_b in PAIRINGS:
         a = ModelParams(psi1=psis_a[0], psi2=psis_a[1], **BENCH)
         b = ModelParams(psi1=psis_b[0], psi2=psis_b[1], **BENCH)
-        table = compare_economies(a, b)
         print(f"{label}: A has psi = {psis_a}, B has psi = {psis_b}")
         print(f"  {'quantity':<8} {'A':>10} {'B':>10}  ahead")
-        for row in table.rows:
+        for row in compare_economies(a, b):
             print(f"  {row.name:<8} {row.value_a:>10.4f} {row.value_b:>10.4f}  "
                   f"{row.dominant}")
         print()

@@ -22,14 +22,13 @@ from .errors import (
 )
 from .normalization import (
     Baseline,
-    ComparisonTable,
     baseline_from_point,
     baseline_from_steady_state,
     compare_economies,
     mrs_from_params,
     normalized_params,
 )
-from .params import ModelParams, ReducedState
+from .params import ModelParams
 from .scenario import Scenario, load_scenario, parse_scenario
 from .stability import StabilityReport, eigen4, jacobian_fd, stability_report
 from .steady import SteadyState, gap_P, solve_w, steady_state, transversality

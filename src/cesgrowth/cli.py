@@ -22,6 +22,7 @@ from .errors import (
 )
 from .normalization import (
     SIGMA_GUARD,
+    balanced_outputs,
     baseline_from_point,
     baseline_from_steady_state,
     compare_economies,
@@ -145,12 +146,7 @@ def _sweep_baseline(scn: Scenario):
 
 def _sweep_columns(member, ss, which: str, h_bar: float) -> tuple:
     """The columns alpha..y2_star of solved members: floats, or arrays of them.
-
-    y1* and y2* are the sector outputs at (k, h) = (z* h_bar, h_bar). On the
-    balanced path (1 - u*) Y2(w*) = r* + delta_h, so y2* = h_bar (r* + delta_h)
-    exactly, with no 1 - u* that rounds away where u* is near 1.
-    """
-    k_star = ss.z_star * h_bar
+    y1* and y2* are the sector outputs at (k, h) = (z* h_bar, h_bar)."""
     return (
         member.alpha2 if which == "2" else member.alpha1,
         member.A2 if which == "2" else member.A1,
@@ -162,8 +158,7 @@ def _sweep_columns(member, ss, which: str, h_bar: float) -> tuple:
         ss.r_star,
         ss.pi1k,
         ss.pi2k,
-        y1_of(k_star, h_bar, ss.u_star, ss.v_star, member),
-        h_bar * (ss.r_star + member.delta_h),
+        *balanced_outputs(ss, h_bar, member),
     )
 
 
@@ -284,26 +279,26 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     scn_a = load_scenario(args.scenario)
     scn_b = load_scenario(args.scenario_b)
-    table = compare_economies(scn_a.params, scn_b.params)
+    rows = compare_economies(scn_a.params, scn_b.params)
     fmt = args.format or scn_a.output_format
     if fmt == "json":
         doc = [
             {"name": r.name, "a": r.value_a, "b": r.value_b, "dominant": r.dominant}
-            for r in table.rows
+            for r in rows
         ]
         _write(json.dumps(doc, indent=2) + "\n", args.out)
     elif fmt == "csv":
         lines = ["name,a,b,dominant"]
         lines += [
             f"{r.name},{_fmt(r.value_a)},{_fmt(r.value_b)},{r.dominant}"
-            for r in table.rows
+            for r in rows
         ]
         _write("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"{'quantity':<10} {'A':>16} {'B':>16}  dominant"]
         lines += [
             f"{r.name:<10} {r.value_a:>16.10g} {r.value_b:>16.10g}  {r.dominant}"
-            for r in table.rows
+            for r in rows
         ]
         _write("\n".join(lines) + "\n", args.out)
     return 0

@@ -17,7 +17,7 @@ from .errors import (
     StepSizeUnderflowError,
     TargetNotReachedError,
 )
-from .params import ModelParams, ReducedState
+from .params import ModelParams
 from .stability import classify, eigen4, jacobian_fd, rhs_reduced_values
 from .steady import steady_state
 
@@ -133,7 +133,7 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
                   "t_stop": 0.0},
         )
 
-    jac = jacobian_fd(ReducedState(*x_star), params)
+    jac = jacobian_fd(*x_star, params)
     lam, v_s = stable_eigenpair(jac)
     # Orient s so that z initially moves toward z0.
     sign = 1.0 if (v_s[0] > 0.0) == (z0 > ss.z_star) else -1.0

@@ -224,15 +224,23 @@ class ComparisonRow(NamedTuple):
     dominant: str  # "A", "B" or "="
 
 
-class ComparisonTable(NamedTuple):
-    rows: tuple
-
-
 _NON_TECH_FIELDS = ("A1", "A2", "alpha1", "alpha2", "delta_k", "delta_h", "eps", "rho")
 
 
-def compare_economies(params_a: ModelParams, params_b: ModelParams) -> ComparisonTable:
-    """Side-by-side steady states of two economies differing only in (sigma1, sigma2).
+def balanced_outputs(ss, h, params: ModelParams) -> tuple:
+    """(y1*, y2*): the sector outputs on the balanced path at (k, h) = (z* h, h),
+    of one economy held as floats or of a family held as arrays.
+
+    On the balanced path (1 - u*) Y2(w*) = r* + delta_h, so y2* = h (r* + delta_h)
+    exactly, with no 1 - u* that rounds away where u* is near 1.
+    """
+    return (y1_of(ss.z_star * h, h, ss.u_star, ss.v_star, params),
+            h * (ss.r_star + params.delta_h))
+
+
+def compare_economies(params_a: ModelParams, params_b: ModelParams) -> tuple:
+    """Side-by-side steady states of two economies differing only in (sigma1, sigma2),
+    as a tuple of ComparisonRow.
 
     Outputs y1*, y2* are taken at the common human-capital level h = 1;
     levels then differ only through z* and the allocations.
@@ -249,13 +257,10 @@ def compare_economies(params_a: ModelParams, params_b: ModelParams) -> Compariso
     for name in ("w_star", "z_star", "u_star", "v_star", "q_star", "r_star",
                  "pi1k", "pi2k"):
         rows.append(_row(name, getattr(ss_a, name), getattr(ss_b, name)))
-    ya = y1_of(ss_a.z_star, 1.0, ss_a.u_star, ss_a.v_star, params_a)
-    yb = y1_of(ss_b.z_star, 1.0, ss_b.u_star, ss_b.v_star, params_b)
-    rows.append(_row("y1_star", ya, yb))
-    # On the balanced path (1 - u*) Y2(w*) = r* + delta_h, so y2* needs no 1 - u*.
-    rows.append(_row("y2_star", ss_a.r_star + params_a.delta_h,
-                     ss_b.r_star + params_b.delta_h))
-    return ComparisonTable(rows=tuple(rows))
+    for name, a, b in zip(("y1_star", "y2_star"), balanced_outputs(ss_a, 1.0, params_a),
+                          balanced_outputs(ss_b, 1.0, params_b)):
+        rows.append(_row(name, a, b))
+    return tuple(rows)
 
 
 def _row(name: str, a: float, b: float) -> ComparisonRow:

@@ -1,4 +1,4 @@
-"""Parameter and state records for the two-sector CES economy."""
+"""Parameter record of the two-sector CES economy and its validating base."""
 
 import math
 import operator
@@ -155,25 +155,3 @@ class ModelParams(Checked, _ModelParamsFields):
                 1.0 / psi1, 1.0 / psi2, self.alpha2 * self.theta ** (-psi2 / (1.0 - psi2)),
                 psi2 * (1.0 - psi1) / (1.0 - psi2), self.A1, self.A2,
                 self.delta_k - self.delta_h)
-
-
-class _ReducedStateFields(NamedTuple):
-    z: float
-    q: float
-    u: float
-    v: float
-
-
-class ReducedState(Checked, _ReducedStateFields):
-    """Stationary coordinates (z = k/h, q = c/k, u, v) of the BGP system."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if not self.z > 0.0:
-            raise ParameterError(f"z must be positive, got {self.z}")
-        if not self.q > 0.0:
-            raise ParameterError(f"q must be positive, got {self.q}")
-        for name, frac in (("u", self.u), ("v", self.v)):
-            if not (0.0 < frac < 1.0):
-                raise ParameterError(f"{name} must be strictly inside (0,1), got {frac}")

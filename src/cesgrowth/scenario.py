@@ -159,6 +159,6 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4 300 digits
+    except (ValueError, RecursionError) as exc:  # malformed, a huge integer, or too deep
         raise ScenarioError(f"invalid JSON in {path}: {exc}", field="$") from exc
     return parse_scenario(doc)

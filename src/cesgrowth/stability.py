@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 from .core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv
 from .errors import ParameterError, SingularStateError
-from .params import ModelParams, ReducedState
+from .params import ModelParams
 from .steady import COMPLEX_STEP, SteadyState, steady_state
 
 # Cap on the Newton steps that polish each root in eigen4.
@@ -18,11 +18,11 @@ def rhs_reduced_values(
 ) -> tuple:
     """Time derivatives (zdot, qdot, udot, vdot) of the stationary coordinates.
 
-    Unlike a ReducedState, the coordinates need not lie in the (0,1) box:
-    the reduced equations only involve powers of w = (v/u) z and the
-    allocations linearly, so they extend smoothly past u = 1 or v = 1;
-    the stable manifold can traverse that region. Complex coordinates,
-    as jacobian_fd passes them, run the same code.
+    The coordinates need not lie in the (0,1) box: the reduced equations
+    only involve powers of w = (v/u) z and the allocations linearly, so
+    they extend smoothly past u = 1 or v = 1; the stable manifold can
+    traverse that region. Complex coordinates, as jacobian_fd passes
+    them, run the same code.
     """
     if abs(u - v) < UV_GAP_FLOOR:
         raise SingularStateError(f"u - v = {u - v} too small", state=(z, q, u, v))
@@ -45,7 +45,7 @@ def rhs_reduced_values(
     return zdot, qdot, udot, vdot
 
 
-def jacobian_fd(state: ReducedState, params: ModelParams) -> tuple:
+def jacobian_fd(z: float, q: float, u: float, v: float, params: ModelParams) -> tuple:
     """Complex-step Jacobian of rhs_reduced_values, as four rows of floats.
 
     Column i is Im rhs(x + i h e_i) / h with h = COMPLEX_STEP (Squire &
@@ -53,7 +53,7 @@ def jacobian_fd(state: ReducedState, params: ModelParams) -> tuple:
     rounding level and independent of h, from one rhs evaluation per column.
     """
     h = COMPLEX_STEP
-    x = [float(state.z), float(state.q), float(state.u), float(state.v)]
+    x = [float(z), float(q), float(u), float(v)]
     columns = []
     for i in range(4):
         xi = list(x)
@@ -204,8 +204,7 @@ def classify(eigenvalues) -> tuple[int, str]:
 def stability_report(params: ModelParams) -> StabilityReport:
     """Solve the BGP, linearize around it and classify the local dynamics."""
     ss = steady_state(params)
-    state = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    jac = jacobian_fd(state, params)
+    jac = jacobian_fd(ss.z_star, ss.q_star, ss.u_star, ss.v_star, params)
     ev = eigen4(jac)
     n_stable, label = classify(ev)
     return StabilityReport(

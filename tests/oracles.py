@@ -7,7 +7,6 @@ rows of a comparison table by name.
 """
 
 import math
-import sys
 from typing import NamedTuple
 
 from cesgrowth.core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, sector_rates, tau_of
@@ -15,12 +14,11 @@ from cesgrowth.errors import ParameterError, SingularStateError
 from cesgrowth.normalization import (
     Baseline,
     ComparisonRow,
-    ComparisonTable,
     _check_sector,
     normalized_params,
     psi_of_sigma,
 )
-from cesgrowth.params import ModelParams, ReducedState
+from cesgrowth.params import ModelParams
 from cesgrowth.steady import steady_state
 
 
@@ -52,9 +50,9 @@ def share_pi_bar(baseline: Baseline, sector: int) -> float:
     return x_bar / (x_bar + baseline.m)
 
 
-def comparison_row(table: ComparisonTable, name: str) -> ComparisonRow:
-    """The row of a compare_economies table named name."""
-    for r in table.rows:
+def comparison_row(rows: tuple, name: str) -> ComparisonRow:
+    """The row named name among the rows compare_economies returns."""
+    for r in rows:
         if r.name == name:
             return r
     raise KeyError(name)
@@ -65,7 +63,16 @@ def powz(base: float, expo: float) -> float:
     return math.exp(expo * math.log(base))
 
 
-def w_of(state: ReducedState) -> float:
+class State(NamedTuple):
+    """Stationary coordinates (z = k/h, q = c/k, u, v), named; unchecked."""
+
+    z: float
+    q: float
+    u: float
+    v: float
+
+
+def w_of(state: State) -> float:
     """Effective capital ratio w = (v/u) z = kv / hu."""
     return state.v / state.u * state.z
 
@@ -103,7 +110,7 @@ class AuxBundle(NamedTuple):
     H: float
 
 
-def aux_of(state: ReducedState, params: ModelParams) -> AuxBundle:
+def aux_of(state: State, params: ModelParams) -> AuxBundle:
     """Evaluate the full auxiliary bundle at a reduced state."""
     return AuxBundle(*aux_from_wuv(w_of(state), state.u, state.v, params))
 
@@ -131,8 +138,7 @@ def rhs_full(state: tuple, params: ModelParams) -> tuple:
         raise SingularStateError(f"u - v = {u - v} too small", state=state)
     z = k / h
     w = v / u * z
-    reduced = ReducedState(z=z, q=max(c / k, sys.float_info.min), u=u, v=v)
-    bun = aux_of(reduced, params)
+    bun = aux_of(State(z, c / k, u, v), params)
     if abs(bun.R) < R_FLOOR:
         raise SingularStateError(f"R = {bun.R} vanishes at this state", state=state)
     psi1, psi2 = params.psi1, params.psi2

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.spans import BOUNDARIES  # noqa: E402
 
-from cesgrowth import ReducedState, dynamics, stability, steady  # noqa: E402
+from cesgrowth import dynamics, stability, steady  # noqa: E402
 
 from conftest import bench_params  # noqa: E402
 
@@ -55,7 +55,7 @@ def test_rhs_looks_up_the_aux_kernel_at_call_time(monkeypatch):
     monkeypatch.setattr(stability, "aux_from_wuv", counting)
     params = bench_params(0.25, -0.10)
     ss = steady.steady_state(params)
-    stability.jacobian_fd(ReducedState(ss.z_star, ss.q_star, ss.u_star, ss.v_star), params)
+    stability.jacobian_fd(ss.z_star, ss.q_star, ss.u_star, ss.v_star, params)
     assert len(calls) == 4
 
 

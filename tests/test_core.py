@@ -9,13 +9,23 @@ import math
 import numpy as np
 import pytest
 
-from cesgrowth import ParameterError, ReducedState, tau_of, y1_of, y2_of
+from cesgrowth import ParameterError, tau_of, y1_of, y2_of
 from cesgrowth.core import aux_from_wuv, sector_rates
 from cesgrowth.stability import rhs_reduced_values
 from cesgrowth.steady import gap_P
 
 from conftest import CASE_PSI, bench_params
-from oracles import AuxBundle, aux_of, costate_ratio, p1_of, p2_of, powz, rhs_full, w_of
+from oracles import (
+    AuxBundle,
+    State,
+    aux_of,
+    costate_ratio,
+    p1_of,
+    p2_of,
+    powz,
+    rhs_full,
+    w_of,
+)
 
 
 def random_interior_state(rng):
@@ -23,9 +33,7 @@ def random_interior_state(rng):
     v = rng.uniform(0.05, 0.95)
     while abs(u - v) < 0.02:
         v = rng.uniform(0.05, 0.95)
-    return ReducedState(
-        z=rng.uniform(0.5, 20.0), q=rng.uniform(0.05, 0.5), u=u, v=v
-    )
+    return State(z=rng.uniform(0.5, 20.0), q=rng.uniform(0.05, 0.5), u=u, v=v)
 
 
 def test_powz_matches_float_power(rng):
@@ -53,7 +61,7 @@ def test_kernel_entry_points_reject_nonpositive_w(w):
 
 
 def test_w_and_tau():
-    s = ReducedState(z=10.0, q=0.2, u=0.8, v=0.5)
+    s = State(z=10.0, q=0.2, u=0.8, v=0.5)
     assert w_of(s) == pytest.approx(0.5 / 0.8 * 10.0)
     assert tau_of(0.8, 0.5) == pytest.approx(0.5 * 0.2 / (0.8 * 0.5))
     with pytest.raises(ParameterError):
@@ -287,8 +295,7 @@ def test_growth_gap_sign_flips_across_root():
 
     p = bench_params(0.25, -0.10)
     ss = steady_state(p)
-    s = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    bun = aux_of(s, p)
+    bun = aux_of(State(ss.z_star, ss.q_star, ss.u_star, ss.v_star), p)
     assert bun.D + ss.q_star == pytest.approx(0.0, abs=1e-10)
     assert bun.P == pytest.approx(0.0, abs=1e-10)
 

@@ -16,7 +16,6 @@ from cesgrowth import (
     ModelParams,
     NoRealStableEigenvectorError,
     ParameterError,
-    ReducedState,
     StepSizeUnderflowError,
     TargetNotReachedError,
     jacobian_fd,
@@ -41,7 +40,7 @@ from perfbench.workloads import POOL_SEED, POOL_SIZE, draw_economies  # noqa: E4
 
 def steady_point(params):
     ss = steady_state(params)
-    return ss, ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
+    return ss, (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
 
 
 # The paper cases and the stiff economies, by params_of's names.
@@ -114,7 +113,7 @@ def test_fixed_point_trajectory_is_constant(params_case1):
     bound = 1e-6
     _, s = steady_point(params_case1)
     x_star = np.array(s)
-    jac = jacobian_fd(s, params_case1)
+    jac = jacobian_fd(*s, params_case1)
     horizon = linear_departure_horizon(
         jac, rhs_reduced_values(*s, params_case1), bound, t_end=10.0
     )
@@ -151,7 +150,7 @@ def test_small_perturbation_matches_linear_propagator(params_case1):
     delta = np.array([0.01 * ss.z_star, 0.0, 0.0, 0.0])
     t_end = 0.01
     times, states = forward(x0 + delta, params_case1, t_end=t_end, rtol=1e-11)
-    jac = jacobian_fd(s, params_case1)
+    jac = jacobian_fd(*s, params_case1)
     predicted = x0 + expm(np.asarray(jac) * t_end) @ delta
     err = np.max(np.abs(states[-1] - predicted))
     assert times[-1] == pytest.approx(t_end)
@@ -424,7 +423,7 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
 def manifold_of(params):
     """(x*, J, lambda, coefficients, radius) of saddle_path's expansion."""
     ss, s = steady_point(params)
-    jac = jacobian_fd(s, params)
+    jac = jacobian_fd(*s, params)
     lam, v_s = dynamics.stable_eigenpair(jac)
     x_star = tuple(s)
     coeffs, radius, _ = dynamics._stable_manifold(params, x_star, jac, lam.real, v_s,
@@ -624,7 +623,7 @@ def test_paths_past_the_corner_take_the_linear_seed(name, monkeypatch):
     inside the seed's reach)."""
     params = params_of(name)
     ss, s = steady_point(params)
-    lam, v_s = dynamics.stable_eigenpair(jacobian_fd(s, params))
+    lam, v_s = dynamics.stable_eigenpair(jacobian_fd(*s, params))
     z_corner = ss.z_star + v_s[0] * (1.0 - ss.u_star) / v_s[2]
     assert z_corner < ss.z_star
     expansions = []

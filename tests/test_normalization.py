@@ -213,9 +213,9 @@ def test_overflowing_family_parameter_names_sigma(params_case1, sector):
 def test_compare_economies_dominance(params_case1):
     """Higher elasticities dominate on every starred quantity."""
     e2 = params_case1._replace(psi1=0.20, psi2=-0.15)
-    table = compare_economies(params_case1, e2)
+    rows = compare_economies(params_case1, e2)
     for name in ("r_star", "u_star", "v_star", "pi1k", "pi2k", "y1_star", "y2_star"):
-        assert comparison_row(table, name).dominant == "A"
+        assert comparison_row(rows, name).dominant == "A"
 
 
 def test_compare_y2_star_is_exact_where_u_star_is_near_one(params_case1):

@@ -1,4 +1,4 @@
-"""Validation behaviour of the parameter and state records."""
+"""Validation behaviour of the records."""
 
 import math
 
@@ -8,13 +8,13 @@ import pytest
 from cesgrowth import (
     ModelParams,
     ParameterError,
-    ReducedState,
     baseline_from_point,
     compare_economies,
     normalized_params,
     parse_scenario,
     stability_report,
 )
+from cesgrowth.normalization import ComparisonRow
 from cesgrowth.params import is_array
 
 from conftest import BENCH, bench_params
@@ -91,28 +91,6 @@ def test_with_psi_keeps_other_fields():
     assert p2.A1 == p.A1 and p2.rho == p.rho
 
 
-def test_reduced_state_roundtrip():
-    s = ReducedState(z=10.7, q=0.24, u=0.88, v=0.87)
-    arr = np.array(s)
-    assert arr.shape == (4,)
-    s2 = ReducedState(*arr)
-    assert s2 == s
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(z=0.0, q=0.2, u=0.5, v=0.4),
-        dict(z=1.0, q=-0.2, u=0.5, v=0.4),
-        dict(z=1.0, q=0.2, u=1.0, v=0.4),
-        dict(z=1.0, q=0.2, u=0.5, v=0.0),
-    ],
-)
-def test_reduced_state_rejects_out_of_range(kwargs):
-    with pytest.raises(ParameterError):
-        ReducedState(**kwargs)
-
-
 def test_frozen():
     p = bench_params(0.25, -0.10)
     with pytest.raises(Exception):
@@ -137,15 +115,12 @@ def _records():
     rep = stability_report(p)
     scn = parse_scenario({"params": dict(p._asdict()),
                           "sweep": {"lo": 0.5, "hi": 2.0, "n": 3}})
-    table = compare_economies(p, p)
     return [
         p,
-        ReducedState(z=10.7, q=0.24, u=0.88, v=0.87),
         rep.steady,
         rep,
         baseline_from_point(p, 5.5, 1.0, 0.6, 0.5),
-        table,
-        table.rows[0],
+        compare_economies(p, p)[0],
         scn,
         scn.sweep,
     ]
@@ -170,8 +145,9 @@ def test_records_refuse_every_assignment():
 def test_records_are_named_tuples():
     p = bench_params(0.25, -0.10)
     assert tuple(p) == tuple(p._asdict().values()) and len(p) == 10
-    s = ReducedState(z=10.7, q=0.24, u=0.88, v=0.87)
-    assert s == (10.7, 0.24, 0.88, 0.87) and hash(s) == hash((10.7, 0.24, 0.88, 0.87))
+    row = ComparisonRow("z_star", 10.7, 5.2, "A")
+    assert row == ("z_star", 10.7, 5.2, "A")
+    assert hash(row) == hash(("z_star", 10.7, 5.2, "A"))
 
 
 def test_changed_copies_are_validated():
@@ -188,7 +164,6 @@ def test_changed_copies_are_validated():
     for record, change in (
         (p, {"alpha1": 0.0}),
         (p, {"eps": 1.0}),
-        (ReducedState(z=10.7, q=0.24, u=0.88, v=0.87), {"u": 1.0}),
         (base, {"w_bar": 0.0}),
         (base, {"tau_bar": 2.0 * base.tau_bar}),
     ):

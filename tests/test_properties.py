@@ -30,10 +30,18 @@ ECONOMY = st.fixed_dictionaries({
 @example(NEWTON_OVERFLOW[1])
 def test_every_economy_ends_in_a_result_or_a_typed_error(fields):
     """steady_state and stability_report return, or raise a CesGrowthError;
-    any other exception fails the test."""
+    any other exception fails the test. A balanced path that steady_state
+    returns lies where the reduced state is defined: z*, q* > 0 and u*, v*
+    in (0, 1)."""
     params = ModelParams(**fields)
-    for call in (steady_state, stability_report):
-        try:
-            call(params)
-        except CesGrowthError:
-            pass
+    try:
+        ss = steady_state(params)
+    except CesGrowthError:
+        pass
+    else:
+        assert ss.z_star > 0.0 and ss.q_star > 0.0
+        assert 0.0 < ss.u_star < 1.0 and 0.0 < ss.v_star < 1.0
+    try:
+        stability_report(params)
+    except CesGrowthError:
+        pass

@@ -175,6 +175,16 @@ def test_load_scenario_integer_too_long_to_parse(tmp_path):
     assert e.value.field == "$"
 
 
+def test_load_scenario_nested_past_the_recursion_limit(tmp_path):
+    """A malformed file too deep for the decoder is a ScenarioError, not a
+    RecursionError that would escape the CLI's exit codes."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(str(path))
+    assert e.value.field == "$"
+
+
 def test_load_scenario_roundtrip(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc()), encoding="utf-8")

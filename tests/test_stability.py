@@ -14,10 +14,10 @@ from cesgrowth import (
     CesGrowthError,
     ModelParams,
     ParameterError,
-    ReducedState,
     SingularStateError,
     eigen4,
     jacobian_fd,
+    saddle_path,
     stability_report,
     steady_state,
 )
@@ -246,11 +246,22 @@ def _mpmath_jacobian(x, params):
     return jac
 
 
-def test_jacobian_fd_matches_high_precision_differences(params_any_case):
-    ss = steady_state(params_any_case)
-    s = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    reference = _mpmath_jacobian(list(s), params_any_case)
-    np.testing.assert_allclose(jacobian_fd(s, params_any_case), reference, rtol=1e-10)
+@pytest.mark.parametrize("point", sorted(CASE_PSI) + ["readme_start", "case1_from_0.9z"])
+def test_jacobian_fd_matches_high_precision_differences(point):
+    """At each case's x*, and at two states past the corner u = v = 1, where
+    the reduced equations still hold: the first rows of case 1's saddle
+    paths from the README start z0 = 5.5, about (5.5, 0.303, 4.12, 7.90),
+    and from z0 = 0.9 z*, about (9.65, 0.248, 1.55, 1.69)."""
+    params = bench_params(*CASE_PSI[point if point in CASE_PSI else 1])
+    ss = steady_state(params)
+    z0 = {"readme_start": 5.5, "case1_from_0.9z": 0.9 * ss.z_star}.get(point)
+    if z0 is None:
+        x = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
+    else:
+        x = saddle_path(params, z0).state_rows[0]
+        assert min(x[2], x[3]) > 1.0
+    reference = _mpmath_jacobian(x, params)
+    np.testing.assert_allclose(jacobian_fd(*x, params), reference, rtol=1e-10)
 
 
 @pytest.mark.parametrize("index", sorted(STIFF_POOL))
@@ -280,8 +291,8 @@ def test_case_spectra_and_classification(case):
 
 def test_rhs_vanishes_at_steady_state(params_any_case):
     ss = steady_state(params_any_case)
-    s = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
-    assert np.linalg.norm(rhs_reduced_values(*s, params_any_case)) < 1e-8
+    x = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
+    assert np.linalg.norm(rhs_reduced_values(*x, params_any_case)) < 1e-8
 
 
 def test_rhs_singular_guards(params_case1):

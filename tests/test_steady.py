@@ -24,7 +24,6 @@ from cesgrowth import (
 )
 from cesgrowth import cli, steady
 from cesgrowth.core import sector_rates, tau_of
-from cesgrowth.params import ReducedState
 from cesgrowth.stability import rhs_reduced_values, stability_report
 from cesgrowth.steady import closed_forms, transversality
 
@@ -289,9 +288,9 @@ def test_root_sits_at_the_gaps_rounding_level(params):
     """
     ss = steady_state(params)
     assert abs(gap_P(ss.w_star, params)) <= 1e-14
-    x = ReducedState(z=ss.z_star, q=ss.q_star, u=ss.u_star, v=ss.v_star)
+    x = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
     ulps = np.array([math.ulp(t) for t in x])
-    rounding = np.max(np.abs(jacobian_fd(x, params)) @ ulps)
+    rounding = np.max(np.abs(jacobian_fd(*x, params)) @ ulps)
     assert np.max(np.abs(rhs_reduced_values(*x, params))) <= 4.0 * rounding
 
 
