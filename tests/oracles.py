@@ -2,8 +2,9 @@
 
 No command of the package needs these. They check it from outside: the
 level system rhs_full against the reduced system, the share-form outputs
-and their psi-derivatives against the normalized CES family, and the
-rows of a comparison table by name.
+and their psi-derivatives against the normalized CES family, the rows
+of a comparison table by name, and the plain forms of two of dynamics'
+inner loops: Horner's rule on lists and bisection.
 """
 
 import math
@@ -311,3 +312,26 @@ def dr_dpsi_at(
         * (pi_bar / pi1_star) ** ((1.0 - psi) / psi)
         * brace
     )
+
+
+def horner(coeffs, s):
+    """sum_k coeffs[k] s^k by Horner's rule, one list comprehension per
+    coefficient, each a 4-vector."""
+    x = list(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        x = [a * s + b for a, b in zip(x, c)]
+    return x
+
+
+def bisect(g, lo, hi):
+    """(zero of g, evaluations of g) for g that changes sign or vanishes on
+    [lo, hi]: bisection down to adjacent floats, then the one of them where
+    |g| is smaller."""
+    g_lo, g_hi, n = g(lo), g(hi), 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        g_mid, n = g(mid), n + 1
+        if (g_mid > 0) == (g_lo > 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    return (lo if abs(g_lo) < abs(g_hi) else hi), n

@@ -1,6 +1,8 @@
 """Stable-manifold construction and level reconstruction."""
 
+import cmath
 import math
+import random
 import sys
 import time
 from pathlib import Path
@@ -28,6 +30,7 @@ from cesgrowth import dynamics
 from cesgrowth.core import sector_rates
 from cesgrowth.stability import rhs_reduced_values
 
+import oracles
 import reference_paths
 from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, bench_params
 from test_acceptance import random_baseline
@@ -189,9 +192,9 @@ def test_saddle_path_at_steady_state_is_single_point(params_case1):
 
 def test_saddle_path_at_steady_state_records_no_steps(params_case1):
     """Nothing is integrated from z*, so the stepper's count is 0, as on
-    any start that W already reaches."""
+    any start that W already reaches, and nothing is searched for."""
     traj = saddle_path(params_case1, z0=steady_state(params_case1).z_star)
-    assert traj.meta["steps"] == traj.meta["nfev"] == 0
+    assert traj.meta["steps"] == traj.meta["nfev"] == traj.meta["event_evals"] == 0
 
 
 def test_saddle_path_validates_z0(params_case1):
@@ -328,7 +331,7 @@ def rk45_replay(params, z0, monkeypatch):
         result = saddle_path(params, z0)
     except TargetNotReachedError as exc:
         result = exc
-    (fun, y0, max_step, events, (ts, ys, _, _)), = calls
+    (fun, y0, max_step, events, (ts, ys, *_)), = calls
     terminal = []
     for i in range(3):
         def event(_t, x, i=i):
@@ -576,8 +579,10 @@ def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
     x_star, _, rate, _, _ = manifold_of(params)
     z0 = 1.001 * x_star[0]
     monkeypatch.setattr(dynamics, "_dormand_prince", None)
+    searches = counted_searches(monkeypatch)
     traj = saddle_path(params, z0)
     assert traj.meta["steps"] == traj.meta["nfev"] == 0
+    assert traj.meta["event_evals"] == sum(searches) > 2
     assert traj.state_rows[0][0] == pytest.approx(z0, rel=4e-16)
     s_end = math.copysign(dynamics.SEED_SCALE * math.hypot(*x_star), traj.meta["s0"])
     assert traj.meta["t_stop"] == traj.time_rows[-1] == pytest.approx(
@@ -647,9 +652,32 @@ def test_paths_past_the_corner_take_the_linear_seed(name, monkeypatch):
         assert max(u for _, _, u, _ in short.state_rows) < 1.0
 
 
+def counted_searches(monkeypatch):
+    """A list that gets, for each _illinois search saddle_path runs, the
+    evaluations of g counted from outside, after checking that the
+    search reports the same count."""
+    counts = []
+    search = dynamics._illinois
+
+    def spy(g, lo, hi):
+        points = []
+
+        def counted(s):
+            points.append(s)
+            return g(s)
+
+        out = search(counted, lo, hi)
+        assert out[1] == len(points)
+        counts.append(len(points))
+        return out
+
+    monkeypatch.setattr(dynamics, "_illinois", spy)
+    return counts
+
+
 @pytest.mark.parametrize("name, factor", [("case1", 1.1), ("case2", 1.1), ("case2", 0.95),
                                           ("stiff35", 0.9999)])
-def test_trajectory_meta_records_the_seed(name, factor):
+def test_trajectory_meta_records_the_seed(name, factor, monkeypatch):
     """A path integrated from the expansion's seed, on either side of z*
     (the stiff economy from below, short of the corner u = v = 1): the
     record holds the order, the circle that passed (the first, of radius
@@ -658,8 +686,10 @@ def test_trajectory_meta_records_the_seed(name, factor):
     recomputed term by term. The set-up calls are the Jacobian's 4, N/2 + 1
     samples per order and the first order's on a failed circle, and the
     gate's, at least the two of the seed that passes. The rows are the
-    stepper's followed by those of W."""
+    stepper's followed by those of W, and event_evals counts the g
+    evaluations of the search that placed the stop."""
     params = params_of(name)
+    searches = counted_searches(monkeypatch)
     traj = saddle_path(params, factor * steady_state(params).z_star)
     x_star, _, rate, coeffs, radius = manifold_of(params)
     meta = traj.meta
@@ -674,6 +704,7 @@ def test_trajectory_meta_records_the_seed(name, factor):
     assert gate >= 2
     assert 0 < meta["steps"] < len(traj)
     assert meta["t_stop"] == traj.time_rows[-1]
+    assert meta["event_evals"] == sum(searches) > 2
 
 
 @pytest.mark.parametrize("ref", reference_paths.load(),
@@ -709,6 +740,141 @@ def test_stepper_gives_up_where_rk45_does():
     assert exc.value.last_time == sol.t[-1] < 1.0
     assert 1.0 / exc.value.last_state[0] == pytest.approx(1.0 / sol.y[0, -1],
                                                           rel=0, abs=math.ulp(1.0))
+
+
+def searched(g, lo, hi):
+    """_illinois's (x, evaluations) on g over [lo, hi], after checking that
+    x is an exact zero of g or one of two adjacent floats across which the
+    sign of g changes, the one where |g| is no larger."""
+    x, n = dynamics._illinois(g, lo, hi)
+    assert lo <= x <= hi
+    if g(x):
+        across = [y for y in (math.nextafter(x, lo), math.nextafter(x, hi))
+                  if y != x and (g(y) > 0) != (g(x) > 0)]
+        assert across and abs(g(x)) <= min(abs(g(y)) for y in across)
+    return x, n
+
+
+@pytest.mark.parametrize("root", [0.3, 1 / 3, 0.5, 0.999])
+def test_event_search_on_a_linear_g(root):
+    """A secant step lands on a linear g's zero to rounding, so the search
+    ends in at most 4 evaluations where bisection takes 54 or more."""
+    x, n = searched(lambda s: s - root, 0.0, 1.0)
+    assert x == pytest.approx(root, rel=1e-15) and n <= 4
+    assert oracles.bisect(lambda s: s - root, 0.0, 1.0)[1] >= 54
+
+
+@pytest.mark.parametrize("root", [0.4, 0.123456789, 0.7654321])
+def test_event_search_on_a_cubic_flat_at_its_root(root):
+    """(s - r)^3 is flat at r, where secant steps crawl: the bisection
+    steps carry the search to r's float or beside it."""
+    x, _ = searched(lambda s: (s - root) ** 3, 0.0, 1.0)
+    assert x == pytest.approx(root, rel=1e-15)
+
+
+@pytest.mark.parametrize("g, end", [(lambda s: s - 0.25, 0.25), (lambda s: 1.0 - s, 1.0),
+                                    (lambda s: s * s - 1.0, 1.0)], ids=["lo", "hi", "hi-square"])
+def test_event_search_on_a_g_zero_at_one_end(g, end):
+    """A zero at either end ends the search there, after the two end
+    evaluations."""
+    assert searched(g, 0.25, 1.0) == (end, 2)
+
+
+def test_event_search_on_a_g_zero_on_an_interval():
+    """g vanishes on [0.4, 0.6] and changes sign across it: the search ends
+    on a zero within it."""
+    def g(s):
+        return math.copysign(max(0.0, abs(s - 0.5) - 0.1), s - 0.5)
+
+    x, n = searched(g, 0.0, 1.0)
+    assert g(x) == 0.0 and 0.39 <= x <= 0.61 and n <= 6
+
+
+@pytest.mark.parametrize("g", [lambda s: 1.0 + s, lambda s: -2.0 + s, lambda s: 2.0 - s],
+                         ids=["positive", "negative", "falling"])
+def test_event_search_without_a_sign_change_bisects(g):
+    """Without a sign change every step bisects, so the search returns
+    what bisection always returned, in as many evaluations: the float next
+    to hi, or hi."""
+    x, n = dynamics._illinois(g, 0.0, 1.0)
+    assert (x, n) == oracles.bisect(g, 0.0, 1.0)
+    assert x in (1.0, math.nextafter(1.0, 0.0))
+
+
+def noisy(seed):
+    """g of random values in (-1, 1), a new one at each call."""
+    rng = random.Random(seed)
+    return lambda s: rng.uniform(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("g", [
+    lambda s: (s - 0.4) ** 3, lambda s: (s - 0.123456789) ** 5,
+    lambda s: -1e-300 if s < 0.37 else 1.0, lambda s: -1.0 if s < 0.37 else 1e-300,
+    lambda s: math.expm1(700.0 * (s - 0.9)), lambda s: math.copysign(abs(s - 0.3) ** 0.1, s - 0.3),
+    *[noisy(seed) for seed in range(5)]],
+    ids=["cubic", "quintic", "jump-up", "jump-down", "steep", "singular",
+         *[f"noise{seed}" for seed in range(5)]])
+def test_event_search_costs_at_most_twice_bisection(g):
+    """Flat roots, jumps between values of very different size, steep and
+    singular slopes, and g that is noise: no search takes more than twice
+    bisection's evaluations and 4 more (measured up to 113 against 58, on
+    the quintic; without the bisection steps the quintic took 218 and the
+    jump up 15 010)."""
+    n_bisect = oracles.bisect(g, 0.0, 1.0)[1]
+    assert dynamics._illinois(g, 0.0, 1.0)[1] <= 2 * n_bisect + 4
+
+
+# transition_paths' starts: case 1 from 1.05-1.10 z*, cases 2-5 from
+# 0.90-0.99 z* and 1.01-1.50 z*.
+TRANSITION_STARTS = ([(1, f) for f in (1.05, 1.075, 1.1)]
+                     + [(c, f) for c in (2, 3, 4, 5) for f in (0.9, 0.95, 0.99, 1.01, 1.2, 1.5)])
+
+
+def test_event_search_takes_few_evaluations_on_transition_starts(monkeypatch):
+    """A path's stop is found in at most 10 evaluations of g on average over
+    transition_paths' starts on the five paper cases (measured 7.1, where
+    bisection took 48), and each path's event_evals counts them."""
+    searches = counted_searches(monkeypatch)
+    for case, factor in TRANSITION_STARTS:
+        params = bench_params(*CASE_PSI[case])
+        before = len(searches)
+        traj = saddle_path(params, factor * steady_state(params).z_star)
+        assert traj.meta["event_evals"] == sum(searches[before:]) > 2
+    assert sum(searches) / len(searches) <= 10.0
+
+
+@pytest.mark.parametrize("s", [0.0, 4.5e-3, -6.7e-2, 1.1e-3 * cmath.exp(0.25j * math.pi),
+                               -2e-2 + 0j, 3e-2 * cmath.exp(0.75j * math.pi)])
+def test_horner_matches_the_list_form_bit_for_bit(s):
+    """_horner on unpacked components does the list form's arithmetic in its
+    order: the same floats, signed zeros included, on the order-6
+    expansion and on the linear seed, at real and at complex s."""
+    x_star, jac, _, coeffs, _ = manifold_of(params_of("case1"))
+    for c in (coeffs, [x_star, dynamics.stable_eigenpair(jac)[1]]):
+        assert repr(dynamics._horner(c, s)) == repr(oracles.horner(c, s))
+
+
+@pytest.mark.parametrize("name", ECONOMIES)
+def test_incremental_circle_samples_match_reevaluated_ones(name):
+    """_stable_manifold moves its circle points from W_{<k-1} to W_{<k} by
+    adding a_{k-1} s^(k-1). Samples re-evaluated at every order by Horner's
+    rule, from the package's own a_{<k}, give a_2 to the bit and a_3 to a_6
+    to rounding: |da_k| r^k is at most 1e-13 |x*|, measured at most 5.3e-15
+    |x*| (a_4 of stiff economy 35)."""
+    params = params_of(name)
+    x_star, jac, rate, coeffs, r = manifold_of(params)
+    n = dynamics.MANIFOLD_SAMPLES
+    roots = [cmath.exp(2j * math.pi * j / n) for j in range(n // 2 + 1)]
+    assert len(coeffs) == dynamics.MANIFOLD_ORDER + 1
+    for k in range(2, len(coeffs)):
+        f = [rhs_reduced_values(*oracles.horner(coeffs[:k], r * w), params) for w in roots]
+        m = [[x - k * rate if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(jac)]
+        a_k = dynamics._solve_pivoted(m, [-c for c in dynamics._dft(f, roots, k, r)])
+        gap = max(abs(a - b) for a, b in zip(a_k, coeffs[k])) * r**k
+        if k == 2:
+            assert a_k == coeffs[k]
+        assert gap <= 1e-13 * math.hypot(*x_star)
 
 
 def test_random_economies_end_in_a_path_or_a_typed_error():
