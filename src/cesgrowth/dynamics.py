@@ -107,19 +107,21 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     on the side (sign of s) where z moves toward z0, and is integrated in
     reversed time until z crosses z0; a z0 that W already reaches is
     solved for on W and nothing is integrated. The path is reported in
-    forward-time order: the stepper's steps, then rows of W at the exact
-    times of s(t) until |s| = SEED_SCALE |x*|.
+    forward-time order: the stepped segment's rows, one per accepted step
+    and the seed, then rows of W at the exact times of s(t) until |s| =
+    SEED_SCALE |x*|.
 
     A z0 past the corner u = v = 1 (_past_corner), or an expansion that
     fails its checks, starts the path at the linear seed x* + v_s s_end
     instead, with no rows from W.
 
-    meta records the stepper's "steps" (0 when nothing was integrated)
-    and "nfev", "event_evals", the evaluations of the search that placed
-    z0 (on W or on a step; 0 at x*), the expansion's "order" (1 for the
-    linear seed), circle "radius", seed "s0" and "seed_defect" (None where
-    not computed), the rhs calls "setup_nfev" of the Jacobian, the
-    expansion and its gate, and "t_stop", the time of the last row.
+    meta records "steps", the stepped segment's rows, seed included
+    (accepted steps + 1; 0 when nothing was integrated), and "nfev",
+    "event_evals", the evaluations of the search that placed z0 (on W or
+    on a step; 0 at x*), the expansion's "order" (1 for the linear seed),
+    circle "radius", seed "s0" and "seed_defect" (None where not
+    computed), the rhs calls "setup_nfev" of the Jacobian, the expansion
+    and its gate, and "t_stop", the time of the last row.
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
@@ -164,10 +166,10 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
         rows = _manifold_rows(coeffs, rate, s0, s_end)
         ts, ys, nfev = [0.0], [rows[0][1]], 0
     else:
-        def fun(x):
+        def fun(z, q, u, v):
             # The manifold may leave the (0,1) allocation box; the reduced
             # equations remain smooth there.
-            zdot, qdot, udot, vdot = rhs_reduced_values(*x, params)
+            zdot, qdot, udot, vdot = rhs_reduced_values(z, q, u, v, params)
             return -zdot, -qdot, -udot, -vdot
 
         # Near the seed derivatives are small, so the first-step heuristic
@@ -406,32 +408,35 @@ def _solve_pivoted(a, b=None):
 def _dormand_prince(fun, y, max_step, events):
     """Integrate y' = fun(y) from t = 0 until T_BUDGET or a terminal event.
 
-    y is a sequence of floats and fun(y) returns one. Dormand & Prince 5(4)
-    with the step control of Hairer, Norsett & Wanner (Solving ODEs I,
-    sec. II.4), the common RK45, at rtol SADDLE_RTOL and atol SADDLE_ATOL.
-    Each stage is one list comprehension over the components with the
-    pair's coefficients written into it, which costs less than summing
-    over a coefficient table. After each accepted step, a component of
-    events(y) that changes sign is located to one ulp of t by _illinois on
-    the step's dense output, in about 7 evaluations (bisection took 50);
-    the earliest crossing ends the path. Returns (times, states, nfev, hit,
-    evals), hit the event met or None, evals the searches' evaluations.
+    y is a sequence of four floats (z, q, u, v), and fun(z, q, u, v)
+    returns four. Dormand & Prince 5(4) with the step control of Hairer,
+    Norsett & Wanner (Solving ODEs I, sec. II.4), the common RK45, at rtol
+    SADDLE_RTOL and atol SADDLE_ATOL. Each stage is written out for the
+    four components, with the pair's coefficients, so a step calls fun
+    and events and nothing else. After each accepted step, a component of
+    events(y), which gives three values, that changes sign is located to
+    one ulp of t by _illinois on the step's dense output, in about 7
+    evaluations (bisection took 50); the earliest crossing ends the path.
+    Returns (times, states, nfev, hit, evals), hit the event met or None,
+    evals the searches' evaluations.
     """
     t_bound, rtol, atol = float(T_BUDGET), SADDLE_RTOL, SADDLE_ATOL
-    root_n = math.sqrt(len(y))
-    t, f = 0.0, fun(y)
+    t, (z, q, u, v) = 0.0, y
+    fz, fq, fu, fv = f = fun(z, q, u, v)
     # First step: two rhs calls, f at the seed and one Euler probe. Each
-    # norm is the root mean square of the scaled components.
-    scale = [atol + abs(a) * rtol for a in y]
-    d0 = math.hypot(*[a / s for a, s in zip(y, scale)]) / root_n
-    d1 = math.hypot(*[a / s for a, s in zip(f, scale)]) / root_n
+    # norm is the root mean square of the four scaled components, hypot / 2.
+    sz, sq = atol + abs(z) * rtol, atol + abs(q) * rtol
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0 = math.hypot(z / sz, q / sq, u / su, v / sv) / 2.0
+    d1 = math.hypot(fz / sz, fq / sq, fu / su, fv / sv) / 2.0
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    f0 = fun([a + h0 * b for a, b in zip(y, f)])
-    d2 = math.hypot(*[(a - b) / s for a, b, s in zip(f0, f, scale)]) / root_n / h0
+    az, aq, au, av = fun(z + h0 * fz, q + h0 * fq, u + h0 * fu, v + h0 * fv)
+    d2 = math.hypot((az - fz) / sz, (aq - fq) / sq, (au - fu) / su, (av - fv) / sv) / 2.0 / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 5))
     h_abs = min(100 * h0, h1, t_bound, max_step)
-    nfev, ts, ys, g = 2, [t], [y], events(y)
+    nfev, ts, ys = 2, [t], [y]
+    old0, old1, old2 = events(y)
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -443,37 +448,65 @@ def _dormand_prince(fun, y, max_step, events):
                     last_state=y, last_time=t)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            k2 = fun([yi + (1/5 * a) * h for yi, a in zip(y, f)])
-            k3 = fun([yi + (3/40 * a + 9/40 * b) * h for yi, a, b in zip(y, f, k2)])
-            k4 = fun([yi + (44/45 * a - 56/15 * b + 32/9 * c) * h
-                      for yi, a, b, c in zip(y, f, k2, k3)])
-            k5 = fun([yi + (19372/6561 * a - 25360/2187 * b + 64448/6561 * c
-                            - 212/729 * d) * h
-                      for yi, a, b, c, d in zip(y, f, k2, k3, k4)])
-            k6 = fun([yi + (9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d
-                            - 5103/18656 * e) * h
-                      for yi, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)])
-            y_new = [yi + h * (35/384 * a + 500/1113 * c + 125/192 * d
-                               - 2187/6784 * e + 11/84 * g)
-                     for yi, a, c, d, e, g in zip(y, f, k3, k4, k5, k6)]
-            f_new = fun(y_new)
+            bz, bq, bu, bv = k2 = fun(z + (1/5 * fz) * h, q + (1/5 * fq) * h,
+                                      u + (1/5 * fu) * h, v + (1/5 * fv) * h)
+            cz, cq, cu, cv = k3 = fun(z + (3/40 * fz + 9/40 * bz) * h,
+                                      q + (3/40 * fq + 9/40 * bq) * h,
+                                      u + (3/40 * fu + 9/40 * bu) * h,
+                                      v + (3/40 * fv + 9/40 * bv) * h)
+            dz, dq, du, dv = k4 = fun(z + (44/45 * fz - 56/15 * bz + 32/9 * cz) * h,
+                                      q + (44/45 * fq - 56/15 * bq + 32/9 * cq) * h,
+                                      u + (44/45 * fu - 56/15 * bu + 32/9 * cu) * h,
+                                      v + (44/45 * fv - 56/15 * bv + 32/9 * cv) * h)
+            ez, eq, eu, ev = k5 = fun(
+                z + (19372/6561 * fz - 25360/2187 * bz + 64448/6561 * cz - 212/729 * dz) * h,
+                q + (19372/6561 * fq - 25360/2187 * bq + 64448/6561 * cq - 212/729 * dq) * h,
+                u + (19372/6561 * fu - 25360/2187 * bu + 64448/6561 * cu - 212/729 * du) * h,
+                v + (19372/6561 * fv - 25360/2187 * bv + 64448/6561 * cv - 212/729 * dv) * h)
+            gz, gq, gu, gv = k6 = fun(
+                z + (9017/3168 * fz - 355/33 * bz + 46732/5247 * cz + 49/176 * dz
+                     - 5103/18656 * ez) * h,
+                q + (9017/3168 * fq - 355/33 * bq + 46732/5247 * cq + 49/176 * dq
+                     - 5103/18656 * eq) * h,
+                u + (9017/3168 * fu - 355/33 * bu + 46732/5247 * cu + 49/176 * du
+                     - 5103/18656 * eu) * h,
+                v + (9017/3168 * fv - 355/33 * bv + 46732/5247 * cv + 49/176 * dv
+                     - 5103/18656 * ev) * h)
+            zn = z + h * (35/384 * fz + 500/1113 * cz + 125/192 * dz - 2187/6784 * ez
+                          + 11/84 * gz)
+            qn = q + h * (35/384 * fq + 500/1113 * cq + 125/192 * dq - 2187/6784 * eq
+                          + 11/84 * gq)
+            un = u + h * (35/384 * fu + 500/1113 * cu + 125/192 * du - 2187/6784 * eu
+                          + 11/84 * gu)
+            vn = v + h * (35/384 * fv + 500/1113 * cv + 125/192 * dv - 2187/6784 * ev
+                          + 11/84 * gv)
+            f_new = nz, nq, nu, nv = fun(zn, qn, un, vn)
             nfev += 6
-            err = math.hypot(*[
-                (-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e
-                 - 22/525 * g + 1/40 * fn) * h / (atol + max(abs(yi), abs(yn)) * rtol)
-                for yi, yn, a, c, d, e, g, fn in zip(y, y_new, f, k3, k4, k5, k6, f_new)
-            ]) / root_n
+            err = math.hypot(
+                (-71/57600 * fz + 71/16695 * cz - 71/1920 * dz + 17253/339200 * ez
+                 - 22/525 * gz + 1/40 * nz) * h / (atol + max(abs(z), abs(zn)) * rtol),
+                (-71/57600 * fq + 71/16695 * cq - 71/1920 * dq + 17253/339200 * eq
+                 - 22/525 * gq + 1/40 * nq) * h / (atol + max(abs(q), abs(qn)) * rtol),
+                (-71/57600 * fu + 71/16695 * cu - 71/1920 * du + 17253/339200 * eu
+                 - 22/525 * gu + 1/40 * nu) * h / (atol + max(abs(u), abs(un)) * rtol),
+                (-71/57600 * fv + 71/16695 * cv - 71/1920 * dv + 17253/339200 * ev
+                 - 22/525 * gv + 1/40 * nv) * h / (atol + max(abs(v), abs(vn)) * rtol),
+            ) / 2.0
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
-        t_old, y_old, f_old, t, y, f = t, y, f, t_new, y_new, f_new
-        g_new = events(y)
-        crossed = [i for i, (old, new) in enumerate(zip(g, g_new))
-                   if old <= 0 <= new or new <= 0 <= old]
-        if crossed:
+        t_old, y_old, f_old, t, f = t, y, f, t_new, f_new
+        z, q, u, v, fz, fq, fu, fv = zn, qn, un, vn, nz, nq, nu, nv
+        y = [z, q, u, v]
+        new0, new1, new2 = events(y)
+        sign_change = (old0 <= 0 <= new0 or new0 <= 0 <= old0,
+                       old1 <= 0 <= new1 or new1 <= 0 <= old1,
+                       old2 <= 0 <= new2 or new2 <= 0 <= old2)
+        if True in sign_change:
+            crossed = [i for i, c in enumerate(sign_change) if c]
             K = (f_old, k2, k3, k4, k5, k6, f)
             Q = [[sum([k * p for k, p in zip(ks, col)]) for col in zip(*_DP_P)]
                  for ks in zip(*K)]
@@ -491,7 +524,7 @@ def _dormand_prince(fun, y, max_step, events):
             return ts, ys, nfev, hit, sum(n for _, n in found)
         ts.append(t)
         ys.append(y)
-        g = g_new
+        old0, old1, old2 = new0, new1, new2
     return ts, ys, nfev, None, 0
 
 

@@ -3,15 +3,17 @@
 No command of the package needs these. They check it from outside: the
 level system rhs_full against the reduced system, the share-form outputs
 and their psi-derivatives against the normalized CES family, the rows
-of a comparison table by name, and the plain forms of two of dynamics'
-inner loops: Horner's rule on lists and bisection.
+of a comparison table by name, and the plain forms of three of dynamics'
+inner loops: Horner's rule on lists, bisection and the Dormand-Prince
+stepper on lists.
 """
 
 import math
 from typing import NamedTuple
 
+from cesgrowth import dynamics
 from cesgrowth.core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, sector_rates, tau_of
-from cesgrowth.errors import ParameterError, SingularStateError
+from cesgrowth.errors import ParameterError, SingularStateError, StepSizeUnderflowError
 from cesgrowth.normalization import (
     Baseline,
     ComparisonRow,
@@ -335,3 +337,86 @@ def bisect(g, lo, hi):
         else:
             hi, g_hi = mid, g_mid
     return (lo if abs(g_lo) < abs(g_hi) else hi), n
+
+
+def dormand_prince(fun, y, max_step, events):
+    """dynamics._dormand_prince in its list form, for any number of
+    components: fun(y) takes and returns a sequence, and each stage is one
+    list comprehension over the components. The same coefficients, the same
+    float operations in the same order, and the same dense-output search
+    for the stopping events; returns (times, states, nfev, hit, evals)."""
+    t_bound, rtol, atol = float(dynamics.T_BUDGET), dynamics.SADDLE_RTOL, dynamics.SADDLE_ATOL
+    root_n = math.sqrt(len(y))
+    t, f = 0.0, fun(y)
+    scale = [atol + abs(a) * rtol for a in y]
+    d0 = math.hypot(*[a / s for a, s in zip(y, scale)]) / root_n
+    d1 = math.hypot(*[a / s for a, s in zip(f, scale)]) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+    f0 = fun([a + h0 * b for a, b in zip(y, f)])
+    d2 = math.hypot(*[(a - b) / s for a, b, s in zip(f0, f, scale)]) / root_n / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, t_bound, max_step)
+    nfev, ts, ys, g = 2, [t], [y], events(y)
+    while t < t_bound:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflowError(
+                    "Required step size is less than spacing between numbers.",
+                    last_state=y, last_time=t)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            k2 = fun([yi + (1/5 * a) * h for yi, a in zip(y, f)])
+            k3 = fun([yi + (3/40 * a + 9/40 * b) * h for yi, a, b in zip(y, f, k2)])
+            k4 = fun([yi + (44/45 * a - 56/15 * b + 32/9 * c) * h
+                      for yi, a, b, c in zip(y, f, k2, k3)])
+            k5 = fun([yi + (19372/6561 * a - 25360/2187 * b + 64448/6561 * c
+                            - 212/729 * d) * h
+                      for yi, a, b, c, d in zip(y, f, k2, k3, k4)])
+            k6 = fun([yi + (9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d
+                            - 5103/18656 * e) * h
+                      for yi, a, b, c, d, e in zip(y, f, k2, k3, k4, k5)])
+            y_new = [yi + h * (35/384 * a + 500/1113 * c + 125/192 * d
+                               - 2187/6784 * e + 11/84 * g)
+                     for yi, a, c, d, e, g in zip(y, f, k3, k4, k5, k6)]
+            f_new = fun(y_new)
+            nfev += 6
+            err = math.hypot(*[
+                (-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e
+                 - 22/525 * g + 1/40 * fn) * h / (atol + max(abs(yi), abs(yn)) * rtol)
+                for yi, yn, a, c, d, e, g, fn in zip(y, y_new, f, k3, k4, k5, k6, f_new)
+            ]) / root_n
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        t_old, y_old, f_old, t, y, f = t, y, f, t_new, y_new, f_new
+        g_new = events(y)
+        crossed = [i for i, (old, new) in enumerate(zip(g, g_new))
+                   if old <= 0 <= new or new <= 0 <= old]
+        if crossed:
+            K = (f_old, k2, k3, k4, k5, k6, f)
+            Q = [[sum([k * p for k, p in zip(ks, col)]) for col in zip(*dynamics._DP_P)]
+                 for ks in zip(*K)]
+
+            def dense(s):
+                x = (s - t_old) / h
+                powers = (x, x * x, x * x * x, x * x * x * x)
+                return [b + h * sum([q * p for q, p in zip(qs, powers)])
+                        for b, qs in zip(y_old, Q)]
+
+            found = [dynamics._illinois(lambda s: events(dense(s))[i], t_old, t)
+                     for i in crossed]
+            t, hit = min((t, i) for (t, _), i in zip(found, crossed))
+            ts.append(t)
+            ys.append(dense(t))
+            return ts, ys, nfev, hit, sum(n for _, n in found)
+        ts.append(t)
+        ys.append(y)
+        g = g_new
+    return ts, ys, nfev, None, 0

@@ -342,7 +342,7 @@ def rk45_replay(params, z0, monkeypatch):
     for i in range(4):
         seeds.append(seeds[0].copy())
         seeds[-1][i] = np.nextafter(seeds[0][i], np.inf)
-    sols = [solve_ivp(lambda _t, x: fun(x.tolist()), (0.0, dynamics.T_BUDGET), seed,
+    sols = [solve_ivp(lambda _t, x: fun(*x.tolist()), (0.0, dynamics.T_BUDGET), seed,
                       method="RK45", rtol=dynamics.SADDLE_RTOL,
                       atol=dynamics.SADDLE_ATOL, max_step=max_step, events=terminal)
             for seed in seeds]
@@ -415,7 +415,7 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         assert str(result) == (f"z never crossed {z0} ({outcome}; "
                                f"final z = {sol.y[0, -1]:g})")
     for i in range(len(ts) - 2):
-        rk = RK45(lambda _t, x: fun(x.tolist()), ts[i], np.array(ys[i]),
+        rk = RK45(lambda _t, x: fun(*x.tolist()), ts[i], np.array(ys[i]),
                   dynamics.T_BUDGET, first_step=ts[i + 1] - ts[i], max_step=max_step,
                   rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL)
         rk.step()
@@ -725,21 +725,110 @@ def test_saddle_path_matches_the_25_digit_reference(ref):
 
 
 def test_stepper_gives_up_where_rk45_does():
-    """y' = y^2 from y = 1 blows up at t = 1: the stepper's steps fall below
-    ten ulps of t at the same time and state as scipy's RK45.
+    """y' = y^2 from y = 1, in each of the stepper's four components, blows
+    up at t = 1: the stepper's steps fall below ten ulps of t at the same
+    time and state as scipy's RK45 on the same system.
 
     There y is about 2e13, so the state holds the runs' rounding, summed in
     a different order on each side, magnified by y: it is compared through
     t + 1/y, which the exact flow keeps constant, to one ulp of 1.
     """
+    def fun(z, q, u, v):
+        return z * z, q * q, u * u, v * v
+
     with pytest.raises(StepSizeUnderflowError) as exc:
-        dynamics._dormand_prince(lambda y: [y[0] ** 2], [1.0], 1.0, lambda y: [1.0])
-    sol = solve_ivp(lambda _t, y: y**2, (0.0, dynamics.T_BUDGET), [1.0], method="RK45",
-                    rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL, max_step=1.0)
+        dynamics._dormand_prince(fun, [1.0] * 4, 1.0, lambda y: [1.0] * 3)
+    sol = solve_ivp(lambda _t, y: fun(*y.tolist()), (0.0, dynamics.T_BUDGET), [1.0] * 4,
+                    method="RK45", rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL,
+                    max_step=1.0)
     assert sol.status == -1
     assert exc.value.last_time == sol.t[-1] < 1.0
-    assert 1.0 / exc.value.last_state[0] == pytest.approx(1.0 / sol.y[0, -1],
-                                                          rel=0, abs=math.ulp(1.0))
+    for y, y_rk in zip(exc.value.last_state, sol.y[:, -1]):
+        assert 1.0 / y == pytest.approx(1.0 / y_rk, rel=0, abs=math.ulp(1.0))
+
+
+# (economy, z0 / z*, the event that ends the path): cases 2-5 from both
+# sides, case 1 from above, case 1 from the README start (z0 = k0 / h0 =
+# 5.5, the linear seed, past the corner), case 1 into the coordinate floor
+# and a stiff economy into u = v.
+STEPPER_STARTS = (
+    [(f"case{c}", f, 0) for c in (2, 3, 4, 5) for f in (0.9, 0.95, 1.05, 1.3)]
+    + [("case1", 1.05, 0), ("case1", 1.1, 0), ("case1", "readme", 0), ("case1", 1.5, 1),
+       ("stiff35", 1.1, 2)]
+)
+
+
+def stepper_call(economy, factor, monkeypatch):
+    """(fun, y0, max_step, events) that saddle_path hands the stepper."""
+    params = params_of(economy)
+    z0 = 5.5 if factor == "readme" else factor * steady_state(params).z_star
+    calls = []
+    stepper = dynamics._dormand_prince
+
+    def spy(*args):
+        calls.append(args)
+        return stepper(*args)
+
+    monkeypatch.setattr(dynamics, "_dormand_prince", spy)
+    try:
+        saddle_path(params, z0)
+    except TargetNotReachedError:
+        pass
+    monkeypatch.setattr(dynamics, "_dormand_prince", stepper)
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("economy, factor, hit", STEPPER_STARTS)
+def test_stepper_matches_the_list_form_bit_for_bit(economy, factor, hit, monkeypatch):
+    """The stepper on four unpacked floats does the list form's arithmetic
+    (oracles.dormand_prince) in its order: the same stage points, times,
+    states, rhs calls, event and search evaluations, by repr, on paths that
+    reach z0, that start from the linear seed past the corner, and that
+    stop at the coordinate floor or at u = v."""
+    fun, y0, max_step, events = stepper_call(economy, factor, monkeypatch)
+    points, listed_points = [], []
+
+    def logged(*x):
+        points.append(x)
+        return fun(*x)
+
+    def listed_fun(y):
+        listed_points.append(tuple(y))
+        return fun(*y)
+
+    out = dynamics._dormand_prince(logged, y0, max_step, events)
+    listed = oracles.dormand_prince(listed_fun, y0, max_step, events)
+    assert repr(out) == repr(listed)
+    assert repr(points) == repr(listed_points)
+    assert out[3] == hit
+
+
+def test_stepper_calls_only_fun_and_events(monkeypatch):
+    """Each step of the stepper is written out on four floats: from its own
+    frame it calls fun nfev times and events once for the seed and once per
+    accepted step, and nothing else, until the step that crosses z0 (case 2
+    from 1.2 z*). A comprehension or helper per stage or per step would be
+    a call of its own. Counted with sys.setprofile, with no timing."""
+    fun, y0, max_step, events = stepper_call("case2", 1.2, monkeypatch)
+    code = dynamics._dormand_prince.__code__
+    seen = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_back.f_code is code:
+            seen.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        ts, _, nfev, hit, _ = dynamics._dormand_prince(fun, y0, max_step, events)
+    finally:
+        sys.setprofile(None)
+    assert hit == 0
+    last = max(i for i, c in enumerate(seen) if c is events.__code__)
+    before = seen[:last + 1]
+    assert before.count(fun.__code__) == nfev
+    assert before.count(events.__code__) == len(ts)
+    assert len(before) == nfev + len(ts)
 
 
 def searched(g, lo, hi):
