@@ -1,9 +1,10 @@
 """Local dynamics around the balanced path: Jacobian spectra.
 
 Linearizes the reduced system (z, q, u, v) at each configuration's fixed
-point and prints the four eigenvalues. One strictly negative eigenvalue
-against three non-negative ones is the saddle-path signature: one stable
-direction, which the optimal trajectory must ride.
+point and prints the four eigenvalues, one of them the structural zero,
+exactly 0. One strictly negative eigenvalue against three non-negative
+ones is the saddle-path signature: one stable direction, which the
+optimal trajectory must ride.
 """
 
 import numpy as np

@@ -30,8 +30,9 @@ from .normalization import (
     normalized_params,
 )
 from .scenario import Scenario, load_scenario
-# eigen4 is unused here, but the benchmark's tracer (perfbench/spans.py)
-# wraps it in this namespace and fails if the name is missing.
+# Nothing here calls eigen4: stability_report calls it through stability's
+# binding. The benchmark's tracer (perfbench/spans.py) wraps the name in
+# both namespaces and fails if it is missing from either.
 from .stability import eigen4, stability_report  # noqa: F401
 from .steady import closed_forms, solve_w, steady_state
 

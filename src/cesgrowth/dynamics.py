@@ -121,7 +121,8 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     on a step; 0 at x*), the expansion's "order" (1 for the linear seed),
     circle "radius", seed "s0" and "seed_defect" (None where not
     computed), the rhs calls "setup_nfev" of the Jacobian, the expansion
-    and its gate, and "t_stop", the time of the last row.
+    and its gate (not eigen4's two), and "t_stop", the time of the last
+    row.
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
@@ -137,7 +138,7 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
         )
 
     jac = jacobian_fd(*x_star, params)
-    lam, v_s = stable_eigenpair(jac)
+    lam, v_s = stable_eigenpair(jac, eigen4(ss, params))
     # Orient s so that z initially moves toward z0.
     sign = 1.0 if (v_s[0] > 0.0) == (z0 > ss.z_star) else -1.0
     scale = math.hypot(*x_star)
@@ -345,21 +346,21 @@ def _manifold_rows(coeffs, rate, s0, s_end):
     return [(t, _horner(coeffs, s)) for t, s in rows]
 
 
-def stable_eigenpair(jac) -> tuple:
-    """(lambda, v): the stable eigenvalue of the 4x4 Jacobian and its unit
-    eigenvector, of either sign.
+def stable_eigenpair(jac, eigenvalues) -> tuple:
+    """(lambda, v): the stable eigenvalue of the 4x4 Jacobian jac, from its
+    spectrum eigenvalues as eigen4 gives it, and its unit eigenvector, of
+    either sign.
 
     There is one where classify counts a stable root. lambda is then the
-    eigenvalue of least real part from eigen4, since a negative real part
-    other than the structural zero's sorts below that zero, and v the null
-    vector of J - lambda I from _solve_pivoted.
+    eigenvalue of least real part, since a negative real part sorts below
+    the structural zero, and v the null vector of J - lambda I from
+    _solve_pivoted.
     """
-    ev = eigen4(jac)
-    if not classify(ev)[0]:
+    if not classify(eigenvalues)[0]:
         raise NoRealStableEigenvectorError(
-            f"no stable eigenvalue: real parts {[x.real for x in ev]}"
+            f"no stable eigenvalue: real parts {[x.real for x in eigenvalues]}"
         )
-    lam = ev[0]
+    lam = eigenvalues[0]
     if lam.imag:
         raise NoRealStableEigenvectorError(
             f"stable eigenvector is complex (eigenvalue {lam})"

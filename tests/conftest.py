@@ -35,6 +35,17 @@ U_STAR_AT_ONE = {
     "eps": 3.5123964792098006, "rho": 0.1569467022412699,
 }
 
+# Economy 26 of the wider draw of SLOW_SADDLE (default_rng(3), 20 000 draws):
+# u* = 1 - 3.2e-15, so the (1 - u) Y2 term of the rhs, with Y2 about 8e13,
+# is rounding noise at x*. It solves, with tau0* < 1, and is a saddle.
+U_STAR_NEAR_ONE = {
+    "A1": 2.4622863928727905, "A2": 0.07167977103005811,
+    "alpha1": 0.8033745275638858, "alpha2": 0.9379722086176344,
+    "psi1": -2.393688598405628, "psi2": 0.8621552968487101,
+    "delta_k": 0.07391180311883483, "delta_h": 0.19757053924551665,
+    "eps": 2.8103915597332536, "rho": 0.18230015177214529,
+}
+
 # A validated economy (psi2 < 1) whose education share term overflows a
 # double at w = 10, the second probe of the bracket search: the exponent
 # of w in S2 is psi2 (1 - psi1) / (1 - psi2), about 393.
@@ -115,6 +126,11 @@ def params_case2() -> ModelParams:
 @pytest.fixture(params=sorted(CASE_PSI))
 def params_any_case(request) -> ModelParams:
     return bench_params(*CASE_PSI[request.param])
+
+
+@pytest.fixture
+def params_u_star_near_one() -> ModelParams:
+    return ModelParams(**U_STAR_NEAR_ONE)
 
 
 @pytest.fixture

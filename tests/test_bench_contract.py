@@ -11,6 +11,8 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.spans import BOUNDARIES  # noqa: E402
@@ -77,3 +79,29 @@ def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
     traj = dynamics.saddle_path(params, 0.9 * steady.steady_state(params).z_star)
     assert len(calls) == traj.meta["nfev"] + traj.meta["setup_nfev"] - 4
     assert traj.meta["nfev"] > 0
+
+
+def _stability_report(params):
+    return stability.stability_report(params)
+
+
+def _saddle_path(params):
+    return dynamics.saddle_path(params, 1.1 * steady.steady_state(params).z_star)
+
+
+@pytest.mark.parametrize("module, run", [(stability, _stability_report), (dynamics, _saddle_path)],
+                         ids=["stability_report", "saddle_path"])
+def test_the_spectrum_looks_up_eigen4_at_call_time(module, run, monkeypatch):
+    """stability.eigen4_us times the eigen4 the tracer wraps: stability_report
+    and saddle_path must each take the spectrum from one eigen4 call,
+    through their own module's binding."""
+    calls = []
+    original = module.eigen4
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "eigen4", counting)
+    run(bench_params(0.25, -0.10))
+    assert len(calls) == 1
