@@ -1,11 +1,12 @@
-"""Stable-manifold trajectories of the reduced system and their levels.
+"""Saddle paths of the reduced system and their levels.
 
-Everything here runs on Python floats, and on complex numbers where the
-manifold's expansion samples the rhs on a circle; numpy is imported only
-when a Trajectory's array view is read.
+F = ln tau - ln tau0(w) is conserved, the balanced path lies on F = 0,
+and w = (v/u) z follows w' = g(w) alone, so a path is integrated on
+(w, z, q) with plane_terms' rhs. Everything here runs on Python floats,
+and on complex numbers for a complex step; numpy is imported only when a
+Trajectory's array view is read.
 """
 
-import cmath
 import math
 from functools import cached_property
 
@@ -18,25 +19,26 @@ from .errors import (
     TargetNotReachedError,
 )
 from .params import ModelParams
-from .stability import classify, eigen4, jacobian_fd, rhs_reduced_values
-from .steady import steady_state
+from .stability import classify, eigen4
+# The benchmark's tracer wraps these names in this namespace
+# (perfbench/spans.py); nothing here calls them.
+from .stability import jacobian_fd, rhs_reduced_values  # noqa: F401
+from .steady import COMPLEX_STEP, steady_state
 
-# Coordinate floor and u = v margin at which integration halts.
+# Coordinate floor at which integration halts.
 BOX_MARGIN = 1e-9
-UV_EVENT_GAP = 1e-9
 # Reverse-time integration: the stepper's rtol and atol, the seed's offset
 # from the fixed point relative to |x*|, and the longest time it may travel.
 SADDLE_RTOL = 1e-10
 SADDLE_ATOL = 1e-13
 SEED_SCALE = 1e-6
 T_BUDGET = 500.0
-# Stable-manifold expansion (_stable_manifold): its order, the samples on
-# each circle, the first circle's radius relative to |x*|, and the largest
-# ratio of |s| between neighbouring rows reported from it.
+# Stable-manifold expansion on the plane (_plane_manifold): its order, and
+# the step in ln |s| between rows reported from it at |s| = |x*|.
 MANIFOLD_ORDER = 6
-MANIFOLD_SAMPLES = 8
-MANIFOLD_RADIUS = 1e-2
-MANIFOLD_ROW_RATIO = 0.8
+MANIFOLD_ROW_STEP = 0.0756
+# Relative step of the central difference that gives g''(w*).
+CURVATURE_STEP = 1e-4
 
 # Shampine's (1986) quartic dense output for the Dormand & Prince (1980)
 # 5(4) pair, one row per stage; the pair's own coefficients are written
@@ -51,6 +53,7 @@ _DP_P = (
     (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
     (0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
 )
+_ROOT3 = math.sqrt(3.0)
 
 
 def _rows(x):
@@ -102,27 +105,27 @@ class Trajectory:
 def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     """Construct the stable-manifold trajectory reaching z = z0.
 
-    Near x* the manifold is the polynomial W of _stable_manifold, on which
-    the flow is s(t) = s0 e^{lambda t} exactly. The path starts at W(s0),
-    on the side (sign of s) where z moves toward z0, and is integrated in
-    reversed time until z crosses z0; a z0 that W already reaches is
-    solved for on W and nothing is integrated. The path is reported in
-    forward-time order: the stepped segment's rows, one per accepted step
-    and the seed, then rows of W at the exact times of s(t) until |s| =
-    SEED_SCALE |x*|.
-
-    A z0 past the corner u = v = 1 (_past_corner), or an expansion that
-    fails its checks, starts the path at the linear seed x* + v_s s_end
-    instead, with no rows from W.
+    The path is integrated on (w, z, q) with plane_terms' rhs and reported
+    as (z, q, u, v), u and v from allocations. Where tau0* < 1 it lies on
+    the plane w = w*, and near x* it is the polynomial W of
+    _plane_manifold, on which the flow is s(t) = s0 e^{lambda t} exactly.
+    It starts at W(s0) (_seed), on the side (sign of s) where z moves
+    toward z0, and is integrated in reversed time until z crosses z0; a z0
+    that W already reaches is solved for on W. Where tau0* > 1 the stable
+    root is lambda_w, and the path starts at x* + v s_end, |s_end| =
+    SEED_SCALE |x*|, w to second order; s is the linear coordinate along
+    stable_eigenpair's unit vector. The rows run forward in time: the
+    stepped segment's, then W's at the exact times of s(t) until s =
+    s_end. TargetNotReachedError where w, z, q, u or v falls to BOX_MARGIN
+    or the travel budget runs out.
 
     meta records "steps", the stepped segment's rows, seed included
-    (accepted steps + 1; 0 when nothing was integrated), and "nfev",
+    (accepted steps + 1; 0 when nothing was integrated), "nfev",
     "event_evals", the evaluations of the search that placed z0 (on W or
-    on a step; 0 at x*), the expansion's "order" (1 for the linear seed),
-    circle "radius", seed "s0" and "seed_defect" (None where not
-    computed), the rhs calls "setup_nfev" of the Jacobian, the expansion
-    and its gate (not eigen4's two), and "t_stop", the time of the last
-    row.
+    on a step; 0 at x*), the expansion's "order" (1 for the linear seed,
+    2 off the plane), seed "s0" and "seed_defect" (None where not
+    computed), "setup_nfev", the rhs evaluations of the seed's gate,
+    "stable_eigenvalue" and "t_stop", the time of the last row.
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
@@ -137,224 +140,141 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
                   "stop_reason": "at_steady_state", "t_stop": 0.0},
         )
 
-    jac = jacobian_fd(*x_star, params)
-    lam, v_s = stable_eigenpair(jac, eigen4(ss, params))
+    terms = plane_terms(ss.w_star, params)
+    lam, (dw, dz, dq, _, _) = stable_eigenpair(ss, params, terms, eigen4(ss, params))
+    a, b, c, e, _, tau0 = terms
+    plane, rate, w_star = tau0 < 1.0, lam.real, ss.w_star
     # Orient s so that z initially moves toward z0.
-    sign = 1.0 if (v_s[0] > 0.0) == (z0 > ss.z_star) else -1.0
+    sign = 1.0 if (dz > 0.0) == (z0 > ss.z_star) else -1.0
     scale = math.hypot(*x_star)
     s_end = sign * SEED_SCALE * scale
 
-    def events(x):
-        z, q, u, v = x
-        return [z - z0, min(z, q, u, v) - BOX_MARGIN, abs(u - v) - UV_EVENT_GAP]
+    # The stepper's first component is (w - w*) / unit: its step control
+    # then resolves w's motion relative to its own size from the seed out,
+    # and that motion sets the clock where w moves.
+    unit = SEED_SCALE * scale
+    if plane:
+        def fun(x, z, q):
+            # Reversed time, on the plane.
+            return 0.0, (b * z + a + q) * z + c, q * (e - q - c / z)
+    else:
+        def fun(x, z, q):
+            a, b, c, e, g, _ = plane_terms(w_star + unit * x, params)
+            return -g / unit, (b * z + a + q) * z + c, q * (e - q - c / z)
 
-    rate = lam.real
-    coeffs, radius, setup_nfev, seed = None, None, 0, None
-    if not _past_corner(x_star, v_s, s_end, z0):
-        coeffs, radius, setup_nfev = _stable_manifold(params, x_star, jac, rate, v_s, scale)
-    if coeffs is not None:
-        seed, calls = _seed(params, coeffs, rate, s_end, events)
-        setup_nfev += calls
-    if seed is None:  # the linear seed
-        coeffs = [x_star, v_s]
-        seed = s_end, None, [(0.0, _horner(coeffs, s_end))]
-    s0, defect, rows = seed
-    meta = {"order": len(coeffs) - 1, "radius": radius, "seed_defect": defect,
-            "setup_nfev": setup_nfev + len(jac), "stable_eigenvalue": lam}
-    if (rows[0][1][0] - z0) * (ss.z_star - z0) < 0.0:
+    def reduced(x, z, q):
+        w = w_star + unit * x
+        return (z, q, *allocations(tau0 if plane else plane_terms(w, params)[5], w, z))
+
+    def events(y):
+        z, q, u, v = reduced(*y)
+        return z - z0, min(w_star + unit * y[0], z, q, u, v) - BOX_MARGIN
+
+    if plane:
+        coeffs = _plane_manifold(terms, ss.z_star, ss.q_star, rate, dz, dq)
+        seed, setup_nfev = _seed(terms, coeffs, rate, s_end, scale, events)
+        if seed is None:  # the linear seed
+            coeffs = coeffs[:2]
+    else:
+        # w moves on its own, w' = g(w), so the clock is w's: the seed's w
+        # is W's to second order, g(W(s)) = lambda s W'(s), with g'' a
+        # central difference of complex-step slopes. (z, q) off W by O(s^2)
+        # decays in reversed time.
+        h, step = COMPLEX_STEP, CURVATURE_STEP * w_star
+        up, down = (plane_terms(complex(w, h), params)[4].imag
+                    for w in (w_star + step, w_star - step))
+        w2 = (up - down) / (4.0 * step * h) * dw * dw / rate
+        coeffs = [(0.0, ss.z_star, ss.q_star), (dw / unit, dz, dq), (w2 / unit, 0.0, 0.0)]
+        seed, setup_nfev = None, 0
+    s0, defect, rows = seed or (s_end, None, [(0.0, _horner(coeffs, s_end))])
+    meta = {"order": len(coeffs) - 1, "seed_defect": defect, "setup_nfev": setup_nfev,
+            "stable_eigenvalue": lam}
+    if (rows[0][1][1] - z0) * (ss.z_star - z0) < 0.0:
         # z0 lies between z* and W(s0): find it on W and integrate nothing.
-        s0, evals = _illinois(lambda s: _horner(coeffs, s)[0] - z0, min(0.0, s0), max(0.0, s0))
-        rows = _manifold_rows(coeffs, rate, s0, s_end)
+        s0, evals = _illinois(lambda s: _horner(coeffs, s)[1] - z0, min(0.0, s0), max(0.0, s0))
+        rows = _manifold_rows(coeffs, rate, s0, s_end, scale)
         ts, ys, nfev = [0.0], [rows[0][1]], 0
     else:
-        def fun(z, q, u, v):
-            # The manifold may leave the (0,1) allocation box; the reduced
-            # equations remain smooth there.
-            zdot, qdot, udot, vdot = rhs_reduced_values(z, q, u, v, params)
-            return -zdot, -qdot, -udot, -vdot
-
         # Near the seed derivatives are small, so the first-step heuristic
         # would overshoot without a step cap.
         ts, ys, nfev, hit, evals = _dormand_prince(fun, rows[0][1],
                                                    min(1.0, 0.5 / abs(rate)), events)
         if hit != 0:
-            reason = {1: "hit a coordinate floor", 2: "approached u = v",
-                      None: "travel budget exhausted"}[hit]
+            reason = {1: "hit a coordinate floor", None: "travel budget exhausted"}[hit]
             raise TargetNotReachedError(
-                f"z never crossed {z0} ({reason}; final z = {ys[-1][0]:g})"
+                f"z never crossed {z0} ({reason}; final z = {ys[-1][1]:g})"
             )
     # Forward time: t = 0 at z0, the stepper's steps reversed, then W.
     t_seed = ts[-1]
     times = [t_seed - t for t in reversed(ts)] + [t_seed + t for t, _ in rows[1:]]
-    states = ys[::-1] + [x for _, x in rows[1:]]
+    states = [reduced(*y) for y in ys[::-1]] + [reduced(*x) for _, x in rows[1:]]
     meta.update(steps=len(ts) if nfev else 0, nfev=nfev, event_evals=evals, s0=s0,
                 stop_reason="target_reached", t_stop=times[-1])
     return Trajectory(times=times, states=states, meta=meta)
 
 
-def _past_corner(x_star, v_s, s_end, z0):
-    """Whether z0 lies past the point where the eigenvector's line from x*,
-    on s_end's side, first reaches u = 1 or v = 1.
+def plane_terms(w, params: ModelParams) -> tuple:
+    """(a, b, c, e, g, tau0) at the effective capital ratio w, a float or a
+    complex number, from one sector_rates call: the one place the reduced
+    system on F = 0 is written. With gamma = tau0/(tau0 - 1),
+    T = (1 - alpha2) S1 - (1 - alpha1) S2 and the rates of sector_rates,
 
-    u = 1 and v = 1 are invariant planes of the rhs, so a path crosses
-    them only at the corner u = v = 1, where the rhs is singular; on the
-    paper cases and the stiff economies the line meets u = 1 at the z
-    where the path reaches that corner. The stopping time of a path
-    through the corner moves by up to 4e-5 with its seed, as its steps
-    pass within about 1e-6 of u = v, and the expansion makes it no more
-    accurate. Such a path keeps the linear seed and the path it always
-    gave.
+        a = gamma (Y2 - Y1/w) + delta_k - delta_h,    b = -gamma Y2/w,
+        c = Y1/(tau0 - 1),
+        e = gamma Y1/w - Y1 S1/(eps P1 w) + (rho - (eps - 1) delta_k)/eps,
+        g = w P1 P2 P/((1 - psi1) T),    tau0 = (1 - alpha2) S1/((1 - alpha1) S2),
+
+    the state moves as w' = g(w), z' = -(b z^2 + (a + q) z + c) and
+    q' = q (q - e + c/z).
+
+    These are rhs_reduced_values' equations where u and v are
+    allocations(tau0, w, z), F = 0: there 1 - u = gamma (1 - z/w) and
+    v/w = gamma/w - 1/((tau0 - 1) z). SingularStateError at g's pole,
+    tau0(w) = 1.
     """
-    reach = [(1.0 - x_star[i]) / (v_s[i] * s_end) for i in (2, 3) if v_s[i] * s_end > 0.0]
-    return bool(reach) and abs(z0 - x_star[0]) >= min(reach) * abs(v_s[0] * s_end)
+    p1, p2, s1, s2, y1, _, y2, _, gap = sector_rates(w, params)
+    _, one_less_alpha1, one_less_alpha2, psi1, *_ = params.rate_terms
+    t = one_less_alpha2 * s1 - one_less_alpha1 * s2
+    tau0 = one_less_alpha2 * s1 / (one_less_alpha1 * s2)
+    if not t or tau0 == 1.0:
+        raise SingularStateError(f"tau0(w) = 1 at w = {w}", state=(w,))
+    gamma, eps, y1_w = tau0 / (tau0 - 1.0), params.eps, y1 / w
+    return (gamma * (y2 - y1_w) + params.delta_k - params.delta_h,
+            -gamma * y2 / w,
+            y1 / (tau0 - 1.0),
+            gamma * y1_w - y1_w * s1 / (eps * p1)
+            + (params.rho - (eps - 1.0) * params.delta_k) / eps,
+            w * p1 * p2 * gap / ((1.0 - psi1) * t),
+            tau0)
 
 
-def _horner(coeffs, s):
-    """W(s) = sum_k coeffs[k] s^k, each coefficient a 4-vector."""
-    z, q, u, v = coeffs[-1]
-    for c0, c1, c2, c3 in coeffs[-2::-1]:
-        z, q, u, v = z * s + c0, q * s + c1, u * s + c2, v * s + c3
-    return [z, q, u, v]
+def allocations(tau0, w, z) -> tuple:
+    """(u, v) on F = 0 at (w, z), for tau0 = tau0(w): u = (tau0 z/w - 1)/(tau0 - 1)
+    and v = (tau0 - w/z)/(tau0 - 1). u = v at z = w, the corner u = v = 1,
+    and at z = w/tau0, where u = v = 0."""
+    return (tau0 * z / w - 1.0) / (tau0 - 1.0), (tau0 - w / z) / (tau0 - 1.0)
 
 
-def _defect(params, coeffs, rate, s):
-    """Invariance defect of W at s, as a share of the stepper's tolerance.
-
-    E = rhs(W(s)) - lambda s W'(s) vanishes on the exact manifold. It is a
-    velocity: a W off the manifold by D has E = (J - k lambda) D at order
-    k, and every eigenvalue of J - k lambda I has modulus at least
-    |lambda|, so |E| / |lambda| bounds the seed's distance from the
-    manifold. That distance is measured like the stepper's local error, as
-    the root mean square of its components over SADDLE_ATOL + SADDLE_RTOL
-    |W_i|, and returned times SADDLE_RTOL, for comparison with it.
-    """
-    x = _horner(coeffs, s)
-    dx = _horner([[k * a for a in c] for k, c in enumerate(coeffs)][1:], s)
-    f = rhs_reduced_values(*x, params)
-    err = [(fi - rate * s * di) / rate / (SADDLE_ATOL + SADDLE_RTOL * abs(xi))
-           for fi, di, xi in zip(f, dx, x)]
-    return SADDLE_RTOL * math.hypot(*err) / 2.0
+def _j2(terms, z, q) -> tuple:
+    """(j11, j12, j21, j22): J2, the Jacobian of (z', q') in (z, q) on the
+    plane at a fixed point (z, q), in rate form: diag(z, q) times the
+    Jacobian of z'/z = -(b z + a + q + c/z) and q'/q = q - e + c/z, which
+    vanish there, as eigen4 takes it."""
+    _, b, c, *_ = terms
+    return c / z - b * z, -z, -q * c / (z * z), q
 
 
-def _stable_manifold(params, x_star, jac, rate, v_s, scale):
-    """(coefficients, radius, rhs calls) of the stable manifold's expansion.
+def stable_eigenpair(ss, params: ModelParams, terms, eigenvalues) -> tuple:
+    """(lambda, (dw, dz, dq, du, dv)): the stable eigenvalue of the balanced
+    path ss, from its spectrum eigenvalues as eigen4 gives it, and its
+    eigenvector, of either sign, unit in (dz, dq, du, dv) (the 4-D one);
+    dw is its w = (v/u) z component. terms are plane_terms at w*.
 
-    The coefficients [x*, v_s, a_2, ..., a_K], K = MANIFOLD_ORDER, give
-    W(s) = x* + v_s s + sum_k a_k s^k with rhs(W(s)) = lambda s W'(s), on
-    which the flow is s(t) = s0 e^{lambda t}: the parameterization method
-    of Cabre, Fontich & de la Llave (2003), Indiana Univ. Math. J. 52.
-    Order k solves (J - k lambda I) a_k = -[rhs(W_{<k})]_k, which is not
-    singular, as k lambda is no eigenvalue of a saddle with one stable
-    root. The right side, the k-th Taylor coefficient of the rhs along the
-    expansion so far, is a DFT of its samples at N = MANIFOLD_SAMPLES
-    points on the circle |s| = r (Lyness & Moler 1967, SIAM J. Numer.
-    Anal. 4). W is real, so conjugate points give conjugate samples, and
-    N/2 + 1 of them are evaluated. The points follow the expansion order
-    by order, W_{<k}(s) = W_{<k-1}(s) + a_{k-1} s^(k-1).
-
-    The first order's samples also give the first coefficient, J v_s =
-    lambda v_s, which is known. Where they miss it by more than
-    SADDLE_RTOL |lambda|, a singularity near the circle aliases into
-    every coefficient. That error falls like r^N, so a second circle is
-    taken, of the radius that error implies, halved. The first circle's
-    radius is MANIFOLD_RADIUS |x*|. coefficients is None where both
-    circles fail or a sample is singular.
-    """
-    n = MANIFOLD_SAMPLES
-    roots = [cmath.exp(2j * math.pi * j / n) for j in range(n // 2 + 1)]
-    r, calls = MANIFOLD_RADIUS * scale, 0
-    for circle in range(2):
-        coeffs, points = [list(x_star), list(v_s)], [x_star] * len(roots)
-        try:
-            for k in range(2, MANIFOLD_ORDER + 1):
-                points = [[x + a * p for x, a in zip(xs, coeffs[-1])]
-                          for xs, p in zip(points, [(r * w) ** (k - 1) for w in roots])]
-                f = [rhs_reduced_values(*x, params) for x in points]
-                calls += len(roots)
-                if k == 2:
-                    miss = max(abs(c - rate * v) for c, v in zip(_dft(f, roots, 1, r), v_s))
-                    if miss > SADDLE_RTOL * abs(rate):
-                        break
-                m = [[x - k * rate if i == j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(jac)]
-                coeffs.append(_solve_pivoted(m, [-c for c in _dft(f, roots, k, r)]))
-            else:
-                return coeffs, r, calls
-        except SingularStateError:
-            break
-        if circle == 0:
-            r *= 0.5 * (SADDLE_RTOL * abs(rate) / miss) ** (1.0 / n)
-    return None, r, calls
-
-
-def _dft(f, roots, k, r):
-    """k-th Taylor coefficient, per component, of a real-analytic g from its
-    samples f at s = r w over roots, the N-th roots of unity w on the upper
-    half circle, 1 first and -1 last; the lower half are their conjugates."""
-    n = 2 * (len(roots) - 1)
-    half = [[(x * w ** -k).real for x in fx] for fx, w in zip(f[1:-1], roots[1:-1])]
-    return [(g0.real + (-1) ** k * gn.real + 2.0 * sum(h)) / (n * r**k)
-            for g0, gn, *h in zip(f[0], f[-1], *half)]
-
-
-def _seed(params, coeffs, rate, s_end, events):
-    """((s0, defect at s0, rows), rhs calls) of the seed on W, on s_end's
-    side; None in place of the triple where no seed passes.
-
-    s0 starts where the last term, |a_K| |s|^K, is SADDLE_RTOL |x*|, and
-    halves until _defect at both s0 and -s0 is at most SADDLE_RTOL and W
-    clears the coordinate floor and the u = v gap at s0 and at every row
-    reported from it. The decay alone is no gate: past the radius of
-    convergence the terms still fall while their sum is wrong. The search
-    gives up when |s0| falls to |s_end|. rows are _manifold_rows from s0.
-    """
-    k = len(coeffs) - 1
-    s0 = math.copysign((SADDLE_RTOL * math.hypot(*coeffs[0])
-                        / math.hypot(*coeffs[k])) ** (1.0 / k), s_end)
-    calls = 0
-    while abs(s0) > abs(s_end):
-        try:
-            calls += 1
-            defect = _defect(params, coeffs, rate, s0)
-            if defect <= SADDLE_RTOL:
-                calls += 1
-                if _defect(params, coeffs, rate, -s0) <= SADDLE_RTOL:
-                    rows = _manifold_rows(coeffs, rate, s0, s_end)
-                    if all(min(events(x)[1:]) > 0.0 for _, x in rows):
-                        return (s0, defect, rows), calls
-        except SingularStateError:
-            pass
-        s0 *= 0.5
-    return None, calls
-
-
-def _manifold_rows(coeffs, rate, s0, s_end):
-    """(t, W(s)) at s0 (t = 0) and at the rows reported from W after it, at
-    the exact times of s(t) = s0 e^{lambda t}, the last row at s_end.
-
-    They are spaced as a fifth-order step control at a fixed local error
-    would space them, for an error proportional to |s|: the step in
-    ln |s| grows as |s|^(-1/5) from ln(1/MANIFOLD_ROW_RATIO) at s0.
-    """
-    first, end = -math.log(MANIFOLD_ROW_RATIO), math.log(s0 / s_end)
-    rows, tau = [(0.0, s0)], first
-    while tau < end:
-        rows.append((tau / -rate, s0 * math.exp(-tau)))
-        tau += first * math.exp(0.2 * tau)
-    if end > 0.0:
-        rows.append((end / -rate, s_end))
-    return [(t, _horner(coeffs, s)) for t, s in rows]
-
-
-def stable_eigenpair(jac, eigenvalues) -> tuple:
-    """(lambda, v): the stable eigenvalue of the 4x4 Jacobian jac, from its
-    spectrum eigenvalues as eigen4 gives it, and its unit eigenvector, of
-    either sign.
-
-    There is one where classify counts a stable root. lambda is then the
-    eigenvalue of least real part, since a negative real part sorts below
-    the structural zero, and v the null vector of J - lambda I from
-    _solve_pivoted.
+    There is one where classify counts a stable root, the eigenvalue of
+    least real part. Where tau0* < 1 it is J2's, and (dz, dq) = (1,
+    (lambda - j11)/j12) on the plane w = w*. Where tau0* > 1 it is
+    lambda_w, and (dw, dz, dq) = (1, dz, dq) with (J2 - lambda I)(dz, dq) =
+    -d(z', q')/dw, from one complex step of plane_terms at w* + ih.
     """
     if not classify(eigenvalues)[0]:
         raise NoRealStableEigenvectorError(
@@ -365,79 +285,165 @@ def stable_eigenpair(jac, eigenvalues) -> tuple:
         raise NoRealStableEigenvectorError(
             f"stable eigenvector is complex (eigenvalue {lam})"
         )
-    a = [[x - lam.real if i == j else x for j, x in enumerate(row)]
-         for i, row in enumerate(jac)]
-    v = _solve_pivoted(a)
-    if v is None:
-        raise NoRealStableEigenvectorError(f"stable eigenvalue {lam} is not simple")
-    norm = math.hypot(*v)
-    return lam, [c / norm for c in v]
+    rate, w, z, q, tau0 = lam.real, ss.w_star, ss.z_star, ss.q_star, terms[5]
+    j11, j12, j21, j22 = _j2(terms, z, q)
+    if tau0 < 1.0:
+        dw, dz, dq = 0.0, 1.0, (rate - j11) / j12
+        du, dv = tau0 / ((tau0 - 1.0) * w), w / ((tau0 - 1.0) * z * z)
+    else:
+        h = COMPLEX_STEP
+        a, b, c, e, _, tau0_h = plane_terms(complex(w, h), params)
+        fz = -(b.imag * z * z + a.imag * z + c.imag) / h
+        fq = q * (c.imag / z - e.imag) / h
+        d11, d22 = j11 - rate, j22 - rate
+        det = d11 * d22 - j12 * j21
+        dw, dz, dq = 1.0, (j12 * fq - d22 * fz) / det, (j21 * fz - d11 * fq) / det
+        u_h, v_h = allocations(tau0_h, complex(w, h), complex(z, h * dz))
+        du, dv = u_h.imag / h, v_h.imag / h
+    norm = math.hypot(dz, dq, du, dv)
+    return lam, (dw / norm, dz / norm, dq / norm, du / norm, dv / norm)
 
 
-def _solve_pivoted(a, b=None):
-    """x with a x = b, by Gaussian elimination with complete pivoting.
+def _plane_manifold(terms, z, q, rate, dz, dq) -> list:
+    """[(0, z, q), (0, dz, dq), (0, Z_2, Q_2), ..., (0, Z_K, Q_K)],
+    K = MANIFOLD_ORDER: the Taylor coefficients of the stable manifold
+    W(s) on the plane w = w*, with (z', q')(W(s)) = lambda s W'(s), on
+    which the flow is s(t) = s0 e^{lambda t}: the parameterization method
+    of Cabre, Fontich & de la Llave (2003), Indiana Univ. Math. J. 52.
 
-    Without b, the last pivot is taken as zero and x is the null vector
-    whose free coordinate is 1, found by back substitution. None where
-    another pivot is exactly zero.
+    The rhs is taken in rate form, z' = z Pz and q' = q Pq with
+    Pz = -(b z + a + q + c/z) and Pq = q - e + c/z, whose constant terms
+    vanish at x*. 1/Z comes by series division and Z Pz, Q Pq as Cauchy
+    products, so order k is the 2x2 system (J2 - k lambda I)(Z_k, Q_k) =
+    -(the part of [z', q']_k from lower orders), solved by Cramer's rule.
     """
-    n = len(a)
-    a = [list(row) + [0.0 if b is None else b[i]] for i, row in enumerate(a)]
-    cols = list(range(n))
-    m = n - 1 if b is None else n
-    for k in range(m):
-        _, p, q = max((abs(a[i][j]), i, j) for i in range(k, n) for j in range(k, n))
-        if not a[p][q]:
-            return None
-        a[k], a[p] = a[p], a[k]
-        for row in a:
-            row[k], row[q] = row[q], row[k]
-        cols[k], cols[q] = cols[q], cols[k]
-        for row in a[k + 1:]:
-            f = row[k] / a[k][k]
-            for j in range(k, n + 1):
-                row[j] -= f * a[k][j]
-    x = [0.0] * (n - 1) + [1.0] if b is None else [0.0] * n
-    for k in reversed(range(m)):
-        x[k] = (a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))) / a[k][k]
-    v = [0.0] * n
-    for k, c in enumerate(cols):
-        v[c] = x[k]
-    return v
+    _, b, c, *_ = terms
+    j11, j12, j21, j22 = _j2(terms, z, q)
+    r1 = -dz / (z * z)
+    zs, qs, rs = [z, dz], [q, dq], [1.0 / z, r1]
+    pz, pq = [0.0, -(b * dz + dq + c * r1)], [0.0, dq + c * r1]
+    for k in range(2, MANIFOLD_ORDER + 1):
+        r = -sum([zs[j] * rs[k - j] for j in range(1, k)]) / z
+        fz = sum([zs[j] * pz[k - j] for j in range(1, k)]) - z * c * r
+        fq = sum([qs[j] * pq[k - j] for j in range(1, k)]) + q * c * r
+        d11, d22 = j11 - k * rate, j22 - k * rate
+        det = d11 * d22 - j12 * j21
+        zk, qk = (j12 * fq - d22 * fz) / det, (j21 * fz - d11 * fq) / det
+        rk = r - zk / (z * z)
+        zs.append(zk)
+        qs.append(qk)
+        rs.append(rk)
+        pz.append(-(b * zk + qk + c * rk))
+        pq.append(qk + c * rk)
+    return [(0.0, zk, qk) for zk, qk in zip(zs, qs)]
+
+
+def _horner(coeffs, s):
+    """W(s) = sum_k coeffs[k] s^k, each coefficient a triple in the
+    stepper's coordinates (x, z, q), x = (w - w*) / (SEED_SCALE |x*|)."""
+    w, z, q = coeffs[-1]
+    for cw, cz, cq in coeffs[-2::-1]:
+        w, z, q = w * s + cw, z * s + cz, q * s + cq
+    return w, z, q
+
+
+def _defect(terms, coeffs, rate, s):
+    """Invariance defect of W at s, as a share of the stepper's tolerance.
+
+    E = rhs(W(s)) - lambda s W'(s) vanishes on the exact manifold, and
+    |E| / |lambda| bounds W's distance from it, as J2 - k lambda I has no
+    eigenvalue smaller than |lambda|. That distance is measured like the
+    stepper's local error, the RMS of its three components (w's is 0) over
+    SADDLE_ATOL + SADDLE_RTOL |W_i|, and returned times SADDLE_RTOL.
+    """
+    a, b, c, e, *_ = terms
+    _, z, q = _horner(coeffs, s)
+    _, dz, dq = _horner([[k * x for x in cf] for k, cf in enumerate(coeffs)][1:], s)
+    fz = -((b * z + a + q) * z + c)
+    fq = q * (q - e + c / z)
+    return SADDLE_RTOL * math.hypot(
+        (fz - rate * s * dz) / rate / (SADDLE_ATOL + SADDLE_RTOL * abs(z)),
+        (fq - rate * s * dq) / rate / (SADDLE_ATOL + SADDLE_RTOL * abs(q))) / _ROOT3
+
+
+def _seed(terms, coeffs, rate, s_end, scale, events):
+    """((s0, defect at s0, rows), rhs evaluations) of the seed on W, on
+    s_end's side; None in place of the triple where no seed passes.
+
+    s0 starts where the last term, |a_K| |s|^K, is SADDLE_RTOL |x*|
+    (scale), and halves until _defect at both s0 and -s0 is at most
+    SADDLE_RTOL and W clears the coordinate floor at every row reported
+    from s0 (_manifold_rows). The decay alone is no gate: past the radius
+    of convergence the terms still fall while their sum is wrong. The
+    search gives up when |s0| falls to |s_end|.
+    """
+    k = len(coeffs) - 1
+    s0 = math.copysign((SADDLE_RTOL * scale / math.hypot(*coeffs[k])) ** (1.0 / k), s_end)
+    calls = 0
+    while abs(s0) > abs(s_end):
+        calls += 1
+        defect = _defect(terms, coeffs, rate, s0)
+        if defect <= SADDLE_RTOL:
+            calls += 1
+            if _defect(terms, coeffs, rate, -s0) <= SADDLE_RTOL:
+                rows = _manifold_rows(coeffs, rate, s0, s_end, scale)
+                if all(events(x)[1] > 0.0 for _, x in rows):
+                    return (s0, defect, rows), calls
+        s0 *= 0.5
+    return None, calls
+
+
+def _manifold_rows(coeffs, rate, s0, s_end, scale):
+    """(t, W(s)) at s0 (t = 0) and at the rows reported from W after it, at
+    the exact times of s(t) = s0 e^{lambda t}, the last row at s_end.
+
+    They are spaced as a fifth-order step control at a fixed local error
+    would space them, for an error proportional to |s|: the step in
+    ln |s| is MANIFOLD_ROW_STEP (|x*| / |s|)^(1/5), |x*| = scale, wherever
+    the seed lies.
+    """
+    first, end = MANIFOLD_ROW_STEP * (scale / abs(s0)) ** 0.2, math.log(s0 / s_end)
+    rows, tau = [(0.0, s0)], first
+    while tau < end:
+        rows.append((tau / -rate, s0 * math.exp(-tau)))
+        tau += first * math.exp(0.2 * tau)
+    if end > 0.0:
+        rows.append((end / -rate, s_end))
+    return [(t, _horner(coeffs, s)) for t, s in rows]
 
 
 def _dormand_prince(fun, y, max_step, events):
     """Integrate y' = fun(y) from t = 0 until T_BUDGET or a terminal event.
 
-    y is a sequence of four floats (z, q, u, v), and fun(z, q, u, v)
-    returns four. Dormand & Prince 5(4) with the step control of Hairer,
-    Norsett & Wanner (Solving ODEs I, sec. II.4), the common RK45, at rtol
+    y is a sequence of three floats (x, z, q), x = (w - w*) /
+    (SEED_SCALE |x*|), and fun(x, z, q) returns three. Dormand & Prince
+    5(4) with the step control of Hairer, Norsett & Wanner (Solving ODEs
+    I, sec. II.4), the common RK45, at rtol
     SADDLE_RTOL and atol SADDLE_ATOL. Each stage is written out for the
-    four components, with the pair's coefficients, so a step calls fun
+    three components, with the pair's coefficients, so a step calls fun
     and events and nothing else. After each accepted step, a component of
-    events(y), which gives three values, that changes sign is located to
+    events(y), which gives two values, that changes sign is located to
     one ulp of t by _illinois on the step's dense output, in about 7
-    evaluations (bisection took 50); the earliest crossing ends the path.
-    Returns (times, states, nfev, hit, evals), hit the event met or None,
-    evals the searches' evaluations.
+    evaluations; the earliest crossing ends the path. Returns (times,
+    states, nfev, hit, evals), hit the event met or None, evals the
+    searches' evaluations.
     """
     t_bound, rtol, atol = float(T_BUDGET), SADDLE_RTOL, SADDLE_ATOL
-    t, (z, q, u, v) = 0.0, y
-    fz, fq, fu, fv = f = fun(z, q, u, v)
+    t, (x, z, q) = 0.0, y
+    fx, fz, fq = f = fun(x, z, q)
     # First step: two rhs calls, f at the seed and one Euler probe. Each
-    # norm is the root mean square of the four scaled components, hypot / 2.
-    sz, sq = atol + abs(z) * rtol, atol + abs(q) * rtol
-    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
-    d0 = math.hypot(z / sz, q / sq, u / su, v / sv) / 2.0
-    d1 = math.hypot(fz / sz, fq / sq, fu / su, fv / sv) / 2.0
+    # norm is the root mean square of the three scaled components.
+    sx, sz, sq = atol + abs(x) * rtol, atol + abs(z) * rtol, atol + abs(q) * rtol
+    d0 = math.hypot(x / sx, z / sz, q / sq) / _ROOT3
+    d1 = math.hypot(fx / sx, fz / sz, fq / sq) / _ROOT3
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    az, aq, au, av = fun(z + h0 * fz, q + h0 * fq, u + h0 * fu, v + h0 * fv)
-    d2 = math.hypot((az - fz) / sz, (aq - fq) / sq, (au - fu) / su, (av - fv) / sv) / 2.0 / h0
+    ax, az, aq = fun(x + h0 * fx, z + h0 * fz, q + h0 * fq)
+    d2 = math.hypot((ax - fx) / sx, (az - fz) / sz, (aq - fq) / sq) / _ROOT3 / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 5))
     h_abs = min(100 * h0, h1, t_bound, max_step)
     nfev, ts, ys = 2, [t], [y]
-    old0, old1, old2 = events(y)
+    old0, old1 = events(y)
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -449,50 +455,40 @@ def _dormand_prince(fun, y, max_step, events):
                     last_state=y, last_time=t)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            bz, bq, bu, bv = k2 = fun(z + (1/5 * fz) * h, q + (1/5 * fq) * h,
-                                      u + (1/5 * fu) * h, v + (1/5 * fv) * h)
-            cz, cq, cu, cv = k3 = fun(z + (3/40 * fz + 9/40 * bz) * h,
-                                      q + (3/40 * fq + 9/40 * bq) * h,
-                                      u + (3/40 * fu + 9/40 * bu) * h,
-                                      v + (3/40 * fv + 9/40 * bv) * h)
-            dz, dq, du, dv = k4 = fun(z + (44/45 * fz - 56/15 * bz + 32/9 * cz) * h,
-                                      q + (44/45 * fq - 56/15 * bq + 32/9 * cq) * h,
-                                      u + (44/45 * fu - 56/15 * bu + 32/9 * cu) * h,
-                                      v + (44/45 * fv - 56/15 * bv + 32/9 * cv) * h)
-            ez, eq, eu, ev = k5 = fun(
+            bx, bz, bq = k2 = fun(x + (1/5 * fx) * h, z + (1/5 * fz) * h, q + (1/5 * fq) * h)
+            cx, cz, cq = k3 = fun(x + (3/40 * fx + 9/40 * bx) * h,
+                                  z + (3/40 * fz + 9/40 * bz) * h,
+                                  q + (3/40 * fq + 9/40 * bq) * h)
+            dx, dz, dq = k4 = fun(x + (44/45 * fx - 56/15 * bx + 32/9 * cx) * h,
+                                  z + (44/45 * fz - 56/15 * bz + 32/9 * cz) * h,
+                                  q + (44/45 * fq - 56/15 * bq + 32/9 * cq) * h)
+            ex, ez, eq = k5 = fun(
+                x + (19372/6561 * fx - 25360/2187 * bx + 64448/6561 * cx - 212/729 * dx) * h,
                 z + (19372/6561 * fz - 25360/2187 * bz + 64448/6561 * cz - 212/729 * dz) * h,
-                q + (19372/6561 * fq - 25360/2187 * bq + 64448/6561 * cq - 212/729 * dq) * h,
-                u + (19372/6561 * fu - 25360/2187 * bu + 64448/6561 * cu - 212/729 * du) * h,
-                v + (19372/6561 * fv - 25360/2187 * bv + 64448/6561 * cv - 212/729 * dv) * h)
-            gz, gq, gu, gv = k6 = fun(
+                q + (19372/6561 * fq - 25360/2187 * bq + 64448/6561 * cq - 212/729 * dq) * h)
+            gx, gz, gq = k6 = fun(
+                x + (9017/3168 * fx - 355/33 * bx + 46732/5247 * cx + 49/176 * dx
+                     - 5103/18656 * ex) * h,
                 z + (9017/3168 * fz - 355/33 * bz + 46732/5247 * cz + 49/176 * dz
                      - 5103/18656 * ez) * h,
                 q + (9017/3168 * fq - 355/33 * bq + 46732/5247 * cq + 49/176 * dq
-                     - 5103/18656 * eq) * h,
-                u + (9017/3168 * fu - 355/33 * bu + 46732/5247 * cu + 49/176 * du
-                     - 5103/18656 * eu) * h,
-                v + (9017/3168 * fv - 355/33 * bv + 46732/5247 * cv + 49/176 * dv
-                     - 5103/18656 * ev) * h)
+                     - 5103/18656 * eq) * h)
+            xn = x + h * (35/384 * fx + 500/1113 * cx + 125/192 * dx - 2187/6784 * ex
+                          + 11/84 * gx)
             zn = z + h * (35/384 * fz + 500/1113 * cz + 125/192 * dz - 2187/6784 * ez
                           + 11/84 * gz)
             qn = q + h * (35/384 * fq + 500/1113 * cq + 125/192 * dq - 2187/6784 * eq
                           + 11/84 * gq)
-            un = u + h * (35/384 * fu + 500/1113 * cu + 125/192 * du - 2187/6784 * eu
-                          + 11/84 * gu)
-            vn = v + h * (35/384 * fv + 500/1113 * cv + 125/192 * dv - 2187/6784 * ev
-                          + 11/84 * gv)
-            f_new = nz, nq, nu, nv = fun(zn, qn, un, vn)
+            f_new = nx, nz, nq = fun(xn, zn, qn)
             nfev += 6
             err = math.hypot(
+                (-71/57600 * fx + 71/16695 * cx - 71/1920 * dx + 17253/339200 * ex
+                 - 22/525 * gx + 1/40 * nx) * h / (atol + max(abs(x), abs(xn)) * rtol),
                 (-71/57600 * fz + 71/16695 * cz - 71/1920 * dz + 17253/339200 * ez
                  - 22/525 * gz + 1/40 * nz) * h / (atol + max(abs(z), abs(zn)) * rtol),
                 (-71/57600 * fq + 71/16695 * cq - 71/1920 * dq + 17253/339200 * eq
                  - 22/525 * gq + 1/40 * nq) * h / (atol + max(abs(q), abs(qn)) * rtol),
-                (-71/57600 * fu + 71/16695 * cu - 71/1920 * du + 17253/339200 * eu
-                 - 22/525 * gu + 1/40 * nu) * h / (atol + max(abs(u), abs(un)) * rtol),
-                (-71/57600 * fv + 71/16695 * cv - 71/1920 * dv + 17253/339200 * ev
-                 - 22/525 * gv + 1/40 * nv) * h / (atol + max(abs(v), abs(vn)) * rtol),
-            ) / 2.0
+            ) / _ROOT3
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -500,12 +496,11 @@ def _dormand_prince(fun, y, max_step, events):
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
         t_old, y_old, f_old, t, f = t, y, f, t_new, f_new
-        z, q, u, v, fz, fq, fu, fv = zn, qn, un, vn, nz, nq, nu, nv
-        y = [z, q, u, v]
-        new0, new1, new2 = events(y)
+        x, z, q, fx, fz, fq = xn, zn, qn, nx, nz, nq
+        y = [x, z, q]
+        new0, new1 = events(y)
         sign_change = (old0 <= 0 <= new0 or new0 <= 0 <= old0,
-                       old1 <= 0 <= new1 or new1 <= 0 <= old1,
-                       old2 <= 0 <= new2 or new2 <= 0 <= old2)
+                       old1 <= 0 <= new1 or new1 <= 0 <= old1)
         if True in sign_change:
             crossed = [i for i, c in enumerate(sign_change) if c]
             K = (f_old, k2, k3, k4, k5, k6, f)
@@ -513,8 +508,8 @@ def _dormand_prince(fun, y, max_step, events):
                  for ks in zip(*K)]
 
             def dense(s):
-                x = (s - t_old) / h
-                powers = (x, x * x, x * x * x, x * x * x * x)
+                r = (s - t_old) / h
+                powers = (r, r * r, r * r * r, r * r * r * r)
                 return [b + h * sum([q * p for q, p in zip(qs, powers)])
                         for b, qs in zip(y_old, Q)]
 
@@ -525,7 +520,7 @@ def _dormand_prince(fun, y, max_step, events):
             return ts, ys, nfev, hit, sum(n for _, n in found)
         ts.append(t)
         ys.append(y)
-        old0, old1, old2 = new0, new1, new2
+        old0, old1 = new0, new1
     return ts, ys, nfev, None, 0
 
 

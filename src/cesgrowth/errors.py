@@ -10,7 +10,7 @@ class ParameterError(CesGrowthError, ValueError):
 
 
 class SingularStateError(CesGrowthError):
-    """State hits a denominator of the reduced system (u = v or R = 0)."""
+    """State hits a denominator of the reduced system (u = v, R = 0 or tau0(w) = 1)."""
 
     def __init__(self, message, state=None):
         super().__init__(message)

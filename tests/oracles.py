@@ -318,7 +318,7 @@ def dr_dpsi_at(
 
 def horner(coeffs, s):
     """sum_k coeffs[k] s^k by Horner's rule, one list comprehension per
-    coefficient, each a 4-vector."""
+    coefficient, each a vector."""
     x = list(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         x = [a * s + b for a, b in zip(x, c)]

@@ -14,11 +14,25 @@ the clock is the time to the seed less ln(SEED_SCALE / SEED_FRACTION) /
 SEED_FRACTION, shifts it by about SEED_FRACTION |x*| |a_2| / |lambda|:
 7.5e-9 for case 2 from 0.95 z* at a seed of 1e-8 |x*|, 7.5e-11 at 1e-10.
 
-    python tests/reference_paths.py          # write reference_paths.json
-    python tests/reference_paths.py --check  # regenerate; exit 1 on drift
+A start marked in CORNER passes the corner u = v = 1, where the last two
+components of rhs_reduced_values divide by u - v. Its path is integrated
+in (z, q) alone, on the plane w = w*, F = 0 where it lies: u and v are the
+closed forms u = (tau0 z/w - 1)/(tau0 - 1) and v = (tau0 - w/z)/(tau0 - 1)
+at the 25-digit w* and tau0*, and (zdot, qdot) are rhs_reduced_values' at
+(z, q, u, v), neither of which divides by u - v.
 
-The run takes about three minutes. --check compares every stored figure with
-the regenerated one to 1e-15 relative, far below the tests' bounds.
+The starts are the paper cases (1-5), STIFF_POOL's economies ("stiff35")
+and economies of the benchmark's economy_scan pool ("pool10",
+perfbench.workloads.draw_economies(default_rng(POOL_SEED), POOL_SIZE)[10]),
+whose tau0* > 1, so that w moves along their paths.
+
+    python tests/reference_paths.py          # add the missing starts to reference_paths.json
+    python tests/reference_paths.py --check  # regenerate every start; exit 1 on drift
+
+Writing keeps the stored rows as they are and computes only the starts
+the table lacks. --check compares every stored figure with the
+regenerated one to 1e-15 relative, far below the tests' bounds; it takes
+about ten minutes.
 """
 
 import json
@@ -27,30 +41,63 @@ from pathlib import Path
 
 import mpmath as mp
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
+import numpy as np  # noqa: E402
+
+from cesgrowth import ModelParams  # noqa: E402
 from cesgrowth.dynamics import SEED_SCALE  # noqa: E402
 from cesgrowth.stability import rhs_reduced_values  # noqa: E402
 from cesgrowth.steady import closed_forms, gap_P, steady_state  # noqa: E402
+from perfbench.model import PARAM_NAMES  # noqa: E402
+from perfbench.workloads import POOL_SEED, POOL_SIZE, draw_economies  # noqa: E402
 
-from conftest import CASE_PSI, bench_params  # noqa: E402
+from conftest import CASE_PSI, STIFF_POOL, U_STAR_NEAR_ONE, bench_params  # noqa: E402
 
 TABLE = Path(__file__).with_name("reference_paths.json")
-# (case, z0 / z*): case 1 from above (from below its path passes near
-# u = v = 1, where the rhs divides by u - v), cases 2-5 from both sides.
-STARTS = [(1, 1.05)] + [(c, f) for c in (2, 3, 4, 5) for f in (0.95, 1.05)]
+# (economy, z0 / z*): the first nine are case 1 from above and cases 2-5
+# from both sides. Then STIFF_POOL's economies from just below and just
+# above z*, short of the corner, pool economies with tau0* > 1 from above,
+# and those of them whose paths from below stay short of the corner, and
+# case 1 from below, through the corner.
+STARTS = ([(1, 1.05)] + [(c, f) for c in (2, 3, 4, 5) for f in (0.95, 1.05)]
+          + [(f"stiff{i}", f) for i in STIFF_POOL for f in (0.9999, 1.0003)]
+          + [(f"pool{i}", 1.1) for i in (10, 50, 60, 70)]
+          + [(f"pool{i}", 0.9) for i in (60, 70)]
+          + [(1, 0.9)]
+          + [("u_star_near_one", f) for f in (0.9, 1.1)])
+CORNER = {(1, 0.9)}
 DPS = 25
 ODE_TOL = 1e-18
+# U_STAR_NEAR_ONE has 1 - u* = 3.2e-15, which 25 digits resolve only to
+# about ten: its paths are computed at 50 digits, to a tolerance of 1e-40.
+HIGH_PRECISION = {"u_star_near_one": (50, 1e-40)}
 SEED_FRACTION = 1e-10
 DRIFT_RTOL = 1e-15
 
 
-def reference(case: int, factor: float) -> dict:
+def economy(case) -> ModelParams:
+    """A paper case (1-5), a STIFF_POOL economy ("stiff35") or an economy of
+    the economy_scan pool ("pool10")."""
+    if isinstance(case, int):
+        return bench_params(*CASE_PSI[case])
+    if case == "u_star_near_one":
+        return ModelParams(**U_STAR_NEAR_ONE)
+    if case.startswith("stiff"):
+        return ModelParams(**STIFF_POOL[int(case[5:])])
+    pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
+    return ModelParams(**{n: float(getattr(pool, n)[int(case[4:])]) for n in PARAM_NAMES})
+
+
+def reference(case, factor: float) -> dict:
     """One start's reference figures, as strings of 20 significant digits."""
-    params = bench_params(*CASE_PSI[case])
+    params = economy(case)
     ss = steady_state(params)
     z0 = factor * ss.z_star
-    with mp.workdps(DPS):
+    dps, ode_tol = HIGH_PRECISION.get(case, (DPS, ODE_TOL))
+    with mp.workdps(dps):
         w = mp.findroot(lambda w: gap_P(w, params), mp.mpf(ss.w_star))
         star = closed_forms(w, params)
         x_star = [star.z_star, star.q_star, star.u_star, star.v_star]
@@ -71,7 +118,22 @@ def reference(case: int, factor: float) -> dict:
         sign = 1 if (v[0] > 0) == (z0 > ss.z_star) else -1
         eps = sign * SEED_FRACTION * mp.sqrt(sum(c * c for c in x_star)) / norm
         seed = [x + eps * c for x, c in zip(x_star, v)]
-        path = mp.odefun(lambda _t, x: [-d for d in rhs(x)], 0, seed, tol=mp.mpf(ODE_TOL))
+        if (case, factor) in CORNER:
+            def allocations(z):
+                return ((star.tau0 * z / w - 1) / (star.tau0 - 1),
+                        (star.tau0 - w / z) / (star.tau0 - 1))
+
+            def plane(_t, x):
+                zdot, qdot, _, _ = rhs(x + list(allocations(x[0])))
+                return [-zdot, -qdot]
+
+            plane_path = mp.odefun(plane, 0, seed[:2], tol=mp.mpf(ode_tol))
+
+            def path(t):
+                z, q = plane_path(t)
+                return [z, q, *allocations(z)]
+        else:
+            path = mp.odefun(lambda _t, x: [-d for d in rhs(x)], 0, seed, tol=mp.mpf(ode_tol))
         # Walk out in steps of a tenth of the stable time scale until z passes z0.
         dt, t = 0.1 / abs(lam), mp.mpf(0)
         while (path(t + dt)[0] - z0) * (seed[0] - z0) > 0:
@@ -86,6 +148,13 @@ def reference(case: int, factor: float) -> dict:
 
 def table() -> list:
     return [reference(case, factor) for case, factor in STARTS]
+
+
+def completed(rows: list) -> list:
+    """rows, as stored, followed by the references of the starts they lack."""
+    have = {(r["case"], r["factor"]) for r in rows}
+    return rows + [reference(case, factor) for case, factor in STARTS
+                   if (case, factor) not in have]
 
 
 def drift(old: list, new: list) -> list:
@@ -106,10 +175,9 @@ def load() -> list:
 
 
 if __name__ == "__main__":
-    rows = table()
     if sys.argv[1:] == ["--check"]:
-        lines = drift(load(), rows)
+        lines = drift(load(), table())
         print("\n".join(lines) or f"{TABLE.name}: no drift")
         sys.exit(1 if lines else 0)
-    TABLE.write_text(json.dumps(rows, indent=1) + "\n")
+    TABLE.write_text(json.dumps(completed(load() if TABLE.exists() else []), indent=1) + "\n")
     print(f"wrote {TABLE}")

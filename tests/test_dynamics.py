@@ -1,7 +1,6 @@
 """Stable-manifold construction and level reconstruction."""
 
 import cmath
-import itertools
 import math
 import random
 import sys
@@ -31,6 +30,7 @@ from cesgrowth import (
 from cesgrowth import dynamics
 from cesgrowth.core import sector_rates
 from cesgrowth.stability import rhs_reduced_values
+from cesgrowth.steady import closed_forms, gap_P
 
 import oracles
 import reference_paths
@@ -53,10 +53,12 @@ ECONOMIES = [f"case{c}" for c in CASE_PSI] + [f"stiff{i}" for i in STIFF_POOL]
 
 
 def params_of(name):
-    """A paper case ("case1".."case5") or a STIFF_POOL economy ("stiff35")."""
-    if name.startswith("stiff"):
-        return ModelParams(**STIFF_POOL[int(name[5:])])
-    return bench_params(*CASE_PSI[int(name[4:])])
+    """A paper case ("case1".."case5"), or an economy reference_paths.economy
+    names: a STIFF_POOL economy ("stiff35"), one of the economy_scan pool
+    ("pool60") or "u_star_near_one"."""
+    if name.startswith("case"):
+        return bench_params(*CASE_PSI[int(name[4:])])
+    return reference_paths.economy(name)
 
 
 def forward(x0, params, t_end, rtol=1e-9):
@@ -217,30 +219,101 @@ def test_reconstruct_levels_rejects_non_finite_k0(params_case1, k0):
         reconstruct_levels(traj, k0=k0, params=params_case1)
 
 
+def path_parts(params):
+    """(ss, terms, lambda, v, coeffs): the balanced path, plane_terms at w*,
+    the stable eigenvalue's real part and saddle_path's eigenvector, and,
+    where tau0* < 1, the plane expansion saddle_path seeds on (else None)."""
+    ss = steady_state(params)
+    terms = dynamics.plane_terms(ss.w_star, params)
+    lam, v = dynamics.stable_eigenpair(ss, params, terms, eigen4(ss, params))
+    coeffs = (dynamics._plane_manifold(terms, ss.z_star, ss.q_star, lam.real, v[1], v[2])
+              if terms[5] < 1.0 else None)
+    return ss, terms, lam.real, v, coeffs
+
+
+def on_plane(ss, terms, rows):
+    """Rows (w - w*, z, q) on the plane as saddle_path reports them, (z, q, u, v)."""
+    return [(z, q, *dynamics.allocations(terms[5], ss.w_star + x, z)) for x, z, q in rows]
+
+
 def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch):
-    """The stepper passes Python floats, so the kernel runs in float arithmetic
-    rather than numpy-scalar arithmetic, and calls the kernel once per rhs call.
-    Its step control stays in floats too: a numpy scalar there (a max_step
-    from a numpy eigenvalue, say) would turn every time and stage value into
-    one. Before the stepper, the manifold's set-up calls the kernel on
-    complex circle samples and on float gate points; its count leaves out
-    the Jacobian's four calls, which go through the stability module."""
-    calls = []
-    kernel = dynamics.rhs_reduced_values
+    """On the plane the kernel runs once: plane_terms, and so sector_rates,
+    is called at the float w* and nowhere else. The stepper passes Python
+    floats to its rhs, so it runs in float arithmetic rather than
+    numpy-scalar arithmetic, and its step control stays in floats too: a
+    numpy scalar there (a max_step from a numpy eigenvalue, say) would turn
+    every time and stage value into one."""
+    terms_calls, fun_calls = [], []
+    plane_terms, stepper = dynamics.plane_terms, dynamics._dormand_prince
 
-    def spy(*args):
-        calls.append(args[:4])
-        return kernel(*args)
+    def terms_spy(w, params):
+        terms_calls.append(w)
+        return plane_terms(w, params)
 
-    monkeypatch.setattr(dynamics, "rhs_reduced_values", spy)
-    traj = saddle_path(params_any_case, 1.1 * steady_state(params_any_case).z_star)
-    nfev = traj.meta["nfev"]
-    assert len(calls) == traj.meta["setup_nfev"] - 4 + nfev and nfev > 0
-    assert all(type(a) is float for args in calls[-nfev:] for a in args)
-    assert all(type(a) in (float, complex) for args in calls[:-nfev] for a in args)
+    def stepper_spy(fun, y, max_step, events):
+        def logged(*x):
+            fun_calls.append(x)
+            return fun(*x)
+
+        return stepper(logged, y, max_step, events)
+
+    monkeypatch.setattr(dynamics, "plane_terms", terms_spy)
+    monkeypatch.setattr(dynamics, "_dormand_prince", stepper_spy)
+    ss = steady_state(params_any_case)
+    traj = saddle_path(params_any_case, 1.1 * ss.z_star)
+    assert terms_calls == [ss.w_star] and type(terms_calls[0]) is float
+    assert len(fun_calls) == traj.meta["nfev"] > 0
+    assert all(type(a) is float for x in fun_calls for a in x)
     assert type(traj.meta["t_stop"]) is float
     assert all(type(t) is float for t in traj.time_rows)
     assert all(type(x) is float for row in traj.state_rows for x in row)
+
+
+@pytest.mark.parametrize("case", sorted(CASE_PSI))
+def test_plane_terms_give_the_reduced_systems_equations_on_f_zero(case):
+    """At 200 random states (w, z, q) within e^(+-0.2) of each case's x*, w
+    off w* too: with u and v from allocations, plane_terms' z' and q'
+    equal rhs_reduced_values' to 1e-13 of the largest of their terms (b z^2,
+    (a + q) z, c and q^2, e q, c q/z; measured 8.7e-15), and g(w) equals
+    w (v'/v + z'/z - u'/u) from rhs_reduced_values to 1e-12 of w (|v'/v| +
+    |z'/z| + |u'/u|), the size of the terms that sum cancels (measured
+    2.0e-14)."""
+    params = bench_params(*CASE_PSI[case])
+    ss = steady_state(params)
+    rng = random.Random(case)
+    for _ in range(200):
+        w, z, q = (x * math.exp(rng.uniform(-0.2, 0.2))
+                   for x in (ss.w_star, ss.z_star, ss.q_star))
+        a, b, c, e, g, tau0 = dynamics.plane_terms(w, params)
+        u, v = dynamics.allocations(tau0, w, z)
+        zdot, qdot, udot, vdot = rhs_reduced_values(z, q, u, v, params)
+        assert abs(-(b * z * z + (a + q) * z + c) - zdot) <= 1e-13 * max(
+            abs(b * z * z), abs((a + q) * z), abs(c))
+        assert abs(q * (q - e + c / z) - qdot) <= 1e-13 * max(q * q, abs(e * q), abs(c * q / z))
+        rates = (vdot / v, zdot / z, -udot / u)
+        assert abs(g - w * sum(rates)) <= 1e-12 * w * sum(map(abs, rates))
+
+
+@pytest.mark.parametrize("name, factor", [("case1", 0.9), ("case1", 1.1), ("case3", 0.95),
+                                          ("stiff35", 1.0003), ("pool60", 0.9), ("pool70", 1.1)])
+def test_paths_keep_f_zero_and_on_the_plane_w_star(name, factor):
+    """Every row lies on F = 0, tau = v(1 - u)/(u(1 - v)) = tau0(w) with
+    w = (v/u) z: tau0 u (1 - v) - v (1 - u) is within 1e-12 of tau0 |u| +
+    |v|. Where tau0* < 1 every row also has (v/u) z = w* to 1e-12
+    relative; where tau0* > 1 w moves by more than 1 %. The rows are built
+    from allocations, so both hold to the rounding of u and v, which divide
+    by tau0 - 1: measured 1.3e-13 and 2.2e-13 on stiff economy 35, where
+    tau0* - 1 = -8.4e-4, and at most 3e-15 elsewhere."""
+    params = params_of(name)
+    ss = steady_state(params)
+    traj = saddle_path(params, factor * ss.z_star)
+    moved = 0.0
+    for z, q, u, v in traj.state_rows:
+        w = v / u * z
+        tau0 = dynamics.plane_terms(w, params)[5]
+        assert abs(tau0 * u * (1.0 - v) - v * (1.0 - u)) <= 1e-12 * (tau0 * abs(u) + abs(v))
+        moved = max(moved, abs(w / ss.w_star - 1.0))
+    assert moved <= 1e-12 if ss.tau0 < 1.0 else moved > 1e-2
 
 
 def lapack_stable_pair(jac):
@@ -257,28 +330,34 @@ def lapack_stable_pair(jac):
     return ev[i].real, np.real(v) / np.linalg.norm(np.real(v))
 
 
-def check_stable_pair(jac, eigenvalues) -> bool:
-    """stable_eigenpair against LAPACK: the same unit eigenvector to 1e-10
-    once signs are aligned, or NoRealStableEigenvectorError where LAPACK
+def check_stable_pair(params) -> bool:
+    """stable_eigenpair against LAPACK on the 4-D Jacobian: the same unit
+    eigenvector (dz, dq, du, dv) to 1e-10 once signs are aligned, and dw its
+    w = (v/u) z component, or NoRealStableEigenvectorError where LAPACK
     finds none. Returns whether there was a pair."""
-    ref = lapack_stable_pair(jac)
+    rep = stability_report(params)
+    ss = rep.steady
+    terms = dynamics.plane_terms(ss.w_star, params)
+    ref = lapack_stable_pair(rep.jacobian)
     if ref is None:
         with pytest.raises(NoRealStableEigenvectorError):
-            dynamics.stable_eigenpair(jac, eigenvalues)
+            dynamics.stable_eigenpair(ss, params, terms, rep.eigenvalues)
         return False
-    lam, v = dynamics.stable_eigenpair(jac, eigenvalues)
-    assert type(lam) is complex and all(type(x) is float for x in v)
+    lam, (dw, *v) = dynamics.stable_eigenpair(ss, params, terms, rep.eigenvalues)
+    assert type(lam) is complex and all(type(x) is float for x in (dw, *v))
     assert math.hypot(*v) == pytest.approx(1.0, abs=1e-15)
     ref_v = ref[1] if ref[1] @ v >= 0.0 else -ref[1]
     assert np.max(np.abs(np.array(v) - ref_v)) <= 1e-10
+    dz, _, du, dv = v
+    slope = ss.w_star * (dv / ss.v_star + dz / ss.z_star - du / ss.u_star)
+    assert abs(dw - slope) <= 1e-10 * max(1.0, abs(dw))
+    assert (dw == 0.0) == (ss.tau0 < 1.0)
     return True
 
 
 @pytest.mark.parametrize("economy", ECONOMIES)
 def test_stable_eigenvector_matches_lapack(economy):
-    params = params_of(economy)
-    rep = stability_report(params)
-    assert check_stable_pair(rep.jacobian, rep.eigenvalues)
+    assert check_stable_pair(params_of(economy))
 
 
 def test_slow_stable_root_gives_lapacks_pair():
@@ -290,8 +369,9 @@ def test_slow_stable_root_gives_lapacks_pair():
     with a typed error."""
     params = ModelParams(**SLOW_SADDLE)
     rep = stability_report(params)
-    assert check_stable_pair(rep.jacobian, rep.eigenvalues)
-    lam, _ = dynamics.stable_eigenpair(rep.jacobian, rep.eigenvalues)
+    assert check_stable_pair(params)
+    terms = dynamics.plane_terms(rep.steady.w_star, params)
+    lam, _ = dynamics.stable_eigenpair(rep.steady, params, terms, rep.eigenvalues)
     scale = max(map(abs, rep.eigenvalues))
     assert abs(lam.real - lapack_stable_pair(rep.jacobian)[0]) <= 1e-12 * scale
     with pytest.raises(TargetNotReachedError, match="travel budget exhausted"):
@@ -299,20 +379,26 @@ def test_slow_stable_root_gives_lapacks_pair():
 
 
 def test_stable_eigenvector_matches_lapack_on_economy_scan_pool():
-    """Every solvable economy of the benchmark's economy_scan pool: the same
-    eigenvector as LAPACK's on those labelled saddle_path, and the same
-    NoRealStableEigenvectorError outcome on all of them."""
+    """Every solvable economy of the benchmark's economy_scan pool, on both
+    sides of tau0* = 1: the same eigenvector as LAPACK's on those labelled
+    saddle_path, and the same NoRealStableEigenvectorError outcome on all
+    of them."""
     pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
     paired = labelled = 0
+    halves = set()
     for i in range(POOL_SIZE):
         params = ModelParams(**{n: float(getattr(pool, n)[i]) for n in PARAM_NAMES})
         try:
             rep = stability_report(params)
         except CesGrowthError:
             continue
-        paired += check_stable_pair(rep.jacobian, rep.eigenvalues)
+        pair = check_stable_pair(params)
+        paired += pair
         labelled += rep.classification == "saddle_path"
+        if pair:
+            halves.add(rep.steady.tau0 < 1.0)
     assert paired >= labelled > 0
+    assert halves == {True, False}
 
 
 def rk45_replay(params, z0, monkeypatch):
@@ -336,13 +422,13 @@ def rk45_replay(params, z0, monkeypatch):
         result = exc
     (fun, y0, max_step, events, (ts, ys, *_)), = calls
     terminal = []
-    for i in range(3):
+    for i in range(2):
         def event(_t, x, i=i):
             return events(x.tolist())[i]
         event.terminal = True
         terminal.append(event)
     seeds = [np.array(y0)]
-    for i in range(4):
+    for i in range(3):
         seeds.append(seeds[0].copy())
         seeds[-1][i] = np.nextafter(seeds[0][i], np.inf)
     sols = [solve_ivp(lambda _t, x: fun(*x.tolist()), (0.0, dynamics.T_BUDGET), seed,
@@ -353,11 +439,11 @@ def rk45_replay(params, z0, monkeypatch):
 
 
 # (economy, z0 / z*, outcome): the five cases from both sides, case 1 nearer
-# and farther, case 1 into a coordinate floor, a stiff economy into u = v.
+# and farther, and case 1 and a stiff economy into a coordinate floor.
 PARITY_STARTS = (
     [(f"case{c}", f, "target_reached") for c in CASE_PSI for f in (0.9, 1.1)]
     + [("case1", f, "target_reached") for f in (0.5, 1.05)]
-    + [("case1", 1.5, "hit a coordinate floor"), ("stiff35", 1.1, "approached u = v")]
+    + [("case1", 1.5, "hit a coordinate floor"), ("stiff35", 1.1, "hit a coordinate floor")]
 )
 
 
@@ -365,25 +451,21 @@ PARITY_STARTS = (
 def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatch):
     """The in-house Dormand-Prince stepper against scipy's RK45 as the oracle.
 
-    Over the integrated segment, from the seed on the stable manifold to
-    z0: the same accepted steps and rhs calls and the same stop. A path
-    that reaches z0 holds those steps, reversed, followed by the rows
-    reported from the manifold after the seed. scipy sums the stages with
-    numpy's dot products, the stepper with plain float sums; the last-ulp
-    difference in the error norm, a difference formed by cancellation,
-    moves every later step size by about 1e-7, so stored times are not
-    compared. The stopping time must agree to within four times the spread
-    that moving one seed coordinate by one ulp causes in scipy's own (about
-    1e-14 on most starts, 6e-9 on case 1's paths from below z*, which pass
-    the corner u = v = 1 from the linear seed), and to 1e-7 relative in any
-    case.
+    Over the integrated segment, from the seed to z0: the same accepted
+    steps and rhs calls and the same stop. A path that reaches z0 holds
+    those steps, reversed, followed by the rows reported from the plane
+    expansion after the seed.
+    scipy sums the stages with numpy's dot products, the stepper with plain
+    float sums; the last-ulp difference in the error norm, a difference
+    formed by cancellation, moves every later step size by about 1e-7, so
+    stored times are not compared. The stopping time must agree to within
+    four times the spread that moving one seed coordinate by one ulp causes
+    in scipy's own, and to 1e-7 relative in any case.
 
     Step by step: scipy's RK45 started at each stored state, with the
     stored step as its first step, reproduces the next stored state to
-    1e-14 in the max norm, relative to that state's own: a coordinate that
-    runs into the floor, or u - v as it closes to the event gap, is far
-    smaller than the state, and the rhs's 1/(u - v) magnifies rounding. The
-    last state, interpolated at the event, has no stored step.
+    1e-14 in the max norm, relative to that state's own. The last state,
+    interpolated at the event, has no stored step.
     """
     params = params_of(economy)
     ss = steady_state(params)
@@ -396,27 +478,25 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
     if outcome == "target_reached":
         assert hit[0] and sol.status == 1
         s0, rate = result.meta["s0"], result.meta["stable_eigenvalue"].real
-        s_end = math.copysign(
-            dynamics.SEED_SCALE * math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star), s0)
-        x_star, jac, _, coeffs, _ = manifold_of(params)
-        if result.meta["order"] == 1:  # past the corner: the linear seed
-            coeffs = [x_star, dynamics.stable_eigenpair(jac, eigen4(ss, params))[1]]
-        rows = dynamics._manifold_rows(coeffs, rate, s0, s_end)
-        assert rows[0][1] == ys[0]
+        scale = math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star)
+        s_end = math.copysign(dynamics.SEED_SCALE * scale, s0)
+        _, terms, _, _, coeffs = path_parts(params)
+        rows = dynamics._manifold_rows(coeffs, rate, s0, s_end, scale)
+        assert list(rows[0][1]) == list(ys[0])
         assert len(result) == len(sol.t) + len(rows) - 1
-        assert result.state_rows[len(ts):] == [x for _, x in rows[1:]]
+        assert result.state_rows[len(ts):] == on_plane(ss, terms, [x for _, x in rows[1:]])
         assert result.meta["steps"] == len(ts)
         assert result.meta["nfev"] == sol.nfev
-        assert result.state_rows[:len(ts)] == ys[::-1]
+        assert [row[:2] for row in result.state_rows[:len(ts)]] == [
+            (z, q) for _, z, q in ys[::-1]]
         assert result.time_rows[len(ts) - 1] == ts[-1]
         assert result.meta["t_stop"] == result.time_rows[-1] == (
             ts[-1] + math.log(s0 / s_end) / -rate)
     else:
-        assert hit == [False, outcome == "hit a coordinate floor",
-                       outcome == "approached u = v"]
+        assert hit == [False, True]
         assert isinstance(result, TargetNotReachedError)
         assert str(result) == (f"z never crossed {z0} ({outcome}; "
-                               f"final z = {sol.y[0, -1]:g})")
+                               f"final z = {sol.y[1, -1]:g})")
     for i in range(len(ts) - 2):
         rk = RK45(lambda _t, x: fun(*x.tolist()), ts[i], np.array(ys[i]),
                   dynamics.T_BUDGET, first_step=ts[i + 1] - ts[i], max_step=max_step,
@@ -426,54 +506,22 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         assert np.max(np.abs(rk.y - ys[i + 1])) <= 1e-14 * np.max(np.abs(ys[i + 1]))
 
 
-def manifold_of(params):
-    """(x*, J, lambda, coefficients, radius) of saddle_path's expansion."""
-    ss, s = steady_point(params)
-    jac = jacobian_fd(*s, params)
-    lam, v_s = dynamics.stable_eigenpair(jac, eigen4(ss, params))
-    x_star = tuple(s)
-    coeffs, radius, _ = dynamics._stable_manifold(params, x_star, jac, lam.real, v_s,
-                                                  math.hypot(*x_star))
-    return x_star, jac, lam.real, coeffs, radius
+def invariance_defect(terms, coeffs, rate, s):
+    """rms over the stepper's three components (w's is 0) of |E_i| /
+    (|lambda| (atol + rtol |W_i|)), times rtol, with E = (z', q')(W(s)) -
+    lambda s W'(s), W and W' summed term by term."""
+    a, b, c, e, *_ = terms
+    z, q = (sum(cf[i] * s**k for k, cf in enumerate(coeffs)) for i in (1, 2))
+    dz, dq = (sum(k * cf[i] * s ** (k - 1) for k, cf in enumerate(coeffs) if k) for i in (1, 2))
+    tol = [dynamics.SADDLE_ATOL + dynamics.SADDLE_RTOL * abs(x) for x in (z, q)]
+    ez = (-(b * z * z + (a + q) * z + c) - rate * s * dz) / abs(rate) / tol[0]
+    eq = (q * (q - e + c / z) - rate * s * dq) / abs(rate) / tol[1]
+    return dynamics.SADDLE_RTOL * math.sqrt((ez * ez + eq * eq) / 3.0)
 
 
-def invariance_defect(params, coeffs, rate, s):
-    """rms_i |E_i| / (|lambda| (atol + rtol |W_i|)) times rtol, with
-    E = rhs(W(s)) - lambda s W'(s) and W summed term by term."""
-    x = [sum(c[i] * s**k for k, c in enumerate(coeffs)) for i in range(4)]
-    dx = [sum(k * c[i] * s ** (k - 1) for k, c in enumerate(coeffs) if k) for i in range(4)]
-    return defect_at(params, x, dx, rate, s)
-
-
-def defect_at(params, x, dx, rate, s):
-    """invariance_defect's measure at W(s) = x and W'(s) = dx, in the
-    arithmetic of the numbers given: floats or mpmath numbers."""
-    e = [(f - rate * s * d) / abs(rate)
-         for f, d in zip(rhs_reduced_values(*x, params), dx)]
-    tol = [dynamics.SADDLE_ATOL + dynamics.SADDLE_RTOL * abs(xi) for xi in x]
-    return dynamics.SADDLE_RTOL * math.sqrt(sum((a / b) ** 2 for a, b in zip(e, tol)) / 4)
-
-
-def defect_resolution(params, coeffs, rate, s):
-    """(exact, spread) at the package's own float W(s) and W'(s): exact is
-    defect_at in 50-digit arithmetic, and spread the largest distance from
-    it of the float defect_at at the 80 neighbours of W(s) whose
-    coordinates each move by -1, 0 or +1 ulp."""
-    x = dynamics._horner(coeffs, s)
-    dx = dynamics._horner([[k * a for a in c] for k, c in enumerate(coeffs)][1:], s)
-    with mpmath.workdps(50):
-        exact = defect_at(params, *([mpmath.mpf(c) for c in v] for v in (x, dx)),
-                          mpmath.mpf(rate), mpmath.mpf(s))
-    spread = max(
-        abs(defect_at(params, [math.nextafter(c, k * math.inf) if k else c
-                               for c, k in zip(x, moves)], dx, rate, s) - exact)
-        for moves in itertools.product((-1, 0, 1), repeat=4) if any(moves))
-    return exact, spread
-
-
-# The paper cases and the stiff economies from above z*, away from the
-# corner u = v = 1: each is seeded on the order-MANIFOLD_ORDER expansion.
-# The stiff economies' paths then stop at u = v.
+# The paper cases and the stiff economies from above z*: each is seeded on
+# the order-MANIFOLD_ORDER expansion. The stiff economies' paths then stop
+# at the coordinate floor.
 GATED_STARTS = [(name, 1.1) for name in ECONOMIES]
 
 
@@ -502,84 +550,122 @@ def test_seed_passes_the_invariance_gate(name, factor, monkeypatch):
     is within the stepper's tolerance, as the seed record says."""
     params = params_of(name)
     s0, defect = gated_seed(params, factor * steady_state(params).z_star, monkeypatch)
-    x_star, _, rate, coeffs, _ = manifold_of(params)
+    ss, terms, rate, _, coeffs = path_parts(params)
     assert len(coeffs) - 1 == dynamics.MANIFOLD_ORDER
-    assert abs(s0) > dynamics.SEED_SCALE * math.hypot(*x_star)
-    assert defect == pytest.approx(invariance_defect(params, coeffs, rate, s0), rel=1e-6)
+    assert abs(s0) > dynamics.SEED_SCALE * math.hypot(*ss[1:5])
+    assert defect == pytest.approx(invariance_defect(terms, coeffs, rate, s0), rel=1e-6)
     for s in (s0, -s0):
-        assert invariance_defect(params, coeffs, rate, s) <= dynamics.SADDLE_RTOL
+        assert invariance_defect(terms, coeffs, rate, s) <= dynamics.SADDLE_RTOL
+
+
+def taylor_oracle(params):
+    """The stable manifold's Taylor coefficients on the plane, [(z*, q*),
+    (dz, dq), (Z_2, Q_2), ...] to order MANIFOLD_ORDER, at 40 digits and
+    without the package's recursion: x* from a 40-digit root of gap_P, the
+    rhs rhs_reduced_values' (z', q') at (z, q, u(z), v(z)) with the closed
+    forms at w*, J2 by mpmath.diff, its stable eigenpair normalised with
+    du/dz and dv/dz, and order k from (J2 - k lambda I) a_k =
+    -[rhs(W_{<k})]_k, the Taylor coefficient by mpmath.diff along the
+    oracle's own W_{<k}, solved by mpmath.lu_solve."""
+    ss = steady_state(params)
+    with mpmath.workdps(40):
+        w = mpmath.findroot(lambda w: gap_P(w, params), mpmath.mpf(ss.w_star))
+        star = closed_forms(w, params)
+        tau0 = star.tau0
+
+        def allocations(z):
+            return (tau0 * z / w - 1) / (tau0 - 1), (tau0 - w / z) / (tau0 - 1)
+
+        def rhs(z, q):
+            return rhs_reduced_values(z, q, *allocations(z), params)[:2]
+
+        x = (star.z_star, star.q_star)
+        jac = mpmath.matrix(2, 2)
+        for j in range(2):
+            for i in range(2):
+                jac[i, j] = mpmath.diff(
+                    lambda h: rhs(*[c + h if k == j else c for k, c in enumerate(x)])[i], 0)
+        tr, det = jac[0, 0] + jac[1, 1], jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        lam = (tr - mpmath.sqrt(tr * tr - 4 * det)) / 2
+        m = (lam - jac[0, 0]) / jac[0, 1]
+        du, dv = (mpmath.diff(lambda z: allocations(z)[i], x[0]) for i in (0, 1))
+        norm = mpmath.sqrt(1 + m * m + du * du + dv * dv)
+        coeffs = [x, (1 / norm, m / norm)]
+        for k in range(2, dynamics.MANIFOLD_ORDER + 1):
+            def along(s, i):
+                return rhs(*[sum(c[j] * s**p for p, c in enumerate(coeffs))
+                             for j in range(2)])[i]
+
+            rhs_k = [mpmath.diff(lambda s: along(s, i), 0, k) / mpmath.factorial(k)
+                     for i in range(2)]
+            a_k = mpmath.lu_solve(jac - k * lam * mpmath.eye(2),
+                                  mpmath.matrix([-c for c in rhs_k]))
+            coeffs.append((a_k[0], a_k[1]))
+        return coeffs
 
 
 @pytest.mark.parametrize("name, factor", GATED_STARTS)
 def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor, monkeypatch):
-    """a_2 and a_3 against an oracle without a DFT: the Taylor coefficient
-    [rhs(W_{<k})]_k by mpmath.diff at 40 digits, along the package's own
-    truncated W, and (J - k lambda I) a_k = -[rhs(W_{<k})]_k solved by
-    mpmath.lu_solve. The DFT's error is rounding divided by r^k plus
-    aliasing from singularities near the circle, up to 8e-8 relative on
-    a_3 of case 1 (r = 1.1e-3 |x*|) and more on the stiff economies' tiny
-    a_3. What it costs the path is its term at the seed: |da_k| |s0|^k
-    stays below 5 % of SADDLE_RTOL |x*| (up to 0.54 % is measured)."""
+    """Every order of the plane expansion against taylor_oracle: each
+    coefficient within 1e-13 of its own size on the paper cases and 1e-10
+    on the stiff economies, where the float lambda carries 1e-11 (measured
+    8.7e-15 and 2.3e-11; the circle DFT this recursion replaced was off by
+    up to 26 times a_6 on case 1 and more on the stiff economies). What that
+    costs the path is its term at the seed: |da_k| |s0|^k stays below 1e-3
+    of SADDLE_RTOL |x*|."""
     params = params_of(name)
     s0, _ = gated_seed(params, factor * steady_state(params).z_star, monkeypatch)
-    x_star, jac, rate, coeffs, _ = manifold_of(params)
-    with mpmath.workdps(40):
-        for k in (2, 3):
-            def along_w(s, i):
-                x = [sum(mpmath.mpf(c[j]) * s**p for p, c in enumerate(coeffs[:k]))
-                     for j in range(4)]
-                return rhs_reduced_values(*x, params)[i]
-
-            rhs_k = [mpmath.diff(lambda s: along_w(s, i), 0, k) / mpmath.factorial(k)
-                     for i in range(4)]
-            m = mpmath.matrix([[jac[i][j] - (k * rate if i == j else 0.0) for j in range(4)]
-                               for i in range(4)])
-            a_k = mpmath.lu_solve(m, mpmath.matrix([-c for c in rhs_k]))
-            err = max(abs(float(a_k[i]) - coeffs[k][i]) for i in range(4))
-            assert err * abs(s0) ** k <= 0.05 * dynamics.SADDLE_RTOL * math.hypot(*x_star)
+    ss, _, _, _, coeffs = path_parts(params)
+    oracle = taylor_oracle(params)
+    bound = 1e-13 if name.startswith("case") else 1e-10
+    for k, (c, ref) in enumerate(zip(coeffs, oracle)):
+        err = max(abs(c[i + 1] - float(ref[i])) for i in range(2))
+        assert err <= bound * float(max(abs(r) for r in ref))
+        assert err * abs(s0) ** k <= 1e-3 * dynamics.SADDLE_RTOL * math.hypot(*ss[1:5])
 
 
-@pytest.mark.parametrize("case, factor", reference_paths.STARTS + [(1, 0.9)])
-def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
-    """Paths built on the circle saddle_path chooses, of radius r, and on
-    one of radius r/2 start at the same (q, u, v) to SADDLE_RTOL relative
-    and report the same clock to 1e-9; measured: 1.5e-11 and 5e-11 at
-    most. The starts are the reference table's and case 1 from 0.9 z*,
-    which passes the corner u = v = 1 and so takes the linear seed, on
-    neither circle."""
+def halved_seed(monkeypatch):
+    """Make _seed start its search at half its first |s0|."""
+    seed = dynamics._seed
+
+    def spy(terms, coeffs, rate, s_end, scale, events):
+        return seed(terms, coeffs, rate, s_end, scale / 2 ** (len(coeffs) - 1), events)
+
+    monkeypatch.setattr(dynamics, "_seed", spy)
+
+
+@pytest.mark.parametrize("case, factor", reference_paths.STARTS[:9] + [(1, 0.9)])
+def test_path_does_not_depend_on_where_it_is_seeded(case, factor, monkeypatch):
+    """Paths seeded on W at the |s0| saddle_path chooses and at half of it
+    start at the same (q, u, v) to SADDLE_RTOL relative and report the same
+    clock to 1e-8, the reference table's bound; measured: 1.2e-11 and
+    1.0e-9 at most. The nearer seed integrates 40-50 more rhs calls, and
+    their global error moves its clock by up to 1.3e-9 from the 25-digit
+    references, against 6.3e-10 from the chosen seed. The starts are the
+    reference table's paper-case starts and case 1 from 0.9 z*, which
+    passes the corner u = v = 1."""
     params = bench_params(*CASE_PSI[case])
     z0 = factor * steady_state(params).z_star
     wide = saddle_path(params, z0)
-    expansion = dynamics._stable_manifold
-
-    def halved(params, x_star, jac, rate, v_s, scale):
-        radius = expansion(params, x_star, jac, rate, v_s, scale)[1]
-        monkeypatch.setattr(dynamics, "MANIFOLD_RADIUS", radius / 2 / scale)
-        return expansion(params, x_star, jac, rate, v_s, scale)
-
-    monkeypatch.setattr(dynamics, "_stable_manifold", halved)
+    halved_seed(monkeypatch)
     narrow = saddle_path(params, z0)
-    if wide.meta["order"] == 1:
-        assert narrow.meta["radius"] is wide.meta["radius"] is None
-    else:
-        assert narrow.meta["radius"] == pytest.approx(wide.meta["radius"] / 2, rel=1e-15)
+    assert abs(narrow.meta["s0"]) == pytest.approx(abs(wide.meta["s0"]) / 2, rel=1e-12)
     for a, b in zip(wide.state_rows[0][1:], narrow.state_rows[0][1:]):
         assert abs(a - b) <= dynamics.SADDLE_RTOL * abs(b)
-    assert abs(wide.meta["t_stop"] - narrow.meta["t_stop"]) <= 1e-9
+    assert abs(wide.meta["t_stop"] - narrow.meta["t_stop"]) <= 1e-8
 
 
-@pytest.mark.parametrize("event, outcome", [("UV_EVENT_GAP", "approached u = v"),
-                                            ("BOX_MARGIN", "hit a coordinate floor")])
+@pytest.mark.parametrize("event, outcome", [("BOX_MARGIN", "hit a coordinate floor")])
 def test_manifold_rows_respect_the_events_of_stepped_rows(event, outcome, monkeypatch):
-    """With the u - v gap (or the coordinate floor) moved to where W crosses
-    it at |s| = 1e-3 |x*|, inside the seed's usual 6.7e-3 |x*|, the seed
-    moves inside the event, and the path stops there as a stepped path
-    would. Case 1 from below z* narrows u - v, from above it lowers q."""
+    """With the coordinate floor moved to where W crosses it at |s| = 1e-3
+    |x*|, inside the seed's usual 3.8e-2 |x*|, the seed moves inside the
+    event, and the path stops there as a stepped path would. Case 1 from
+    above z* lowers q."""
     params = params_of("case1")
-    x_star, _, _, coeffs, _ = manifold_of(params)
-    s = math.copysign(1e-3 * math.hypot(*x_star), -1.0 if event == "UV_EVENT_GAP" else 1.0)
-    z, q, u, v = (sum(c[i] * s**k for k, c in enumerate(coeffs)) for i in range(4))
-    monkeypatch.setattr(dynamics, event, u - v if event == "UV_EVENT_GAP" else q)
+    ss, _, _, _, coeffs = path_parts(params)
+    s = 1e-3 * math.hypot(*ss[1:5])
+    q = sum(c[2] * s**k for k, c in enumerate(coeffs))
+    monkeypatch.setattr(dynamics, event, q)
     seeds = []
     stepper = dynamics._dormand_prince
 
@@ -588,11 +674,10 @@ def test_manifold_rows_respect_the_events_of_stepped_rows(event, outcome, monkey
         return stepper(fun, y0, max_step, events)
 
     monkeypatch.setattr(dynamics, "_dormand_prince", spy)
-    factor = 0.9 if event == "UV_EVENT_GAP" else 1.1
     with pytest.raises(TargetNotReachedError, match=outcome):
-        saddle_path(params, factor * steady_state(params).z_star)
-    (_, floor, gap), = seeds
-    assert floor > 0.0 and gap > 0.0
+        saddle_path(params, 1.1 * ss.z_star)
+    (_, floor), = seeds
+    assert floor > 0.0
 
 
 def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
@@ -602,7 +687,8 @@ def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
     to 1e-11 relative, and the clock is the conjugacy's ln(s_end/s) /
     lambda."""
     params = params_of("case2")
-    x_star, _, rate, _, _ = manifold_of(params)
+    ss, _, rate, _, _ = path_parts(params)
+    x_star = ss[1:5]
     z0 = 1.001 * x_star[0]
     monkeypatch.setattr(dynamics, "_dormand_prince", None)
     searches = counted_searches(monkeypatch)
@@ -621,61 +707,42 @@ def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
         assert np.max(np.abs(sol.y[:, -1] - x1)) <= 1e-11 * np.max(np.abs(x1))
 
 
-@pytest.mark.parametrize("how", ["no circle passes", "no seed passes the gate"])
+@pytest.mark.parametrize("how", ["no seed passes the gate"])
 def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
-    """Where no circle recovers J v_s = lambda v_s (a circle of radius |x*|)
-    or no seed passes the invariance gate, the path starts from the linear
-    seed SEED_SCALE |x*| out, reports no manifold rows, and is the path
-    the linear seed always gave: case 1 from 1.1 z* in 143 steps and 854
-    rhs calls, to t = 0.9185382310329033."""
+    """Where no seed passes the invariance gate, the path starts from the
+    linear seed x* + v s_end, SEED_SCALE |x*| out, reports no rows of W,
+    and still reaches z0: case 1 from 1.1 z*, its (q, u, v) at z0 within
+    1e-9 of the seeded path's and its clock within 1e-5 (the linear seed's
+    clock error; measured 2.1e-12 and 8.3e-7)."""
     params = params_of("case1")
-    x_star, *_ = manifold_of(params)
-    if how == "no circle passes":
-        monkeypatch.setattr(dynamics, "MANIFOLD_RADIUS", 1.0)
-    else:
-        monkeypatch.setattr(dynamics, "_defect", lambda *args: 1.0)
-    traj = saddle_path(params, 1.1 * x_star[0])
+    ss, *_ = path_parts(params)
+    seeded = saddle_path(params, 1.1 * ss.z_star)
+    monkeypatch.setattr(dynamics, "_defect", lambda *args: 1.0)
+    traj = saddle_path(params, 1.1 * ss.z_star)
     meta = traj.meta
     assert meta["order"] == 1 and meta["seed_defect"] is None
-    assert meta["s0"] == dynamics.SEED_SCALE * math.hypot(*x_star)
-    assert (len(traj), meta["steps"], meta["nfev"]) == (143, 143, 854)
-    assert meta["t_stop"] == traj.time_rows[-1] == 0.9185382310329033
+    assert meta["s0"] == dynamics.SEED_SCALE * math.hypot(*ss[1:5])
+    assert meta["steps"] == len(traj)
+    for a, b in zip(traj.state_rows[0][1:], seeded.state_rows[0][1:]):
+        assert abs(a - b) <= 1e-9 * abs(b)
+    assert abs(meta["t_stop"] - seeded.meta["t_stop"]) <= 1e-5
 
 
 @pytest.mark.parametrize("name", ECONOMIES)
-def test_paths_past_the_corner_take_the_linear_seed(name, monkeypatch):
-    """From below z*, the eigenvector's line from x* meets u = 1 at the z
-    where the path passes the corner u = v = 1. A z0 past that point
-    (0.5 z*) takes the linear seed and computes no expansion; the path
-    leaves (0, 1) in u between z0 and that z, and is inside it after, to
-    1e-3 of the distance from z*. A
-    z0 a little short of it takes the expansion's seed on the paper
-    cases (on the stiff economies the corner lies within 6e-4 z* of z*,
-    inside the seed's reach)."""
+def test_paths_through_the_corner_take_the_series_seed(name):
+    """From 0.5 z*, the path passes the corner u = v = 1 at z = w*, where
+    allocations is not singular: it is seeded on the plane expansion, its
+    rows have u > 1 exactly where z < w* and u < 1 where z > w*, and v > 1
+    with u, and the stepper ran through the corner to z0."""
     params = params_of(name)
-    ss, s = steady_point(params)
-    lam, v_s = dynamics.stable_eigenpair(jacobian_fd(*s, params), eigen4(ss, params))
-    z_corner = ss.z_star + v_s[0] * (1.0 - ss.u_star) / v_s[2]
-    assert z_corner < ss.z_star
-    expansions = []
-    stable_manifold = dynamics._stable_manifold
-
-    def spy(*args):
-        expansions.append(args)
-        return stable_manifold(*args)
-
-    monkeypatch.setattr(dynamics, "_stable_manifold", spy)
+    ss = steady_state(params)
+    assert ss.w_star < ss.z_star
     traj = saddle_path(params, 0.5 * ss.z_star)
-    assert traj.meta["order"] == 1 and traj.meta["steps"] == len(traj)
-    assert expansions == []
-    outside = [z for z, _, u, _ in traj.state_rows if u > 1.0]
-    inside = [z for z, _, u, _ in traj.state_rows if u < 1.0]
-    tol = 1e-3 * (ss.z_star - z_corner)  # measured: rows lie within 8e-5 of it
-    assert max(outside) <= z_corner + tol and min(inside) >= z_corner - tol
-    if name.startswith("case"):
-        short = saddle_path(params, z_corner + 0.01 * (ss.z_star - z_corner))
-        assert short.meta["order"] == dynamics.MANIFOLD_ORDER
-        assert max(u for _, _, u, _ in short.state_rows) < 1.0
+    assert traj.meta["order"] == dynamics.MANIFOLD_ORDER
+    assert 0 < traj.meta["steps"] < len(traj)
+    for z, _, u, v in traj.state_rows:
+        assert (u > 1.0) == (v > 1.0) == (z < ss.w_star)
+    assert traj.state_rows[0][0] == pytest.approx(0.5 * ss.z_star, rel=4e-16)
 
 
 def counted_searches(monkeypatch):
@@ -704,56 +771,66 @@ def counted_searches(monkeypatch):
 @pytest.mark.parametrize("name, factor", [("case1", 1.1), ("case2", 1.1), ("case2", 0.95),
                                           ("stiff35", 0.9999)])
 def test_trajectory_meta_records_the_seed(name, factor, monkeypatch):
-    """A path integrated from the expansion's seed, on either side of z*
-    (the stiff economy from below, short of the corner u = v = 1): the
-    record holds the order, the circle that passed (the first, of radius
-    MANIFOLD_RADIUS |x*|, on case 2; the second on case 1 and stiff
-    economy 35) and the seed's defect, _defect's value at s0.
-
-    That defect is within twice the rounding spread of its 50-digit value
-    at the same W(s0) (defect_resolution; measured at most 0.93 of the
-    spread, and 7 spreads off for a defect without its halving). On the
-    paper cases it also agrees with a term-by-term sum to 1e-6. On stiff
-    economy 35 it is itself rounding noise, as rhs_reduced_values resolves
-    only about 1e-10 there: an ulp of W(s0) moves it by about 2e-12, a
-    tenth of its value. The set-up calls are the Jacobian's 4, N/2 + 1
-    samples per order and the first order's on a failed circle, and the
-    gate's, at least the two of the seed that passes. The rows are the
-    stepper's followed by those of W, and event_evals counts the g
+    """A path seeded on the expansion, on either side of z*: the record
+    holds the order and the seed's defect, _defect's value at the seed,
+    equal to a term-by-term sum to 1e-6 and within the gate. The set-up
+    counts the gate's rhs evaluations, one or two for each |s0| tried, at
+    least the two of the seed that passes. A path integrated from its seed
+    records that seed as s0; stiff economy 35 from 0.9999 z*, nearer x*
+    than its seed, is solved for on W, with no steps. Otherwise the rows
+    are the stepper's followed by those of W, and event_evals counts the g
     evaluations of the search that placed the stop."""
     params = params_of(name)
+    ss, terms, rate, _, coeffs = path_parts(params)
+    seeds = []
+    seed = dynamics._seed
+
+    def spy(*args):
+        out = seed(*args)
+        seeds.append(out[0])
+        return out
+
+    monkeypatch.setattr(dynamics, "_seed", spy)
     searches = counted_searches(monkeypatch)
-    traj = saddle_path(params, factor * steady_state(params).z_star)
-    x_star, _, rate, coeffs, radius = manifold_of(params)
+    traj = saddle_path(params, factor * ss.z_star)
     meta = traj.meta
-    first = radius == dynamics.MANIFOLD_RADIUS * math.hypot(*x_star)
-    assert first == (name == "case2")
-    assert meta["order"] == dynamics.MANIFOLD_ORDER and meta["radius"] == radius
-    assert meta["seed_defect"] == dynamics._defect(params, coeffs, rate, meta["s0"])
-    exact, spread = defect_resolution(params, coeffs, rate, meta["s0"])
-    assert abs(meta["seed_defect"] - exact) <= 2.0 * spread
-    if name.startswith("case"):
-        assert meta["seed_defect"] == pytest.approx(
-            invariance_defect(params, coeffs, rate, meta["s0"]), rel=1e-6)
-    assert meta["seed_defect"] <= dynamics.SADDLE_RTOL
-    n = dynamics.MANIFOLD_SAMPLES // 2 + 1
-    gate = meta["setup_nfev"] - 4 - (dynamics.MANIFOLD_ORDER - first) * n
-    assert gate >= 2
-    assert 0 < meta["steps"] < len(traj)
+    (s0, defect, _), = seeds
+    assert meta["order"] == dynamics.MANIFOLD_ORDER
+    assert meta["seed_defect"] == defect == dynamics._defect(terms, coeffs, rate, s0)
+    assert defect == pytest.approx(invariance_defect(terms, coeffs, rate, s0), rel=1e-6)
+    assert defect <= dynamics.SADDLE_RTOL
+    first = (dynamics.SADDLE_RTOL * math.hypot(*ss[1:5])
+             / math.hypot(*coeffs[-1])) ** (1.0 / dynamics.MANIFOLD_ORDER)
+    tries = round(math.log2(first / abs(s0))) + 1
+    assert max(2, tries) <= meta["setup_nfev"] <= 2 * tries
+    if name == "stiff35":
+        assert meta["steps"] == meta["nfev"] == 0 and abs(meta["s0"]) < abs(s0)
+    else:
+        assert meta["s0"] == s0 and 0 < meta["steps"] < len(traj)
     assert meta["t_stop"] == traj.time_rows[-1]
     assert meta["event_evals"] == sum(searches) > 2
 
 
-@pytest.mark.parametrize("ref", reference_paths.load(),
-                         ids=lambda ref: f"case{ref['case']}-{ref['factor']}")
+def reference_id(ref):
+    name = ref["case"]
+    return (f"case{name}" if isinstance(name, int) else name) + f"-{ref['factor']}"
+
+
+@pytest.mark.parametrize("ref", [ref for ref in reference_paths.load()
+                                 if ref["case"] not in reference_paths.HIGH_PRECISION],
+                         ids=reference_id)
 def test_saddle_path_matches_the_25_digit_reference(ref):
     """Against tests/reference_paths.json (mpmath.odefun at 25 digits from
     an mpmath eigenvector seed): the path's first row lies at z0, and its
-    (q, u, v) there agree to SADDLE_RTOL relative; measured at most 4.2e-11,
-    where the linear seed gave up to 2.7e-10 (case 1). Its clock, the time
-    from z0 to |s| = SEED_SCALE |x*|, agrees to 1e-8; measured at most
-    4.1e-10, where the linear seed's was 3.5e-6 to 6.3e-6 short."""
-    traj = saddle_path(bench_params(*CASE_PSI[ref["case"]]), ref["z0"])
+    (q, u, v) there agree to SADDLE_RTOL relative, and its clock, the time
+    from z0 to |s| = SEED_SCALE |x*|, to 1e-8. Measured: at most 7.7e-12
+    and 6.3e-10 on the paper cases, where the circle expansion gave 4.1e-11
+    and 4.1e-10 and the linear seed 2.7e-10 and 6.3e-6; 5.4e-13 and 1.2e-10
+    on the stiff economies, from within 3e-4 z* of z*; 3.5e-12 and 2.1e-9
+    on the pool economies, whose tau0* > 1, so that w moves. Case 1 from
+    0.9 z* passes the corner u = v = 1: 5.4e-12 and 6.0e-11."""
+    params = reference_paths.economy(ref["case"])
+    traj = saddle_path(params, ref["z0"])
     z, *quv = traj.state_rows[0]
     assert z == pytest.approx(ref["z0"], rel=4e-16)
     for x, name in zip(quv, "quv"):
@@ -761,37 +838,63 @@ def test_saddle_path_matches_the_25_digit_reference(ref):
     assert abs(traj.meta["t_stop"] - float(ref["clock"])) <= 1e-8
 
 
+@pytest.mark.parametrize("ref", [ref for ref in reference_paths.load()
+                                 if ref["case"] == "u_star_near_one"], ids=reference_id)
+def test_u_star_near_one_paths_match_their_50_digit_references(ref):
+    """U_STAR_NEAR_ONE has u* = 1 - 3.2e-15 and tau0* = 2.4e-15, where the
+    4-D rhs at the float x* is rounding noise but the plane's coefficients
+    are all of order one. From 0.9 z* the path's (q, u, v) at z0 agree with
+    the 50-digit reference to SADDLE_RTOL (measured 1.2e-11; the 4-D route
+    gave q = 0.58412 against 0.55879). From 1.1 z*, where the 4-D route
+    hit the coordinate floor, the path reaches z0 (measured 6.1e-13). Every
+    row keeps 1 - u within 1e-14, as u = (1 - tau0 z/w)/(1 - tau0) requires
+    for z near w. The clock is not asserted: it is 2.2e-7 shorter than the
+    references', an offset that the package's own checks do not explain
+    (CHANGES.md)."""
+    params = reference_paths.economy(ref["case"])
+    traj = saddle_path(params, ref["z0"])
+    z, *quv = traj.state_rows[0]
+    assert z == pytest.approx(ref["z0"], rel=4e-16)
+    for x, name in zip(quv, "quv"):
+        assert abs(x - float(ref[name])) <= dynamics.SADDLE_RTOL * abs(float(ref[name]))
+    assert all(0.0 < 1.0 - u <= 1e-14 for _, _, u, _ in traj.state_rows)
+
+
 def test_stepper_gives_up_where_rk45_does():
-    """y' = y^2 from y = 1, in each of the stepper's four components, blows
-    up at t = 1: the stepper's steps fall below ten ulps of t at the same
-    time and state as scipy's RK45 on the same system.
+    """y' = y^2 from y = 1 in z and q, with w' = 0 from w = 0 as on the
+    plane, blows up at t = 1: the stepper's steps fall below ten ulps of t
+    at the same time and state as scipy's RK45 on the same system. (With
+    y' = y^2 in all three components the stop lands one ulp from scipy's:
+    the error norms, hypot / sqrt(3) and numpy's norm / sqrt(3), round
+    differently, where with two equal components and a zero they agree.)
 
     There y is about 2e13, so the state holds the runs' rounding, summed in
     a different order on each side, magnified by y: it is compared through
     t + 1/y, which the exact flow keeps constant, to one ulp of 1.
     """
-    def fun(z, q, u, v):
-        return z * z, q * q, u * u, v * v
+    def fun(w, z, q):
+        return 0.0, z * z, q * q
 
     with pytest.raises(StepSizeUnderflowError) as exc:
-        dynamics._dormand_prince(fun, [1.0] * 4, 1.0, lambda y: [1.0] * 3)
-    sol = solve_ivp(lambda _t, y: fun(*y.tolist()), (0.0, dynamics.T_BUDGET), [1.0] * 4,
+        dynamics._dormand_prince(fun, [0.0, 1.0, 1.0], 1.0, lambda y: [1.0] * 2)
+    sol = solve_ivp(lambda _t, y: fun(*y.tolist()), (0.0, dynamics.T_BUDGET), [0.0, 1.0, 1.0],
                     method="RK45", rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL,
                     max_step=1.0)
     assert sol.status == -1
     assert exc.value.last_time == sol.t[-1] < 1.0
-    for y, y_rk in zip(exc.value.last_state, sol.y[:, -1]):
+    assert exc.value.last_state[0] == sol.y[0, -1] == 0.0
+    for y, y_rk in zip(exc.value.last_state[1:], sol.y[1:, -1]):
         assert 1.0 / y == pytest.approx(1.0 / y_rk, rel=0, abs=math.ulp(1.0))
 
 
 # (economy, z0 / z*, the event that ends the path): cases 2-5 from both
 # sides, case 1 from above, case 1 from the README start (z0 = k0 / h0 =
-# 5.5, the linear seed, past the corner), case 1 into the coordinate floor
-# and a stiff economy into u = v.
+# 5.5, past the corner), case 1 and a stiff economy into the coordinate
+# floor, and a pool economy with tau0* > 1 from both sides.
 STEPPER_STARTS = (
     [(f"case{c}", f, 0) for c in (2, 3, 4, 5) for f in (0.9, 0.95, 1.05, 1.3)]
     + [("case1", 1.05, 0), ("case1", 1.1, 0), ("case1", "readme", 0), ("case1", 1.5, 1),
-       ("stiff35", 1.1, 2)]
+       ("stiff35", 1.1, 1), ("pool60", 0.9, 0), ("pool60", 1.1, 0)]
 )
 
 
@@ -818,11 +921,11 @@ def stepper_call(economy, factor, monkeypatch):
 
 @pytest.mark.parametrize("economy, factor, hit", STEPPER_STARTS)
 def test_stepper_matches_the_list_form_bit_for_bit(economy, factor, hit, monkeypatch):
-    """The stepper on four unpacked floats does the list form's arithmetic
+    """The stepper on three unpacked floats does the list form's arithmetic
     (oracles.dormand_prince) in its order: the same stage points, times,
     states, rhs calls, event and search evaluations, by repr, on paths that
-    reach z0, that start from the linear seed past the corner, and that
-    stop at the coordinate floor or at u = v."""
+    reach z0, on and off the plane, past the corner, and that stop at the
+    coordinate floor."""
     fun, y0, max_step, events = stepper_call(economy, factor, monkeypatch)
     points, listed_points = [], []
 
@@ -842,7 +945,7 @@ def test_stepper_matches_the_list_form_bit_for_bit(economy, factor, hit, monkeyp
 
 
 def test_stepper_calls_only_fun_and_events(monkeypatch):
-    """Each step of the stepper is written out on four floats: from its own
+    """Each step of the stepper is written out on three floats: from its own
     frame it calls fun nfev times and events once for the seed and once per
     accepted step, and nothing else, until the step that crosses z0 (case 2
     from 1.2 z*). A comprehension or helper per stage or per step would be
@@ -973,47 +1076,25 @@ def test_event_search_takes_few_evaluations_on_transition_starts(monkeypatch):
                                -2e-2 + 0j, 3e-2 * cmath.exp(0.75j * math.pi)])
 def test_horner_matches_the_list_form_bit_for_bit(s):
     """_horner on unpacked components does the list form's arithmetic in its
-    order: the same floats, signed zeros included, on the order-6
-    expansion and on the linear seed, at real and at complex s."""
-    params = params_of("case1")
-    x_star, jac, _, coeffs, _ = manifold_of(params)
-    v_s = dynamics.stable_eigenpair(jac, eigen4(steady_state(params), params))[1]
-    for c in (coeffs, [x_star, v_s]):
-        assert repr(dynamics._horner(c, s)) == repr(oracles.horner(c, s))
-
-
-@pytest.mark.parametrize("name", ECONOMIES)
-def test_incremental_circle_samples_match_reevaluated_ones(name):
-    """_stable_manifold moves its circle points from W_{<k-1} to W_{<k} by
-    adding a_{k-1} s^(k-1). Samples re-evaluated at every order by Horner's
-    rule, from the package's own a_{<k}, give a_2 to the bit and a_3 to a_6
-    to rounding: |da_k| r^k is at most 1e-13 |x*|, measured at most 5.3e-15
-    |x*| (a_4 of stiff economy 35)."""
-    params = params_of(name)
-    x_star, jac, rate, coeffs, r = manifold_of(params)
-    n = dynamics.MANIFOLD_SAMPLES
-    roots = [cmath.exp(2j * math.pi * j / n) for j in range(n // 2 + 1)]
-    assert len(coeffs) == dynamics.MANIFOLD_ORDER + 1
-    for k in range(2, len(coeffs)):
-        f = [rhs_reduced_values(*oracles.horner(coeffs[:k], r * w), params) for w in roots]
-        m = [[x - k * rate if i == j else x for j, x in enumerate(row)]
-             for i, row in enumerate(jac)]
-        a_k = dynamics._solve_pivoted(m, [-c for c in dynamics._dft(f, roots, k, r)])
-        gap = max(abs(a - b) for a, b in zip(a_k, coeffs[k])) * r**k
-        if k == 2:
-            assert a_k == coeffs[k]
-        assert gap <= 1e-13 * math.hypot(*x_star)
+    order: the same floats, signed zeros included, on the plane expansion
+    and on the linear seed, at real and at complex s."""
+    *_, coeffs = path_parts(params_of("case1"))
+    for c in (coeffs, coeffs[:2]):
+        assert repr(list(dynamics._horner(c, s))) == repr(oracles.horner(c, s))
 
 
 def test_random_economies_end_in_a_path_or_a_typed_error():
     """Random economies (numpy-scalar fields, as random_baseline draws them)
-    from 1e-8 to 1e8 z*: each start ends in a path with levels or in a
-    CesGrowthError, and no RuntimeWarning (an error in the test run)."""
+    from 1e-8 to 1e8 z*, on both sides of tau0* = 1, so on the plane and
+    off it: each start ends in a path with levels or in a CesGrowthError,
+    and no RuntimeWarning (an error in the test run)."""
     rng = np.random.default_rng(2026)
-    outcomes = set()
+    outcomes, halves = set(), set()
     for _ in range(40):
         params = random_baseline(rng)[1]
-        z0 = 10.0 ** rng.uniform(-8.0, 8.0) * steady_state(params).z_star
+        ss = steady_state(params)
+        z0 = 10.0 ** rng.uniform(-8.0, 8.0) * ss.z_star
+        halves.add(ss.tau0 < 1.0)
         try:
             traj = reconstruct_levels(saddle_path(params, z0), z0, params)
         except CesGrowthError as exc:
@@ -1021,6 +1102,7 @@ def test_random_economies_end_in_a_path_or_a_typed_error():
         else:
             assert traj.level_rows[0][0] == z0
             outcomes.add(traj.meta["stop_reason"])
+    assert halves == {True, False}
     assert "target_reached" in outcomes and len(outcomes) > 1
 
 
