@@ -624,6 +624,45 @@ def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor, 
         assert err * abs(s0) ** k <= 1e-3 * dynamics.SADDLE_RTOL * math.hypot(*ss[1:5])
 
 
+@pytest.mark.parametrize("name", ECONOMIES)
+def test_incremental_circle_samples_match_reevaluated_ones(name):
+    """_plane_manifold builds each order from running Cauchy products of
+    the lower ones. Re-evaluated at every order instead from samples on a
+    circle of radius r, the seed search's first |s0|: (z', q') of
+    rhs_reduced_values at W_{<k}(s), u and v from allocations, sampled at
+    32 points, the order-k term by Cauchy's integral (a DFT), and
+    (J2 - k lambda I) a_k = -that term, with J2 a complex step of the same
+    rhs at x*. From the package's own a_{<k}, that gives its a_2 to a_6 to
+    rounding: |da_k| r^k is at most 1e-13 |x*|, measured at most 3.7e-17
+    |x*| (a_2 of stiff economy 35)."""
+    params = params_of(name)
+    ss, terms, rate, _, coeffs = path_parts(params)
+    tau0, w = terms[5], ss.w_star
+    x_star = math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star)
+    order = len(coeffs) - 1
+    assert order == dynamics.MANIFOLD_ORDER
+    r = (dynamics.SADDLE_RTOL * x_star / math.hypot(*coeffs[order])) ** (1.0 / order)
+
+    def rhs(z, q):
+        return rhs_reduced_values(z, q, *dynamics.allocations(tau0, w, z), params)[:2]
+
+    h = 1e-20
+    (j11, j21), (j12, j22) = ([x.imag / h for x in rhs(complex(ss.z_star, h * (i == 0)),
+                                                       complex(ss.q_star, h * (i == 1)))]
+                              for i in range(2))
+    n = 32
+    roots = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
+    for k in range(2, order + 1):
+        f = [rhs(*oracles.horner([c[1:] for c in coeffs[:k]], r * root)) for root in roots]
+        fz, fq = (sum(fj[i] / root**k for fj, root in zip(f, roots)) / (n * r**k)
+                  for i in range(2))
+        d11, d22 = j11 - k * rate, j22 - k * rate
+        det = d11 * d22 - j12 * j21
+        zk, qk = (j12 * fq - d22 * fz) / det, (j21 * fz - d11 * fq) / det
+        gap = max(abs(zk - coeffs[k][1]), abs(qk - coeffs[k][2])) * r**k
+        assert gap <= 1e-13 * x_star
+
+
 def halved_seed(monkeypatch):
     """Make _seed start its search at half its first |s0|."""
     seed = dynamics._seed
@@ -635,11 +674,13 @@ def halved_seed(monkeypatch):
 
 
 @pytest.mark.parametrize("case, factor", reference_paths.STARTS[:9] + [(1, 0.9)])
-def test_path_does_not_depend_on_where_it_is_seeded(case, factor, monkeypatch):
-    """Paths seeded on W at the |s0| saddle_path chooses and at half of it
-    start at the same (q, u, v) to SADDLE_RTOL relative and report the same
-    clock to 1e-8, the reference table's bound; measured: 1.2e-11 and
-    1.0e-9 at most. The nearer seed integrates 40-50 more rhs calls, and
+def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
+    """W is used inside the circle |s| = |s0|: the seed's gate checks its
+    defect at the circle's real points s0 and -s0, and the path reports
+    W's rows from there in. Paths on the circle of the radius saddle_path
+    chooses and on one of half that radius start at the same (q, u, v) to
+    SADDLE_RTOL relative and report the same clock to 1e-8, the reference
+    table's bound; measured: 1.2e-11 and 1.0e-9 at most. The nearer seed integrates 40-50 more rhs calls, and
     their global error moves its clock by up to 1.3e-9 from the 25-digit
     references, against 6.3e-10 from the chosen seed. The starts are the
     reference table's paper-case starts and case 1 from 0.9 z*, which
