@@ -114,7 +114,9 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     that W already reaches is solved for on W. Where tau0* > 1 the stable
     root is lambda_w, and the path starts at x* + v s_end, |s_end| =
     SEED_SCALE |x*|, w to second order; s is the linear coordinate along
-    stable_eigenpair's unit vector. The rows run forward in time: the
+    stable_eigenpair's unit vector. The stepper works on the distance
+    from (w*, z*, q*) in units of SEED_SCALE |x*|, so that its tolerance
+    is relative to that distance. The rows run forward in time: the
     stepped segment's, then W's at the exact times of s(t) until s =
     s_end. TargetNotReachedError where w, z, q, u or v falls to BOX_MARGIN
     or the travel budget runs out.
@@ -140,38 +142,39 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
                   "stop_reason": "at_steady_state", "t_stop": 0.0},
         )
 
-    terms = plane_terms(ss.w_star, params)
-    lam, (dw, dz, dq, _, _) = stable_eigenpair(ss, params, terms, eigen4(ss, params))
+    lam, (dw, dz, dq, _, _), terms = stable_eigenpair(ss, params, eigen4(ss, params))
     a, b, c, e, _, tau0 = terms
-    plane, rate, w_star = tau0 < 1.0, lam.real, ss.w_star
-    # Orient s so that z initially moves toward z0.
-    sign = 1.0 if (dz > 0.0) == (z0 > ss.z_star) else -1.0
+    plane, rate, w_star, z_star, q_star = tau0 < 1.0, lam.real, ss.w_star, ss.z_star, ss.q_star
     scale = math.hypot(*x_star)
-    s_end = sign * SEED_SCALE * scale
+    # Orient s so that z initially moves toward z0.
+    s_end = math.copysign(SEED_SCALE * scale, dz * (z0 - z_star))
+    # S1 and S2 are powers of w, so tau0(w) = tau0* (w/w*)^power.
+    power = params.rate_terms[3] - params.rate_terms[8]
 
-    # The stepper's first component is (w - w*) / unit: its step control
-    # then resolves w's motion relative to its own size from the seed out,
-    # and that motion sets the clock where w moves.
-    unit = SEED_SCALE * scale
+    def reduced(x, z, q):  # x = w - w*
+        w = w_star + x
+        return (z, q, *allocations(tau0 * (w / w_star) ** power, w, z))
+
+    def events(x):
+        z, q, u, v = reduced(*x)
+        return z - z0, min(w_star + x[0], z, q, u, v) - BOX_MARGIN
+
+    # The stepper works on y = (w - w*, z - z*, q - q*) / unit, the
+    # distance from x* in units of the seed's: its step control then
+    # resolves the motion relative to that distance, which sets the clock.
+    unit, still = abs(s_end), (a, b, c, e, 0.0, tau0)
+
+    def located(y):
+        return unit * y[0], z_star + unit * y[1], q_star + unit * y[2]
+
+    def fun(y0, y1, y2):
+        # Reversed time; on the plane w stays at w*.
+        a, b, c, e, g, _ = still if plane else plane_terms(w_star + unit * y0, params)
+        z, q = z_star + unit * y1, q_star + unit * y2
+        return -g / unit, ((b * z + a + q) * z + c) / unit, q * (e - q - c / z) / unit
+
     if plane:
-        def fun(x, z, q):
-            # Reversed time, on the plane.
-            return 0.0, (b * z + a + q) * z + c, q * (e - q - c / z)
-    else:
-        def fun(x, z, q):
-            a, b, c, e, g, _ = plane_terms(w_star + unit * x, params)
-            return -g / unit, (b * z + a + q) * z + c, q * (e - q - c / z)
-
-    def reduced(x, z, q):
-        w = w_star + unit * x
-        return (z, q, *allocations(tau0 if plane else plane_terms(w, params)[5], w, z))
-
-    def events(y):
-        z, q, u, v = reduced(*y)
-        return z - z0, min(w_star + unit * y[0], z, q, u, v) - BOX_MARGIN
-
-    if plane:
-        coeffs = _plane_manifold(terms, ss.z_star, ss.q_star, rate, dz, dq)
+        coeffs = _plane_manifold(terms, z_star, q_star, rate, dz, dq)
         seed, setup_nfev = _seed(terms, coeffs, rate, s_end, scale, events)
         if seed is None:  # the linear seed
             coeffs = coeffs[:2]
@@ -184,7 +187,7 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
         up, down = (plane_terms(complex(w, h), params)[4].imag
                     for w in (w_star + step, w_star - step))
         w2 = (up - down) / (4.0 * step * h) * dw * dw / rate
-        coeffs = [(0.0, ss.z_star, ss.q_star), (dw / unit, dz, dq), (w2 / unit, 0.0, 0.0)]
+        coeffs = [(0.0, z_star, q_star), (dw, dz, dq), (w2, 0.0, 0.0)]
         seed, setup_nfev = None, 0
     s0, defect, rows = seed or (s_end, None, [(0.0, _horner(coeffs, s_end))])
     meta = {"order": len(coeffs) - 1, "seed_defect": defect, "setup_nfev": setup_nfev,
@@ -197,13 +200,14 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     else:
         # Near the seed derivatives are small, so the first-step heuristic
         # would overshoot without a step cap.
-        ts, ys, nfev, hit, evals = _dormand_prince(fun, rows[0][1],
-                                                   min(1.0, 0.5 / abs(rate)), events)
+        ts, ys, nfev, hit, evals = _dormand_prince(
+            fun, [(x - o) / unit for x, o in zip(rows[0][1], (0.0, z_star, q_star))],
+            min(1.0, 0.5 / abs(rate)), lambda y: events(located(y)))
+        ys = [located(y) for y in ys]
         if hit != 0:
             reason = {1: "hit a coordinate floor", None: "travel budget exhausted"}[hit]
-            raise TargetNotReachedError(
-                f"z never crossed {z0} ({reason}; final z = {ys[-1][1]:g})"
-            )
+            raise TargetNotReachedError(f"z never crossed {z0} ({reason}; "
+                                        f"final z = {ys[-1][1]:g})")
     # Forward time: t = 0 at z0, the stepper's steps reversed, then W.
     t_seed = ts[-1]
     times = [t_seed - t for t in reversed(ts)] + [t_seed + t for t, _ in rows[1:]]
@@ -264,11 +268,11 @@ def _j2(terms, z, q) -> tuple:
     return c / z - b * z, -z, -q * c / (z * z), q
 
 
-def stable_eigenpair(ss, params: ModelParams, terms, eigenvalues) -> tuple:
-    """(lambda, (dw, dz, dq, du, dv)): the stable eigenvalue of the balanced
-    path ss, from its spectrum eigenvalues as eigen4 gives it, and its
-    eigenvector, of either sign, unit in (dz, dq, du, dv) (the 4-D one);
-    dw is its w = (v/u) z component. terms are plane_terms at w*.
+def stable_eigenpair(ss, params: ModelParams, eigenvalues) -> tuple:
+    """(lambda, (dw, dz, dq, du, dv), terms): the stable eigenvalue of the
+    balanced path ss, from its spectrum eigenvalues as eigen4 gives it, its
+    eigenvector, of either sign, unit in (dz, dq, du, dv) (the 4-D one),
+    dw its w = (v/u) z component, and the plane_terms at w* it came from.
 
     There is one where classify counts a stable root, the eigenvalue of
     least real part. Where tau0* < 1 it is J2's, and (dz, dq) = (1,
@@ -285,6 +289,7 @@ def stable_eigenpair(ss, params: ModelParams, terms, eigenvalues) -> tuple:
         raise NoRealStableEigenvectorError(
             f"stable eigenvector is complex (eigenvalue {lam})"
         )
+    terms = plane_terms(ss.w_star, params)
     rate, w, z, q, tau0 = lam.real, ss.w_star, ss.z_star, ss.q_star, terms[5]
     j11, j12, j21, j22 = _j2(terms, z, q)
     if tau0 < 1.0:
@@ -301,7 +306,7 @@ def stable_eigenpair(ss, params: ModelParams, terms, eigenvalues) -> tuple:
         u_h, v_h = allocations(tau0_h, complex(w, h), complex(z, h * dz))
         du, dv = u_h.imag / h, v_h.imag / h
     norm = math.hypot(dz, dq, du, dv)
-    return lam, (dw / norm, dz / norm, dq / norm, du / norm, dv / norm)
+    return lam, (dw / norm, dz / norm, dq / norm, du / norm, dv / norm), terms
 
 
 def _plane_manifold(terms, z, q, rate, dz, dq) -> list:
@@ -339,8 +344,8 @@ def _plane_manifold(terms, z, q, rate, dz, dq) -> list:
 
 
 def _horner(coeffs, s):
-    """W(s) = sum_k coeffs[k] s^k, each coefficient a triple in the
-    stepper's coordinates (x, z, q), x = (w - w*) / (SEED_SCALE |x*|)."""
+    """W(s) = sum_k coeffs[k] s^k, each coefficient a triple in
+    (w - w*, z, q)."""
     w, z, q = coeffs[-1]
     for cw, cz, cq in coeffs[-2::-1]:
         w, z, q = w * s + cw, z * s + cz, q * s + cq
@@ -348,13 +353,13 @@ def _horner(coeffs, s):
 
 
 def _defect(terms, coeffs, rate, s):
-    """Invariance defect of W at s, as a share of the stepper's tolerance.
+    """Invariance defect of W at s, to be compared with SADDLE_RTOL.
 
     E = rhs(W(s)) - lambda s W'(s) vanishes on the exact manifold, and
     |E| / |lambda| bounds W's distance from it, as J2 - k lambda I has no
-    eigenvalue smaller than |lambda|. That distance is measured like the
-    stepper's local error, the RMS of its three components (w's is 0) over
-    SADDLE_ATOL + SADDLE_RTOL |W_i|, and returned times SADDLE_RTOL.
+    eigenvalue smaller than |lambda|. That distance is the RMS over the
+    three components of (w, z, q) (w's is 0) of its share of SADDLE_ATOL
+    + SADDLE_RTOL |W_i|, returned times SADDLE_RTOL.
     """
     a, b, c, e, *_ = terms
     _, z, q = _horner(coeffs, s)
@@ -415,18 +420,16 @@ def _manifold_rows(coeffs, rate, s0, s_end, scale):
 def _dormand_prince(fun, y, max_step, events):
     """Integrate y' = fun(y) from t = 0 until T_BUDGET or a terminal event.
 
-    y is a sequence of three floats (x, z, q), x = (w - w*) /
-    (SEED_SCALE |x*|), and fun(x, z, q) returns three. Dormand & Prince
-    5(4) with the step control of Hairer, Norsett & Wanner (Solving ODEs
-    I, sec. II.4), the common RK45, at rtol
-    SADDLE_RTOL and atol SADDLE_ATOL. Each stage is written out for the
-    three components, with the pair's coefficients, so a step calls fun
-    and events and nothing else. After each accepted step, a component of
-    events(y), which gives two values, that changes sign is located to
-    one ulp of t by _illinois on the step's dense output, in about 7
-    evaluations; the earliest crossing ends the path. Returns (times,
-    states, nfev, hit, evals), hit the event met or None, evals the
-    searches' evaluations.
+    y is a sequence of three floats, and fun(*y) returns three. Dormand &
+    Prince 5(4) with the step control of Hairer, Norsett & Wanner (Solving
+    ODEs I, sec. II.4), the common RK45, at rtol SADDLE_RTOL and atol
+    SADDLE_ATOL. Each stage is written out for the three components, with
+    the pair's coefficients, so a step calls fun and events and nothing
+    else. After each accepted step, a component of events(y), which gives
+    two values, that changes sign is located to one ulp of t by _illinois
+    on the step's dense output, in about 7 evaluations; the earliest
+    crossing ends the path. Returns (times, states, nfev, hit, evals), hit
+    the event met or None, evals the searches' evaluations.
     """
     t_bound, rtol, atol = float(T_BUDGET), SADDLE_RTOL, SADDLE_ATOL
     t, (x, z, q) = 0.0, y

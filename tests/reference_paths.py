@@ -4,15 +4,17 @@ and stepper.
 Each path is integrated in reversed time by mpmath's Taylor-series ODE
 solver (mpmath.odefun) from a seed of its own: the balanced path solved at
 25 digits, moved SEED_FRACTION |x*| along the stable eigenvector of a
-Jacobian from mpmath.diff, by mpmath.eig. The model equations are the
-package's rhs_reduced_values, run on mpmath numbers. The table holds, per
-start, (q, u, v) where z crosses z0, and the clock: the time from z0 to
-|s| = SEED_SCALE |x*|, where s is the stable manifold's linear coordinate.
-The seed lies SEED_SCALE / SEED_FRACTION times closer to x* than that, so
-the clock is the time to the seed less ln(SEED_SCALE / SEED_FRACTION) /
-|lambda|. The seed's own offset from the manifold, of relative size
-SEED_FRACTION, shifts it by about SEED_FRACTION |x*| |a_2| / |lambda|:
-7.5e-9 for case 2 from 0.95 z* at a seed of 1e-8 |x*|, 7.5e-11 at 1e-10.
+Jacobian from mpmath.diff, by mpmath.eig; x* is the zero of the model
+equations on F = 0 (see CORNER below), found by mpmath.findroot from the
+closed forms. The model equations are the package's rhs_reduced_values,
+run on mpmath numbers. The table holds, per start, (q, u, v) where z
+crosses z0, and the clock: the time from z0 to |s| = SEED_SCALE |x*|,
+where s is the stable manifold's linear coordinate. The seed lies
+SEED_SCALE / SEED_FRACTION times closer to x* than that, so the clock is
+the time to the seed less ln(SEED_SCALE / SEED_FRACTION) / |lambda|. The
+seed's own offset from the manifold, of relative size SEED_FRACTION,
+shifts it by about SEED_FRACTION |x*| |a_2| / |lambda|: 7.5e-9 for case 2
+from 0.95 z* at a seed of 1e-8 |x*|, 7.5e-11 at 1e-10.
 
 A start marked in CORNER passes the corner u = v = 1, where the last two
 components of rhs_reduced_values divide by u - v. Its path is integrated
@@ -32,7 +34,7 @@ whose tau0* > 1, so that w moves along their paths.
 Writing keeps the stored rows as they are and computes only the starts
 the table lacks. --check compares every stored figure with the
 regenerated one to 1e-15 relative, far below the tests' bounds; it takes
-about ten minutes.
+about 33 minutes of one core, 24 of them for the two 50-digit rows.
 """
 
 import json
@@ -100,10 +102,21 @@ def reference(case, factor: float) -> dict:
     with mp.workdps(dps):
         w = mp.findroot(lambda w: gap_P(w, params), mp.mpf(ss.w_star))
         star = closed_forms(w, params)
-        x_star = [star.z_star, star.q_star, star.u_star, star.v_star]
+
+        def allocations(z):
+            return ((star.tau0 * z / w - 1) / (star.tau0 - 1),
+                    (star.tau0 - w / z) / (star.tau0 - 1))
 
         def rhs(x):
             return rhs_reduced_values(*x, params)
+
+        # closed_forms takes some constants as floats, so its x* can miss
+        # the zero of rhs_reduced_values by 1e-16 (U_STAR_NEAR_ONE: 1.7e-16
+        # in z), a 1e-7 share of a seed SEED_FRACTION |x*| out, which then
+        # shifts the clock by 2e-7. The seed is placed from the zero.
+        z_star, q_star = mp.findroot(lambda z, q: rhs([z, q, *allocations(z)])[:2],
+                                     (star.z_star, star.q_star))
+        x_star = [z_star, q_star, *allocations(z_star)]
 
         jac = mp.matrix(4, 4)
         for j in range(4):
@@ -119,10 +132,6 @@ def reference(case, factor: float) -> dict:
         eps = sign * SEED_FRACTION * mp.sqrt(sum(c * c for c in x_star)) / norm
         seed = [x + eps * c for x, c in zip(x_star, v)]
         if (case, factor) in CORNER:
-            def allocations(z):
-                return ((star.tau0 * z / w - 1) / (star.tau0 - 1),
-                        (star.tau0 - w / z) / (star.tau0 - 1))
-
             def plane(_t, x):
                 zdot, qdot, _, _ = rhs(x + list(allocations(x[0])))
                 return [-zdot, -qdot]

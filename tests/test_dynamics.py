@@ -1,6 +1,7 @@
 """Stable-manifold construction and level reconstruction."""
 
 import cmath
+import itertools
 import math
 import random
 import sys
@@ -224,11 +225,21 @@ def path_parts(params):
     the stable eigenvalue's real part and saddle_path's eigenvector, and,
     where tau0* < 1, the plane expansion saddle_path seeds on (else None)."""
     ss = steady_state(params)
-    terms = dynamics.plane_terms(ss.w_star, params)
-    lam, v = dynamics.stable_eigenpair(ss, params, terms, eigen4(ss, params))
+    lam, v, terms = dynamics.stable_eigenpair(ss, params, eigen4(ss, params))
     coeffs = (dynamics._plane_manifold(terms, ss.z_star, ss.q_star, lam.real, v[1], v[2])
               if terms[5] < 1.0 else None)
     return ss, terms, lam.real, v, coeffs
+
+
+def unit_of(ss):
+    """The stepper's unit of distance from x*, SEED_SCALE |x*|."""
+    return dynamics.SEED_SCALE * math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star)
+
+
+def located(ss, y):
+    """(w - w*, z, q) at the stepper's coordinates y, as saddle_path maps them."""
+    unit = unit_of(ss)
+    return unit * y[0], ss.z_star + unit * y[1], ss.q_star + unit * y[2]
 
 
 def on_plane(ss, terms, rows):
@@ -337,13 +348,13 @@ def check_stable_pair(params) -> bool:
     finds none. Returns whether there was a pair."""
     rep = stability_report(params)
     ss = rep.steady
-    terms = dynamics.plane_terms(ss.w_star, params)
     ref = lapack_stable_pair(rep.jacobian)
     if ref is None:
         with pytest.raises(NoRealStableEigenvectorError):
-            dynamics.stable_eigenpair(ss, params, terms, rep.eigenvalues)
+            dynamics.stable_eigenpair(ss, params, rep.eigenvalues)
         return False
-    lam, (dw, *v) = dynamics.stable_eigenpair(ss, params, terms, rep.eigenvalues)
+    lam, (dw, *v), terms = dynamics.stable_eigenpair(ss, params, rep.eigenvalues)
+    assert terms == dynamics.plane_terms(ss.w_star, params)
     assert type(lam) is complex and all(type(x) is float for x in (dw, *v))
     assert math.hypot(*v) == pytest.approx(1.0, abs=1e-15)
     ref_v = ref[1] if ref[1] @ v >= 0.0 else -ref[1]
@@ -370,8 +381,7 @@ def test_slow_stable_root_gives_lapacks_pair():
     params = ModelParams(**SLOW_SADDLE)
     rep = stability_report(params)
     assert check_stable_pair(params)
-    terms = dynamics.plane_terms(rep.steady.w_star, params)
-    lam, _ = dynamics.stable_eigenpair(rep.steady, params, terms, rep.eigenvalues)
+    lam, _, _ = dynamics.stable_eigenpair(rep.steady, params, rep.eigenvalues)
     scale = max(map(abs, rep.eigenvalues))
     assert abs(lam.real - lapack_stable_pair(rep.jacobian)[0]) <= 1e-12 * scale
     with pytest.raises(TargetNotReachedError, match="travel budget exhausted"):
@@ -406,7 +416,8 @@ def rk45_replay(params, z0, monkeypatch):
     run (reversed-time times and states, with its rhs and max_step), and
     scipy's RK45 runs from the same seed, with the same max_step, tolerances
     and events: the first from the seed itself, then one from the seed with
-    each coordinate moved by one ulp."""
+    each coordinate moved so that the (w - w*, z, q) it stands for moves by
+    one ulp."""
     calls = []
     stepper = dynamics._dormand_prince
 
@@ -427,10 +438,11 @@ def rk45_replay(params, z0, monkeypatch):
             return events(x.tolist())[i]
         event.terminal = True
         terminal.append(event)
+    ss, x0 = steady_state(params), located(steady_state(params), y0)
     seeds = [np.array(y0)]
     for i in range(3):
         seeds.append(seeds[0].copy())
-        seeds[-1][i] = np.nextafter(seeds[0][i], np.inf)
+        seeds[-1][i] += (math.nextafter(x0[i], math.inf) - x0[i]) / unit_of(ss)
     sols = [solve_ivp(lambda _t, x: fun(*x.tolist()), (0.0, dynamics.T_BUDGET), seed,
                       method="RK45", rtol=dynamics.SADDLE_RTOL,
                       atol=dynamics.SADDLE_ATOL, max_step=max_step, events=terminal)
@@ -459,8 +471,11 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
     float sums; the last-ulp difference in the error norm, a difference
     formed by cancellation, moves every later step size by about 1e-7, so
     stored times are not compared. The stopping time must agree to within
-    four times the spread that moving one seed coordinate by one ulp causes
-    in scipy's own, and to 1e-7 relative in any case.
+    four times the spread that moving one coordinate of the seed's
+    (w - w*, z, q) by one ulp causes in scipy's own, and to 1e-7 relative
+    in any case. The stepper works on the distance from x* in units of
+    SEED_SCALE |x*|, so an ulp of its own coordinates is below the rounding
+    of the z that the stop event reads.
 
     Step by step: scipy's RK45 started at each stored state, with the
     stored step as its first step, reproduces the next stored state to
@@ -482,13 +497,15 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         s_end = math.copysign(dynamics.SEED_SCALE * scale, s0)
         _, terms, _, _, coeffs = path_parts(params)
         rows = dynamics._manifold_rows(coeffs, rate, s0, s_end, scale)
-        assert list(rows[0][1]) == list(ys[0])
+        x, z, q = rows[0][1]
+        unit = unit_of(ss)
+        assert list(ys[0]) == [x / unit, (z - ss.z_star) / unit, (q - ss.q_star) / unit]
         assert len(result) == len(sol.t) + len(rows) - 1
         assert result.state_rows[len(ts):] == on_plane(ss, terms, [x for _, x in rows[1:]])
         assert result.meta["steps"] == len(ts)
         assert result.meta["nfev"] == sol.nfev
         assert [row[:2] for row in result.state_rows[:len(ts)]] == [
-            (z, q) for _, z, q in ys[::-1]]
+            located(ss, y)[1:] for y in ys[::-1]]
         assert result.time_rows[len(ts) - 1] == ts[-1]
         assert result.meta["t_stop"] == result.time_rows[-1] == (
             ts[-1] + math.log(s0 / s_end) / -rate)
@@ -496,7 +513,7 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         assert hit == [False, True]
         assert isinstance(result, TargetNotReachedError)
         assert str(result) == (f"z never crossed {z0} ({outcome}; "
-                               f"final z = {sol.y[1, -1]:g})")
+                               f"final z = {located(ss, sol.y[:, -1])[1]:g})")
     for i in range(len(ts) - 2):
         rk = RK45(lambda _t, x: fun(*x.tolist()), ts[i], np.array(ys[i]),
                   dynamics.T_BUDGET, first_step=ts[i + 1] - ts[i], max_step=max_step,
@@ -507,16 +524,41 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
 
 
 def invariance_defect(terms, coeffs, rate, s):
-    """rms over the stepper's three components (w's is 0) of |E_i| /
-    (|lambda| (atol + rtol |W_i|)), times rtol, with E = (z', q')(W(s)) -
-    lambda s W'(s), W and W' summed term by term."""
-    a, b, c, e, *_ = terms
+    """defect_at with W(s) and W'(s) summed term by term."""
     z, q = (sum(cf[i] * s**k for k, cf in enumerate(coeffs)) for i in (1, 2))
     dz, dq = (sum(k * cf[i] * s ** (k - 1) for k, cf in enumerate(coeffs) if k) for i in (1, 2))
+    return defect_at(terms, (z, q), (dz, dq), rate, s)
+
+
+def defect_at(terms, x, dx, rate, s):
+    """rms over the three components of (w, z, q) (w's is 0) of |E_i| /
+    (|lambda| (atol + rtol |W_i|)), times rtol, with E = (z', q')(W(s)) -
+    lambda s W'(s), at (z, q) = x and W'(s) = dx, in the arithmetic of the
+    numbers given: floats or mpmath numbers."""
+    a, b, c, e, *_ = terms
+    (z, q), (dz, dq) = x, dx
     tol = [dynamics.SADDLE_ATOL + dynamics.SADDLE_RTOL * abs(x) for x in (z, q)]
     ez = (-(b * z * z + (a + q) * z + c) - rate * s * dz) / abs(rate) / tol[0]
     eq = (q * (q - e + c / z) - rate * s * dq) / abs(rate) / tol[1]
-    return dynamics.SADDLE_RTOL * math.sqrt((ez * ez + eq * eq) / 3.0)
+    return dynamics.SADDLE_RTOL * ((ez * ez + eq * eq) / 3) ** 0.5
+
+
+def defect_resolution(terms, coeffs, rate, s):
+    """(exact, spread) at the package's own float W(s) and W'(s): exact is
+    defect_at in 50-digit arithmetic, and spread the largest distance from
+    it of the float defect_at at the 8 neighbours of W(s) whose z and q
+    each move by -1, 0 or +1 ulp."""
+    x = dynamics._horner(coeffs, s)[1:]
+    dx = dynamics._horner([[k * a for a in c] for k, c in enumerate(coeffs)][1:], s)[1:]
+    with mpmath.workdps(50):
+        exact = defect_at([mpmath.mpf(t) for t in terms[:4]],
+                          *([mpmath.mpf(c) for c in v] for v in (x, dx)),
+                          mpmath.mpf(rate), mpmath.mpf(s))
+    spread = max(
+        abs(defect_at(terms, [math.nextafter(c, k * math.inf) if k else c
+                              for c, k in zip(x, moves)], dx, rate, s) - exact)
+        for moves in itertools.product((-1, 0, 1), repeat=2) if any(moves))
+    return exact, spread
 
 
 # The paper cases and the stiff economies from above z*: each is seeded on
@@ -679,12 +721,13 @@ def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
     defect at the circle's real points s0 and -s0, and the path reports
     W's rows from there in. Paths on the circle of the radius saddle_path
     chooses and on one of half that radius start at the same (q, u, v) to
-    SADDLE_RTOL relative and report the same clock to 1e-8, the reference
-    table's bound; measured: 1.2e-11 and 1.0e-9 at most. The nearer seed integrates 40-50 more rhs calls, and
-    their global error moves its clock by up to 1.3e-9 from the 25-digit
-    references, against 6.3e-10 from the chosen seed. The starts are the
-    reference table's paper-case starts and case 1 from 0.9 z*, which
-    passes the corner u = v = 1."""
+    SADDLE_RTOL relative and report the same clock to 1e-9; measured:
+    7.9e-13 and 4.8e-11 at most. The nearer seed integrates about 100 more
+    rhs calls near x*, where only a step control relative to the distance from
+    x* keeps their error off the clock: with one relative to |x| the clocks
+    differed by up to 1.0e-9. The starts are the reference table's
+    paper-case starts and case 1 from 0.9 z*, which passes the corner
+    u = v = 1."""
     params = bench_params(*CASE_PSI[case])
     z0 = factor * steady_state(params).z_star
     wide = saddle_path(params, z0)
@@ -693,7 +736,7 @@ def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
     assert abs(narrow.meta["s0"]) == pytest.approx(abs(wide.meta["s0"]) / 2, rel=1e-12)
     for a, b in zip(wide.state_rows[0][1:], narrow.state_rows[0][1:]):
         assert abs(a - b) <= dynamics.SADDLE_RTOL * abs(b)
-    assert abs(wide.meta["t_stop"] - narrow.meta["t_stop"]) <= 1e-8
+    assert abs(wide.meta["t_stop"] - narrow.meta["t_stop"]) <= 1e-9
 
 
 @pytest.mark.parametrize("event, outcome", [("BOX_MARGIN", "hit a coordinate floor")])
@@ -752,9 +795,10 @@ def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
 def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
     """Where no seed passes the invariance gate, the path starts from the
     linear seed x* + v s_end, SEED_SCALE |x*| out, reports no rows of W,
-    and still reaches z0: case 1 from 1.1 z*, its (q, u, v) at z0 within
-    1e-9 of the seeded path's and its clock within 1e-5 (the linear seed's
-    clock error; measured 2.1e-12 and 8.3e-7)."""
+    and is the path the linear seed gives: case 1 from 1.1 z* in 303 steps
+    and 1 814 rhs calls, to t = 0.9185382823031052. Its (q, u, v) at z0
+    are within 1e-9 of the seeded path's and its clock within 1e-7 (the
+    linear seed's clock error; measured 9.8e-13 and 4.2e-8)."""
     params = params_of("case1")
     ss, *_ = path_parts(params)
     seeded = saddle_path(params, 1.1 * ss.z_star)
@@ -763,10 +807,11 @@ def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
     meta = traj.meta
     assert meta["order"] == 1 and meta["seed_defect"] is None
     assert meta["s0"] == dynamics.SEED_SCALE * math.hypot(*ss[1:5])
-    assert meta["steps"] == len(traj)
+    assert (len(traj), meta["steps"], meta["nfev"]) == (303, 303, 1814)
+    assert meta["t_stop"] == traj.time_rows[-1] == 0.9185382823031052
     for a, b in zip(traj.state_rows[0][1:], seeded.state_rows[0][1:]):
         assert abs(a - b) <= 1e-9 * abs(b)
-    assert abs(meta["t_stop"] - seeded.meta["t_stop"]) <= 1e-5
+    assert abs(meta["t_stop"] - seeded.meta["t_stop"]) <= 1e-7
 
 
 @pytest.mark.parametrize("name", ECONOMIES)
@@ -814,13 +859,21 @@ def counted_searches(monkeypatch):
 def test_trajectory_meta_records_the_seed(name, factor, monkeypatch):
     """A path seeded on the expansion, on either side of z*: the record
     holds the order and the seed's defect, _defect's value at the seed,
-    equal to a term-by-term sum to 1e-6 and within the gate. The set-up
-    counts the gate's rhs evaluations, one or two for each |s0| tried, at
-    least the two of the seed that passes. A path integrated from its seed
-    records that seed as s0; stiff economy 35 from 0.9999 z*, nearer x*
-    than its seed, is solved for on W, with no steps. Otherwise the rows
-    are the stepper's followed by those of W, and event_evals counts the g
-    evaluations of the search that placed the stop."""
+    within the gate.
+
+    That defect is within twice the rounding spread of its 50-digit value
+    at the same W(s0) (defect_resolution; measured at most 0.44 of the
+    spread, and 3.7e4 to 1.5e5 spreads off for a _defect without its
+    division by sqrt(3)), and agrees with a term-by-term sum to 1e-4
+    relative with no absolute floor (measured 7.6e-6: E cancels f(W) to
+    about 1e-10, so the two sums' roundings differ at 1e-6 to 1e-5).
+
+    The set-up counts the gate's rhs evaluations, one or two for each |s0|
+    tried, at least the two of the seed that passes. A path integrated from
+    its seed records that seed as s0; stiff economy 35 from 0.9999 z*,
+    nearer x* than its seed, is solved for on W, with no steps. Otherwise
+    the rows are the stepper's followed by those of W, and event_evals
+    counts the g evaluations of the search that placed the stop."""
     params = params_of(name)
     ss, terms, rate, _, coeffs = path_parts(params)
     seeds = []
@@ -838,7 +891,9 @@ def test_trajectory_meta_records_the_seed(name, factor, monkeypatch):
     (s0, defect, _), = seeds
     assert meta["order"] == dynamics.MANIFOLD_ORDER
     assert meta["seed_defect"] == defect == dynamics._defect(terms, coeffs, rate, s0)
-    assert defect == pytest.approx(invariance_defect(terms, coeffs, rate, s0), rel=1e-6)
+    exact, spread = defect_resolution(terms, coeffs, rate, s0)
+    assert abs(defect - exact) <= 2.0 * spread
+    assert defect == pytest.approx(invariance_defect(terms, coeffs, rate, s0), rel=1e-4, abs=0)
     assert defect <= dynamics.SADDLE_RTOL
     first = (dynamics.SADDLE_RTOL * math.hypot(*ss[1:5])
              / math.hypot(*coeffs[-1])) ** (1.0 / dynamics.MANIFOLD_ORDER)
@@ -864,12 +919,12 @@ def test_saddle_path_matches_the_25_digit_reference(ref):
     """Against tests/reference_paths.json (mpmath.odefun at 25 digits from
     an mpmath eigenvector seed): the path's first row lies at z0, and its
     (q, u, v) there agree to SADDLE_RTOL relative, and its clock, the time
-    from z0 to |s| = SEED_SCALE |x*|, to 1e-8. Measured: at most 7.7e-12
-    and 6.3e-10 on the paper cases, where the circle expansion gave 4.1e-11
-    and 4.1e-10 and the linear seed 2.7e-10 and 6.3e-6; 5.4e-13 and 1.2e-10
-    on the stiff economies, from within 3e-4 z* of z*; 3.5e-12 and 2.1e-9
+    from z0 to |s| = SEED_SCALE |x*|, to 1e-8. Measured: at most 1.0e-12
+    and 1.2e-10 on the paper cases, where the circle expansion gave 4.1e-11
+    and 4.1e-10 and the linear seed 2.7e-10 and 6.3e-6; 5.4e-13 and 2.8e-13
+    on the stiff economies, from within 3e-4 z* of z*; 4.6e-12 and 2.0e-9
     on the pool economies, whose tau0* > 1, so that w moves. Case 1 from
-    0.9 z* passes the corner u = v = 1: 5.4e-12 and 6.0e-11."""
+    0.9 z* passes the corner u = v = 1: 1.5e-12 and 7.2e-12."""
     params = reference_paths.economy(ref["case"])
     traj = saddle_path(params, ref["z0"])
     z, *quv = traj.state_rows[0]
@@ -885,19 +940,19 @@ def test_u_star_near_one_paths_match_their_50_digit_references(ref):
     """U_STAR_NEAR_ONE has u* = 1 - 3.2e-15 and tau0* = 2.4e-15, where the
     4-D rhs at the float x* is rounding noise but the plane's coefficients
     are all of order one. From 0.9 z* the path's (q, u, v) at z0 agree with
-    the 50-digit reference to SADDLE_RTOL (measured 1.2e-11; the 4-D route
-    gave q = 0.58412 against 0.55879). From 1.1 z*, where the 4-D route
-    hit the coordinate floor, the path reaches z0 (measured 6.1e-13). Every
-    row keeps 1 - u within 1e-14, as u = (1 - tau0 z/w)/(1 - tau0) requires
-    for z near w. The clock is not asserted: it is 2.2e-7 shorter than the
-    references', an offset that the package's own checks do not explain
-    (CHANGES.md)."""
+    the 50-digit reference to SADDLE_RTOL (measured 5.1e-12; the 4-D route
+    gave q = 0.58412 against 0.55879), and its clock to 1e-8 (measured
+    1.2e-9). From 1.1 z*, where the 4-D route hit the coordinate floor,
+    the path reaches z0 (measured 6.6e-13 and 1.2e-9). Every row keeps
+    1 - u within 1e-14, as u = (1 - tau0 z/w)/(1 - tau0) requires for z
+    near w."""
     params = reference_paths.economy(ref["case"])
     traj = saddle_path(params, ref["z0"])
     z, *quv = traj.state_rows[0]
     assert z == pytest.approx(ref["z0"], rel=4e-16)
     for x, name in zip(quv, "quv"):
         assert abs(x - float(ref[name])) <= dynamics.SADDLE_RTOL * abs(float(ref[name]))
+    assert abs(traj.meta["t_stop"] - float(ref["clock"])) <= 1e-8
     assert all(0.0 < 1.0 - u <= 1e-14 for _, _, u, _ in traj.state_rows)
 
 
