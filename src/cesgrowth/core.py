@@ -21,8 +21,9 @@ def tau_of(u: float, v: float) -> float:
 def sector_rates(w, params: ModelParams) -> tuple:
     """Sector rates at the effective capital ratio w, as a plain tuple.
 
-    w is a positive float, a complex number with positive real part (the
-    complex-step Jacobian differentiates through it) or a numpy array of
+    w is a positive float, a complex number with positive real part
+    (stability.jacobian_fd and dynamics' transverse-half eigenvector
+    differentiate through it by complex steps) or a numpy array of
     positive floats, read elementwise; every power base is then positive:
     w, theta and P_i > 1 - alpha_i > 0.
 

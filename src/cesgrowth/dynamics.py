@@ -2,7 +2,7 @@
 
 F = ln tau - ln tau0(w) is conserved, the balanced path lies on F = 0,
 and w = (v/u) z follows w' = g(w) alone, so a path is integrated on
-(w, z, q) with plane_terms' rhs. Everything here runs on Python floats,
+(w, z, q) with stability.plane_terms' rhs. Everything here runs on Python floats,
 and on complex numbers for a complex step; numpy is imported only when a
 Trajectory's array view is read.
 """
@@ -14,16 +14,15 @@ from .core import sector_rates
 from .errors import (
     NoRealStableEigenvectorError,
     ParameterError,
-    SingularStateError,
     StepSizeUnderflowError,
     TargetNotReachedError,
 )
 from .params import ModelParams
-from .stability import classify, eigen4
+from .stability import COMPLEX_STEP, _j2, allocations, classify, eigen4, plane_terms
 # The benchmark's tracer wraps these names in this namespace
 # (perfbench/spans.py); nothing here calls them.
 from .stability import jacobian_fd, rhs_reduced_values  # noqa: F401
-from .steady import COMPLEX_STEP, steady_state
+from .steady import steady_state
 
 # Coordinate floor at which integration halts.
 BOX_MARGIN = 1e-9
@@ -215,57 +214,6 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     meta.update(steps=len(ts) if nfev else 0, nfev=nfev, event_evals=evals, s0=s0,
                 stop_reason="target_reached", t_stop=times[-1])
     return Trajectory(times=times, states=states, meta=meta)
-
-
-def plane_terms(w, params: ModelParams) -> tuple:
-    """(a, b, c, e, g, tau0) at the effective capital ratio w, a float or a
-    complex number, from one sector_rates call: the one place the reduced
-    system on F = 0 is written. With gamma = tau0/(tau0 - 1),
-    T = (1 - alpha2) S1 - (1 - alpha1) S2 and the rates of sector_rates,
-
-        a = gamma (Y2 - Y1/w) + delta_k - delta_h,    b = -gamma Y2/w,
-        c = Y1/(tau0 - 1),
-        e = gamma Y1/w - Y1 S1/(eps P1 w) + (rho - (eps - 1) delta_k)/eps,
-        g = w P1 P2 P/((1 - psi1) T),    tau0 = (1 - alpha2) S1/((1 - alpha1) S2),
-
-    the state moves as w' = g(w), z' = -(b z^2 + (a + q) z + c) and
-    q' = q (q - e + c/z).
-
-    These are rhs_reduced_values' equations where u and v are
-    allocations(tau0, w, z), F = 0: there 1 - u = gamma (1 - z/w) and
-    v/w = gamma/w - 1/((tau0 - 1) z). SingularStateError at g's pole,
-    tau0(w) = 1.
-    """
-    p1, p2, s1, s2, y1, _, y2, _, gap = sector_rates(w, params)
-    _, one_less_alpha1, one_less_alpha2, psi1, *_ = params.rate_terms
-    t = one_less_alpha2 * s1 - one_less_alpha1 * s2
-    tau0 = one_less_alpha2 * s1 / (one_less_alpha1 * s2)
-    if not t or tau0 == 1.0:
-        raise SingularStateError(f"tau0(w) = 1 at w = {w}", state=(w,))
-    gamma, eps, y1_w = tau0 / (tau0 - 1.0), params.eps, y1 / w
-    return (gamma * (y2 - y1_w) + params.delta_k - params.delta_h,
-            -gamma * y2 / w,
-            y1 / (tau0 - 1.0),
-            gamma * y1_w - y1_w * s1 / (eps * p1)
-            + (params.rho - (eps - 1.0) * params.delta_k) / eps,
-            w * p1 * p2 * gap / ((1.0 - psi1) * t),
-            tau0)
-
-
-def allocations(tau0, w, z) -> tuple:
-    """(u, v) on F = 0 at (w, z), for tau0 = tau0(w): u = (tau0 z/w - 1)/(tau0 - 1)
-    and v = (tau0 - w/z)/(tau0 - 1). u = v at z = w, the corner u = v = 1,
-    and at z = w/tau0, where u = v = 0."""
-    return (tau0 * z / w - 1.0) / (tau0 - 1.0), (tau0 - w / z) / (tau0 - 1.0)
-
-
-def _j2(terms, z, q) -> tuple:
-    """(j11, j12, j21, j22): J2, the Jacobian of (z', q') in (z, q) on the
-    plane at a fixed point (z, q), in rate form: diag(z, q) times the
-    Jacobian of z'/z = -(b z + a + q + c/z) and q'/q = q - e + c/z, which
-    vanish there, as eigen4 takes it."""
-    _, b, c, *_ = terms
-    return c / z - b * z, -z, -q * c / (z * z), q
 
 
 def stable_eigenpair(ss, params: ModelParams, eigenvalues) -> tuple:

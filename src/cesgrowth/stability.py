@@ -1,4 +1,5 @@
-"""Reduced 4-D dynamics, Jacobian, eigenvalues and saddle-path classification."""
+"""Reduced 4-D dynamics and its equations on the plane F = 0, Jacobian,
+eigenvalues and saddle-path classification."""
 
 import math
 from typing import NamedTuple
@@ -6,7 +7,11 @@ from typing import NamedTuple
 from .core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, sector_rates
 from .errors import SingularStateError
 from .params import ModelParams
-from .steady import COMPLEX_STEP, SteadyState, steady_state
+from .steady import SteadyState, steady_state
+
+# The imaginary step of jacobian_fd's columns and of dynamics' complex
+# steps of plane_terms.
+COMPLEX_STEP = 1e-20
 
 
 def rhs_reduced_values(
@@ -17,8 +22,8 @@ def rhs_reduced_values(
     The coordinates need not lie in the (0,1) box: the reduced equations
     only involve powers of w = (v/u) z and the allocations linearly, so
     they extend smoothly past u = 1 or v = 1; the stable manifold can
-    traverse that region. Complex coordinates, as jacobian_fd and eigen4
-    pass them, run the same code.
+    traverse that region. Complex coordinates, as jacobian_fd passes them,
+    run the same code.
     """
     if abs(u - v) < UV_GAP_FLOOR:
         raise SingularStateError(f"u - v = {u - v} too small", state=(z, q, u, v))
@@ -68,40 +73,92 @@ def _roots2(b: float, c: float) -> list:
     return [t, c / t] if t else [0.0, 0.0]
 
 
+def plane_terms(w, params: ModelParams) -> tuple:
+    """(a, b, c, e, g, tau0) at the effective capital ratio w, a float or a
+    complex number, from one sector_rates call: the one place the reduced
+    system on F = 0 is written. With gamma = tau0/(tau0 - 1),
+    T = (1 - alpha2) S1 - (1 - alpha1) S2 and the rates of sector_rates,
+
+        a = gamma (Y2 - Y1/w) + delta_k - delta_h,    b = -gamma Y2/w,
+        c = Y1/(tau0 - 1),
+        e = gamma Y1/w - Y1 S1/(eps P1 w) + (rho - (eps - 1) delta_k)/eps,
+        g = w P1 P2 P/((1 - psi1) T),    tau0 = (1 - alpha2) S1/((1 - alpha1) S2),
+
+    the state moves as w' = g(w), z' = -(b z^2 + (a + q) z + c) and
+    q' = q (q - e + c/z).
+
+    These are rhs_reduced_values' equations where u and v are
+    allocations(tau0, w, z), F = 0: there 1 - u = gamma (1 - z/w) and
+    v/w = gamma/w - 1/((tau0 - 1) z). SingularStateError at g's pole,
+    tau0(w) = 1.
+    """
+    p1, p2, s1, s2, y1, _, y2, _, gap = sector_rates(w, params)
+    _, one_less_alpha1, one_less_alpha2, psi1, *_ = params.rate_terms
+    t = one_less_alpha2 * s1 - one_less_alpha1 * s2
+    tau0 = one_less_alpha2 * s1 / (one_less_alpha1 * s2)
+    if not t or tau0 == 1.0:
+        raise SingularStateError(f"tau0(w) = 1 at w = {w}", state=(w,))
+    gamma, eps, y1_w = tau0 / (tau0 - 1.0), params.eps, y1 / w
+    return (gamma * (y2 - y1_w) + params.delta_k - params.delta_h,
+            -gamma * y2 / w,
+            y1 / (tau0 - 1.0),
+            gamma * y1_w - y1_w * s1 / (eps * p1)
+            + (params.rho - (eps - 1.0) * params.delta_k) / eps,
+            w * p1 * p2 * gap / ((1.0 - psi1) * t),
+            tau0)
+
+
+def allocations(tau0, w, z) -> tuple:
+    """(u, v) on F = 0 at (w, z), for tau0 = tau0(w): u = (tau0 z/w - 1)/(tau0 - 1)
+    and v = (tau0 - w/z)/(tau0 - 1). u = v at z = w, the corner u = v = 1,
+    and at z = w/tau0, where u = v = 0."""
+    return (tau0 * z / w - 1.0) / (tau0 - 1.0), (tau0 - w / z) / (tau0 - 1.0)
+
+
+def _j2(terms, z, q) -> tuple:
+    """(j11, j12, j21, j22): J2, the Jacobian of (z', q') in (z, q) on the
+    plane at a fixed point (z, q), in rate form: diag(z, q) times the
+    Jacobian of z'/z = -(b z + a + q + c/z) and q'/q = q - e + c/z, which
+    vanish there. No value of z' or q' at the fixed point enters it, so
+    the rounding of the (1 - u) Y2 term of z' where u is near 1 does not."""
+    _, b, c, *_ = terms
+    return c / z - b * z, -z, -q * c / (z * z), q
+
+
+def _lambda_w(w, params: ModelParams) -> float:
+    """lambda_w = g'(w) at a root w of gap_P, in closed form from one
+    sector_rates call. As P(w) = 0, g'(w) = P1 P2 (dP/d ln w)/((1 - psi1) T),
+    and with dP/d ln w = -(1 - psi1)(MPK (1 - alpha1)/P1 + MPH S2/P2)
+    (steady.gap_slope)
+
+        lambda_w = -(MPK (1 - alpha1) P2 + MPH S2 P1) / T,
+
+    T = (1 - alpha2) S1 - (1 - alpha1) S2 = (1 - alpha1) S2 (tau0 - 1). The
+    numerator is positive, so sign lambda_w = sign(1 - tau0): the
+    factor-intensity ranking of Bond, Wang & Yip (1996).
+    """
+    p1, p2, s1, s2, _, mpk, _, mph, _ = sector_rates(w, params)
+    _, one_less_alpha1, one_less_alpha2, *_ = params.rate_terms
+    return -(mpk * one_less_alpha1 * p2 + mph * s2 * p1) / (
+        one_less_alpha2 * s1 - one_less_alpha1 * s2)
+
+
 def eigen4(ss: SteadyState, params: ModelParams) -> tuple:
     """The 4-D spectrum at the balanced path ss, as complex numbers sorted
     by (real, imag), from the reduced system's triangular split.
 
     The static efficiency condition F = ln tau - ln tau0(w) is conserved
-    by the flow, and w = (v/u) z follows w' = g(w) = w P1 P2 P / ((1 - psi1) T)
-    whatever the other coordinates, with T = (1 - alpha2) S1 - (1 - alpha1) S2.
-    So the spectrum is an exact 0 for F, lambda_w = g'(w*) and the pair of
-    J2, the Jacobian of (zdot, qdot) in (z, q) on the invariant plane
-    w = w*, F = 0, where u = (tau0 z/w - 1)/(tau0 - 1) and
-    v = (tau0 - w/z)/(tau0 - 1). As P(w*) = 0,
-    lambda_w = P1 P2 (dP/d ln w) / ((1 - psi1) T), from one sector_rates
-    call at w* (1 + ih), h = COMPLEX_STEP; sign lambda_w = sign(1 - tau0*),
-    as P falls in w. zdot/z and qdot/q vanish at x*, so J2 is diag(z*, q*)
-    times their Jacobian, one complex step of rhs_reduced_values a column:
-    no rounding of the rates' values at x* enters it, which matters where
-    u* is near 1 and the (1 - u) Y2 term of zdot is rounding noise. A real
-    eigenvalue has imaginary part +0.0, and a complex pair is exactly
-    conjugate.
+    by the flow, and w = (v/u) z follows w' = g(w) whatever the other
+    coordinates (plane_terms). So the spectrum is an exact 0 for F,
+    lambda_w = g'(w*) (_lambda_w) and the pair of J2, the Jacobian of
+    (z', q') in (z, q) on the invariant plane w = w*, F = 0 (_j2), both in
+    closed form from real sector_rates calls. A real eigenvalue has
+    imaginary part +0.0, and a complex pair is exactly conjugate.
     """
-    w, tau0, h = ss.w_star, ss.tau0, COMPLEX_STEP
-    columns = []
-    for z, q in ((complex(ss.z_star, h), ss.q_star), (ss.z_star, complex(ss.q_star, h))):
-        u = (tau0 * z / w - 1.0) / (tau0 - 1.0)
-        v = (tau0 - w / z) / (tau0 - 1.0)
-        zdot, qdot, _, _ = rhs_reduced_values(z, q, u, v, params)
-        columns.append((ss.z_star * (zdot / z).imag / h, ss.q_star * (qdot / q).imag / h))
-    (a, c), (b, d) = columns
-    p1, p2, s1, s2, _, _, _, _, gap = sector_rates(w * complex(1.0, h), params)
-    _, one_less_alpha1, one_less_alpha2, psi1, *_ = params.rate_terms
-    t = one_less_alpha2 * s1.real - one_less_alpha1 * s2.real
-    lam_w = p1.real * p2.real * (gap.imag / h) / ((1.0 - psi1) * t)
-    pair = [complex(x) for x in _roots2(-(a + d), a * d - b * c)]
-    return tuple(sorted([0j, complex(lam_w, 0.0)] + pair, key=lambda x: (x.real, x.imag)))
+    a11, a12, a21, a22 = _j2(plane_terms(ss.w_star, params), ss.z_star, ss.q_star)
+    pair = [complex(x) for x in _roots2(-(a11 + a22), a11 * a22 - a12 * a21)]
+    spectrum = [0j, complex(_lambda_w(ss.w_star, params), 0.0)] + pair
+    return tuple(sorted(spectrum, key=lambda x: (x.real, x.imag)))
 
 
 class StabilityReport(NamedTuple):

@@ -24,7 +24,7 @@ since psi1 < 1 and g, P2, theta > 0.
 
 solve_w and closed_forms take one economy (a ModelParams of floats) or a
 family (a ModelParams of arrays, one economy per element) through the
-same code: a float stays a Python float or complex number throughout.
+same code: a float stays a Python float throughout.
 """
 
 import math
@@ -41,10 +41,8 @@ from .errors import (
 from .params import ModelParams, is_array
 
 MAX_BRACKET_EXPANSIONS = 40
-# Newton refinement: the imaginary step of the slope (and of each column
-# of stability.jacobian_fd), the Newton step in ln w below which an
-# iterate is accepted, and the cap on iterations.
-COMPLEX_STEP = 1e-20
+# Newton refinement: the step in ln w below which an iterate is accepted,
+# and the cap on iterations.
 NEWTON_RTOL = 1e-12
 MAX_NEWTON_STEPS = 60
 
@@ -67,6 +65,19 @@ class SteadyState(NamedTuple):
 def gap_P(w: float, params: ModelParams) -> float:
     """BGP gap P(w) = a1 A1 w^{psi1-1} P1^{1/psi1-1} - (1-a2) A2 P2^{1/psi2-1} - (dk-dh)."""
     return sector_rates(w, params)[8]
+
+
+def gap_slope(w, params: ModelParams) -> tuple:
+    """(P, dP/d ln w) at w, a float or an array, from one sector_rates call:
+
+        dP/d ln w = -(1 - psi1) (MPK (1 - alpha1)/P1 + MPH S2/P2).
+
+    Both terms are positive and psi1 < 1, so the slope is negative: the
+    strict fall of P proved above, in the rates' own terms.
+    """
+    p1, p2, _, s2, _, mpk, _, mph, gap = sector_rates(w, params)
+    _, one_less_alpha1, _, psi1, *_ = params.rate_terms
+    return gap, -(1.0 - psi1) * (mpk * one_less_alpha1 / p1 + mph * (s2 / p2))
 
 
 def _where(cond, a, b):
@@ -106,9 +117,8 @@ def solve_w(params: ModelParams):
     and the root comes back the same way. The bracket is grown from w = 1
     by a factor 10, at most 40 times per side, until the gap changes sign;
     it ends at the first w where the gap overflows or is not finite. A
-    safeguarded Newton iteration in ln w then refines it. Its slope
-    d gap_P / d ln w is the complex step Im gap_P(w e^{ih}) / h through
-    sector_rates. An iterate is accepted once its Newton step, or the
+    safeguarded Newton iteration in ln w then refines it, with the gap and
+    its slope from gap_slope. An iterate is accepted once its Newton step, or the
     bracket's relative width, is at most NEWTON_RTOL. A proposal outside the
     bracket (infinite where e**step overflows), none where the slope rounds
     to zero, or one that reverses the last step without halving it (rounding
@@ -157,8 +167,7 @@ def solve_w(params: ModelParams):
     for _ in range(MAX_NEWTON_STEPS):
         if not (ok.any() if family else ok):
             break
-        g_c = gap_P(w * complex(1.0, COMPLEX_STEP), params)
-        g, slope = g_c.real, g_c.imag / COMPLEX_STEP
+        g, slope = gap_slope(w, params)
         lo = _where(ok & (g > 0.0), w, lo)
         hi = _where(ok & (g < 0.0), w, hi)
         # A slope that rounds to zero proposes no step (inf or nan on an

@@ -29,18 +29,28 @@ def test_every_boundary_resolves_to_a_callable():
 
 
 def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
-    calls = []
-    original = steady.gap_P
+    """steady.gap_P_calls_per_solve counts the bracket probes, which pass
+    through steady's gap_P binding at call time; the Newton loop takes the
+    gap and its slope from real sector_rates calls, looked up in steady's
+    namespace at call time too."""
+    probes, kernel = [], []
+    gap, rates = steady.gap_P, steady.sector_rates
 
-    def counting(w, params):
-        calls.append(w)
-        return original(w, params)
+    def counting_gap(w, params):
+        probes.append(w)
+        return gap(w, params)
 
-    monkeypatch.setattr(steady, "gap_P", counting)
+    def counting_rates(w, params):
+        kernel.append(w)
+        return rates(w, params)
+
+    monkeypatch.setattr(steady, "gap_P", counting_gap)
+    monkeypatch.setattr(steady, "sector_rates", counting_rates)
     steady.solve_w(bench_params(0.25, -0.10))
-    # The bracket search probes powers of ten; the root refinement in between,
-    # at complex points w e^{ih} whose real part is the iterate.
-    assert any(not math.log10(w.real).is_integer() for w in calls)
+    # The bracket search probes powers of ten; the root refinement in between.
+    assert probes and all(math.log10(w).is_integer() for w in probes)
+    newton = [w for w in kernel if not math.log10(w).is_integer()]
+    assert newton and all(type(w) is float for w in newton)
 
 
 def test_rhs_looks_up_the_aux_kernel_at_call_time(monkeypatch):
@@ -64,10 +74,9 @@ def test_rhs_looks_up_the_aux_kernel_at_call_time(monkeypatch):
 def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
     """dynamics.rhs_calls_per_path counts rhs_reduced_values, which the
     tracer wraps in dynamics' namespace and in stability's. A path
-    integrates plane_terms' equations, so the only rhs_reduced_values calls
-    it makes are eigen4's two complex steps of J2, and they pass through
-    stability's binding at call time; nothing calls dynamics' binding,
-    which stays for the tracer. So the count per path is 2."""
+    integrates plane_terms' equations and eigen4 takes J2 in closed form
+    from them, so a path calls rhs_reduced_values through neither binding;
+    dynamics' stays for the tracer. So the count per path is 0."""
     calls = {dynamics: [], stability: []}
     original = stability.rhs_reduced_values
     for module, seen in calls.items():
@@ -78,7 +87,7 @@ def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
         monkeypatch.setattr(module, "rhs_reduced_values", counting)
     params = bench_params(0.25, -0.10)
     traj = dynamics.saddle_path(params, 0.9 * steady.steady_state(params).z_star)
-    assert (len(calls[dynamics]), len(calls[stability])) == (0, 2)
+    assert (len(calls[dynamics]), len(calls[stability])) == (0, 0)
     assert traj.meta["nfev"] > 0
 
 

@@ -376,7 +376,8 @@ def test_import_cesgrowth_loads_no_numpy():
 
 def test_single_economy_commands_load_no_numpy(scenario_file):
     """steady, stability and compare run on Python floats from start to exit,
-    and without dataclasses or inspect."""
+    and without dataclasses or inspect; nor do they load cesgrowth.dynamics,
+    though the spectrum reads the plane's equations."""
     path = scenario_file()
     argvs = [
         [command, "--scenario", path, "--format", fmt, *extra]
@@ -392,8 +393,9 @@ def test_single_economy_commands_load_no_numpy(scenario_file):
         "        code = cli.main(argv)\n"
         "    assert code == 0 and out.getvalue(), argv\n"
         + NOT_IMPORTED_PROBE
+        + "print('cesgrowth.dynamics' in sys.modules)\n"
     )
-    assert _fresh_python(probe, json.dumps(argvs)) == "[]\n"
+    assert _fresh_python(probe, json.dumps(argvs)) == "[]\nFalse\n"
 
 
 def test_trajectory_loads_no_numpy(scenario_file):

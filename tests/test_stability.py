@@ -11,6 +11,7 @@ import pytest
 from cesgrowth import (
     CesGrowthError,
     ModelParams,
+    NoBracketError,
     SingularStateError,
     eigen4,
     jacobian_fd,
@@ -19,7 +20,7 @@ from cesgrowth import (
     steady_state,
 )
 from cesgrowth.core import sector_rates
-from cesgrowth.stability import _roots2, classify, rhs_reduced_values
+from cesgrowth.stability import _lambda_w, _roots2, classify, rhs_reduced_values
 from cesgrowth.steady import closed_forms, gap_P
 
 from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, bench_params
@@ -104,6 +105,53 @@ def test_eigen4_matches_lapack_on_economy_scan_pool():
     assert solved == 2995
 
 
+def test_every_pool_economy_keeps_its_label():
+    """classify labels each of the 2 995 solvable economies of the
+    economy_scan pool a saddle_path, the labels the complex-step spectrum
+    gave them; the other five raise NoBracketError."""
+    pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
+    unsolved = []
+    for i in range(POOL_SIZE):
+        params = ModelParams(**{n: float(getattr(pool, n)[i]) for n in PARAM_NAMES})
+        try:
+            rep = stability_report(params)
+        except NoBracketError:
+            unsolved.append(i)
+            continue
+        assert rep.classification == "saddle_path", i
+    assert unsolved == [444, 1363, 1771, 2355, 2724]
+
+
+# SLOW_SADDLE's wider draw (its comment in conftest.py): one column of
+# 20 000 per field, in this order, from default_rng(3).
+WIDE_DRAW = {
+    "A1": (0.2, 5.0), "A2": (0.01, 2.0), "alpha1": (0.05, 0.95), "alpha2": (0.05, 0.95),
+    "psi1": (-3.0, 0.9), "psi2": (-3.0, 0.9), "delta_k": (0.0, 0.2), "delta_h": (0.0, 0.2),
+    "eps": (1.01, 6.0), "rho": (0.001, 0.2),
+}
+
+
+def test_lambda_w_takes_the_sign_of_one_less_tau0():
+    """sign lambda_w = sign(1 - tau0*), the factor-intensity ranking, on
+    every economy of the wider draw that solves, with no exception; the
+    draw covers both halves, 10 072 economies with tau0* < 1 and 8 830 with
+    tau0* > 1. lambda_w is the spectrum's."""
+    rng = np.random.default_rng(3)
+    columns = {name: rng.uniform(lo, hi, 20_000) for name, (lo, hi) in WIDE_DRAW.items()}
+    halves = [0, 0]
+    for i in range(20_000):
+        params = ModelParams(**{name: float(col[i]) for name, col in columns.items()})
+        try:
+            ss = steady_state(params)
+        except CesGrowthError:
+            continue
+        lam_w = _lambda_w(ss.w_star, params)
+        assert complex(lam_w, 0.0) in eigen4(ss, params), i
+        assert lam_w and (lam_w > 0.0) == (ss.tau0 < 1.0), i
+        halves[ss.tau0 < 1.0] += 1
+    assert halves == [8830, 10072]
+
+
 def test_roots2_gives_exact_conjugate_pairs():
     """J2's pair: a complex pair is exactly conjugate, real roots are floats
     (no paper case or pool economy has a complex pair)."""
@@ -147,7 +195,8 @@ def _split_mpmath(params, dps=50):
 def test_slow_saddles_stable_root_is_g_prime():
     """SLOW_SADDLE's stable root is lambda_w = g'(w*), isolated from J2's
     close pair (0.3440, 0.3441): within 1e-11 relative of its 50-digit
-    value (measured 1.1e-12; the 4x4 quartic route was 4.3e-10 off)."""
+    value (measured 7.5e-14; 1.1e-12 by a complex step of gap_P, and 4.3e-10
+    by the 4x4 quartic route)."""
     params = ModelParams(**SLOW_SADDLE)
     lam = stability_report(params).eigenvalues[0]
     lam_w, _ = _split_mpmath(params)
@@ -158,9 +207,10 @@ def test_slow_saddles_stable_root_is_g_prime():
 def test_spectrum_where_u_star_is_within_rounding_of_one(params_u_star_near_one):
     """u* = 1 - 3.2e-15: tau0* < 1, so lambda_w > 0, and J2 is a saddle.
     The spectrum agrees with the 50-digit split to 1e-12 of |lambda|max
-    (measured 3.4e-15). J2 is taken as diag(z*, q*) times the Jacobian of
-    (zdot/z, qdot/q), which vanish at x*: zdot itself holds (1 - u) Y2
-    with Y2 about 8e13, whose rounding at x* would move J2 by 6e-4."""
+    (measured 4e-16). J2 is diag(z*, q*) times the Jacobian of
+    (zdot/z, qdot/q), which vanish at x*, in closed form: zdot itself holds
+    (1 - u) Y2 with Y2 about 8e13, whose rounding at x* would move J2 by
+    6e-4."""
     rep = stability_report(params_u_star_near_one)
     assert 1.0 - rep.steady.u_star < 1e-14
     assert rep.steady.tau0 < 1.0

@@ -244,12 +244,13 @@ def test_newton_cycling_in_rounding_noise_settles():
 
 def test_a_slope_that_rounds_to_zero_is_bisected():
     """At sigma1 = sigma2 = 5e15, psi rounds to 1 - 2^-52: both technologies
-    are linear to rounding, and gap_P's complex-step slope reaches exactly
-    zero, so the bracket's midpoint is taken; no ZeroDivisionError. The
-    bisection ends once the bracket is NEWTON_RTOL wide. The gap then falls
-    by about 8e-17 per unit of ln w against rounding of 6e-17, so the root
-    is known only to within a factor of a few, and that is where one
-    economy and a family member each land."""
+    are linear to rounding. gap_slope's closed form keeps the slope, -7.6e-17
+    per unit of ln w (a complex step of gap_P rounded it to exactly zero),
+    but the gap is rounding noise of 6e-17, so Newton's steps leave the
+    bracket or reverse and the bracket's midpoint is taken. The bisection
+    ends once the bracket is NEWTON_RTOL wide. The root is known only to
+    within a factor of a few, and that is where one economy and a family
+    member each land."""
     p = CASES[0]
     flat = normalized_params(5e15, 5e15, baseline_from_steady_state(p), p)
     assert flat.psi1 == flat.psi2 == 1.0 - 2.0**-52
