@@ -2,9 +2,9 @@
 
 F = ln tau - ln tau0(w) is conserved, the balanced path lies on F = 0,
 and w = (v/u) z follows w' = g(w) alone, so a path is integrated on
-(w, z, q) with stability.plane_terms' rhs. Everything here runs on Python floats,
-and on complex numbers for a complex step; numpy is imported only when a
-Trajectory's array view is read.
+(w, z, q) with stability.plane_terms' rhs. Everything here runs on
+Python floats, and on complex numbers for a complex step; numpy is
+imported only when a Trajectory's array view is read.
 """
 
 import math

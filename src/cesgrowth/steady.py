@@ -118,8 +118,8 @@ def solve_w(params: ModelParams):
     by a factor 10, at most 40 times per side, until the gap changes sign;
     it ends at the first w where the gap overflows or is not finite. A
     safeguarded Newton iteration in ln w then refines it, with the gap and
-    its slope from gap_slope. An iterate is accepted once its Newton step, or the
-    bracket's relative width, is at most NEWTON_RTOL. A proposal outside the
+    its slope from gap_slope. An iterate is accepted once its Newton step,
+    or the bracket's relative width, is at most NEWTON_RTOL. A proposal outside the
     bracket (infinite where e**step overflows), none where the slope rounds
     to zero, or one that reverses the last step without halving it (rounding
     noise in the gap sending Newton round a cycle) is replaced by the
