@@ -22,8 +22,8 @@ def sector_rates(w, params: ModelParams) -> tuple:
     """Sector rates at the effective capital ratio w, as a plain tuple.
 
     w is a positive float, a complex number with positive real part
-    (stability.jacobian_fd and dynamics' transverse-half eigenvector
-    differentiate through it by complex steps) or a numpy array of
+    (dynamics' transverse-half eigenvector and curvature differentiate
+    through it by complex steps) or a numpy array of
     positive floats, read elementwise; every power base is then positive:
     w, theta and P_i > 1 - alpha_i > 0.
 
@@ -76,9 +76,10 @@ def y2_of(k: float, h: float, u: float, v: float, params: ModelParams) -> float:
     return params.A2 * inner ** (1.0 / psi)
 
 
-def aux_from_wuv(w, u, v, params: ModelParams) -> tuple:
+def aux_from_wuv(w, u, v, params: ModelParams, rates: tuple | None = None) -> tuple:
     """(D, P, T, G1, G2, Q, R, P_eps, H) at (w, u, v) as a plain tuple, the one
-    place they are written:
+    place they are written, from rates, the sector_rates tuple at w, where
+    the caller has it:
 
     D  : growth-rate wedge hdot/h - kdot/k - c/k
     P  : BGP gap (zero on the balanced growth path)
@@ -92,7 +93,7 @@ def aux_from_wuv(w, u, v, params: ModelParams) -> tuple:
     extend smoothly to allocations outside (0, 1); stable-manifold
     construction relies on that.
     """
-    p1, p2, s1, s2, y1, _, y2, _, gap = sector_rates(w, params)
+    p1, p2, s1, s2, y1, _, y2, _, gap = rates or sector_rates(w, params)
     (_, one_less_alpha1, one_less_alpha2, psi1, psi2,
      _, _, _, _, a1, _, _) = params.rate_terms
     eps = params.eps

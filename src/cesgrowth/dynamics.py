@@ -18,7 +18,7 @@ from .errors import (
     TargetNotReachedError,
 )
 from .params import ModelParams
-from .stability import COMPLEX_STEP, _j2, allocations, classify, eigen4, plane_terms
+from .stability import _j2, allocations, classify, eigen4, plane_terms
 # The benchmark's tracer wraps these names in this namespace
 # (perfbench/spans.py); nothing here calls them.
 from .stability import jacobian_fd, rhs_reduced_values  # noqa: F401
@@ -38,6 +38,9 @@ MANIFOLD_ORDER = 6
 MANIFOLD_ROW_STEP = 0.0756
 # Relative step of the central difference that gives g''(w*).
 CURVATURE_STEP = 1e-4
+# The imaginary step of the complex steps of plane_terms: the curvature's
+# slopes and the transverse-half eigenvector.
+COMPLEX_STEP = 1e-20
 
 # Shampine's (1986) quartic dense output for the Dormand & Prince (1980)
 # 5(4) pair, one row per stage; the pair's own coefficients are written

@@ -7,11 +7,35 @@ from typing import NamedTuple
 from .core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, sector_rates
 from .errors import SingularStateError
 from .params import ModelParams
-from .steady import SteadyState, steady_state
+from .steady import SteadyState, rates_slope, steady_state
 
-# The imaginary step of jacobian_fd's columns and of dynamics' complex
-# steps of plane_terms.
-COMPLEX_STEP = 1e-20
+
+def _checked_w(z, q, u, v):
+    """w = (v/u) z at the state (z, q, u, v), after two of the reduced
+    system's guards: SingularStateError where |u - v| < UV_GAP_FLOOR or
+    where w is not positive."""
+    if abs(u - v) < UV_GAP_FLOOR:
+        raise SingularStateError(f"u - v = {u - v} too small", state=(z, q, u, v))
+    w = v / u * z if u else 0.0
+    if w.real <= 0.0:
+        raise SingularStateError(f"w = (v/u) z not positive at u={u}, v={v}, z={z}",
+                                 state=(z, q, u, v))
+    return w
+
+
+def _check_r(r, state: tuple) -> None:
+    """The third guard: SingularStateError where |R| < R_FLOOR."""
+    if abs(r) < R_FLOOR:
+        raise SingularStateError(f"R = {r} vanishes", state=state)
+
+
+def _q_rate(q, h, params: ModelParams):
+    """qdot/q = q - A1 H/eps - (rho - (eps - 1) delta_k)/eps."""
+    return (
+        q
+        - params.A1 * h / params.eps
+        - (params.rho - (params.eps - 1.0) * params.delta_k) / params.eps
+    )
 
 
 def rhs_reduced_values(
@@ -22,45 +46,80 @@ def rhs_reduced_values(
     The coordinates need not lie in the (0,1) box: the reduced equations
     only involve powers of w = (v/u) z and the allocations linearly, so
     they extend smoothly past u = 1 or v = 1; the stable manifold can
-    traverse that region. Complex coordinates, as jacobian_fd passes them,
-    run the same code.
+    traverse that region. Complex or mpmath coordinates run the same code.
     """
-    if abs(u - v) < UV_GAP_FLOOR:
-        raise SingularStateError(f"u - v = {u - v} too small", state=(z, q, u, v))
-    w = v / u * z if u else 0.0
-    if w.real <= 0.0:
-        raise SingularStateError(f"w = (v/u) z not positive at u={u}, v={v}, z={z}",
-                                 state=(z, q, u, v))
+    w = _checked_w(z, q, u, v)
     d, gap, _, g1, g2, pq, r, _, h = aux_from_wuv(w, u, v, params)
-    if abs(r) < R_FLOOR:
-        raise SingularStateError(f"R = {r} vanishes", state=(z, q, u, v))
+    _check_r(r, (z, q, u, v))
 
     zdot = -(d + q) * z
-    qdot = (
-        q
-        - params.A1 * h / params.eps
-        - (params.rho - (params.eps - 1.0) * params.delta_k) / params.eps
-    ) * q
+    qdot = _q_rate(q, h, params) * q
     udot = (d + q + g2 * pq * gap / r) * u * (1.0 - u) / (u - v)
     vdot = (d + q + g1 * pq * gap / r) * v * (1.0 - v) / (u - v)
     return zdot, qdot, udot, vdot
 
 
 def jacobian_fd(z: float, q: float, u: float, v: float, params: ModelParams) -> tuple:
-    """Complex-step Jacobian of rhs_reduced_values, as four rows of floats.
+    """The Jacobian of rhs_reduced_values at (z, q, u, v), as four rows of
+    floats, in closed form from one real sector_rates call. Any state the
+    rhs accepts will do, on the balanced path or off it, past u, v > 1
+    too, and it raises the rhs's SingularStateError where the rhs does.
 
-    Column i is Im rhs(x + i h e_i) / h with h = COMPLEX_STEP (Squire &
-    Trapp, SIAM Review 40, 1998): no subtraction, so the error is at
-    rounding level and independent of h, from one rhs evaluation per column.
+    The rhs is
+
+        zdot = -(D + q) z,   qdot = (q - A1 H/eps - c) q,
+        udot = (D + q + G2 K) u(1 - u)/(u - v),
+        vdot = (D + q + G1 K) v(1 - v)/(u - v),
+
+    with K = Q P/R and D, H, G1, G2, Q, R = (1 - psi1)(1 - psi2) T from
+    core.aux_from_wuv. It reads u and v directly and everything else
+    through w = (v/u) z, with grad w = w (1/z, 0, -1/u, 1/v). So with
+    f' = w df/dw, a function f(w, u, v) has the gradient
+    f' (1/z, 0, -1/u, 1/v) + (0, 0, df/du, df/dv). Of the rates,
+
+        S1' = psi1 S1,  S2' = e S2,  e = psi2 (1 - psi1)/(1 - psi2),
+        Y1' = Y1 S1/P1,  Y2' = e Y2 S2/(psi2 P2),  P' = dP/d ln w,
+
+    the last from steady.rates_slope, and T' = (1 - alpha2) S1'
+    - (1 - alpha1) S2', Q' = S1' P2 + P1 S2'. By the product rule,
+
+        D' = (1 - u) Y2' + (v/w) Y1 (1 - alpha1)/P1,
+        dD/du = -Y2,  dD/dv = -Y1/w,  dG2/dv = dG1/du = psi1 - psi2,
+        (A1 H/eps)' = (Y1/w)(1 - alpha1)((1 - psi1) S1/P1 - eps v)/(eps P1),
+        d(A1 H/eps)/dv = Y1/w,   K' = (Q' P + Q P')/R - K T'/T,
+
+    and the factors u(1 - u)/(u - v) and v(1 - v)/(u - v) are
+    differentiated in u and v directly.
     """
-    h = COMPLEX_STEP
-    x = [float(z), float(q), float(u), float(v)]
-    columns = []
-    for i in range(4):
-        xi = list(x)
-        xi[i] += h * 1j
-        columns.append([f.imag / h for f in rhs_reduced_values(*xi, params)])
-    return tuple(zip(*columns))
+    w = _checked_w(z, q, u, v)
+    rates = sector_rates(w, params)
+    d, gap, t, g1, g2, pq, r, _, h = aux_from_wuv(w, u, v, params, rates)
+    _check_r(r, (z, q, u, v))
+    p1, p2, s1, s2, y1, _, y2, _, _ = rates
+    (_, one_less_alpha1, one_less_alpha2, psi1, psi2,
+     _, inv_psi2, _, e, _, _, _) = params.rate_terms
+    ds1, ds2 = psi1 * s1, e * s2
+    y1_w = y1 / w
+
+    dd = (1.0 - u) * e * inv_psi2 * y2 * s2 / p2 + v * y1_w * one_less_alpha1 / p1
+    dah = y1_w * one_less_alpha1 * ((1.0 - psi1) * s1 / p1 - params.eps * v) / (params.eps * p1)
+    k = pq * gap / r
+    dk = (((ds1 * p2 + p1 * ds2) * gap + pq * rates_slope(rates, params)) / r
+          - k * (one_less_alpha2 * ds1 - one_less_alpha1 * ds2) / t)
+
+    dpsi = psi1 - psi2
+    nu, nv = d + q + g2 * k, d + q + g1 * k
+    dnu, dnv = dd + g2 * dk, dd + g1 * dk
+    uv = u - v
+    fu, fv = u * (1.0 - u) / uv, v * (1.0 - v) / uv
+    return (
+        (-(d + q) - dd, -z, z * (dd / u + y2), -z * (dd / v - y1_w)),
+        (-q * dah / z, _q_rate(q, h, params) + q, q * dah / u, -q * (dah / v + y1_w)),
+        (fu * dnu / z, fu, -fu * (dnu / u + y2) + nu * (1.0 - 2.0 * u - fu) / uv,
+         fu * (dnu / v - y1_w + dpsi * k) + nu * fu / uv),
+        (fv * dnv / z, fv, fv * (dpsi * k - dnv / u - y2) - nv * fv / uv,
+         fv * (dnv / v - y1_w) + nv * (1.0 - 2.0 * v + fv) / uv),
+    )
 
 
 def _roots2(b: float, c: float) -> list:

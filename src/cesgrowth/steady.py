@@ -67,17 +67,23 @@ def gap_P(w: float, params: ModelParams) -> float:
     return sector_rates(w, params)[8]
 
 
-def gap_slope(w, params: ModelParams) -> tuple:
-    """(P, dP/d ln w) at w, a float or an array, from one sector_rates call:
+def rates_slope(rates: tuple, params: ModelParams):
+    """dP/d ln w from the tuple sector_rates returns at w:
 
         dP/d ln w = -(1 - psi1) (MPK (1 - alpha1)/P1 + MPH S2/P2).
 
     Both terms are positive and psi1 < 1, so the slope is negative: the
     strict fall of P proved above, in the rates' own terms.
     """
-    p1, p2, _, s2, _, mpk, _, mph, gap = sector_rates(w, params)
+    p1, p2, _, s2, _, mpk, _, mph, _ = rates
     _, one_less_alpha1, _, psi1, *_ = params.rate_terms
-    return gap, -(1.0 - psi1) * (mpk * one_less_alpha1 / p1 + mph * (s2 / p2))
+    return -(1.0 - psi1) * (mpk * one_less_alpha1 / p1 + mph * (s2 / p2))
+
+
+def gap_slope(w, params: ModelParams) -> tuple:
+    """(P, dP/d ln w) at w, a float or an array, from one sector_rates call."""
+    rates = sector_rates(w, params)
+    return rates[8], rates_slope(rates, params)
 
 
 def _where(cond, a, b):

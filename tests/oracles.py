@@ -3,9 +3,9 @@
 No command of the package needs these. They check it from outside: the
 level system rhs_full against the reduced system, the share-form outputs
 and their psi-derivatives against the normalized CES family, the rows
-of a comparison table by name, and the plain forms of three of dynamics'
-inner loops: Horner's rule on lists, bisection and the Dormand-Prince
-stepper on lists.
+of a comparison table by name, a complex-step Jacobian of the reduced
+system, and the plain forms of three of dynamics' inner loops: Horner's
+rule on lists, bisection and the Dormand-Prince stepper on lists.
 """
 
 import math
@@ -22,6 +22,7 @@ from cesgrowth.normalization import (
     psi_of_sigma,
 )
 from cesgrowth.params import ModelParams
+from cesgrowth.stability import rhs_reduced_values
 from cesgrowth.steady import steady_state
 
 
@@ -162,6 +163,25 @@ def rhs_full(state: tuple, params: ModelParams) -> tuple:
     u_growth = (bun.D + q + bun.Q * bun.G2 * bun.P / bun.R) * (1.0 - u) / (u - v)
     v_growth = (bun.D + q + bun.Q * bun.G1 * bun.P / bun.R) * (1.0 - v) / (u - v)
     return k * k_growth, h * h_growth, c * c_growth, u * u_growth, v * v_growth
+
+
+def complex_step_jacobian(z: float, q: float, u: float, v: float,
+                          params: ModelParams, step: float = 1e-20) -> tuple:
+    """The Jacobian of rhs_reduced_values as four rows of floats, by complex
+    steps: column i is Im rhs(x + i h e_i) / h (Squire & Trapp, SIAM Review
+    40, 1998), with h = step |x_i| (step where x_i = 0). No difference is
+    taken, so the error is at rounding level whatever the step, at four rhs
+    evaluations. The step is relative: a fixed h = 1e-20 is no longer small
+    beside a coordinate such as v* = 8.6e-24, and the columns then miss the
+    derivative by up to their own size."""
+    x = [float(z), float(q), float(u), float(v)]
+    columns = []
+    for i in range(4):
+        xi = list(x)
+        h = step * abs(x[i]) or step
+        xi[i] += h * 1j
+        columns.append([f.imag / h for f in rhs_reduced_values(*xi, params)])
+    return tuple(zip(*columns))
 
 
 def normalized_y(

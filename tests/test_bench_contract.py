@@ -54,21 +54,28 @@ def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
 
 
 def test_rhs_looks_up_the_aux_kernel_at_call_time(monkeypatch):
-    """core.aux_from_wuv counts the kernel wrapped in stability's namespace;
-    each rhs_reduced_values call, as the complex-step Jacobian makes four,
-    must pass through that binding."""
-    calls = []
-    original = stability.aux_from_wuv
+    """core.aux_from_wuv counts the kernel wrapped in stability's namespace:
+    each rhs_reduced_values call must pass through that binding. The
+    Jacobian is in closed form from one sector_rates call, looked up in
+    stability's namespace at call time, whose tuple it hands to one
+    aux_from_wuv call through the same binding; it calls no rhs, so
+    stability.rhs_calls_per_jacobian reads 0."""
+    calls = {"aux_from_wuv": [], "sector_rates": [], "rhs_reduced_values": []}
+    for name, seen in calls.items():
+        def counting(*args, seen=seen, original=getattr(stability, name)):
+            seen.append(args)
+            return original(*args)
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(stability, "aux_from_wuv", counting)
+        monkeypatch.setattr(stability, name, counting)
     params = bench_params(0.25, -0.10)
     ss = steady.steady_state(params)
-    stability.jacobian_fd(ss.z_star, ss.q_star, ss.u_star, ss.v_star, params)
-    assert len(calls) == 4
+    x = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
+    stability.rhs_reduced_values(*x, params)
+    assert [len(seen) for seen in calls.values()] == [1, 0, 1]
+    stability.jacobian_fd(*x, params)
+    assert [len(seen) for seen in calls.values()] == [2, 1, 1]
+    assert type(calls["sector_rates"][0][0]) is float
+    assert calls["aux_from_wuv"][1][4] is not None
 
 
 def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):

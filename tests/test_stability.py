@@ -23,7 +23,7 @@ from cesgrowth.core import sector_rates
 from cesgrowth.stability import _lambda_w, _roots2, classify, rhs_reduced_values
 from cesgrowth.steady import closed_forms, gap_P
 
-from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, bench_params
+from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, U_STAR_NEAR_ONE, bench_params
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -302,13 +302,26 @@ def _mpmath_jacobian(x, params):
     return jac
 
 
-@pytest.mark.parametrize("point", sorted(CASE_PSI) + ["readme_start", "case1_from_0.9z"])
+# Economies whose Jacobian is checked at x* beyond the paper cases.
+JACOBIAN_ECONOMIES = dict({f"stiff{i}": STIFF_POOL[i] for i in sorted(STIFF_POOL)},
+                          u_star_near_one=U_STAR_NEAR_ONE, slow_saddle=SLOW_SADDLE)
+
+
+@pytest.mark.parametrize("point", sorted(CASE_PSI) + ["readme_start", "case1_from_0.9z"]
+                         + list(JACOBIAN_ECONOMIES))
 def test_jacobian_fd_matches_high_precision_differences(point):
-    """At each case's x*, and at two states past the corner u = v = 1, where
+    """At each case's x*, at two states past the corner u = v = 1, where
     the reduced equations still hold: the first rows of case 1's saddle
     paths from the README start z0 = 5.5, about (5.5, 0.303, 4.12, 7.90),
-    and from z0 = 0.9 z*, about (9.65, 0.248, 1.55, 1.69)."""
-    params = bench_params(*CASE_PSI[point if point in CASE_PSI else 1])
+    and from z0 = 0.9 z*, about (9.65, 0.248, 1.55, 1.69); and at the x*
+    of the stiff pool economies and of U_STAR_NEAR_ONE (measured at most
+    3.8e-12 elementwise). At SLOW_SADDLE's x* one entry cancels to 5.2e-8
+    of its size, in complex steps as in closed form, so it is held to
+    1e-13 of max|J| instead (measured 6.8e-16)."""
+    if point in JACOBIAN_ECONOMIES:
+        params = ModelParams(**JACOBIAN_ECONOMIES[point])
+    else:
+        params = bench_params(*CASE_PSI[point if point in CASE_PSI else 1])
     ss = steady_state(params)
     z0 = {"readme_start": 5.5, "case1_from_0.9z": 0.9 * ss.z_star}.get(point)
     if z0 is None:
@@ -317,7 +330,11 @@ def test_jacobian_fd_matches_high_precision_differences(point):
         x = saddle_path(params, z0).state_rows[0]
         assert min(x[2], x[3]) > 1.0
     reference = _mpmath_jacobian(x, params)
-    np.testing.assert_allclose(jacobian_fd(*x, params), reference, rtol=1e-10)
+    jac = np.array(jacobian_fd(*x, params))
+    if point == "slow_saddle":
+        assert np.max(np.abs(jac - reference)) <= 1e-13 * np.max(np.abs(reference))
+    else:
+        np.testing.assert_allclose(jac, reference, rtol=1e-10)
 
 
 @pytest.mark.parametrize("index", sorted(STIFF_POOL))
@@ -356,3 +373,26 @@ def test_rhs_singular_guards(params_case1):
         rhs_reduced_values(10.0, 0.2, 0.7, 0.7, params_case1)
     with pytest.raises(SingularStateError):
         rhs_reduced_values(10.0, 0.2, 0.7, -0.1, params_case1)
+
+
+def _r_vanishes(params):
+    """A state with u = 0.4, v = 0.6 and w = (v/u) z at tau0(w) = 1, where
+    T = (1 - alpha2) S1 - (1 - alpha1) S2 and so R vanish."""
+    alpha1, one_less_alpha1, one_less_alpha2, psi1, _, _, _, s2_factor, e, *_ = params.rate_terms
+    w = (one_less_alpha1 * s2_factor / (one_less_alpha2 * alpha1)) ** (1.0 / (psi1 - e))
+    return (w * 0.4 / 0.6, 0.2, 0.4, 0.6)
+
+
+@pytest.mark.parametrize("guard", ["u = v", "w < 0", "w = 0", "R = 0"])
+def test_jacobian_raises_the_rhs_guards(guard, params_case1):
+    """jacobian_fd raises rhs_reduced_values' SingularStateError, with the
+    same message and state, at each of its three guards."""
+    x = {"u = v": (10.0, 0.2, 0.7, 0.7), "w < 0": (10.0, 0.2, 0.7, -0.1),
+         "w = 0": (10.0, 0.2, 0.0, 0.5)}.get(guard) or _r_vanishes(params_case1)
+    raised = []
+    for f in (rhs_reduced_values, jacobian_fd):
+        with pytest.raises(SingularStateError) as exc:
+            f(*x, params_case1)
+        raised.append((str(exc.value), exc.value.state))
+    assert raised[0] == raised[1]
+    assert raised[0][0].startswith({"u = v": "u - v", "R = 0": "R ="}.get(guard, "w ="))
