@@ -6,7 +6,8 @@ Everything here is a pure function of its arguments.
 from .errors import ParameterError
 from .params import ModelParams
 
-# Denominator guards of the reduced system.
+# Denominator guards of the reduced system: a floor on |u - v|, and one on
+# |T| relative to its terms (stability._check_r).
 UV_GAP_FLOOR = 1e-12
 R_FLOOR = 1e-14
 
@@ -76,8 +77,14 @@ def y2_of(k: float, h: float, u: float, v: float, params: ModelParams) -> float:
     return params.A2 * inner ** (1.0 / psi)
 
 
+def consumption_growth(mpk, params: ModelParams):
+    """The Keynes-Ramsey rule: consumption grows at (MPK - rho - delta_k)/eps,
+    for mpk a float, a complex number, an mpmath number or an array."""
+    return (mpk - params.rho - params.delta_k) / params.eps
+
+
 def aux_from_wuv(w, u, v, params: ModelParams, rates: tuple | None = None) -> tuple:
-    """(D, P, T, G1, G2, Q, R, P_eps, H) at (w, u, v) as a plain tuple, the one
+    """(D, P, T, G1, G2, Q, R, X) at (w, u, v) as a plain tuple, the one
     place they are written, from rates, the sector_rates tuple at w, where
     the caller has it:
 
@@ -86,27 +93,24 @@ def aux_from_wuv(w, u, v, params: ModelParams, rates: tuple | None = None) -> tu
     T  : numerator of the share difference; R = (1-psi1)(1-psi2) T
     G1 : (psi1-psi2) u + 1 - psi1, G2 analogous in v
     Q  : P1 P2
-    P_eps : alpha1 (eps v - 1) w^psi1 + eps (1-alpha1) v
-    H  : w^{-1} P1^{1/psi1 - 1} P_eps (the coefficient of A1/eps in qdot)
+    X  : r(w) + delta_k - (v/w) Y1, consumption growth less capital growth
+         without the -c/k term, so qdot/q = q + X
 
     They involve only powers of w (positive) and u, v linearly, so they
     extend smoothly to allocations outside (0, 1); stable-manifold
     construction relies on that.
     """
-    p1, p2, s1, s2, y1, _, y2, _, gap = rates or sector_rates(w, params)
-    (_, one_less_alpha1, one_less_alpha2, psi1, psi2,
-     _, _, _, _, a1, _, _) = params.rate_terms
-    eps = params.eps
+    p1, p2, s1, s2, y1, mpk, y2, _, gap = rates or sector_rates(w, params)
+    _, one_less_alpha1, one_less_alpha2, psi1, psi2, *_ = params.rate_terms
     t = one_less_alpha2 * s1 - one_less_alpha1 * s2
-    p_eps = (eps * v - 1.0) * s1 + eps * one_less_alpha1 * v
+    y1_k = v / w * y1
     return (
-        (1.0 - u) * y2 - v / w * y1 + params.delta_k - params.delta_h,
+        (1.0 - u) * y2 - y1_k + params.delta_k - params.delta_h,
         gap,
         t,
         (psi1 - psi2) * u + 1.0 - psi1,
         (psi1 - psi2) * v + 1.0 - psi1,
         p1 * p2,
         (1.0 - psi1) * (1.0 - psi2) * t,
-        p_eps,
-        y1 / (a1 * p1) * p_eps / w,
+        consumption_growth(mpk, params) + params.delta_k - y1_k,
     )

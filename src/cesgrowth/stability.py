@@ -4,7 +4,7 @@ eigenvalues and saddle-path classification."""
 import math
 from typing import NamedTuple
 
-from .core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, sector_rates
+from .core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, consumption_growth, sector_rates
 from .errors import SingularStateError
 from .params import ModelParams
 from .steady import SteadyState, rates_slope, steady_state
@@ -23,19 +23,14 @@ def _checked_w(z, q, u, v):
     return w
 
 
-def _check_r(r, state: tuple) -> None:
-    """The third guard: SingularStateError where |R| < R_FLOOR."""
-    if abs(r) < R_FLOOR:
+def _check_r(t, r, rates: tuple, params: ModelParams, state: tuple) -> None:
+    """The third guard: SingularStateError where |T| is below R_FLOOR times
+    (1 - alpha2) S1 + (1 - alpha1) S2. T is those terms' difference, so
+    there it is their rounding, and R = (1 - psi1)(1 - psi2) T with it."""
+    _, _, s1, s2, *_ = rates
+    _, one_less_alpha1, one_less_alpha2, *_ = params.rate_terms
+    if abs(t) < R_FLOOR * abs(one_less_alpha2 * s1 + one_less_alpha1 * s2):
         raise SingularStateError(f"R = {r} vanishes", state=state)
-
-
-def _q_rate(q, h, params: ModelParams):
-    """qdot/q = q - A1 H/eps - (rho - (eps - 1) delta_k)/eps."""
-    return (
-        q
-        - params.A1 * h / params.eps
-        - (params.rho - (params.eps - 1.0) * params.delta_k) / params.eps
-    )
 
 
 def rhs_reduced_values(
@@ -49,11 +44,12 @@ def rhs_reduced_values(
     traverse that region. Complex or mpmath coordinates run the same code.
     """
     w = _checked_w(z, q, u, v)
-    d, gap, _, g1, g2, pq, r, _, h = aux_from_wuv(w, u, v, params)
-    _check_r(r, (z, q, u, v))
+    rates = sector_rates(w, params)
+    d, gap, t, g1, g2, pq, r, x = aux_from_wuv(w, u, v, params, rates)
+    _check_r(t, r, rates, params, (z, q, u, v))
 
     zdot = -(d + q) * z
-    qdot = _q_rate(q, h, params) * q
+    qdot = (x + q) * q
     udot = (d + q + g2 * pq * gap / r) * u * (1.0 - u) / (u - v)
     vdot = (d + q + g1 * pq * gap / r) * v * (1.0 - v) / (u - v)
     return zdot, qdot, udot, vdot
@@ -67,11 +63,11 @@ def jacobian_fd(z: float, q: float, u: float, v: float, params: ModelParams) -> 
 
     The rhs is
 
-        zdot = -(D + q) z,   qdot = (q - A1 H/eps - c) q,
+        zdot = -(D + q) z,   qdot = (X + q) q,
         udot = (D + q + G2 K) u(1 - u)/(u - v),
         vdot = (D + q + G1 K) v(1 - v)/(u - v),
 
-    with K = Q P/R and D, H, G1, G2, Q, R = (1 - psi1)(1 - psi2) T from
+    with K = Q P/R and D, X, G1, G2, Q, R = (1 - psi1)(1 - psi2) T from
     core.aux_from_wuv. It reads u and v directly and everything else
     through w = (v/u) z, with grad w = w (1/z, 0, -1/u, 1/v). So with
     f' = w df/dw, a function f(w, u, v) has the gradient
@@ -79,30 +75,32 @@ def jacobian_fd(z: float, q: float, u: float, v: float, params: ModelParams) -> 
 
         S1' = psi1 S1,  S2' = e S2,  e = psi2 (1 - psi1)/(1 - psi2),
         Y1' = Y1 S1/P1,  Y2' = e Y2 S2/(psi2 P2),  P' = dP/d ln w,
+        MPK' = -(1 - psi1)(1 - alpha1) MPK/P1,
 
-    the last from steady.rates_slope, and T' = (1 - alpha2) S1'
+    P' from steady.rates_slope, and T' = (1 - alpha2) S1'
     - (1 - alpha1) S2', Q' = S1' P2 + P1 S2'. By the product rule,
+    with X = (MPK - rho - delta_k)/eps + delta_k - (v/w) Y1,
 
         D' = (1 - u) Y2' + (v/w) Y1 (1 - alpha1)/P1,
         dD/du = -Y2,  dD/dv = -Y1/w,  dG2/dv = dG1/du = psi1 - psi2,
-        (A1 H/eps)' = (Y1/w)(1 - alpha1)((1 - psi1) S1/P1 - eps v)/(eps P1),
-        d(A1 H/eps)/dv = Y1/w,   K' = (Q' P + Q P')/R - K T'/T,
+        X' = (1 - alpha1)/P1 ((v/w) Y1 - (1 - psi1) MPK/eps),
+        dX/dv = -Y1/w,   K' = (Q' P + Q P')/R - K T'/T,
 
     and the factors u(1 - u)/(u - v) and v(1 - v)/(u - v) are
     differentiated in u and v directly.
     """
     w = _checked_w(z, q, u, v)
     rates = sector_rates(w, params)
-    d, gap, t, g1, g2, pq, r, _, h = aux_from_wuv(w, u, v, params, rates)
-    _check_r(r, (z, q, u, v))
-    p1, p2, s1, s2, y1, _, y2, _, _ = rates
+    d, gap, t, g1, g2, pq, r, x = aux_from_wuv(w, u, v, params, rates)
+    _check_r(t, r, rates, params, (z, q, u, v))
+    p1, p2, s1, s2, y1, mpk, y2, _, _ = rates
     (_, one_less_alpha1, one_less_alpha2, psi1, psi2,
      _, inv_psi2, _, e, _, _, _) = params.rate_terms
     ds1, ds2 = psi1 * s1, e * s2
     y1_w = y1 / w
 
     dd = (1.0 - u) * e * inv_psi2 * y2 * s2 / p2 + v * y1_w * one_less_alpha1 / p1
-    dah = y1_w * one_less_alpha1 * ((1.0 - psi1) * s1 / p1 - params.eps * v) / (params.eps * p1)
+    dx = one_less_alpha1 / p1 * (v * y1_w - (1.0 - psi1) * mpk / params.eps)
     k = pq * gap / r
     dk = (((ds1 * p2 + p1 * ds2) * gap + pq * rates_slope(rates, params)) / r
           - k * (one_less_alpha2 * ds1 - one_less_alpha1 * ds2) / t)
@@ -114,7 +112,7 @@ def jacobian_fd(z: float, q: float, u: float, v: float, params: ModelParams) -> 
     fu, fv = u * (1.0 - u) / uv, v * (1.0 - v) / uv
     return (
         (-(d + q) - dd, -z, z * (dd / u + y2), -z * (dd / v - y1_w)),
-        (-q * dah / z, _q_rate(q, h, params) + q, q * dah / u, -q * (dah / v + y1_w)),
+        (q * dx / z, x + 2.0 * q, -q * dx / u, q * (dx / v - y1_w)),
         (fu * dnu / z, fu, -fu * (dnu / u + y2) + nu * (1.0 - 2.0 * u - fu) / uv,
          fu * (dnu / v - y1_w + dpsi * k) + nu * fu / uv),
         (fv * dnv / z, fv, fv * (dpsi * k - dnv / u - y2) - nv * fv / uv,
@@ -132,15 +130,16 @@ def _roots2(b: float, c: float) -> list:
     return [t, c / t] if t else [0.0, 0.0]
 
 
-def plane_terms(w, params: ModelParams) -> tuple:
+def plane_terms(w, params: ModelParams, rates: tuple | None = None) -> tuple:
     """(a, b, c, e, g, tau0) at the effective capital ratio w, a float or a
-    complex number, from one sector_rates call: the one place the reduced
+    complex number, from rates, the sector_rates tuple at w, where the
+    caller has it, or one sector_rates call: the one place the reduced
     system on F = 0 is written. With gamma = tau0/(tau0 - 1),
-    T = (1 - alpha2) S1 - (1 - alpha1) S2 and the rates of sector_rates,
+    T = (1 - alpha2) S1 - (1 - alpha1) S2, r(w) = core.consumption_growth(MPK)
+    and the rates of sector_rates,
 
         a = gamma (Y2 - Y1/w) + delta_k - delta_h,    b = -gamma Y2/w,
-        c = Y1/(tau0 - 1),
-        e = gamma Y1/w - Y1 S1/(eps P1 w) + (rho - (eps - 1) delta_k)/eps,
+        c = Y1/(tau0 - 1),    e = gamma Y1/w - r(w) - delta_k,
         g = w P1 P2 P/((1 - psi1) T),    tau0 = (1 - alpha2) S1/((1 - alpha1) S2),
 
     the state moves as w' = g(w), z' = -(b z^2 + (a + q) z + c) and
@@ -151,18 +150,17 @@ def plane_terms(w, params: ModelParams) -> tuple:
     v/w = gamma/w - 1/((tau0 - 1) z). SingularStateError at g's pole,
     tau0(w) = 1.
     """
-    p1, p2, s1, s2, y1, _, y2, _, gap = sector_rates(w, params)
+    p1, p2, s1, s2, y1, mpk, y2, _, gap = rates or sector_rates(w, params)
     _, one_less_alpha1, one_less_alpha2, psi1, *_ = params.rate_terms
     t = one_less_alpha2 * s1 - one_less_alpha1 * s2
     tau0 = one_less_alpha2 * s1 / (one_less_alpha1 * s2)
     if not t or tau0 == 1.0:
         raise SingularStateError(f"tau0(w) = 1 at w = {w}", state=(w,))
-    gamma, eps, y1_w = tau0 / (tau0 - 1.0), params.eps, y1 / w
+    gamma, y1_w = tau0 / (tau0 - 1.0), y1 / w
     return (gamma * (y2 - y1_w) + params.delta_k - params.delta_h,
             -gamma * y2 / w,
             y1 / (tau0 - 1.0),
-            gamma * y1_w - y1_w * s1 / (eps * p1)
-            + (params.rho - (eps - 1.0) * params.delta_k) / eps,
+            gamma * y1_w - consumption_growth(mpk, params) - params.delta_k,
             w * p1 * p2 * gap / ((1.0 - psi1) * t),
             tau0)
 
@@ -184,24 +182,6 @@ def _j2(terms, z, q) -> tuple:
     return c / z - b * z, -z, -q * c / (z * z), q
 
 
-def _lambda_w(w, params: ModelParams) -> float:
-    """lambda_w = g'(w) at a root w of gap_P, in closed form from one
-    sector_rates call. As P(w) = 0, g'(w) = P1 P2 (dP/d ln w)/((1 - psi1) T),
-    and with dP/d ln w = -(1 - psi1)(MPK (1 - alpha1)/P1 + MPH S2/P2)
-    (steady.gap_slope)
-
-        lambda_w = -(MPK (1 - alpha1) P2 + MPH S2 P1) / T,
-
-    T = (1 - alpha2) S1 - (1 - alpha1) S2 = (1 - alpha1) S2 (tau0 - 1). The
-    numerator is positive, so sign lambda_w = sign(1 - tau0): the
-    factor-intensity ranking of Bond, Wang & Yip (1996).
-    """
-    p1, p2, s1, s2, _, mpk, _, mph, _ = sector_rates(w, params)
-    _, one_less_alpha1, one_less_alpha2, *_ = params.rate_terms
-    return -(mpk * one_less_alpha1 * p2 + mph * s2 * p1) / (
-        one_less_alpha2 * s1 - one_less_alpha1 * s2)
-
-
 def eigen4(ss: SteadyState, params: ModelParams) -> tuple:
     """The 4-D spectrum at the balanced path ss, as complex numbers sorted
     by (real, imag), from the reduced system's triangular split.
@@ -209,14 +189,25 @@ def eigen4(ss: SteadyState, params: ModelParams) -> tuple:
     The static efficiency condition F = ln tau - ln tau0(w) is conserved
     by the flow, and w = (v/u) z follows w' = g(w) whatever the other
     coordinates (plane_terms). So the spectrum is an exact 0 for F,
-    lambda_w = g'(w*) (_lambda_w) and the pair of J2, the Jacobian of
-    (z', q') in (z, q) on the invariant plane w = w*, F = 0 (_j2), both in
-    closed form from real sector_rates calls. A real eigenvalue has
-    imaginary part +0.0, and a complex pair is exactly conjugate.
+    lambda_w = g'(w*) and the pair of J2, the Jacobian of (z', q') in
+    (z, q) on the invariant plane w = w*, F = 0 (_j2), both in closed form
+    from one real sector_rates call. As P(w*) = 0,
+
+        lambda_w = P1 P2 (dP/d ln w)/((1 - psi1) T),
+
+    with dP/d ln w < 0 from steady.rates_slope. As T = (1 - alpha1) S2
+    (tau0 - 1), sign lambda_w = sign(1 - tau0): the
+    factor-intensity ranking of Bond, Wang & Yip (1996). A real eigenvalue
+    has imaginary part +0.0, and a complex pair is exactly conjugate.
     """
-    a11, a12, a21, a22 = _j2(plane_terms(ss.w_star, params), ss.z_star, ss.q_star)
+    rates = sector_rates(ss.w_star, params)
+    a11, a12, a21, a22 = _j2(plane_terms(ss.w_star, params, rates), ss.z_star, ss.q_star)
     pair = [complex(x) for x in _roots2(-(a11 + a22), a11 * a22 - a12 * a21)]
-    spectrum = [0j, complex(_lambda_w(ss.w_star, params), 0.0)] + pair
+    p1, p2, s1, s2, *_ = rates
+    _, one_less_alpha1, one_less_alpha2, psi1, *_ = params.rate_terms
+    lambda_w = p1 * p2 * rates_slope(rates, params) / (
+        (1.0 - psi1) * (one_less_alpha2 * s1 - one_less_alpha1 * s2))
+    spectrum = [0j, complex(lambda_w, 0.0)] + pair
     return tuple(sorted(spectrum, key=lambda x: (x.real, x.imag)))
 
 

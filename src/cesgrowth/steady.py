@@ -30,7 +30,7 @@ same code: a float stays a Python float throughout.
 import math
 from typing import NamedTuple
 
-from .core import aux_from_wuv, sector_rates
+from .core import consumption_growth, sector_rates
 from .errors import (
     AllocationOutOfRangeError,
     NoBracketError,
@@ -206,27 +206,28 @@ def closed_forms(w, params: ModelParams) -> SteadyState:
     Unchecked: where u* or v* leaves (0, 1), the quantities that need
     both are nan, and the margin is returned whatever its sign.
     """
-    p1, p2, s1, s2, _, mpk, y2, _, _ = sector_rates(w, params)
-    r = (mpk - params.rho - params.delta_k) / params.eps
+    p1, p2, s1, s2, y1, mpk, y2, _, _ = sector_rates(w, params)
+    r = consumption_growth(mpk, params)
     # Interior-optimum ratio tau0 = w^{(psi1-psi2)/(1-psi2)} theta^{1/(1-psi2)},
     # read off the share terms.
     tau0 = (1.0 - params.alpha2) * s1 / ((1.0 - params.alpha1) * s2)
     # 1 - u*, kept apart: v*'s denominator 1 - u* + tau0 u* written as
     # 1 + (tau0 - 1) u* cancels when u* is near 1 and tau0 is small.
-    one_less_u = (r + params.delta_h) / y2
+    # Y2 underflows to 0 where A2 is subnormal: a float then divides as an
+    # array does, to an infinite or nan 1 - u*, out of range.
+    r_h = r + params.delta_h
+    one_less_u = r_h / y2 if is_array(y2) or y2 else r_h * math.inf
     u = 1.0 - one_less_u
     # v* is defined only for 0 < u* < 1.
     u_in = _where((0.0 < u) & (u < 1.0), u, math.nan)
     v = tau0 * u_in / (one_less_u + tau0 * u_in)
     v_in = _where((0.0 < v) & (v < 1.0), v, math.nan)
-    # q* is the zero of the qdot equation, q = (A1 H + rho - (eps-1) delta_k) / eps,
-    # H the last of the auxiliary scalars.
-    a1_h = params.A1 * aux_from_wuv(w, u_in, v_in, params)[8]
-    q = (a1_h + params.rho - params.delta_k * (params.eps - 1.0)) / params.eps
     return SteadyState(
         w_star=w,
         z_star=w * u_in / v_in,
-        q_star=q,
+        # c/k stays put where capital, growing at (v/w) Y1 - q - delta_k,
+        # keeps pace with consumption at r*.
+        q_star=v_in / w * y1 - r - params.delta_k,
         u_star=u,
         v_star=v,
         r_star=r,

@@ -46,6 +46,15 @@ U_STAR_NEAR_ONE = {
     "eps": 2.8103915597332536, "rho": 0.18230015177214529,
 }
 
+# A validated economy whose education output Y2 = A2 P2^{1/psi2} underflows
+# to 0 at its root: A2 is the least subnormal double. Its sectors are
+# identical, and r* + delta_h = -0.125 < 0, so u* = 1 - (r* + delta_h)/Y2
+# is +inf.
+Y2_UNDERFLOW = {
+    "A1": 0.25, "A2": 5e-324, "alpha1": 0.5, "alpha2": 0.5, "psi1": 0.5, "psi2": 0.5,
+    "delta_k": 0.25, "delta_h": 0.0, "eps": 2.0, "rho": 0.25,
+}
+
 # A validated economy (psi2 < 1) whose education share term overflows a
 # double at w = 10, the second probe of the bracket search: the exponent
 # of w in S2 is psi2 (1 - psi1) / (1 - psi2), about 393.

@@ -4,7 +4,8 @@ No command of the package needs these. They check it from outside: the
 level system rhs_full against the reduced system, the share-form outputs
 and their psi-derivatives against the normalized CES family, the rows
 of a comparison table by name, a complex-step Jacobian of the reduced
-system, and the plain forms of three of dynamics' inner loops: Horner's
+system, the consumption equation and lambda_w in the package's former
+notation, and the plain forms of three of dynamics' inner loops: Horner's
 rule on lists, bisection and the Dormand-Prince stepper on lists.
 """
 
@@ -99,8 +100,7 @@ class AuxBundle(NamedTuple):
     T  : numerator of the share difference; R = (1-psi1)(1-psi2) T
     G1 : (psi1-psi2) u + 1 - psi1, G2 analogous in v
     Q  : P1 P2
-    P_eps : alpha1 (eps v - 1) w^psi1 + eps (1-alpha1) v
-    H  : w^{-1} P1^{1/psi1 - 1} P_eps (the coefficient of A1/eps in qdot)
+    X  : r(w) + delta_k - (v/w) Y1, so that qdot/q = q + X
     """
 
     D: float
@@ -110,13 +110,42 @@ class AuxBundle(NamedTuple):
     G2: float
     Q: float
     R: float
-    P_eps: float
-    H: float
+    X: float
 
 
 def aux_of(state: State, params: ModelParams) -> AuxBundle:
     """Evaluate the full auxiliary bundle at a reduced state."""
     return AuxBundle(*aux_from_wuv(w_of(state), state.u, state.v, params))
+
+
+def consumption_terms(w: float, u: float, v: float, params: ModelParams) -> tuple:
+    """The terms of X = qdot/q - q in the A1 H/eps form, before the package
+    wrote it with the growth rates: (-A1 H/eps, -(rho - (eps - 1) delta_k)/eps),
+    whose sum is X. With P_eps = alpha1 (eps v - 1) w^psi1 + eps (1-alpha1) v
+    and H = w^{-1} P1^{1/psi1 - 1} P_eps, the coefficient of A1/eps in qdot,
+    as P_eps = eps v P1 - S1 and MPK = Y1 S1/(w P1),
+
+        A1 H/eps + (rho - (eps - 1) delta_k)/eps = (v/w) Y1 - r(w) - delta_k.
+    """
+    eps = params.eps
+    p1 = p1_of(w, params)
+    s1 = params.alpha1 * powz(w, params.psi1)
+    p_eps = (eps * v - 1.0) * s1 + eps * (1.0 - params.alpha1) * v
+    h = powz(p1, 1.0 / params.psi1 - 1.0) * p_eps / w
+    return -params.A1 * h / eps, -(params.rho - (eps - 1.0) * params.delta_k) / eps
+
+
+def lambda_w_of(w: float, params: ModelParams) -> float:
+    """lambda_w = g'(w) at a root w of gap_P, in the package's former closed
+    form: with dP/d ln w = -(1 - psi1)(MPK (1 - alpha1)/P1 + MPH S2/P2),
+
+        lambda_w = -(MPK (1 - alpha1) P2 + MPH S2 P1) / T,
+
+    T = (1 - alpha2) S1 - (1 - alpha1) S2 = (1 - alpha1) S2 (tau0 - 1)."""
+    p1, p2, s1, s2, _, mpk, _, mph, _ = sector_rates(w, params)
+    one_less_alpha1, one_less_alpha2 = 1.0 - params.alpha1, 1.0 - params.alpha2
+    return -(mpk * one_less_alpha1 * p2 + mph * s2 * p1) / (
+        one_less_alpha2 * s1 - one_less_alpha1 * s2)
 
 
 def costate_ratio(w: float, params: ModelParams) -> float:
@@ -143,7 +172,9 @@ def rhs_full(state: tuple, params: ModelParams) -> tuple:
     z = k / h
     w = v / u * z
     bun = aux_of(State(z, c / k, u, v), params)
-    if abs(bun.R) < R_FLOOR:
+    # T's terms, (1 - alpha2) S1 + (1 - alpha1) S2, are 2 (1 - alpha2) S1 - T.
+    terms = 2.0 * (1.0 - params.alpha2) * params.alpha1 * powz(w, params.psi1) - bun.T
+    if abs(bun.T) < R_FLOOR * abs(terms):
         raise SingularStateError(f"R = {bun.R} vanishes at this state", state=state)
     psi1, psi2 = params.psi1, params.psi2
     p1 = p1_of(w, params)

@@ -114,10 +114,13 @@ def reference(case, factor: float, z0: float | None = None) -> dict:
         def rhs(x):
             return rhs_reduced_values(*x, params)
 
-        # closed_forms takes some constants as floats, so its x* can miss
-        # the zero of rhs_reduced_values by 1e-16 (U_STAR_NEAR_ONE: 1.7e-16
-        # in z), a 1e-7 share of a seed SEED_FRACTION |x*| out, which then
-        # shifts the clock by 2e-7. The seed is placed from the zero.
+        # closed_forms' x* is a zero of rhs_reduced_values in this
+        # arithmetic: both write the consumption equation from the growth
+        # rates, and at 50 digits it misses by at most 1.4e-38 in any
+        # coordinate's rate. A miss of 1.7e-16, as with float constants in
+        # q*, would be a 1e-7 share of a seed SEED_FRACTION |x*| out and
+        # shift the clock by 2e-7; so the seed is still placed from the zero
+        # findroot refines, and the table does not rest on closed_forms.
         z_star, q_star = mp.findroot(lambda z, q: rhs([z, q, *allocations(z)])[:2],
                                      (star.z_star, star.q_star))
         x_star = [z_star, q_star, *allocations(z_star)]

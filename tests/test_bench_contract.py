@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.spans import BOUNDARIES  # noqa: E402
 
-from cesgrowth import dynamics, stability, steady  # noqa: E402
+from cesgrowth import core, dynamics, stability, steady  # noqa: E402
 
 from conftest import bench_params  # noqa: E402
 
@@ -55,11 +55,11 @@ def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
 
 def test_rhs_looks_up_the_aux_kernel_at_call_time(monkeypatch):
     """core.aux_from_wuv counts the kernel wrapped in stability's namespace:
-    each rhs_reduced_values call must pass through that binding. The
-    Jacobian is in closed form from one sector_rates call, looked up in
-    stability's namespace at call time, whose tuple it hands to one
-    aux_from_wuv call through the same binding; it calls no rhs, so
-    stability.rhs_calls_per_jacobian reads 0."""
+    each rhs_reduced_values call must pass through that binding. The rhs
+    and the Jacobian, in closed form, each make one sector_rates call,
+    looked up in stability's namespace at call time, whose tuple they hand
+    to one aux_from_wuv call through the same binding; the Jacobian calls
+    no rhs, so stability.rhs_calls_per_jacobian reads 0."""
     calls = {"aux_from_wuv": [], "sector_rates": [], "rhs_reduced_values": []}
     for name, seen in calls.items():
         def counting(*args, seen=seen, original=getattr(stability, name)):
@@ -71,11 +71,66 @@ def test_rhs_looks_up_the_aux_kernel_at_call_time(monkeypatch):
     ss = steady.steady_state(params)
     x = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
     stability.rhs_reduced_values(*x, params)
-    assert [len(seen) for seen in calls.values()] == [1, 0, 1]
+    assert [len(seen) for seen in calls.values()] == [1, 1, 1]
     stability.jacobian_fd(*x, params)
-    assert [len(seen) for seen in calls.values()] == [2, 1, 1]
-    assert type(calls["sector_rates"][0][0]) is float
-    assert calls["aux_from_wuv"][1][4] is not None
+    assert [len(seen) for seen in calls.values()] == [2, 2, 1]
+    assert all(type(args[0]) is float for args in calls["sector_rates"])
+    assert all(args[4] is not None for args in calls["aux_from_wuv"])
+
+
+def _counting(monkeypatch, modules, name):
+    """Calls of modules' binding of name, recorded as their argument
+    tuples, in one list per module."""
+    calls = {module: [] for module in modules}
+    for module, seen in calls.items():
+        def counting(*args, seen=seen, original=getattr(module, name)):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_closed_forms_and_eigen4_make_one_kernel_call(monkeypatch):
+    """closed_forms reads every starred quantity from one sector_rates call
+    through steady's binding and calls no aux_from_wuv; eigen4 takes J2's
+    terms and lambda_w from one sector_rates call through stability's."""
+    params = bench_params(0.25, -0.10)
+    ss = steady.steady_state(params)
+    assert not hasattr(steady, "aux_from_wuv")
+    aux = _counting(monkeypatch, (core, stability), "aux_from_wuv")
+    rates = _counting(monkeypatch, (core, steady, stability), "sector_rates")
+    assert steady.closed_forms(ss.w_star, params) == ss
+    assert [len(seen) for seen in rates.values()] == [0, 1, 0]
+    stability.eigen4(ss, params)
+    assert [len(seen) for seen in rates.values()] == [0, 1, 1]
+    assert [args[0] for seen in rates.values() for args in seen] == [ss.w_star] * 2
+    assert not any(aux.values())
+
+
+def test_saddle_path_set_up_calls_the_kernel_three_times_at_w_star(monkeypatch):
+    """After solve_w, a saddle path evaluates sector_rates at the float w*
+    three times, wherever it looks the kernel up: once in closed_forms,
+    once in eigen4 and once for stable_eigenpair's plane_terms."""
+    params = bench_params(0.25, -0.10)
+    ss = steady.steady_state(params)
+    at_w_star, solve_w, kernel = [], steady.solve_w, core.sector_rates
+
+    def solving(params):
+        root = solve_w(params)
+        at_w_star.clear()  # the root search's calls are not the set-up's
+        return root
+
+    def counting(w, params):
+        if w == ss.w_star:
+            at_w_star.append(w)
+        return kernel(w, params)
+
+    monkeypatch.setattr(steady, "solve_w", solving)
+    for module in (core, steady, stability, dynamics):
+        monkeypatch.setattr(module, "sector_rates", counting)
+    dynamics.saddle_path(params, 0.9 * ss.z_star)
+    assert len(at_w_star) == 3
 
 
 def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):

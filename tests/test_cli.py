@@ -29,6 +29,7 @@ from conftest import (
     KERNEL_OVERFLOW,
     NEWTON_OVERFLOW,
     U_STAR_AT_ONE,
+    Y2_UNDERFLOW,
     bench_params,
 )
 
@@ -429,6 +430,15 @@ def test_u_star_at_one_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "steady", "--scenario", str(path))
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["steady", "stability"])
+def test_y2_underflow_exit_3(tmp_path, capsys, command):
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps({"params": Y2_UNDERFLOW}), encoding="utf-8")
+    code, _, err = run(capsys, command, "--scenario", str(path))
+    assert code == 3
+    assert err == "error: steady-state allocations out of range: u*=inf, v*=nan\n"
 
 
 @pytest.mark.parametrize("command", ["steady", "stability"])

@@ -19,6 +19,7 @@ from oracles import (
     AuxBundle,
     State,
     aux_of,
+    consumption_terms,
     costate_ratio,
     p1_of,
     p2_of,
@@ -91,9 +92,8 @@ def test_share_term_constants_keep_the_expression(rng):
 def _written_out_aux(w, u, v, p):
     """The auxiliary scalars read field by field, in the kernel's order of
     evaluation, as rhs_reduced_values read them before the kernel's tuple."""
-    p1, p2, s1, s2, y1, _, y2, _, gap = sector_rates(w, p)
+    p1, p2, s1, s2, y1, mpk, y2, _, gap = sector_rates(w, p)
     t = (1.0 - p.alpha2) * s1 - (1.0 - p.alpha1) * s2
-    p_eps = (p.eps * v - 1.0) * s1 + p.eps * (1.0 - p.alpha1) * v
     return (
         (1.0 - u) * y2 - v / w * y1 + p.delta_k - p.delta_h,
         gap,
@@ -102,8 +102,7 @@ def _written_out_aux(w, u, v, p):
         (p.psi1 - p.psi2) * v + 1.0 - p.psi1,
         p1 * p2,
         (1.0 - p.psi1) * (1.0 - p.psi2) * t,
-        p_eps,
-        y1 / (p.A1 * p1) * p_eps / w,
+        (mpk - p.rho - p.delta_k) / p.eps + p.delta_k - v / w * y1,
     )
 
 
@@ -124,10 +123,10 @@ def test_aux_kernel_is_bit_identical_on_floats_complex_steps_and_families(rng):
         state = random_interior_state(rng)
         steps = ((state.z + 1e-20j, *state[1:]), (*state[:3], state.v + 1e-20j))
         for z, q, u, v in (state, *steps):
-            d, gap, _, g1, g2, pq, r, _, h = _written_out_aux(v / u * z, u, v, p)
+            d, gap, _, g1, g2, pq, r, x = _written_out_aux(v / u * z, u, v, p)
             assert rhs_reduced_values(z, q, u, v, p) == (
                 -(d + q) * z,
-                (q - p.A1 * h / p.eps - (p.rho - (p.eps - 1.0) * p.delta_k) / p.eps) * q,
+                (x + q) * q,
                 (d + q + g2 * pq * gap / r) * u * (1.0 - u) / (u - v),
                 (d + q + g1 * pq * gap / r) * v * (1.0 - v) / (u - v),
             )
@@ -268,10 +267,24 @@ def test_aux_bundle_definitions(rng):
     )
     assert bun.G1 == pytest.approx((p.psi1 - p.psi2) * s.u + 1.0 - p.psi1)
     assert bun.G2 == pytest.approx((p.psi1 - p.psi2) * s.v + 1.0 - p.psi1)
-    # H carries the coefficient structure of the consumption equation.
-    assert bun.H == pytest.approx(
-        powz(p1, 1.0 / p.psi1 - 1.0) * bun.P_eps / w, rel=1e-13
-    )
+
+
+def test_consumption_rate_matches_its_a1_h_form(rng):
+    """X = (MPK - rho - delta_k)/eps + delta_k - (v/w) Y1, consumption
+    growth less capital growth without -c/k, equals the A1 H/eps form of
+    the consumption equation it replaced, to 1e-13 of the largest of its
+    terms, over the five cases, random interior states and states past the
+    corner u, v > 1."""
+    for psi1, psi2 in CASE_PSI.values():
+        p = bench_params(psi1, psi2)
+        states = [random_interior_state(rng) for _ in range(40)]
+        states += [State(12.0, 0.2, 1.3, 1.5), State(3.0, 0.1, 2.5, 0.4)]
+        for s in states:
+            w = w_of(s)
+            y1, mpk = sector_rates(w, p)[4:6]
+            scale = max(mpk / p.eps, (p.rho + p.delta_k) / p.eps, p.delta_k, s.v / w * y1)
+            form = sum(consumption_terms(w, s.u, s.v, p))
+            assert abs(aux_of(s, p).X - form) <= 1e-13 * scale
 
 
 def test_aux_bundle_is_immutable():
@@ -285,7 +298,7 @@ def test_aux_extends_outside_unit_box():
     bun = AuxBundle(*aux_from_wuv(12.0, 1.3, 1.5, p))
     assert all(
         math.isfinite(x)
-        for x in (bun.D, bun.P, bun.T, bun.G1, bun.G2, bun.Q, bun.R, bun.H)
+        for x in (bun.D, bun.P, bun.T, bun.G1, bun.G2, bun.Q, bun.R, bun.X)
     )
 
 
@@ -297,6 +310,7 @@ def test_growth_gap_sign_flips_across_root():
     ss = steady_state(p)
     bun = aux_of(State(ss.z_star, ss.q_star, ss.u_star, ss.v_star), p)
     assert bun.D + ss.q_star == pytest.approx(0.0, abs=1e-10)
+    assert bun.X + ss.q_star == pytest.approx(0.0, abs=1e-10)
     assert bun.P == pytest.approx(0.0, abs=1e-10)
 
 

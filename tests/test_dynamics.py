@@ -798,7 +798,9 @@ def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
     """Where no seed passes the invariance gate, the path starts from the
     linear seed x* + v s_end, SEED_SCALE |x*| out, reports no rows of W,
     and is the path the linear seed gives: case 1 from 1.1 z* in 303 steps
-    and 1 814 rhs calls, to t = 0.9185382822975565. Its (q, u, v) at z0
+    and 1 814 rhs calls, to t = 0.918538282297135 (q*'s last bit moves
+    this clock by 4.6e-13 relative: with q* from the A1 H/eps form of the
+    consumption equation it read 0.9185382822975565). Its (q, u, v) at z0
     are within 1e-9 of the seeded path's and its clock within 1e-7 (the
     linear seed's clock error; measured 9.8e-13 and 4.2e-8)."""
     params = params_of("case1")
@@ -810,7 +812,7 @@ def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
     assert meta["order"] == 1 and meta["seed_defect"] is None
     assert meta["s0"] == dynamics.SEED_SCALE * math.hypot(*ss[1:5])
     assert (len(traj), meta["steps"], meta["nfev"]) == (303, 303, 1814)
-    assert meta["t_stop"] == traj.time_rows[-1] == 0.9185382822975565
+    assert meta["t_stop"] == traj.time_rows[-1] == 0.918538282297135
     for a, b in zip(traj.state_rows[0][1:], seeded.state_rows[0][1:]):
         assert abs(a - b) <= 1e-9 * abs(b)
     assert abs(meta["t_stop"] - seeded.meta["t_stop"]) <= 1e-7

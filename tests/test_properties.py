@@ -14,7 +14,7 @@ from cesgrowth.params import PSI_FLOOR
 from cesgrowth.stability import rhs_reduced_values
 from cesgrowth.steady import gap_P, gap_slope, solve_w
 
-from conftest import NEWTON_OVERFLOW
+from conftest import NEWTON_OVERFLOW, Y2_UNDERFLOW
 from oracles import complex_step_jacobian
 
 ALPHA = st.floats(0.05, 0.95)
@@ -41,6 +41,7 @@ OFF_PATH = st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0),
 @given(ECONOMY)
 @example(NEWTON_OVERFLOW[0])
 @example(NEWTON_OVERFLOW[1])
+@example(Y2_UNDERFLOW)
 def test_every_economy_ends_in_a_result_or_a_typed_error(fields):
     """steady_state and stability_report return, or raise a CesGrowthError;
     any other exception fails the test. A balanced path that steady_state
@@ -122,9 +123,9 @@ def test_the_closed_form_jacobian_matches_complex_steps(fields, off):
     of max|J| (measured at most 6e-34), both with the economy's constants
     in 60 digits too; with its float constants, 1/psi1 rounded, say, the
     rhs is another model, up to 3e-13 of max|J| away. A state where R
-    vanishes in 60 digits, as on an economy with psi1 = psi2 and alpha1 =
-    alpha2, where T is 0 and only rounding passes the float guard, has no
-    Jacobian. Over 29 212 solved draws, 6 states parted. Where the complex
+    vanishes in 60 digits has no Jacobian; where the sectors are identical
+    (psi1 = psi2, alpha1 = alpha2), T is 0 and the float guard, relative
+    to T's terms, raises first. Over 29 212 solved draws, 6 states parted. Where the complex
     steps raise off the path, jacobian_fd raises the same type of error."""
     params = ModelParams(**fields)
     try:

@@ -19,11 +19,12 @@ from cesgrowth import (
     stability_report,
     steady_state,
 )
-from cesgrowth.core import sector_rates
-from cesgrowth.stability import _lambda_w, _roots2, classify, rhs_reduced_values
+from cesgrowth.core import aux_from_wuv, sector_rates
+from cesgrowth.stability import _roots2, classify, rhs_reduced_values
 from cesgrowth.steady import closed_forms, gap_P
 
 from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, U_STAR_NEAR_ONE, bench_params
+from oracles import lambda_w_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -135,7 +136,10 @@ def test_lambda_w_takes_the_sign_of_one_less_tau0():
     """sign lambda_w = sign(1 - tau0*), the factor-intensity ranking, on
     every economy of the wider draw that solves, with no exception; the
     draw covers both halves, 10 072 economies with tau0* < 1 and 8 830 with
-    tau0* > 1. lambda_w is the spectrum's."""
+    tau0* > 1. lambda_w is read from eigen4's spectrum, the real root that
+    matches oracles.lambda_w_of, the closed form -(MPK (1 - alpha1) P2 +
+    MPH S2 P1)/T, to 1e-14 relative (measured 5.8e-16; the spectrum's
+    other roots lie at least 0.58 |lambda_w| away)."""
     rng = np.random.default_rng(3)
     columns = {name: rng.uniform(lo, hi, 20_000) for name, (lo, hi) in WIDE_DRAW.items()}
     halves = [0, 0]
@@ -145,8 +149,10 @@ def test_lambda_w_takes_the_sign_of_one_less_tau0():
             ss = steady_state(params)
         except CesGrowthError:
             continue
-        lam_w = _lambda_w(ss.w_star, params)
-        assert complex(lam_w, 0.0) in eigen4(ss, params), i
+        closed = lambda_w_of(ss.w_star, params)
+        lam_w = min(eigen4(ss, params), key=lambda x: abs(x - closed))
+        assert lam_w.imag == 0.0 and abs(lam_w.real - closed) <= 1e-14 * abs(closed), i
+        lam_w = lam_w.real
         assert lam_w and (lam_w > 0.0) == (ss.tau0 < 1.0), i
         halves[ss.tau0 < 1.0] += 1
     assert halves == [8830, 10072]
@@ -190,6 +196,31 @@ def _split_mpmath(params, dps=50):
         lam_w = mpmath.diff(g, w)
         ev = [0, lam_w] + list(mpmath.eig(j2, left=False, right=False))
         return float(lam_w), sorted((complex(e) for e in ev), key=lambda e: (e.real, e.imag))
+
+
+def _pool_economy(index: int) -> ModelParams:
+    pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
+    return ModelParams(**{n: float(getattr(pool, n)[index]) for n in PARAM_NAMES})
+
+
+@pytest.mark.parametrize("params", [ModelParams(**U_STAR_NEAR_ONE),
+                                    *(ModelParams(**STIFF_POOL[i]) for i in sorted(STIFF_POOL)),
+                                    _pool_economy(10)],
+                         ids=["u_star_near_one", *(f"stiff{i}" for i in sorted(STIFF_POOL)),
+                              "pool10"])
+def test_closed_forms_zero_the_rhs_in_50_digits(params):
+    """At a 50-digit root w* of gap_P, closed_forms' x* is a zero of
+    rhs_reduced_values in 50-digit arithmetic: each coordinate's rate
+    |xdot_i/x_i| is below 1e-30 (measured at most 1.4e-38). Both write
+    the consumption equation from the same growth rates, so nothing but
+    the arithmetic's rounding parts them; with q* written from A1 H/eps
+    and float constants the rates read 1e-18 to 1.5e-14."""
+    with mpmath.workdps(50):
+        w = mpmath.findroot(lambda w: gap_P(w, params), mpmath.mpf(steady_state(params).w_star))
+        star = closed_forms(w, params)
+        x = (star.z_star, star.q_star, star.u_star, star.v_star)
+        rates = [abs(d / c) for d, c in zip(rhs_reduced_values(*x, params), x)]
+    assert max(rates) < 1e-30
 
 
 def test_slow_saddles_stable_root_is_g_prime():
@@ -396,3 +427,35 @@ def test_jacobian_raises_the_rhs_guards(guard, params_case1):
         raised.append((str(exc.value), exc.value.state))
     assert raised[0] == raised[1]
     assert raised[0][0].startswith({"u = v": "u - v", "R = 0": "R ="}.get(guard, "w ="))
+
+
+def _identical_sectors(alpha: float, psi: float) -> ModelParams:
+    return ModelParams(A1=1.0, A2=0.2, alpha1=alpha, alpha2=alpha, psi1=psi, psi2=psi,
+                       delta_k=0.05, delta_h=0.05, eps=2.0, rho=0.05)
+
+
+def test_r_guard_is_relative_to_the_share_terms():
+    """Where the sectors are identical (alpha1 = alpha2, psi1 = psi2), T =
+    (1 - alpha2) S1 - (1 - alpha1) S2 vanishes at every state and R is the
+    rounding of T's terms. At w = 1e14, u = 0.6, v = 0.5 of the economy
+    below, R reads 1.9e-13 where S1 = 364, past a floor of 1e-14 on |R|;
+    the floor on |T| is R_FLOOR times (1 - alpha2) S1 + (1 - alpha1) S2, so
+    rhs_reduced_values and jacobian_fd both raise there, with the same
+    message and state, and at each w of 1e3, 1e8 and 1e14 for 1 000 draws
+    of alpha ~ U(0.05, 0.95) and psi ~ U(-3, 0.9)."""
+    x = (1e14 * 0.6 / 0.5, 0.1, 0.6, 0.5)
+    params = _identical_sectors(0.12561380922414633, 0.2473121758482515)
+    assert 1e-14 < abs(aux_from_wuv(1e14, 0.6, 0.5, params)[6]) < 1e-12
+    raised = []
+    for f in (rhs_reduced_values, jacobian_fd):
+        with pytest.raises(SingularStateError) as exc:
+            f(*x, params)
+        raised.append((str(exc.value), exc.value.state))
+    assert raised[0] == raised[1] and raised[0][0].startswith("R =")
+    rng = np.random.default_rng(0)
+    for alpha, psi in zip(rng.uniform(0.05, 0.95, 1000), rng.uniform(-3.0, 0.9, 1000)):
+        params = _identical_sectors(float(alpha), float(psi))
+        for w in (1e3, 1e8, 1e14):
+            for f in (rhs_reduced_values, jacobian_fd):
+                with pytest.raises(SingularStateError):
+                    f(w * 0.6 / 0.5, 0.1, 0.6, 0.5, params)

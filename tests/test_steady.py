@@ -35,6 +35,7 @@ from conftest import (
     NEWTON_OVERFLOW,
     STIFF_POOL,
     U_STAR_AT_ONE,
+    Y2_UNDERFLOW,
     bench_params,
 )
 
@@ -133,6 +134,18 @@ def test_u_star_at_one_raises_allocation_error():
     with pytest.raises(AllocationOutOfRangeError) as info:
         steady_state(ModelParams(**U_STAR_AT_ONE))
     assert not 0.0 < info.value.u_star < 1.0
+
+
+def test_y2_underflow_raises_allocation_error():
+    """Y2 rounds to 0 at the root: 1 - u* = (r* + delta_h)/Y2 is -inf for
+    one economy as for a one-element family, not a ZeroDivisionError."""
+    params = ModelParams(**Y2_UNDERFLOW)
+    with pytest.raises(AllocationOutOfRangeError, match=r"u\*=inf, v\*=nan$") as info:
+        steady_state(params)
+    assert info.value.u_star == math.inf
+    family = ModelParams(**{k: np.array([v]) for k, v in Y2_UNDERFLOW.items()})
+    with np.errstate(all="ignore"):
+        assert closed_forms(solve_w(family), family).u_star[0] == math.inf
 
 
 def test_steady_state_record_type(params_case1):
