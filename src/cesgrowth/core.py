@@ -22,11 +22,11 @@ def tau_of(u: float, v: float) -> float:
 def sector_rates(w, params: ModelParams) -> tuple:
     """Sector rates at the effective capital ratio w, as a plain tuple.
 
-    w is a positive float, a complex number with positive real part
-    (dynamics' transverse-half eigenvector and curvature differentiate
-    through it by complex steps) or a numpy array of
-    positive floats, read elementwise; every power base is then positive:
-    w, theta and P_i > 1 - alpha_i > 0.
+    w is a positive float or a numpy array of positive floats, read
+    elementwise; every power base is then positive: w, theta and
+    P_i > 1 - alpha_i > 0. The package calls it on nothing else; a complex
+    w with positive real part or an mpmath number runs the same code, for
+    the tests' complex-step and high-precision oracles.
 
     Returns (P1, P2, S1, S2, Y1, MPK, Y2, MPH, P) where
     S1 = alpha1 w^psi1 and S2 = alpha2 theta^{-psi2/(1-psi2)} w^{psi2(1-psi1)/(1-psi2)}

@@ -3,8 +3,8 @@
 F = ln tau - ln tau0(w) is conserved, the balanced path lies on F = 0,
 and w = (v/u) z follows w' = g(w) alone, so a path is integrated on
 (w, z, q) with stability.plane_terms' rhs. Everything here runs on
-Python floats, and on complex numbers for a complex step; numpy is
-imported only when a Trajectory's array view is read.
+Python floats; numpy is imported only when a Trajectory's array view is
+read.
 """
 
 import math
@@ -18,10 +18,9 @@ from .errors import (
     TargetNotReachedError,
 )
 from .params import ModelParams
-from .stability import _j2, allocations, classify, eigen4, plane_terms
-# The benchmark's tracer wraps these names in this namespace
-# (perfbench/spans.py); nothing here calls them.
-from .stability import jacobian_fd, rhs_reduced_values  # noqa: F401
+from .stability import _j2, allocations, classify, eigen4, g_curvature, jacobian_fd, plane_terms
+# Only for the benchmark's tracer, which wraps it here (perfbench/spans.py).
+from .stability import rhs_reduced_values  # noqa: F401
 from .steady import steady_state
 
 # Coordinate floor at which integration halts.
@@ -36,11 +35,6 @@ T_BUDGET = 500.0
 # the step in ln |s| between rows reported from it at |s| = |x*|.
 MANIFOLD_ORDER = 6
 MANIFOLD_ROW_STEP = 0.0756
-# Relative step of the central difference that gives g''(w*).
-CURVATURE_STEP = 1e-4
-# The imaginary step of the complex steps of plane_terms: the curvature's
-# slopes and the transverse-half eigenvector.
-COMPLEX_STEP = 1e-20
 
 # Shampine's (1986) quartic dense output for the Dormand & Prince (1980)
 # 5(4) pair, one row per stage; the pair's own coefficients are written
@@ -182,13 +176,9 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
             coeffs = coeffs[:2]
     else:
         # w moves on its own, w' = g(w), so the clock is w's: the seed's w
-        # is W's to second order, g(W(s)) = lambda s W'(s), with g'' a
-        # central difference of complex-step slopes. (z, q) off W by O(s^2)
-        # decays in reversed time.
-        h, step = COMPLEX_STEP, CURVATURE_STEP * w_star
-        up, down = (plane_terms(complex(w, h), params)[4].imag
-                    for w in (w_star + step, w_star - step))
-        w2 = (up - down) / (4.0 * step * h) * dw * dw / rate
+        # is W's to second order, g(W(s)) = lambda s W'(s), with g''(w*) in
+        # closed form. (z, q) off W by O(s^2) decays in reversed time.
+        w2 = g_curvature(w_star, sector_rates(w_star, params), params) * dw * dw / (2.0 * rate)
         coeffs = [(0.0, z_star, q_star), (dw, dz, dq), (w2, 0.0, 0.0)]
         seed, setup_nfev = None, 0
     s0, defect, rows = seed or (s_end, None, [(0.0, _horner(coeffs, s_end))])
@@ -229,33 +219,36 @@ def stable_eigenpair(ss, params: ModelParams, eigenvalues) -> tuple:
     least real part. Where tau0* < 1 it is J2's, and (dz, dq) = (1,
     (lambda - j11)/j12) on the plane w = w*. Where tau0* > 1 it is
     lambda_w, and (dw, dz, dq) = (1, dz, dq) with (J2 - lambda I)(dz, dq) =
-    -d(z', q')/dw, from one complex step of plane_terms at w* + ih.
+    -d(z', q')/dw at fixed (z, q): jacobian_fd's rows z', q' in u, v times
+    the allocations' slopes at fixed z, w du/dw = (r (p - 1) d - (r - 1) p
+    tau0)/d^2 and w dv/dw = ((p tau0 - w/z) d - (tau0 - w/z) p tau0)/d^2,
+    tau0 ~ w^p, p = psi1 - e, d = tau0 - 1, r = tau0 z/w. On both halves
+    du/dz = tau0/(d w) and dv/dz = w/(d z^2).
     """
     if not classify(eigenvalues)[0]:
         raise NoRealStableEigenvectorError(
             f"no stable eigenvalue: real parts {[x.real for x in eigenvalues]}"
         )
     lam = eigenvalues[0]
-    if lam.imag:
+    if lam != lam.real:
         raise NoRealStableEigenvectorError(
             f"stable eigenvector is complex (eigenvalue {lam})"
         )
     terms = plane_terms(ss.w_star, params)
     rate, w, z, q, tau0 = lam.real, ss.w_star, ss.z_star, ss.q_star, terms[5]
-    j11, j12, j21, j22 = _j2(terms, z, q)
+    (j11, j12, j21, j22), d = _j2(terms, z, q), tau0 - 1.0
     if tau0 < 1.0:
-        dw, dz, dq = 0.0, 1.0, (rate - j11) / j12
-        du, dv = tau0 / ((tau0 - 1.0) * w), w / ((tau0 - 1.0) * z * z)
+        dw, dz, dq, uw, vw = 0.0, 1.0, (rate - j11) / j12, 0.0, 0.0
     else:
-        h = COMPLEX_STEP
-        a, b, c, e, _, tau0_h = plane_terms(complex(w, h), params)
-        fz = -(b.imag * z * z + a.imag * z + c.imag) / h
-        fq = q * (c.imag / z - e.imag) / h
+        p, r = params.rate_terms[3] - params.rate_terms[8], tau0 * z / w
+        uw = (r * (p - 1.0) * d - (r - 1.0) * p * tau0) / (d * d * w)
+        vw = ((p * tau0 - w / z) * d - (tau0 - w / z) * p * tau0) / (d * d * w)
+        (_, _, zu, zv), (_, _, qu, qv), *_ = jacobian_fd(z, q, ss.u_star, ss.v_star, params)
+        fz, fq = zu * uw + zv * vw, qu * uw + qv * vw
         d11, d22 = j11 - rate, j22 - rate
         det = d11 * d22 - j12 * j21
         dw, dz, dq = 1.0, (j12 * fq - d22 * fz) / det, (j21 * fz - d11 * fq) / det
-        u_h, v_h = allocations(tau0_h, complex(w, h), complex(z, h * dz))
-        du, dv = u_h.imag / h, v_h.imag / h
+    du, dv = uw * dw + tau0 / (d * w) * dz, vw * dw + w / (d * z * z) * dz
     norm = math.hypot(dz, dq, du, dv)
     return lam, (dw / norm, dz / norm, dq / norm, du / norm, dv / norm), terms
 

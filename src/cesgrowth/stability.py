@@ -131,10 +131,10 @@ def _roots2(b: float, c: float) -> list:
 
 
 def plane_terms(w, params: ModelParams, rates: tuple | None = None) -> tuple:
-    """(a, b, c, e, g, tau0) at the effective capital ratio w, a float or a
-    complex number, from rates, the sector_rates tuple at w, where the
-    caller has it, or one sector_rates call: the one place the reduced
-    system on F = 0 is written. With gamma = tau0/(tau0 - 1),
+    """(a, b, c, e, g, tau0) at the effective capital ratio w, a float (or
+    mpmath or complex in the tests' oracles), from rates, the sector_rates
+    tuple at w, where the caller has it, or one sector_rates call: the one
+    place the reduced system on F = 0 is written. With gamma = tau0/(tau0 - 1),
     T = (1 - alpha2) S1 - (1 - alpha1) S2, r(w) = core.consumption_growth(MPK)
     and the rates of sector_rates,
 
@@ -209,6 +209,24 @@ def eigen4(ss: SteadyState, params: ModelParams) -> tuple:
         (1.0 - psi1) * (one_less_alpha2 * s1 - one_less_alpha1 * s2))
     spectrum = [0j, complex(lambda_w, 0.0)] + pair
     return tuple(sorted(spectrum, key=lambda x: (x.real, x.imag)))
+
+
+def g_curvature(w, rates: tuple, params: ModelParams):
+    """g''(w) at a root w of P, from the sector_rates tuple at w. With f' =
+    df/d ln w, g = w K P and K = P1 P2/((1 - psi1) T); at P = 0, g'(w) = K P'
+    (eigen4's lambda_w) and w g'' = K ((1 + 2 K'/K) P' + P''), where K'/K =
+    psi1 S1/P1 + e S2/P2 - T'/T, T' = (1 - alpha2) psi1 S1 - (1 - alpha1) e S2,
+    e = rate_terms[8], P' is steady.rates_slope and, as MPK' = -(1 - psi1)(1 -
+    alpha1) MPK/P1 and MPH' = (1 - psi1) MPH S2/P2, P'' = (1 - psi1)((1 - alpha1)
+    MPK ((1 - psi1)(1 - alpha1) + psi1 S1)/P1^2 - MPH (S2/P2)(e + (1 - psi1 - e) S2/P2))."""
+    p1, p2, s1, s2, _, mpk, _, mph, _ = rates
+    _, one_less_alpha1, one_less_alpha2, psi1, *_, e, _, _, _ = params.rate_terms
+    t, x2 = one_less_alpha2 * s1 - one_less_alpha1 * s2, s2 / p2
+    dk = psi1 * s1 / p1 + e * x2 - (one_less_alpha2 * psi1 * s1 - one_less_alpha1 * e * s2) / t
+    d2p = (1.0 - psi1) * (one_less_alpha1 * mpk * ((1.0 - psi1) * one_less_alpha1 + psi1 * s1)
+                          / (p1 * p1) - mph * x2 * (e + (1.0 - psi1 - e) * x2))
+    slope = (1.0 + 2.0 * dk) * rates_slope(rates, params) + d2p
+    return p1 * p2 * slope / ((1.0 - psi1) * t * w)
 
 
 class StabilityReport(NamedTuple):

@@ -4,7 +4,8 @@ No command of the package needs these. They check it from outside: the
 level system rhs_full against the reduced system, the share-form outputs
 and their psi-derivatives against the normalized CES family, the rows
 of a comparison table by name, a complex-step Jacobian of the reduced
-system, the consumption equation and lambda_w in the package's former
+system and a complex-step stable eigenvector where w moves, the
+consumption equation and lambda_w in the package's former
 notation, and the plain forms of three of dynamics' inner loops: Horner's
 rule on lists, bisection and the Dormand-Prince stepper on lists.
 """
@@ -23,7 +24,7 @@ from cesgrowth.normalization import (
     psi_of_sigma,
 )
 from cesgrowth.params import ModelParams
-from cesgrowth.stability import rhs_reduced_values
+from cesgrowth.stability import _j2, allocations, plane_terms, rhs_reduced_values
 from cesgrowth.steady import steady_state
 
 
@@ -213,6 +214,30 @@ def complex_step_jacobian(z: float, q: float, u: float, v: float,
         xi[i] += h * 1j
         columns.append([f.imag / h for f in rhs_reduced_values(*xi, params)])
     return tuple(zip(*columns))
+
+
+def complex_step_eigenvector(ss, params: ModelParams, rate: float,
+                             step: float = 1e-20) -> tuple:
+    """The unit stable eigenvector (dw, dz, dq, du, dv) at the balanced path
+    ss where tau0* > 1, for its stable root rate = lambda_w, in the form
+    dynamics.stable_eigenpair had before its closed form: (dw, dz, dq) =
+    (1, dz, dq) with (J2 - lambda I)(dz, dq) = -d(z', q')/dw at fixed
+    (z, q), the slope from one complex step of plane_terms at w* + ih
+    (Martins, Sturdza & Alonso 2003, ACM TOMS 29), and (du, dv) the
+    imaginary parts of allocations at (w* + ih, z* + ih dz) over h. Unit in
+    (dz, dq, du, dv)."""
+    h, w, z, q = step, ss.w_star, ss.z_star, ss.q_star
+    j11, j12, j21, j22 = _j2(plane_terms(w, params), z, q)
+    a, b, c, e, _, tau0_h = plane_terms(complex(w, h), params)
+    fz = -(b.imag * z * z + a.imag * z + c.imag) / h
+    fq = q * (c.imag / z - e.imag) / h
+    d11, d22 = j11 - rate, j22 - rate
+    det = d11 * d22 - j12 * j21
+    dz, dq = (j12 * fq - d22 * fz) / det, (j21 * fz - d11 * fq) / det
+    u_h, v_h = allocations(tau0_h, complex(w, h), complex(z, h * dz))
+    du, dv = u_h.imag / h, v_h.imag / h
+    norm = math.hypot(dz, dq, du, dv)
+    return 1.0 / norm, dz / norm, dq / norm, du / norm, dv / norm
 
 
 def normalized_y(

@@ -30,13 +30,16 @@ whose tau0* > 1, so that w moves along their paths.
 
     python tests/reference_paths.py          # add the missing starts to reference_paths.json
     python tests/reference_paths.py --check  # regenerate every start; exit 1 on drift
+    python tests/reference_paths.py --check pool10 stiff35  # only these cases' rows
 
 Writing keeps the stored rows as they are and computes only the starts
-the table lacks. --check regenerates every stored row from its stored
-z0, not from factor times the package's float z*, which a change may
-move within the gap's rounding, and compares every figure with the
-regenerated one to 1e-15 relative, far below the tests' bounds; it takes
-about 33 minutes of one core, 24 of them for the two 50-digit rows.
+the table lacks. --check regenerates every stored row, or with case
+names (1-5, "stiff35", "pool10", "u_star_near_one") only those cases'
+rows, from its stored z0, not from factor times the package's float z*,
+which a change may move within the gap's rounding, and compares every
+figure with the regenerated one to 1e-15 relative, far below the tests'
+bounds; the whole table takes about 33 minutes of one core, 24 of them
+for the two 50-digit rows. Any other argument exits 2 with a usage line.
 """
 
 import json
@@ -80,6 +83,7 @@ ODE_TOL = 1e-18
 HIGH_PRECISION = {"u_star_near_one": (50, 1e-40)}
 SEED_FRACTION = 1e-10
 DRIFT_RTOL = 1e-15
+USAGE = "usage: python tests/reference_paths.py [--check [CASE ...]]"
 
 
 def economy(case) -> ModelParams:
@@ -176,8 +180,6 @@ def regenerated(rows: list) -> list:
 
 def drift(old: list, new: list) -> list:
     """Lines naming each figure of new that differs from old."""
-    if [(r["case"], r["factor"]) for r in old] != STARTS:
-        return ["the table's starts differ from STARTS"]
     lines = []
     for a, b in zip(old, new):
         for name in ("z0", "q", "u", "v", "clock", "lambda"):
@@ -191,11 +193,26 @@ def load() -> list:
     return json.loads(TABLE.read_text())
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] == ["--check"]:
-        rows = load()
+def main(args: list) -> int:
+    """Write the missing starts (no args) or check the table (--check, with
+    optional case names); the exit status."""
+    if not args:
+        TABLE.write_text(json.dumps(completed(load() if TABLE.exists() else []), indent=1) + "\n")
+        print(f"wrote {TABLE}")
+        return 0
+    cases = [int(a) if a.isdigit() else a for a in args[1:]]
+    if args[0] != "--check" or not set(cases) <= {case for case, _ in STARTS}:
+        print(USAGE, file=sys.stderr)
+        return 2
+    rows = load()
+    if [(r["case"], r["factor"]) for r in rows] != STARTS:
+        lines = ["the table's starts differ from STARTS"]
+    else:
+        rows = [r for r in rows if not cases or r["case"] in cases]
         lines = drift(rows, regenerated(rows))
-        print("\n".join(lines) or f"{TABLE.name}: no drift")
-        sys.exit(1 if lines else 0)
-    TABLE.write_text(json.dumps(completed(load() if TABLE.exists() else []), indent=1) + "\n")
-    print(f"wrote {TABLE}")
+    print("\n".join(lines) or f"{TABLE.name}: no drift")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

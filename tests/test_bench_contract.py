@@ -15,9 +15,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from perfbench.spans import BOUNDARIES  # noqa: E402
+import numpy as np  # noqa: E402
 
-from cesgrowth import core, dynamics, stability, steady  # noqa: E402
+from perfbench.model import PARAM_NAMES  # noqa: E402
+from perfbench.spans import BOUNDARIES  # noqa: E402
+from perfbench.workloads import POOL_SEED, POOL_SIZE, draw_economies  # noqa: E402
+
+from cesgrowth import ModelParams, core, dynamics, stability, steady  # noqa: E402
 
 from conftest import bench_params  # noqa: E402
 
@@ -108,11 +112,25 @@ def test_closed_forms_and_eigen4_make_one_kernel_call(monkeypatch):
     assert not any(aux.values())
 
 
-def test_saddle_path_set_up_calls_the_kernel_three_times_at_w_star(monkeypatch):
+def _economy(half):
+    """bench_params(0.25, -0.10), where tau0* < 1 ("plane"), or economy 10
+    of the benchmark's economy_scan pool, where tau0* > 1 ("transverse")."""
+    if half == "plane":
+        return bench_params(0.25, -0.10)
+    pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
+    return ModelParams(**{n: float(getattr(pool, n)[10]) for n in PARAM_NAMES})
+
+
+@pytest.mark.parametrize("economy, factor, calls", [("plane", 0.9, 3), ("transverse", 1.1, 5)],
+                         ids=["plane", "transverse"])
+def test_saddle_path_set_up_kernel_calls_at_w_star(economy, factor, calls, monkeypatch):
     """After solve_w, a saddle path evaluates sector_rates at the float w*
-    three times, wherever it looks the kernel up: once in closed_forms,
-    once in eigen4 and once for stable_eigenpair's plane_terms."""
-    params = bench_params(0.25, -0.10)
+    a fixed number of times, wherever it looks the kernel up (_economy).
+    On the plane w = w* three: once in closed_forms, once in eigen4 and
+    once for stable_eigenpair's plane_terms. Where tau0* > 1 two more:
+    jacobian_fd's for stable_eigenpair's slopes in w, at (v*/u*) z*,
+    which rounds to w* there, and saddle_path's for g_curvature."""
+    params = _economy(economy)
     ss = steady.steady_state(params)
     at_w_star, solve_w, kernel = [], steady.solve_w, core.sector_rates
 
@@ -129,8 +147,8 @@ def test_saddle_path_set_up_calls_the_kernel_three_times_at_w_star(monkeypatch):
     monkeypatch.setattr(steady, "solve_w", solving)
     for module in (core, steady, stability, dynamics):
         monkeypatch.setattr(module, "sector_rates", counting)
-    dynamics.saddle_path(params, 0.9 * ss.z_star)
-    assert len(at_w_star) == 3
+    dynamics.saddle_path(params, factor * ss.z_star)
+    assert len(at_w_star) == calls
 
 
 def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
@@ -177,3 +195,19 @@ def test_the_spectrum_looks_up_eigen4_at_call_time(module, run, monkeypatch):
     monkeypatch.setattr(module, "eigen4", counting)
     run(bench_params(0.25, -0.10))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("economy", ["plane", "transverse"])
+@pytest.mark.parametrize("run", [_stability_report, _saddle_path],
+                         ids=["stability_report", "saddle_path"])
+def test_the_kernel_gets_float_w_only(run, economy, monkeypatch):
+    """Every sector_rates call that saddle_path and stability_report make,
+    through core's, steady's, stability's or dynamics' binding, gets a
+    Python float w, on both halves (_economy). No complex step or other
+    non-float argument reaches the kernel."""
+    params = _economy(economy)
+    assert (steady.steady_state(params).tau0 < 1.0) == (economy == "plane")
+    calls = _counting(monkeypatch, (core, steady, stability, dynamics), "sector_rates")
+    run(params)
+    ws = [args[0] for seen in calls.values() for args in seen]
+    assert ws and all(type(w) is float for w in ws)

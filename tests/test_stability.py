@@ -20,7 +20,7 @@ from cesgrowth import (
     steady_state,
 )
 from cesgrowth.core import aux_from_wuv, sector_rates
-from cesgrowth.stability import _roots2, classify, rhs_reduced_values
+from cesgrowth.stability import _roots2, classify, g_curvature, plane_terms, rhs_reduced_values
 from cesgrowth.steady import closed_forms, gap_P
 
 from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, U_STAR_NEAR_ONE, bench_params
@@ -104,6 +104,37 @@ def test_eigen4_matches_lapack_on_economy_scan_pool():
         assert _spread(rep.eigenvalues, lapack) <= 1e-8, i
         assert classify(rep.eigenvalues) == classify(lapack), i
     assert solved == 2995
+
+
+def test_g_slopes_match_50_digit_differences_on_transverse_pool_economies():
+    """On the first 60 economies of the economy_scan pool with tau0* > 1,
+    where w moves along the saddle path: g'(w*), eigen4's stable root
+    lambda_w, and g''(w*) from g_curvature agree with mpmath.diff of
+    plane_terms' g at the 50-digit root of gap_P to 1e-13 and 1e-12
+    relative (measured 5.9e-15 and 5.0e-13; the central difference of
+    complex-step slopes that g_curvature replaced missed g'' by up to
+    1.04e-5 on them)."""
+    pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
+    checked = 0
+    for i in range(POOL_SIZE):
+        params = ModelParams(**{n: float(getattr(pool, n)[i]) for n in PARAM_NAMES})
+        try:
+            ss = steady_state(params)
+        except CesGrowthError:
+            continue
+        if ss.tau0 < 1.0:
+            continue
+        lam = eigen4(ss, params)[0]
+        g2 = g_curvature(ss.w_star, sector_rates(ss.w_star, params), params)
+        with mpmath.workdps(50):
+            w = mpmath.findroot(lambda w: gap_P(w, params), mpmath.mpf(ss.w_star))
+            d1, d2 = (mpmath.diff(lambda w: plane_terms(w, params)[4], w, k) for k in (1, 2))
+        assert lam.imag == 0.0 and abs(lam.real - d1) <= 1e-13 * abs(d1), i
+        assert abs(g2 - d2) <= 1e-12 * abs(d2), i
+        checked += 1
+        if checked == 60:
+            break
+    assert checked == 60
 
 
 def test_every_pool_economy_keeps_its_label():
