@@ -4,8 +4,9 @@ Subcommands: steady | stability | sweep | compare | trajectory.
 Exit codes: 0 success, 2 validation, 3 numeric failure, 4 comparison
 mismatch, 5 I/O.
 
-Only sweep imports numpy; steady, stability, compare and trajectory run
-on Python floats, so their start-up skips numpy's import.
+Only sweep imports numpy and csvrows, its CSV writer; steady, stability,
+compare and trajectory run on Python floats, so their start-up skips
+numpy's import.
 """
 
 import argparse
@@ -55,7 +56,9 @@ _SWEEP_COLUMNS = (
 
 
 def _fmt(x: float) -> str:
-    """Bit-faithful double: 17 significant digits, '.' decimal separator."""
+    """Bit-faithful double: the bytes of "%.17g", 17 significant digits and a
+    '.' decimal separator. The cells of a sweep's solved CSV rows are the
+    same bytes, written for the whole table by csvrows."""
     return format(float(x), ".17g")
 
 
@@ -266,14 +269,15 @@ def cmd_sweep(args) -> int:
         ]
         _write(json.dumps(rows, indent=2) + "\n", args.out)
         return 0
-    solved_row = "%.17g," * (len(_SWEEP_COLUMNS) - 1)
+    from .csvrows import rows_text
+
     error_cells = "," * (len(_SWEEP_COLUMNS) - 1)
-    lines = [",".join(_SWEEP_COLUMNS)]
-    lines += [
-        _fmt(row[0]) + error_cells + err if err else solved_row % tuple(row)
-        for row, err in zip(values.tolist(), errors)
-    ]
-    _write("\n".join(lines) + "\n" + _monotone_summary(values, errors), args.out)
+    failed = {
+        i: _fmt(values[i, 0]) + error_cells + err + "\n"
+        for i, err in enumerate(errors) if err
+    }
+    _write(",".join(_SWEEP_COLUMNS) + "\n" + rows_text(values, failed)
+           + _monotone_summary(values, errors), args.out)
     return 0
 
 

@@ -6,14 +6,16 @@ and their psi-derivatives against the normalized CES family, the rows
 of a comparison table by name, a complex-step Jacobian of the reduced
 system and a complex-step stable eigenvector where w moves, the
 consumption equation and lambda_w in the package's former
-notation, and the plain forms of three of dynamics' inner loops: Horner's
-rule on lists, bisection and the Dormand-Prince stepper on lists.
+notation, the plain forms of three of dynamics' inner loops: Horner's
+rule on lists, bisection and the Dormand-Prince stepper on lists, and the
+sweep's CSV writer in its former per-row "%.17g" form.
 """
 
 import math
 from typing import NamedTuple
 
 from cesgrowth import dynamics
+from cesgrowth.cli import _SWEEP_COLUMNS
 from cesgrowth.core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, sector_rates, tau_of
 from cesgrowth.errors import ParameterError, SingularStateError, StepSizeUnderflowError
 from cesgrowth.normalization import (
@@ -496,3 +498,18 @@ def dormand_prince(fun, y, max_step, events):
         ys.append(y)
         g = g_new
     return ts, ys, nfev, None, 0
+
+
+def sweep_csv(values, errors) -> str:
+    """The sweep's CSV header and rows, without the monotone footer, as the
+    per-row writer wrote them: each solved row's cells "%.17g," one row at
+    a time, and an error row as sigma, a comma per remaining value column
+    and the message."""
+    solved_row = "%.17g," * (len(_SWEEP_COLUMNS) - 1)
+    error_cells = "," * (len(_SWEEP_COLUMNS) - 1)
+    lines = [",".join(_SWEEP_COLUMNS)]
+    lines += [
+        format(row[0], ".17g") + error_cells + err if err else solved_row % tuple(row)
+        for row, err in zip(values.tolist(), errors)
+    ]
+    return "\n".join(lines) + "\n"

@@ -365,9 +365,10 @@ def test_cli_imports_without_scipy():
 
 
 # Modules a single-economy command does without: numpy, and dataclasses with
-# the inspect it imports (the records are named tuples). typing is not
-# checked: an interpreter's site may import it before the package does.
-NOT_IMPORTED = ("numpy", "dataclasses", "inspect")
+# the inspect it imports (the records are named tuples), and the sweep's CSV
+# writer. typing is not checked: an interpreter's site may import it before
+# the package does.
+NOT_IMPORTED = ("numpy", "dataclasses", "inspect", "cesgrowth.csvrows")
 NOT_IMPORTED_PROBE = f"print([m for m in {NOT_IMPORTED!r} if m in sys.modules])\n"
 
 
@@ -377,8 +378,9 @@ def test_import_cesgrowth_loads_no_numpy():
 
 def test_single_economy_commands_load_no_numpy(scenario_file):
     """steady, stability and compare run on Python floats from start to exit,
-    and without dataclasses or inspect; nor do they load cesgrowth.dynamics,
-    though the spectrum reads the plane's equations."""
+    and without dataclasses, inspect or the sweep's CSV writer; nor do they
+    load cesgrowth.dynamics, though the spectrum reads the plane's
+    equations."""
     path = scenario_file()
     argvs = [
         [command, "--scenario", path, "--format", fmt, *extra]
@@ -400,8 +402,9 @@ def test_single_economy_commands_load_no_numpy(scenario_file):
 
 
 def test_trajectory_loads_no_numpy(scenario_file):
-    """trajectory integrates, resamples and prints on Python floats: from an
-    ordinary start, from the balanced path and from a start that exits 3."""
+    """trajectory integrates, resamples and prints on Python floats, without
+    the sweep's CSV writer: from an ordinary start, from the balanced path
+    and from a start that exits 3."""
     z_star = steady_state(bench_params(*CASE_PSI[1])).z_star
     argvs = [
         ["trajectory", "--scenario",
