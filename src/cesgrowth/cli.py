@@ -10,6 +10,7 @@ numpy's import.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -350,6 +351,8 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# Built once per process: the parser holds no state between parse_args calls.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cesgrowth",

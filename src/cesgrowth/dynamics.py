@@ -10,7 +10,7 @@ read.
 import math
 from functools import cached_property
 
-from .core import sector_rates
+from .core import consumption_growth, sector_rates
 from .errors import (
     NoRealStableEigenvectorError,
     ParameterError,
@@ -190,8 +190,8 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
         rows = _manifold_rows(coeffs, rate, s0, s_end, scale)
         ts, ys, nfev = [0.0], [rows[0][1]], 0
     else:
-        # Near the seed derivatives are small, so the first-step heuristic
-        # would overshoot without a step cap.
+        # Every step, the first included, is capped at the path's own time
+        # scale: half the stable root's time constant 1/|lambda|, at most 1.
         ts, ys, nfev, hit, evals = _dormand_prince(
             fun, [(x - o) / unit for x, o in zip(rows[0][1], (0.0, z_star, q_star))],
             min(1.0, 0.5 / abs(rate)), lambda y: events(located(y)))
@@ -367,8 +367,11 @@ def _dormand_prince(fun, y, max_step, events):
     y is a sequence of three floats, and fun(*y) returns three. Dormand &
     Prince 5(4) with the step control of Hairer, Norsett & Wanner (Solving
     ODEs I, sec. II.4), the common RK45, at rtol SADDLE_RTOL and atol
-    SADDLE_ATOL. Each stage is written out for the three components, with
-    the pair's coefficients, so a step calls fun and events and nothing
+    SADDLE_ATOL. The first step is max_step (at most T_BUDGET), the
+    caller's time scale, after one call of fun: no starting-step estimate
+    is made, and a first step that fails the error test shrinks as any
+    other. Each stage is written out for the three components, with the
+    pair's coefficients, so a step calls fun and events and nothing
     else. After each accepted step, a component of events(y), which gives
     two values, that changes sign is located to one ulp of t by _illinois
     on the step's dense output, in about 7 evaluations; the earliest
@@ -378,18 +381,7 @@ def _dormand_prince(fun, y, max_step, events):
     t_bound, rtol, atol = float(T_BUDGET), SADDLE_RTOL, SADDLE_ATOL
     t, (x, z, q) = 0.0, y
     fx, fz, fq = f = fun(x, z, q)
-    # First step: two rhs calls, f at the seed and one Euler probe. Each
-    # norm is the root mean square of the three scaled components.
-    sx, sz, sq = atol + abs(x) * rtol, atol + abs(z) * rtol, atol + abs(q) * rtol
-    d0 = math.hypot(x / sx, z / sz, q / sq) / _ROOT3
-    d1 = math.hypot(fx / sx, fz / sz, fq / sq) / _ROOT3
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    ax, az, aq = fun(x + h0 * fx, z + h0 * fz, q + h0 * fq)
-    d2 = math.hypot((ax - fx) / sx, (az - fz) / sz, (aq - fq) / sq) / _ROOT3 / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / 5))
-    h_abs = min(100 * h0, h1, t_bound, max_step)
-    nfev, ts, ys = 2, [t], [y]
+    h_abs, nfev, ts, ys = min(t_bound, max_step), 1, [t], [y]
     old0, old1 = events(y)
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -500,28 +492,29 @@ def _illinois(g, lo, hi):
 def reconstruct_levels(
     traj: Trajectory, k0: float, params: ModelParams
 ) -> Trajectory:
-    """Integrate the capital-growth equation along a stored reduced path.
+    """Levels (k, h, c) along a stored reduced path, k = k0 at its first row.
 
-    k grows at A1 v w^{-1} P1^{1/psi1} - q - delta_k, summed by the
-    trapezoid rule on ln k from k0; h and c follow definitionally as
-    h = k/z and c = q k.
+    Consumption c = q k grows at the Keynes-Ramsey rate r(w) =
+    core.consumption_growth(MPK(w)), w = (v/u) z, summed by the trapezoid
+    rule on ln c, so k = k0 e^{int r} q0/q; h = k/z and c = q k. On the
+    plane w = w*, where r = r* all along the path, the sum is exact.
     """
     if len(traj) == 0:
         raise ParameterError("trajectory is empty")
     if not (math.isfinite(k0) and k0 > 0.0):
         raise ParameterError(f"k0 must be positive and finite, got {k0}")
-    delta_k = params.delta_k
-    levels, acc, t_old, g_old = [], 0.0, None, None
+    levels, acc, t_old, r_old, q0 = [], 0.0, None, None, traj.state_rows[0][1]
     for t, (z, q, u, v) in zip(traj.time_rows, traj.state_rows):
         if not u:
             raise ParameterError(f"u must be nonzero, got {u}")
-        w = v / u * z
-        g = v / w * sector_rates(w, params)[4] - q - delta_k
+        if not q:
+            raise ParameterError(f"q must be nonzero, got {q}")
+        r = consumption_growth(sector_rates(v / u * z, params)[5], params)
         if t_old is not None:
-            acc += (t - t_old) * (g + g_old) / 2.0
-        k = k0 * math.exp(acc)
+            acc += (t - t_old) * (r + r_old) / 2.0
+        k = k0 * math.exp(acc) * (q0 / q)
         levels.append((k, k / z, q * k))
-        t_old, g_old = t, g
+        t_old, r_old = t, r
     return Trajectory(
         times=list(traj.time_rows),
         states=list(traj.state_rows),

@@ -41,11 +41,6 @@ class NoConvergenceError(CesGrowthError):
 class MrsMismatchError(CesGrowthError):
     """The two sectoral marginal rates of substitution disagree."""
 
-    def __init__(self, message, m1=None, m2=None):
-        super().__init__(message)
-        self.m1 = m1
-        self.m2 = m2
-
 
 class BaselineMismatchError(CesGrowthError):
     """Two economies to be compared differ in more than their elasticities."""

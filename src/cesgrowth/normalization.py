@@ -106,9 +106,7 @@ def mrs_from_params(params: ModelParams, w_bar: float, tau_bar: float) -> tuple:
     m1 = _mrs(params.alpha1, params.psi1, w_bar)
     m2 = _mrs(params.alpha2, params.psi2, w_bar / tau_bar)
     if abs(m1 - m2) > MRS_MATCH_RTOL * max(abs(m1), abs(m2)):
-        raise MrsMismatchError(
-            f"sectoral marginal rates disagree: m1={m1}, m2={m2}", m1=m1, m2=m2
-        )
+        raise MrsMismatchError(f"sectoral marginal rates disagree: m1={m1}, m2={m2}")
     return m1, m2
 
 

@@ -426,16 +426,7 @@ def dormand_prince(fun, y, max_step, events):
     t_bound, rtol, atol = float(dynamics.T_BUDGET), dynamics.SADDLE_RTOL, dynamics.SADDLE_ATOL
     root_n = math.sqrt(len(y))
     t, f = 0.0, fun(y)
-    scale = [atol + abs(a) * rtol for a in y]
-    d0 = math.hypot(*[a / s for a, s in zip(y, scale)]) / root_n
-    d1 = math.hypot(*[a / s for a, s in zip(f, scale)]) / root_n
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    f0 = fun([a + h0 * b for a, b in zip(y, f)])
-    d2 = math.hypot(*[(a - b) / s for a, b, s in zip(f0, f, scale)]) / root_n / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / 5))
-    h_abs = min(100 * h0, h1, t_bound, max_step)
-    nfev, ts, ys, g = 2, [t], [y], events(y)
+    h_abs, nfev, ts, ys, g = min(t_bound, max_step), 1, [t], [y], events(y)
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)

@@ -8,6 +8,7 @@ in a later `--trace 1` run.
 
 import importlib
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -17,9 +18,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import numpy as np  # noqa: E402
 
+from perfbench import checks  # noqa: E402
 from perfbench.model import PARAM_NAMES  # noqa: E402
 from perfbench.spans import BOUNDARIES  # noqa: E402
-from perfbench.workloads import POOL_SEED, POOL_SIZE, draw_economies  # noqa: E402
+from perfbench.workloads import WORKLOADS, POOL_SEED, POOL_SIZE, draw_economies  # noqa: E402
 
 from cesgrowth import ModelParams, core, dynamics, stability, steady  # noqa: E402
 
@@ -211,3 +213,38 @@ def test_the_kernel_gets_float_w_only(run, economy, monkeypatch):
     run(params)
     ws = [args[0] for seen in calls.values() for args in seen]
     assert ws and all(type(w) is float for w in ws)
+
+
+# The failures each workload counts by name and keeps, rather than report
+# as a wrong output.
+KEPT_CAUSES = {
+    "cli_session": set(),
+    "sigma_sweep": {checks.GUARD_BAND},
+    "economy_scan": set(),
+    "transition_paths": {checks.INFEASIBLE_PATH, checks.TARGET_NOT_REACHED},
+}
+
+
+class NoTracer:
+    enabled = False
+
+    def operation(self, call, *args):
+        return call(*args)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_one_round_of_each_workload_passes_the_benchmarks_checks(name, tmp_path, monkeypatch):
+    """One untraced round of each benchmark workload, from seed 3, passes
+    the benchmark's own checks of the program's outputs: no problem, and
+    no failure but the workload's kept causes. cli_session runs its
+    commands as fresh processes from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
+    workload = WORKLOADS[name](str(root), 3, str(tmp_path))
+    workload.prepare()
+    workload.references()
+    rnd = workload.run_round(NoTracer())
+    assert rnd.attempted > 0
+    assert rnd.problems == []
+    assert set(rnd.failures) <= KEPT_CAUSES[name]

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
+import argparse
 import json
 import math
 import os
@@ -571,6 +572,44 @@ def test_sweep_json_rows_keep_their_keys(scenario_file, capsys):
     assert list(rows[1]) == list(cli._SWEEP_COLUMNS[:-1])
     assert list(rows[-1]) == ["sigma", "error"]
     assert rows[-1]["error"].startswith("no sign change of gap_P")
+
+
+def test_sweep_k_bar_scales_only_the_outputs(scenario_file, capsys):
+    """baseline.k_bar sets the level at which a family anchored at its own
+    balanced path is normalized: with k_bar = 2 the sweep's y1_star and
+    y2_star are twice their values without the key (k_bar = 1), and every
+    other column is the same to 1e-13 relative."""
+    spec = {"sigma": "1", "lo": 1.05, "hi": 1.45, "n": 9}
+    sweeps = []
+    for baseline in ({"source": "steady_state"}, {"source": "steady_state", "k_bar": 2}):
+        scn = scenario_file(f"k_bar{len(sweeps)}.json", baseline=baseline, sweep=spec)
+        code, out, _ = run(capsys, "sweep", "--scenario", scn, "--format", "json")
+        assert code == 0
+        sweeps.append(json.loads(out))
+    for plain, scaled in zip(*sweeps):
+        assert list(scaled) == list(cli._SWEEP_COLUMNS[:-1])
+        for name, x in plain.items():
+            factor = 2.0 if name in ("y1_star", "y2_star") else 1.0
+            assert scaled[name] == pytest.approx(factor * x, rel=1e-13)
+
+
+def test_main_builds_the_parser_at_most_once(scenario_file, capsys, monkeypatch):
+    """Two main calls build the cesgrowth ArgumentParser, with its five
+    subparsers, at most once between them: the parser is built once per
+    process."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "cesgrowth":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    scn = scenario_file()
+    for _ in range(2):
+        assert run(capsys, "steady", "--scenario", scn)[0] == 0
+    assert len(built) <= 1
 
 
 def test_numeric_failure_exit_3(tmp_path, capsys):

@@ -29,8 +29,8 @@ from cesgrowth import (
     steady_state,
 )
 from cesgrowth import dynamics
-from cesgrowth.core import sector_rates
-from cesgrowth.stability import rhs_reduced_values
+from cesgrowth.core import consumption_growth, sector_rates
+from cesgrowth.stability import plane_terms, rhs_reduced_values
 from cesgrowth.steady import closed_forms, gap_P
 
 import oracles
@@ -468,8 +468,8 @@ def rk45_replay(params, z0, monkeypatch):
         seeds.append(seeds[0].copy())
         seeds[-1][i] += (math.nextafter(x0[i], math.inf) - x0[i]) / unit_of(ss)
     sols = [solve_ivp(lambda _t, x: fun(*x.tolist()), (0.0, dynamics.T_BUDGET), seed,
-                      method="RK45", rtol=dynamics.SADDLE_RTOL,
-                      atol=dynamics.SADDLE_ATOL, max_step=max_step, events=terminal)
+                      method="RK45", rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL,
+                      first_step=max_step, max_step=max_step, events=terminal)
             for seed in seeds]
     return result, sols, (fun, max_step, ts, ys)
 
@@ -819,12 +819,14 @@ def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
 def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
     """Where no seed passes the invariance gate, the path starts from the
     linear seed x* + v s_end, SEED_SCALE |x*| out, reports no rows of W,
-    and is the path the linear seed gives: case 1 from 1.1 z* in 303 steps
-    and 1 814 rhs calls, to t = 0.918538282297135 (q*'s last bit moves
-    this clock by 4.6e-13 relative: with q* from the A1 H/eps form of the
-    consumption equation it read 0.9185382822975565). Its (q, u, v) at z0
-    are within 1e-9 of the seeded path's and its clock within 1e-7 (the
-    linear seed's clock error; measured 9.8e-13 and 4.2e-8)."""
+    and is the path the linear seed gives: case 1 from 1.1 z* in 302 steps
+    and 1 819 rhs calls, to t = 0.9185382823002138. (With a first step
+    from the generic starting-step estimate in place of the step cap it
+    took 303 steps and 1 814 calls, to 0.918538282297135, 3.1e-12
+    relative away; q*'s last bit moves this clock by 4.6e-13.) Its
+    (q, u, v) at z0 are within 1e-9 of the seeded path's and its clock
+    within 1e-7 (the linear seed's clock error; measured 1.1e-13 and
+    4.2e-8)."""
     params = params_of("case1")
     ss, *_ = path_parts(params)
     seeded = saddle_path(params, 1.1 * ss.z_star)
@@ -833,8 +835,8 @@ def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
     meta = traj.meta
     assert meta["order"] == 1 and meta["seed_defect"] is None
     assert meta["s0"] == dynamics.SEED_SCALE * math.hypot(*ss[1:5])
-    assert (len(traj), meta["steps"], meta["nfev"]) == (303, 303, 1814)
-    assert meta["t_stop"] == traj.time_rows[-1] == 0.918538282297135
+    assert (len(traj), meta["steps"], meta["nfev"]) == (302, 302, 1819)
+    assert meta["t_stop"] == traj.time_rows[-1] == 0.9185382823002138
     for a, b in zip(traj.state_rows[0][1:], seeded.state_rows[0][1:]):
         assert abs(a - b) <= 1e-9 * abs(b)
     assert abs(meta["t_stop"] - seeded.meta["t_stop"]) <= 1e-7
@@ -1014,7 +1016,7 @@ def test_stepper_gives_up_where_rk45_does():
         dynamics._dormand_prince(fun, [0.0, 1.0, 1.0], 1.0, lambda y: [1.0] * 2)
     sol = solve_ivp(lambda _t, y: fun(*y.tolist()), (0.0, dynamics.T_BUDGET), [0.0, 1.0, 1.0],
                     method="RK45", rtol=dynamics.SADDLE_RTOL, atol=dynamics.SADDLE_ATOL,
-                    max_step=1.0)
+                    first_step=1.0, max_step=1.0)
     assert sol.status == -1
     assert exc.value.last_time == sol.t[-1] < 1.0
     assert exc.value.last_state[0] == sol.y[0, -1] == 0.0
@@ -1266,17 +1268,82 @@ def test_reconstruct_levels_constant_growth(params_case1):
 
 
 def test_reconstruct_levels_matches_per_sample_kernel(params_case1):
-    """The array evaluation equals the scalar kernel applied sample by sample."""
+    """The levels equal the consumption form applied sample by sample:
+    consumption growth r(w) = consumption_growth(MPK(w)), w = (v/u) z,
+    summed by the trapezoid rule, k = k0 e^{int r} q0/q, h = k/z and
+    c = q k."""
     ss = steady_state(params_case1)
     traj = saddle_path(params_case1, z0=0.9 * ss.z_star)
     lv = reconstruct_levels(traj, k0=2.0, params=params_case1)
-    growth = []
-    for z, q, u, v in traj.states:
-        w = v / u * z
-        growth.append(v / w * sector_rates(w, params_case1)[4] - q - params_case1.delta_k)
-    k = 2.0 * np.exp(cumulative_trapezoid(growth, traj.times, initial=0.0))
-    expected = np.column_stack([k, k / traj.states[:, 0], traj.states[:, 1] * k])
+    growth = [consumption_growth(sector_rates(v / u * z, params_case1)[5], params_case1)
+              for z, q, u, v in traj.states]
+    q = traj.states[:, 1]
+    k = 2.0 * np.exp(cumulative_trapezoid(growth, traj.times, initial=0.0)) * (q[0] / q)
+    expected = np.column_stack([k, k / traj.states[:, 0], q * k])
     np.testing.assert_allclose(lv.levels, expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", ECONOMIES + ["u_star_near_one"])
+def test_plane_half_levels_grow_at_r_star_exactly(name):
+    """On the plane w = w*, consumption grows at r* all along the path, so
+    ln k = ln k0 + r* t - ln(q/q0) at every row, to 1e-12, from 0.9, 0.95,
+    1.05 and 1.3 z* wherever a path is returned (measured 8.9e-16 on the
+    29 paths of the five cases, STIFF_POOL and U_STAR_NEAR_ONE; the
+    trapezoid sum of capital growth was off by up to 5.9e-5)."""
+    params = params_of(name)
+    ss = steady_state(params)
+    assert ss.tau0 < 1.0
+    paths = 0
+    for factor in (0.9, 0.95, 1.05, 1.3):
+        z0 = factor * ss.z_star
+        try:
+            traj = reconstruct_levels(saddle_path(params, z0), z0, params)
+        except TargetNotReachedError:
+            continue
+        paths += 1
+        q0 = traj.state_rows[0][1]
+        for t, (_, q, _, _), (k, _, _) in zip(traj.time_rows, traj.state_rows,
+                                             traj.level_rows):
+            exact = math.log(z0) + ss.r_star * t - math.log(q / q0)
+            assert abs(math.log(k) - exact) <= 1e-12
+    assert paths >= 2
+
+
+def test_transverse_levels_match_a_quadrature_of_consumption_growth():
+    """Where tau0* > 1, w moves along the path, w' = g(w), and r(w) with
+    it. On the first eight such economies of the economy_scan pool, from
+    0.97 and 1.03 z*, ln k at every row is within 1e-6 of ln k0 + R(t) -
+    ln(q/q0), with R a DOP853 quadrature (rtol 1e-13) of r along w' = g(w)
+    from the path's first w (measured 1.1e-8 to 7.0e-7; the trapezoid sum
+    of capital growth was off by 1.7e-7 to 2.3e-6)."""
+    pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
+    economies = []
+    for i in range(POOL_SIZE):
+        params = ModelParams(**{n: float(getattr(pool, n)[i]) for n in PARAM_NAMES})
+        try:
+            ss = steady_state(params)
+        except CesGrowthError:
+            continue
+        if ss.tau0 > 1.0:
+            economies.append((params, ss))
+        if len(economies) == 8:
+            break
+
+    for params, ss in economies:
+        def rates(_t, y, params=params):
+            return (plane_terms(y[0], params)[4],
+                    consumption_growth(sector_rates(y[0], params)[5], params))
+
+        for factor in (0.97, 1.03):
+            z0 = factor * ss.z_star
+            traj = reconstruct_levels(saddle_path(params, z0), z0, params)
+            z, q0, u, v = traj.state_rows[0]
+            sol = solve_ivp(rates, (0.0, traj.time_rows[-1]), [v / u * z, 0.0],
+                            method="DOP853", rtol=1e-13, atol=1e-16, t_eval=traj.time_rows)
+            for integral, (_, q, _, _), (k, _, _) in zip(sol.y[1], traj.state_rows,
+                                                        traj.level_rows):
+                exact = math.log(z0) + integral - math.log(q / q0)
+                assert abs(math.log(k) - exact) <= 1e-6
 
 
 def test_reconstruct_levels_validation(params_case1):
@@ -1295,3 +1362,7 @@ def test_reconstruct_levels_validation(params_case1):
     zero_u = Trajectory(times=[0.0, 1.0], states=[[1.0, 0.2, 0.6, 0.5], [1.0, 0.2, 0.0, 0.5]])
     with pytest.raises(ParameterError, match="u must be nonzero"):
         reconstruct_levels(zero_u, k0=1.0, params=params_case1)
+    for zero_q in ([[1.0, 0.0, 0.6, 0.5]], [[1.0, 0.2, 0.6, 0.5], [1.0, 0.0, 0.6, 0.5]]):
+        traj = Trajectory(times=[0.0, 1.0][:len(zero_q)], states=zero_q)
+        with pytest.raises(ParameterError, match="q must be nonzero"):
+            reconstruct_levels(traj, k0=1.0, params=params_case1)
