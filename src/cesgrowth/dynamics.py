@@ -23,7 +23,7 @@ from .stability import _j2, allocations, classify, eigen4, g_curvature, jacobian
 from .stability import rhs_reduced_values  # noqa: F401
 from .steady import steady_state
 
-# Coordinate floor at which integration halts.
+# Coordinate floor at which a path halts.
 BOX_MARGIN = 1e-9
 # Reverse-time integration: the stepper's rtol and atol, the seed's offset
 # from the fixed point relative to |x*|, and the longest time it may travel.
@@ -33,7 +33,7 @@ SEED_SCALE = 1e-6
 T_BUDGET = 500.0
 # Stable-manifold expansion on the plane (_plane_manifold): its order, and
 # the step in ln |s| between rows reported from it at |s| = |x*|.
-MANIFOLD_ORDER = 6
+MANIFOLD_ORDER = 10
 MANIFOLD_ROW_STEP = 0.0756
 
 # Shampine's (1986) quartic dense output for the Dormand & Prince (1980)
@@ -55,6 +55,13 @@ _ROOT3 = math.sqrt(3.0)
 def _rows(x):
     """x as Python floats: an array's tolist(), anything else as given."""
     return x.tolist() if hasattr(x, "tolist") else x
+
+
+def _array(rows, *shape):
+    """rows as a float numpy array of the given shape, numpy imported here."""
+    import numpy as np
+
+    return np.array(rows, dtype=float).reshape(shape)
 
 
 class Trajectory:
@@ -79,51 +86,41 @@ class Trajectory:
 
     @cached_property
     def times(self):
-        import numpy as np
-
-        return np.array(self.time_rows, dtype=float)
+        return _array(self.time_rows, -1)
 
     @cached_property
     def states(self):
-        import numpy as np
-
-        return np.array(self.state_rows, dtype=float).reshape(-1, 4)
+        return _array(self.state_rows, -1, 4)
 
     @cached_property
     def levels(self):
-        import numpy as np
-
-        if self.level_rows is None:
-            return None
-        return np.array(self.level_rows, dtype=float).reshape(-1, 3)
+        return None if self.level_rows is None else _array(self.level_rows, -1, 3)
 
 
 def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     """Construct the stable-manifold trajectory reaching z = z0.
 
-    The path is integrated on (w, z, q) with plane_terms' rhs and reported
-    as (z, q, u, v), u and v from allocations. Where tau0* < 1 it lies on
-    the plane w = w*, and near x* it is the polynomial W of
-    _plane_manifold, on which the flow is s(t) = s0 e^{lambda t} exactly.
-    It starts at W(s0) (_seed), on the side (sign of s) where z moves
-    toward z0, and is integrated in reversed time until z crosses z0; a z0
-    that W already reaches is solved for on W. Where tau0* > 1 the stable
-    root is lambda_w, and the path starts at x* + v s_end, |s_end| =
-    SEED_SCALE |x*|, w to second order; s is the linear coordinate along
-    stable_eigenpair's unit vector. The stepper works on the distance
-    from (w*, z*, q*) in units of SEED_SCALE |x*|, so that its tolerance
-    is relative to that distance. The rows run forward in time: the
-    stepped segment's, then W's at the exact times of s(t) until s =
-    s_end. TargetNotReachedError where w, z, q, u or v falls to BOX_MARGIN
+    The path runs on (w, z, q) with plane_terms' rhs and is reported as
+    (z, q, u, v), u and v from allocations. Where tau0* < 1 it lies on the
+    plane w = w*, near x* on the polynomial W of _plane_manifold, where
+    the flow is s(t) = s0 e^{lambda t} exactly: a z0 between z* and W(s0)
+    (_seed's gated reach) is solved for on W, and nothing is stepped;
+    beyond, the path is integrated in reversed time from W(s0), on the
+    side (sign of s) where z moves toward z0, until z crosses z0. Where
+    tau0* > 1 the stable root is lambda_w, and the path starts at x* + v
+    s_end, |s_end| = SEED_SCALE |x*|, w to second order, s the coordinate
+    along stable_eigenpair's unit vector. The rows run forward in time:
+    the stepped segment's, then W's (_manifold_rows). TargetNotReachedError
+    where w, z, q, u or v falls to BOX_MARGIN, on a step or at a row of W,
     or the travel budget runs out.
 
-    meta records "steps", the stepped segment's rows, seed included
-    (accepted steps + 1; 0 when nothing was integrated), "nfev",
-    "event_evals", the evaluations of the search that placed z0 (on W or
-    on a step; 0 at x*), the expansion's "order" (1 for the linear seed,
-    2 off the plane), seed "s0" and "seed_defect" (None where not
-    computed), "setup_nfev", the rhs evaluations of the seed's gate,
-    "stable_eigenvalue" and "t_stop", the time of the last row.
+    meta records "steps", the stepped rows, seed included (0 when nothing
+    was integrated), "nfev", "event_evals", the evaluations of the search
+    that placed z0 (on W or on a step; 0 at x*), the expansion's "order"
+    (1 for the linear seed, 2 off the plane), "plane" (tau0* < 1), seed
+    "s0" (s at z0 where solved on W), "seed_defect" (None where not
+    computed), "setup_nfev", the gate's rhs evaluations,
+    "stable_eigenvalue" and "t_stop".
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
@@ -131,14 +128,14 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     ss = steady_state(params)
     x_star = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
     if abs(z0 - ss.z_star) <= 1e-12 * max(1.0, ss.z_star):
-        return Trajectory(
-            times=[0.0],
-            states=[x_star],
-            meta={"steps": 0, "nfev": 0, "event_evals": 0,
-                  "stop_reason": "at_steady_state", "t_stop": 0.0},
-        )
+        return Trajectory(times=[0.0], states=[x_star],
+                          meta={"steps": 0, "nfev": 0, "event_evals": 0,
+                                "stop_reason": "at_steady_state", "t_stop": 0.0})
 
-    lam, (dw, dz, dq, _, _), terms = stable_eigenpair(ss, params, eigen4(ss, params))
+    rates = sector_rates(ss.w_star, params)
+    terms = plane_terms(ss.w_star, params, rates)
+    spectrum = eigen4(ss, params, rates, terms)
+    lam, (dw, dz, dq, *duv), _ = stable_eigenpair(ss, params, spectrum, terms)
     a, b, c, e, _, tau0 = terms
     plane, rate, w_star, z_star, q_star = tau0 < 1.0, lam.real, ss.w_star, ss.z_star, ss.q_star
     scale = math.hypot(*x_star)
@@ -171,25 +168,29 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
 
     if plane:
         coeffs = _plane_manifold(terms, z_star, q_star, rate, dz, dq)
-        seed, setup_nfev = _seed(terms, coeffs, rate, s_end, scale, events)
-        if seed is None:  # the linear seed
-            coeffs = coeffs[:2]
+        s0, defect, setup_nfev = _seed(terms, coeffs, rate, s_end, scale)
+        if s0 is None:  # the linear seed
+            coeffs, s0 = coeffs[:2], s_end
     else:
         # w moves on its own, w' = g(w), so the clock is w's: the seed's w
         # is W's to second order, g(W(s)) = lambda s W'(s), with g''(w*) in
         # closed form. (z, q) off W by O(s^2) decays in reversed time.
-        w2 = g_curvature(w_star, sector_rates(w_star, params), params) * dw * dw / (2.0 * rate)
+        w2 = g_curvature(w_star, rates, params) * dw * dw / (2.0 * rate)
         coeffs = [(0.0, z_star, q_star), (dw, dz, dq), (w2, 0.0, 0.0)]
-        seed, setup_nfev = None, 0
-    s0, defect, rows = seed or (s_end, None, [(0.0, _horner(coeffs, s_end))])
+        s0, defect, setup_nfev = s_end, None, 0
     meta = {"order": len(coeffs) - 1, "seed_defect": defect, "setup_nfev": setup_nfev,
-            "stable_eigenvalue": lam}
-    if (rows[0][1][1] - z0) * (ss.z_star - z0) < 0.0:
+            "stable_eigenvalue": lam, "plane": plane}
+    if on_w := (_horner(coeffs, s0)[1] - z0) * (z_star - z0) < 0.0:
         # z0 lies between z* and W(s0): find it on W and integrate nothing.
         s0, evals = _illinois(lambda s: _horner(coeffs, s)[1] - z0, min(0.0, s0), max(0.0, s0))
-        rows = _manifold_rows(coeffs, rate, s0, s_end, scale)
-        ts, ys, nfev = [0.0], [rows[0][1]], 0
-    else:
+    rows = _manifold_rows(coeffs, rate, s0, s_end, scale, (dz, *duv))
+    tail = [reduced(*x) for _, x in rows]
+    low = [x[0] for x in tail if min(x) <= BOX_MARGIN]
+    if low:
+        raise TargetNotReachedError(f"z never crossed {z0} (hit a coordinate floor; "
+                                    f"final z = {low[-1]:g})")
+    ts, ys, nfev = [0.0], [rows[0][1]], 0
+    if not on_w:
         # Every step, the first included, is capped at the path's own time
         # scale: half the stable root's time constant 1/|lambda|, at most 1.
         ts, ys, nfev, hit, evals = _dormand_prince(
@@ -203,17 +204,17 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     # Forward time: t = 0 at z0, the stepper's steps reversed, then W.
     t_seed = ts[-1]
     times = [t_seed - t for t in reversed(ts)] + [t_seed + t for t, _ in rows[1:]]
-    states = [reduced(*y) for y in ys[::-1]] + [reduced(*x) for _, x in rows[1:]]
+    states = [reduced(*y) for y in ys[::-1]] + tail[1:]
     meta.update(steps=len(ts) if nfev else 0, nfev=nfev, event_evals=evals, s0=s0,
                 stop_reason="target_reached", t_stop=times[-1])
     return Trajectory(times=times, states=states, meta=meta)
 
 
-def stable_eigenpair(ss, params: ModelParams, eigenvalues) -> tuple:
+def stable_eigenpair(ss, params: ModelParams, eigenvalues, terms=None) -> tuple:
     """(lambda, (dw, dz, dq, du, dv), terms): the stable eigenvalue of the
     balanced path ss, from its spectrum eigenvalues as eigen4 gives it, its
     eigenvector, of either sign, unit in (dz, dq, du, dv) (the 4-D one),
-    dw its w = (v/u) z component, and the plane_terms at w* it came from.
+    dw its w = (v/u) z component, and the plane_terms at w*, terms if given.
 
     There is one where classify counts a stable root, the eigenvalue of
     least real part. Where tau0* < 1 it is J2's, and (dz, dq) = (1,
@@ -234,7 +235,7 @@ def stable_eigenpair(ss, params: ModelParams, eigenvalues) -> tuple:
         raise NoRealStableEigenvectorError(
             f"stable eigenvector is complex (eigenvalue {lam})"
         )
-    terms = plane_terms(ss.w_star, params)
+    terms = terms or plane_terms(ss.w_star, params)
     rate, w, z, q, tau0 = lam.real, ss.w_star, ss.z_star, ss.q_star, terms[5]
     (j11, j12, j21, j22), d = _j2(terms, z, q), tau0 - 1.0
     if tau0 < 1.0:
@@ -296,8 +297,9 @@ def _horner(coeffs, s):
     return w, z, q
 
 
-def _defect(terms, coeffs, rate, s):
-    """Invariance defect of W at s, to be compared with SADDLE_RTOL.
+def _defect(terms, coeffs, slopes, rate, s):
+    """Invariance defect of W at s, to be compared with SADDLE_RTOL, from
+    W's coefficients and those of W', slopes = [(k + 1) a_{k+1}].
 
     E = rhs(W(s)) - lambda s W'(s) vanishes on the exact manifold, and
     |E| / |lambda| bounds W's distance from it, as J2 - k lambda I has no
@@ -306,8 +308,7 @@ def _defect(terms, coeffs, rate, s):
     + SADDLE_RTOL |W_i|, returned times SADDLE_RTOL.
     """
     a, b, c, e, *_ = terms
-    _, z, q = _horner(coeffs, s)
-    _, dz, dq = _horner([[k * x for x in cf] for k, cf in enumerate(coeffs)][1:], s)
+    (_, z, q), (_, dz, dq) = _horner(coeffs, s), _horner(slopes, s)
     fz = -((b * z + a + q) * z + c)
     fq = q * (q - e + c / z)
     return SADDLE_RTOL * math.hypot(
@@ -315,48 +316,51 @@ def _defect(terms, coeffs, rate, s):
         (fq - rate * s * dq) / rate / (SADDLE_ATOL + SADDLE_RTOL * abs(q))) / _ROOT3
 
 
-def _seed(terms, coeffs, rate, s_end, scale, events):
-    """((s0, defect at s0, rows), rhs evaluations) of the seed on W, on
-    s_end's side; None in place of the triple where no seed passes.
+def _seed(terms, coeffs, rate, s_end, scale):
+    """(s0, defect at s0, rhs evaluations, two per s0 tried): the seed on
+    W, on s_end's side; s0 and its defect are None where no seed passes.
 
     s0 starts where the last term, |a_K| |s|^K, is SADDLE_RTOL |x*|
-    (scale), and halves until _defect at both s0 and -s0 is at most
-    SADDLE_RTOL and W clears the coordinate floor at every row reported
-    from s0 (_manifold_rows). The decay alone is no gate: past the radius
-    of convergence the terms still fall while their sum is wrong. The
-    search gives up when |s0| falls to |s_end|.
+    (scale). Until _defect at s0 and -s0 is at most SADDLE_RTOL, it shrinks
+    to where W's truncation error, ~ |s|^(K+1), would be half that, by half
+    at most, and gives up at |s_end|. The decay alone is no gate: past the
+    radius of convergence the terms still fall while their sum is wrong.
     """
     k = len(coeffs) - 1
     s0 = math.copysign((SADDLE_RTOL * scale / math.hypot(*coeffs[k])) ** (1.0 / k), s_end)
+    slopes = [[j * x for x in cf] for j, cf in enumerate(coeffs)][1:]
     calls = 0
     while abs(s0) > abs(s_end):
-        calls += 1
-        defect = _defect(terms, coeffs, rate, s0)
-        if defect <= SADDLE_RTOL:
-            calls += 1
-            if _defect(terms, coeffs, rate, -s0) <= SADDLE_RTOL:
-                rows = _manifold_rows(coeffs, rate, s0, s_end, scale)
-                if all(events(x)[1] > 0.0 for _, x in rows):
-                    return (s0, defect, rows), calls
-        s0 *= 0.5
-    return None, calls
+        calls += 2
+        defect, other = (_defect(terms, coeffs, slopes, rate, s) for s in (s0, -s0))
+        if max(defect, other) <= SADDLE_RTOL:
+            return s0, defect, calls
+        s0 *= max(0.5, (0.5 * SADDLE_RTOL / max(defect, other)) ** (1.0 / (k + 1)))
+    return None, None, calls
 
 
-def _manifold_rows(coeffs, rate, s0, s_end, scale):
+def _manifold_rows(coeffs, rate, s0, s_end, scale, dzuv):
     """(t, W(s)) at s0 (t = 0) and at the rows reported from W after it, at
     the exact times of s(t) = s0 e^{lambda t}, the last row at s_end.
 
-    They are spaced as a fifth-order step control at a fixed local error
-    would space them, for an error proportional to |s|: the step in
-    ln |s| is MANIFOLD_ROW_STEP (|x*| / |s|)^(1/5), |x*| = scale, wherever
-    the seed lies.
+    They are spaced as a fifth-order step control would space them. For
+    W's linear part, an error ~ |s|, the step in ln |s| is
+    MANIFOLD_ROW_STEP (|x*| / |s|)^(1/5), |x*| = scale. The higher orders
+    cap it where the Taylor term h^5 N/5! of their fifth derivative in
+    ln |s|, N(s) = sum_{k>=2} k^5 a_k s^k, z's part weighed with u and v
+    by the eigenvector's dzuv = (dz, du, dv), reaches SADDLE_RTOL |x*|;
+    taken at s0, the cap grows as e^{2 tau/5}: N falls at least as s^2.
     """
-    first, end = MANIFOLD_ROW_STEP * (scale / abs(s0)) ** 0.2, math.log(s0 / s_end)
-    rows, tau = [(0.0, s0)], first
-    while tau < end:
-        rows.append((tau / -rate, s0 * math.exp(-tau)))
-        tau += first * math.exp(0.2 * tau)
-    if end > 0.0:
+    rows, end = [(0.0, s0)], math.log(s0 / s_end)
+    if end > 0.0:  # only a plane expansion reaches past s_end
+        first = MANIFOLD_ROW_STEP * (scale / abs(s0)) ** 0.2
+        _, nz, nq = _horner([[k ** 5 * x for x in cf] for k, cf in enumerate(coeffs)][2:], s0)
+        nz *= math.hypot(*dzuv) / dzuv[0]
+        cap = (120.0 * SADDLE_RTOL * scale / (s0 * s0 * math.hypot(nz, nq))) ** 0.2
+        tau = min(first, cap)
+        while tau < end:
+            rows.append((tau / -rate, s0 * math.exp(-tau)))
+            tau += min(first * math.exp(0.2 * tau), cap * math.exp(0.4 * tau))
         rows.append((end / -rate, s_end))
     return [(t, _horner(coeffs, s)) for t, s in rows]
 
@@ -489,35 +493,31 @@ def _illinois(g, lo, hi):
     return (lo if abs(g_lo) < abs(g_hi) else hi), n
 
 
-def reconstruct_levels(
-    traj: Trajectory, k0: float, params: ModelParams
-) -> Trajectory:
+def reconstruct_levels(traj: Trajectory, k0: float, params: ModelParams) -> Trajectory:
     """Levels (k, h, c) along a stored reduced path, k = k0 at its first row.
 
     Consumption c = q k grows at the Keynes-Ramsey rate r(w) =
     core.consumption_growth(MPK(w)), w = (v/u) z, summed by the trapezoid
     rule on ln c, so k = k0 e^{int r} q0/q; h = k/z and c = q k. On the
-    plane w = w*, where r = r* all along the path, the sum is exact.
+    plane w = w* (meta "plane"), r = r* at every row, from one kernel call,
+    and the sum is exact.
     """
     if len(traj) == 0:
         raise ParameterError("trajectory is empty")
     if not (math.isfinite(k0) and k0 > 0.0):
         raise ParameterError(f"k0 must be positive and finite, got {k0}")
-    levels, acc, t_old, r_old, q0 = [], 0.0, None, None, traj.state_rows[0][1]
+    levels, acc, t_old, plane, q0 = [], 0.0, None, traj.meta.get("plane"), traj.state_rows[0][1]
     for t, (z, q, u, v) in zip(traj.time_rows, traj.state_rows):
         if not u:
             raise ParameterError(f"u must be nonzero, got {u}")
         if not q:
             raise ParameterError(f"q must be nonzero, got {q}")
-        r = consumption_growth(sector_rates(v / u * z, params)[5], params)
+        if t_old is None or not plane:
+            r = consumption_growth(sector_rates(v / u * z, params)[5], params)
         if t_old is not None:
             acc += (t - t_old) * (r + r_old) / 2.0
         k = k0 * math.exp(acc) * (q0 / q)
         levels.append((k, k / z, q * k))
         t_old, r_old = t, r
-    return Trajectory(
-        times=list(traj.time_rows),
-        states=list(traj.state_rows),
-        levels=levels,
-        meta=dict(traj.meta),
-    )
+    return Trajectory(times=list(traj.time_rows), states=list(traj.state_rows), levels=levels,
+                      meta=dict(traj.meta))

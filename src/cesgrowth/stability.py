@@ -182,7 +182,8 @@ def _j2(terms, z, q) -> tuple:
     return c / z - b * z, -z, -q * c / (z * z), q
 
 
-def eigen4(ss: SteadyState, params: ModelParams) -> tuple:
+def eigen4(ss: SteadyState, params: ModelParams, rates: tuple | None = None,
+           terms: tuple | None = None) -> tuple:
     """The 4-D spectrum at the balanced path ss, as complex numbers sorted
     by (real, imag), from the reduced system's triangular split.
 
@@ -191,7 +192,8 @@ def eigen4(ss: SteadyState, params: ModelParams) -> tuple:
     coordinates (plane_terms). So the spectrum is an exact 0 for F,
     lambda_w = g'(w*) and the pair of J2, the Jacobian of (z', q') in
     (z, q) on the invariant plane w = w*, F = 0 (_j2), both in closed form
-    from one real sector_rates call. As P(w*) = 0,
+    from one real sector_rates call, or from the rates and plane_terms at w*
+    that the caller passes. As P(w*) = 0,
 
         lambda_w = P1 P2 (dP/d ln w)/((1 - psi1) T),
 
@@ -200,8 +202,9 @@ def eigen4(ss: SteadyState, params: ModelParams) -> tuple:
     factor-intensity ranking of Bond, Wang & Yip (1996). A real eigenvalue
     has imaginary part +0.0, and a complex pair is exactly conjugate.
     """
-    rates = sector_rates(ss.w_star, params)
-    a11, a12, a21, a22 = _j2(plane_terms(ss.w_star, params, rates), ss.z_star, ss.q_star)
+    rates = rates or sector_rates(ss.w_star, params)
+    terms = terms or plane_terms(ss.w_star, params, rates)
+    a11, a12, a21, a22 = _j2(terms, ss.z_star, ss.q_star)
     pair = [complex(x) for x in _roots2(-(a11 + a22), a11 * a22 - a12 * a21)]
     p1, p2, s1, s2, *_ = rates
     _, one_less_alpha1, one_less_alpha2, psi1, *_ = params.rate_terms

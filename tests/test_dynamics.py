@@ -249,9 +249,9 @@ def on_plane(ss, terms, rows):
 
 def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch):
     """On the plane the path's own kernel call is one: dynamics calls
-    plane_terms, and so sector_rates, at the float w* and nowhere else
-    (eigen4 takes its J2 from plane_terms at w* too, through stability's
-    binding). The stepper passes Python
+    plane_terms at the float w*, on the sector_rates it takes there, and
+    nowhere else (eigen4 takes its J2 from those terms). From 0.8 z*,
+    beyond the expansion's reach, the path is stepped. The stepper passes Python
     floats to its rhs, so it runs in float arithmetic rather than
     numpy-scalar arithmetic, and its step control stays in floats too: a
     numpy scalar there (a max_step from a numpy eigenvalue, say) would turn
@@ -259,9 +259,9 @@ def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch
     terms_calls, fun_calls = [], []
     plane_terms, stepper = dynamics.plane_terms, dynamics._dormand_prince
 
-    def terms_spy(w, params):
+    def terms_spy(w, params, *rates):
         terms_calls.append(w)
-        return plane_terms(w, params)
+        return plane_terms(w, params, *rates)
 
     def stepper_spy(fun, y, max_step, events):
         def logged(*x):
@@ -273,7 +273,7 @@ def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch
     monkeypatch.setattr(dynamics, "plane_terms", terms_spy)
     monkeypatch.setattr(dynamics, "_dormand_prince", stepper_spy)
     ss = steady_state(params_any_case)
-    traj = saddle_path(params_any_case, 1.1 * ss.z_star)
+    traj = saddle_path(params_any_case, 0.8 * ss.z_star)
     assert terms_calls == [ss.w_star] and type(terms_calls[0]) is float
     assert len(fun_calls) == traj.meta["nfev"] > 0
     assert all(type(a) is float for x in fun_calls for a in x)
@@ -435,13 +435,15 @@ def test_transverse_eigenvector_matches_complex_steps_on_economy_scan_pool():
     assert compared == 1233
 
 
-def rk45_replay(params, z0, monkeypatch):
-    """saddle_path's result (or its TargetNotReachedError), the stepper's own
-    run (reversed-time times and states, with its rhs and max_step), and
-    scipy's RK45 runs from the same seed, with the same max_step, tolerances
-    and events: the first from the seed itself, then one from the seed with
-    each coordinate moved so that the (w - w*, z, q) it stands for moves by
-    one ulp."""
+def stepped_calls(params, z0, monkeypatch):
+    """(saddle_path's result or its TargetNotReachedError, the list of
+    (fun, y0, max_step, events, output) of each stepper call it made).
+    Where z0 lies within the plane expansion's reach, so that the path is
+    solved for on W and nothing is stepped, every seed is rejected, and
+    the path is stepped from the linear seed SEED_SCALE |x*| out, as
+    test_linear_seed_when_the_expansion_fails does: so the stepper's tests
+    keep their starts from when the expansion reached only about 3 % of z*
+    (order 6)."""
     calls = []
     stepper = dynamics._dormand_prince
 
@@ -451,10 +453,26 @@ def rk45_replay(params, z0, monkeypatch):
         return out
 
     monkeypatch.setattr(dynamics, "_dormand_prince", spy)
-    try:
-        result = saddle_path(params, z0)
-    except TargetNotReachedError as exc:
-        result = exc
+    for _ in range(2):
+        try:
+            result = saddle_path(params, z0)
+        except TargetNotReachedError as exc:
+            result = exc
+        if calls:
+            break
+        monkeypatch.setattr(dynamics, "_defect", lambda *args: 1.0)
+    monkeypatch.setattr(dynamics, "_dormand_prince", stepper)
+    return result, calls
+
+
+def rk45_replay(params, z0, monkeypatch):
+    """saddle_path's result (or its TargetNotReachedError), the stepper's own
+    run (reversed-time times and states, with its rhs and max_step), and
+    scipy's RK45 runs from the same seed, with the same max_step, tolerances
+    and events: the first from the seed itself, then one from the seed with
+    each coordinate moved so that the (w - w*, z, q) it stands for moves by
+    one ulp (stepped_calls)."""
+    result, calls = stepped_calls(params, z0, monkeypatch)
     (fun, y0, max_step, events, (ts, ys, *_)), = calls
     terminal = []
     for i in range(2):
@@ -475,11 +493,18 @@ def rk45_replay(params, z0, monkeypatch):
 
 
 # (economy, z0 / z*, outcome): the five cases from both sides, case 1 nearer
-# and farther, and case 1 and a stiff economy into a coordinate floor.
+# and farther, and case 1 and a stiff economy into a coordinate floor, all
+# but case 1 from 0.5 z* within the order-10 expansion's reach, so stepped
+# from the linear seed (stepped_calls); then, beyond that reach, where the
+# path is stepped from its seed on W: cases 2-5 from both sides, case 1
+# and a stiff economy from below, and cases 2 and 3 into the floor.
 PARITY_STARTS = (
     [(f"case{c}", f, "target_reached") for c in CASE_PSI for f in (0.9, 1.1)]
     + [("case1", f, "target_reached") for f in (0.5, 1.05)]
     + [("case1", 1.5, "hit a coordinate floor"), ("stiff35", 1.1, "hit a coordinate floor")]
+    + [(f"case{c}", f, "target_reached") for c in (2, 3, 4, 5) for f in (0.8, 1.3)]
+    + [("case1", 0.8, "target_reached"), ("stiff35", 0.8, "target_reached")]
+    + [("case2", 2.0, "hit a coordinate floor"), ("case3", 3.0, "hit a coordinate floor")]
 )
 
 
@@ -519,8 +544,9 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         s0, rate = result.meta["s0"], result.meta["stable_eigenvalue"].real
         scale = math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star)
         s_end = math.copysign(dynamics.SEED_SCALE * scale, s0)
-        _, terms, _, _, coeffs = path_parts(params)
-        rows = dynamics._manifold_rows(coeffs, rate, s0, s_end, scale)
+        _, terms, _, v, coeffs = path_parts(params)
+        coeffs = coeffs[:result.meta["order"] + 1]
+        rows = dynamics._manifold_rows(coeffs, rate, s0, s_end, scale, (v[1], v[3], v[4]))
         x, z, q = rows[0][1]
         unit = unit_of(ss)
         assert list(ys[0]) == [x / unit, (z - ss.z_star) / unit, (q - ss.q_star) / unit]
@@ -598,7 +624,7 @@ def gated_seed(params, z0, monkeypatch):
 
     def spy(*args):
         out = seed(*args)
-        seeds.append(out[0])
+        seeds.append(out)
         return out
 
     monkeypatch.setattr(dynamics, "_seed", spy)
@@ -733,31 +759,41 @@ def halved_seed(monkeypatch):
     """Make _seed start its search at half its first |s0|."""
     seed = dynamics._seed
 
-    def spy(terms, coeffs, rate, s_end, scale, events):
-        return seed(terms, coeffs, rate, s_end, scale / 2 ** (len(coeffs) - 1), events)
+    def spy(terms, coeffs, rate, s_end, scale):
+        return seed(terms, coeffs, rate, s_end, scale / 2 ** (len(coeffs) - 1))
 
     monkeypatch.setattr(dynamics, "_seed", spy)
 
 
-@pytest.mark.parametrize("case, factor", reference_paths.STARTS[:9] + [(1, 0.9)])
+@pytest.mark.parametrize("case, factor", reference_paths.STARTS[:9] + [(1, 0.9), (1, 0.8)]
+                         + [(c, f) for c in (2, 3, 4, 5) for f in (0.8, 1.3)])
 def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
     """W is used inside the circle |s| = |s0|: the seed's gate checks its
     defect at the circle's real points s0 and -s0, and the path reports
     W's rows from there in. Paths on the circle of the radius saddle_path
     chooses and on one of half that radius start at the same (q, u, v) to
-    SADDLE_RTOL relative and report the same clock to 1e-9; measured:
-    7.9e-13 and 4.8e-11 at most. The nearer seed integrates about 100 more
-    rhs calls near x*, where only a step control relative to the distance from
-    x* keeps their error off the clock: with one relative to |x| the clocks
-    differed by up to 1.0e-9. The starts are the reference table's
-    paper-case starts and case 1 from 0.9 z*, which passes the corner
-    u = v = 1."""
+    SADDLE_RTOL relative and report the same clock to 1e-9.
+
+    The starts are the reference table's paper-case starts and case 1 from
+    0.9 z*, which passes the corner u = v = 1; the order-10 expansion
+    reaches 0.85-0.88 to 1.15-1.18 z*, so from 0.95 and 1.05 z* both
+    paths are solved for on W, from the same s, and case 1 from 0.9 z* is
+    solved for on W on the wide circle and stepped from the narrow one.
+    Then, beyond W's reach, both are stepped: cases 2-5 from both sides and
+    case 1 from 0.8 z*. The nearer seed integrates more rhs calls near x*,
+    where only a step control relative to the distance from x* keeps their
+    error off the clock: with one relative to |x| the clocks differed by up
+    to 1.0e-9 (order 6). (From 0.5 z* the two differ by up to 2.4e-10 in
+    q: that is the stepper's own error over the longer leg, not the
+    radius.)"""
     params = bench_params(*CASE_PSI[case])
     z0 = factor * steady_state(params).z_star
+    s0, _ = gated_seed(params, z0, monkeypatch)
     wide = saddle_path(params, z0)
     halved_seed(monkeypatch)
+    half, _ = gated_seed(params, z0, monkeypatch)
     narrow = saddle_path(params, z0)
-    assert abs(narrow.meta["s0"]) == pytest.approx(abs(wide.meta["s0"]) / 2, rel=1e-12)
+    assert abs(half) == pytest.approx(abs(s0) / 2, rel=1e-12)
     for a, b in zip(wide.state_rows[0][1:], narrow.state_rows[0][1:]):
         assert abs(a - b) <= dynamics.SADDLE_RTOL * abs(b)
     assert abs(wide.meta["t_stop"] - narrow.meta["t_stop"]) <= 1e-9
@@ -766,26 +802,65 @@ def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
 @pytest.mark.parametrize("event, outcome", [("BOX_MARGIN", "hit a coordinate floor")])
 def test_manifold_rows_respect_the_events_of_stepped_rows(event, outcome, monkeypatch):
     """With the coordinate floor moved to where W crosses it at |s| = 1e-3
-    |x*|, inside the seed's usual 3.8e-2 |x*|, the seed moves inside the
-    event, and the path stops there as a stepped path would. Case 1 from
-    above z* lowers q."""
+    |x*|, well inside the seed, the path stops there as a stepped path
+    would, with the stepper's error, and the stepper never runs: the final
+    z reported is that of the first of W's rows, counted from x*, on or
+    below the floor, so it lies past W's crossing by less than one row
+    (there W's step in ln |s| is about 0.3 < ln 2). Case 1
+    from 1.1 z*, within W's reach, lowers q; from 1.3 z*, beyond it, the
+    path stops on W's rows before the seed."""
     params = params_of("case1")
-    ss, _, _, _, coeffs = path_parts(params)
+    ss, *_, coeffs = path_parts(params)
     s = 1e-3 * math.hypot(*ss[1:5])
-    q = sum(c[2] * s**k for k, c in enumerate(coeffs))
+    q = dynamics._horner(coeffs, s)[2]
     monkeypatch.setattr(dynamics, event, q)
-    seeds = []
-    stepper = dynamics._dormand_prince
+    monkeypatch.setattr(dynamics, "_dormand_prince", None)
+    for factor in (1.1, 1.3):
+        with pytest.raises(TargetNotReachedError, match=outcome) as exc:
+            saddle_path(params, factor * ss.z_star)
+        final = float(str(exc.value).split("final z = ")[1].rstrip(")"))
+        assert dynamics._horner(coeffs, s)[1] <= final < dynamics._horner(coeffs, 2 * s)[1]
 
-    def spy(fun, y0, max_step, events):
-        seeds.append(events(y0))
-        return stepper(fun, y0, max_step, events)
 
-    monkeypatch.setattr(dynamics, "_dormand_prince", spy)
-    with pytest.raises(TargetNotReachedError, match=outcome):
-        saddle_path(params, 1.1 * ss.z_star)
-    (_, floor), = seeds
-    assert floor > 0.0
+def rk4_rows(params, times, states, substeps=4):
+    """Each row after the first from the one before it, by `substeps`
+    classical Runge-Kutta steps of rhs_reduced_values over the interval."""
+    out = []
+    for t0, t1, x in zip(times, times[1:], states):
+        h = (t1 - t0) / substeps
+        for _ in range(substeps):
+            k1 = rhs_reduced_values(*x, params)
+            k2 = rhs_reduced_values(*(a + 0.5 * h * k for a, k in zip(x, k1)), params)
+            k3 = rhs_reduced_values(*(a + 0.5 * h * k for a, k in zip(x, k2)), params)
+            k4 = rhs_reduced_values(*(a + h * k for a, k in zip(x, k3)), params)
+            x = [a + h / 6.0 * (p + 2.0 * q + 2.0 * r + s)
+                 for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+        out.append(x)
+    return out
+
+
+# transition_paths' ranges of z0 / z*: case 1 within 1.05-1.10, near the
+# top of its interior interval (0.982-1.133), the other cases within
+# 0.90-0.99 and 1.01-1.50.
+ROW_DENSITY_STARTS = ([(1, f) for f in (1.05, 1.06, 1.07, 1.08, 1.09, 1.1)]
+                      + [(c, f) for c in (2, 3, 4, 5)
+                         for f in (0.9, 0.95, 0.99, 1.01, 1.1, 1.2, 1.5)])
+
+
+@pytest.mark.parametrize("case, factor", ROW_DENSITY_STARTS)
+def test_rows_are_dense_enough_for_the_dynamics(case, factor):
+    """Every row interval of a plane path, the expansion's rows and the
+    stepper's alike, is short enough that four classical RK4 steps of
+    rhs_reduced_values over it reproduce the next row to 1e-8 relative to
+    max(1, |x|), as the benchmark's step check asks (measured at most
+    3.2e-10, on case 1 from 1.07 z*). With the rows spaced by the law for
+    W's linear part alone, MANIFOLD_ROW_STEP (|x*|/|s|)^(1/5), the order-10
+    expansion's rows missed on case 1 from 1.06-1.10 z*, by 1.1e-8 to
+    1.3e-7, each at its first row."""
+    params = bench_params(*CASE_PSI[case])
+    traj = saddle_path(params, factor * steady_state(params).z_star)
+    for x, y in zip(rk4_rows(params, traj.time_rows, traj.state_rows), traj.state_rows[1:]):
+        assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(x, y)) <= 1e-8
 
 
 def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
@@ -883,7 +958,8 @@ def counted_searches(monkeypatch):
 
 
 @pytest.mark.parametrize("name, factor", [("case1", 1.1), ("case2", 1.1), ("case2", 0.95),
-                                          ("stiff35", 0.9999)])
+                                          ("stiff35", 0.9999), ("case1", 0.8), ("case2", 1.3),
+                                          ("case2", 0.8), ("stiff35", 0.8)])
 def test_trajectory_meta_records_the_seed(name, factor, monkeypatch):
     """A path seeded on the expansion, on either side of z*: the record
     holds the order and the seed's defect, _defect's value at the seed,
@@ -896,10 +972,14 @@ def test_trajectory_meta_records_the_seed(name, factor, monkeypatch):
     relative with no absolute floor (measured 7.6e-6: E cancels f(W) to
     about 1e-10, so the two sums' roundings differ at 1e-6 to 1e-5).
 
-    The set-up counts the gate's rhs evaluations, one or two for each |s0|
-    tried, at least the two of the seed that passes. A path integrated from
-    its seed records that seed as s0; stiff economy 35 from 0.9999 z*,
-    nearer x* than its seed, is solved for on W, with no steps. Otherwise
+    The set-up counts the gate's rhs evaluations, _defect's calls, one or
+    two for each |s0| tried, at least the two of the seed that passes; the
+    stiff economies' first |s0| fails the gate, and the second passes.
+    A path from z0 nearer x* than W(s0), within the order-10 expansion's
+    reach, is solved for on W, with no steps, and records where: case 1
+    from 1.1 z*, case 2 from 1.1 and 0.95 z* and stiff economy 35 from
+    0.9999 z*. A path integrated from its seed, from beyond that reach
+    (case 1 from below, past the corner), records that seed as s0. Then
     the rows are the stepper's followed by those of W, and event_evals
     counts the g evaluations of the search that placed the stop."""
     params = params_of(name)
@@ -909,25 +989,27 @@ def test_trajectory_meta_records_the_seed(name, factor, monkeypatch):
 
     def spy(*args):
         out = seed(*args)
-        seeds.append(out[0])
+        seeds.append(out)
         return out
 
     monkeypatch.setattr(dynamics, "_seed", spy)
+    defects, defect_of = [], dynamics._defect
+    monkeypatch.setattr(dynamics, "_defect", lambda *args: defects.append(args) or defect_of(*args))
     searches = counted_searches(monkeypatch)
     traj = saddle_path(params, factor * ss.z_star)
-    meta = traj.meta
+    meta, tried = traj.meta, [abs(args[-1]) for args in defects]
     (s0, defect, _), = seeds
     assert meta["order"] == dynamics.MANIFOLD_ORDER
-    assert meta["seed_defect"] == defect == dynamics._defect(terms, coeffs, rate, s0)
+    slopes = [[k * a for a in c] for k, c in enumerate(coeffs)][1:]
+    assert meta["seed_defect"] == defect == dynamics._defect(terms, coeffs, slopes, rate, s0)
     exact, spread = defect_resolution(terms, coeffs, rate, s0)
     assert abs(defect - exact) <= 2.0 * spread
     assert defect == pytest.approx(invariance_defect(terms, coeffs, rate, s0), rel=1e-4, abs=0)
     assert defect <= dynamics.SADDLE_RTOL
-    first = (dynamics.SADDLE_RTOL * math.hypot(*ss[1:5])
-             / math.hypot(*coeffs[-1])) ** (1.0 / dynamics.MANIFOLD_ORDER)
-    tries = round(math.log2(first / abs(s0))) + 1
-    assert max(2, tries) <= meta["setup_nfev"] <= 2 * tries
-    if name == "stiff35":
+    tries = len(set(tried))
+    assert meta["setup_nfev"] == len(tried) and max(2, tries) <= len(tried) <= 2 * tries
+    assert tries == (2 if name.startswith("stiff") else 1)
+    if (dynamics._horner(coeffs, s0)[1] - factor * ss.z_star) * (factor - 1.0) > 0.0:
         assert meta["steps"] == meta["nfev"] == 0 and abs(meta["s0"]) < abs(s0)
     else:
         assert meta["s0"] == s0 and 0 < meta["steps"] < len(traj)
@@ -1027,33 +1109,27 @@ def test_stepper_gives_up_where_rk45_does():
 # (economy, z0 / z*, the event that ends the path): cases 2-5 from both
 # sides, case 1 from above, case 1 from the README start (z0 = k0 / h0 =
 # 5.5, past the corner), case 1 and a stiff economy into the coordinate
-# floor, and a pool economy with tau0* > 1 from both sides.
+# floor, and a pool economy with tau0* > 1 from both sides; those within
+# the order-10 expansion's reach are stepped from the linear seed
+# (stepped_calls). Then, beyond that reach: cases 2-5 from farther on both
+# sides, case 1 and a stiff economy from below, and cases 2 and 3 into the
+# floor.
 STEPPER_STARTS = (
     [(f"case{c}", f, 0) for c in (2, 3, 4, 5) for f in (0.9, 0.95, 1.05, 1.3)]
     + [("case1", 1.05, 0), ("case1", 1.1, 0), ("case1", "readme", 0), ("case1", 1.5, 1),
        ("stiff35", 1.1, 1), ("pool60", 0.9, 0), ("pool60", 1.1, 0)]
+    + [(f"case{c}", f, 0) for c in (2, 3, 4, 5) for f in (0.5, 0.8, 1.5)]
+    + [("case1", 0.8, 0), ("stiff35", 0.8, 0), ("case2", 2.0, 1), ("case3", 3.0, 1)]
 )
 
 
 def stepper_call(economy, factor, monkeypatch):
-    """(fun, y0, max_step, events) that saddle_path hands the stepper."""
+    """(fun, y0, max_step, events) that saddle_path hands the stepper
+    (stepped_calls)."""
     params = params_of(economy)
     z0 = 5.5 if factor == "readme" else factor * steady_state(params).z_star
-    calls = []
-    stepper = dynamics._dormand_prince
-
-    def spy(*args):
-        calls.append(args)
-        return stepper(*args)
-
-    monkeypatch.setattr(dynamics, "_dormand_prince", spy)
-    try:
-        saddle_path(params, z0)
-    except TargetNotReachedError:
-        pass
-    monkeypatch.setattr(dynamics, "_dormand_prince", stepper)
-    (call,) = calls
-    return call
+    (call,) = stepped_calls(params, z0, monkeypatch)[1]
+    return call[:4]
 
 
 @pytest.mark.parametrize("economy, factor, hit", STEPPER_STARTS)
@@ -1244,11 +1320,12 @@ def test_random_economies_end_in_a_path_or_a_typed_error():
 
 
 def test_saddle_path_budget_exhaustion(params_case1, monkeypatch):
-    """An overly small travel budget is reported, not silently truncated."""
+    """An overly small travel budget is reported, not silently truncated.
+    From 0.5 z*, beyond the expansion's reach, the path is stepped."""
     ss, _ = steady_point(params_case1)
     monkeypatch.setattr(dynamics, "T_BUDGET", 0.05)
     with pytest.raises(TargetNotReachedError, match="travel budget exhausted"):
-        saddle_path(params_case1, z0=0.9 * ss.z_star)
+        saddle_path(params_case1, z0=0.5 * ss.z_star)
 
 
 def test_reconstruct_levels_constant_growth(params_case1):
