@@ -104,7 +104,7 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     (z, q, u, v), u and v from allocations. Where tau0* < 1 it lies on the
     plane w = w*, near x* on the polynomial W of _plane_manifold, where
     the flow is s(t) = s0 e^{lambda t} exactly: a z0 between z* and W(s0)
-    (_seed's gated reach) is solved for on W, and nothing is stepped;
+    (_seed's gated reach) is solved for on W's z, and nothing is stepped;
     beyond, the path is integrated in reversed time from W(s0), on the
     side (sign of s) where z moves toward z0, until z crosses z0. Where
     tau0* > 1 the stable root is lambda_w, and the path starts at x* + v
@@ -116,11 +116,13 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
 
     meta records "steps", the stepped rows, seed included (0 when nothing
     was integrated), "nfev", "event_evals", the evaluations of the search
-    that placed z0 (on W or on a step; 0 at x*), the expansion's "order"
-    (1 for the linear seed, 2 off the plane), "plane" (tau0* < 1), seed
-    "s0" (s at z0 where solved on W), "seed_defect" (None where not
-    computed), "setup_nfev", the gate's rhs evaluations,
-    "stable_eigenvalue" and "t_stop".
+    that placed z0 (on W or on a step), the expansion's "order" (1 for the
+    linear seed, 2 off the plane), "plane" (tau0* < 1), seed "s0" (s at z0
+    where solved on W), "seed_defect" (None where not computed),
+    "setup_nfev", the gate's rhs evaluations, "stable_eigenvalue",
+    "stop_reason" ("target_reached") and "t_stop". A z0 within 1e-12
+    max(1, z*) of z* gives x* alone, at t = 0, with "steps", "nfev" and
+    "event_evals" 0, "plane", "stop_reason" "at_steady_state" and "t_stop".
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
@@ -129,7 +131,7 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     x_star = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
     if abs(z0 - ss.z_star) <= 1e-12 * max(1.0, ss.z_star):
         return Trajectory(times=[0.0], states=[x_star],
-                          meta={"steps": 0, "nfev": 0, "event_evals": 0,
+                          meta={"steps": 0, "nfev": 0, "event_evals": 0, "plane": ss.tau0 < 1.0,
                                 "stop_reason": "at_steady_state", "t_stop": 0.0})
 
     rates = sector_rates(ss.w_star, params)
@@ -141,15 +143,10 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     scale = math.hypot(*x_star)
     # Orient s so that z initially moves toward z0.
     s_end = math.copysign(SEED_SCALE * scale, dz * (z0 - z_star))
-    # S1 and S2 are powers of w, so tau0(w) = tau0* (w/w*)^power.
-    power = params.rate_terms[3] - params.rate_terms[8]
-
-    def reduced(x, z, q):  # x = w - w*
-        w = w_star + x
-        return (z, q, *allocations(tau0 * (w / w_star) ** power, w, z))
+    law = (w_star, tau0, params.rate_terms[3] - params.rate_terms[8])
 
     def events(x):
-        z, q, u, v = reduced(*x)
+        z, q, u, v = _reduced(law, *x)
         return z - z0, min(w_star + x[0], z, q, u, v) - BOX_MARGIN
 
     # The stepper works on y = (w - w*, z - z*, q - q*) / unit, the
@@ -180,32 +177,38 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
         s0, defect, setup_nfev = s_end, None, 0
     meta = {"order": len(coeffs) - 1, "seed_defect": defect, "setup_nfev": setup_nfev,
             "stable_eigenvalue": lam, "plane": plane}
-    if on_w := (_horner(coeffs, s0)[1] - z0) * (z_star - z0) < 0.0:
+    zs = [cf[1] for cf in coeffs[::-1]]
+
+    def gap(s):  # W's z at s, less z0
+        z = zs[0]
+        for c in zs[1:]:
+            z = z * s + c
+        return z - z0
+
+    if on_w := gap(s0) * (z_star - z0) < 0.0:
         # z0 lies between z* and W(s0): find it on W and integrate nothing.
-        s0, evals = _illinois(lambda s: _horner(coeffs, s)[1] - z0, min(0.0, s0), max(0.0, s0))
-    rows = _manifold_rows(coeffs, rate, s0, s_end, scale, (dz, *duv))
-    tail = [reduced(*x) for _, x in rows]
-    low = [x[0] for x in tail if min(x) <= BOX_MARGIN]
-    if low:
+        s0, evals = _illinois(gap, min(0.0, s0), max(0.0, s0))
+    times, states, low = _manifold_rows(coeffs, rate, s0, s_end, scale, (dz, *duv), law)
+    if low is not None:
         raise TargetNotReachedError(f"z never crossed {z0} (hit a coordinate floor; "
-                                    f"final z = {low[-1]:g})")
-    ts, ys, nfev = [0.0], [rows[0][1]], 0
+                                    f"final z = {low:g})")
+    ts, nfev = (), 0
     if not on_w:
         # Every step, the first included, is capped at the path's own time
         # scale: half the stable root's time constant 1/|lambda|, at most 1.
         ts, ys, nfev, hit, evals = _dormand_prince(
-            fun, [(x - o) / unit for x, o in zip(rows[0][1], (0.0, z_star, q_star))],
+            fun, [(x - o) / unit for x, o in zip(_horner(coeffs, s0), (0.0, z_star, q_star))],
             min(1.0, 0.5 / abs(rate)), lambda y: events(located(y)))
         ys = [located(y) for y in ys]
         if hit != 0:
             reason = {1: "hit a coordinate floor", None: "travel budget exhausted"}[hit]
             raise TargetNotReachedError(f"z never crossed {z0} ({reason}; "
                                         f"final z = {ys[-1][1]:g})")
-    # Forward time: t = 0 at z0, the stepper's steps reversed, then W.
-    t_seed = ts[-1]
-    times = [t_seed - t for t in reversed(ts)] + [t_seed + t for t, _ in rows[1:]]
-    states = [reduced(*y) for y in ys[::-1]] + tail[1:]
-    meta.update(steps=len(ts) if nfev else 0, nfev=nfev, event_evals=evals, s0=s0,
+        # Forward time: t = 0 at z0, the stepper's steps reversed, then W.
+        t_seed = ts[-1]
+        times = [t_seed - t for t in reversed(ts)] + [t_seed + t for t in times[1:]]
+        states = [_reduced(law, *y) for y in ys[::-1]] + states[1:]
+    meta.update(steps=len(ts), nfev=nfev, event_evals=evals, s0=s0,
                 stop_reason="target_reached", t_stop=times[-1])
     return Trajectory(times=times, states=states, meta=meta)
 
@@ -254,6 +257,14 @@ def stable_eigenpair(ss, params: ModelParams, eigenvalues, terms=None) -> tuple:
     return lam, (dw / norm, dz / norm, dq / norm, du / norm, dv / norm), terms
 
 
+def _reduced(law, x, z, q):
+    """(z, q, u, v) at (w - w*, z, q) = (x, z, q), u and v from allocations;
+    law = (w*, tau0*, p): S1 and S2 are powers of w, so tau0 = tau0* (w/w*)^p."""
+    w_star, tau0, power = law
+    w = w_star + x
+    return (z, q, *allocations(tau0 * (w / w_star) ** power, w, z))
+
+
 def _plane_manifold(terms, z, q, rate, dz, dq) -> list:
     """[(0, z, q), (0, dz, dq), (0, Z_2, Q_2), ..., (0, Z_K, Q_K)],
     K = MANIFOLD_ORDER: the Taylor coefficients of the stable manifold
@@ -273,9 +284,11 @@ def _plane_manifold(terms, z, q, rate, dz, dq) -> list:
     zs, qs, rs = [z, dz], [q, dq], [1.0 / z, r1]
     pz, pq = [0.0, -(b * dz + dq + c * r1)], [0.0, dq + c * r1]
     for k in range(2, MANIFOLD_ORDER + 1):
-        r = -sum([zs[j] * rs[k - j] for j in range(1, k)]) / z
-        fz = sum([zs[j] * pz[k - j] for j in range(1, k)]) - z * c * r
-        fq = sum([qs[j] * pq[k - j] for j in range(1, k)]) + q * c * r
+        r = fz = fq = 0.0
+        for j in range(1, k):
+            r, fz, fq = r + zs[j] * rs[k - j], fz + zs[j] * pz[k - j], fq + qs[j] * pq[k - j]
+        r = -r / z
+        fz, fq = fz - z * c * r, fq + q * c * r
         d11, d22 = j11 - k * rate, j22 - k * rate
         det = d11 * d22 - j12 * j21
         zk, qk = (j12 * fq - d22 * fz) / det, (j21 * fz - d11 * fq) / det
@@ -339,9 +352,11 @@ def _seed(terms, coeffs, rate, s_end, scale):
     return None, None, calls
 
 
-def _manifold_rows(coeffs, rate, s0, s_end, scale, dzuv):
-    """(t, W(s)) at s0 (t = 0) and at the rows reported from W after it, at
-    the exact times of s(t) = s0 e^{lambda t}, the last row at s_end.
+def _manifold_rows(coeffs, rate, s0, s_end, scale, dzuv, law):
+    """(times, states, low): W's rows (z, q, u, v), as _reduced(law, ...)
+    gives them, at s0 (t = 0), then at the exact times of s(t) = s0
+    e^{lambda t} down to s_end, and the z of the last row where one of
+    them is at most BOX_MARGIN (else None).
 
     They are spaced as a fifth-order step control would space them. For
     W's linear part, an error ~ |s|, the step in ln |s| is
@@ -350,19 +365,40 @@ def _manifold_rows(coeffs, rate, s0, s_end, scale, dzuv):
     ln |s|, N(s) = sum_{k>=2} k^5 a_k s^k, z's part weighed with u and v
     by the eigenvector's dzuv = (dz, du, dv), reaches SADDLE_RTOL |x*|;
     taken at s0, the cap grows as e^{2 tau/5}: N falls at least as s^2.
+
+    A row sums W's z and q to the order its |s| needs: the top term goes
+    while the terms gone, |a_k| |s|^k where each went (|s| only falls),
+    sum to at most half an ulp at x*: of q*, and of z*, u* and v* as a z
+    term moves them, by dzuv's slopes. Off the plane, where W's w column
+    is not all 0, there is one row, its u and v from W in whole.
     """
-    rows, end = [(0.0, s0)], math.log(s0 / s_end)
+    tau, s, end = 0.0, s0, math.log(s0 / s_end)
     if end > 0.0:  # only a plane expansion reaches past s_end
         first = MANIFOLD_ROW_STEP * (scale / abs(s0)) ** 0.2
         _, nz, nq = _horner([[k ** 5 * x for x in cf] for k, cf in enumerate(coeffs)][2:], s0)
         nz *= math.hypot(*dzuv) / dzuv[0]
         cap = (120.0 * SADDLE_RTOL * scale / (s0 * s0 * math.hypot(nz, nq))) ** 0.2
-        tau = min(first, cap)
-        while tau < end:
-            rows.append((tau / -rate, s0 * math.exp(-tau)))
-            tau += min(first * math.exp(0.2 * tau), cap * math.exp(0.4 * tau))
-        rows.append((end / -rate, s_end))
-    return [(t, _horner(coeffs, s)) for t, s in rows]
+    (w_star, tau0, _), (_, z_star, q_star) = law, coeffs[0]
+    zuv, uq = (z_star, *allocations(tau0, w_star, z_star)), math.ulp(q_star)
+    gain = max(abs(d) / math.ulp(x) for d, x in zip(dzuv, zuv)) / abs(dzuv[0])
+    weights = [max(abs(cz) * gain, abs(cq) / uq) for _, cz, cq in coeffs]
+    zq, plane = [cf[1:] for cf in coeffs], not any(cf[0] for cf in coeffs)
+    k, tail, times, states, low = len(coeffs) - 1, 0.0, [], [], None
+    while True:
+        while k > 1 and tail + (drop := weights[k] * abs(s) ** k) <= 0.5:
+            tail, k = tail + drop, k - 1
+        z, q = zq[k]
+        for cz, cq in zq[k - 1::-1]:
+            z, q = z * s + cz, q * s + cq
+        u, v = allocations(tau0, w_star, z) if plane else _reduced(law, *_horner(coeffs, s))[2:]
+        if z <= BOX_MARGIN or q <= BOX_MARGIN or u <= BOX_MARGIN or v <= BOX_MARGIN:
+            low = z
+        times.append(tau / -rate)
+        states.append((z, q, u, v))
+        if tau >= end:
+            return times, states, low
+        tau += min(first * math.exp(0.2 * tau), cap * math.exp(0.4 * tau))
+        tau, s = (tau, s0 * math.exp(-tau)) if tau < end else (end, s_end)
 
 
 def _dormand_prince(fun, y, max_step, events):
@@ -499,23 +535,24 @@ def reconstruct_levels(traj: Trajectory, k0: float, params: ModelParams) -> Traj
     Consumption c = q k grows at the Keynes-Ramsey rate r(w) =
     core.consumption_growth(MPK(w)), w = (v/u) z, summed by the trapezoid
     rule on ln c, so k = k0 e^{int r} q0/q; h = k/z and c = q k. On the
-    plane w = w* (meta "plane"), r = r* at every row, from one kernel call,
-    and the sum is exact.
+    plane w = w* (meta "plane") r = r* at every row, from one kernel call,
+    so ln k = ln k0 + r* (t - t0) - ln(q/q0), t0 the first row's time.
     """
     if len(traj) == 0:
         raise ParameterError("trajectory is empty")
     if not (math.isfinite(k0) and k0 > 0.0):
         raise ParameterError(f"k0 must be positive and finite, got {k0}")
-    levels, acc, t_old, plane, q0 = [], 0.0, None, traj.meta.get("plane"), traj.state_rows[0][1]
+    levels, acc, plane, q0 = [], 0.0, traj.meta.get("plane"), traj.state_rows[0][1]
     for t, (z, q, u, v) in zip(traj.time_rows, traj.state_rows):
         if not u:
             raise ParameterError(f"u must be nonzero, got {u}")
         if not q:
             raise ParameterError(f"q must be nonzero, got {q}")
-        if t_old is None or not plane:
+        if plane and levels:
+            acc = r * (t - traj.time_rows[0])
+        else:
             r = consumption_growth(sector_rates(v / u * z, params)[5], params)
-        if t_old is not None:
-            acc += (t - t_old) * (r + r_old) / 2.0
+            acc += (t - t_old) * (r + r_old) / 2.0 if levels else 0.0
         k = k0 * math.exp(acc) * (q0 / q)
         levels.append((k, k / z, q * k))
         t_old, r_old = t, r

@@ -6,9 +6,10 @@ and their psi-derivatives against the normalized CES family, the rows
 of a comparison table by name, a complex-step Jacobian of the reduced
 system and a complex-step stable eigenvector where w moves, the
 consumption equation and lambda_w in the package's former
-notation, the plain forms of three of dynamics' inner loops: Horner's
-rule on lists, bisection and the Dormand-Prince stepper on lists, and the
-sweep's CSV writer in its former per-row "%.17g" form.
+notation, the plain forms of four of dynamics' inner loops: Horner's
+rule on lists, the places of W's rows, bisection and the Dormand-Prince
+stepper on lists, and the sweep's CSV writer in its former per-row
+"%.17g" form.
 """
 
 import math
@@ -401,6 +402,25 @@ def horner(coeffs, s):
     for c in reversed(coeffs[:-1]):
         x = [a * s + b for a, b in zip(x, c)]
     return x
+
+
+def manifold_row_points(coeffs, rate, s0, s_end, scale, dzuv):
+    """[(t, s)] of the rows dynamics._manifold_rows reports from W, as it
+    placed them when it summed each row to full order: s0 at t = 0, then
+    s0 e^{-tau} at t = tau / -lambda for the step law in tau = ln(s0/s) its
+    docstring gives, the last at s_end."""
+    rows, end = [(0.0, s0)], math.log(s0 / s_end)
+    if end > 0.0:
+        first = dynamics.MANIFOLD_ROW_STEP * (scale / abs(s0)) ** 0.2
+        _, nz, nq = horner([[k ** 5 * x for x in cf] for k, cf in enumerate(coeffs)][2:], s0)
+        nz *= math.hypot(*dzuv) / dzuv[0]
+        cap = (120.0 * dynamics.SADDLE_RTOL * scale / (s0 * s0 * math.hypot(nz, nq))) ** 0.2
+        tau = min(first, cap)
+        while tau < end:
+            rows.append((tau / -rate, s0 * math.exp(-tau)))
+            tau += min(first * math.exp(0.2 * tau), cap * math.exp(0.4 * tau))
+        rows.append((end / -rate, s_end))
+    return rows
 
 
 def bisect(g, lo, hi):

@@ -174,6 +174,29 @@ def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
     assert traj.meta["nfev"] > 0
 
 
+@pytest.mark.parametrize("economy, factors", [("plane", (0.8, 0.9, 1.001, 1.1)),
+                                              ("transverse", (0.9, 1.1))],
+                         ids=["plane", "transverse"])
+def test_levels_make_one_kernel_call_on_the_plane(economy, factors, monkeypatch):
+    """dynamics.reconstruct_levels_us times levels from sector_rates
+    through dynamics' binding: one call for a whole path on the plane w =
+    w* (meta "plane"), where r = r* at every row, whatever the row count,
+    and one per row where tau0* > 1 and w moves (_economy). On the plane a
+    saddle path calls allocations, through dynamics' binding, only at w =
+    w*: for its rows of W, its stepped rows and its events alike."""
+    params = _economy(economy)
+    ss = steady.steady_state(params)
+    uvs = _counting(monkeypatch, (dynamics,), "allocations")[dynamics]
+    paths = [dynamics.saddle_path(params, factor * ss.z_star) for factor in factors]
+    assert len({len(traj) for traj in paths}) == len(paths)
+    assert uvs and (economy == "transverse") != all(args[1] == ss.w_star for args in uvs)
+    rates = _counting(monkeypatch, (dynamics,), "sector_rates")[dynamics]
+    for traj in paths:
+        rates.clear()
+        dynamics.reconstruct_levels(traj, 1.0, params)
+        assert len(rates) == (1 if economy == "plane" else len(traj))
+
+
 def _stability_report(params):
     return stability.stability_report(params)
 

@@ -1,6 +1,7 @@
 """Stable-manifold construction and level reconstruction."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -11,6 +12,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import RK45, cumulative_trapezoid, solve_ivp
 from scipy.linalg import expm
 
@@ -202,6 +205,21 @@ def test_saddle_path_at_steady_state_records_no_steps(params_case1):
     assert traj.meta["steps"] == traj.meta["nfev"] == traj.meta["event_evals"] == 0
 
 
+@pytest.mark.parametrize("name", ["case1", "pool10"])
+def test_saddle_path_at_steady_state_records_its_half(name):
+    """The path from z* is x* alone, and its meta holds what saddle_path's
+    docstring lists for it, "plane" (tau0* < 1) included, on either half:
+    case 1 lies on the plane, pool economy 10 off it. Its levels are k0,
+    k0/z* and q* k0."""
+    params = params_of(name)
+    ss = steady_state(params)
+    traj = saddle_path(params, ss.z_star)
+    assert traj.meta == {"steps": 0, "nfev": 0, "event_evals": 0, "plane": name == "case1",
+                         "stop_reason": "at_steady_state", "t_stop": 0.0}
+    assert reconstruct_levels(traj, 2.0, params).level_rows == [
+        (2.0, 2.0 / ss.z_star, ss.q_star * 2.0)]
+
+
 def test_saddle_path_validates_z0(params_case1):
     with pytest.raises(ParameterError):
         saddle_path(params_case1, z0=-1.0)
@@ -240,6 +258,12 @@ def located(ss, y):
     """(w - w*, z, q) at the stepper's coordinates y, as saddle_path maps them."""
     unit = unit_of(ss)
     return unit * y[0], ss.z_star + unit * y[1], ss.q_star + unit * y[2]
+
+
+def law_of(params):
+    """saddle_path's law for tau0(w): (w*, tau0*, p), tau0(w) = tau0* (w/w*)^p."""
+    w_star = steady_state(params).w_star
+    return w_star, plane_terms(w_star, params)[5], params.rate_terms[3] - params.rate_terms[8]
 
 
 def on_plane(ss, terms, rows):
@@ -546,12 +570,15 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         s_end = math.copysign(dynamics.SEED_SCALE * scale, s0)
         _, terms, _, v, coeffs = path_parts(params)
         coeffs = coeffs[:result.meta["order"] + 1]
-        rows = dynamics._manifold_rows(coeffs, rate, s0, s_end, scale, (v[1], v[3], v[4]))
-        x, z, q = rows[0][1]
+        times, states, low = dynamics._manifold_rows(
+            coeffs, rate, s0, s_end, scale, (v[1], v[3], v[4]), law_of(params))
+        x, z, q = dynamics._horner(coeffs, s0)
         unit = unit_of(ss)
+        assert low is None
         assert list(ys[0]) == [x / unit, (z - ss.z_star) / unit, (q - ss.q_star) / unit]
-        assert len(result) == len(sol.t) + len(rows) - 1
-        assert result.state_rows[len(ts):] == on_plane(ss, terms, [x for _, x in rows[1:]])
+        assert len(result) == len(sol.t) + len(times) - 1
+        assert result.state_rows[len(ts):] == states[1:] == on_plane(
+            ss, terms, [(0.0, z, q) for z, q, *_ in states[1:]])
         assert result.meta["steps"] == len(ts)
         assert result.meta["nfev"] == sol.nfev
         assert [row[:2] for row in result.state_rows[:len(ts)]] == [
@@ -861,6 +888,93 @@ def test_rows_are_dense_enough_for_the_dynamics(case, factor):
     traj = saddle_path(params, factor * steady_state(params).z_star)
     for x, y in zip(rk4_rows(params, traj.time_rows, traj.state_rows), traj.state_rows[1:]):
         assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(x, y)) <= 1e-8
+
+
+def captured_rows(params, z0, monkeypatch):
+    """[(arguments, result)] of the _manifold_rows calls saddle_path makes
+    on its way to z0, whether it returns a path or raises
+    TargetNotReachedError."""
+    calls, rows = [], dynamics._manifold_rows
+
+    def spy(*args):
+        calls.append((args, rows(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dynamics, "_manifold_rows", spy)
+    try:
+        saddle_path(params, z0)
+    except TargetNotReachedError:
+        pass
+    return calls
+
+
+# The row-density starts, and the stiff economies and the economy with u*
+# near 1 from both sides, on W's rows alone and stepped.
+ROW_ORDER_STARTS = ([(f"case{c}", f) for c, f in ROW_DENSITY_STARTS]
+                    + [(name, f) for name in ECONOMIES[len(CASE_PSI):] + ["u_star_near_one"]
+                       for f in (0.9, 0.999, 1.001, 1.1)])
+
+
+@pytest.mark.parametrize("name, factor", ROW_ORDER_STARTS)
+def test_rows_of_w_agree_with_w_to_full_order(name, factor, monkeypatch):
+    """W's rows, each summed only to the order its |s| needs, agree in z
+    and q with W summed to full order by Horner's rule on lists
+    (oracles.horner) at that row's s, to 1e-15 relative. The rows lie where
+    the step law puts them, their times bit for bit (oracles.
+    manifold_row_points), and u and v are allocations at (tau0*, w*, z)."""
+    params = params_of(name)
+    ss, terms, *_ = path_parts(params)
+    (args, (times, states, _)), = captured_rows(params, factor * ss.z_star, monkeypatch)
+    points = oracles.manifold_row_points(*args[:6])
+    assert times == [t for t, _ in points] and len(states) == len(points) > 1
+    for (_, s), (z, q, u, v) in zip(points, states):
+        _, full_z, full_q = oracles.horner(args[0], s)
+        assert abs(z - full_z) <= 1e-15 * full_z and abs(q - full_q) <= 1e-15 * full_q
+        assert (u, v) == dynamics.allocations(terms[5], ss.w_star, z)
+
+
+@functools.cache
+def gated_rows_setting(name, side):
+    """(coeffs, rate, s_end, gate, scale, dzuv, law) of the plane path of
+    economy name on side (the sign of s): the gate's s0 (_seed), None where
+    no seed passes."""
+    params = params_of(name)
+    ss, terms, rate, v, coeffs = path_parts(params)
+    scale = math.hypot(*ss[1:5])
+    s_end = side * dynamics.SEED_SCALE * scale
+    gate = dynamics._seed(terms, coeffs, rate, s_end, scale)[0]
+    return coeffs, rate, s_end, gate, scale, (v[1], v[3], v[4]), law_of(params)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(ECONOMIES + ["u_star_near_one"]), side=st.sampled_from((-1.0, 1.0)),
+       f=st.floats(0.0, 1.0))
+def test_rows_drop_no_more_of_w_than_half_an_ulp(name, side, f):
+    """From any s0 between s_end and the gate's, gate (s_end/gate)^f, on
+    either side, every row's (z, q) is W's first m + 1 terms summed by
+    Horner's rule, bit for bit, for an m whose dropped tail, sum_{k>m}
+    |a_k| |s|^k summed exactly (fsum) column by column, is within half an
+    ulp at x*, to 1e-12 of that bound (the float check's rounding): in q
+    of q*, and in z of z* and of the u* and v* it moves, by allocations'
+    slopes at x*, du/dz = tau0/((tau0 - 1) w) and dv/dz = w/((tau0 - 1)
+    z^2)."""
+    coeffs, rate, s_end, gate, scale, dzuv, law = gated_rows_setting(name, side)
+    assume(gate is not None)
+    s0 = gate * (s_end / gate) ** f
+    _, states, _ = dynamics._manifold_rows(coeffs, rate, s0, s_end, scale, dzuv, law)
+    zq = [c[1:] for c in coeffs]
+    (w_star, tau0, _), (z_star, q_star) = law, zq[0]
+    u_star, v_star = dynamics.allocations(tau0, w_star, z_star)
+    halves = [min(math.ulp(z_star), math.ulp(u_star) * abs((tau0 - 1.0) * w_star / tau0),
+                  math.ulp(v_star) * abs((tau0 - 1.0) * z_star ** 2 / w_star)) / 2.0,
+              math.ulp(q_star) / 2.0]
+    points = oracles.manifold_row_points(coeffs, rate, s0, s_end, scale, dzuv)
+    for (_, s), (z, q, *_) in zip(points, states):
+        orders = [m for m in range(1, len(zq)) if oracles.horner(zq[:m + 1], s) == [z, q]]
+        assert orders
+        for i, half in enumerate(halves):
+            tail = math.fsum(abs(c[i]) * abs(s) ** k for k, c in enumerate(zq) if k > orders[-1])
+            assert tail <= half * (1.0 + 1e-12)
 
 
 def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
@@ -1364,7 +1478,7 @@ def test_reconstruct_levels_matches_per_sample_kernel(params_case1):
 def test_plane_half_levels_grow_at_r_star_exactly(name):
     """On the plane w = w*, consumption grows at r* all along the path, so
     ln k = ln k0 + r* t - ln(q/q0) at every row, to 1e-12, from 0.9, 0.95,
-    1.05 and 1.3 z* wherever a path is returned (measured 8.9e-16 on the
+    1.05 and 1.3 z* wherever a path is returned (measured 1.8e-15 on the
     29 paths of the five cases, STIFF_POOL and U_STAR_NEAR_ONE; the
     trapezoid sum of capital growth was off by up to 5.9e-5)."""
     params = params_of(name)
