@@ -1,10 +1,11 @@
 """Saddle paths of the reduced system and their levels.
 
 F = ln tau - ln tau0(w) is conserved, the balanced path lies on F = 0,
-and w = (v/u) z follows w' = g(w) alone, so a path is integrated on
-(w, z, q) with stability.plane_terms' rhs. Everything here runs on
-Python floats; numpy is imported only when a Trajectory's array view is
-read.
+and w = (v/u) z follows w' = g(w) alone. Where tau0* < 1 the path lies on
+the plane w = w*, where it is the hyperbola q = theta (1 + p/z) and is
+written in closed form; elsewhere it is integrated on (w, z, q) with
+stability.plane_terms' rhs. Everything here runs on Python floats; numpy
+is imported only when a Trajectory's array view is read.
 """
 
 import math
@@ -25,16 +26,15 @@ from .steady import steady_state
 
 # Coordinate floor at which a path halts.
 BOX_MARGIN = 1e-9
-# Reverse-time integration: the stepper's rtol and atol, the seed's offset
-# from the fixed point relative to |x*|, and the longest time it may travel.
+# Reverse-time integration off the plane: the stepper's rtol and atol, the
+# seed's offset from the fixed point relative to |x*|, at which every path's
+# clock ends, and the longest time it may travel.
 SADDLE_RTOL = 1e-10
 SADDLE_ATOL = 1e-13
 SEED_SCALE = 1e-6
 T_BUDGET = 500.0
-# Stable-manifold expansion on the plane (_plane_manifold): its order, and
-# the step in ln |s| between rows reported from it at |s| = |x*|.
-MANIFOLD_ORDER = 10
-MANIFOLD_ROW_STEP = 0.0756
+# The step in ln |s| between plane rows at |s| = |x*| (_plane_path).
+ROW_STEP = 0.0756
 
 # Shampine's (1986) quartic dense output for the Dormand & Prince (1980)
 # 5(4) pair, one row per stage; the pair's own coefficients are written
@@ -100,47 +100,53 @@ class Trajectory:
 def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     """Construct the stable-manifold trajectory reaching z = z0.
 
-    The path runs on (w, z, q) with plane_terms' rhs and is reported as
-    (z, q, u, v), u and v from allocations. Where tau0* < 1 it lies on the
-    plane w = w*, near x* on the polynomial W of _plane_manifold, where
-    the flow is s(t) = s0 e^{lambda t} exactly: a z0 between z* and W(s0)
-    (_seed's gated reach) is solved for on W's z, and nothing is stepped;
-    beyond, the path is integrated in reversed time from W(s0), on the
-    side (sign of s) where z moves toward z0, until z crosses z0. Where
-    tau0* > 1 the stable root is lambda_w, and the path starts at x* + v
-    s_end, |s_end| = SEED_SCALE |x*|, w to second order, s the coordinate
-    along stable_eigenpair's unit vector. The rows run forward in time:
-    the stepped segment's, then W's (_manifold_rows). TargetNotReachedError
-    where w, z, q, u or v falls to BOX_MARGIN, on a step or at a row of W,
-    or the travel budget runs out.
+    The path is reported as (z, q, u, v), u and v from allocations, its
+    rows forward in time from z0 (t = 0) to |s| = SEED_SCALE |x*|, s the
+    coordinate along stable_eigenpair's unit vector. Where tau0* < 1 it lies
+    on the plane w = w*, where it is exact and is built in closed form from
+    any z0 > 0 (_plane_path): consumption is the transversality margin
+    theta times wealth, q = theta (1 + p/z). Where tau0* > 1 the stable root
+    is lambda_w, and the path is integrated in reversed time on (w, z, q)
+    with plane_terms' rhs from x* + v s_end, w to second order, on the side
+    (sign of s) where z moves toward z0, until z crosses z0.
+    TargetNotReachedError where w, z, q, u or v falls to BOX_MARGIN, at a
+    row or on a step, or the travel budget runs out.
 
-    meta records "steps", the stepped rows, seed included (0 when nothing
-    was integrated), "nfev", "event_evals", the evaluations of the search
-    that placed z0 (on W or on a step), the expansion's "order" (1 for the
-    linear seed, 2 off the plane), "plane" (tau0* < 1), seed "s0" (s at z0
-    where solved on W), "seed_defect" (None where not computed),
-    "setup_nfev", the gate's rhs evaluations, "stable_eigenvalue",
-    "stop_reason" ("target_reached") and "t_stop". A z0 within 1e-12
-    max(1, z*) of z* gives x* alone, at t = 0, with "steps", "nfev" and
-    "event_evals" 0, "plane", "stop_reason" "at_steady_state" and "t_stop".
+    meta records "steps", the stepped rows, seed included, "nfev" and
+    "event_evals", the evaluations of the search that placed z0 on a step
+    (all three 0 on the plane, where nothing is stepped or searched for),
+    "plane" (tau0* < 1), "stable_eigenvalue", "stop_reason"
+    ("target_reached") and "t_stop". A z0 within 1e-12 max(1, z*) of z*
+    gives x* alone, at t = 0, with "stop_reason" "at_steady_state".
     """
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ParameterError(f"z0 must be positive and finite, got {z0}")
     z0 = float(z0)
     ss = steady_state(params)
     x_star = (ss.z_star, ss.q_star, ss.u_star, ss.v_star)
+    meta = {"steps": 0, "nfev": 0, "event_evals": 0, "plane": ss.tau0 < 1.0}
     if abs(z0 - ss.z_star) <= 1e-12 * max(1.0, ss.z_star):
-        return Trajectory(times=[0.0], states=[x_star],
-                          meta={"steps": 0, "nfev": 0, "event_evals": 0, "plane": ss.tau0 < 1.0,
-                                "stop_reason": "at_steady_state", "t_stop": 0.0})
+        meta.update(stop_reason="at_steady_state", t_stop=0.0)
+        return Trajectory(times=[0.0], states=[x_star], meta=meta)
 
     rates = sector_rates(ss.w_star, params)
     terms = plane_terms(ss.w_star, params, rates)
     spectrum = eigen4(ss, params, rates, terms)
     lam, (dw, dz, dq, *duv), _ = stable_eigenpair(ss, params, spectrum, terms)
-    a, b, c, e, _, tau0 = terms
-    plane, rate, w_star, z_star, q_star = tau0 < 1.0, lam.real, ss.w_star, ss.z_star, ss.q_star
     scale = math.hypot(*x_star)
+    meta.update(stable_eigenvalue=lam, stop_reason="target_reached")
+
+    def stopped(reason, z):
+        raise TargetNotReachedError(f"z never crossed {z0} ({reason}; final z = {z:g})")
+
+    if meta["plane"]:
+        times, states, low = _plane_path(ss, terms, rates, (dz, *duv), z0, scale)
+        if low is not None:
+            stopped("hit a coordinate floor", low)
+        meta["t_stop"] = times[-1]
+        return Trajectory(times=times, states=states, meta=meta)
+
+    rate, w_star, z_star, q_star, tau0 = lam.real, ss.w_star, ss.z_star, ss.q_star, terms[5]
     # Orient s so that z initially moves toward z0.
     s_end = math.copysign(SEED_SCALE * scale, dz * (z0 - z_star))
     law = (w_star, tau0, params.rate_terms[3] - params.rate_terms[8])
@@ -152,65 +158,36 @@ def saddle_path(params: ModelParams, z0: float) -> Trajectory:
     # The stepper works on y = (w - w*, z - z*, q - q*) / unit, the
     # distance from x* in units of the seed's: its step control then
     # resolves the motion relative to that distance, which sets the clock.
-    unit, still = abs(s_end), (a, b, c, e, 0.0, tau0)
+    unit = abs(s_end)
 
     def located(y):
         return unit * y[0], z_star + unit * y[1], q_star + unit * y[2]
 
-    def fun(y0, y1, y2):
-        # Reversed time; on the plane w stays at w*.
-        a, b, c, e, g, _ = still if plane else plane_terms(w_star + unit * y0, params)
+    def fun(y0, y1, y2):  # reversed time
+        a, b, c, e, g, _ = plane_terms(w_star + unit * y0, params)
         z, q = z_star + unit * y1, q_star + unit * y2
         return -g / unit, ((b * z + a + q) * z + c) / unit, q * (e - q - c / z) / unit
 
-    if plane:
-        coeffs = _plane_manifold(terms, z_star, q_star, rate, dz, dq)
-        s0, defect, setup_nfev = _seed(terms, coeffs, rate, s_end, scale)
-        if s0 is None:  # the linear seed
-            coeffs, s0 = coeffs[:2], s_end
-    else:
-        # w moves on its own, w' = g(w), so the clock is w's: the seed's w
-        # is W's to second order, g(W(s)) = lambda s W'(s), with g''(w*) in
-        # closed form. (z, q) off W by O(s^2) decays in reversed time.
-        w2 = g_curvature(w_star, rates, params) * dw * dw / (2.0 * rate)
-        coeffs = [(0.0, z_star, q_star), (dw, dz, dq), (w2, 0.0, 0.0)]
-        s0, defect, setup_nfev = s_end, None, 0
-    meta = {"order": len(coeffs) - 1, "seed_defect": defect, "setup_nfev": setup_nfev,
-            "stable_eigenvalue": lam, "plane": plane}
-    zs = [cf[1] for cf in coeffs[::-1]]
-
-    def gap(s):  # W's z at s, less z0
-        z = zs[0]
-        for c in zs[1:]:
-            z = z * s + c
-        return z - z0
-
-    if on_w := gap(s0) * (z_star - z0) < 0.0:
-        # z0 lies between z* and W(s0): find it on W and integrate nothing.
-        s0, evals = _illinois(gap, min(0.0, s0), max(0.0, s0))
-    times, states, low = _manifold_rows(coeffs, rate, s0, s_end, scale, (dz, *duv), law)
-    if low is not None:
-        raise TargetNotReachedError(f"z never crossed {z0} (hit a coordinate floor; "
-                                    f"final z = {low:g})")
-    ts, nfev = (), 0
-    if not on_w:
-        # Every step, the first included, is capped at the path's own time
-        # scale: half the stable root's time constant 1/|lambda|, at most 1.
-        ts, ys, nfev, hit, evals = _dormand_prince(
-            fun, [(x - o) / unit for x, o in zip(_horner(coeffs, s0), (0.0, z_star, q_star))],
-            min(1.0, 0.5 / abs(rate)), lambda y: events(located(y)))
-        ys = [located(y) for y in ys]
-        if hit != 0:
-            reason = {1: "hit a coordinate floor", None: "travel budget exhausted"}[hit]
-            raise TargetNotReachedError(f"z never crossed {z0} ({reason}; "
-                                        f"final z = {ys[-1][1]:g})")
-        # Forward time: t = 0 at z0, the stepper's steps reversed, then W.
-        t_seed = ts[-1]
-        times = [t_seed - t for t in reversed(ts)] + [t_seed + t for t in times[1:]]
-        states = [_reduced(law, *y) for y in ys[::-1]] + states[1:]
-    meta.update(steps=len(ts), nfev=nfev, event_evals=evals, s0=s0,
-                stop_reason="target_reached", t_stop=times[-1])
-    return Trajectory(times=times, states=states, meta=meta)
+    # w moves on its own, w' = g(w), so the clock is w's: the seed's w is
+    # W's to second order, g(W(s)) = lambda s W'(s), with g''(w*) in
+    # closed form. (z, q) off W by O(s^2) decays in reversed time.
+    w2 = g_curvature(w_star, rates, params) * dw * dw / (2.0 * rate)
+    seed = _horner([(0.0, z_star, q_star), (dw, dz, dq), (w2, 0.0, 0.0)], s_end)
+    if events(seed)[1] <= 0.0:
+        stopped("hit a coordinate floor", seed[1])
+    # Every step, the first included, is capped at the path's own time
+    # scale: half the stable root's time constant 1/|lambda|, at most 1.
+    ts, ys, nfev, hit, evals = _dormand_prince(
+        fun, [(x - o) / unit for x, o in zip(seed, (0.0, z_star, q_star))],
+        min(1.0, 0.5 / abs(rate)), lambda y: events(located(y)))
+    ys = [located(y) for y in ys]
+    if hit != 0:
+        reason = {1: "hit a coordinate floor", None: "travel budget exhausted"}[hit]
+        stopped(reason, ys[-1][1])
+    # Forward time: t = 0 at z0, the stepper's steps reversed.
+    times = [ts[-1] - t for t in reversed(ts)]
+    meta.update(steps=len(ts), nfev=nfev, event_evals=evals, t_stop=times[-1])
+    return Trajectory(times=times, states=[_reduced(law, *y) for y in ys[::-1]], meta=meta)
 
 
 def stable_eigenpair(ss, params: ModelParams, eigenvalues, terms=None) -> tuple:
@@ -265,42 +242,6 @@ def _reduced(law, x, z, q):
     return (z, q, *allocations(tau0 * (w / w_star) ** power, w, z))
 
 
-def _plane_manifold(terms, z, q, rate, dz, dq) -> list:
-    """[(0, z, q), (0, dz, dq), (0, Z_2, Q_2), ..., (0, Z_K, Q_K)],
-    K = MANIFOLD_ORDER: the Taylor coefficients of the stable manifold
-    W(s) on the plane w = w*, with (z', q')(W(s)) = lambda s W'(s), on
-    which the flow is s(t) = s0 e^{lambda t}: the parameterization method
-    of Cabre, Fontich & de la Llave (2003), Indiana Univ. Math. J. 52.
-
-    The rhs is taken in rate form, z' = z Pz and q' = q Pq with
-    Pz = -(b z + a + q + c/z) and Pq = q - e + c/z, whose constant terms
-    vanish at x*. 1/Z comes by series division and Z Pz, Q Pq as Cauchy
-    products, so order k is the 2x2 system (J2 - k lambda I)(Z_k, Q_k) =
-    -(the part of [z', q']_k from lower orders), solved by Cramer's rule.
-    """
-    _, b, c, *_ = terms
-    j11, j12, j21, j22 = _j2(terms, z, q)
-    r1 = -dz / (z * z)
-    zs, qs, rs = [z, dz], [q, dq], [1.0 / z, r1]
-    pz, pq = [0.0, -(b * dz + dq + c * r1)], [0.0, dq + c * r1]
-    for k in range(2, MANIFOLD_ORDER + 1):
-        r = fz = fq = 0.0
-        for j in range(1, k):
-            r, fz, fq = r + zs[j] * rs[k - j], fz + zs[j] * pz[k - j], fq + qs[j] * pq[k - j]
-        r = -r / z
-        fz, fq = fz - z * c * r, fq + q * c * r
-        d11, d22 = j11 - k * rate, j22 - k * rate
-        det = d11 * d22 - j12 * j21
-        zk, qk = (j12 * fq - d22 * fz) / det, (j21 * fz - d11 * fq) / det
-        rk = r - zk / (z * z)
-        zs.append(zk)
-        qs.append(qk)
-        rs.append(rk)
-        pz.append(-(b * zk + qk + c * rk))
-        pq.append(qk + c * rk)
-    return [(0.0, zk, qk) for zk, qk in zip(zs, qs)]
-
-
 def _horner(coeffs, s):
     """W(s) = sum_k coeffs[k] s^k, each coefficient a triple in
     (w - w*, z, q)."""
@@ -310,95 +251,72 @@ def _horner(coeffs, s):
     return w, z, q
 
 
-def _defect(terms, coeffs, slopes, rate, s):
-    """Invariance defect of W at s, to be compared with SADDLE_RTOL, from
-    W's coefficients and those of W', slopes = [(k + 1) a_{k+1}].
+def _plane_path(ss, terms, rates, dzuv, z0, scale):
+    """(times, states, low): the rows (z, q, u, v) of the path to z0 on the
+    plane w = w*, where tau0* < 1, in closed form, and the z of the last
+    row where one of them is at most BOX_MARGIN (else None).
 
-    E = rhs(W(s)) - lambda s W'(s) vanishes on the exact manifold, and
-    |E| / |lambda| bounds W's distance from it, as J2 - k lambda I has no
-    eigenvalue smaller than |lambda|. That distance is the RMS over the
-    three components of (w, z, q) (w's is 0) of its share of SADDLE_ATOL
-    + SADDLE_RTOL |W_i|, returned times SADDLE_RTOL.
+    There z' = -(b z^2 + (a + q) z + c) and q' = q (q - e + c/z)
+    (plane_terms), and the stable manifold is the hyperbola q = theta (1 +
+    p/z), theta = ss.tvc_margin, p = (Y1 - w* MPK)/MPH: consumption c = q k
+    is theta times wealth k + p h at constant prices. On it z' = -b (z -
+    z*)(z + p), so y = (z - z*)/(z + p) = y0 e^{lambda t}, lambda = -b (z*
+    + p), and 1/(z + p) moves linearly in e^{lambda t}; u and v come from
+    allocations at (tau0*, w*, z). s = kappa y, kappa = (z* + p)/dz, dzuv =
+    (dz, du, dv) from the unit eigenvector; the last row is at |s| =
+    SEED_SCALE |x*|, |x*| = scale.
+
+    The rows are spaced in tau = ln(s0/s) as a fifth-order step control
+    would space them: for the linear part, an error ~ |s|, by ROW_STEP
+    (|x*| / |s|)^(1/5), capped where the Taylor term h^5 N/5! of the higher
+    orders' fifth derivative in tau reaches SADDLE_RTOL |x*|. As z - z* =
+    (z* + p) sum_{k>=1} y^k and q = q* sum_{k>=0} (r y)^k, r = -p/z*, N =
+    ((z* + p) _li5_tail(y), q* _li5_tail(r y)), z's part weighed with u and
+    v by dzuv. The cap is taken at the first row and grows as e^{2 tau/5},
+    as if N fell as s^2: above z* (y > 0) it falls at least that fast,
+    below z* its z part over y^2 rises toward 32 (z* + p) as y -> 0. Near a
+    pole of N, y = 1 or r y = 1 (z0 far above z*, or near 0), N falls far
+    faster, and the cap from the first row alone would ask for billions of
+    rows: where the grown cap is below a tenth of the linear part's step,
+    the cap at the row itself is taken where larger.
     """
-    a, b, c, e, *_ = terms
-    (_, z, q), (_, dz, dq) = _horner(coeffs, s), _horner(slopes, s)
-    fz = -((b * z + a + q) * z + c)
-    fq = q * (q - e + c / z)
-    return SADDLE_RTOL * math.hypot(
-        (fz - rate * s * dz) / rate / (SADDLE_ATOL + SADDLE_RTOL * abs(z)),
-        (fq - rate * s * dq) / rate / (SADDLE_ATOL + SADDLE_RTOL * abs(q))) / _ROOT3
-
-
-def _seed(terms, coeffs, rate, s_end, scale):
-    """(s0, defect at s0, rhs evaluations, two per s0 tried): the seed on
-    W, on s_end's side; s0 and its defect are None where no seed passes.
-
-    s0 starts where the last term, |a_K| |s|^K, is SADDLE_RTOL |x*|
-    (scale). Until _defect at s0 and -s0 is at most SADDLE_RTOL, it shrinks
-    to where W's truncation error, ~ |s|^(K+1), would be half that, by half
-    at most, and gives up at |s_end|. The decay alone is no gate: past the
-    radius of convergence the terms still fall while their sum is wrong.
-    """
-    k = len(coeffs) - 1
-    s0 = math.copysign((SADDLE_RTOL * scale / math.hypot(*coeffs[k])) ** (1.0 / k), s_end)
-    slopes = [[j * x for x in cf] for j, cf in enumerate(coeffs)][1:]
-    calls = 0
-    while abs(s0) > abs(s_end):
-        calls += 2
-        defect, other = (_defect(terms, coeffs, slopes, rate, s) for s in (s0, -s0))
-        if max(defect, other) <= SADDLE_RTOL:
-            return s0, defect, calls
-        s0 *= max(0.5, (0.5 * SADDLE_RTOL / max(defect, other)) ** (1.0 / (k + 1)))
-    return None, None, calls
-
-
-def _manifold_rows(coeffs, rate, s0, s_end, scale, dzuv, law):
-    """(times, states, low): W's rows (z, q, u, v), as _reduced(law, ...)
-    gives them, at s0 (t = 0), then at the exact times of s(t) = s0
-    e^{lambda t} down to s_end, and the z of the last row where one of
-    them is at most BOX_MARGIN (else None).
-
-    They are spaced as a fifth-order step control would space them. For
-    W's linear part, an error ~ |s|, the step in ln |s| is
-    MANIFOLD_ROW_STEP (|x*| / |s|)^(1/5), |x*| = scale. The higher orders
-    cap it where the Taylor term h^5 N/5! of their fifth derivative in
-    ln |s|, N(s) = sum_{k>=2} k^5 a_k s^k, z's part weighed with u and v
-    by the eigenvector's dzuv = (dz, du, dv), reaches SADDLE_RTOL |x*|;
-    taken at s0, the cap grows as e^{2 tau/5}: N falls at least as s^2.
-
-    A row sums W's z and q to the order its |s| needs: the top term goes
-    while the terms gone, |a_k| |s|^k where each went (|s| only falls),
-    sum to at most half an ulp at x*: of q*, and of z*, u* and v* as a z
-    term moves them, by dzuv's slopes. Off the plane, where W's w column
-    is not all 0, there is one row, its u and v from W in whole.
-    """
-    tau, s, end = 0.0, s0, math.log(s0 / s_end)
-    if end > 0.0:  # only a plane expansion reaches past s_end
-        first = MANIFOLD_ROW_STEP * (scale / abs(s0)) ** 0.2
-        _, nz, nq = _horner([[k ** 5 * x for x in cf] for k, cf in enumerate(coeffs)][2:], s0)
-        nz *= math.hypot(*dzuv) / dzuv[0]
-        cap = (120.0 * SADDLE_RTOL * scale / (s0 * s0 * math.hypot(nz, nq))) ** 0.2
-    (w_star, tau0, _), (_, z_star, q_star) = law, coeffs[0]
-    zuv, uq = (z_star, *allocations(tau0, w_star, z_star)), math.ulp(q_star)
-    gain = max(abs(d) / math.ulp(x) for d, x in zip(dzuv, zuv)) / abs(dzuv[0])
-    weights = [max(abs(cz) * gain, abs(cq) / uq) for _, cz, cq in coeffs]
-    zq, plane = [cf[1:] for cf in coeffs], not any(cf[0] for cf in coeffs)
-    k, tail, times, states, low = len(coeffs) - 1, 0.0, [], [], None
+    w_star, z_star, theta, (_, b, *_, tau0) = ss.w_star, ss.z_star, ss.tvc_margin, terms
+    _, _, _, _, y1, mpk, _, mph, _ = rates
+    p = (y1 - w_star * mpk) / mph
+    # -lambda, the stable root's decay rate.
+    decay, d0, d_star = b * (z_star + p), 1.0 / (z0 + p), 1.0 / (z_star + p)
+    y0, r, weight = (z0 - z_star) * d0, -p / z_star, (z_star + p) * math.hypot(*dzuv) / dzuv[0]
+    s0 = (z_star + p) / dzuv[0] * y0
+    end = math.log(abs(s0) / (SEED_SCALE * scale))
+    first, bound = ROW_STEP * (scale / abs(s0)) ** 0.2, 120.0 * SADDLE_RTOL * scale
+    # The cap in use is cap e^{2 tau/5}: cap is its value carried back to tau = 0.
+    tau, cap, z, times, states, low = 0.0, 0.0, z0, [], [], None
     while True:
-        while k > 1 and tail + (drop := weights[k] * abs(s) ** k) <= 0.5:
-            tail, k = tail + drop, k - 1
-        z, q = zq[k]
-        for cz, cq in zq[k - 1::-1]:
-            z, q = z * s + cz, q * s + cq
-        u, v = allocations(tau0, w_star, z) if plane else _reduced(law, *_horner(coeffs, s))[2:]
+        q = theta * (1.0 + p / z)
+        u, v = allocations(tau0, w_star, z)
         if z <= BOX_MARGIN or q <= BOX_MARGIN or u <= BOX_MARGIN or v <= BOX_MARGIN:
             low = z
-        times.append(tau / -rate)
+        times.append(tau / decay)
         states.append((z, q, u, v))
         if tau >= end:
             return times, states, low
-        tau += min(first * math.exp(0.2 * tau), cap * math.exp(0.4 * tau))
-        tau, s = (tau, s0 * math.exp(-tau)) if tau < end else (end, s_end)
+        grow = math.exp(0.2 * tau)
+        step, grown = first * grow, cap * grow * grow
+        if grown < 0.1 * step:
+            y = y0 * math.exp(-tau)
+            grown = max(grown, (bound / math.hypot(
+                weight * _li5_tail(y), ss.q_star * _li5_tail(r * y))) ** 0.2)
+            cap = grown / (grow * grow)
+        tau += step if step < grown else grown
+        if tau > end:
+            tau = end
+        z = 1.0 / (d0 + (d0 - d_star) * math.expm1(-tau)) - p
+
+
+def _li5_tail(x):
+    """sum_{k>=2} k^5 x^k, (x d/dx)^5 of 1/(1 - x) less its linear term, as
+    the rational function Li_{-5}(x) - x, exact wherever x != 1."""
+    return x * x * (32.0 + x * (51.0 + x * (46.0 + x * (x * (6.0 - x) - 14.0)))) / (1.0 - x) ** 6
 
 
 def _dormand_prince(fun, y, max_step, events):

@@ -6,14 +6,16 @@ and their psi-derivatives against the normalized CES family, the rows
 of a comparison table by name, a complex-step Jacobian of the reduced
 system and a complex-step stable eigenvector where w moves, the
 consumption equation and lambda_w in the package's former
-notation, the plain forms of four of dynamics' inner loops: Horner's
-rule on lists, the places of W's rows, bisection and the Dormand-Prince
-stepper on lists, and the sweep's CSV writer in its former per-row
-"%.17g" form.
+notation, the plane-half saddle path in closed form at any precision, the
+plain forms of three of dynamics' inner loops: Horner's rule on lists,
+bisection and the Dormand-Prince stepper on lists, and the sweep's CSV
+writer in its former per-row "%.17g" form.
 """
 
 import math
 from typing import NamedTuple
+
+import mpmath
 
 from cesgrowth import dynamics
 from cesgrowth.cli import _SWEEP_COLUMNS
@@ -28,7 +30,7 @@ from cesgrowth.normalization import (
 )
 from cesgrowth.params import ModelParams
 from cesgrowth.stability import _j2, allocations, plane_terms, rhs_reduced_values
-from cesgrowth.steady import steady_state
+from cesgrowth.steady import closed_forms, gap_P, steady_state
 
 
 def _current_ratio(sector: int, w: float, tau: float | None) -> float:
@@ -395,6 +397,68 @@ def dr_dpsi_at(
     )
 
 
+class PlanePath(NamedTuple):
+    """A plane-half saddle path in closed form at mpmath precision: its
+    (q, u, v) at z0, its clock (from z0 to |s| = SEED_SCALE |x*|), the
+    stable root lam, p, theta and x* = (z*, q*, u*, v*), and at(t), the
+    state (z, q, u, v) at time t after z0."""
+
+    q: object
+    u: object
+    v: object
+    clock: object
+    lam: object
+    p: object
+    theta: object
+    x_star: tuple
+    at: object
+
+
+def plane_path(params: ModelParams, z0, dps: int = 40) -> PlanePath:
+    """The saddle path to z0 of an economy with tau0* < 1, in closed form at
+    dps digits, from none of dynamics' code: w* from mpmath.findroot on
+    gap_P, then closed_forms and plane_terms at w*.
+
+    On the plane w = w*, z' = -(b z^2 + (a + q) z + c) and q' = q (q - e
+    + c/z). q = m + n/z is invariant where the 1/z^2 terms cancel, n = p m,
+    and (m - e)(e + a - m) = b c; its root m = theta = rho + (eps - 1) r*
+    is the saddle's, so q = theta (1 + p/z), p = z* (q*/theta - 1), the
+    hyperbola through x*. On it z' = -b (z - z*)(z + p), so y = (z -
+    z*)/(z + p) = y0 e^{lam t} with lam = -b (z* + p), and z = (z* + p
+    y)/(1 - y). s = kappa y is the stable manifold's linear coordinate, the
+    one along the unit eigenvector (dz, dq, du, dv) in (z, q, u, v), with
+    kappa = (z* + p)/dz, so the clock is ln(|kappa y0| / (SEED_SCALE
+    |x*|)) / |lam|.
+    """
+    ss = steady_state(params)
+    with mpmath.workdps(dps):
+        w = mpmath.findroot(lambda w: gap_P(w, params), mpmath.mpf(ss.w_star))
+        star = closed_forms(w, params)
+        a, b, c, e, _, tau0 = plane_terms(w, params)
+        z_star, q_star, theta = star.z_star, star.q_star, star.tvc_margin
+        p = z_star * (q_star / theta - 1)
+        lam = -b * (z_star + p)
+        x_star = (z_star, q_star, star.u_star, star.v_star)
+        slopes = (1, -theta * p / z_star**2, tau0 / ((tau0 - 1) * w),
+                  w / ((tau0 - 1) * z_star**2))
+        kappa = (z_star + p) * mpmath.sqrt(sum(d * d for d in slopes))
+        z0 = mpmath.mpf(z0)
+        y0 = (z0 - z_star) / (z0 + p)
+        clock = mpmath.log(abs(kappa * y0) / (dynamics.SEED_SCALE * mpmath.sqrt(
+            sum(x * x for x in x_star)))) / abs(lam)
+
+        def state(z):
+            return (z, theta * (1 + p / z), (tau0 * z / w - 1) / (tau0 - 1),
+                    (tau0 - w / z) / (tau0 - 1))
+
+        def at(t):
+            with mpmath.workdps(dps):
+                y = y0 * mpmath.exp(lam * t)
+                return state((z_star + p * y) / (1 - y))
+
+        return PlanePath(*state(z0)[1:], clock, lam, p, theta, x_star, at)
+
+
 def horner(coeffs, s):
     """sum_k coeffs[k] s^k by Horner's rule, one list comprehension per
     coefficient, each a vector."""
@@ -402,25 +466,6 @@ def horner(coeffs, s):
     for c in reversed(coeffs[:-1]):
         x = [a * s + b for a, b in zip(x, c)]
     return x
-
-
-def manifold_row_points(coeffs, rate, s0, s_end, scale, dzuv):
-    """[(t, s)] of the rows dynamics._manifold_rows reports from W, as it
-    placed them when it summed each row to full order: s0 at t = 0, then
-    s0 e^{-tau} at t = tau / -lambda for the step law in tau = ln(s0/s) its
-    docstring gives, the last at s_end."""
-    rows, end = [(0.0, s0)], math.log(s0 / s_end)
-    if end > 0.0:
-        first = dynamics.MANIFOLD_ROW_STEP * (scale / abs(s0)) ** 0.2
-        _, nz, nq = horner([[k ** 5 * x for x in cf] for k, cf in enumerate(coeffs)][2:], s0)
-        nz *= math.hypot(*dzuv) / dzuv[0]
-        cap = (120.0 * dynamics.SADDLE_RTOL * scale / (s0 * s0 * math.hypot(nz, nq))) ** 0.2
-        tau = min(first, cap)
-        while tau < end:
-            rows.append((tau / -rate, s0 * math.exp(-tau)))
-            tau += min(first * math.exp(0.2 * tau), cap * math.exp(0.4 * tau))
-        rows.append((end / -rate, s_end))
-    return rows
 
 
 def bisect(g, lo, hi):

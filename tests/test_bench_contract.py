@@ -156,10 +156,12 @@ def test_saddle_path_set_up_kernel_calls_at_w_star(economy, factor, calls, monke
 def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
     """dynamics.rhs_calls_per_path counts rhs_reduced_values, which the
     tracer wraps in dynamics' namespace and in stability's. A path
-    integrates plane_terms' equations and eigen4 takes J2 in closed form
-    from them, so a path calls rhs_reduced_values through neither binding;
-    dynamics' stays for the tracer. So the count per path is 0, on a path
-    stepped from beyond the expansion's reach."""
+    integrates plane_terms' equations, or on the plane is written in
+    closed form, and eigen4 takes J2 in closed form from plane_terms, so a
+    path calls rhs_reduced_values through neither binding; dynamics' stays
+    for the tracer. So the count per path is 0, on a path stepped where
+    tau0* > 1 (_economy), with rhs calls of its own ("nfev"), as on a plane
+    path, which steps nothing."""
     calls = {dynamics: [], stability: []}
     original = stability.rhs_reduced_values
     for module, seen in calls.items():
@@ -168,10 +170,11 @@ def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(module, "rhs_reduced_values", counting)
-    params = bench_params(0.25, -0.10)
-    traj = dynamics.saddle_path(params, 0.8 * steady.steady_state(params).z_star)
-    assert (len(calls[dynamics]), len(calls[stability])) == (0, 0)
-    assert traj.meta["nfev"] > 0
+    for economy in ("transverse", "plane"):
+        params = _economy(economy)
+        traj = dynamics.saddle_path(params, 0.8 * steady.steady_state(params).z_star)
+        assert (len(calls[dynamics]), len(calls[stability])) == (0, 0)
+        assert (traj.meta["nfev"] > 0) == (economy == "transverse")
 
 
 @pytest.mark.parametrize("economy, factors", [("plane", (0.8, 0.9, 1.001, 1.1)),
@@ -183,7 +186,7 @@ def test_levels_make_one_kernel_call_on_the_plane(economy, factors, monkeypatch)
     w* (meta "plane"), where r = r* at every row, whatever the row count,
     and one per row where tau0* > 1 and w moves (_economy). On the plane a
     saddle path calls allocations, through dynamics' binding, only at w =
-    w*: for its rows of W, its stepped rows and its events alike."""
+    w*, for every row of its closed form."""
     params = _economy(economy)
     ss = steady.steady_state(params)
     uvs = _counting(monkeypatch, (dynamics,), "allocations")[dynamics]

@@ -237,11 +237,10 @@ def library_trajectory_csv(params, k0, h0):
 
 
 def test_trajectory_csv(scenario_file, capsys):
-    """The README start: every step the integrator stored, with the levels
-    summed over those steps, exactly as the library gives them. The start
-    lies past the corner u = v = 1, which the path passes on the plane
-    w = w*: 115 rows, the stepper's 35 from 5.5 to the order-10 stable
-    manifold expansion's reach, then 80 of the expansion's."""
+    """The README start: every row of the library's path, with the levels
+    over those rows, exactly as the library gives them. The start lies
+    past the corner u = v = 1, which the path passes on the plane w = w*,
+    in closed form: 104 rows (115 when its first 35 were stepped)."""
     scn = scenario_file(initial={"k0": 5.5, "h0": 1.0, "u0": 0.6, "v0": 0.5})
     code, out, err = run(capsys, "trajectory", "--scenario", scn)
     assert code == 0 and err == ""
@@ -250,7 +249,7 @@ def test_trajectory_csv(scenario_file, capsys):
     assert lines[0] == "t,z,q,u,v,k,h,c,y1,y2"
     assert lines[-1].startswith("# stop_reason=target_reached")
     rows = [l.split(",") for l in lines[1:-1]]
-    assert len(rows) == 115
+    assert len(rows) == 104
     z = [float(r[1]) for r in rows]
     assert z[0] == pytest.approx(5.5, rel=1e-6)
     assert z[-1] == pytest.approx(10.725, abs=0.01)

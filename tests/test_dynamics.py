@@ -1,8 +1,6 @@
 """Stable-manifold construction and level reconstruction."""
 
 import cmath
-import functools
-import itertools
 import math
 import random
 import sys
@@ -33,7 +31,7 @@ from cesgrowth import (
 )
 from cesgrowth import dynamics
 from cesgrowth.core import consumption_growth, sector_rates
-from cesgrowth.stability import plane_terms, rhs_reduced_values
+from cesgrowth.stability import g_curvature, plane_terms, rhs_reduced_values
 from cesgrowth.steady import closed_forms, gap_P
 
 import oracles
@@ -241,12 +239,47 @@ def test_reconstruct_levels_rejects_non_finite_k0(params_case1, k0):
 def path_parts(params):
     """(ss, terms, lambda, v, coeffs): the balanced path, plane_terms at w*,
     the stable eigenvalue's real part and saddle_path's eigenvector, and,
-    where tau0* < 1, the plane expansion saddle_path seeds on (else None)."""
+    where tau0* < 1, the Taylor coefficients in s of the closed form the
+    plane path takes (closed_form_coefficients; else None)."""
     ss = steady_state(params)
     lam, v, terms = dynamics.stable_eigenpair(ss, params, eigen4(ss, params))
-    coeffs = (dynamics._plane_manifold(terms, ss.z_star, ss.q_star, lam.real, v[1], v[2])
-              if terms[5] < 1.0 else None)
+    coeffs = closed_form_coefficients(params) if terms[5] < 1.0 else None
     return ss, terms, lam.real, v, coeffs
+
+
+def plane_pieces(params):
+    """(p, theta, kappa, decay) of the plane path in floats, as _plane_path
+    takes them: p = (Y1 - w* MPK)/MPH, theta = tvc_margin, kappa = (z* +
+    p)/dz, so that s = kappa y, and the decay rate b (z* + p) = -lambda."""
+    ss = steady_state(params)
+    rates = sector_rates(ss.w_star, params)
+    terms = plane_terms(ss.w_star, params, rates)
+    _, (_, dz, *_), _ = dynamics.stable_eigenpair(ss, params, eigen4(ss, params), terms)
+    p = (rates[4] - ss.w_star * rates[5]) / rates[7]
+    return p, ss.tvc_margin, (ss.z_star + p) / dz, terms[1] * (ss.z_star + p)
+
+
+def closed_form_coefficients(params, order=10):
+    """[(0, z*, q*), (0, Z_1, Q_1), ..., (0, Z_K, Q_K)], K = order: the plane
+    path's closed form as a series in s = kappa y, in floats. z - z* = (z*
+    + p) sum_{k>=1} y^k and q = q*/(1 - r y), r = -p/z*, so Z_k = (z* + p)
+    kappa^-k and Q_k = q* (r/kappa)^k."""
+    ss = steady_state(params)
+    p, _, kappa, _ = plane_pieces(params)
+    r = -p / ss.z_star
+    return [(0.0, ss.z_star, ss.q_star)] + [
+        (0.0, (ss.z_star + p) / kappa ** k, ss.q_star * (r / kappa) ** k)
+        for k in range(1, order + 1)]
+
+
+def closed_form_at(params, s):
+    """(z, q) on the plane path at s = kappa y, and (dz/ds, dq/ds) there,
+    from the float pieces (plane_pieces)."""
+    ss = steady_state(params)
+    p, _, kappa, _ = plane_pieces(params)
+    y, r = s / kappa, -p / ss.z_star
+    return ((ss.z_star + p * y) / (1.0 - y), ss.q_star / (1.0 - r * y)), (
+        (ss.z_star + p) / (1.0 - y) ** 2 / kappa, ss.q_star * r / (1.0 - r * y) ** 2 / kappa)
 
 
 def unit_of(ss):
@@ -266,26 +299,39 @@ def law_of(params):
     return w_star, plane_terms(w_star, params)[5], params.rate_terms[3] - params.rate_terms[8]
 
 
-def on_plane(ss, terms, rows):
-    """Rows (w - w*, z, q) on the plane as saddle_path reports them, (z, q, u, v)."""
-    return [(z, q, *dynamics.allocations(terms[5], ss.w_star + x, z)) for x, z, q in rows]
-
-
 def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch):
     """On the plane the path's own kernel call is one: dynamics calls
     plane_terms at the float w*, on the sector_rates it takes there, and
-    nowhere else (eigen4 takes its J2 from those terms). From 0.8 z*,
-    beyond the expansion's reach, the path is stepped. The stepper passes Python
-    floats to its rhs, so it runs in float arithmetic rather than
-    numpy-scalar arithmetic, and its step control stays in floats too: a
-    numpy scalar there (a max_step from a numpy eigenvalue, say) would turn
-    every time and stage value into one."""
-    terms_calls, fun_calls = [], []
-    plane_terms, stepper = dynamics.plane_terms, dynamics._dormand_prince
+    nowhere else (eigen4 takes its J2 from those terms). From 0.8 z*, as
+    from any start there, the path is written in closed form, so the
+    stepper never runs, and every time and state is a Python float."""
+    terms_calls = []
+    plane_terms = dynamics.plane_terms
 
     def terms_spy(w, params, *rates):
         terms_calls.append(w)
         return plane_terms(w, params, *rates)
+
+    monkeypatch.setattr(dynamics, "plane_terms", terms_spy)
+    monkeypatch.setattr(dynamics, "_dormand_prince", None)
+    ss = steady_state(params_any_case)
+    traj = saddle_path(params_any_case, 0.8 * ss.z_star)
+    assert terms_calls == [ss.w_star] and type(terms_calls[0]) is float
+    assert traj.meta["nfev"] == 0
+    assert type(traj.meta["t_stop"]) is float
+    assert all(type(t) is float for t in traj.time_rows)
+    assert all(type(x) is float for row in traj.state_rows for x in row)
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_transverse_path_hands_the_stepper_python_floats(factor, monkeypatch):
+    """Where tau0* > 1 (pool economy 60) the path is stepped. The stepper
+    passes Python floats to its rhs, so it runs in float arithmetic rather
+    than numpy-scalar arithmetic, and its step control stays in floats too:
+    a numpy scalar there (a max_step from a numpy eigenvalue, say) would
+    turn every time and stage value into one."""
+    fun_calls = []
+    stepper = dynamics._dormand_prince
 
     def stepper_spy(fun, y, max_step, events):
         def logged(*x):
@@ -294,11 +340,9 @@ def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch
 
         return stepper(logged, y, max_step, events)
 
-    monkeypatch.setattr(dynamics, "plane_terms", terms_spy)
     monkeypatch.setattr(dynamics, "_dormand_prince", stepper_spy)
-    ss = steady_state(params_any_case)
-    traj = saddle_path(params_any_case, 0.8 * ss.z_star)
-    assert terms_calls == [ss.w_star] and type(terms_calls[0]) is float
+    params = params_of("pool60")
+    traj = saddle_path(params, factor * steady_state(params).z_star)
     assert len(fun_calls) == traj.meta["nfev"] > 0
     assert all(type(a) is float for x in fun_calls for a in x)
     assert type(traj.meta["t_stop"]) is float
@@ -461,13 +505,8 @@ def test_transverse_eigenvector_matches_complex_steps_on_economy_scan_pool():
 
 def stepped_calls(params, z0, monkeypatch):
     """(saddle_path's result or its TargetNotReachedError, the list of
-    (fun, y0, max_step, events, output) of each stepper call it made).
-    Where z0 lies within the plane expansion's reach, so that the path is
-    solved for on W and nothing is stepped, every seed is rejected, and
-    the path is stepped from the linear seed SEED_SCALE |x*| out, as
-    test_linear_seed_when_the_expansion_fails does: so the stepper's tests
-    keep their starts from when the expansion reached only about 3 % of z*
-    (order 6)."""
+    (fun, y0, max_step, events, output) of each stepper call it made): one
+    where tau0* > 1, none on the plane."""
     calls = []
     stepper = dynamics._dormand_prince
 
@@ -477,16 +516,42 @@ def stepped_calls(params, z0, monkeypatch):
         return out
 
     monkeypatch.setattr(dynamics, "_dormand_prince", spy)
-    for _ in range(2):
-        try:
-            result = saddle_path(params, z0)
-        except TargetNotReachedError as exc:
-            result = exc
-        if calls:
-            break
-        monkeypatch.setattr(dynamics, "_defect", lambda *args: 1.0)
+    try:
+        result = saddle_path(params, z0)
+    except TargetNotReachedError as exc:
+        result = exc
     monkeypatch.setattr(dynamics, "_dormand_prince", stepper)
     return result, calls
+
+
+def plane_leg(params, z0):
+    """(fun, y0, max_step, events) of the reversed-time problem on the plane
+    w = w*, where tau0* < 1, in saddle_path's stepper coordinates: from the
+    linear seed x* + v s_end, |s_end| = SEED_SCALE |x*|, on the side where z
+    moves toward z0, with plane_terms' rhs at w* and the stop events of a
+    stepped path. saddle_path stepped this leg before the plane half took
+    its closed form; the stepper's tests keep it as a problem with long
+    legs, the corner u = v = 1 and the coordinate floor."""
+    ss = steady_state(params)
+    lam, (_, dz, dq, *_), terms = dynamics.stable_eigenpair(ss, params, eigen4(ss, params))
+    a, b, c, e, _, tau0 = terms
+    unit = unit_of(ss)
+    s_end = math.copysign(unit, dz * (z0 - ss.z_star))
+    law = (ss.w_star, tau0, params.rate_terms[3] - params.rate_terms[8])
+    origin = (0.0, ss.z_star, ss.q_star)
+    seed = dynamics._horner([origin, (0.0, dz, dq)], s_end)
+
+    def fun(y0, y1, y2):
+        z, q = ss.z_star + unit * y1, ss.q_star + unit * y2
+        return -0.0, ((b * z + a + q) * z + c) / unit, q * (e - q - c / z) / unit
+
+    def events(y):
+        x = located(ss, y)
+        z, q, u, v = dynamics._reduced(law, *x)
+        return z - z0, min(ss.w_star + x[0], z, q, u, v) - dynamics.BOX_MARGIN
+
+    return (fun, [(x - o) / unit for x, o in zip(seed, origin)],
+            min(1.0, 0.5 / abs(lam.real)), events)
 
 
 def rk45_replay(params, z0, monkeypatch):
@@ -495,9 +560,15 @@ def rk45_replay(params, z0, monkeypatch):
     scipy's RK45 runs from the same seed, with the same max_step, tolerances
     and events: the first from the seed itself, then one from the seed with
     each coordinate moved so that the (w - w*, z, q) it stands for moves by
-    one ulp (stepped_calls)."""
-    result, calls = stepped_calls(params, z0, monkeypatch)
-    (fun, y0, max_step, events, (ts, ys, *_)), = calls
+    one ulp. Where tau0* > 1 the stepper's run is saddle_path's own
+    (stepped_calls); on the plane it is plane_leg's."""
+    if steady_state(params).tau0 < 1.0:
+        result, _ = stepped_calls(params, z0, monkeypatch)
+        fun, y0, max_step, events = plane_leg(params, z0)
+        ts, ys, *_ = dynamics._dormand_prince(fun, y0, max_step, events)
+    else:
+        result, calls = stepped_calls(params, z0, monkeypatch)
+        (fun, y0, max_step, events, (ts, ys, *_)), = calls
     terminal = []
     for i in range(2):
         def event(_t, x, i=i):
@@ -516,12 +587,12 @@ def rk45_replay(params, z0, monkeypatch):
     return result, sols, (fun, max_step, ts, ys)
 
 
-# (economy, z0 / z*, outcome): the five cases from both sides, case 1 nearer
-# and farther, and case 1 and a stiff economy into a coordinate floor, all
-# but case 1 from 0.5 z* within the order-10 expansion's reach, so stepped
-# from the linear seed (stepped_calls); then, beyond that reach, where the
-# path is stepped from its seed on W: cases 2-5 from both sides, case 1
-# and a stiff economy from below, and cases 2 and 3 into the floor.
+# (economy, z0 / z*, outcome): on the plane (plane_leg), the five cases from
+# both sides, case 1 nearer and farther, case 1 and a stiff economy into a
+# coordinate floor, cases 2-5 from farther on both sides, case 1 and a stiff
+# economy from below, and cases 2 and 3 into the floor; then, where tau0* >
+# 1 and saddle_path steps, pool economies 60 from both sides and 70 from
+# above, and 50 into the floor.
 PARITY_STARTS = (
     [(f"case{c}", f, "target_reached") for c in CASE_PSI for f in (0.9, 1.1)]
     + [("case1", f, "target_reached") for f in (0.5, 1.05)]
@@ -529,17 +600,27 @@ PARITY_STARTS = (
     + [(f"case{c}", f, "target_reached") for c in (2, 3, 4, 5) for f in (0.8, 1.3)]
     + [("case1", 0.8, "target_reached"), ("stiff35", 0.8, "target_reached")]
     + [("case2", 2.0, "hit a coordinate floor"), ("case3", 3.0, "hit a coordinate floor")]
+    + [("pool60", 0.9, "target_reached"), ("pool60", 1.1, "target_reached"),
+       ("pool70", 1.1, "target_reached"), ("pool50", 2.0, "hit a coordinate floor")]
 )
 
 
 @pytest.mark.parametrize("economy, factor, outcome", PARITY_STARTS)
 def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatch):
-    """The in-house Dormand-Prince stepper against scipy's RK45 as the oracle.
+    """The in-house Dormand-Prince stepper against scipy's RK45 as the oracle,
+    and the path against the stepped leg.
 
     Over the integrated segment, from the seed to z0: the same accepted
-    steps and rhs calls and the same stop. A path that reaches z0 holds
-    those steps, reversed, followed by the rows reported from the plane
-    expansion after the seed.
+    steps and rhs calls and the same stop. Where tau0* > 1 the path holds
+    those steps, reversed. On the plane, where the path is written in
+    closed form, the leg is plane_leg's from the linear seed: there the
+    path's (q, u, v) at z0 lie within SADDLE_RTOL of the leg's end
+    (measured at most 2.3e-11), and its clock within twice the linear
+    seed's phase offset plus 10 SADDLE_RTOL: the seed's z is the manifold's
+    at s_end (1 - s_end/kappa), so the leg's clock is off by about
+    SEED_SCALE |x*| / (|kappa| |lambda|) (measured 1.01 to 1.11 times that on
+    the cases, and 1.0e-10 on stiff economy 35, where it is 8.4e-13). Both
+    stop at the coordinate floor where one does.
     scipy sums the stages with numpy's dot products, the stepper with plain
     float sums; the last-ulp difference in the error norm, a difference
     formed by cancellation, moves every later step size by about 1e-7, so
@@ -563,34 +644,31 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
     spread = max(abs(s.t[-1] - sol.t[-1]) for s in nudged)
     assert len(ts) == len(sol.t)
     assert abs(ts[-1] - sol.t[-1]) <= min(4.0 * spread, 1e-7 * sol.t[-1])
+    law = law_of(params)
     if outcome == "target_reached":
         assert hit[0] and sol.status == 1
-        s0, rate = result.meta["s0"], result.meta["stable_eigenvalue"].real
-        scale = math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star)
-        s_end = math.copysign(dynamics.SEED_SCALE * scale, s0)
-        _, terms, _, v, coeffs = path_parts(params)
-        coeffs = coeffs[:result.meta["order"] + 1]
-        times, states, low = dynamics._manifold_rows(
-            coeffs, rate, s0, s_end, scale, (v[1], v[3], v[4]), law_of(params))
-        x, z, q = dynamics._horner(coeffs, s0)
-        unit = unit_of(ss)
-        assert low is None
-        assert list(ys[0]) == [x / unit, (z - ss.z_star) / unit, (q - ss.q_star) / unit]
-        assert len(result) == len(sol.t) + len(times) - 1
-        assert result.state_rows[len(ts):] == states[1:] == on_plane(
-            ss, terms, [(0.0, z, q) for z, q, *_ in states[1:]])
-        assert result.meta["steps"] == len(ts)
-        assert result.meta["nfev"] == sol.nfev
-        assert [row[:2] for row in result.state_rows[:len(ts)]] == [
-            located(ss, y)[1:] for y in ys[::-1]]
-        assert result.time_rows[len(ts) - 1] == ts[-1]
-        assert result.meta["t_stop"] == result.time_rows[-1] == (
-            ts[-1] + math.log(s0 / s_end) / -rate)
+        stepped = [dynamics._reduced(law, *located(ss, y)) for y in ys[::-1]]
+        if ss.tau0 < 1.0:
+            assert result.meta["steps"] == result.meta["nfev"] == 0
+            for a, b in zip(result.state_rows[0][1:], stepped[0][1:]):
+                assert abs(a - b) <= dynamics.SADDLE_RTOL * abs(b)
+            _, _, kappa, decay = plane_pieces(params)
+            offset = unit_of(ss) / abs(kappa) / decay
+            assert abs(result.meta["t_stop"] - ts[-1]) <= 2.0 * offset + 10 * dynamics.SADDLE_RTOL
+        else:
+            assert result.state_rows == stepped
+            assert result.meta["steps"] == len(ts)
+            assert result.meta["nfev"] == sol.nfev
+            assert result.time_rows == [ts[-1] - t for t in reversed(ts)]
+            assert result.meta["t_stop"] == result.time_rows[-1] == ts[-1]
     else:
         assert hit == [False, True]
         assert isinstance(result, TargetNotReachedError)
-        assert str(result) == (f"z never crossed {z0} ({outcome}; "
-                               f"final z = {located(ss, sol.y[:, -1])[1]:g})")
+        if ss.tau0 < 1.0:
+            assert str(result).startswith(f"z never crossed {z0} ({outcome}; ")
+        else:
+            assert str(result) == (f"z never crossed {z0} ({outcome}; "
+                                   f"final z = {located(ss, sol.y[:, -1])[1]:g})")
     for i in range(len(ts) - 2):
         rk = RK45(lambda _t, x: fun(*x.tolist()), ts[i], np.array(ys[i]),
                   dynamics.T_BUDGET, first_step=ts[i + 1] - ts[i], max_step=max_step,
@@ -600,18 +678,11 @@ def test_saddle_path_takes_scipy_rk45_steps(economy, factor, outcome, monkeypatc
         assert np.max(np.abs(rk.y - ys[i + 1])) <= 1e-14 * np.max(np.abs(ys[i + 1]))
 
 
-def invariance_defect(terms, coeffs, rate, s):
-    """defect_at with W(s) and W'(s) summed term by term."""
-    z, q = (sum(cf[i] * s**k for k, cf in enumerate(coeffs)) for i in (1, 2))
-    dz, dq = (sum(k * cf[i] * s ** (k - 1) for k, cf in enumerate(coeffs) if k) for i in (1, 2))
-    return defect_at(terms, (z, q), (dz, dq), rate, s)
-
-
 def defect_at(terms, x, dx, rate, s):
     """rms over the three components of (w, z, q) (w's is 0) of |E_i| /
     (|lambda| (atol + rtol |W_i|)), times rtol, with E = (z', q')(W(s)) -
-    lambda s W'(s), at (z, q) = x and W'(s) = dx, in the arithmetic of the
-    numbers given: floats or mpmath numbers."""
+    lambda s W'(s), at (z, q) = x and W'(s) = dx: the invariance gate the
+    plane's series seed once had to pass."""
     a, b, c, e, *_ = terms
     (z, q), (dz, dq) = x, dx
     tol = [dynamics.SADDLE_ATOL + dynamics.SADDLE_RTOL * abs(x) for x in (z, q)]
@@ -620,67 +691,32 @@ def defect_at(terms, x, dx, rate, s):
     return dynamics.SADDLE_RTOL * ((ez * ez + eq * eq) / 3) ** 0.5
 
 
-def defect_resolution(terms, coeffs, rate, s):
-    """(exact, spread) at the package's own float W(s) and W'(s): exact is
-    defect_at in 50-digit arithmetic, and spread the largest distance from
-    it of the float defect_at at the 8 neighbours of W(s) whose z and q
-    each move by -1, 0 or +1 ulp."""
-    x = dynamics._horner(coeffs, s)[1:]
-    dx = dynamics._horner([[k * a for a in c] for k, c in enumerate(coeffs)][1:], s)[1:]
-    with mpmath.workdps(50):
-        exact = defect_at([mpmath.mpf(t) for t in terms[:4]],
-                          *([mpmath.mpf(c) for c in v] for v in (x, dx)),
-                          mpmath.mpf(rate), mpmath.mpf(s))
-    spread = max(
-        abs(defect_at(terms, [math.nextafter(c, k * math.inf) if k else c
-                              for c, k in zip(x, moves)], dx, rate, s) - exact)
-        for moves in itertools.product((-1, 0, 1), repeat=2) if any(moves))
-    return exact, spread
-
-
-# The paper cases and the stiff economies from above z*: each is seeded on
-# the order-MANIFOLD_ORDER expansion. The stiff economies' paths then stop
-# at the coordinate floor.
+# The paper cases and the stiff economies from above z*. The stiff
+# economies' paths stop at the coordinate floor.
 GATED_STARTS = [(name, 1.1) for name in ECONOMIES]
 
 
-def gated_seed(params, z0, monkeypatch):
-    """(s0, defect at s0) of the seed _seed chose on the way to z0."""
-    seeds = []
-    seed = dynamics._seed
-
-    def spy(*args):
-        out = seed(*args)
-        seeds.append(out)
-        return out
-
-    monkeypatch.setattr(dynamics, "_seed", spy)
-    try:
-        saddle_path(params, z0)
-    except TargetNotReachedError:
-        pass
-    (s0, defect, _), = seeds
-    return s0, defect
-
-
 @pytest.mark.parametrize("name, factor", GATED_STARTS)
-def test_seed_passes_the_invariance_gate(name, factor, monkeypatch):
-    """At +-s0 the expansion's invariance defect, recomputed term by term,
-    is within the stepper's tolerance, as the seed record says."""
+def test_seed_passes_the_invariance_gate(name, factor):
+    """The closed form in floats, W(s) = (z, q)(s/kappa) and its slope, at
+    the start's s0 = kappa y0 and at -s0, has an invariance defect within
+    1e-4 SADDLE_RTOL, the gate the order-10 series' seed had to pass at
+    SADDLE_RTOL: the hyperbola is the manifold to rounding (measured at
+    most 2.3e-16)."""
     params = params_of(name)
-    s0, defect = gated_seed(params, factor * steady_state(params).z_star, monkeypatch)
-    ss, terms, rate, _, coeffs = path_parts(params)
-    assert len(coeffs) - 1 == dynamics.MANIFOLD_ORDER
+    ss, terms, rate, _, _ = path_parts(params)
+    p, _, kappa, _ = plane_pieces(params)
+    z0 = factor * ss.z_star
+    s0 = kappa * (z0 - ss.z_star) / (z0 + p)
     assert abs(s0) > dynamics.SEED_SCALE * math.hypot(*ss[1:5])
-    assert defect == pytest.approx(invariance_defect(terms, coeffs, rate, s0), rel=1e-6)
     for s in (s0, -s0):
-        assert invariance_defect(terms, coeffs, rate, s) <= dynamics.SADDLE_RTOL
+        assert defect_at(terms, *closed_form_at(params, s), rate, s) <= 1e-4 * dynamics.SADDLE_RTOL
 
 
-def taylor_oracle(params):
+def taylor_oracle(params, order=10):
     """The stable manifold's Taylor coefficients on the plane, [(z*, q*),
-    (dz, dq), (Z_2, Q_2), ...] to order MANIFOLD_ORDER, at 40 digits and
-    without the package's recursion: x* from a 40-digit root of gap_P, the
+    (dz, dq), (Z_2, Q_2), ...] to order, at 40 digits and without the
+    closed form: x* from a 40-digit root of gap_P, the
     rhs rhs_reduced_values' (z', q') at (z, q, u(z), v(z)) with the closed
     forms at w*, J2 by mpmath.diff, its stable eigenpair normalised with
     du/dz and dv/dz, and order k from (J2 - k lambda I) a_k =
@@ -710,7 +746,7 @@ def taylor_oracle(params):
         du, dv = (mpmath.diff(lambda z: allocations(z)[i], x[0]) for i in (0, 1))
         norm = mpmath.sqrt(1 + m * m + du * du + dv * dv)
         coeffs = [x, (1 / norm, m / norm)]
-        for k in range(2, dynamics.MANIFOLD_ORDER + 1):
+        for k in range(2, order + 1):
             def along(s, i):
                 return rhs(*[sum(c[j] * s**p for p, c in enumerate(coeffs))
                              for j in range(2)])[i]
@@ -724,17 +760,21 @@ def taylor_oracle(params):
 
 
 @pytest.mark.parametrize("name, factor", GATED_STARTS)
-def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor, monkeypatch):
-    """Every order of the plane expansion against taylor_oracle: each
-    coefficient within 1e-13 of its own size on the paper cases and 1e-10
-    on the stiff economies, where the float lambda carries 1e-11 (measured
-    8.7e-15 and 2.3e-11; the circle DFT this recursion replaced was off by
-    up to 26 times a_6 on case 1 and more on the stiff economies). What that
-    costs the path is its term at the seed: |da_k| |s0|^k stays below 1e-3
-    of SADDLE_RTOL |x*|."""
+def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor):
+    """The closed form's series in s (closed_form_coefficients: Z_k = (z* +
+    p) kappa^-k, Q_k = q* (r/kappa)^k, from the float p, kappa and q* the
+    path takes) against taylor_oracle, the stable manifold's own Taylor
+    coefficients from a 40-digit recursion on rhs_reduced_values: each
+    order to 1e-13 of its own size on the paper cases and 1e-10 on the
+    stiff economies, where the float kappa carries the rounding of dz ~
+    (1 - tau0*) (measured 7.4e-15 and 2.2e-12; the order-10 recursion this
+    closed form replaced gave 8.7e-15 and 2.3e-11). The path's term at its
+    start, |da_k| |s0|^k, stays below 1e-3 of SADDLE_RTOL |x*|."""
     params = params_of(name)
-    s0, _ = gated_seed(params, factor * steady_state(params).z_star, monkeypatch)
     ss, _, _, _, coeffs = path_parts(params)
+    p, _, kappa, _ = plane_pieces(params)
+    z0 = factor * ss.z_star
+    s0 = kappa * (z0 - ss.z_star) / (z0 + p)
     oracle = taylor_oracle(params)
     bound = 1e-13 if name.startswith("case") else 1e-10
     for k, (c, ref) in enumerate(zip(coeffs, oracle)):
@@ -743,110 +783,49 @@ def test_manifold_coefficients_match_40_digit_taylor_coefficients(name, factor, 
         assert err * abs(s0) ** k <= 1e-3 * dynamics.SADDLE_RTOL * math.hypot(*ss[1:5])
 
 
-@pytest.mark.parametrize("name", ECONOMIES)
-def test_incremental_circle_samples_match_reevaluated_ones(name):
-    """_plane_manifold builds each order from running Cauchy products of
-    the lower ones. Re-evaluated at every order instead from samples on a
-    circle of radius r, the seed search's first |s0|: (z', q') of
-    rhs_reduced_values at W_{<k}(s), u and v from allocations, sampled at
-    32 points, the order-k term by Cauchy's integral (a DFT), and
-    (J2 - k lambda I) a_k = -that term, with J2 a complex step of the same
-    rhs at x*. From the package's own a_{<k}, that gives its a_2 to a_6 to
-    rounding: |da_k| r^k is at most 1e-13 |x*|, measured at most 3.7e-17
-    |x*| (a_2 of stiff economy 35)."""
-    params = params_of(name)
-    ss, terms, rate, _, coeffs = path_parts(params)
-    tau0, w = terms[5], ss.w_star
-    x_star = math.hypot(ss.z_star, ss.q_star, ss.u_star, ss.v_star)
-    order = len(coeffs) - 1
-    assert order == dynamics.MANIFOLD_ORDER
-    r = (dynamics.SADDLE_RTOL * x_star / math.hypot(*coeffs[order])) ** (1.0 / order)
-
-    def rhs(z, q):
-        return rhs_reduced_values(z, q, *dynamics.allocations(tau0, w, z), params)[:2]
-
-    h = 1e-20
-    (j11, j21), (j12, j22) = ([x.imag / h for x in rhs(complex(ss.z_star, h * (i == 0)),
-                                                       complex(ss.q_star, h * (i == 1)))]
-                              for i in range(2))
-    n = 32
-    roots = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
-    for k in range(2, order + 1):
-        f = [rhs(*oracles.horner([c[1:] for c in coeffs[:k]], r * root)) for root in roots]
-        fz, fq = (sum(fj[i] / root**k for fj, root in zip(f, roots)) / (n * r**k)
-                  for i in range(2))
-        d11, d22 = j11 - k * rate, j22 - k * rate
-        det = d11 * d22 - j12 * j21
-        zk, qk = (j12 * fq - d22 * fz) / det, (j21 * fz - d11 * fq) / det
-        gap = max(abs(zk - coeffs[k][1]), abs(qk - coeffs[k][2])) * r**k
-        assert gap <= 1e-13 * x_star
-
-
-def halved_seed(monkeypatch):
-    """Make _seed start its search at half its first |s0|."""
-    seed = dynamics._seed
-
-    def spy(terms, coeffs, rate, s_end, scale):
-        return seed(terms, coeffs, rate, s_end, scale / 2 ** (len(coeffs) - 1))
-
-    monkeypatch.setattr(dynamics, "_seed", spy)
-
-
 @pytest.mark.parametrize("case, factor", reference_paths.STARTS[:9] + [(1, 0.9), (1, 0.8)]
                          + [(c, f) for c in (2, 3, 4, 5) for f in (0.8, 1.3)])
 def test_path_does_not_depend_on_the_circle_radius(case, factor, monkeypatch):
-    """W is used inside the circle |s| = |s0|: the seed's gate checks its
-    defect at the circle's real points s0 and -s0, and the path reports
-    W's rows from there in. Paths on the circle of the radius saddle_path
-    chooses and on one of half that radius start at the same (q, u, v) to
-    SADDLE_RTOL relative and report the same clock to 1e-9.
-
-    The starts are the reference table's paper-case starts and case 1 from
-    0.9 z*, which passes the corner u = v = 1; the order-10 expansion
-    reaches 0.85-0.88 to 1.15-1.18 z*, so from 0.95 and 1.05 z* both
-    paths are solved for on W, from the same s, and case 1 from 0.9 z* is
-    solved for on W on the wide circle and stepped from the narrow one.
-    Then, beyond W's reach, both are stepped: cases 2-5 from both sides and
-    case 1 from 0.8 z*. The nearer seed integrates more rhs calls near x*,
-    where only a step control relative to the distance from x* keeps their
-    error off the clock: with one relative to |x| the clocks differed by up
-    to 1.0e-9 (order 6). (From 0.5 z* the two differ by up to 2.4e-10 in
-    q: that is the stepper's own error over the longer leg, not the
-    radius.)"""
+    """The path ends on the circle |s| = SEED_SCALE |x*| about x*, where its
+    clock stops. With that radius halved (SEED_SCALE), the path from z0 is
+    the same: every row of the wide circle's but its last, times and states
+    bit for bit, opens the narrow circle's path, and the clock grows by exactly ln
+    2 / |lambda|, to 1e-12 relative. The starts are the reference table's
+    paper-case starts, case 1 from 0.9 z*, past the corner u = v = 1, and
+    from 0.8 z*, and cases 2-5 from 0.8 and 1.3 z*."""
     params = bench_params(*CASE_PSI[case])
     z0 = factor * steady_state(params).z_star
-    s0, _ = gated_seed(params, z0, monkeypatch)
     wide = saddle_path(params, z0)
-    halved_seed(monkeypatch)
-    half, _ = gated_seed(params, z0, monkeypatch)
+    monkeypatch.setattr(dynamics, "SEED_SCALE", dynamics.SEED_SCALE / 2)
     narrow = saddle_path(params, z0)
-    assert abs(half) == pytest.approx(abs(s0) / 2, rel=1e-12)
-    for a, b in zip(wide.state_rows[0][1:], narrow.state_rows[0][1:]):
-        assert abs(a - b) <= dynamics.SADDLE_RTOL * abs(b)
-    assert abs(wide.meta["t_stop"] - narrow.meta["t_stop"]) <= 1e-9
+    _, _, _, decay = plane_pieces(params)
+    n = len(wide) - 1
+    assert narrow.time_rows[:n] == wide.time_rows[:n]
+    assert narrow.state_rows[:n] == wide.state_rows[:n]
+    assert narrow.meta["t_stop"] - wide.meta["t_stop"] == pytest.approx(
+        math.log(2.0) / decay, rel=1e-12)
 
 
 @pytest.mark.parametrize("event, outcome", [("BOX_MARGIN", "hit a coordinate floor")])
 def test_manifold_rows_respect_the_events_of_stepped_rows(event, outcome, monkeypatch):
-    """With the coordinate floor moved to where W crosses it at |s| = 1e-3
-    |x*|, well inside the seed, the path stops there as a stepped path
-    would, with the stepper's error, and the stepper never runs: the final
-    z reported is that of the first of W's rows, counted from x*, on or
-    below the floor, so it lies past W's crossing by less than one row
-    (there W's step in ln |s| is about 0.3 < ln 2). Case 1
-    from 1.1 z*, within W's reach, lowers q; from 1.3 z*, beyond it, the
-    path stops on W's rows before the seed."""
+    """With the coordinate floor moved to where the path W crosses it at
+    |s| = 1e-3 |x*|, the path stops there as a stepped path would, and the
+    stepper never runs: the final z reported is that of the first of W's
+    rows, counted from x*, on or below the floor, so it lies past W's
+    crossing by less than one row (there the step in ln |s| is about 0.3 <
+    ln 2). Case 1 from 1.1 and 1.3 z* lowers q; from 1.3 z* the rows
+    beyond u = v = 0 are below the floor too."""
     params = params_of("case1")
-    ss, *_, coeffs = path_parts(params)
+    ss = steady_state(params)
     s = 1e-3 * math.hypot(*ss[1:5])
-    q = dynamics._horner(coeffs, s)[2]
+    (z_floor, q), _ = closed_form_at(params, s)
     monkeypatch.setattr(dynamics, event, q)
     monkeypatch.setattr(dynamics, "_dormand_prince", None)
     for factor in (1.1, 1.3):
         with pytest.raises(TargetNotReachedError, match=outcome) as exc:
             saddle_path(params, factor * ss.z_star)
         final = float(str(exc.value).split("final z = ")[1].rstrip(")"))
-        assert dynamics._horner(coeffs, s)[1] <= final < dynamics._horner(coeffs, 2 * s)[1]
+        assert z_floor <= final < closed_form_at(params, 2 * s)[0][0]
 
 
 def rk4_rows(params, times, states, substeps=4):
@@ -890,26 +869,9 @@ def test_rows_are_dense_enough_for_the_dynamics(case, factor):
         assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(x, y)) <= 1e-8
 
 
-def captured_rows(params, z0, monkeypatch):
-    """[(arguments, result)] of the _manifold_rows calls saddle_path makes
-    on its way to z0, whether it returns a path or raises
-    TargetNotReachedError."""
-    calls, rows = [], dynamics._manifold_rows
-
-    def spy(*args):
-        calls.append((args, rows(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(dynamics, "_manifold_rows", spy)
-    try:
-        saddle_path(params, z0)
-    except TargetNotReachedError:
-        pass
-    return calls
-
-
 # The row-density starts, and the stiff economies and the economy with u*
-# near 1 from both sides, on W's rows alone and stepped.
+# near 1 from both sides, near z* and past either end of their interior
+# intervals.
 ROW_ORDER_STARTS = ([(f"case{c}", f) for c, f in ROW_DENSITY_STARTS]
                     + [(name, f) for name in ECONOMIES[len(CASE_PSI):] + ["u_star_near_one"]
                        for f in (0.9, 0.999, 1.001, 1.1)])
@@ -917,85 +879,50 @@ ROW_ORDER_STARTS = ([(f"case{c}", f) for c, f in ROW_DENSITY_STARTS]
 
 @pytest.mark.parametrize("name, factor", ROW_ORDER_STARTS)
 def test_rows_of_w_agree_with_w_to_full_order(name, factor, monkeypatch):
-    """W's rows, each summed only to the order its |s| needs, agree in z
-    and q with W summed to full order by Horner's rule on lists
-    (oracles.horner) at that row's s, to 1e-15 relative. The rows lie where
-    the step law puts them, their times bit for bit (oracles.
-    manifold_row_points), and u and v are allocations at (tau0*, w*, z)."""
+    """Every row of a plane path lies on W, the stable manifold, in full:
+    each (z, q, u, v) agrees with the 40-digit closed form
+    (oracles.plane_path) at the row's own time, each coordinate to 1e-13 of
+    the larger of its size and its size at x*, and the clock, times
+    |lambda|, to 1e-13; on the stiff economies u, v and the clock to 1e-11,
+    as 1/|1 - tau0*| of 700 to 1 200 magnifies the float tau0*'s rounding
+    in them (measured 5.5e-15 and 6.2e-14 elsewhere, 1.4e-12 and 3.7e-12
+    there; z and q at most 8.5e-15). The floor is lowered to -inf so that
+    paths past u = v = 0 report their rows."""
     params = params_of(name)
-    ss, terms, *_ = path_parts(params)
-    (args, (times, states, _)), = captured_rows(params, factor * ss.z_star, monkeypatch)
-    points = oracles.manifold_row_points(*args[:6])
-    assert times == [t for t, _ in points] and len(states) == len(points) > 1
-    for (_, s), (z, q, u, v) in zip(points, states):
-        _, full_z, full_q = oracles.horner(args[0], s)
-        assert abs(z - full_z) <= 1e-15 * full_z and abs(q - full_q) <= 1e-15 * full_q
-        assert (u, v) == dynamics.allocations(terms[5], ss.w_star, z)
-
-
-@functools.cache
-def gated_rows_setting(name, side):
-    """(coeffs, rate, s_end, gate, scale, dzuv, law) of the plane path of
-    economy name on side (the sign of s): the gate's s0 (_seed), None where
-    no seed passes."""
-    params = params_of(name)
-    ss, terms, rate, v, coeffs = path_parts(params)
-    scale = math.hypot(*ss[1:5])
-    s_end = side * dynamics.SEED_SCALE * scale
-    gate = dynamics._seed(terms, coeffs, rate, s_end, scale)[0]
-    return coeffs, rate, s_end, gate, scale, (v[1], v[3], v[4]), law_of(params)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(name=st.sampled_from(ECONOMIES + ["u_star_near_one"]), side=st.sampled_from((-1.0, 1.0)),
-       f=st.floats(0.0, 1.0))
-def test_rows_drop_no_more_of_w_than_half_an_ulp(name, side, f):
-    """From any s0 between s_end and the gate's, gate (s_end/gate)^f, on
-    either side, every row's (z, q) is W's first m + 1 terms summed by
-    Horner's rule, bit for bit, for an m whose dropped tail, sum_{k>m}
-    |a_k| |s|^k summed exactly (fsum) column by column, is within half an
-    ulp at x*, to 1e-12 of that bound (the float check's rounding): in q
-    of q*, and in z of z* and of the u* and v* it moves, by allocations'
-    slopes at x*, du/dz = tau0/((tau0 - 1) w) and dv/dz = w/((tau0 - 1)
-    z^2)."""
-    coeffs, rate, s_end, gate, scale, dzuv, law = gated_rows_setting(name, side)
-    assume(gate is not None)
-    s0 = gate * (s_end / gate) ** f
-    _, states, _ = dynamics._manifold_rows(coeffs, rate, s0, s_end, scale, dzuv, law)
-    zq = [c[1:] for c in coeffs]
-    (w_star, tau0, _), (z_star, q_star) = law, zq[0]
-    u_star, v_star = dynamics.allocations(tau0, w_star, z_star)
-    halves = [min(math.ulp(z_star), math.ulp(u_star) * abs((tau0 - 1.0) * w_star / tau0),
-                  math.ulp(v_star) * abs((tau0 - 1.0) * z_star ** 2 / w_star)) / 2.0,
-              math.ulp(q_star) / 2.0]
-    points = oracles.manifold_row_points(coeffs, rate, s0, s_end, scale, dzuv)
-    for (_, s), (z, q, *_) in zip(points, states):
-        orders = [m for m in range(1, len(zq)) if oracles.horner(zq[:m + 1], s) == [z, q]]
-        assert orders
-        for i, half in enumerate(halves):
-            tail = math.fsum(abs(c[i]) * abs(s) ** k for k, c in enumerate(zq) if k > orders[-1])
-            assert tail <= half * (1.0 + 1e-12)
+    z0 = factor * steady_state(params).z_star
+    monkeypatch.setattr(dynamics, "BOX_MARGIN", -math.inf)
+    traj = saddle_path(params, z0)
+    oracle = oracles.plane_path(params, z0)
+    bounds = (1e-13, 1e-13) + ((1e-11,) * 2 if name.startswith("stiff") else (1e-13,) * 2)
+    assert len(traj) > 1
+    with mpmath.workdps(40):
+        sizes = [abs(x) for x in oracle.x_star]
+        for t, row in zip(traj.time_rows, traj.state_rows):
+            for x, ref, size, bound in zip(row, oracle.at(t), sizes, bounds):
+                assert abs(x - ref) <= bound * max(abs(ref), size)
+        assert abs(traj.meta["t_stop"] - oracle.clock) * abs(oracle.lam) <= bounds[-1]
 
 
 def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
-    """Case 2 from 1.001 z*, where z0 lies between z* and W(s0): the path is
-    solved for on W, its first row at z0, and the stepper never runs.
-    Every row follows from the one before by scipy's RK45 at rtol 1e-12
-    to 1e-11 relative, and the clock is the conjugacy's ln(s_end/s) /
-    lambda."""
+    """Case 2 from 1.001 z*: as from every plane start, the path is written
+    in closed form, its first row at z0, the stepper never runs and nothing
+    is searched for. Every row follows from the one before by scipy's RK45
+    at rtol 1e-12 to 1e-11 relative, and the clock is ln(|s0| / (SEED_SCALE
+    |x*|)) / |lambda| with s0 = kappa (z0 - z*)/(z0 + p) (plane_pieces)."""
     params = params_of("case2")
-    ss, _, rate, _, _ = path_parts(params)
+    ss = steady_state(params)
     x_star = ss[1:5]
     z0 = 1.001 * x_star[0]
+    p, _, kappa, decay = plane_pieces(params)
     monkeypatch.setattr(dynamics, "_dormand_prince", None)
     searches = counted_searches(monkeypatch)
     traj = saddle_path(params, z0)
-    assert traj.meta["steps"] == traj.meta["nfev"] == 0
-    assert traj.meta["event_evals"] == sum(searches) > 2
-    assert traj.state_rows[0][0] == pytest.approx(z0, rel=4e-16)
-    s_end = math.copysign(dynamics.SEED_SCALE * math.hypot(*x_star), traj.meta["s0"])
+    assert traj.meta["steps"] == traj.meta["nfev"] == traj.meta["event_evals"] == 0
+    assert searches == []
+    assert traj.state_rows[0][0] == z0
+    s0 = kappa * (z0 - x_star[0]) / (z0 + p)
     assert traj.meta["t_stop"] == traj.time_rows[-1] == pytest.approx(
-        math.log(s_end / traj.meta["s0"]) / rate, rel=1e-14)
+        math.log(abs(s0) / (dynamics.SEED_SCALE * math.hypot(*x_star))) / decay, rel=1e-14)
     assert len(traj) > 1
     for (t0, x0), (t1, x1) in zip(zip(traj.time_rows, traj.state_rows),
                                   zip(traj.time_rows[1:], traj.state_rows[1:])):
@@ -1004,48 +931,52 @@ def test_start_within_reach_of_the_manifold_integrates_nothing(monkeypatch):
         assert np.max(np.abs(sol.y[:, -1] - x1)) <= 1e-11 * np.max(np.abs(x1))
 
 
-@pytest.mark.parametrize("how", ["no seed passes the gate"])
-def test_linear_seed_when_the_expansion_fails(how, monkeypatch):
-    """Where no seed passes the invariance gate, the path starts from the
-    linear seed x* + v s_end, SEED_SCALE |x*| out, reports no rows of W,
-    and is the path the linear seed gives: case 1 from 1.1 z* in 302 steps
-    and 1 819 rhs calls, to t = 0.9185382823002138. (With a first step
-    from the generic starting-step estimate in place of the step cap it
-    took 303 steps and 1 814 calls, to 0.918538282297135, 3.1e-12
-    relative away; q*'s last bit moves this clock by 4.6e-13.) Its
-    (q, u, v) at z0 are within 1e-9 of the seeded path's and its clock
-    within 1e-7 (the linear seed's clock error; measured 1.1e-13 and
-    4.2e-8)."""
-    params = params_of("case1")
-    ss, *_ = path_parts(params)
-    seeded = saddle_path(params, 1.1 * ss.z_star)
-    monkeypatch.setattr(dynamics, "_defect", lambda *args: 1.0)
-    traj = saddle_path(params, 1.1 * ss.z_star)
-    meta = traj.meta
-    assert meta["order"] == 1 and meta["seed_defect"] is None
-    assert meta["s0"] == dynamics.SEED_SCALE * math.hypot(*ss[1:5])
-    assert (len(traj), meta["steps"], meta["nfev"]) == (302, 302, 1819)
-    assert meta["t_stop"] == traj.time_rows[-1] == 0.9185382823002138
-    for a, b in zip(traj.state_rows[0][1:], seeded.state_rows[0][1:]):
-        assert abs(a - b) <= 1e-9 * abs(b)
-    assert abs(meta["t_stop"] - seeded.meta["t_stop"]) <= 1e-7
-
-
 @pytest.mark.parametrize("name", ECONOMIES)
 def test_paths_through_the_corner_take_the_series_seed(name):
     """From 0.5 z*, the path passes the corner u = v = 1 at z = w*, where
-    allocations is not singular: it is seeded on the plane expansion, its
-    rows have u > 1 exactly where z < w* and u < 1 where z > w*, and v > 1
-    with u, and the stepper ran through the corner to z0."""
+    allocations is not singular: the closed form, the plane series W(s)
+    summed, runs through it with nothing stepped; its rows have u > 1
+    exactly where z < w* and u < 1 where z > w*, and v > 1 with u, and its
+    first row is z0."""
     params = params_of(name)
     ss = steady_state(params)
     assert ss.w_star < ss.z_star
     traj = saddle_path(params, 0.5 * ss.z_star)
-    assert traj.meta["order"] == dynamics.MANIFOLD_ORDER
-    assert 0 < traj.meta["steps"] < len(traj)
+    assert traj.meta["steps"] == 0 and len(traj) > 1
     for z, _, u, v in traj.state_rows:
         assert (u > 1.0) == (v > 1.0) == (z < ss.w_star)
-    assert traj.state_rows[0][0] == pytest.approx(0.5 * ss.z_star, rel=4e-16)
+    assert traj.state_rows[0][0] == 0.5 * ss.z_star
+    assert traj.state_rows[-1][0] > ss.w_star
+
+
+# The README start (case 1 from z0 = k0/h0 = 5.5), and 0.5 z* on stiff
+# economies 35 and 1912 and on U_STAR_NEAR_ONE: long legs past the corner.
+LONG_LEGS = [("case1", "readme"), ("stiff35", 0.5), ("stiff1912", 0.5), ("u_star_near_one", 0.5)]
+
+
+@pytest.mark.parametrize("name, factor", LONG_LEGS)
+def test_long_legs_meet_the_closed_form_oracle(name, factor):
+    """A start far from z* meets the 40-digit closed form (oracles.
+    plane_path) at z0: q to 1e-13 relative, u and v to 1e-13 + 4 eps /
+    |1 - tau0*| (eps = 2^-52), and the clock, times |lambda|, to 1e-11.
+    Float tau0* is off its exact value by about an ulp, which allocations
+    magnify by 1/|1 - tau0*|, 1 185 on stiff economy 35: there u and v are
+    off by 2.2e-13, and by 4.4e-14 with the exact tau0* rounded to a float.
+    Measured: u and v 7.0e-14 on stiff economy 1912 and at most 8.1e-16
+    elsewhere, q at most 1.2e-15; the clock 4.1e-12 and 1.3e-12 on the
+    stiff economies, at most 2.2e-14 elsewhere. Stepped over the long leg from the
+    series' reach, these starts' (q, u, v) moved by 1.9e-10 to 3.4e-10
+    with the seed's radius."""
+    params = params_of(name)
+    ss = steady_state(params)
+    z0 = 5.5 if factor == "readme" else factor * ss.z_star
+    traj = saddle_path(params, z0)
+    oracle = oracles.plane_path(params, z0, 60 if name == "u_star_near_one" else 40)
+    bounds = (1e-13,) + (1e-13 + 4 * 2.0 ** -52 / abs(1.0 - ss.tau0),) * 2
+    with mpmath.workdps(40):
+        for x, ref, bound in zip(traj.state_rows[0][1:], (oracle.q, oracle.u, oracle.v), bounds):
+            assert abs(x - ref) <= bound * abs(ref)
+        assert abs(traj.meta["t_stop"] - oracle.clock) * abs(oracle.lam) <= 1e-11
 
 
 def counted_searches(monkeypatch):
@@ -1075,60 +1006,28 @@ def counted_searches(monkeypatch):
                                           ("stiff35", 0.9999), ("case1", 0.8), ("case2", 1.3),
                                           ("case2", 0.8), ("stiff35", 0.8)])
 def test_trajectory_meta_records_the_seed(name, factor, monkeypatch):
-    """A path seeded on the expansion, on either side of z*: the record
-    holds the order and the seed's defect, _defect's value at the seed,
-    within the gate.
-
-    That defect is within twice the rounding spread of its 50-digit value
-    at the same W(s0) (defect_resolution; measured at most 0.44 of the
-    spread, and 3.7e4 to 1.5e5 spreads off for a _defect without its
-    division by sqrt(3)), and agrees with a term-by-term sum to 1e-4
-    relative with no absolute floor (measured 7.6e-6: E cancels f(W) to
-    about 1e-10, so the two sums' roundings differ at 1e-6 to 1e-5).
-
-    The set-up counts the gate's rhs evaluations, _defect's calls, one or
-    two for each |s0| tried, at least the two of the seed that passes; the
-    stiff economies' first |s0| fails the gate, and the second passes.
-    A path from z0 nearer x* than W(s0), within the order-10 expansion's
-    reach, is solved for on W, with no steps, and records where: case 1
-    from 1.1 z*, case 2 from 1.1 and 0.95 z* and stiff economy 35 from
-    0.9999 z*. A path integrated from its seed, from beyond that reach
-    (case 1 from below, past the corner), records that seed as s0. Then
-    the rows are the stepper's followed by those of W, and event_evals
-    counts the g evaluations of the search that placed the stop."""
+    """A plane path, on either side of z*, records what saddle_path's
+    docstring lists and nothing of a seed: no "order", "seed_defect",
+    "setup_nfev" or "s0", and "steps", "nfev" and "event_evals" 0, as
+    nothing is stepped or searched for. "stable_eigenvalue" is eigen4's
+    stable root, and "t_stop" the last row's time, the closed form's
+    clock ln(|s0| / (SEED_SCALE |x*|)) / |lambda|, s0 = kappa (z0 - z*)/(z0
+    + p) (plane_pieces), to 1e-14 relative."""
     params = params_of(name)
-    ss, terms, rate, _, coeffs = path_parts(params)
-    seeds = []
-    seed = dynamics._seed
-
-    def spy(*args):
-        out = seed(*args)
-        seeds.append(out)
-        return out
-
-    monkeypatch.setattr(dynamics, "_seed", spy)
-    defects, defect_of = [], dynamics._defect
-    monkeypatch.setattr(dynamics, "_defect", lambda *args: defects.append(args) or defect_of(*args))
+    ss, *_ = path_parts(params)
+    p, _, kappa, decay = plane_pieces(params)
     searches = counted_searches(monkeypatch)
-    traj = saddle_path(params, factor * ss.z_star)
-    meta, tried = traj.meta, [abs(args[-1]) for args in defects]
-    (s0, defect, _), = seeds
-    assert meta["order"] == dynamics.MANIFOLD_ORDER
-    slopes = [[k * a for a in c] for k, c in enumerate(coeffs)][1:]
-    assert meta["seed_defect"] == defect == dynamics._defect(terms, coeffs, slopes, rate, s0)
-    exact, spread = defect_resolution(terms, coeffs, rate, s0)
-    assert abs(defect - exact) <= 2.0 * spread
-    assert defect == pytest.approx(invariance_defect(terms, coeffs, rate, s0), rel=1e-4, abs=0)
-    assert defect <= dynamics.SADDLE_RTOL
-    tries = len(set(tried))
-    assert meta["setup_nfev"] == len(tried) and max(2, tries) <= len(tried) <= 2 * tries
-    assert tries == (2 if name.startswith("stiff") else 1)
-    if (dynamics._horner(coeffs, s0)[1] - factor * ss.z_star) * (factor - 1.0) > 0.0:
-        assert meta["steps"] == meta["nfev"] == 0 and abs(meta["s0"]) < abs(s0)
-    else:
-        assert meta["s0"] == s0 and 0 < meta["steps"] < len(traj)
-    assert meta["t_stop"] == traj.time_rows[-1]
-    assert meta["event_evals"] == sum(searches) > 2
+    z0 = factor * ss.z_star
+    traj = saddle_path(params, z0)
+    meta = traj.meta
+    assert meta.keys() == {"steps", "nfev", "event_evals", "plane", "stable_eigenvalue",
+                           "stop_reason", "t_stop"}
+    assert meta["steps"] == meta["nfev"] == meta["event_evals"] == 0 and searches == []
+    assert meta["plane"] and meta["stop_reason"] == "target_reached"
+    assert meta["stable_eigenvalue"] == eigen4(ss, params)[0]
+    s0 = kappa * (z0 - ss.z_star) / (z0 + p)
+    assert meta["t_stop"] == traj.time_rows[-1] == pytest.approx(
+        math.log(abs(s0) / (dynamics.SEED_SCALE * math.hypot(*ss[1:5]))) / decay, rel=1e-14)
 
 
 @pytest.mark.parametrize("args", [["--chek"], ["check"], ["--check", "pool11"],
@@ -1156,12 +1055,15 @@ def test_saddle_path_matches_the_25_digit_reference(ref):
     """Against tests/reference_paths.json (mpmath.odefun at 25 digits from
     an mpmath eigenvector seed): the path's first row lies at z0, and its
     (q, u, v) there agree to SADDLE_RTOL relative, and its clock, the time
-    from z0 to |s| = SEED_SCALE |x*|, to 1e-8. Measured: at most 1.0e-12
-    and 1.2e-10 on the paper cases, where the circle expansion gave 4.1e-11
-    and 4.1e-10 and the linear seed 2.7e-10 and 6.3e-6; 5.4e-13 and 2.7e-13
-    on the stiff economies, from within 3e-4 z* of z*; 2.3e-12 and 2.7e-9
-    on the pool economies, whose tau0* > 1, so that w moves. Case 1 from
-    0.9 z* passes the corner u = v = 1: 1.5e-12 and 7.2e-12."""
+    from z0 to |s| = SEED_SCALE |x*|, to 1e-8. Measured: at most 5.4e-15
+    and 8.5e-11 on the paper cases, in closed form, where the order-10
+    series gave 1.0e-12 and 1.2e-10, the circle expansion 4.1e-11 and
+    4.1e-10 and the linear seed 2.7e-10 and 6.3e-6 (the clocks' 8.5e-11 is
+    the table's own, test_plane_references_meet_the_closed_form_oracle);
+    5.4e-13 and 2.7e-13 on the stiff economies, from within 3e-4 z* of z*;
+    2.5e-12 and 2.7e-9 on the pool economies, whose tau0* > 1, so that w
+    moves. Case 1 from 0.9 z* passes the corner u = v = 1: 5.7e-16 and
+    4.2e-12."""
     params = reference_paths.economy(ref["case"])
     traj = saddle_path(params, ref["z0"])
     z, *quv = traj.state_rows[0]
@@ -1177,10 +1079,11 @@ def test_u_star_near_one_paths_match_their_50_digit_references(ref):
     """U_STAR_NEAR_ONE has u* = 1 - 3.2e-15 and tau0* = 2.4e-15, where the
     4-D rhs at the float x* is rounding noise but the plane's coefficients
     are all of order one. From 0.9 z* the path's (q, u, v) at z0 agree with
-    the 50-digit reference to SADDLE_RTOL (measured 5.1e-12; the 4-D route
-    gave q = 0.58412 against 0.55879), and its clock to 1e-8 (measured
-    1.2e-9). From 1.1 z*, where the 4-D route hit the coordinate floor,
-    the path reaches z0 (measured 6.6e-13 and 1.2e-9). Every row keeps
+    the 50-digit reference to SADDLE_RTOL (measured 2.0e-16, 5.1e-12 when
+    stepped; the 4-D route gave q = 0.58412 against 0.55879), and its clock
+    to 1e-8 (measured 1.2e-9, the table's own). From 1.1 z*, where the 4-D
+    route hit the coordinate floor, the path reaches z0 (measured 2.2e-16
+    and 1.2e-9). Every row keeps
     1 - u within 1e-14, as u = (1 - tau0 z/w)/(1 - tau0) requires for z
     near w."""
     params = reference_paths.economy(ref["case"])
@@ -1191,6 +1094,137 @@ def test_u_star_near_one_paths_match_their_50_digit_references(ref):
         assert abs(x - float(ref[name])) <= dynamics.SADDLE_RTOL * abs(float(ref[name]))
     assert abs(traj.meta["t_stop"] - float(ref["clock"])) <= 1e-8
     assert all(0.0 < 1.0 - u <= 1e-14 for _, _, u, _ in traj.state_rows)
+
+
+PLANE_REFERENCES = [ref for ref in reference_paths.load()
+                    if steady_state(reference_paths.economy(ref["case"])).tau0 < 1.0]
+# Rows where the two oracles part by more than the table's 20 printed
+# digits: on stiff economies 35 and 1912 closed_forms' x* and
+# rhs_reduced_values part at 3.6e-17 (test_plane_oracle_is_the_reduced_
+# systems_invariant_curve), and U_STAR_NEAR_ONE's q, from a 50-digit 4-D
+# integration, is 4.3e-17 off the closed form, which is stable from 30 to
+# 90 digits.
+LOOSE_REFERENCES = {"stiff35", "stiff1912", "u_star_near_one"}
+
+
+@pytest.mark.parametrize("ref", PLANE_REFERENCES, ids=reference_id)
+def test_plane_references_meet_the_closed_form_oracle(ref):
+    """The 18 plane rows of tests/reference_paths.json against the closed
+    form at 40 digits (60 for U_STAR_NEAR_ONE; oracles.plane_path): two
+    independent oracles, the table from mpmath.odefun on the 4-D rhs.
+
+    q, u, v and lambda agree to 1e-17 relative (measured at most 2.1e-18
+    on 15 rows), and to 5e-17 on stiff economies 35 and 1912 and
+    U_STAR_NEAR_ONE (measured 1.9e-17, 2.1e-17 and 4.3e-17; the oracle
+    moves by less than 1e-22 between 30 and 90 digits there). The table's
+    clock is off by its seed's offset from the manifold, SEED_FRACTION |x*|
+    along the tangent, which shifts the seed's phase s by about
+    SEED_FRACTION relative, times the manifold's curvature in units of
+    |x*|: |delta clock| |lambda| is held to 16 SEED_FRACTION (measured
+    0.54 to 3.4 times SEED_FRACTION, and 10.1 on U_STAR_NEAR_ONE)."""
+    params = reference_paths.economy(ref["case"])
+    dps = 60 if ref["case"] == "u_star_near_one" else 40
+    oracle = oracles.plane_path(params, ref["z0"], dps)
+    bound = 5e-17 if ref["case"] in LOOSE_REFERENCES else 1e-17
+    with mpmath.workdps(dps):
+        for name, x in zip(("q", "u", "v", "lambda"), (oracle.q, oracle.u, oracle.v, oracle.lam)):
+            assert abs(x - mpmath.mpf(ref[name])) <= bound * abs(x)
+        shift = abs(oracle.clock - mpmath.mpf(ref["clock"])) * abs(oracle.lam)
+        assert shift <= 16 * reference_paths.SEED_FRACTION
+
+
+@pytest.mark.parametrize("name", ECONOMIES + ["u_star_near_one"])
+def test_plane_oracle_is_the_reduced_systems_invariant_curve(name):
+    """oracles.plane_path's hyperbola is invariant under rhs_reduced_values
+    itself, not only under plane_terms' equations it was derived from: at 40
+    digits, at five z from 0.5 to 2 z*, with q = theta (1 + p/z) and u, v
+    from the closed forms at w*, q' = -theta p z'/z^2 and z' = -b (z -
+    z*)(z + p); and p, from x*, is (Y1 - w* MPK)/MPH, the price of h in
+    units of k. Each holds to 1e-16 relative: measured at most 2.8e-39 on
+    the cases and stiff economy 420, 3.1e-26 on U_STAR_NEAR_ONE, where u -
+    v near the corner costs 15 digits, and 3.6e-17 on stiff economies 35
+    and 1912, where closed_forms' x* and rhs_reduced_values, both on the
+    float-rounded params.rate_terms, part at that level (as the reference
+    table's lambda does there)."""
+    params = params_of(name)
+    ss = steady_state(params)
+    oracle = oracles.plane_path(params, ss.z_star)
+    with mpmath.workdps(40):
+        w = mpmath.findroot(lambda w: gap_P(w, params), mpmath.mpf(ss.w_star))
+        _, b, _, _, _, tau0 = plane_terms(w, params)
+        _, _, _, _, y1, mpk, _, mph, _ = sector_rates(w, params)
+        assert abs(oracle.p - (y1 - w * mpk) / mph) <= 1e-16 * oracle.p
+        z_star = oracle.x_star[0]
+        for f in (0.5, 0.8, 0.99, 1.2, 2.0):
+            z = f * z_star
+            q = oracle.theta * (1 + oracle.p / z)
+            zdot, qdot, _, _ = rhs_reduced_values(
+                z, q, (tau0 * z / w - 1) / (tau0 - 1), (tau0 - w / z) / (tau0 - 1), params)
+            assert abs(zdot + b * (z - z_star) * (z + oracle.p)) <= 1e-16 * abs(zdot)
+            assert abs(qdot + oracle.theta * oracle.p * zdot / z**2) <= 1e-16 * abs(qdot)
+
+
+# The paper cases' interior intervals of z0 / z*, from ROADMAP item 5:
+# the draw reaches past both ends.
+INTERIOR = {1: (0.9823, 1.1326), 2: (0.8688, 1.9094), 3: (0.8863, 2.3713),
+            4: (0.8565, 3.0103), 5: (0.8430, 2.1925)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(CASE_PSI)), f=st.floats(0.0, 1.0))
+def test_plane_paths_meet_the_closed_form_oracle(case, f):
+    """From z0 across each paper case's interior interval and a third of
+    its width beyond either end (past the corner below, past u = v = 0
+    above), log-uniform: where the 40-digit closed form (oracles.
+    plane_path) has u or v at or below BOX_MARGIN at z0, saddle_path raises
+    TargetNotReachedError; elsewhere its (q, u, v) at z0 agree to 1e-13 of
+    the larger of their size and their size at x* (u and v vanish at the
+    upper end), and its clock, times |lambda|, to 1e-13 + 4 eps z*/|z0 - z*|,
+    eps = 2^-52, the rounding of z0 - z* in y0. Measured on a grid of 120
+    starts a case: at most 4.1e-15, and 0.43 of the clock's bound (1.9e-12
+    near z*); the order-10 series and the stepper this closed form replaced
+    gave 2.0e-9 and 7.0e-11 there."""
+    params = bench_params(*CASE_PSI[case])
+    ss = steady_state(params)
+    lo, hi = INTERIOR[case]
+    lo, hi = lo - (hi - lo) / 3, hi + (hi - lo) / 3
+    z0 = lo * (hi / lo) ** f * ss.z_star
+    assume(abs(z0 - ss.z_star) > 1e-12 * max(1.0, ss.z_star))
+    oracle = oracles.plane_path(params, z0)
+    with mpmath.workdps(40):
+        if min(oracle.u, oracle.v) <= dynamics.BOX_MARGIN:
+            with pytest.raises(TargetNotReachedError, match="hit a coordinate floor"):
+                saddle_path(params, z0)
+            return
+        traj = saddle_path(params, z0)
+        for x, ref, size in zip(traj.state_rows[0][1:], (oracle.q, oracle.u, oracle.v),
+                                oracle.x_star[1:]):
+            assert abs(x - ref) <= 1e-13 * max(abs(ref), size)
+        assert abs(traj.meta["t_stop"] - oracle.clock) * abs(oracle.lam) <= (
+            1e-13 + 4 * 2.0 ** -52 * ss.z_star / abs(z0 - ss.z_star))
+
+
+@pytest.mark.parametrize("name", ECONOMIES + ["readme"])
+def test_consumption_is_theta_times_wealth_on_every_row(name):
+    """On the plane, consumption is the transversality margin theta times
+    wealth at constant prices: c = theta (k + p h), p = (Y1 - w* MPK)/MPH,
+    on every row of a path with levels, to 1e-13 relative, from 0.9, 0.95,
+    1.05 and 1.3 z* wherever a path is returned, and from the README start
+    (case 1 from z0 = 5.5, past the corner); measured at most 4.1e-16."""
+    params = params_of("case1" if name == "readme" else name)
+    ss = steady_state(params)
+    p, theta, _, _ = plane_pieces(params)
+    starts = [5.5] if name == "readme" else [f * ss.z_star for f in (0.9, 0.95, 1.05, 1.3)]
+    paths = 0
+    for z0 in starts:
+        try:
+            traj = reconstruct_levels(saddle_path(params, z0), z0, params)
+        except TargetNotReachedError:
+            continue
+        paths += 1
+        for k, h, c in traj.level_rows:
+            assert abs(c - theta * (k + p * h)) <= 1e-13 * c
+    assert paths >= 1
 
 
 def test_stepper_gives_up_where_rk45_does():
@@ -1220,28 +1254,31 @@ def test_stepper_gives_up_where_rk45_does():
         assert 1.0 / y == pytest.approx(1.0 / y_rk, rel=0, abs=math.ulp(1.0))
 
 
-# (economy, z0 / z*, the event that ends the path): cases 2-5 from both
-# sides, case 1 from above, case 1 from the README start (z0 = k0 / h0 =
-# 5.5, past the corner), case 1 and a stiff economy into the coordinate
-# floor, and a pool economy with tau0* > 1 from both sides; those within
-# the order-10 expansion's reach are stepped from the linear seed
-# (stepped_calls). Then, beyond that reach: cases 2-5 from farther on both
-# sides, case 1 and a stiff economy from below, and cases 2 and 3 into the
-# floor.
+# (economy, z0 / z*, the event that ends the path). On the plane, the leg
+# saddle_path stepped there before its closed form (plane_leg): cases 2-5
+# from both sides, case 1 from above, case 1 from the README start (z0 =
+# k0 / h0 = 5.5, past the corner), case 1 and a stiff economy into the
+# coordinate floor, cases 2-5 from farther on both sides, case 1 and a
+# stiff economy from below, and cases 2 and 3 into the floor. Where tau0* >
+# 1, saddle_path's own: pool economy 60 from both sides, 10 and 70 from
+# above, 70 from below and 50 into the floor.
 STEPPER_STARTS = (
     [(f"case{c}", f, 0) for c in (2, 3, 4, 5) for f in (0.9, 0.95, 1.05, 1.3)]
     + [("case1", 1.05, 0), ("case1", 1.1, 0), ("case1", "readme", 0), ("case1", 1.5, 1),
        ("stiff35", 1.1, 1), ("pool60", 0.9, 0), ("pool60", 1.1, 0)]
     + [(f"case{c}", f, 0) for c in (2, 3, 4, 5) for f in (0.5, 0.8, 1.5)]
     + [("case1", 0.8, 0), ("stiff35", 0.8, 0), ("case2", 2.0, 1), ("case3", 3.0, 1)]
+    + [("pool10", 1.1, 0), ("pool70", 1.1, 0), ("pool70", 0.9, 0), ("pool50", 2.0, 1)]
 )
 
 
 def stepper_call(economy, factor, monkeypatch):
-    """(fun, y0, max_step, events) that saddle_path hands the stepper
-    (stepped_calls)."""
+    """(fun, y0, max_step, events) that saddle_path hands the stepper where
+    tau0* > 1 (stepped_calls), or of plane_leg on the plane."""
     params = params_of(economy)
     z0 = 5.5 if factor == "readme" else factor * steady_state(params).z_star
+    if steady_state(params).tau0 < 1.0:
+        return plane_leg(params, z0)
     (call,) = stepped_calls(params, z0, monkeypatch)[1]
     return call[:4]
 
@@ -1274,10 +1311,11 @@ def test_stepper_matches_the_list_form_bit_for_bit(economy, factor, hit, monkeyp
 def test_stepper_calls_only_fun_and_events(monkeypatch):
     """Each step of the stepper is written out on three floats: from its own
     frame it calls fun nfev times and events once for the seed and once per
-    accepted step, and nothing else, until the step that crosses z0 (case 2
-    from 1.2 z*). A comprehension or helper per stage or per step would be
-    a call of its own. Counted with sys.setprofile, with no timing."""
-    fun, y0, max_step, events = stepper_call("case2", 1.2, monkeypatch)
+    accepted step, and nothing else, until the step that crosses z0 (pool
+    economy 60 from 1.1 z*, where tau0* > 1 and saddle_path steps). A
+    comprehension or helper per stage or per step would be a call of its
+    own. Counted with sys.setprofile, with no timing."""
+    fun, y0, max_step, events = stepper_call("pool60", 1.1, monkeypatch)
     code = dynamics._dormand_prince.__code__
     seen = []
 
@@ -1381,18 +1419,27 @@ def test_event_search_costs_at_most_twice_bisection(g):
 
 
 # transition_paths' starts: case 1 from 1.05-1.10 z*, cases 2-5 from
-# 0.90-0.99 z* and 1.01-1.50 z*.
+# 0.90-0.99 z* and 1.01-1.50 z*; and where tau0* > 1 and paths are
+# stepped, the pool economies of the reference table.
 TRANSITION_STARTS = ([(1, f) for f in (1.05, 1.075, 1.1)]
                      + [(c, f) for c in (2, 3, 4, 5) for f in (0.9, 0.95, 0.99, 1.01, 1.2, 1.5)])
+TRANSVERSE_STARTS = [(f"pool{i}", 1.1) for i in (10, 50, 60, 70)] + [("pool60", 0.9),
+                                                                    ("pool70", 0.9)]
 
 
 def test_event_search_takes_few_evaluations_on_transition_starts(monkeypatch):
-    """A path's stop is found in at most 10 evaluations of g on average over
-    transition_paths' starts on the five paper cases (measured 7.1, where
-    bisection took 48), and each path's event_evals counts them."""
+    """transition_paths' starts, all on the plane, search for nothing: their
+    paths are written in closed form, with event_evals 0. Where paths are
+    stepped, a path's stop is found in at most 10 evaluations of g on
+    average (measured 7.3), and each path's
+    event_evals counts them."""
     searches = counted_searches(monkeypatch)
     for case, factor in TRANSITION_STARTS:
         params = bench_params(*CASE_PSI[case])
+        traj = saddle_path(params, factor * steady_state(params).z_star)
+        assert traj.meta["event_evals"] == 0 and searches == []
+    for name, factor in TRANSVERSE_STARTS:
+        params = params_of(name)
         before = len(searches)
         traj = saddle_path(params, factor * steady_state(params).z_star)
         assert traj.meta["event_evals"] == sum(searches[before:]) > 2
@@ -1403,10 +1450,15 @@ def test_event_search_takes_few_evaluations_on_transition_starts(monkeypatch):
                                -2e-2 + 0j, 3e-2 * cmath.exp(0.75j * math.pi)])
 def test_horner_matches_the_list_form_bit_for_bit(s):
     """_horner on unpacked components does the list form's arithmetic in its
-    order: the same floats, signed zeros included, on the plane expansion
-    and on the linear seed, at real and at complex s."""
-    *_, coeffs = path_parts(params_of("case1"))
-    for c in (coeffs, coeffs[:2]):
+    order: the same floats, signed zeros included, on the transverse seed's
+    quadratic (pool economy 60: (0, z*, q*), (dw, dz, dq), (w'', 0, 0))
+    and on the plane's closed form as a series (closed_form_coefficients),
+    at real and at complex s."""
+    params = params_of("pool60")
+    ss, _, rate, (dw, dz, dq, *_), _ = path_parts(params)
+    w2 = g_curvature(ss.w_star, sector_rates(ss.w_star, params), params) * dw * dw / (2 * rate)
+    seed = [(0.0, ss.z_star, ss.q_star), (dw, dz, dq), (w2, 0.0, 0.0)]
+    for c in (seed, closed_form_coefficients(params_of("case1"))):
         assert repr(list(dynamics._horner(c, s))) == repr(oracles.horner(c, s))
 
 
@@ -1433,13 +1485,14 @@ def test_random_economies_end_in_a_path_or_a_typed_error():
     assert "target_reached" in outcomes and len(outcomes) > 1
 
 
-def test_saddle_path_budget_exhaustion(params_case1, monkeypatch):
-    """An overly small travel budget is reported, not silently truncated.
-    From 0.5 z*, beyond the expansion's reach, the path is stepped."""
-    ss, _ = steady_point(params_case1)
+def test_saddle_path_budget_exhaustion(monkeypatch):
+    """An overly small travel budget is reported, not silently truncated:
+    pool economy 60, where tau0* > 1, from 0.9 z*, where the path is
+    stepped."""
+    params = params_of("pool60")
     monkeypatch.setattr(dynamics, "T_BUDGET", 0.05)
     with pytest.raises(TargetNotReachedError, match="travel budget exhausted"):
-        saddle_path(params_case1, z0=0.5 * ss.z_star)
+        saddle_path(params, 0.9 * steady_state(params).z_star)
 
 
 def test_reconstruct_levels_constant_growth(params_case1):
