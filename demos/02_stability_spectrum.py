@@ -4,7 +4,11 @@ Linearizes the reduced system (z, q, u, v) at each configuration's fixed
 point and prints the four eigenvalues, one of them the structural zero,
 exactly 0. One strictly negative eigenvalue against three non-negative
 ones is the saddle-path signature: one stable direction, which the
-optimal trajectory must ride.
+optimal trajectory must ride. That signature is a theorem of the model,
+not a property of these five cases: the spectrum is {0, lambda_w, theta,
+lambda_J}, theta > 0 the transversality margin, and lambda_w and
+lambda_J have opposite signs wherever tau0* != 1, so every balanced path
+is a saddle (cesgrowth.stability.eigen4).
 """
 
 import numpy as np

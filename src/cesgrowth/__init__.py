@@ -12,7 +12,6 @@ from .errors import (
     MrsMismatchError,
     NoBracketError,
     NoConvergenceError,
-    NoRealStableEigenvectorError,
     ParameterError,
     ScenarioError,
     SingularStateError,

@@ -12,14 +12,10 @@ import math
 from functools import cached_property
 
 from .core import consumption_growth, sector_rates
-from .errors import (
-    NoRealStableEigenvectorError,
-    ParameterError,
-    StepSizeUnderflowError,
-    TargetNotReachedError,
-)
+from .errors import ParameterError, StepSizeUnderflowError, TargetNotReachedError
 from .params import ModelParams
-from .stability import _j2, allocations, classify, eigen4, g_curvature, jacobian_fd, plane_terms
+from .stability import (_j2, allocations, eigen4, g_curvature, jacobian_fd, plane_terms,
+                        shadow_price)
 # Only for the benchmark's tracer, which wraps it here (perfbench/spans.py).
 from .stability import rhs_reduced_values  # noqa: F401
 from .steady import steady_state
@@ -196,25 +192,17 @@ def stable_eigenpair(ss, params: ModelParams, eigenvalues, terms=None) -> tuple:
     eigenvector, of either sign, unit in (dz, dq, du, dv) (the 4-D one),
     dw its w = (v/u) z component, and the plane_terms at w*, terms if given.
 
-    There is one where classify counts a stable root, the eigenvalue of
-    least real part. Where tau0* < 1 it is J2's, and (dz, dq) = (1,
-    (lambda - j11)/j12) on the plane w = w*. Where tau0* > 1 it is
-    lambda_w, and (dw, dz, dq) = (1, dz, dq) with (J2 - lambda I)(dz, dq) =
-    -d(z', q')/dw at fixed (z, q): jacobian_fd's rows z', q' in u, v times
-    the allocations' slopes at fixed z, w du/dw = (r (p - 1) d - (r - 1) p
-    tau0)/d^2 and w dv/dw = ((p tau0 - w/z) d - (tau0 - w/z) p tau0)/d^2,
-    tau0 ~ w^p, p = psi1 - e, d = tau0 - 1, r = tau0 z/w. On both halves
-    du/dz = tau0/(d w) and dv/dz = w/(d z^2).
+    It is the eigenvalue of least real part, real and negative on every
+    balanced path (eigen4). Where tau0* < 1 it is J2's lambda_J, and
+    (dz, dq) = (1, (lambda - j11)/j12) on the plane w = w*. Where tau0* > 1
+    it is lambda_w, and (dw, dz, dq) = (1, dz, dq) with (J2 - lambda I)(dz,
+    dq) = -d(z', q')/dw at fixed (z, q): jacobian_fd's rows z', q' in u, v
+    times the allocations' slopes at fixed z, w du/dw = (r (p - 1) d - (r -
+    1) p tau0)/d^2 and w dv/dw = ((p tau0 - w/z) d - (tau0 - w/z) p
+    tau0)/d^2, tau0 ~ w^p, p = psi1 - e, d = tau0 - 1, r = tau0 z/w. On
+    both halves du/dz = tau0/(d w) and dv/dz = w/(d z^2).
     """
-    if not classify(eigenvalues)[0]:
-        raise NoRealStableEigenvectorError(
-            f"no stable eigenvalue: real parts {[x.real for x in eigenvalues]}"
-        )
     lam = eigenvalues[0]
-    if lam != lam.real:
-        raise NoRealStableEigenvectorError(
-            f"stable eigenvector is complex (eigenvalue {lam})"
-        )
     terms = terms or plane_terms(ss.w_star, params)
     rate, w, z, q, tau0 = lam.real, ss.w_star, ss.z_star, ss.q_star, terms[5]
     (j11, j12, j21, j22), d = _j2(terms, z, q), tau0 - 1.0
@@ -281,8 +269,7 @@ def _plane_path(ss, terms, rates, dzuv, z0, scale):
     the cap at the row itself is taken where larger.
     """
     w_star, z_star, theta, (_, b, *_, tau0) = ss.w_star, ss.z_star, ss.tvc_margin, terms
-    _, _, _, _, y1, mpk, _, mph, _ = rates
-    p = (y1 - w_star * mpk) / mph
+    p = shadow_price(w_star, rates)
     # -lambda, the stable root's decay rate.
     decay, d0, d_star = b * (z_star + p), 1.0 / (z0 + p), 1.0 / (z_star + p)
     y0, r, weight = (z0 - z_star) * d0, -p / z_star, (z_star + p) * math.hypot(*dzuv) / dzuv[0]

@@ -46,10 +46,6 @@ class BaselineMismatchError(CesGrowthError):
     """Two economies to be compared differ in more than their elasticities."""
 
 
-class NoRealStableEigenvectorError(CesGrowthError):
-    """Saddle-path construction needs one real stable direction."""
-
-
 class TargetNotReachedError(CesGrowthError):
     """Reverse-time integration never reached the requested z0."""
 

@@ -1,7 +1,6 @@
 """Reduced 4-D dynamics and its equations on the plane F = 0, Jacobian,
 eigenvalues and saddle-path classification."""
 
-import math
 from typing import NamedTuple
 
 from .core import R_FLOOR, UV_GAP_FLOOR, aux_from_wuv, consumption_growth, sector_rates
@@ -120,16 +119,6 @@ def jacobian_fd(z: float, q: float, u: float, v: float, params: ModelParams) -> 
     )
 
 
-def _roots2(b: float, c: float) -> list:
-    """Roots of x^2 + b x + c: two floats, or a complex pair."""
-    disc = b * b - 4.0 * c
-    if disc < 0.0:
-        x = complex(-0.5 * b, 0.5 * math.sqrt(-disc))
-        return [x, x.conjugate()]
-    t = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # no cancellation
-    return [t, c / t] if t else [0.0, 0.0]
-
-
 def plane_terms(w, params: ModelParams, rates: tuple | None = None) -> tuple:
     """(a, b, c, e, g, tau0) at the effective capital ratio w, a float (or
     mpmath or complex in the tests' oracles), from rates, the sector_rates
@@ -165,6 +154,13 @@ def plane_terms(w, params: ModelParams, rates: tuple | None = None) -> tuple:
             tau0)
 
 
+def shadow_price(w, rates: tuple):
+    """p = (Y1 - w MPK)/MPH at w, from the sector_rates tuple there: the
+    price of h in units of k, at which wealth is k + p h."""
+    _, _, _, _, y1, mpk, _, mph, _ = rates
+    return (y1 - w * mpk) / mph
+
+
 def allocations(tau0, w, z) -> tuple:
     """(u, v) on F = 0 at (w, z), for tau0 = tau0(w): u = (tau0 z/w - 1)/(tau0 - 1)
     and v = (tau0 - w/z)/(tau0 - 1). u = v at z = w, the corner u = v = 1,
@@ -184,33 +180,51 @@ def _j2(terms, z, q) -> tuple:
 
 def eigen4(ss: SteadyState, params: ModelParams, rates: tuple | None = None,
            terms: tuple | None = None) -> tuple:
-    """The 4-D spectrum at the balanced path ss, as complex numbers sorted
-    by (real, imag), from the reduced system's triangular split.
+    """The 4-D spectrum at the balanced path ss, {0, lambda_w, theta,
+    lambda_J} as complex numbers sorted by (real, imag), in closed form
+    from one real sector_rates call, or from the rates and plane_terms at
+    w* that the caller passes.
 
     The static efficiency condition F = ln tau - ln tau0(w) is conserved
     by the flow, and w = (v/u) z follows w' = g(w) whatever the other
     coordinates (plane_terms). So the spectrum is an exact 0 for F,
     lambda_w = g'(w*) and the pair of J2, the Jacobian of (z', q') in
-    (z, q) on the invariant plane w = w*, F = 0 (_j2), both in closed form
-    from one real sector_rates call, or from the rates and plane_terms at w*
-    that the caller passes. As P(w*) = 0,
+    (z, q) on the invariant plane w = w*, F = 0 (_j2). As P(w*) = 0,
 
         lambda_w = P1 P2 (dP/d ln w)/((1 - psi1) T),
 
     with dP/d ln w < 0 from steady.rates_slope. As T = (1 - alpha1) S2
-    (tau0 - 1), sign lambda_w = sign(1 - tau0): the
-    factor-intensity ranking of Bond, Wang & Yip (1996). A real eigenvalue
-    has imaginary part +0.0, and a complex pair is exactly conjugate.
+    (tau0 - 1), sign lambda_w = sign(1 - tau0*): the factor-intensity
+    ranking of Bond, Wang & Yip (1996).
+
+    J2's pair is theta = ss.tvc_margin, the transversality margin, and
+    lambda_J = -b z* q*/theta = -b (z* + p), p = shadow_price(w*). Proof:
+    x*'s equations z' = q' = 0 give c/z* = e - q* and a = -b z* - e, so
+    J2 (_j2) has trace e - b z* and determinant -b z* q*. As gamma (Y1 -
+    Y2 p) = w MPK, e + b p = MPK - r(w) - delta_k = theta at every w, and
+    x* lies on the plane's stable hyperbola q = theta (1 + p/z)
+    (dynamics._plane_path), so theta^2 - (e - b z*) theta - b z* q* =
+    theta (theta - e - b p) = 0: theta is a root, and det/theta = -b (z*
+    + p) the other. theta > 0, or steady_state raises TvcViolationError.
+    p = Y1 (1 - alpha1)/(P1 MPH) > 0, so q* > 0, and lambda_J = gamma Y2
+    (z* + p)/w* = gamma Y2 z* q*/(w* theta), gamma = tau0*/(tau0* - 1),
+    has the sign of tau0* - 1, opposite to lambda_w's; at tau0* = 1
+    plane_terms raises SingularStateError. So the spectrum is real, and
+    exactly one root is negative: lambda_J where tau0* < 1, lambda_w
+    where tau0* > 1. Every balanced path is a saddle, as Bond, Wang & Yip
+    find; indeterminacy needs externalities (Benhabib & Perli 1994), and
+    the model has none. lambda_J is taken as -b (z* + p), the plane
+    path's decay rate, as it reads no q*, which cancels where it is
+    small. A real eigenvalue has imaginary part +0.0.
     """
     rates = rates or sector_rates(ss.w_star, params)
     terms = terms or plane_terms(ss.w_star, params, rates)
-    a11, a12, a21, a22 = _j2(terms, ss.z_star, ss.q_star)
-    pair = [complex(x) for x in _roots2(-(a11 + a22), a11 * a22 - a12 * a21)]
     p1, p2, s1, s2, *_ = rates
     _, one_less_alpha1, one_less_alpha2, psi1, *_ = params.rate_terms
     lambda_w = p1 * p2 * rates_slope(rates, params) / (
         (1.0 - psi1) * (one_less_alpha2 * s1 - one_less_alpha1 * s2))
-    spectrum = [0j, complex(lambda_w, 0.0)] + pair
+    lambda_j = -terms[1] * (ss.z_star + shadow_price(ss.w_star, rates))
+    spectrum = [0j] + [complex(x, 0.0) for x in (lambda_w, ss.tvc_margin, lambda_j)]
     return tuple(sorted(spectrum, key=lambda x: (x.real, x.imag)))
 
 
@@ -243,7 +257,10 @@ class StabilityReport(NamedTuple):
 
 
 def classify(eigenvalues) -> tuple[int, str]:
-    """(n_stable, label) of a spectrum of the 4-D system.
+    """(n_stable, label) of a spectrum of the 4-D system: the stated check
+    of eigen4's theorem that labels StabilityReport. It gives (1,
+    "saddle_path") on every balanced path steady_state returns; the other
+    labels are reached only by spectra from elsewhere, such as LAPACK's.
 
     The eigenvalue of least |Re| is the structural zero: the static
     efficiency condition ln tau = ln tau0(w) is conserved by the flow, so

@@ -157,7 +157,7 @@ def test_saddle_path_looks_up_rhs_at_call_time(monkeypatch):
     """dynamics.rhs_calls_per_path counts rhs_reduced_values, which the
     tracer wraps in dynamics' namespace and in stability's. A path
     integrates plane_terms' equations, or on the plane is written in
-    closed form, and eigen4 takes J2 in closed form from plane_terms, so a
+    closed form, and eigen4 takes J2's pair in closed form from plane_terms, so a
     path calls rhs_reduced_values through neither binding; dynamics' stays
     for the tracer. So the count per path is 0, on a path stepped where
     tau0* > 1 (_economy), with rhs calls of its own ("nfev"), as on a plane

@@ -122,6 +122,21 @@ def test_stability_json_eigenvalues(scenario_file, capsys):
     assert reals[3] == pytest.approx(12.963, rel=0.02)
 
 
+@pytest.mark.parametrize("case", sorted(CASE_PSI))
+def test_stability_json_prints_the_transversality_margin_as_an_eigenvalue(
+        case, scenario_file, capsys):
+    """J2's positive root is theta, the transversality margin, taken as it
+    is: the document's theta eigenvalue is its steady.tvc_margin to the
+    last bit."""
+    psi1, psi2 = CASE_PSI[case]
+    scn = scenario_file(params=dict(PARAMS_CASE1, psi1=psi1, psi2=psi2))
+    code, out, _ = run(capsys, "stability", "--scenario", scn, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    theta = doc["steady"]["tvc_margin"]
+    assert [theta, 0.0] in doc["eigenvalues"]
+
+
 def test_stability_requires_scenario_or_fixture(capsys):
     """stability takes a required --scenario, as every subcommand does."""
     with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,6 @@ from scipy.linalg import expm
 from cesgrowth import (
     CesGrowthError,
     ModelParams,
-    NoRealStableEigenvectorError,
     ParameterError,
     StepSizeUnderflowError,
     TargetNotReachedError,
@@ -302,7 +301,7 @@ def law_of(params):
 def test_saddle_path_hands_the_kernel_python_floats(params_any_case, monkeypatch):
     """On the plane the path's own kernel call is one: dynamics calls
     plane_terms at the float w*, on the sector_rates it takes there, and
-    nowhere else (eigen4 takes its J2 from those terms). From 0.8 z*, as
+    nowhere else (eigen4 takes J2's b from those terms). From 0.8 z*, as
     from any start there, the path is written in closed form, so the
     stepper never runs, and every time and state is a Python float."""
     terms_calls = []
@@ -414,15 +413,13 @@ def lapack_stable_pair(jac):
 def check_stable_pair(params) -> bool:
     """stable_eigenpair against LAPACK on the 4-D Jacobian: the same unit
     eigenvector (dz, dq, du, dv) to 1e-10 once signs are aligned, and dw its
-    w = (v/u) z component, or NoRealStableEigenvectorError where LAPACK
-    finds none. Returns whether there was a pair."""
+    w = (v/u) z component. LAPACK finds a real stable pair on every
+    economy checked, as eigen4's theorem says. Returns True once the pair
+    is checked."""
     rep = stability_report(params)
     ss = rep.steady
     ref = lapack_stable_pair(rep.jacobian)
-    if ref is None:
-        with pytest.raises(NoRealStableEigenvectorError):
-            dynamics.stable_eigenpair(ss, params, rep.eigenvalues)
-        return False
+    assert ref is not None
     lam, (dw, *v), terms = dynamics.stable_eigenpair(ss, params, rep.eigenvalues)
     assert terms == dynamics.plane_terms(ss.w_star, params)
     assert type(lam) is complex and all(type(x) is float for x in (dw, *v))
@@ -460,9 +457,8 @@ def test_slow_stable_root_gives_lapacks_pair():
 
 def test_stable_eigenvector_matches_lapack_on_economy_scan_pool():
     """Every solvable economy of the benchmark's economy_scan pool, on both
-    sides of tau0* = 1: the same eigenvector as LAPACK's on those labelled
-    saddle_path, and the same NoRealStableEigenvectorError outcome on all
-    of them."""
+    sides of tau0* = 1: each is labelled saddle_path, LAPACK finds a real
+    stable pair on each, and the eigenvector is LAPACK's."""
     pool = draw_economies(np.random.default_rng(POOL_SEED), POOL_SIZE)
     paired = labelled = 0
     halves = set()
@@ -477,7 +473,7 @@ def test_stable_eigenvector_matches_lapack_on_economy_scan_pool():
         labelled += rep.classification == "saddle_path"
         if pair:
             halves.add(rep.steady.tau0 < 1.0)
-    assert paired >= labelled > 0
+    assert paired == labelled == 2995
     assert halves == {True, False}
 
 

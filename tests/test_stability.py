@@ -7,20 +7,24 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cesgrowth import (
     CesGrowthError,
     ModelParams,
     NoBracketError,
     SingularStateError,
+    baseline_from_point,
     eigen4,
     jacobian_fd,
+    normalized_params,
     saddle_path,
     stability_report,
     steady_state,
 )
 from cesgrowth.core import aux_from_wuv, sector_rates
-from cesgrowth.stability import _roots2, classify, g_curvature, plane_terms, rhs_reduced_values
+from cesgrowth.stability import classify, g_curvature, plane_terms, rhs_reduced_values
 from cesgrowth.steady import closed_forms, gap_P
 
 from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, U_STAR_NEAR_ONE, bench_params
@@ -69,18 +73,13 @@ def test_eigen4_matches_mpmath_on_stiff_economies(index):
 
 def _assert_spectrum_format(ev):
     """Four complex numbers sorted by (real, imag): one exact 0j for the
-    structural zero, real roots with imaginary part +0.0 and complex ones
-    in exact conjugate pairs."""
+    structural zero, and real roots, each with imaginary part +0.0."""
     assert len(ev) == 4 and all(type(e) is complex for e in ev)
     assert list(ev) == sorted(ev, key=lambda e: (e.real, e.imag))
     zeros = [e for e in ev if not e]
     assert zeros == [0j]
-    assert math.copysign(1.0, zeros[0].real) == math.copysign(1.0, zeros[0].imag) == 1.0
-    for e in ev:
-        if e.imag:
-            assert e.conjugate() in ev
-        else:
-            assert math.copysign(1.0, e.imag) == 1.0
+    assert math.copysign(1.0, zeros[0].real) == 1.0
+    assert all(math.copysign(1.0, e.imag) == 1.0 for e in ev)
 
 
 def test_eigen4_matches_lapack_on_economy_scan_pool():
@@ -170,7 +169,15 @@ def test_lambda_w_takes_the_sign_of_one_less_tau0():
     tau0* > 1. lambda_w is read from eigen4's spectrum, the real root that
     matches oracles.lambda_w_of, the closed form -(MPK (1 - alpha1) P2 +
     MPH S2 P1)/T, to 1e-14 relative (measured 5.8e-16; the spectrum's
-    other roots lie at least 0.58 |lambda_w| away)."""
+    other roots lie at least 0.58 |lambda_w| away).
+
+    eigen4's theorem on the same draw: the spectrum is exactly {0,
+    lambda_w, theta, lambda_J}, with theta the balanced path's tvc_margin
+    itself and lambda_J within 1e-11 relative of J2's determinant over
+    theta, -b z* q*/theta (measured 3.5e-12, at economy 7867, where q* =
+    4.5e-5 cancels; eigen4's -b (z* + p) meets 50 digits there to the
+    last bit); sign lambda_J = sign(tau0* - 1), so classify finds one
+    stable root."""
     rng = np.random.default_rng(3)
     columns = {name: rng.uniform(lo, hi, 20_000) for name, (lo, hi) in WIDE_DRAW.items()}
     halves = [0, 0]
@@ -180,22 +187,81 @@ def test_lambda_w_takes_the_sign_of_one_less_tau0():
             ss = steady_state(params)
         except CesGrowthError:
             continue
+        ev = eigen4(ss, params)
         closed = lambda_w_of(ss.w_star, params)
-        lam_w = min(eigen4(ss, params), key=lambda x: abs(x - closed))
+        lam_w = min(ev, key=lambda x: abs(x - closed))
         assert lam_w.imag == 0.0 and abs(lam_w.real - closed) <= 1e-14 * abs(closed), i
-        lam_w = lam_w.real
+        rest = list(ev)
+        for root in (0j, lam_w, complex(ss.tvc_margin, 0.0)):
+            rest.remove(root)
+        (lam_j,) = rest
+        det = -plane_terms(ss.w_star, params)[1] * ss.z_star * ss.q_star / ss.tvc_margin
+        assert lam_j.imag == 0.0 and abs(lam_j.real - det) <= 1e-11 * abs(det), i
+        lam_w, lam_j = lam_w.real, lam_j.real
         assert lam_w and (lam_w > 0.0) == (ss.tau0 < 1.0), i
+        assert lam_j and (lam_j > 0.0) == (ss.tau0 > 1.0), i
+        assert classify(ev) == (1, "saddle_path"), i
         halves[ss.tau0 < 1.0] += 1
     assert halves == [8830, 10072]
 
 
-def test_roots2_gives_exact_conjugate_pairs():
-    """J2's pair: a complex pair is exactly conjugate, real roots are floats
-    (no paper case or pool economy has a complex pair)."""
-    assert _roots2(-2.0, 5.0) == [1 + 2j, 1 - 2j]
-    assert _roots2(0.0, 4.0) == [2j, -2j]
-    assert sorted(_roots2(-1.0, -6.0)) == [-2.0, 3.0]
-    assert _roots2(0.0, 0.0) == [0.0, 0.0]
+# The wider draw's domain with |psi| >= 1e-3, outside the band
+# |sigma - 1| < 1e-3 that normalization.SIGMA_GUARD rejects: below it the
+# float kernel loses about 1/|psi| ulps (P^(1/psi)), whatever the spectrum's
+# route; at psi2 = 1.7e-8 that moves w* and every root off the 50-digit
+# split by about 6e-10.
+WIDE_ECONOMY = st.fixed_dictionaries({
+    name: st.floats(lo, hi).filter(lambda x: abs(x) >= 1e-3) if name.startswith("psi")
+    else st.floats(lo, hi) for name, (lo, hi) in WIDE_DRAW.items()})
+
+
+@pytest.mark.parametrize("plane", [True, False], ids=["tau0_below_1", "tau0_above_1"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(WIDE_ECONOMY)
+def test_closed_form_spectrum_matches_the_50_digit_split(plane, fields):
+    """On both halves of the wider draw's domain: eigen4's closed forms
+    agree with _split_mpmath, which takes g'(w*) and J2 by mpmath.diff of
+    the package's equations and J2's pair by mpmath.eig, to 1e-12 of
+    max(1, |lambda|max). Where tau0* = 1, as with equal shares and
+    elasticities, there is no spectrum: plane_terms raises
+    SingularStateError."""
+    try:
+        params = ModelParams(**fields)
+        ss = steady_state(params)
+    except CesGrowthError:
+        assume(False)
+    assume((ss.tau0 < 1.0) == plane)
+    if ss.tau0 == 1.0:
+        with pytest.raises(SingularStateError):
+            eigen4(ss, params)
+        return
+    assert _spread(eigen4(ss, params), _split_mpmath(params)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("gap, root", [(1e-2, -284.0), (1e-4, -2.84e4), (1e-8, -2.84e8)])
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["tau0_below_1", "tau0_above_1"])
+def test_the_stable_root_has_a_pole_where_tau0_crosses_one(gap, root, side):
+    """The README family, baseline_from_point(case 1, 5.5, 1, 0.6, 0.5)
+    with sigma1 varied, crosses tau0* = 1 at sigma1 = 1.5496252670942552.
+    The stable root grows like 1/|tau0* - 1| on both sides: -284, -2.84e4
+    and -2.84e8 to 3 digits at |sigma1 - sigma1_hat| = 1e-2, 1e-4 and
+    1e-8. Where tau0* < 1 it is lambda_J = gamma Y2 z* q*/(w* theta),
+    gamma = tau0*/(tau0* - 1), whose pole is explicit; where tau0* > 1
+    it is lambda_w, oracles.lambda_w_of."""
+    template = bench_params(*CASE_PSI[1])
+    base = baseline_from_point(template, 5.5, 1.0, 0.6, 0.5)
+    params = normalized_params(1.5496252670942552 + side * gap, 1.0 / 1.1, base, template)
+    ss = steady_state(params)
+    assert (ss.tau0 < 1.0) == (side < 0.0)
+    lam = eigen4(ss, params)[0]
+    assert lam.imag == 0.0 and float(f"{lam.real:.3g}") == root
+    if ss.tau0 < 1.0:
+        y2 = sector_rates(ss.w_star, params)[6]
+        closed = (ss.tau0 / (ss.tau0 - 1.0) * y2 * ss.z_star * ss.q_star
+                  / (ss.w_star * ss.tvc_margin))
+    else:
+        closed = lambda_w_of(ss.w_star, params)
+    assert abs(lam.real - closed) <= 1e-12 * abs(closed)
 
 
 def _split_mpmath(params, dps=50):
@@ -269,10 +335,9 @@ def test_slow_saddles_stable_root_is_g_prime():
 def test_spectrum_where_u_star_is_within_rounding_of_one(params_u_star_near_one):
     """u* = 1 - 3.2e-15: tau0* < 1, so lambda_w > 0, and J2 is a saddle.
     The spectrum agrees with the 50-digit split to 1e-12 of |lambda|max
-    (measured 4e-16). J2 is diag(z*, q*) times the Jacobian of
-    (zdot/z, qdot/q), which vanish at x*, in closed form: zdot itself holds
-    (1 - u) Y2 with Y2 about 8e13, whose rounding at x* would move J2 by
-    6e-4."""
+    (measured 4e-16). J2's pair, theta and -b (z* + p), reads no value of
+    zdot at x*, which holds (1 - u) Y2 with Y2 about 8e13, whose rounding
+    there would move J2 by 6e-4."""
     rep = stability_report(params_u_star_near_one)
     assert 1.0 - rep.steady.u_star < 1e-14
     assert rep.steady.tau0 < 1.0
