@@ -276,9 +276,14 @@ def classify(eigenvalues) -> tuple[int, str]:
 
 
 def stability_report(params: ModelParams) -> StabilityReport:
-    """Solve the BGP, linearize around it and classify the local dynamics."""
+    """Solve the BGP, linearize around it and classify the local dynamics;
+    SingularStateError where u* = v*, tau0* = 1: the spectrum's pole (eigen4)."""
     ss = steady_state(params)
-    jac = jacobian_fd(ss.z_star, ss.q_star, ss.u_star, ss.v_star, params)
+    x = ss.z_star, ss.q_star, ss.u_star, ss.v_star
+    if abs(ss.u_star - ss.v_star) < UV_GAP_FLOOR:
+        raise SingularStateError(f"tau0* = 1 (u* - v* = {ss.u_star - ss.v_star}): equal factor "
+                                 "intensities, where the spectrum has a pole", state=x)
+    jac = jacobian_fd(*x, params)
     ev = eigen4(ss, params)
     n_stable, label = classify(ev)
     return StabilityReport(

@@ -23,8 +23,8 @@ with e = psi2 (1-psi1)/(1-psi2), MPH = (1-alpha2) A2 P2^{(1-psi2)/psi2} and
 since psi1 < 1 and g, P2, theta > 0.
 
 solve_w and closed_forms take one economy (a ModelParams of floats) or a
-family (a ModelParams of arrays, one economy per element) through the
-same code: a float stays a Python float throughout.
+family (a ModelParams of arrays, one economy per element). solve_w takes
+the same steps on both: on Python floats for one, masked for a family.
 """
 
 import math
@@ -95,19 +95,6 @@ def _where(cond, a, b):
     return np.where(cond, a, b)
 
 
-def _exp(x):
-    """e**x for a float or an array; inf where a float's overflows, as an
-    array's does."""
-    if not is_array(x):
-        try:
-            return math.exp(x)
-        except OverflowError:
-            return math.inf
-    import numpy as np
-
-    return np.exp(x)
-
-
 def _gap(w, params: ModelParams):
     """gap_P(w), or nan where a computation on floats overflows."""
     try:
@@ -131,67 +118,99 @@ def solve_w(params: ModelParams):
     noise in the gap sending Newton round a cycle) is replaced by the
     bracket's geometric midpoint.
 
-    One economy raises ParameterError for A2 <= 0, NoBracketError where
-    no bracket is found and NoConvergenceError where the iteration does
-    not settle within MAX_NEWTON_STEPS. A family member comes back nan in
-    each of these cases. Run a family under np.errstate: such members
-    overflow.
+    One economy takes these steps on Python floats and raises ParameterError
+    for A2 <= 0, NoBracketError where no bracket is found and
+    NoConvergenceError where the iteration does not settle within
+    MAX_NEWTON_STEPS. A family member comes back nan in each of these cases
+    (_solve_family); run a family under np.errstate: such members overflow.
     """
     g_one = _gap(1.0, params)
-    family = is_array(g_one)
-    if not (family or params.A2 > 0.0):
+    if is_array(g_one):
+        return _solve_family(params, g_one)
+    if not params.A2 > 0.0:
         raise ParameterError("solve_w requires A2 > 0")
+    ends = []
+    for down in (True, False):
+        w, g = 1.0, g_one
+        for _ in range(MAX_BRACKET_EXPANSIONS):
+            if not abs(g) < math.inf or (g > 0.0 if down else g < 0.0):
+                break
+            w = w / 10.0 if down else w * 10.0
+            g = _gap(w, params)
+        if not abs(g) < math.inf:
+            raise NoBracketError(f"no sign change of gap_P before it stops being finite "
+                                 f"at w = {w:g}")
+        ends.append((w, g))
+    (lo, g_lo), (hi, g_hi) = ends
+    if not (g_lo > 0.0 and g_hi < 0.0):
+        raise NoBracketError(
+            f"no sign change of gap_P in [{lo:g}, {hi:g}] "
+            f"(gap_P({lo:g})={g_lo:g}, gap_P({hi:g})={g_hi:g})"
+        )
+
+    w, last = (lo * hi) ** 0.5, 0.0
+    for _ in range(MAX_NEWTON_STEPS):
+        g, slope = gap_slope(w, params)
+        if g > 0.0:
+            lo = w
+        elif g < 0.0:
+            hi = w
+        # A slope that rounds to zero proposes no step: the midpoint is taken.
+        step = -g / slope if slope else math.nan
+        try:
+            proposal = w * math.exp(step)
+        except OverflowError:
+            proposal = math.inf
+        if abs(step) <= NEWTON_RTOL:
+            return proposal
+        if hi <= lo * (1.0 + NEWTON_RTOL):
+            return w
+        cycling = step * last < 0.0 and abs(step) > 0.5 * abs(last)
+        last = step
+        w = proposal if lo < proposal < hi and not cycling else (lo * hi) ** 0.5
+    raise NoConvergenceError(
+        f"Newton iteration for gap_P's root did not settle within "
+        f"{MAX_NEWTON_STEPS} steps in [{lo:g}, {hi:g}]"
+    )
+
+
+def _solve_family(params: ModelParams, g_one):
+    """solve_w's steps on a family, masked by member, from its gap at w = 1."""
+    import numpy as np
+
     ok = (params.A2 > 0.0) & (abs(g_one) < math.inf)
     ends = []
     for down in (True, False):
         w, g = 1.0, g_one
         for _ in range(MAX_BRACKET_EXPANSIONS):
             grow = ok & ((g <= 0.0) if down else (g >= 0.0))
-            if not (grow.any() if family else grow):
+            if not grow.any():
                 break
-            w = _where(grow, w / 10.0 if down else w * 10.0, w)
-            g = _gap(w, params)
+            w = np.where(grow, w / 10.0 if down else w * 10.0, w)
+            g = gap_P(w, params)
             ok = ok & (abs(g) < math.inf)
         ends.append((w, g))
     (lo, g_lo), (hi, g_hi) = ends
-    if family:
-        ok = ok & (g_lo > 0.0) & (g_hi < 0.0)
-    else:
-        for w, g in ends:
-            if not abs(g) < math.inf:
-                raise NoBracketError(
-                    f"no sign change of gap_P before it stops being finite at w = {w:g}"
-                )
-        if not (g_lo > 0.0 and g_hi < 0.0):
-            raise NoBracketError(
-                f"no sign change of gap_P in [{lo:g}, {hi:g}] "
-                f"(gap_P({lo:g})={g_lo:g}, gap_P({hi:g})={g_hi:g})"
-            )
+    ok = ok & (g_lo > 0.0) & (g_hi < 0.0)
 
     root = math.nan * g_one
     w, last = (lo * hi) ** 0.5, 0.0
     for _ in range(MAX_NEWTON_STEPS):
-        if not (ok.any() if family else ok):
+        if not ok.any():
             break
         g, slope = gap_slope(w, params)
-        lo = _where(ok & (g > 0.0), w, lo)
-        hi = _where(ok & (g < 0.0), w, hi)
-        # A slope that rounds to zero proposes no step (inf or nan on an
-        # array, nan on a float), so the bracket's midpoint is taken.
-        step = -g / slope if family or slope else math.nan
-        proposal = w * _exp(step)
+        lo = np.where(ok & (g > 0.0), w, lo)
+        hi = np.where(ok & (g < 0.0), w, hi)
+        # A slope that rounds to zero gives an inf or nan step: the midpoint is taken.
+        step = -g / slope
+        proposal = w * np.exp(step)
         done = ok & (abs(step) <= NEWTON_RTOL)
         narrow = ok & (hi <= lo * (1.0 + NEWTON_RTOL))
-        root = _where(done, proposal, _where(narrow, w, root))
+        root = np.where(done, proposal, np.where(narrow, w, root))
         ok = ok ^ (done | narrow)  # both hold only where ok does
         cycling = (step * last < 0.0) & (abs(step) > 0.5 * abs(last))
         last, mid = step, (lo * hi) ** 0.5
-        w = _where(cycling, mid, _where((lo < proposal) & (proposal < hi), proposal, mid))
-    if not family and ok:
-        raise NoConvergenceError(
-            f"Newton iteration for gap_P's root did not settle within "
-            f"{MAX_NEWTON_STEPS} steps in [{lo:g}, {hi:g}]"
-        )
+        w = np.where(cycling, mid, np.where((lo < proposal) & (proposal < hi), proposal, mid))
     return root
 
 

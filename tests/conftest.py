@@ -65,6 +65,17 @@ KERNEL_OVERFLOW = {
     "delta_k": 0.06, "delta_h": 0.05, "eps": 2.0, "rho": 0.06,
 }
 
+# A validated economy with no balanced path: its near-linear goods
+# technology keeps the MPK above the MPH up to w = 1e40.
+NO_BRACKET = dict(BENCH, A1=1.0, alpha1=0.45, psi1=0.998, psi2=-0.10)
+
+# A validated economy with identical sectors: tau0(w) = 1 at every w, so
+# u* = v* (0.8125) and the spectrum has its pole at the balanced path.
+EQUAL_SECTORS = {
+    "A1": 1.0, "A2": 1.0, "alpha1": 0.5, "alpha2": 0.5, "psi1": 0.5, "psi2": 0.5,
+    "delta_k": 0.0, "delta_h": 0.0, "eps": 2.0, "rho": 0.125,
+}
+
 # Validated economies where a float Newton step in ln w exceeds about 709,
 # so that e**step overflows a double. The first has v* = 1.0, outside
 # (0,1); the second solves.
@@ -115,6 +126,14 @@ SLOW_SADDLE = {
     "psi1": -1.9098579949454202, "psi2": 0.45479612004861325,
     "delta_k": 0.06612804451377352, "delta_h": 0.1641665587619914,
     "eps": 2.8550533183258375, "rho": 0.016471613299089735,
+}
+
+# SLOW_SADDLE's wider draw: one column of 20 000 per field, in this order,
+# from default_rng(3).
+WIDE_DRAW = {
+    "A1": (0.2, 5.0), "A2": (0.01, 2.0), "alpha1": (0.05, 0.95), "alpha2": (0.05, 0.95),
+    "psi1": (-3.0, 0.9), "psi2": (-3.0, 0.9), "delta_k": (0.0, 0.2), "delta_h": (0.0, 0.2),
+    "eps": (1.01, 6.0), "rho": (0.001, 0.2),
 }
 
 

@@ -34,11 +34,9 @@ def test_every_boundary_resolves_to_a_callable():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
-    """steady.gap_P_calls_per_solve counts the bracket probes, which pass
-    through steady's gap_P binding at call time; the Newton loop takes the
-    gap and its slope from real sector_rates calls, looked up in steady's
-    namespace at call time too."""
+def _solve_lookups(monkeypatch, params):
+    """solve_w(params) with steady's gap_P and sector_rates counted: the
+    root, the bracket probes' w and the kernel calls' w."""
     probes, kernel = [], []
     gap, rates = steady.gap_P, steady.sector_rates
 
@@ -52,11 +50,34 @@ def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
 
     monkeypatch.setattr(steady, "gap_P", counting_gap)
     monkeypatch.setattr(steady, "sector_rates", counting_rates)
-    steady.solve_w(bench_params(0.25, -0.10))
+    return steady.solve_w(params), probes, kernel
+
+
+def _decade(w):
+    return math.log10(np.ravel(w)[0]).is_integer()
+
+
+def test_solve_w_looks_up_gap_p_at_call_time(monkeypatch):
+    """steady.gap_P_calls_per_solve counts the bracket probes, which pass
+    through steady's gap_P binding at call time; the Newton loop takes the
+    gap and its slope from real sector_rates calls, looked up in steady's
+    namespace at call time too."""
+    _, probes, kernel = _solve_lookups(monkeypatch, bench_params(0.25, -0.10))
     # The bracket search probes powers of ten; the root refinement in between.
-    assert probes and all(math.log10(w).is_integer() for w in probes)
-    newton = [w for w in kernel if not math.log10(w).is_integer()]
+    assert probes and all(map(_decade, probes))
+    newton = [w for w in kernel if not _decade(w)]
     assert newton and all(type(w) is float for w in newton)
+
+
+def test_family_solve_looks_up_gap_p_at_call_time(monkeypatch):
+    """A family's masked loop, here on one member, probes and steps through
+    the same bindings as one economy's float loop, to the same root."""
+    params = bench_params(0.25, -0.10)
+    root, probes, kernel = _solve_lookups(monkeypatch, params._replace(A1=np.array([params.A1])))
+    assert probes and all(map(_decade, probes))
+    newton = [w for w in kernel if not _decade(w)]
+    assert newton and all(type(w) is np.ndarray for w in newton)
+    assert root[0] == pytest.approx(steady.solve_w(params), rel=1e-14)
 
 
 def test_rhs_looks_up_the_aux_kernel_at_call_time(monkeypatch):

@@ -27,8 +27,10 @@ from cesgrowth.cli import _fmt, main
 
 from conftest import (
     CASE_PSI,
+    EQUAL_SECTORS,
     KERNEL_OVERFLOW,
     NEWTON_OVERFLOW,
+    NO_BRACKET,
     U_STAR_AT_ONE,
     Y2_UNDERFLOW,
     bench_params,
@@ -440,6 +442,41 @@ def test_trajectory_loads_no_numpy(scenario_file):
         + NOT_IMPORTED_PROBE
     )
     assert _fresh_python(probe, json.dumps(argvs)) == "[0, 0, 3]\n[]\n"
+
+
+def test_single_economy_errors_load_no_numpy(tmp_path):
+    """steady and stability raise NoBracketError on Python floats: where the
+    gap overflows at the second probe, and where it never changes sign."""
+    argvs = []
+    for name, fields in (("overflow", KERNEL_OVERFLOW), ("no_bracket", NO_BRACKET)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"params": fields}), encoding="utf-8")
+        argvs += [[command, "--scenario", str(path)] for command in ("steady", "stability")]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from cesgrowth import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        codes.append(cli.main(argv))\n"
+        "    assert 'no sign change of gap_P' in err.getvalue(), argv\n"
+        "print(codes)\n"
+        + NOT_IMPORTED_PROBE
+    )
+    assert _fresh_python(probe, json.dumps(argvs)) == "[3, 3, 3, 3]\n[]\n"
+
+
+def test_equal_factor_intensities_exit_3(tmp_path, capsys):
+    """Identical sectors solve, with u* = v*; stability then names tau0* = 1,
+    where the spectrum has its pole, not a guard of the reduced system."""
+    path = tmp_path / "equal.json"
+    path.write_text(json.dumps({"params": EQUAL_SECTORS}), encoding="utf-8")
+    code, out, _ = run(capsys, "steady", "--scenario", str(path))
+    assert code == 0 and "u_star      0.8125\nv_star      0.8125\n" in out
+    code, _, err = run(capsys, "stability", "--scenario", str(path))
+    assert code == 3
+    assert err == ("error: tau0* = 1 (u* - v* = 0.0): equal factor intensities, "
+                   "where the spectrum has a pole\n")
 
 
 def test_u_star_at_one_exit_3(tmp_path, capsys):

@@ -27,7 +27,8 @@ from cesgrowth.core import aux_from_wuv, sector_rates
 from cesgrowth.stability import classify, g_curvature, plane_terms, rhs_reduced_values
 from cesgrowth.steady import closed_forms, gap_P
 
-from conftest import CASE_PSI, SLOW_SADDLE, STIFF_POOL, U_STAR_NEAR_ONE, bench_params
+from conftest import (CASE_PSI, SLOW_SADDLE, STIFF_POOL, U_STAR_NEAR_ONE, WIDE_DRAW,
+                      bench_params)
 from oracles import lambda_w_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -151,15 +152,6 @@ def test_every_pool_economy_keeps_its_label():
             continue
         assert rep.classification == "saddle_path", i
     assert unsolved == [444, 1363, 1771, 2355, 2724]
-
-
-# SLOW_SADDLE's wider draw (its comment in conftest.py): one column of
-# 20 000 per field, in this order, from default_rng(3).
-WIDE_DRAW = {
-    "A1": (0.2, 5.0), "A2": (0.01, 2.0), "alpha1": (0.05, 0.95), "alpha2": (0.05, 0.95),
-    "psi1": (-3.0, 0.9), "psi2": (-3.0, 0.9), "delta_k": (0.0, 0.2), "delta_h": (0.0, 0.2),
-    "eps": (1.01, 6.0), "rho": (0.001, 0.2),
-}
 
 
 def test_lambda_w_takes_the_sign_of_one_less_tau0():

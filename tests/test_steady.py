@@ -25,7 +25,7 @@ from cesgrowth import (
 from cesgrowth import cli, steady
 from cesgrowth.core import sector_rates, tau_of
 from cesgrowth.stability import rhs_reduced_values, stability_report
-from cesgrowth.steady import closed_forms, transversality
+from cesgrowth.steady import closed_forms, gap_slope, transversality
 
 from conftest import (
     BENCH,
@@ -33,8 +33,10 @@ from conftest import (
     KERNEL_OVERFLOW,
     NEWTON_CYCLE,
     NEWTON_OVERFLOW,
+    NO_BRACKET,
     STIFF_POOL,
     U_STAR_AT_ONE,
+    WIDE_DRAW,
     Y2_UNDERFLOW,
     bench_params,
 )
@@ -194,22 +196,66 @@ def _as_family(economies):
 CASES = [bench_params(*CASE_PSI[c]) for c in sorted(CASE_PSI)]
 
 
+def _wide_members(n=2000):
+    """n economies from a seeded draw over WIDE_DRAW's technology ranges, with
+    BENCH's other fields: the float root of each, or None where it raises."""
+    rng = np.random.default_rng(3)
+    columns = {name: rng.uniform(*WIDE_DRAW[name], n) for name in TECHNOLOGY}
+    members = [ModelParams(**{**BENCH, **{name: float(col[i]) for name, col in columns.items()}})
+               for i in range(n)]
+    roots = []
+    for p in members:
+        try:
+            roots.append(solve_w(p))
+        except NoBracketError:
+            roots.append(None)
+    return members, roots
+
+
+def _ln_w_rounding(w, params):
+    """The gap's rounding at w in units of ln w: MPK and MPH each carry about
+    an ulp of P_i raised to 1/psi_i, over the gap's slope there."""
+    rates = sector_rates(w, params)
+    noise = 2.0**-52 * (rates[5] * max(1.0, 1.0 / abs(params.psi1))
+                        + rates[7] * max(1.0, 1.0 / abs(params.psi2)))
+    return noise / abs(gap_slope(w, params)[1])
+
+
 def test_batch_root_matches_solve_w():
+    """The family's masked loop and one economy's float loop take the same
+    steps; numpy's powers and exp round apart from the float ones, so a
+    member's root may differ from the float root within the gap's rounding.
+    On the paper cases that is 1e-14 relative; on the seeded wide draw the
+    roots lie within 4 roundings in ln w of each other (measured 3.2), and
+    up to 2.9e-13 apart relative."""
     roots = solve_w(_as_family(CASES))
     for p, w in zip(CASES, roots):
         assert w == pytest.approx(solve_w(p), rel=1e-14)
+    members, floats = _wide_members()
+    with np.errstate(all="ignore"):
+        roots = solve_w(_as_family(members))
+    for i, (p, w, w_float) in enumerate(zip(members, roots, floats)):
+        if w_float is not None:
+            assert abs(math.log(w / w_float)) <= 4.0 * _ln_w_rounding(w_float, p), i
 
 
 def test_batch_root_flags_what_solve_w_rejects():
-    """nan where solve_w raises: a gap that overflows, or no sign change."""
-    # Near-linear goods technology: its MPK stays above the MPH up to 1e40.
-    no_bracket = CASES[0]._replace(A1=1.0, alpha1=0.45, psi1=0.998)
+    """nan where solve_w raises: a gap that overflows, or no sign change.
+    On the seeded wide draw a member is nan exactly where its float solve
+    raises NoBracketError (68 of 2 000)."""
+    no_bracket = ModelParams(**NO_BRACKET)
     with pytest.raises(NoBracketError, match="no sign change of gap_P in"):
         solve_w(no_bracket)
     family = _as_family(CASES + [ModelParams(**KERNEL_OVERFLOW), no_bracket])
     with np.errstate(all="ignore"):
         roots = solve_w(family)
     assert np.all(np.isfinite(roots[:-2])) and np.all(np.isnan(roots[-2:]))
+    members, floats = _wide_members()
+    with np.errstate(all="ignore"):
+        roots = solve_w(_as_family(members))
+    raised = np.array([w is None for w in floats])
+    assert raised.sum() == 68
+    assert np.array_equal(np.isnan(roots), raised)
 
 
 def _mpmath_root(params, w):
