@@ -4,9 +4,10 @@ Subcommands: steady | stability | sweep | compare | trajectory.
 Exit codes: 0 success, 2 validation, 3 numeric failure, 4 comparison
 mismatch, 5 I/O.
 
-Only sweep imports numpy and csvrows, its CSV writer; steady, stability,
-compare and trajectory run on Python floats, so their start-up skips
-numpy's import.
+steady, stability, compare and trajectory run on Python floats, and so
+does a sweep of fewer than FAMILY_MIN members, so their start-up skips
+numpy's import. Only a larger sweep imports numpy and csvrows, its CSV
+writer.
 """
 
 import argparse
@@ -54,12 +55,22 @@ _SWEEP_COLUMNS = (
     "y2_star",
     "error",
 )
+# A sweep of at least this many members is solved as one array computation
+# and written by csvrows; a smaller one runs member by member on Python
+# floats, without importing numpy. In process, with numpy loaded, a sweep of
+# the README family took about as long both ways at 20 to 30 members, half
+# as long on floats at 9 and twice as long at 50; a fresh process also pays
+# about 0.1 s for numpy's import.
+FAMILY_MIN = 20
+_NAN_CELLS = (math.nan,) * (len(_SWEEP_COLUMNS) - 2)
+_SOLVED_ROW = "%.17g," * (len(_SWEEP_COLUMNS) - 1) + "\n"
 
 
 def _fmt(x: float) -> str:
     """Bit-faithful double: the bytes of "%.17g", 17 significant digits and a
     '.' decimal separator. The cells of a sweep's solved CSV rows are the
-    same bytes, written for the whole table by csvrows."""
+    same bytes: "%.17g," one row at a time below FAMILY_MIN members, and
+    csvrows' kernel for the whole table from there on."""
     return format(float(x), ".17g")
 
 
@@ -167,28 +178,60 @@ def _sweep_columns(member, ss, which: str, h_bar: float) -> tuple:
     )
 
 
-def _sweep_table(grid, which: str, scn: Scenario, baseline):
-    """(values, errors) of a sweep: one row of _SWEEP_COLUMNS[:-1] per sigma.
+def _sweep_row(sigma: float, which: str, scn: Scenario, baseline) -> tuple:
+    """(values, error) of the member at sigma: its row of _SWEEP_COLUMNS[:-1]
+    and "", or sigma, nan in the other columns and the message of the typed
+    error that normalized_params or steady_state raises for it, as for a
+    single economy."""
+    if abs(sigma - 1.0) < SIGMA_GUARD:
+        return (sigma, *_NAN_CELLS), "inside sigma=1 guard band"
+    params = scn.params
+    try:
+        member = normalized_params(sigma if which != "2" else params.sigma1,
+                                   sigma if which != "1" else params.sigma2,
+                                   baseline, params)
+        ss = steady_state(member)
+    except CesGrowthError as exc:
+        return (sigma, *_NAN_CELLS), str(exc)
+    return (sigma, *_sweep_columns(member, ss, which, baseline.h_bar)), ""
 
-    The members are solved as one array computation. A member it cannot
-    vouch for (family parameters not finite or outside their domain, psi
-    rounded to 1 on a sigma above about 9e15, no bracket, no Newton
-    convergence, an allocation outside (0,1), a non-positive transversality
-    margin) goes once through normalized_params and steady_state, which
-    raise its typed error as for a single economy. errors holds the message
-    of each member that failed, "" for the others, whose values are then
-    nan.
+
+def _float_grid(lo: float, hi: float, n: int) -> list:
+    """np.linspace(lo, hi, n) on floats, bit for bit: i * step + lo, the last
+    point hi, and numpy's (i / (n - 1)) * (hi - lo) + lo where step underflows."""
+    if n == 1:
+        return [lo]
+    delta, div = hi - lo, n - 1
+    step = delta / div
+    return [(i * step if step else i / div * delta) + lo for i in range(div)] + [hi]
+
+
+def _sweep_table(lo: float, hi: float, n: int, which: str, scn: Scenario, baseline):
+    """(values, errors) of a sweep over n sigmas from lo to hi, as
+    np.linspace spaces them: one row of _SWEEP_COLUMNS[:-1] per sigma.
+    errors holds the message of each member that failed, "" for the
+    others, whose values are then nan.
+
+    A row is _sweep_row's. Below FAMILY_MIN members values is a list of
+    them, one member at a time on Python floats. From FAMILY_MIN on it is
+    an array, and the members are solved as one array computation. A
+    member that computation cannot vouch for (family parameters not finite
+    or outside their domain, psi rounded to 1 on a sigma above about 9e15,
+    no bracket, no Newton convergence, an allocation outside (0,1), a
+    non-positive transversality margin) goes through _sweep_row.
     """
+    if n < FAMILY_MIN:
+        rows = [_sweep_row(sigma, which, scn, baseline) for sigma in _float_grid(lo, hi, n)]
+        return [values for values, _ in rows], [error for _, error in rows]
     import numpy as np
 
-    n = len(grid)
+    grid = np.linspace(lo, hi, n)
     values = np.full((n, len(_SWEEP_COLUMNS) - 1), np.nan)
     values[:, 0] = grid
     errors = [""] * n
     params = scn.params
     sigma1 = grid if which != "2" else np.full(n, params.sigma1)
     sigma2 = grid if which != "1" else np.full(n, params.sigma2)
-    in_guard = np.abs(grid - 1.0) < SIGMA_GUARD
     idx = np.flatnonzero(
         (np.abs(sigma1 - 1.0) >= SIGMA_GUARD) & (np.abs(sigma2 - 1.0) >= SIGMA_GUARD)
     )
@@ -209,41 +252,47 @@ def _sweep_table(grid, which: str, scn: Scenario, baseline):
     flagged = np.ones(n, dtype=bool)
     flagged[idx[solved]] = False
     for i in np.flatnonzero(flagged):
-        if in_guard[i]:
-            errors[i] = "inside sigma=1 guard band"
-            continue
-        try:
-            member = normalized_params(
-                float(sigma1[i]), float(sigma2[i]), baseline, params
-            )
-            ss = steady_state(member)
-            values[i, 1:] = _sweep_columns(member, ss, which, baseline.h_bar)
-        except CesGrowthError as exc:
-            errors[i] = str(exc)
+        values[i], errors[i] = _sweep_row(float(grid[i]), which, scn, baseline)
     return values, errors
 
 
 def _monotone_summary(values, errors) -> str:
-    import numpy as np
+    """The footer: the columns that rise, and those that fall, strictly from
+    each solved row to the next, where at least two rows solved. A table
+    below FAMILY_MIN rows is compared on floats, a larger one with numpy."""
+    if len(values) < FAMILY_MIN:
+        ok = [row for row, err in zip(values, errors) if not err]
+        columns = list(zip(*ok))
+        rising = [all(a < b for a, b in zip(c, c[1:])) for c in columns]
+        falling = [all(a > b for a, b in zip(c, c[1:])) for c in columns]
+    else:
+        import numpy as np
 
-    ok = values[[not e for e in errors]]
+        ok = values[[not e for e in errors]]
+        diffs = np.diff(ok, axis=0)
+        rising, falling = (diffs > 0).all(axis=0), (diffs < 0).all(axis=0)
     inc, dec = [], []
     if len(ok) >= 2:
-        diffs = np.diff(ok, axis=0)
-        for j, col in enumerate(_SWEEP_COLUMNS[:-1]):
-            if np.all(diffs[:, j] > 0):
-                inc.append(col)
-            elif np.all(diffs[:, j] < 0):
-                dec.append(col)
+        inc = [col for col, up in zip(_SWEEP_COLUMNS, rising) if up]
+        dec = [col for col, down in zip(_SWEEP_COLUMNS, falling) if down]
     return (
         f"# monotone_increasing: {','.join(inc)}\n"
         f"# monotone_decreasing: {','.join(dec)}\n"
     )
 
 
-def cmd_sweep(args) -> int:
-    import numpy as np
+def _rows_text(values, failed) -> str:
+    """Each row i of values as its cells "%.17g," and a newline, or failed[i]
+    in place of the row where failed has it: one row at a time below
+    FAMILY_MIN rows, by csvrows' array kernel from there on."""
+    if len(values) < FAMILY_MIN:
+        return "".join(failed.get(i) or _SOLVED_ROW % row for i, row in enumerate(values))
+    from .csvrows import rows_text
 
+    return rows_text(values, failed)
+
+
+def cmd_sweep(args) -> int:
     scn = load_scenario(args.scenario)
     which = args.sigma or (scn.sweep.sigma if scn.sweep else "1")
     if args.grid is not None:
@@ -260,24 +309,22 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("no sweep spec in scenario and no --grid given",
                             field="$.sweep")
     baseline = _sweep_baseline(scn)
-    values, errors = _sweep_table(np.linspace(lo, hi, n), which, scn, baseline)
+    values, errors = _sweep_table(lo, hi, n, which, scn, baseline)
 
     fmt = args.format or scn.output_format
     if fmt == "json":
         rows = [
             {"sigma": row[0], "error": err} if err else dict(zip(_SWEEP_COLUMNS, row))
-            for row, err in zip(values.tolist(), errors)
+            for row, err in zip(values if n < FAMILY_MIN else values.tolist(), errors)
         ]
         _write(json.dumps(rows, indent=2) + "\n", args.out)
         return 0
-    from .csvrows import rows_text
-
     error_cells = "," * (len(_SWEEP_COLUMNS) - 1)
     failed = {
-        i: _fmt(values[i, 0]) + error_cells + err + "\n"
+        i: _fmt(values[i][0]) + error_cells + err + "\n"
         for i, err in enumerate(errors) if err
     }
-    _write(",".join(_SWEEP_COLUMNS) + "\n" + rows_text(values, failed)
+    _write(",".join(_SWEEP_COLUMNS) + "\n" + _rows_text(values, failed)
            + _monotone_summary(values, errors), args.out)
     return 0
 

@@ -9,7 +9,8 @@ consumption equation and lambda_w in the package's former
 notation, the plane-half saddle path in closed form at any precision, the
 plain forms of three of dynamics' inner loops: Horner's rule on lists,
 bisection and the Dormand-Prince stepper on lists, and the sweep's CSV
-writer in its former per-row "%.17g" form.
+writer in its former per-row "%.17g" form, with its monotone footer as
+numpy's differences of the whole table gave it.
 """
 
 import math
@@ -569,3 +570,24 @@ def sweep_csv(values, errors) -> str:
         for row, err in zip(values.tolist(), errors)
     ]
     return "\n".join(lines) + "\n"
+
+
+def sweep_footer(values, errors) -> str:
+    """The sweep's monotone footer as the former writer computed it: the
+    columns whose numpy differences between consecutive solved rows are all
+    positive, or all negative, where at least two rows solved."""
+    import numpy as np
+
+    ok = np.array(values, dtype=float)[[not e for e in errors]]
+    diffs = np.diff(ok, axis=0)
+    inc, dec = [], []
+    if len(ok) >= 2:
+        for j, col in enumerate(_SWEEP_COLUMNS[:-1]):
+            if np.all(diffs[:, j] > 0):
+                inc.append(col)
+            elif np.all(diffs[:, j] < 0):
+                dec.append(col)
+    return (
+        f"# monotone_increasing: {','.join(inc)}\n"
+        f"# monotone_decreasing: {','.join(dec)}\n"
+    )

@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cesgrowth import (
     CesGrowthError,
@@ -466,6 +469,30 @@ def test_single_economy_errors_load_no_numpy(tmp_path):
     assert _fresh_python(probe, json.dumps(argvs)) == "[3, 3, 3, 3]\n[]\n"
 
 
+def test_small_sweeps_load_no_numpy(scenario_file):
+    """A sweep of fewer than FAMILY_MIN members solves, writes and sums up
+    its rows on Python floats: the README scenario's 9 points as CSV and as
+    JSON, and a grid of one member. A grid of FAMILY_MIN members loads
+    numpy and csvrows."""
+    path = scenario_file(initial=README_INITIAL, baseline={"source": "initial"},
+                         sweep={"sigma": "1", "lo": 1.05, "hi": 1.45, "n": 9})
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from cesgrowth import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(argv)\n"
+        "    assert code == 0 and out.getvalue(), argv\n"
+        + NOT_IMPORTED_PROBE
+    )
+    small = [["sweep", "--scenario", path, "--format", fmt] for fmt in ("csv", "json")]
+    small.append(["sweep", "--scenario", path, "--grid", "1.5:2.0:1"])
+    assert _fresh_python(probe, json.dumps(small)) == "[]\n"
+    family = [["sweep", "--scenario", path, "--grid", f"1.05:1.45:{cli.FAMILY_MIN}"]]
+    loaded = _fresh_python(probe, json.dumps(family))
+    assert "'numpy'" in loaded and "'cesgrowth.csvrows'" in loaded
+
+
 def test_equal_factor_intensities_exit_3(tmp_path, capsys):
     """Identical sectors solve, with u* = v*; stability then names tau0* = 1,
     where the spectrum has its pole, not a guard of the reduced system."""
@@ -595,6 +622,68 @@ def test_batched_sweep_matches_each_economy_solved_alone(
     # Only the members the batch could not vouch for went one at a time.
     assert solved > 50 and errors > 50
     assert len(per_member) == errors
+
+
+# Below FAMILY_MIN members: solved rows and the guard band (sigma = 1), the
+# README family's NoBracketError and AllocationOutOfRangeError rows above
+# sigma = 40, and family parameters that overflow or leave their domain.
+SMALL_GRIDS = ["0.5:2.0:7", "1.05:1.45:9", "0.5:1000.5:19", "0.002:0.004:2"]
+
+
+@pytest.mark.parametrize("grid", SMALL_GRIDS)
+@pytest.mark.parametrize("which", ["1", "2", "both"])
+def test_small_sweep_rows_are_steady_rows(scenario_file, capsys, which, grid):
+    """Each row of a sweep below FAMILY_MIN members is its member's
+    steady_state, bit for bit, or the message of the error normalized_params
+    or steady_state raises for it; members inside the guard band say so."""
+    scn = scenario_file(initial=README_INITIAL, baseline={"source": "initial"})
+    code, out, err = run(capsys, "sweep", "--scenario", scn, "--grid", grid,
+                         "--sigma", which, "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)
+    lo, hi, n = grid.split(":")
+    assert len(rows) == int(n) < cli.FAMILY_MIN
+    template = ModelParams(**PARAMS_CASE1)
+    base = baseline_from_point(template, 5.5, 1.0, 0.6, 0.5)
+    seen = set()
+    for row, sigma in zip(rows, np.linspace(float(lo), float(hi), int(n)).tolist()):
+        assert row["sigma"] == sigma
+        if abs(sigma - 1.0) < 1e-3:
+            assert row == {"sigma": sigma, "error": "inside sigma=1 guard band"}
+            seen.add("guard band")
+            continue
+        try:
+            member = normalized_params(template.sigma1 if which == "2" else sigma,
+                                       template.sigma2 if which == "1" else sigma,
+                                       base, template)
+            ss = steady_state(member)
+        except CesGrowthError as exc:
+            assert row == {"sigma": sigma, "error": str(exc)}
+            seen.add(type(exc).__name__)
+            continue
+        expected = (sigma, *cli._sweep_columns(member, ss, which, base.h_bar))
+        assert list(map(float.hex, row.values())) == list(map(float.hex, expected))
+        seen.add("solved")
+    assert seen == {"0.5:2.0:7": {"solved", "guard band"},
+                    "1.05:1.45:9": {"solved"},
+                    "0.5:1000.5:19": {"solved", "NoBracketError",
+                                      "AllocationOutOfRangeError"},
+                    "0.002:0.004:2": {"ParameterError"}}[grid]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, exclude_min=True, allow_infinity=False),
+       st.floats(0.0, exclude_min=True, allow_infinity=False), st.integers(1, 100))
+@example(5e-324, 1e-323, 3)  # the step underflows to 0
+@example(1.05, 1.45, 9)
+def test_the_float_grid_is_linspace(lo, hi, n):
+    """The grid of a sweep below FAMILY_MIN members is np.linspace's, bit
+    for bit, whatever lo < hi and n."""
+    lo, hi = min(lo, hi), max(lo, hi)
+    if lo == hi:
+        return
+    assert [x.hex() for x in cli._float_grid(lo, hi, n)] == [
+        x.hex() for x in np.linspace(lo, hi, n).tolist()]
 
 
 def test_sweep_y2_star_is_exact_where_u_star_is_near_one(scenario_file, capsys):

@@ -1,10 +1,11 @@
 """The sweep's CSV cells: byte for byte those of the per-row "%.17g" writer.
 
-csvrows writes the cells of solved rows with an integer kernel on arrays
-and falls back to Python's "%.17g" for cells outside its range. These
-tests hold its bytes to the former writer (oracles.sweep_csv) on whole
-sweeps, and to "%.17g," on single doubles, and its memory to the former
-writer's.
+From cli.FAMILY_MIN members on, csvrows writes the cells of solved rows
+with an integer kernel on arrays and falls back to Python's "%.17g" for
+cells outside its range; below it cli writes each row with "%.17g,".
+These tests hold both to the former writer (oracles.sweep_csv and
+oracles.sweep_footer) on whole sweeps, csvrows to "%.17g," on single
+doubles, and its memory to the former writer's.
 """
 
 import json
@@ -25,7 +26,7 @@ from perfbench.workloads import sweep_grid  # noqa: E402
 from cesgrowth import cli, csvrows  # noqa: E402
 from cesgrowth.scenario import parse_scenario  # noqa: E402
 
-from oracles import sweep_csv  # noqa: E402
+from oracles import sweep_csv, sweep_footer  # noqa: E402
 from test_cli import PARAMS_CASE1, PARITY_GRID, README_INITIAL  # noqa: E402
 
 
@@ -39,7 +40,9 @@ def readme_scenario(tmp_path, baseline=True) -> str:
 
 
 def sweep_against_oracle(capsys, monkeypatch, *argv):
-    """(output, the former writer's text on the same table) of one sweep."""
+    """(output, the former writer's text on the same table) of one sweep.
+    The table is a list of rows below cli.FAMILY_MIN members and an array
+    from there on; the former writer reads it as an array."""
     tables = []
     solve = cli._sweep_table
 
@@ -52,7 +55,9 @@ def sweep_against_oracle(capsys, monkeypatch, *argv):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     (values, errors), = tables
-    return captured.out, sweep_csv(values, errors) + cli._monotone_summary(values, errors)
+    assert isinstance(values, list) == (len(values) < cli.FAMILY_MIN)
+    values = np.array(values, dtype=float)
+    return captured.out, sweep_csv(values, errors) + sweep_footer(values, errors)
 
 
 @pytest.mark.parametrize("phase", [0.4, 0.5, 0.6])
@@ -79,10 +84,12 @@ def test_parity_grid_sweeps_match_the_former_writer(tmp_path, capsys, monkeypatc
     assert out == expected
 
 
-@pytest.mark.parametrize("grid", ["0.002:0.004:2", "1.5:2.0:1"])
+@pytest.mark.parametrize("grid", ["0.002:0.004:2", "1.5:2.0:1", "1.05:1.45:9",
+                                  "0.5:1000.5:19"])
 @pytest.mark.parametrize("which", ["1", "2", "both"])
 def test_small_sweeps_match_the_former_writer(tmp_path, capsys, monkeypatch, which, grid):
-    """test_sweep_extreme_sigma_rows' grid, all error rows, and one member."""
+    """test_sweep_extreme_sigma_rows' grid, all error rows; one member; the
+    README grid; and solved rows among error rows, below cli.FAMILY_MIN."""
     out, expected = sweep_against_oracle(
         capsys, monkeypatch, "--scenario", readme_scenario(tmp_path, baseline=False),
         "--grid", grid, "--sigma", which)
@@ -112,8 +119,7 @@ def test_cells_outside_the_kernels_range_match_the_former_writer(tmp_path, capsy
     code = cli.main(["sweep", "--scenario", readme_scenario(tmp_path), "--grid",
                      "0.5:2.0:40", "--format", "csv"])
     assert code == 0
-    assert capsys.readouterr().out == (sweep_csv(values, errors)
-                                       + cli._monotone_summary(values, errors))
+    assert capsys.readouterr().out == sweep_csv(values, errors) + sweep_footer(values, errors)
 
 
 def cell_lines(xs):
@@ -157,7 +163,7 @@ def test_cells_match_percent_17g_on_random_doubles_and_ties():
 def readme_table(n):
     scn = parse_scenario({"params": PARAMS_CASE1, "initial": README_INITIAL,
                           "baseline": {"source": "initial"}})
-    return cli._sweep_table(np.linspace(0.5, 2.0, n), "1", scn, cli._sweep_baseline(scn))
+    return cli._sweep_table(0.5, 2.0, n, "1", scn, cli._sweep_baseline(scn))
 
 
 def traced_peak(write, *args) -> int:
